@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for the short fuzz pass `check` runs.
 FUZZTIME ?= 3s
 
-.PHONY: build test bench bench-baseline check fmt vet attrib fuzz-short metriclint trace-check service-check
+.PHONY: build test bench bench-baseline check fmt vet attrib fuzz-short metriclint trace-check service-check perfbench-check
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,13 @@ service-check:
 	wait $$pid || { echo "service-check: daemon did not drain cleanly"; exit 1; }; \
 	echo "service-check: ok"
 
+# The repo benchmark (perfbench/) is its own Go module importing this
+# one through a replace directive, so `go build ./...` never compiles
+# it. Vet and test it on its own, so an API change here that breaks
+# the benchmark fails the check.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Everything CI would run: formatting, vet, build, race-enabled tests
 # (which include the Workers=1 vs Workers=N determinism suites, the
 # shared-pool stress tests, and the fault-injection sweep over every
@@ -128,7 +135,8 @@ service-check:
 # per-second rates, allocation byte totals that track GC timing — are
 # excluded, as are the runtime-sampler gauges and flight-recorder
 # counters, which vary run to run; deterministic size, symbol, step,
-# and allocation-count metrics gate), and the byte-attribution audit.
+# and allocation-count metrics gate), the byte-attribution audit, and
+# the benchmark module's vet and tests.
 # The allocation threshold is 10%: with scratch pooled, steady-state
 # counts are small and the race detector's randomized sync.Pool drops
 # swing them a few percent run to run, while the churn this gate
@@ -142,3 +150,4 @@ check: fmt vet build metriclint
 	$(MAKE) attrib
 	$(MAKE) trace-check
 	$(MAKE) service-check
+	$(MAKE) perfbench-check

@@ -59,7 +59,6 @@ var tool *expose.Tool
 
 func main() {
 	jit := flag.Bool("jit", false, "JIT to native code before running")
-	cache := flag.Bool("cache", false, "interpret with the decoded-unit cache (faster, larger working set)")
 	paged := flag.Bool("paged", false, "execute in place from the compressed page store (demand paging)")
 	pageSize := flag.Int("page-size", 0, "raw code bytes per page for -paged (0 = default 512)")
 	pageCache := flag.Int("page-cache", 0, "max resident decoded pages for -paged (0 = unbounded)")
@@ -73,7 +72,7 @@ func main() {
 	obs := expose.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: briscrun [-jit] [-time] file.brisc")
+		fmt.Fprintln(os.Stderr, "usage: briscrun [-paged | -jit] [-time] [flags] file.brisc")
 		os.Exit(2)
 	}
 	if *workers > 0 {
@@ -149,8 +148,6 @@ func main() {
 			if err := it.EnableXIP(img, *pageCache, *pageBytes); err != nil {
 				fatal(err)
 			}
-		} else if *cache {
-			it.EnableCache()
 		}
 		it.SetRecorder(rec)
 		if err := it.SetLimits(limits); err != nil {
@@ -165,9 +162,6 @@ func main() {
 		sp.End()
 		if err != nil {
 			fatal(err)
-		}
-		if rec.Enabled() {
-			rec.SetGauge("briscrun.cache_bytes", float64(it.CacheBytes()))
 		}
 	}
 	if *timing && !*metrics { // -metrics already prints the summary at Close

@@ -379,18 +379,18 @@ func TestMatchesAndExtract(t *testing.T) {
 	if len(vals) != 2 || vals[0] != 1 || vals[1] != 2 {
 		t.Errorf("extract = %v", vals)
 	}
-	back, err := sp.apply(vals)
+	back, err := sp.expand(nil, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back[0] != yes {
-		t.Errorf("apply = %+v, want %+v", back[0], yes)
+		t.Errorf("expand = %+v, want %+v", back[0], yes)
 	}
-	if _, err := sp.apply(vals[:1]); err == nil {
-		t.Error("apply with missing operand should fail")
+	if _, err := sp.expand(nil, vals[:1]); err == nil {
+		t.Error("expand with missing operand should fail")
 	}
-	if _, err := sp.apply(append(vals, 9)); err == nil {
-		t.Error("apply with extra operand should fail")
+	if _, err := sp.expand(nil, append(vals, 9)); err == nil {
+		t.Error("expand with extra operand should fail")
 	}
 }
 

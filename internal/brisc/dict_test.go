@@ -2,7 +2,6 @@ package brisc
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -136,73 +135,5 @@ func TestCompressDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("compression is not deterministic")
-	}
-}
-
-func TestInterpDecodeCache(t *testing.T) {
-	prog := compileProg(t, "t", workload.Kernels()["fib"])
-	obj, err := Compress(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plain, cached bytes.Buffer
-	it1 := NewInterp(obj, 1<<20, &plain)
-	code1, err := it1.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it2 := NewInterp(obj, 1<<20, &cached)
-	it2.EnableCache()
-	code2, err := it2.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code1 != code2 || plain.String() != cached.String() {
-		t.Error("decode cache changed behaviour")
-	}
-	if it2.CacheBytes() == 0 {
-		t.Error("cache reported empty after a run")
-	}
-	// Reset keeps the cache enabled but drops contents.
-	it2.Reset()
-	if it2.CacheBytes() != 0 {
-		t.Error("Reset did not drop cache contents")
-	}
-	if _, err := it2.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if it2.CacheBytes() == 0 {
-		t.Error("cache not repopulated after Reset")
-	}
-}
-
-func BenchmarkInterpNoCache(b *testing.B) {
-	b.ReportAllocs()
-	prog := compileProg(b, "t", workload.Kernels()["fib"])
-	obj, err := Compress(prog, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		it := NewInterp(obj, 0, io.Discard)
-		if _, err := it.Run(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInterpWithCache(b *testing.B) {
-	b.ReportAllocs()
-	prog := compileProg(b, "t", workload.Kernels()["fib"])
-	obj, err := Compress(prog, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		it := NewInterp(obj, 0, io.Discard)
-		it.EnableCache()
-		if _, err := it.Run(0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -39,7 +39,7 @@ func TestDecodeUnitEscape(t *testing.T) {
 	if int(next) != len(code) {
 		t.Errorf("next = %d, want %d", next, len(code))
 	}
-	instrs, err := obj.Dict[pid].apply(vals)
+	instrs, err := obj.Dict[pid].expand(nil, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

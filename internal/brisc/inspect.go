@@ -161,7 +161,7 @@ func (insp *Inspection) walkUnits() error {
 		if err != nil {
 			return err
 		}
-		instrs, err := o.Dict[pid].apply(vals)
+		instrs, err := o.Dict[pid].expand(nil, vals)
 		if err != nil {
 			return err
 		}

@@ -11,14 +11,16 @@ import (
 	"repro/internal/vm"
 )
 
-// Interp executes a BRISC object in place: each step Markov-decodes
-// the unit at the current byte offset, expands its pattern, and
-// executes the instructions directly, without ever materializing the
-// decompressed program. Branch targets are block indices resolved
-// through the object's block-offset table, and return addresses are
-// byte offsets, so the compressed stream is the only code
-// representation in memory — the working-set property the paper's
-// memory-bottleneck scenario relies on.
+// Interp executes a BRISC object in place. Code is addressed only by
+// byte offsets into the compressed stream: branch targets are block
+// indices resolved through the object's block-offset table, and return
+// addresses are byte offsets. Run dispatches over units decoded into
+// flat handler+operand form — the whole image once, up front, or (after
+// EnableXIP) page by page out of a compressed page store under a
+// resident-page budget, the working-set trade the paper's
+// memory-bottleneck scenario and W cost model describe. StepUnit
+// Markov-decodes and executes one unit straight from the stream; Run
+// falls back to it for off-grid PCs and for images that do not decode.
 type Interp struct {
 	Obj  *Object
 	Mem  []byte
@@ -44,22 +46,18 @@ type Interp struct {
 	Trace func(off int32)
 
 	// pre is the whole-image predecoded form (shared with the JIT front
-	// end via the Object); unitIdx is the index of the unit at PC, or -1
-	// when PC must be resolved through pre.offIdx (start of run, or
-	// after a computed jump). When predecoding fails — corrupt images
-	// must still execute their valid prefix — pre stays nil and Run
-	// falls back to the stepwise decoder.
+	// end via the Object); unitIdx is the index of the unit at PC in the
+	// unit table being executed, or -1 when PC must be resolved by
+	// offset (start of run, after a computed jump, and after every
+	// jump in paged mode). pre is nil in paged mode, and when
+	// predecoding fails — corrupt images must still execute their
+	// valid prefix, one unit at a time through the stepwise decoder.
 	pre     *predecoded
 	unitIdx int32
 
-	// visited marks predecoded units the fast loop has executed; it
-	// stands in for the decode cache's hit/miss and working-set
-	// accounting (the predecoded image *is* the cache).
-	visited []bool
-
 	// xip, when non-nil (EnableXIP), switches Run to demand-paged
 	// execution out of the compressed page store with a bounded
-	// decoded-page LRU cache; pre stays nil in that mode.
+	// decoded-page LRU cache.
 	xip *xipRuntime
 
 	// XIPFault, when non-nil, is invoked with the page id just before
@@ -67,27 +65,17 @@ type Interp struct {
 	// hook (mid-execution tamper injection), like Trace.
 	XIPFault func(page int32)
 
-	// cache, when enabled, memoizes decoded units by byte offset. This
-	// is the working-set-for-speed trade the paper's W cost models:
-	// the decoder's expanded tables make interpretation faster but
-	// consume the memory that compressing the code was saving.
-	cache map[int32]*cachedUnit
+	// step is StepUnit's reusable expansion buffer.
+	step []vm.Instr
 
 	// Telemetry. The hot loop touches only local fields behind a single
 	// opCounts nil check; recorder locks are taken in FlushTelemetry,
 	// once per Run, so the disabled path costs nothing measurable.
-	rec                    *telemetry.Recorder
-	opCounts               []int64
-	blockCounts            map[int32]int64
-	cacheHits, cacheMisses int64
-	flushedSteps           int64
-	flushedUnits           int64
-}
-
-type cachedUnit struct {
-	pid  int
-	vals []int32
-	next int32
+	rec          *telemetry.Recorder
+	opCounts     []int64
+	blockCounts  map[int32]int64
+	flushedSteps int64
+	flushedUnits int64
 }
 
 // Interpreter runtime errors.
@@ -126,22 +114,15 @@ func (it *Interp) Reset() {
 	it.PC = 0
 	it.ctx = 0
 	it.unitIdx = -1
-	for i := range it.visited {
-		it.visited[i] = false
-	}
 	it.Steps = 0
 	it.Units = 0
 	it.Halted = false
 	it.ExitCode = 0
 	it.Depth = 0
-	if it.cache != nil {
-		it.cache = make(map[int32]*cachedUnit)
-	}
 	if it.xip != nil {
 		it.xip.reset()
 	}
 	it.flushedSteps, it.flushedUnits = 0, 0
-	it.cacheHits, it.cacheMisses = 0, 0
 	if it.opCounts != nil {
 		for i := range it.opCounts {
 			it.opCounts[i] = 0
@@ -151,9 +132,9 @@ func (it *Interp) Reset() {
 }
 
 // SetRecorder attaches a telemetry recorder. When rec is enabled the
-// interpreter counts opcode dispatches, basic-block entries, and
-// decode-cache hits/misses in local fields and publishes them at the
-// end of each Run (or via FlushTelemetry). A nil or disabled recorder
+// interpreter counts opcode dispatches and basic-block entries in local
+// fields and publishes them, with the XIP page-cache counters in paged
+// mode, at the end of each Run (or via FlushTelemetry). A nil or disabled recorder
 // detaches and restores the zero-overhead path.
 func (it *Interp) SetRecorder(rec *telemetry.Recorder) {
 	if rec.Enabled() {
@@ -170,8 +151,9 @@ func (it *Interp) SetRecorder(rec *telemetry.Recorder) {
 // FlushTelemetry publishes the execution counters accumulated since
 // the last flush to the attached recorder: total steps and units,
 // per-opcode dispatch counts, block entries (total, plus a histogram
-// of entries per distinct block), and cache hits/misses. Run calls it
-// on exit; call it directly only when sampling mid-run.
+// of entries per distinct block), and in paged mode the page faults,
+// hits, evictions, and residency. Run calls it on exit; call it
+// directly only when sampling mid-run.
 func (it *Interp) FlushTelemetry() {
 	if it.rec == nil {
 		return
@@ -179,9 +161,6 @@ func (it *Interp) FlushTelemetry() {
 	it.rec.Add("brisc.interp.steps", it.Steps-it.flushedSteps)
 	it.rec.Add("brisc.interp.units", it.Units-it.flushedUnits)
 	it.flushedSteps, it.flushedUnits = it.Steps, it.Units
-	it.rec.Add("brisc.interp.cache.hits", it.cacheHits)
-	it.rec.Add("brisc.interp.cache.misses", it.cacheMisses)
-	it.cacheHits, it.cacheMisses = 0, 0
 	var entries int64
 	for _, n := range it.blockCounts {
 		entries += n
@@ -233,47 +212,32 @@ func (it *Interp) Run(maxSteps int64) (int32, error) {
 		l.MaxSteps = maxSteps
 	}
 	g := guard.New("brisc", l, ErrOutOfSteps)
-	if it.xip != nil {
-		if err := it.runPaged(&g, !l.Zero()); err != nil {
-			return 0, err
-		}
-		return it.ExitCode, nil
+	// Paged runs must not chain jumps through a whole-image table left
+	// by an earlier run (jumpBlock follows pre.blockUnit when set).
+	it.pre = nil
+	if it.xip == nil {
+		it.pre, _ = it.Obj.predecode()
 	}
-	if pre, err := it.Obj.predecode(); err == nil {
-		it.pre = pre
-		it.unitIdx = -1
-		if it.cache != nil && it.visited == nil {
-			it.visited = make([]bool, len(pre.units))
-		}
-		if err := it.runPredecoded(&g, !l.Zero()); err != nil {
-			return 0, err
-		}
-		return it.ExitCode, nil
-	}
-	// Corrupt image: the stepwise decoder executes the valid prefix and
-	// surfaces the decode error at the exact unit that is damaged.
-	for !it.Halted {
-		if err := g.Check(it.Steps, it.Depth, int64(it.PC)); err != nil {
-			it.recordTrap(err)
-			return 0, err
-		}
-		if err := it.StepUnit(); err != nil {
-			return 0, err
-		}
+	it.unitIdx = -1
+	if err := it.run(&g, !l.Zero()); err != nil {
+		return 0, err
 	}
 	return it.ExitCode, nil
 }
 
-// runPredecoded is the fast dispatch loop: no per-unit decode, no
-// pattern expansion, direct handler-table dispatch over the flat
-// instruction array. Governor and telemetry work are hoisted behind
-// per-unit flag checks, so with both disabled a unit costs one map-free
-// index step plus its handlers. Off-grid PCs (a computed jump into the
-// middle of a unit on hostile input) fall back to the stepwise decoder
-// for that unit, preserving in-place semantics exactly.
-func (it *Interp) runPredecoded(g *guard.Gov, checked bool) error {
-	pre := it.pre
-	instrumented := it.Trace != nil || it.opCounts != nil || it.cache != nil
+// run is the one dispatch loop, shared by whole-image and paged
+// execution: no per-unit decode, no pattern expansion, direct
+// handler-table dispatch over a unit table's flat instruction array.
+// Fall-through follows nextIdx within the table; only a PC without a
+// unit index goes through resolve, the one mode-dependent step.
+// Governor and telemetry work are hoisted behind per-unit flag checks,
+// so with both disabled a unit costs one index step plus its handlers.
+func (it *Interp) run(g *guard.Gov, checked bool) error {
+	var tab *unitTable
+	if it.pre != nil {
+		tab = &it.pre.unitTable
+	}
+	instrumented := it.Trace != nil || it.opCounts != nil
 	for !it.Halted {
 		if checked {
 			if err := g.Check(it.Steps, it.Depth, int64(it.PC)); err != nil {
@@ -283,24 +247,32 @@ func (it *Interp) runPredecoded(g *guard.Gov, checked bool) error {
 		}
 		idx := it.unitIdx
 		if idx < 0 {
-			var ok bool
-			if idx, ok = pre.offIdx[it.PC]; !ok {
+			t, i, err := it.resolve(g)
+			if err != nil {
+				return err
+			}
+			if i < 0 {
+				// Off-grid PC (a computed jump into the middle of a unit
+				// on hostile input) or an image that does not predecode:
+				// one unit through the stepwise decoder, preserving
+				// in-place semantics exactly.
 				if err := it.StepUnit(); err != nil {
 					return err
 				}
 				continue
 			}
+			tab, idx = t, i
 			it.unitIdx = idx
 		}
-		u := &pre.units[idx]
+		u := &tab.units[idx]
 		if instrumented {
-			it.noteUnit(idx, u)
+			it.noteUnit(u)
 		}
 		it.Units++
 		jumped := false
 		end := u.first + u.n
 		for k := u.first; k < end; k++ {
-			ins := &pre.code[k]
+			ins := &tab.code[k]
 			if it.opCounts != nil && int(ins.Op) < len(it.opCounts) {
 				it.opCounts[ins.Op]++
 			}
@@ -323,25 +295,32 @@ func (it *Interp) runPredecoded(g *guard.Gov, checked bool) error {
 	return nil
 }
 
-// noteUnit performs the per-unit instrumentation the fast loop hoists
-// out of the uninstrumented path: trace callback, block-entry counts,
-// and cache hit/miss accounting against the visited bitmap.
-func (it *Interp) noteUnit(idx int32, u *predUnit) {
+// resolve finds the unit table and unit index for PC: an offset lookup
+// in the whole-image table, or a page lookup (faulting the page in) in
+// paged mode. A -1 index sends the unit to the stepwise decoder.
+func (it *Interp) resolve(g *guard.Gov) (*unitTable, int32, error) {
+	if it.xip != nil {
+		return it.xip.resolve(it, g, it.PC)
+	}
+	if it.pre == nil {
+		return nil, -1, nil
+	}
+	idx, ok := it.pre.offIdx[it.PC]
+	if !ok {
+		return nil, -1, nil
+	}
+	return &it.pre.unitTable, idx, nil
+}
+
+// noteUnit performs the per-unit instrumentation the dispatch loop
+// hoists out of the uninstrumented path: trace callback and block-entry
+// counts.
+func (it *Interp) noteUnit(u *predUnit) {
 	if u.isBlock && it.opCounts != nil {
 		it.blockCounts[u.off]++
 	}
 	if it.Trace != nil {
 		it.Trace(u.off)
-	}
-	if it.cache != nil {
-		if !it.visited[idx] {
-			it.visited[idx] = true
-			if it.opCounts != nil {
-				it.cacheMisses++
-			}
-		} else if it.opCounts != nil {
-			it.cacheHits++
-		}
 	}
 }
 
@@ -352,35 +331,6 @@ func (it *Interp) noteUnit(idx int32, u *predUnit) {
 func (it *Interp) recordTrap(err error) {
 	it.FlushTelemetry()
 	guard.Report(it.rec, err)
-}
-
-// EnableCache turns on the decoded-unit cache (see the cache field).
-// Call before Run; Reset preserves the setting but drops contents.
-func (it *Interp) EnableCache() {
-	it.cache = make(map[int32]*cachedUnit)
-}
-
-// CacheBytes estimates the memory held by the decode cache — the
-// interpreter's extra working set. In the predecoded fast path the
-// image-wide decode is the cache, so the estimate covers the units the
-// current run has actually touched (its working set), plus any units
-// the stepwise fallback memoized in the legacy map.
-func (it *Interp) CacheBytes() int {
-	n := 0
-	for _, cu := range it.cache {
-		n += 16 + 4*len(cu.vals)
-	}
-	if it.pre != nil {
-		for i, v := range it.visited {
-			if v {
-				n += 16 + 4*int(it.pre.units[i].nvals)
-			}
-		}
-	}
-	if it.xip != nil {
-		n += int(it.xip.resident)
-	}
-	return n
 }
 
 // StepUnit decodes and executes one unit (one or more instructions).
@@ -394,48 +344,22 @@ func (it *Interp) StepUnit() error {
 	if it.Trace != nil {
 		it.Trace(it.PC)
 	}
-	var pid int
-	var vals []int32
-	var next int32
-	if cu, ok := it.cache[it.PC]; ok {
-		pid, vals, next = cu.pid, cu.vals, cu.next
-		if it.opCounts != nil {
-			it.cacheHits++
-		}
-	} else {
-		var err error
-		pid, vals, next, err = it.Obj.decodeUnit(it.PC, it.ctx)
-		if err != nil {
-			return err
-		}
-		if it.cache != nil {
-			it.cache[it.PC] = &cachedUnit{pid: pid, vals: vals, next: next}
-			if it.opCounts != nil {
-				it.cacheMisses++
-			}
-		}
+	pid, vals, next, err := it.Obj.decodeUnit(it.PC, it.ctx)
+	if err != nil {
+		return err
+	}
+	it.step, err = it.Obj.Dict[pid].expand(it.step[:0], vals)
+	if err != nil {
+		return err
 	}
 	it.Units++
-	p := &it.Obj.Dict[pid]
-	// Execute the pattern's instructions with decoded operands.
-	vi := 0
 	jumped := false
-	for si := range p.Seq {
-		pi := &p.Seq[si]
-		var ins vm.Instr
-		ins.Op = pi.Op
-		for f := range pi.Fixed {
-			if pi.Fixed[f] {
-				setField(&ins, f, pi.Val[f])
-			} else {
-				setField(&ins, f, vals[vi])
-				vi++
-			}
-		}
+	for k := range it.step {
+		ins := &it.step[k]
 		if it.opCounts != nil && int(ins.Op) < len(it.opCounts) {
 			it.opCounts[ins.Op]++
 		}
-		taken, err := it.exec(ins, next)
+		taken, err := opHandlers[ins.Op](it, ins, next)
 		if err != nil {
 			return err
 		}
@@ -460,13 +384,6 @@ func (it *Interp) blockTarget(b int32) (int32, error) {
 	return it.Obj.Blocks[b], nil
 }
 
-// exec executes one expanded instruction through the handler table.
-// next is the byte offset of the following unit (the return address
-// for CALL). It reports whether control transferred.
-func (it *Interp) exec(ins vm.Instr, next int32) (bool, error) {
-	return opHandlers[ins.Op](it, &ins, next)
-}
-
 func (it *Interp) jumpBlock(b int32) (bool, error) {
 	off, err := it.blockTarget(b)
 	if err != nil {
@@ -476,6 +393,8 @@ func (it *Interp) jumpBlock(b int32) (bool, error) {
 	it.ctx = 0
 	if it.pre != nil {
 		it.unitIdx = it.pre.blockUnit[b]
+	} else {
+		it.unitIdx = -1 // paged or stepwise: resolve the target by offset
 	}
 	return true, nil
 }

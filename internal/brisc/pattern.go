@@ -417,29 +417,33 @@ func (p Pattern) encodedSizePair(a, b []vm.Instr) int {
 	return 1 + (n+1)/2
 }
 
-// apply reconstructs the concrete instruction sequence from the
-// pattern and its unfixed operand values.
-func (p Pattern) apply(vals []int32) ([]vm.Instr, error) {
-	out := make([]vm.Instr, len(p.Seq))
+// expand appends the concrete instructions of p, with its unfixed
+// fields filled from vals in (instruction, field) order, to dst. It is
+// the one pattern expander: whole-image predecode, XIP page faults,
+// the stepwise decoder and the inspector all go through it. vals must
+// hold exactly one value per wildcard field.
+func (p *Pattern) expand(dst []vm.Instr, vals []int32) ([]vm.Instr, error) {
 	vi := 0
-	for i, pi := range p.Seq {
-		out[i] = vm.Instr{Op: pi.Op}
+	for i := range p.Seq {
+		pi := &p.Seq[i]
+		ins := vm.Instr{Op: pi.Op}
 		for f, fx := range pi.Fixed {
 			if fx {
-				setField(&out[i], f, pi.Val[f])
-			} else {
-				if vi >= len(vals) {
-					return nil, fmt.Errorf("%w: operand underflow applying %s", ErrCorrupt, p)
-				}
-				setField(&out[i], f, vals[vi])
-				vi++
+				setField(&ins, f, pi.Val[f])
+				continue
 			}
+			if vi >= len(vals) {
+				return dst, fmt.Errorf("%w: operand underflow applying %s", ErrCorrupt, p)
+			}
+			setField(&ins, f, vals[vi])
+			vi++
 		}
+		dst = append(dst, ins)
 	}
 	if vi != len(vals) {
-		return nil, fmt.Errorf("%w: %d extra operands applying %s", ErrCorrupt, len(vals)-vi, p)
+		return dst, fmt.Errorf("%w: %d extra operands applying %s", ErrCorrupt, len(vals)-vi, p)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ---- operand nibble encoding ----

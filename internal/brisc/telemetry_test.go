@@ -2,6 +2,7 @@ package brisc
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -26,67 +27,95 @@ int main(void) {
 // attaching a recorder must not change interpreter behaviour in any
 // observable way — same output, exit code, step and unit counts — and
 // the published counters must agree with the interpreter's own totals.
+// Whole-image and paged execution (one-page and unbounded budgets) run
+// the same dispatch loop, so their counters must also agree with each
+// other.
 func TestInterpTelemetryEquivalence(t *testing.T) {
 	prog := compileProg(t, "loop", loopSrc)
 	obj, err := Compress(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, err := BuildXIP(obj, XIPOptions{PageSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	run := func(rec *telemetry.Recorder) (*Interp, string) {
-		var out bytes.Buffer
-		it := NewInterp(obj, 1<<20, &out)
-		it.EnableCache()
-		it.SetRecorder(rec)
-		if _, err := it.Run(50_000_000); err != nil {
-			t.Fatalf("interp run: %v", err)
+	type counts struct{ steps, units, dispatch, blockEntries int64 }
+	modes := []struct {
+		name     string
+		paged    bool
+		maxPages int
+	}{
+		{"whole", false, 0},
+		{"paged-1", true, 1},
+		{"paged-unbounded", true, 0},
+	}
+	var first counts
+	for mi, mode := range modes {
+		run := func(rec *telemetry.Recorder) (*Interp, string) {
+			var out bytes.Buffer
+			it := NewInterp(obj, 1<<20, &out)
+			if mode.paged {
+				if err := it.EnableXIP(img, mode.maxPages, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it.SetRecorder(rec)
+			if _, err := it.Run(50_000_000); err != nil {
+				t.Fatalf("%s: interp run: %v", mode.name, err)
+			}
+			return it, out.String()
 		}
-		return it, out.String()
-	}
 
-	plain, plainOut := run(nil)
-	rec := telemetry.New()
-	traced, tracedOut := run(rec)
+		plain, plainOut := run(nil)
+		rec := telemetry.New()
+		traced, tracedOut := run(rec)
 
-	if plainOut != tracedOut {
-		t.Errorf("output differs with telemetry: %q vs %q", plainOut, tracedOut)
-	}
-	if plain.ExitCode != traced.ExitCode {
-		t.Errorf("exit code differs: %d vs %d", plain.ExitCode, traced.ExitCode)
-	}
-	if plain.Steps != traced.Steps || plain.Units != traced.Units {
-		t.Errorf("counts differ: steps %d/%d units %d/%d",
-			plain.Steps, traced.Steps, plain.Units, traced.Units)
-	}
-
-	if got := rec.Counter("brisc.interp.steps"); got != traced.Steps {
-		t.Errorf("steps counter = %d, interp counted %d", got, traced.Steps)
-	}
-	if got := rec.Counter("brisc.interp.units"); got != traced.Units {
-		t.Errorf("units counter = %d, interp counted %d", got, traced.Units)
-	}
-	var dispatch int64
-	for name, v := range rec.Counters() {
-		if len(name) > 22 && name[:22] == "brisc.interp.dispatch." {
-			dispatch += v
+		if plainOut != tracedOut {
+			t.Errorf("%s: output differs with telemetry: %q vs %q", mode.name, plainOut, tracedOut)
 		}
-	}
-	if dispatch != traced.Steps {
-		t.Errorf("dispatch counters sum to %d, want steps %d", dispatch, traced.Steps)
-	}
-	hits := rec.Counter("brisc.interp.cache.hits")
-	misses := rec.Counter("brisc.interp.cache.misses")
-	if hits+misses != traced.Units {
-		t.Errorf("cache hits %d + misses %d != units %d", hits, misses, traced.Units)
-	}
-	if hits == 0 {
-		t.Error("loop program produced no cache hits")
-	}
-	if rec.Counter("brisc.interp.block_entries") <= 0 {
-		t.Error("no block entries recorded")
-	}
-	if rec.Histogram("brisc.interp.block_entries_per_block").Count == 0 {
-		t.Error("no per-block entry histogram recorded")
+		if plain.ExitCode != traced.ExitCode {
+			t.Errorf("%s: exit code differs: %d vs %d", mode.name, plain.ExitCode, traced.ExitCode)
+		}
+		if plain.Steps != traced.Steps || plain.Units != traced.Units {
+			t.Errorf("%s: counts differ: steps %d/%d units %d/%d",
+				mode.name, plain.Steps, traced.Steps, plain.Units, traced.Units)
+		}
+
+		c := counts{
+			steps:        rec.Counter("brisc.interp.steps"),
+			units:        rec.Counter("brisc.interp.units"),
+			blockEntries: rec.Counter("brisc.interp.block_entries"),
+		}
+		for name, v := range rec.Counters() {
+			if strings.HasPrefix(name, "brisc.interp.dispatch.") {
+				c.dispatch += v
+			}
+		}
+		if c.steps != traced.Steps {
+			t.Errorf("%s: steps counter = %d, interp counted %d", mode.name, c.steps, traced.Steps)
+		}
+		if c.units != traced.Units {
+			t.Errorf("%s: units counter = %d, interp counted %d", mode.name, c.units, traced.Units)
+		}
+		if c.dispatch != traced.Steps {
+			t.Errorf("%s: dispatch counters sum to %d, want steps %d", mode.name, c.dispatch, traced.Steps)
+		}
+		if c.blockEntries <= 0 {
+			t.Errorf("%s: no block entries recorded", mode.name)
+		}
+		if rec.Histogram("brisc.interp.block_entries_per_block").Count == 0 {
+			t.Errorf("%s: no per-block entry histogram recorded", mode.name)
+		}
+		if mode.paged && rec.Counter("paging.xip.faults") <= 0 {
+			t.Errorf("%s: no page faults recorded", mode.name)
+		}
+		if mi == 0 {
+			first = c
+		} else if c != first {
+			t.Errorf("%s: counters %+v differ from %s %+v", mode.name, c, modes[0].name, first)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/paging"
-	"repro/internal/vm"
 )
 
 // Execute-in-place (XIP): run a BRISC image straight out of the
@@ -23,10 +22,10 @@ import (
 // instead of up front.
 //
 // Profile-driven layout: when XIPOptions.BlockCounts is set (from a
-// `compscope hot -json` join or BlockCountsFromTrace), segments are
-// packed into pages in descending execution-count order, so
-// hot-together blocks share pages and the cold tail of the image never
-// pollutes the cache. Ozturk et al. (PAPERS.md) show the miss rate of
+// `compscope hot -json` join or BlockCountsFromTrace), executed
+// segments are packed ahead of never-executed ones, so hot-together
+// blocks share pages and the cold tail of the image never pollutes the
+// cache. Ozturk et al. (PAPERS.md) show the miss rate of
 // an execute-from-compressed scheme is dominated by exactly this
 // placement decision.
 
@@ -52,15 +51,6 @@ type XIPOptions struct {
 	BlockCounts map[int32]int64
 }
 
-// xipSeg is one layout unit: a block-aligned byte range of the
-// original code stream and its home in the paged image.
-type xipSeg struct {
-	start, end int32 // [start,end) in original Obj.Code coordinates
-	page       int32 // page the segment was packed into
-	local      int32 // offset of start within the page's raw bytes
-	isBlock    bool  // start is a block offset (false only for a preamble)
-}
-
 // XIPImage is the immutable paged form of one Object: the segment and
 // page tables plus the compressed page store. Build once, share across
 // interpreters; per-run cache state lives on the Interp.
@@ -68,7 +58,7 @@ type XIPImage struct {
 	obj      *Object
 	store    *paging.Store
 	pageSize int
-	segs     []xipSeg  // sorted by start (original-code order)
+	segs     []segment // sorted by start (original-code order)
 	pageSegs [][]int32 // page -> segment indices in layout order
 	pageLen  []int32   // used raw bytes per page (rest is padding)
 }
@@ -130,42 +120,28 @@ func (x *XIPImage) NumPages() int { return len(x.pageLen) }
 func (x *XIPImage) PageSize() int { return x.pageSize }
 
 // Store exposes the backing page store, e.g. to attach a telemetry
-// recorder for the paging.* fault counters or enable its raw-page
-// cache.
+// recorder for the paging.* fault counters.
 func (x *XIPImage) Store() *paging.Store { return x.store }
 
 // buildXIPMeta validates the image, cuts it into segments, and assigns
-// segments to pages — everything except materializing the store.
+// segments to pages — everything except materializing the store. Every
+// segment must decode (the contract predecode enforces), so a paged run
+// of a corrupt image fails at build time — the caller then falls back
+// to the stepwise valid-prefix path — and every page fault can decode
+// its segments independently.
 func buildXIPMeta(o *Object, opt XIPOptions) (*XIPImage, error) {
-	if err := o.validateLinear(); err != nil {
+	segs, err := o.segments()
+	if err != nil {
 		return nil, err
 	}
-	blockSet := make(map[int32]bool, len(o.Blocks))
-	for _, b := range o.Blocks {
-		blockSet[b] = true
-	}
-	// Segment boundaries: offset 0 plus every distinct block offset.
-	starts := make([]int32, 0, len(blockSet)+1)
-	if !blockSet[0] && len(o.Code) > 0 {
-		starts = append(starts, 0) // preamble before the first block
-	}
-	for b := range blockSet {
-		starts = append(starts, b)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-
-	x := &XIPImage{obj: o}
+	x := &XIPImage{obj: o, segs: segs}
 	maxSeg := 0
-	for i, s := range starts {
-		end := int32(len(o.Code))
-		if i+1 < len(starts) {
-			end = starts[i+1]
+	for i := range segs {
+		s := &segs[i]
+		if err := o.decodeSegment(nil, o.Code, s, s.start); err != nil {
+			return nil, err
 		}
-		if end == s {
-			continue // duplicate boundary; empty segments carry no code
-		}
-		x.segs = append(x.segs, xipSeg{start: s, end: end, isBlock: blockSet[s]})
-		if n := int(end - s); n > maxSeg {
+		if n := int(s.end - s.start); n > maxSeg {
 			maxSeg = n
 		}
 	}
@@ -218,43 +194,6 @@ func buildXIPMeta(o *Object, opt XIPOptions) (*XIPImage, error) {
 	return x, nil
 }
 
-// validateLinear replays the whole-image Markov walk without retaining
-// the decoded form: every unit must decode and every block offset must
-// sit on the unit grid. This is the same contract predecode enforces,
-// checked here so a paged run of a corrupt image fails at build time
-// (the caller then falls back to the stepwise valid-prefix path) and
-// so every segment is guaranteed independently decodable.
-func (o *Object) validateLinear() error {
-	blockSet := make(map[int32]bool, len(o.Blocks))
-	for _, off := range o.Blocks {
-		blockSet[off] = true
-	}
-	nextBlock := 0
-	off := int32(0)
-	ctx := 0
-	for int(off) < len(o.Code) {
-		if blockSet[off] {
-			ctx = 0
-			for nextBlock < len(o.Blocks) && o.Blocks[nextBlock] == off {
-				nextBlock++
-			}
-		}
-		pid, _, next, err := o.decodeUnit(off, ctx)
-		if err != nil {
-			return err
-		}
-		if next <= off {
-			return fmt.Errorf("%w: unit at %d does not advance", ErrCorrupt, off)
-		}
-		ctx = pid + 1
-		off = next
-	}
-	if nextBlock != len(o.Blocks) {
-		return fmt.Errorf("%w: %d block offsets beyond code", ErrCorrupt, len(o.Blocks)-nextBlock)
-	}
-	return nil
-}
-
 // BlockCountsFromTrace aggregates per-unit execution counts (keyed by
 // unit byte offset, as an Interp.Trace hook observes them) into
 // per-block counts keyed by block byte offset — the profile input the
@@ -285,13 +224,11 @@ const (
 )
 
 // xipPage is one decoded page resident in the cache: the page's units
-// expanded into the flat handler+operand form, addressed by original
-// code offsets.
+// in the same table form the whole-image predecode uses, addressed by
+// original code offsets.
 type xipPage struct {
+	unitTable
 	id         int32
-	units      []predUnit
-	code       []vm.Instr
-	offIdx     map[int32]int32 // original unit offset -> units index
 	bytes      int64
 	prev, next *xipPage // LRU list; nil-terminated both ends
 }
@@ -329,7 +266,7 @@ type XIPStats struct {
 // unbounded; a single page is always allowed, so a budget smaller than
 // one page degrades to exactly-one-resident-page). img must have been
 // built from the interpreter's Object. Reset preserves the setting but
-// drops cache contents, like EnableCache.
+// drops cache contents and counters.
 func (it *Interp) EnableXIP(img *XIPImage, maxPages, maxBytes int) error {
 	if img.obj != it.Obj {
 		return fmt.Errorf("brisc: XIP image was built from a different object")
@@ -426,13 +363,13 @@ func (rt *xipRuntime) evict(keep *xipPage) {
 	}
 }
 
-// resolve maps an original code offset to its decoded page and unit
-// index, faulting the page in if needed. A nil page means off is
-// outside every segment (past the end of code); a -1 index with a
-// non-nil page means off is inside the page but off the unit grid
-// (computed jump into the middle of a unit). Both fall back to the
-// stepwise decoder, preserving hostile-input semantics exactly.
-func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*xipPage, int32, error) {
+// resolve maps an original code offset to its decoded page's unit
+// table and unit index, faulting the page in if needed. A -1 index
+// means off is outside every segment (past the end of code) or inside
+// a page but off the unit grid (computed jump into the middle of a
+// unit); the caller falls back to the stepwise decoder, preserving
+// hostile-input semantics exactly.
+func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, int32, error) {
 	segs := rt.img.segs
 	si := sort.Search(len(segs), func(i int) bool { return segs[i].end > off })
 	if si >= len(segs) || off < segs[si].start {
@@ -452,9 +389,9 @@ func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*xipPage, in
 	}
 	idx, ok := pg.offIdx[off]
 	if !ok {
-		return pg, -1, nil
+		return nil, -1, nil
 	}
-	return pg, idx, nil
+	return &pg.unitTable, idx, nil
 }
 
 // fault loads, verifies, and predecodes page pid, inserts it at the
@@ -471,61 +408,17 @@ func (rt *xipRuntime) fault(it *Interp, g *guard.Gov, pid int32) (*xipPage, erro
 	if err != nil {
 		return nil, fmt.Errorf("brisc: xip fault on page %d: %w", pid, err)
 	}
-	pg := &xipPage{id: pid, offIdx: make(map[int32]int32, 16)}
-	o := rt.img.obj
+	pg := &xipPage{id: pid, unitTable: unitTable{offIdx: make(map[int32]int32, 16)}}
 	for _, si := range rt.img.pageSegs[pid] {
 		s := &rt.img.segs[si]
-		base := s.start - s.local // original = local + base
-		segEnd := s.local + (s.end - s.start)
-		ctx := 0
-		local := s.local
-		first := true
-		for local < segEnd {
-			upid, vals, nextLocal, err := o.decodeUnitIn(raw, local, ctx)
-			if err != nil || nextLocal <= local || nextLocal > segEnd {
-				return nil, fmt.Errorf("%w: xip page %d unit at %d", ErrCorrupt, pid, base+local)
-			}
-			firstIns := int32(len(pg.code))
-			pat := &o.Dict[upid]
-			vi := 0
-			for pi := range pat.Seq {
-				p := &pat.Seq[pi]
-				var ins vm.Instr
-				ins.Op = p.Op
-				for f := range p.Fixed {
-					if p.Fixed[f] {
-						setField(&ins, f, p.Val[f])
-					} else {
-						setField(&ins, f, vals[vi])
-						vi++
-					}
-				}
-				pg.code = append(pg.code, ins)
-			}
-			pg.offIdx[base+local] = int32(len(pg.units))
-			pg.units = append(pg.units, predUnit{
-				off:     base + local,
-				next:    base + nextLocal,
-				nextIdx: -1,
-				first:   firstIns,
-				n:       int32(len(pg.code)) - firstIns,
-				pid:     int32(upid),
-				nvals:   int32(len(vals)),
-				isBlock: first && s.isBlock,
-			})
-			ctx = upid + 1
-			local = nextLocal
-			first = false
+		if err := rt.img.obj.decodeSegment(&pg.unitTable, raw, s, s.local); err != nil {
+			return nil, fmt.Errorf("brisc: xip page %d: %w", pid, err)
 		}
 	}
 	// Chain in-page fall-throughs so consecutive units dispatch without
 	// re-touching the cache; cross-page successors stay -1 and resolve
 	// through the fault path.
-	for i := range pg.units {
-		if idx, ok := pg.offIdx[pg.units[i].next]; ok {
-			pg.units[i].nextIdx = idx
-		}
-	}
+	pg.link()
 	pg.bytes = int64(len(pg.code))*xipInstrFootprint + int64(len(pg.units))*xipUnitFootprint
 	rt.pages[pid] = pg
 	rt.moveFront(pg)
@@ -544,89 +437,4 @@ func (rt *xipRuntime) fault(it *Interp, g *guard.Gov, pid int32) (*xipPage, erro
 		}
 	}
 	return pg, nil
-}
-
-// runPaged is the demand-paged twin of runPredecoded: the same direct
-// handler-table dispatch over flat decoded units, except the decoded
-// image is materialized page by page on control transfers and bounded
-// by the LRU cache. PCs, return addresses, and the block table all
-// keep speaking original-code byte offsets, so execution is
-// result-identical to the fully-decoded path (asserted by the
-// xip identity tests).
-func (it *Interp) runPaged(g *guard.Gov, checked bool) error {
-	rt := it.xip
-	instrumented := it.Trace != nil || it.opCounts != nil
-	var pg *xipPage
-	it.unitIdx = -1
-	for !it.Halted {
-		if checked {
-			if err := g.Check(it.Steps, it.Depth, int64(it.PC)); err != nil {
-				it.recordTrap(err)
-				return err
-			}
-		}
-		idx := it.unitIdx
-		if pg == nil || idx < 0 {
-			var err error
-			pg, idx, err = rt.resolve(it, g, it.PC)
-			if err != nil {
-				return err
-			}
-			if pg == nil || idx < 0 {
-				// Off-grid PC: one unit through the stepwise decoder,
-				// exactly like the whole-image fast path's fallback.
-				pg = nil
-				if err := it.StepUnit(); err != nil {
-					return err
-				}
-				continue
-			}
-			it.unitIdx = idx
-		}
-		u := &pg.units[idx]
-		if instrumented {
-			it.notePagedUnit(u)
-		}
-		it.Units++
-		jumped := false
-		end := u.first + u.n
-		for k := u.first; k < end; k++ {
-			ins := &pg.code[k]
-			if it.opCounts != nil && int(ins.Op) < len(it.opCounts) {
-				it.opCounts[ins.Op]++
-			}
-			taken, err := opHandlers[ins.Op](it, ins, u.next)
-			if err != nil {
-				return err
-			}
-			it.Steps++
-			if taken || it.Halted {
-				jumped = true
-				break
-			}
-		}
-		if !jumped {
-			it.ctx = int(u.pid) + 1
-			it.PC = u.next
-			it.unitIdx = u.nextIdx
-		} else {
-			// Control transferred: the target may live on another page
-			// (or off-grid); resolve it afresh next iteration.
-			it.unitIdx = -1
-		}
-	}
-	return nil
-}
-
-// notePagedUnit is the paged loop's instrumentation slice: trace
-// callback and block-entry counts (the visited-bitmap cache accounting
-// of noteUnit is meaningless here — the page cache itself is the
-// working-set model, accounted in XIPStats).
-func (it *Interp) notePagedUnit(u *predUnit) {
-	if u.isBlock && it.opCounts != nil {
-		it.blockCounts[u.off]++
-	}
-	if it.Trace != nil {
-		it.Trace(u.off)
-	}
 }

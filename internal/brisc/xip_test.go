@@ -245,7 +245,7 @@ func TestXIPSeams(t *testing.T) {
 		}
 		// Map each executed offset to (page, local) through the segment
 		// table.
-		segOf := func(off int32) *xipSeg {
+		segOf := func(off int32) *segment {
 			for i := range img.segs {
 				if img.segs[i].start <= off && off < img.segs[i].end {
 					return &img.segs[i]
@@ -541,5 +541,139 @@ func TestXIPRejectsForeignImage(t *testing.T) {
 	}
 	if err := NewInterp(objB, 0, nil).EnableXIP(img, 0, 0); err == nil {
 		t.Fatal("foreign image accepted")
+	}
+}
+
+// modeRun is everything observable about one Run: the unit trace,
+// counters, exit, output, error text, and page faults.
+type modeRun struct {
+	trace        []int32
+	steps, units int64
+	code         int32
+	out          string
+	err          error
+	faults       int64
+}
+
+// runEntry resets it, enters at pc with Markov context ctx, and runs
+// under a step limit.
+func runEntry(it *Interp, pc int32, ctx int, limit int64) modeRun {
+	var r modeRun
+	var out bytes.Buffer
+	it.Reset()
+	it.Out = &out
+	it.PC, it.ctx = pc, ctx
+	it.Trace = func(off int32) { r.trace = append(r.trace, off) }
+	code, err := it.Run(limit)
+	r.steps, r.units, r.code, r.out = it.Steps, it.Units, code, out.String()
+	r.err = err
+	r.faults = it.XIPStats().Faults
+	return r
+}
+
+func checkSameModeRun(t *testing.T, label string, want, got modeRun) {
+	t.Helper()
+	if got.steps != want.steps || got.units != want.units || got.code != want.code ||
+		got.out != want.out || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+		t.Errorf("%s: steps %d/%d units %d/%d exit %d/%d out %q/%q err %v/%v", label,
+			got.steps, want.steps, got.units, want.units, got.code, want.code,
+			got.out, want.out, got.err, want.err)
+	}
+	if !int32SlicesEqual(got.trace, want.trace) {
+		t.Errorf("%s: unit trace diverged (len %d vs %d)", label, len(got.trace), len(want.trace))
+	}
+}
+
+// TestInterpOffGridFallbackAcrossModes drives the stepwise fallback
+// from the dispatch loop: execution entered mid-unit (as a corrupted
+// return address would) decodes through StepUnit until it lands back
+// on the unit grid. Whole-image and paged runs (one-page and unbounded
+// budgets) must agree on the trace, counters, error, and exit. An
+// Interp that ran whole-image and is then Reset into paged mode must
+// match a fresh paged Interp exactly, fault count included: a paged
+// run must never chain jumps through the earlier whole-image table.
+func TestInterpOffGridFallbackAcrossModes(t *testing.T) {
+	obj := xipObject(t, "loop", loopSrc, Options{})
+	pre, err := obj.predecode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := BuildXIP(obj, XIPOptions{PageSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.NumPages() < 2 {
+		t.Fatalf("want a multi-page image, got %d pages", img.NumPages())
+	}
+
+	// Entries: the first mid-unit offset at context 0 (decodes garbage
+	// and fails), and the first mid-unit (offset, context) pair that
+	// decodes into a unit and resynchronizes onto the grid.
+	type entry struct {
+		pc  int32
+		ctx int
+	}
+	var entries []entry
+	probe := NewInterp(obj, 1<<20, nil)
+	for off := int32(0); off < int32(len(obj.Code)) && len(entries) < 2; off++ {
+		if _, ok := pre.offIdx[off]; ok {
+			continue
+		}
+		if len(entries) == 0 {
+			entries = append(entries, entry{off, 0})
+			continue
+		}
+		for ctx := 0; ctx < len(obj.Contexts); ctx++ {
+			if r := runEntry(probe, off, ctx, 200); r.steps >= 100 {
+				entries = append(entries, entry{off, ctx})
+				break
+			}
+		}
+	}
+	if len(entries) < 2 {
+		t.Fatal("no mid-unit entry resynchronizes onto the unit grid")
+	}
+
+	const limit = 2_000
+	for _, e := range entries {
+		label := fmt.Sprintf("entry %d ctx %d", e.pc, e.ctx)
+		want := runEntry(NewInterp(obj, 1<<20, nil), e.pc, e.ctx, limit)
+		if len(want.trace) == 0 || want.trace[0] != e.pc {
+			t.Fatalf("%s: run did not start at the off-grid entry: %v", label, want.trace)
+		}
+		for _, maxPages := range []int{1, 0} {
+			it := NewInterp(obj, 1<<20, nil)
+			if err := it.EnableXIP(img, maxPages, 0); err != nil {
+				t.Fatal(err)
+			}
+			got := runEntry(it, e.pc, e.ctx, limit)
+			checkSameModeRun(t, fmt.Sprintf("%s paged cache=%d", label, maxPages), want, got)
+		}
+	}
+	if r := runEntry(NewInterp(obj, 1<<20, nil), entries[0].pc, entries[0].ctx, limit); !errors.Is(r.err, ErrCorrupt) {
+		t.Errorf("garbage entry should fail to decode, got %v", r.err)
+	}
+	if r := runEntry(NewInterp(obj, 1<<20, nil), entries[1].pc, entries[1].ctx, limit); !errors.Is(r.err, ErrOutOfSteps) {
+		t.Errorf("resynchronized run should hit the step limit, got %v", r.err)
+	}
+
+	// Whole-image first, then Reset into paged mode on the same Interp.
+	for _, e := range append([]entry{{0, 0}}, entries...) {
+		label := fmt.Sprintf("reuse entry %d ctx %d", e.pc, e.ctx)
+		fresh := NewInterp(obj, 1<<20, nil)
+		if err := fresh.EnableXIP(img, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		want := runEntry(fresh, e.pc, e.ctx, limit)
+		reused := NewInterp(obj, 1<<20, nil)
+		runEntry(reused, e.pc, e.ctx, limit)
+		if err := reused.EnableXIP(img, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		got := runEntry(reused, e.pc, e.ctx, limit)
+		checkSameModeRun(t, label, want, got)
+		if got.faults != want.faults {
+			t.Errorf("%s: %d faults, fresh paged Interp took %d", label, got.faults, want.faults)
+		}
 	}
 }

@@ -185,7 +185,7 @@ func TestBriscPipelineViaCLI(t *testing.T) {
 	for _, args := range [][]string{
 		{obj},
 		{"-jit", obj},
-		{"-cache", "-time", obj},
+		{"-time", obj},
 	} {
 		out, code := run(t, "briscrun", args...)
 		if code != 0 {
@@ -194,9 +194,9 @@ func TestBriscPipelineViaCLI(t *testing.T) {
 		if !strings.Contains(out, "55\n") {
 			t.Errorf("briscrun %v output missing fib(10):\n%s", args, out)
 		}
-		if args[0] == "-cache" {
+		if args[0] == "-time" {
 			// -time renders through the summary sink too.
-			for _, want := range []string{"briscrun.run", "brisc.interp.steps", "brisc.interp.cache.hits"} {
+			for _, want := range []string{"briscrun.run", "brisc.interp.steps"} {
 				if !strings.Contains(out, want) {
 					t.Errorf("-time report missing %q:\n%s", want, out)
 				}

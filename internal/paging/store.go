@@ -2,11 +2,9 @@ package paging
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/flatezip"
 	"repro/internal/integrity"
@@ -27,30 +25,6 @@ type Store struct {
 	lastPageLen int // byte length of the final (possibly short) page
 	pages       [][]byte
 	rec         *telemetry.Recorder
-
-	// cache, when enabled, holds recently decompressed pages so hot
-	// refaults skip the CRC+decompress work; see EnableCache.
-	cache *storeCache
-}
-
-// storeCache is the bounded LRU of decompressed pages. All access is
-// mutex-guarded, so a Store with the cache enabled may serve Page
-// calls from multiple goroutines.
-type storeCache struct {
-	mu       sync.Mutex
-	maxPages int
-	maxBytes int
-	entries  map[int]*list.Element
-	lru      *list.List // front = most recent; values are *cacheEntry
-	bytes    int
-
-	hits, misses, evictions int64
-}
-
-type cacheEntry struct {
-	idx  int
-	data []byte
-	pins int
 }
 
 // SetRecorder attaches a telemetry recorder: every fault then counts
@@ -190,144 +164,13 @@ func OpenStore(data []byte) (*Store, error) {
 	return s, nil
 }
 
-// EnableCache turns on a bounded LRU cache of decompressed pages:
-// at most maxPages pages / maxBytes decompressed bytes stay resident
-// (0 = unbounded for that axis), with least-recently-faulted pages
-// evicted first. Pinned pages (Pin/Unpin) and the page just faulted
-// are exempt, so a budget below one page degrades to exactly one
-// resident page. Cached slices are shared across Page calls — callers
-// must treat them as read-only. Cache traffic counts
-// paging.store.cache_hits / paging.store.evictions and the
-// paging.store.cached_pages/cached_bytes gauges on the attached
-// recorder. Call before the first Page; not safe to toggle mid-use.
-func (s *Store) EnableCache(maxPages, maxBytes int) {
-	s.cache = &storeCache{
-		maxPages: maxPages,
-		maxBytes: maxBytes,
-		entries:  make(map[int]*list.Element),
-		lru:      list.New(),
-	}
-}
-
-// CacheStats is a point-in-time snapshot of the page cache.
-type CacheStats struct {
-	Hits, Misses, Evictions int64
-	Pages, Bytes            int
-}
-
-// CacheStats reports cache traffic since EnableCache; zero when the
-// cache is disabled.
-func (s *Store) CacheStats() CacheStats {
-	c := s.cache
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Pages: len(c.entries), Bytes: c.bytes,
-	}
-}
-
-// Page verifies and decompresses page i, serving it from the LRU cache
-// when one is enabled. The CRC trailer is checked before entropy
-// decode, and the expansion is bounded by the declared page size — a
-// page that inflates past it is rejected as corrupt. With the cache
-// enabled the returned slice is shared; treat it as read-only.
+// Page verifies and decompresses page i into a fresh slice. The CRC
+// trailer is checked before entropy decode, and the expansion is
+// bounded by the declared page size — a page that inflates past it is
+// rejected as corrupt. The store holds no mutable state, so one Store
+// may serve Page calls from many goroutines; caching decoded pages is
+// the caller's business (the XIP executor keeps its own LRU).
 func (s *Store) Page(i int) ([]byte, error) {
-	c := s.cache
-	if c == nil {
-		return s.loadPage(i)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return s.cachedPageLocked(i)
-}
-
-// cachedPageLocked serves page i through the cache; c.mu must be held.
-func (s *Store) cachedPageLocked(i int) ([]byte, error) {
-	c := s.cache
-	if e, ok := c.entries[i]; ok {
-		c.lru.MoveToFront(e)
-		c.hits++
-		s.rec.Add("paging.store.cache_hits", 1)
-		return e.Value.(*cacheEntry).data, nil
-	}
-	page, err := s.loadPage(i)
-	if err != nil {
-		return nil, err
-	}
-	c.misses++
-	c.entries[i] = c.lru.PushFront(&cacheEntry{idx: i, data: page})
-	c.bytes += len(page)
-	s.evictLocked(i)
-	s.rec.SetGauge("paging.store.cached_pages", float64(len(c.entries)))
-	s.rec.SetGauge("paging.store.cached_bytes", float64(c.bytes))
-	return page, nil
-}
-
-// evictLocked trims least-recently-used unpinned pages until the cache
-// is under budget, sparing keep (the page just faulted). One backward
-// sweep suffices: anything it cannot evict is pinned.
-func (s *Store) evictLocked(keep int) {
-	c := s.cache
-	over := func() bool {
-		return (c.maxPages > 0 && len(c.entries) > c.maxPages) ||
-			(c.maxBytes > 0 && c.bytes > c.maxBytes)
-	}
-	for e := c.lru.Back(); e != nil && over(); {
-		prev := e.Prev()
-		ent := e.Value.(*cacheEntry)
-		if ent.idx != keep && ent.pins == 0 {
-			c.lru.Remove(e)
-			delete(c.entries, ent.idx)
-			c.bytes -= len(ent.data)
-			c.evictions++
-			s.rec.Add("paging.store.evictions", 1)
-		}
-		e = prev
-	}
-}
-
-// Pin faults page i in through the cache and exempts it from eviction
-// until a matching Unpin; pins nest. It is the fault API for callers
-// that need several pages resident at once (a reader spanning a page
-// seam). Without an enabled cache it degrades to a plain Page call.
-func (s *Store) Pin(i int) ([]byte, error) {
-	c := s.cache
-	if c == nil {
-		return s.loadPage(i)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	page, err := s.cachedPageLocked(i)
-	if err != nil {
-		return nil, err
-	}
-	c.entries[i].Value.(*cacheEntry).pins++
-	return page, nil
-}
-
-// Unpin releases one Pin on page i; the page becomes evictable again
-// once its pin count drops to zero. Unpinning an uncached or unpinned
-// page is a no-op.
-func (s *Store) Unpin(i int) {
-	c := s.cache
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[i]; ok {
-		if ent := e.Value.(*cacheEntry); ent.pins > 0 {
-			ent.pins--
-		}
-	}
-}
-
-// loadPage is the uncached fault path: verify, decompress, account.
-func (s *Store) loadPage(i int) ([]byte, error) {
 	sp := s.rec.StartSpan("paging.page", telemetry.Int("page", int64(i)))
 	defer sp.End()
 	if i < 0 || i >= len(s.pages) {

@@ -3,6 +3,7 @@ package paging
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/integrity"
@@ -216,5 +217,50 @@ func TestStoreNilRecorder(t *testing.T) {
 	}
 	if _, err := r.Page(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreConcurrentPages: one Store serves concurrent faults (one
+// XIP image is shared by many interpreters) with every page matching
+// the original image bytes and every load counted (run with -race in
+// make check).
+func TestStoreConcurrentPages(t *testing.T) {
+	const pageSize, pages, workers, reads = 256, 8, 8, 400
+	img := testImage(pages * pageSize)
+	s, err := OpenStore(NewStore(img, pageSize).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New()
+	defer rec.Close()
+	s.SetRecorder(rec)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				pg := (g*7 + i*3) % pages
+				p, err := s.Page(pg)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(p, img[pg*pageSize:(pg+1)*pageSize]) {
+					errs <- errors.New("page content diverged")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := rec.Counters()["paging.pages_loaded"]; got != workers*reads {
+		t.Fatalf("pages_loaded = %d, want %d", got, workers*reads)
 	}
 }
