@@ -20,6 +20,7 @@ import (
 	"repro/internal/brisc"
 	"repro/internal/cc"
 	"repro/internal/codegen"
+	"repro/internal/ir"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -53,6 +54,9 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 			t.Fatalf("brisc %s: %v", p.Name, err)
 		}
 		arts["brs1/"+p.Name] = obj.Bytes()
+		if p.Name == workload.Wep.Name {
+			addOptionVariants(t, arts, p.Name, mod)
+		}
 	}
 	for name, src := range workload.Kernels() {
 		mod, err := cc.Compile(name, src)
@@ -75,6 +79,33 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 		arts["brs1/kernel-"+name] = obj.Bytes()
 	}
 	return arts
+}
+
+// addOptionVariants pins WIR2 and WIRX under every non-default pipeline
+// option, so the stream coder and final stage are covered off the
+// default path too.
+func addOptionVariants(t *testing.T, arts map[string][]byte, name string, mod *ir.Module) {
+	t.Helper()
+	for _, v := range []struct {
+		suffix string
+		opt    wire.Options
+	}{
+		{"nomtf", wire.Options{NoMTF: true}},
+		{"nohuffman", wire.Options{NoHuffman: true}},
+		{"finalarith", wire.Options{Final: wire.FinalArith}},
+		{"finalnone", wire.Options{Final: wire.FinalNone}},
+	} {
+		wb, err := wire.CompressOpts(mod, v.opt)
+		if err != nil {
+			t.Fatalf("wire %s/%s: %v", name, v.suffix, err)
+		}
+		arts["wir2/"+name+"-"+v.suffix] = wb
+		wx, err := wire.CompressIndexed(mod, v.opt)
+		if err != nil {
+			t.Fatalf("wirx %s/%s: %v", name, v.suffix, err)
+		}
+		arts["wirx/"+name+"-"+v.suffix] = wx
+	}
 }
 
 func TestArtifactGolden(t *testing.T) {
