@@ -12,7 +12,8 @@
 // Robustness (untrusted objects):
 //
 //	-timeout d     abandon -d after wall-clock duration d (e.g. 2s)
-//	-max-bytes n   reject objects whose declared container size exceeds n
+//	-max-bytes n   reject objects whose final stage would decode to more than
+//	               n bytes (the WIR2 container or the -indexed WIRX header)
 //
 // Observability (shared across the tools):
 //
@@ -51,7 +52,7 @@ func main() {
 	final := flag.String("final", "lz", "final stage: lz, arith, none")
 	indexed := flag.Bool("indexed", false, "function-at-a-time random-access format")
 	fn := flag.String("func", "", "with -d on an indexed object: load only this function")
-	maxBytes := flag.Uint64("max-bytes", 0, "cap the declared decompressed container size in bytes (0 = keep the 1 GiB default)")
+	maxBytes := flag.Uint64("max-bytes", 0, "cap the final-stage output of a WIR2 object (its container) or -indexed WIRX object (its header) in bytes (0 = keep the 1 GiB default)")
 	timeout := flag.Duration("timeout", 0, "abort -d after this wall-clock duration, e.g. 2s (0 = unlimited)")
 	workers := flag.Int("workers", 0, "worker pool size: 0 = one per CPU, 1 = serial; output is identical either way")
 	obs := expose.AddFlags(flag.CommandLine)

@@ -167,6 +167,30 @@ func TestWireIndexedViaCLI(t *testing.T) {
 	}
 }
 
+// TestWirecMaxBytes: -max-bytes caps the final stage of both formats —
+// the WIR2 container and the WIRX header — and the rejection is the
+// typed too-large error.
+func TestWirecMaxBytes(t *testing.T) {
+	src := writeSample(t)
+	dir := t.TempDir()
+	for _, format := range [][]string{nil, {"-indexed"}} {
+		obj := filepath.Join(dir, "app.obj")
+		if out, code := run(t, "wirec", append([]string{"-c", src, "-o", obj}, format...)...); code != 0 {
+			t.Fatalf("%v compress failed:\n%s", format, out)
+		}
+		if out, code := run(t, "wirec", append([]string{"-d", obj}, format...)...); code != 0 {
+			t.Fatalf("%v decompress without a cap failed:\n%s", format, out)
+		}
+		out, code := run(t, "wirec", append([]string{"-max-bytes", "8", "-d", obj}, format...)...)
+		if code == 0 {
+			t.Fatalf("%v: -max-bytes 8 accepted the object:\n%s", format, out)
+		}
+		if !strings.Contains(out, "exceeds cap") {
+			t.Errorf("%v: -max-bytes 8 failed without the too-large error:\n%s", format, out)
+		}
+	}
+}
+
 func TestBriscPipelineViaCLI(t *testing.T) {
 	src := writeSample(t)
 	dir := t.TempDir()

@@ -158,22 +158,22 @@ func TestCompressdSigtermDrain(t *testing.T) {
 		}(i)
 	}
 
-	// Wait until the daemon reports requests in flight, then SIGTERM.
+	// Wait until all four requests have reached the handler and some
+	// are in flight, then SIGTERM. A request that has not arrived yet
+	// when the drain starts is a late request, not an in-flight one.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		resp, err := http.Get(base + "/metrics")
-		busy := false
+		inFlight, arrived := 0, 0
 		if err == nil {
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			for _, line := range strings.Split(string(body), "\n") {
-				var n int
-				if _, err := fmt.Sscanf(line, "compressd_admission_in_flight %d", &n); err == nil && n > 0 {
-					busy = true
-				}
+				fmt.Sscanf(line, "compressd_admission_in_flight %d", &inFlight)
+				fmt.Sscanf(line, "compressd_http_requests_total %d", &arrived)
 			}
 		}
-		if busy {
+		if inFlight > 0 && arrived >= 4 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -164,16 +164,6 @@ func (t *Tree) Shape() []Op {
 	return ops
 }
 
-// ShapeKey returns Shape as a string usable as a map key.
-func (t *Tree) ShapeKey() string {
-	ops := t.Shape()
-	b := make([]byte, len(ops))
-	for i, op := range ops {
-		b[i] = byte(op)
-	}
-	return string(b)
-}
-
 // Literals appends, in prefix order, every (op, literal) pair in the
 // tree: integer literals carry value and names carry the symbol. This
 // is the per-opcode stream split from §3 step 2.

@@ -1,0 +1,695 @@
+package wire
+
+// The codec both formats are built from. WIR2 and WIRX share every
+// format decision below: the file prefix, the final stage and its bomb
+// cap, the module header and shape table, patternization, the symbol
+// stream coder, and tree reconstruction. They differ only in framing —
+// WIR2 puts the whole container through the final stage and gives each
+// stream an in-band Huffman table, while WIRX finals only its header,
+// which holds one table per stream, and slices every stream into
+// independently decodable per-function chunks.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+
+	"repro/internal/arith"
+	"repro/internal/bitio"
+	"repro/internal/flatezip"
+	"repro/internal/huffman"
+	"repro/internal/integrity"
+	"repro/internal/ir"
+	"repro/internal/mtf"
+	"repro/internal/parallel"
+	"repro/internal/telemetry"
+)
+
+// ---- file prefix and final stage ----
+
+// prefixLen is the size of the prefix both formats open with: magic,
+// format version, options byte.
+const prefixLen = 6
+
+func appendPrefix(dst []byte, fileMagic [4]byte, opt Options) []byte {
+	b := byte(opt.Final)
+	if opt.NoMTF {
+		b |= 0x10
+	}
+	if opt.NoHuffman {
+		b |= 0x20
+	}
+	dst = append(dst, fileMagic[:]...)
+	return append(dst, formatVersion, b)
+}
+
+// readPrefix checks data's magic, version and options byte, and returns
+// the options. It runs before any checksum, so a version mismatch is
+// reported as such.
+func readPrefix(data []byte, fileMagic [4]byte) (Options, error) {
+	if len(data) < prefixLen {
+		return Options{}, fmt.Errorf("%w: short header", ErrTruncated)
+	}
+	if !bytes.Equal(data[:4], fileMagic[:]) {
+		return Options{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if data[4] != formatVersion {
+		return Options{}, fmt.Errorf("%w: version %d (decoder speaks %d)", ErrVersion, data[4], formatVersion)
+	}
+	b := data[5]
+	opt := Options{
+		Final:     FinalCoder(b & 0x0F),
+		NoMTF:     b&0x10 != 0,
+		NoHuffman: b&0x20 != 0,
+	}
+	if opt.Final > FinalNone {
+		return opt, fmt.Errorf("%w: options byte %#x", ErrCorrupt, b)
+	}
+	return opt, nil
+}
+
+// appendFinal appends raw run through the final coder.
+func appendFinal(dst, raw []byte, fc FinalCoder) ([]byte, error) {
+	switch fc {
+	case FinalLZ:
+		return append(dst, flatezip.Compress(raw)...), nil
+	case FinalArith:
+		return append(dst, arith.Compress(raw, arith.Order1)...), nil
+	case FinalNone:
+		return append(dst, raw...), nil
+	}
+	return nil, fmt.Errorf("wire: unknown final coder %d", fc)
+}
+
+// unfinal undoes the final stage under the decompression-bomb cap: the
+// output may not exceed MaxContainerBytes. declared is the raw size the
+// file records (WIR2), or 0 when it records none (the WIRX header); a
+// declared size is checked against the cap before anything is
+// allocated, and the output must then match it exactly.
+func unfinal(payload []byte, fc FinalCoder, declared uint64, rec *telemetry.Recorder) ([]byte, error) {
+	if err := integrity.CheckSize("container", declared, MaxContainerBytes); err != nil {
+		return nil, retag(err)
+	}
+	limit := MaxContainerBytes
+	if declared > 0 {
+		limit = declared
+	}
+	sp := rec.StartSpan("wire.unfinal")
+	var raw []byte
+	var err error
+	switch fc {
+	case FinalLZ:
+		raw, err = flatezip.DecompressLimit(payload, limit)
+	case FinalArith:
+		raw, err = arith.Decompress(payload, arith.Order1)
+	case FinalNone:
+		raw = payload
+	}
+	sp.SetAttr(telemetry.Int("bytes_out", int64(len(raw))))
+	sp.End()
+	if err != nil {
+		return nil, retag(fmt.Errorf("final stage: %w", err))
+	}
+	if declared > 0 && uint64(len(raw)) != declared {
+		return nil, fmt.Errorf("%w: container is %d bytes, header declares %d", ErrCorrupt, len(raw), declared)
+	}
+	if err := integrity.CheckSize("final-stage output", uint64(len(raw)), MaxContainerBytes); err != nil {
+		return nil, retag(err)
+	}
+	return raw, nil
+}
+
+// ---- module header and shape table ----
+
+// writeModuleHeader writes the module metadata: name, externs, globals,
+// and each function's header with its tree count. Every field is
+// byte-aligned.
+func writeModuleHeader(bw *bitio.Writer, m *ir.Module) {
+	writeString(bw, m.Name)
+	writeUvarint(bw, uint64(len(m.Externs)))
+	for _, n := range m.Externs {
+		writeString(bw, n)
+	}
+	writeUvarint(bw, uint64(len(m.Globals)))
+	for _, g := range m.Globals {
+		writeString(bw, g.Name)
+		writeUvarint(bw, uint64(g.Size))
+		writeUvarint(bw, uint64(len(g.Init)))
+		mustW(bw.WriteBytes(g.Init))
+	}
+	writeUvarint(bw, uint64(len(m.Functions)))
+	for _, f := range m.Functions {
+		writeString(bw, f.Name)
+		writeUvarint(bw, uint64(f.NumParams))
+		writeUvarint(bw, uint64(f.FrameSize))
+		writeUvarint(bw, uint64(len(f.Trees)))
+	}
+}
+
+// readModuleHeader reverses writeModuleHeader. It returns the module
+// with tree-less functions, the symbol table name literals index into
+// (externs, globals, then functions), and each function's tree count.
+func readModuleHeader(br *bitio.Reader) (*ir.Module, []string, []int, error) {
+	m := &ir.Module{}
+	var err error
+	if m.Name, err = readString(br); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: name: %v", ErrCorrupt, err)
+	}
+	nExterns, err := readUvarint(br)
+	if err != nil || nExterns > 1<<16 {
+		return nil, nil, nil, fmt.Errorf("%w: externs", ErrCorrupt)
+	}
+	var names []string
+	for i := uint64(0); i < nExterns; i++ {
+		s, err := readString(br)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: extern name", ErrCorrupt)
+		}
+		m.Externs = append(m.Externs, s)
+		names = append(names, s)
+	}
+	nGlobals, err := readUvarint(br)
+	if err != nil || nGlobals > 1<<20 {
+		return nil, nil, nil, fmt.Errorf("%w: globals", ErrCorrupt)
+	}
+	for i := uint64(0); i < nGlobals; i++ {
+		var g ir.Global
+		if g.Name, err = readString(br); err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: global name", ErrCorrupt)
+		}
+		size, err := readUvarint(br)
+		if err != nil || size > 1<<28 {
+			return nil, nil, nil, fmt.Errorf("%w: global size", ErrCorrupt)
+		}
+		g.Size = int(size)
+		initLen, err := readUvarint(br)
+		if err != nil || initLen > size {
+			return nil, nil, nil, fmt.Errorf("%w: global init", ErrCorrupt)
+		}
+		if initLen > 0 {
+			g.Init = make([]byte, initLen)
+			if err := br.ReadBytes(g.Init); err != nil {
+				return nil, nil, nil, fmt.Errorf("%w: global init bytes", ErrCorrupt)
+			}
+		}
+		m.Globals = append(m.Globals, g)
+		names = append(names, g.Name)
+	}
+	nFuncs, err := readUvarint(br)
+	if err != nil || nFuncs > 1<<20 {
+		return nil, nil, nil, fmt.Errorf("%w: functions", ErrCorrupt)
+	}
+	treeCounts := make([]int, nFuncs)
+	for i := range treeCounts {
+		f := &ir.Function{}
+		if f.Name, err = readString(br); err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: function name", ErrCorrupt)
+		}
+		np, err := readUvarint(br)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: params", ErrCorrupt)
+		}
+		fs, err := readUvarint(br)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%w: frame", ErrCorrupt)
+		}
+		nt, err := readUvarint(br)
+		if err != nil || nt > 1<<24 {
+			return nil, nil, nil, fmt.Errorf("%w: tree count", ErrCorrupt)
+		}
+		f.NumParams, f.FrameSize = int(np), int(fs)
+		treeCounts[i] = int(nt)
+		m.Functions = append(m.Functions, f)
+		names = append(names, f.Name)
+	}
+	return m, names, treeCounts, nil
+}
+
+// writeShapeTable writes the shape dictionary in first-occurrence
+// order: a count, then each shape's length and opcodes.
+func writeShapeTable(bw *bitio.Writer, shapes [][]ir.Op) {
+	writeUvarint(bw, uint64(len(shapes)))
+	for _, ops := range shapes {
+		writeUvarint(bw, uint64(len(ops)))
+		for _, op := range ops {
+			mustW(bw.WriteByte(byte(op)))
+		}
+	}
+}
+
+// readShapeTable reverses writeShapeTable, rejecting empty shapes and
+// undefined opcodes.
+func readShapeTable(br *bitio.Reader) ([][]ir.Op, error) {
+	nShapes, err := readUvarint(br)
+	if err != nil || nShapes > 1<<24 {
+		return nil, fmt.Errorf("%w: shape count", ErrCorrupt)
+	}
+	shapes := make([][]ir.Op, nShapes)
+	for i := range shapes {
+		n, err := readUvarint(br)
+		if err != nil || n == 0 || n > 1<<16 {
+			return nil, fmt.Errorf("%w: shape length", ErrCorrupt)
+		}
+		ops := make([]ir.Op, n)
+		for j := range ops {
+			b, err := br.ReadByte()
+			if err != nil {
+				return nil, fmt.Errorf("%w: shape ops", ErrCorrupt)
+			}
+			ops[j] = ir.Op(b)
+			if !ops[j].Valid() {
+				return nil, fmt.Errorf("%w: invalid op %d in shape", ErrCorrupt, b)
+			}
+		}
+		shapes[i] = ops
+	}
+	return shapes, nil
+}
+
+// ---- patternize ----
+
+// patterns is a module split into the paper's streams (§3 step 2): the
+// distinct tree shapes, then the module streams in container order —
+// stream 0 is the shape id of every tree, stream 1+j the literals of
+// opcode litOps()[j] — plus where each function's part of every stream
+// starts.
+type patterns struct {
+	shapes      [][]ir.Op
+	shapeStream []int32
+	lits        [ir.NumOps][]int32 // integer literals and name indices
+	// marks[fi*numStreams()+j] is the length of stream j before function
+	// fi's trees; one extra row holds the final lengths.
+	marks []int32
+}
+
+// numStreams is the number of symbol streams in either format: the
+// shape stream plus one per literal-carrying opcode.
+func numStreams() int { return 1 + len(litOps()) }
+
+// stream returns module stream j.
+func (p *patterns) stream(j int) []int32 {
+	if j == 0 {
+		return p.shapeStream
+	}
+	return p.lits[litOps()[j-1]]
+}
+
+// funcStream returns function fi's slice of stream j.
+func (p *patterns) funcStream(fi, j int) []int32 {
+	n := numStreams()
+	return p.stream(j)[p.marks[fi*n+j]:p.marks[(fi+1)*n+j]]
+}
+
+// patternize splits the module in one prefix-order walk per tree: the
+// walk accumulates the shape-key bytes and routes each literal to its
+// opcode's stream, with name literals mapped through nameIdx.
+func patternize(m *ir.Module, nameIdx map[string]int) (*patterns, error) {
+	n := numStreams()
+	p := &patterns{marks: make([]int32, 0, (len(m.Functions)+1)*n)}
+	mark := func() {
+		for j := 0; j < n; j++ {
+			p.marks = append(p.marks, int32(len(p.stream(j))))
+		}
+	}
+	shapeIDs := map[string]int32{}
+	var keyBuf []byte
+	var walkErr error
+	visit := func(t *ir.Tree) {
+		keyBuf = append(keyBuf, byte(t.Op))
+		switch t.Op.Lit() {
+		case ir.LitInt:
+			p.lits[t.Op] = append(p.lits[t.Op], int32(t.Lit))
+		case ir.LitName:
+			idx, ok := nameIdx[t.Name]
+			if !ok && walkErr == nil {
+				walkErr = fmt.Errorf("wire: unknown symbol %q", t.Name)
+			}
+			p.lits[t.Op] = append(p.lits[t.Op], int32(idx))
+		}
+	}
+	for _, f := range m.Functions {
+		mark()
+		for _, t := range f.Trees {
+			keyBuf = keyBuf[:0]
+			t.Walk(visit)
+			if walkErr != nil {
+				return nil, walkErr
+			}
+			// The string conversion in the lookup does not allocate; the
+			// key is only materialized for first occurrences.
+			id, ok := shapeIDs[string(keyBuf)]
+			if !ok {
+				ops := make([]ir.Op, len(keyBuf))
+				for i, b := range keyBuf {
+					ops[i] = ir.Op(b)
+				}
+				id = int32(len(p.shapes))
+				shapeIDs[string(keyBuf)] = id
+				p.shapes = append(p.shapes, ops)
+			}
+			p.shapeStream = append(p.shapeStream, id)
+		}
+	}
+	mark()
+	return p, nil
+}
+
+// ---- symbol streams ----
+
+// streamScratch is the per-stream encoder state — output buffer, bit
+// writer, MTF encoder, symbol/frequency scratch — recycled through
+// scratchPool across streams and across concurrent Compress calls,
+// eliminating the per-stream append-from-nil allocation churn.
+type streamScratch struct {
+	buf     bytes.Buffer
+	bw      *bitio.Writer
+	symbols []int
+	firsts  []int32
+	freqs   []int64
+	enc     mtf.Encoder
+}
+
+var scratchPool = parallel.NewScratch(
+	func() *streamScratch {
+		s := new(streamScratch)
+		s.bw = bitio.NewWriter(&s.buf)
+		return s
+	},
+	nil, // state is reset at Get time, right before use
+)
+
+// moveToFront fills s.symbols with stream's MTF indices and s.firsts
+// with its first-occurrence values — or, under noMTF, s.symbols with
+// the zigzagged values themselves. Every stream starts a fresh MTF
+// table.
+func (s *streamScratch) moveToFront(stream []int32, noMTF bool) {
+	symbols, firsts := s.symbols[:0], s.firsts[:0]
+	if noMTF {
+		for _, v := range stream {
+			symbols = append(symbols, int(zigzag(v)))
+		}
+	} else {
+		s.enc.Reset()
+		symbols, firsts = mtf.AppendEncode(&s.enc, stream, symbols, firsts)
+	}
+	s.symbols, s.firsts = symbols, firsts // keep grown capacity pooled
+}
+
+// addFreqs adds each symbol's count to freqs, growing it to exactly
+// cover the largest symbol seen.
+func addFreqs(freqs []int64, symbols []int) []int64 {
+	top := len(freqs) - 1
+	for _, sym := range symbols {
+		top = max(top, sym)
+	}
+	if top >= len(freqs) {
+		freqs = append(freqs, make([]int64, top+1-len(freqs))...)
+	}
+	for _, sym := range symbols {
+		freqs[sym]++
+	}
+	return freqs
+}
+
+// writeStream writes one symbolized stream: the first-occurrence values
+// as zigzag varints (the paper's "1, 2, or 4-byte values, as
+// appropriate" byte packing, realized as varints so the LZ stage sees
+// uniform framing), then the symbols Huffman-coded with code, or as
+// varints when code is nil (NoHuffman). inBand writes code's lengths
+// ahead of the symbols, as each WIR2 segment does; WIRX streams use a
+// code stored once in the header.
+func writeStream(bw *bitio.Writer, symbols []int, firsts []int32, code *huffman.Code, inBand bool) error {
+	writeUvarint(bw, uint64(len(firsts)))
+	for _, v := range firsts {
+		writeUvarint(bw, zigzag(v))
+	}
+	if code == nil {
+		for _, sym := range symbols {
+			writeUvarint(bw, uint64(sym))
+		}
+		return nil
+	}
+	if inBand {
+		if err := code.WriteLengths(bw); err != nil {
+			return err
+		}
+	}
+	for _, sym := range symbols {
+		if err := code.Encode(bw, sym); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readStream reverses writeStream for count symbols and undoes the MTF
+// stage. Unless opt.NoHuffman, the symbols are decoded with the table
+// read in-band or, when !inBand, with the shared code.
+func readStream(br *bitio.Reader, count int, opt Options, code *huffman.Code, inBand bool) ([]int32, error) {
+	nFirsts, err := readUvarint(br)
+	if err != nil || nFirsts > uint64(count) {
+		return nil, fmt.Errorf("firsts count")
+	}
+	firsts := make([]int32, nFirsts)
+	for i := range firsts {
+		v, err := readUvarint(br)
+		if err != nil {
+			return nil, err
+		}
+		firsts[i] = unzigzag(v)
+	}
+	symbols := make([]int, count)
+	if opt.NoHuffman {
+		for i := range symbols {
+			v, err := readUvarint(br)
+			if err != nil {
+				return nil, err
+			}
+			symbols[i] = int(v)
+		}
+		return unsymbolize(symbols, firsts, opt.NoMTF)
+	}
+	if inBand {
+		if code, err = huffman.ReadLengths(br); err != nil {
+			return nil, err
+		}
+	} else if code == nil && count > 0 {
+		return nil, fmt.Errorf("missing shared code")
+	}
+	for i := range symbols {
+		if symbols[i], err = code.Decode(br); err != nil {
+			return nil, err
+		}
+	}
+	return unsymbolize(symbols, firsts, opt.NoMTF)
+}
+
+// unsymbolize inverts the MTF stage (or the zigzag shift under noMTF).
+func unsymbolize(symbols []int, firsts []int32, noMTF bool) ([]int32, error) {
+	if noMTF {
+		out := make([]int32, len(symbols))
+		for i, s := range symbols {
+			out[i] = unzigzag(uint64(s))
+		}
+		return out, nil
+	}
+	out, ok := mtf.DecodeStream(symbols, firsts)
+	if !ok {
+		return nil, fmt.Errorf("mtf decode failed")
+	}
+	return out, nil
+}
+
+// ---- tree rebuild ----
+
+// rebuild fills in fns' trees — treeCounts[i] for fns[i] — from the
+// shape stream and the per-opcode literal streams, consuming both in
+// order. Literal streams and cursors are dense op-indexed tables, since
+// nextLit runs once per literal; all nodes come from one arena sized
+// from the shape stream.
+func rebuild(fns []*ir.Function, treeCounts []int, shapeStream []int32, shapes [][]ir.Op, lits *[ir.NumOps][]int32, names []string) error {
+	var litPos [ir.NumOps]int
+	nextLit := func(op ir.Op) (int32, error) {
+		s := lits[op]
+		p := litPos[op]
+		if p >= len(s) {
+			return 0, fmt.Errorf("literal underflow for %s", op)
+		}
+		litPos[op] = p + 1
+		return s[p], nil
+	}
+	totalNodes := 0
+	for _, id := range shapeStream {
+		if id >= 0 && int(id) < len(shapes) {
+			totalNodes += len(shapes[id])
+		}
+	}
+	arena := &treeArena{
+		nodes: make([]ir.Tree, totalNodes),
+		kids:  make([]*ir.Tree, totalNodes),
+	}
+	si := 0
+	for fi, f := range fns {
+		f.Trees = nil
+		for k := 0; k < treeCounts[fi]; k++ {
+			if si >= len(shapeStream) {
+				return fmt.Errorf("%w: shape stream underflow", ErrCorrupt)
+			}
+			id := shapeStream[si]
+			si++
+			if id < 0 || int(id) >= len(shapes) {
+				return fmt.Errorf("%w: shape id %d", ErrCorrupt, id)
+			}
+			t, err := rebuildTree(shapes[id], arena, nextLit, names)
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+			f.Trees = append(f.Trees, t)
+		}
+	}
+	return nil
+}
+
+// treeArena hands out node and child-pointer backing for tree
+// reconstruction from two bulk allocations, sized from the total shape
+// length of the trees to be rebuilt. Per-node (and even per-tree)
+// allocation otherwise dominates decompression GC time.
+type treeArena struct {
+	nodes []ir.Tree
+	kids  []*ir.Tree
+}
+
+func (ar *treeArena) take(n int) ([]ir.Tree, []*ir.Tree) {
+	if len(ar.nodes) < n || len(ar.kids) < n {
+		return make([]ir.Tree, n), make([]*ir.Tree, n)
+	}
+	nodes, kids := ar.nodes[:n:n], ar.kids[:n:n]
+	ar.nodes, ar.kids = ar.nodes[n:], ar.kids[n:]
+	return nodes, kids
+}
+
+// rebuildTree reconstructs one tree from its shape, pulling literals
+// from the per-opcode streams in prefix order.
+func rebuildTree(ops []ir.Op, ar *treeArena, nextLit func(ir.Op) (int32, error), names []string) (*ir.Tree, error) {
+	nodes, kidsArena := ar.take(len(ops))
+	ka := 0
+	pos := 0
+	var build func() (*ir.Tree, error)
+	build = func() (*ir.Tree, error) {
+		if pos >= len(ops) {
+			return nil, fmt.Errorf("shape underflow")
+		}
+		op := ops[pos]
+		t := &nodes[pos]
+		pos++
+		t.Op = op
+		switch op.Lit() {
+		case ir.LitInt:
+			v, err := nextLit(op)
+			if err != nil {
+				return nil, err
+			}
+			t.Lit = int64(v)
+		case ir.LitName:
+			v, err := nextLit(op)
+			if err != nil {
+				return nil, err
+			}
+			if v < 0 || int(v) >= len(names) {
+				return nil, fmt.Errorf("name index %d out of range", v)
+			}
+			t.Name = names[v]
+		}
+		if arity := op.Arity(); arity > 0 {
+			if ka+arity > len(kidsArena) {
+				return nil, fmt.Errorf("shape underflow")
+			}
+			kids := kidsArena[ka : ka : ka+arity]
+			ka += arity
+			for i := 0; i < arity; i++ {
+				k, err := build()
+				if err != nil {
+					return nil, err
+				}
+				kids = append(kids, k)
+			}
+			t.Kids = kids
+		}
+		return t, nil
+	}
+	t, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if pos != len(ops) {
+		return nil, fmt.Errorf("shape has %d trailing ops", len(ops)-pos)
+	}
+	return t, nil
+}
+
+// ---- primitive serialization helpers ----
+
+func mustW(err error) {
+	if err != nil {
+		panic("wire: write to bytes.Buffer failed: " + err.Error())
+	}
+}
+
+func zigzag(v int32) uint64   { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
+func unzigzag(u uint64) int32 { return int32(uint32(u)>>1) ^ -int32(u&1) }
+
+func writeUvarint(bw *bitio.Writer, v uint64) {
+	for v >= 0x80 {
+		mustW(bw.WriteByte(byte(v) | 0x80))
+		v >>= 7
+	}
+	mustW(bw.WriteByte(byte(v)))
+}
+
+func readUvarint(br *bitio.Reader) (uint64, error) {
+	var v uint64
+	var shift uint
+	for {
+		b, err := br.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		if shift >= 64 {
+			return 0, fmt.Errorf("varint overflow")
+		}
+		v |= uint64(b&0x7F) << shift
+		if b < 0x80 {
+			return v, nil
+		}
+		shift += 7
+	}
+}
+
+func appendUv(dst []byte, v uint64) []byte {
+	var buf [binary.MaxVarintLen64]byte
+	return append(dst, buf[:binary.PutUvarint(buf[:], v)]...)
+}
+
+func writeString(bw *bitio.Writer, s string) {
+	writeUvarint(bw, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		mustW(bw.WriteByte(s[i]))
+	}
+}
+
+func readString(br *bitio.Reader) (string, error) {
+	n, err := readUvarint(br)
+	if err != nil {
+		return "", err
+	}
+	if n > 1<<20 {
+		return "", fmt.Errorf("string too long")
+	}
+	b := make([]byte, n)
+	for i := range b {
+		if b[i], err = br.ReadByte(); err != nil {
+			return "", err
+		}
+	}
+	return string(b), nil
+}

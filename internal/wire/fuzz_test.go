@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -77,5 +78,24 @@ func FuzzOpenIndexed(f *testing.F) {
 			return
 		}
 		_, _ = r.LoadAll()
+	})
+}
+
+// FuzzInspect: Inspect reads artifacts from outside the program (via
+// compscope), so it must never panic, and every rejection must be a
+// typed corrupt-input error.
+func FuzzInspect(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		insp, err := Inspect(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if insp == nil {
+			t.Fatal("nil inspection without error")
+		}
 	})
 }

@@ -5,53 +5,26 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/arith"
 	"repro/internal/bitio"
-	"repro/internal/flatezip"
 	"repro/internal/huffman"
 	"repro/internal/integrity"
 	"repro/internal/ir"
-	"repro/internal/mtf"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
-// Indexed wire objects support the paper's random-access variant:
+// Indexed wire objects (WIRX) support the paper's random-access variant:
 // "we have used them successfully by decompressing a function at a
-// time." All shared state is semi-static and lives in the header —
-// module metadata, the shape dictionary, and Huffman codes built over
-// the whole program's MTF indices — so each function's chunk is just
-// its coded streams (with fresh per-function MTF state) and can be
-// decompressed independently. Only the header passes through the
-// final LZ/arithmetic stage; chunks are already entropy-coded and too
-// small to benefit.
+// time." WIRX is the WIR2 codec with its Huffman tables moved out of the
+// streams: all shared state is semi-static and lives in the header —
+// module metadata, the shape dictionary, and one Huffman code per stream
+// built over the whole program's MTF indices — so each function's chunk
+// is just its slice of every module stream (coded with fresh MTF state)
+// and can be decompressed independently. Only the header passes through
+// the final LZ/arithmetic stage; chunks are already entropy-coded and
+// too small to benefit.
 
 var idxMagic = [4]byte{'W', 'I', 'R', 'X'}
-
-// symbolized is one stream after the (optional) MTF stage.
-type symbolized struct {
-	symbols []int
-	firsts  []int32
-}
-
-func symbolize(stream []int32, noMTF bool) symbolized {
-	if noMTF {
-		symbols := make([]int, len(stream))
-		for i, v := range stream {
-			symbols[i] = int(zigzag(v))
-		}
-		return symbolized{symbols: symbols}
-	}
-	symbols, firsts := mtf.EncodeStream(stream)
-	return symbolized{symbols: symbols, firsts: firsts}
-}
-
-// funcStreams is one function's symbolized streams.
-type funcStreams struct {
-	shape symbolized
-	lits  map[ir.Op]symbolized
-	litN  map[ir.Op]int
-}
 
 // CompressIndexed encodes a module with per-function random access.
 func CompressIndexed(m *ir.Module, opt Options) ([]byte, error) {
@@ -75,199 +48,79 @@ func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, er
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
-	e, err := newEncoder(m, opt)
+	p, err := patternize(m, symbolIndex(m))
 	if err != nil {
 		return nil, err
 	}
+	nFuncs, n := len(m.Functions), numStreams()
 
-	// Shared shape dictionary.
-	shapeIDs := map[string]int32{}
-	var shapeDefs [][]ir.Op
-	for _, f := range m.Functions {
-		for _, t := range f.Trees {
-			key := t.ShapeKey()
-			if _, ok := shapeIDs[key]; !ok {
-				shapeIDs[key] = int32(len(shapeDefs))
-				shapeDefs = append(shapeDefs, t.Shape())
-			}
-		}
-	}
-
-	// Pass 1: symbolize every function's streams concurrently — each
-	// function's MTF state is fresh by design, so the jobs are fully
-	// independent. Per-function frequency tables are merged serially in
-	// function order afterwards; the merge is an element-wise sum, so
-	// worker scheduling cannot perturb the shared Huffman codes.
-	bump := func(freqs *[]int64, s int) {
-		for len(*freqs) <= s {
-			*freqs = append(*freqs, 0)
-		}
-		(*freqs)[s]++
-	}
-	type funcResult struct {
-		fs        funcStreams
-		shapeFreq []int64
-		litFreq   map[ir.Op][]int64
-	}
-	results, err := parallel.Map(pool, "wire.symbolize", len(m.Functions), func(fi int) (funcResult, error) {
-		f := m.Functions[fi]
-		r := funcResult{
-			fs:      funcStreams{lits: map[ir.Op]symbolized{}, litN: map[ir.Op]int{}},
-			litFreq: map[ir.Op][]int64{},
-		}
-		var shapeStream []int32
-		litStreams := map[ir.Op][]int32{}
-		for _, t := range f.Trees {
-			shapeStream = append(shapeStream, shapeIDs[t.ShapeKey()])
-			for _, lit := range t.CollectLiterals() {
-				switch lit.Op.Lit() {
-				case ir.LitInt:
-					litStreams[lit.Op] = append(litStreams[lit.Op], int32(lit.Int))
-				case ir.LitName:
-					idx, ok := e.nameIdx[lit.Name]
-					if !ok {
-						return r, fmt.Errorf("wire: unknown symbol %q", lit.Name)
-					}
-					litStreams[lit.Op] = append(litStreams[lit.Op], int32(idx))
-				}
-			}
-		}
-		r.fs.shape = symbolize(shapeStream, opt.NoMTF)
-		for _, s := range r.fs.shape.symbols {
-			bump(&r.shapeFreq, s)
-		}
-		for _, op := range sortedLitKeys(litStreams) {
-			sym := symbolize(litStreams[op], opt.NoMTF)
-			r.fs.lits[op] = sym
-			r.fs.litN[op] = len(litStreams[op])
-			lf := r.litFreq[op]
-			for _, s := range sym.symbols {
-				bump(&lf, s)
-			}
-			r.litFreq[op] = lf
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	perFunc := make([]funcStreams, len(m.Functions))
-	var shapeFreq []int64
-	litFreq := map[ir.Op][]int64{}
-	for fi := range results {
-		perFunc[fi] = results[fi].fs
-		for s, n := range results[fi].shapeFreq {
-			for len(shapeFreq) <= s {
-				shapeFreq = append(shapeFreq, 0)
-			}
-			shapeFreq[s] += n
-		}
-		for _, op := range sortedLitKeys(results[fi].litFreq) {
-			lf := litFreq[op]
-			for s, n := range results[fi].litFreq[op] {
-				for len(lf) <= s {
-					lf = append(lf, 0)
-				}
-				lf[s] += n
-			}
-			litFreq[op] = lf
-		}
-	}
-
-	// Shared codes.
-	var shapeCode *huffman.Code
-	litCode := map[ir.Op]*huffman.Code{}
+	// Shared codes, one per stream, built over every function's MTF
+	// indices. Each job owns one stream, so scheduling cannot perturb the
+	// codes.
+	codes := make([]*huffman.Code, n)
 	if !opt.NoHuffman {
-		if len(shapeFreq) > 0 {
-			if shapeCode, err = huffman.Build(shapeFreq, 0); err != nil {
-				return nil, err
+		codes, err = parallel.Map(pool, "wire.symbolize", n, func(j int) (*huffman.Code, error) {
+			s := scratchPool.Get()
+			defer scratchPool.Put(s)
+			var freqs []int64
+			for fi := 0; fi < nFuncs; fi++ {
+				s.moveToFront(p.funcStream(fi, j), opt.NoMTF)
+				freqs = addFreqs(freqs, s.symbols)
 			}
-		}
-		for _, op := range sortedLitKeys(litFreq) {
-			c, err := huffman.Build(litFreq[op], 0)
-			if err != nil {
-				return nil, err
+			if len(freqs) == 0 {
+				return nil, nil
 			}
-			litCode[op] = c
+			return huffman.Build(freqs, 0)
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	// Header.
+	// Header: module metadata, the shape table, then a presence bit and
+	// lengths per shared code.
 	var hdr bytes.Buffer
 	hw := bitio.NewWriter(&hdr)
-	writeString(hw, m.Name)
-	writeUvarint(hw, uint64(len(m.Externs)))
-	for _, n := range m.Externs {
-		writeString(hw, n)
-	}
-	writeUvarint(hw, uint64(len(m.Globals)))
-	for _, g := range m.Globals {
-		writeString(hw, g.Name)
-		writeUvarint(hw, uint64(g.Size))
-		writeUvarint(hw, uint64(len(g.Init)))
-		for _, b := range g.Init {
-			mustW(hw.WriteByte(b))
-		}
-	}
-	writeUvarint(hw, uint64(len(m.Functions)))
-	for _, f := range m.Functions {
-		writeString(hw, f.Name)
-		writeUvarint(hw, uint64(f.NumParams))
-		writeUvarint(hw, uint64(f.FrameSize))
-		writeUvarint(hw, uint64(len(f.Trees)))
-	}
-	writeUvarint(hw, uint64(len(shapeDefs)))
-	for _, ops := range shapeDefs {
-		writeUvarint(hw, uint64(len(ops)))
-		for _, op := range ops {
-			mustW(hw.WriteByte(byte(op)))
-		}
-	}
+	writeModuleHeader(hw, m)
+	writeShapeTable(hw, p.shapes)
 	if !opt.NoHuffman {
-		if shapeCode != nil {
-			mustW(hw.WriteBit(1))
-			mustW(shapeCode.WriteLengths(hw))
-		} else {
-			mustW(hw.WriteBit(0))
-		}
-		for op := ir.Op(1); int(op) < ir.NumOps; op++ {
-			if op.Lit() == ir.LitNone {
+		for _, c := range codes {
+			if c == nil {
+				mustW(hw.WriteBit(0))
 				continue
 			}
-			if c, ok := litCode[op]; ok {
-				mustW(hw.WriteBit(1))
-				mustW(c.WriteLengths(hw))
-			} else {
-				mustW(hw.WriteBit(0))
-			}
+			mustW(hw.WriteBit(1))
+			mustW(c.WriteLengths(hw))
 		}
 	}
 	mustW(hw.Flush())
 
-	// Chunks: per-function coded streams only. Each chunk is a
-	// standalone byte-aligned body and the shared codes are read-only
-	// here, so chunk encoding fans out across the pool; the assembly
-	// below walks chunks in function order, keeping the object
+	// Chunks: per-function coded streams only — the shape stream, then
+	// each literal stream's count and (if nonempty) symbols. Each chunk
+	// is a standalone byte-aligned body and the shared codes are
+	// read-only here, so chunk encoding fans out across the pool; the
+	// assembly below walks chunks in function order, keeping the object
 	// byte-identical to the serial path.
-	chunks, err := parallel.Map(pool, "wire.chunk", len(m.Functions), func(fi int) ([]byte, error) {
-		fs := &perFunc[fi]
-		var body bytes.Buffer
-		bw := bitio.NewWriter(&body)
-		if err := writeCodedStream(bw, fs.shape, shapeCode, opt); err != nil {
-			return nil, err
-		}
-		for _, op := range litOps() {
-			n := fs.litN[op]
-			writeUvarint(bw, uint64(n))
-			if n == 0 {
-				continue
+	chunks, err := parallel.Map(pool, "wire.chunk", nFuncs, func(fi int) ([]byte, error) {
+		s := scratchPool.Get()
+		defer scratchPool.Put(s)
+		s.buf.Reset()
+		s.bw.Reset(&s.buf)
+		for j := 0; j < n; j++ {
+			stream := p.funcStream(fi, j)
+			if j > 0 {
+				writeUvarint(s.bw, uint64(len(stream)))
+				if len(stream) == 0 {
+					continue
+				}
 			}
-			if err := writeCodedStream(bw, fs.lits[op], litCode[op], opt); err != nil {
+			s.moveToFront(stream, opt.NoMTF)
+			if err := writeStream(s.bw, s.symbols, s.firsts, codes[j], false); err != nil {
 				return nil, err
 			}
 		}
-		mustW(bw.Flush())
-		return body.Bytes(), nil
+		mustW(s.bw.Flush())
+		return append([]byte(nil), s.buf.Bytes()...), nil
 	})
 	if err != nil {
 		return nil, err
@@ -277,11 +130,11 @@ func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, er
 	// its own CRC32C and each chunk carries a trailing CRC32C — but no
 	// whole-file checksum, so partial loads still touch only the header
 	// plus the chunks they read.
-	var out []byte
-	out = append(out, idxMagic[:]...)
-	out = append(out, formatVersion)
-	out = append(out, encodeOpts(opt))
-	hc := finalStage(hdr.Bytes(), opt.Final)
+	hc, err := appendFinal(nil, hdr.Bytes(), opt.Final)
+	if err != nil {
+		return nil, err
+	}
+	out := appendPrefix(nil, idxMagic, opt)
 	out = appendUv(out, uint64(len(hc)))
 	out = append(out, hc...)
 	out = appendUv(out, uint64(len(chunks)))
@@ -297,114 +150,13 @@ func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, er
 	return out, nil
 }
 
-// writeCodedStream emits firsts then coded symbols using the shared
-// code (or varints under NoHuffman).
-func writeCodedStream(bw *bitio.Writer, s symbolized, code *huffman.Code, opt Options) error {
-	writeUvarint(bw, uint64(len(s.firsts)))
-	for _, v := range s.firsts {
-		writeUvarint(bw, zigzag(v))
-	}
-	if opt.NoHuffman {
-		for _, sym := range s.symbols {
-			writeUvarint(bw, uint64(sym))
-		}
-		return nil
-	}
-	if len(s.symbols) > 0 && code == nil {
-		return fmt.Errorf("wire: internal: no shared code for nonempty stream")
-	}
-	for _, sym := range s.symbols {
-		if err := code.Encode(bw, sym); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readCodedStream mirrors writeCodedStream for count symbols.
-func readCodedStream(br *bitio.Reader, count int, code *huffman.Code, opt Options) ([]int32, error) {
-	nFirsts, err := readUvarint(br)
-	if err != nil || nFirsts > uint64(count) {
-		return nil, fmt.Errorf("firsts count")
-	}
-	firsts := make([]int32, nFirsts)
-	for i := range firsts {
-		v, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		firsts[i] = unzigzag(v)
-	}
-	symbols := make([]int, count)
-	if opt.NoHuffman {
-		for i := range symbols {
-			v, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			symbols[i] = int(v)
-		}
-	} else {
-		if code == nil {
-			return nil, fmt.Errorf("missing shared code")
-		}
-		for i := range symbols {
-			s, err := code.Decode(br)
-			if err != nil {
-				return nil, err
-			}
-			symbols[i] = s
-		}
-	}
-	if opt.NoMTF {
-		out := make([]int32, count)
-		for i, s := range symbols {
-			out[i] = unzigzag(uint64(s))
-		}
-		return out, nil
-	}
-	out, ok := mtf.DecodeStream(symbols, firsts)
-	if !ok {
-		return nil, fmt.Errorf("mtf decode failed")
-	}
-	return out, nil
-}
-
-func finalStage(data []byte, fc FinalCoder) []byte {
-	switch fc {
-	case FinalArith:
-		return arith.Compress(data, arith.Order1)
-	case FinalNone:
-		return data
-	default:
-		return flatezip.Compress(data)
-	}
-}
-
-func unfinalStage(data []byte, fc FinalCoder) ([]byte, error) {
-	switch fc {
-	case FinalArith:
-		return arith.Decompress(data, arith.Order1)
-	case FinalNone:
-		return data, nil
-	default:
-		return flatezip.Decompress(data)
-	}
-}
-
-func appendUv(dst []byte, v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	return append(dst, buf[:binary.PutUvarint(buf[:], v)]...)
-}
-
 // IndexedReader provides random access to an indexed wire object.
 type IndexedReader struct {
 	opt        Options
 	module     *ir.Module // metadata; Trees filled per function on demand
 	names      []string
 	shapes     [][]ir.Op
-	shapeCode  *huffman.Code
-	litCodes   map[ir.Op]*huffman.Code
+	codes      []*huffman.Code // shared code per stream; all nil under NoHuffman
 	chunks     [][]byte
 	loaded     []bool
 	treeCounts []int
@@ -418,20 +170,11 @@ type IndexedReader struct {
 // OpenIndexed parses the header of an indexed wire object without
 // touching any function chunk.
 func OpenIndexed(data []byte) (*IndexedReader, error) {
-	if len(data) < 6 {
-		return nil, fmt.Errorf("%w: short indexed header", ErrTruncated)
-	}
-	if !bytes.Equal(data[:4], idxMagic[:]) {
-		return nil, fmt.Errorf("%w: bad indexed magic", ErrCorrupt)
-	}
-	if data[4] != formatVersion {
-		return nil, fmt.Errorf("%w: indexed version %d (decoder speaks %d)", ErrVersion, data[4], formatVersion)
-	}
-	opt, err := decodeOpts(data[5])
+	opt, err := readPrefix(data, idxMagic)
 	if err != nil {
 		return nil, err
 	}
-	pos := 6
+	pos := prefixLen
 	uv := func() (uint64, error) {
 		v, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
@@ -446,7 +189,6 @@ func OpenIndexed(data []byte) (*IndexedReader, error) {
 	}
 	hcomp := data[pos : pos+int(hlen)]
 	pos += int(hlen)
-	r := &IndexedReader{opt: opt, litCodes: map[ir.Op]*huffman.Code{}}
 	// Bound the count before sizing the table: every chunk needs at
 	// least one length byte in the file, so a count beyond the file
 	// size is a lie (or a decompression bomb).
@@ -472,13 +214,31 @@ func OpenIndexed(data []byte) (*IndexedReader, error) {
 		return nil, retag(err)
 	}
 	pos += integrity.ChecksumLen
-	r.BytesTouched = pos
-	hdr, err := unfinalStage(hcomp, opt.Final)
+	hdr, err := unfinal(hcomp, opt.Final, 0, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
-	}
-	if err := r.parseHeader(hdr); err != nil {
 		return nil, err
+	}
+	r := &IndexedReader{opt: opt, BytesTouched: pos}
+	br := bitio.NewReaderBytes(hdr)
+	if r.module, r.names, r.treeCounts, err = readModuleHeader(br); err != nil {
+		return nil, err
+	}
+	if r.shapes, err = readShapeTable(br); err != nil {
+		return nil, err
+	}
+	r.codes = make([]*huffman.Code, numStreams())
+	if !opt.NoHuffman {
+		for j := range r.codes {
+			bit, err := br.ReadBit()
+			if err != nil {
+				return nil, fmt.Errorf("%w: code flag", ErrCorrupt)
+			}
+			if bit == 1 {
+				if r.codes[j], err = huffman.ReadLengths(br); err != nil {
+					return nil, fmt.Errorf("%w: shared code %d: %v", ErrCorrupt, j, err)
+				}
+			}
+		}
 	}
 	if nChunks != uint64(len(r.module.Functions)) {
 		return nil, fmt.Errorf("%w: chunk count", ErrCorrupt)
@@ -496,134 +256,6 @@ func OpenIndexed(data []byte) (*IndexedReader, error) {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
 	}
 	return r, nil
-}
-
-func (r *IndexedReader) parseHeader(hdr []byte) error {
-	br := bitio.NewReader(bytes.NewReader(hdr))
-	m := &ir.Module{}
-	var err error
-	if m.Name, err = readString(br); err != nil {
-		return fmt.Errorf("%w: name", ErrCorrupt)
-	}
-	nExterns, err := readUvarint(br)
-	if err != nil || nExterns > 1<<16 {
-		return fmt.Errorf("%w: externs", ErrCorrupt)
-	}
-	for i := uint64(0); i < nExterns; i++ {
-		s, err := readString(br)
-		if err != nil {
-			return fmt.Errorf("%w: extern", ErrCorrupt)
-		}
-		m.Externs = append(m.Externs, s)
-		r.names = append(r.names, s)
-	}
-	nGlobals, err := readUvarint(br)
-	if err != nil || nGlobals > 1<<20 {
-		return fmt.Errorf("%w: globals", ErrCorrupt)
-	}
-	for i := uint64(0); i < nGlobals; i++ {
-		var g ir.Global
-		if g.Name, err = readString(br); err != nil {
-			return fmt.Errorf("%w: global name", ErrCorrupt)
-		}
-		size, err := readUvarint(br)
-		if err != nil || size > 1<<28 {
-			return fmt.Errorf("%w: global size", ErrCorrupt)
-		}
-		initLen, err := readUvarint(br)
-		if err != nil || initLen > size {
-			return fmt.Errorf("%w: global init", ErrCorrupt)
-		}
-		g.Size = int(size)
-		if initLen > 0 {
-			g.Init = make([]byte, initLen)
-			for j := range g.Init {
-				if g.Init[j], err = br.ReadByte(); err != nil {
-					return fmt.Errorf("%w: init bytes", ErrCorrupt)
-				}
-			}
-		}
-		m.Globals = append(m.Globals, g)
-		r.names = append(r.names, g.Name)
-	}
-	nFuncs, err := readUvarint(br)
-	if err != nil || nFuncs > 1<<20 {
-		return fmt.Errorf("%w: functions", ErrCorrupt)
-	}
-	for i := uint64(0); i < nFuncs; i++ {
-		f := &ir.Function{}
-		if f.Name, err = readString(br); err != nil {
-			return fmt.Errorf("%w: function name", ErrCorrupt)
-		}
-		np, err := readUvarint(br)
-		if err != nil {
-			return fmt.Errorf("%w: params", ErrCorrupt)
-		}
-		fs, err := readUvarint(br)
-		if err != nil {
-			return fmt.Errorf("%w: frame", ErrCorrupt)
-		}
-		nt, err := readUvarint(br)
-		if err != nil || nt > 1<<24 {
-			return fmt.Errorf("%w: tree count", ErrCorrupt)
-		}
-		f.NumParams, f.FrameSize = int(np), int(fs)
-		r.treeCounts = append(r.treeCounts, int(nt))
-		m.Functions = append(m.Functions, f)
-		r.names = append(r.names, f.Name)
-	}
-	nShapes, err := readUvarint(br)
-	if err != nil || nShapes > 1<<24 {
-		return fmt.Errorf("%w: shapes", ErrCorrupt)
-	}
-	r.shapes = make([][]ir.Op, nShapes)
-	for i := range r.shapes {
-		n, err := readUvarint(br)
-		if err != nil || n == 0 || n > 1<<16 {
-			return fmt.Errorf("%w: shape length", ErrCorrupt)
-		}
-		ops := make([]ir.Op, n)
-		for j := range ops {
-			b, err := br.ReadByte()
-			if err != nil {
-				return fmt.Errorf("%w: shape ops", ErrCorrupt)
-			}
-			ops[j] = ir.Op(b)
-			if !ops[j].Valid() {
-				return fmt.Errorf("%w: bad op in shape", ErrCorrupt)
-			}
-		}
-		r.shapes[i] = ops
-	}
-	if !r.opt.NoHuffman {
-		bit, err := br.ReadBit()
-		if err != nil {
-			return fmt.Errorf("%w: shape code flag", ErrCorrupt)
-		}
-		if bit == 1 {
-			if r.shapeCode, err = huffman.ReadLengths(br); err != nil {
-				return fmt.Errorf("%w: shape code: %v", ErrCorrupt, err)
-			}
-		}
-		for op := ir.Op(1); int(op) < ir.NumOps; op++ {
-			if op.Lit() == ir.LitNone {
-				continue
-			}
-			bit, err := br.ReadBit()
-			if err != nil {
-				return fmt.Errorf("%w: literal code flag", ErrCorrupt)
-			}
-			if bit == 1 {
-				c, err := huffman.ReadLengths(br)
-				if err != nil {
-					return fmt.Errorf("%w: literal code for %s: %v", ErrCorrupt, op, err)
-				}
-				r.litCodes[op] = c
-			}
-		}
-	}
-	r.module = m
-	return nil
 }
 
 // Functions lists the function names in the object.
@@ -666,18 +298,13 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 	if err != nil {
 		return nil, retag(err)
 	}
-	f := r.module.Functions[fi]
-	count := r.treeCounts[fi]
 	br := bitio.NewReaderBytes(chunk)
-	shapeStream, err := readCodedStream(br, count, r.shapeCode, r.opt)
+	shapeStream, err := readStream(br, r.treeCounts[fi], r.opt, r.codes[0], false)
 	if err != nil {
 		return nil, fmt.Errorf("%w: shape stream for %s: %v", ErrCorrupt, name, err)
 	}
-	litStreams := map[ir.Op][]int32{}
-	for op := ir.Op(1); int(op) < ir.NumOps; op++ {
-		if op.Lit() == ir.LitNone {
-			continue
-		}
+	var lits [ir.NumOps][]int32
+	for j, op := range litOps() {
 		n, err := readUvarint(br)
 		if err != nil || n > 1<<26 {
 			return nil, fmt.Errorf("%w: literal count for %s", ErrCorrupt, op)
@@ -685,41 +312,13 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 		if n == 0 {
 			continue
 		}
-		vals, err := readCodedStream(br, int(n), r.litCodes[op], r.opt)
-		if err != nil {
+		if lits[op], err = readStream(br, int(n), r.opt, r.codes[j+1], false); err != nil {
 			return nil, fmt.Errorf("%w: literal stream for %s: %v", ErrCorrupt, op, err)
 		}
-		litStreams[op] = vals
 	}
-	litPos := map[ir.Op]int{}
-	nextLit := func(op ir.Op) (int32, error) {
-		s := litStreams[op]
-		p := litPos[op]
-		if p >= len(s) {
-			return 0, fmt.Errorf("literal underflow for %s", op)
-		}
-		litPos[op] = p + 1
-		return s[p], nil
-	}
-	totalNodes := 0
-	for _, id := range shapeStream {
-		if id >= 0 && int(id) < len(r.shapes) {
-			totalNodes += len(r.shapes[id])
-		}
-	}
-	arena := &treeArena{
-		nodes: make([]ir.Tree, totalNodes),
-		kids:  make([]*ir.Tree, totalNodes),
-	}
-	for _, id := range shapeStream {
-		if id < 0 || int(id) >= len(r.shapes) {
-			return nil, fmt.Errorf("%w: shape id %d", ErrCorrupt, id)
-		}
-		t, err := rebuildTree(r.shapes[id], arena, nextLit, r.names)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		f.Trees = append(f.Trees, t)
+	f := r.module.Functions[fi]
+	if err := rebuild([]*ir.Function{f}, r.treeCounts[fi:fi+1], shapeStream, r.shapes, &lits, r.names); err != nil {
+		return nil, err
 	}
 	r.loaded[fi] = true
 	return f, nil

@@ -1,27 +1,23 @@
 package wire
 
 // Byte-exact attribution of a WIR2 artifact: Inspect re-walks the
-// container (after undoing the final stage) and partitions every byte
-// into named sections — metadata, shape definitions, and one framed
-// segment per entropy-coded stream — while recording per-stream bit
-// accounting (first-occurrence values, Huffman table, payload, padding)
-// and the coded symbols themselves. internal/attrib builds its reports
-// on top of this; the partition invariant (sections are contiguous and
-// sum exactly to the container size) is checked here, so a mismatch is
-// an Inspect error, never a silently wrong report.
+// container with the decoder's own framing, header, shape-table and
+// segment readers, so it enforces the same checks and size caps as
+// Decompress, and partitions every byte into named sections —
+// metadata, shape definitions, and one framed segment per
+// entropy-coded stream — while recording per-stream bit accounting
+// (first-occurrence values, Huffman table, payload, padding) and the
+// coded symbols themselves. internal/attrib builds its reports on top
+// of this; the partition invariant (sections are contiguous and sum
+// exactly to the container size) is checked here, so a mismatch is an
+// Inspect error, never a silently wrong report.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 
-	"repro/internal/arith"
 	"repro/internal/bitio"
-	"repro/internal/flatezip"
 	"repro/internal/huffman"
-	"repro/internal/integrity"
 	"repro/internal/ir"
-	"repro/internal/mtf"
 )
 
 // Section is one contiguous byte range of a WIR2 container.
@@ -73,42 +69,9 @@ type Inspection struct {
 
 // Inspect attributes every byte of a WIR2 artifact.
 func Inspect(data []byte) (*Inspection, error) {
-	if len(data) < 4 || !bytes.Equal(data[:4], magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	body, err := integrity.SplitChecksum(data, "wire object")
-	if err != nil {
-		return nil, retag(err)
-	}
-	if len(body) < 7 {
-		return nil, fmt.Errorf("%w: short header", ErrTruncated)
-	}
-	if body[4] != formatVersion {
-		return nil, fmt.Errorf("%w: version %d (decoder speaks %d)", ErrVersion, body[4], formatVersion)
-	}
-	opt, err := decodeOpts(body[5])
+	opt, container, err := openContainer(data, nil)
 	if err != nil {
 		return nil, err
-	}
-	declared, nsz := binary.Uvarint(body[6:])
-	if nsz <= 0 {
-		return nil, fmt.Errorf("%w: container size header", ErrCorrupt)
-	}
-	payload := body[6+nsz:]
-	var container []byte
-	switch opt.Final {
-	case FinalLZ:
-		container, err = flatezip.Decompress(payload)
-	case FinalArith:
-		container, err = arith.Decompress(payload, arith.Order1)
-	case FinalNone:
-		container = payload
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: final stage: %v", ErrCorrupt, err)
-	}
-	if uint64(len(container)) != declared {
-		return nil, fmt.Errorf("%w: container is %d bytes, header declares %d", ErrCorrupt, len(container), declared)
 	}
 	insp := &Inspection{Opt: opt, FileBytes: len(data), ContainerBytes: len(container)}
 	if err := insp.walk(container); err != nil {
@@ -143,230 +106,66 @@ func (insp *Inspection) checkPartition() error {
 	return nil
 }
 
-// icursor walks the container byte stream. Every field the encoder
-// emits is flushed to a byte boundary, so a plain byte cursor mirrors
-// the bitio writer exactly.
-type icursor struct {
-	data []byte
-	pos  int
-}
-
-func (c *icursor) byte() (byte, error) {
-	if c.pos >= len(c.data) {
-		return 0, fmt.Errorf("%w: truncated at %d", ErrCorrupt, c.pos)
-	}
-	b := c.data[c.pos]
-	c.pos++
-	return b, nil
-}
-
-func (c *icursor) uv() (uint64, error) {
-	var v uint64
-	var shift uint
-	for {
-		b, err := c.byte()
-		if err != nil {
-			return 0, err
-		}
-		if shift >= 64 {
-			return 0, fmt.Errorf("%w: varint overflow", ErrCorrupt)
-		}
-		v |= uint64(b&0x7F) << shift
-		if b < 0x80 {
-			return v, nil
-		}
-		shift += 7
-	}
-}
-
-func (c *icursor) str() (string, error) {
-	n, err := c.uv()
-	if err != nil || n > 1<<20 {
-		return "", fmt.Errorf("%w: string", ErrCorrupt)
-	}
-	if c.pos+int(n) > len(c.data) {
-		return "", fmt.Errorf("%w: string bytes", ErrCorrupt)
-	}
-	s := string(c.data[c.pos : c.pos+int(n)])
-	c.pos += int(n)
-	return s, nil
-}
-
-func (c *icursor) skip(n int) error {
-	if n < 0 || c.pos+n > len(c.data) {
-		return fmt.Errorf("%w: truncated", ErrCorrupt)
-	}
-	c.pos += n
-	return nil
-}
-
+// walk reads the container with the decoder's own readers and records
+// each section from their byte offsets: metadata, shape definitions,
+// then one framed range per stream ("empty[OP]" for a literal stream
+// with no symbols, whose count varint is its only byte).
 func (insp *Inspection) walk(container []byte) error {
-	c := &icursor{data: container}
-	section := func(name, class string, start int) {
-		insp.Sections = append(insp.Sections, Section{Name: name, Class: class, Start: start, Len: c.pos - start})
+	br := bitio.NewReaderBytes(container)
+	offset := func() int { return int(br.BitsRead() / 8) }
+	section := func(name, class string, start, end int) {
+		insp.Sections = append(insp.Sections, Section{Name: name, Class: class, Start: start, Len: end - start})
 	}
-
-	// Metadata: module name, externs, globals, function headers.
-	var err error
-	if insp.ModuleName, err = c.str(); err != nil {
-		return err
-	}
-	nExterns, err := c.uv()
-	if err != nil || nExterns > 1<<16 {
-		return fmt.Errorf("%w: externs", ErrCorrupt)
-	}
-	for i := uint64(0); i < nExterns; i++ {
-		if _, err := c.str(); err != nil {
-			return err
-		}
-	}
-	nGlobals, err := c.uv()
-	if err != nil || nGlobals > 1<<20 {
-		return fmt.Errorf("%w: globals", ErrCorrupt)
-	}
-	for i := uint64(0); i < nGlobals; i++ {
-		if _, err := c.str(); err != nil {
-			return err
-		}
-		if _, err := c.uv(); err != nil { // size
-			return err
-		}
-		initLen, err := c.uv()
-		if err != nil || initLen > 1<<28 {
-			return fmt.Errorf("%w: global init", ErrCorrupt)
-		}
-		if err := c.skip(int(initLen)); err != nil {
-			return err
-		}
-	}
-	nFuncs, err := c.uv()
-	if err != nil || nFuncs > 1<<20 {
-		return fmt.Errorf("%w: functions", ErrCorrupt)
-	}
-	totalTrees := 0
-	for i := uint64(0); i < nFuncs; i++ {
-		name, err := c.str()
-		if err != nil {
-			return err
-		}
-		if _, err := c.uv(); err != nil { // params
-			return err
-		}
-		if _, err := c.uv(); err != nil { // frame
-			return err
-		}
-		nt, err := c.uv()
-		if err != nil || nt > 1<<24 {
-			return fmt.Errorf("%w: tree count", ErrCorrupt)
-		}
-		insp.FuncNames = append(insp.FuncNames, name)
-		insp.TreeCounts = append(insp.TreeCounts, int(nt))
-		totalTrees += int(nt)
-	}
-	section("metadata", "metadata", 0)
-
-	// Shape definitions.
-	defsStart := c.pos
-	nShapes, err := c.uv()
-	if err != nil || nShapes > 1<<24 {
-		return fmt.Errorf("%w: shape count", ErrCorrupt)
-	}
-	insp.Shapes = make([][]ir.Op, nShapes)
-	for i := range insp.Shapes {
-		n, err := c.uv()
-		if err != nil || n == 0 || n > 1<<16 {
-			return fmt.Errorf("%w: shape length", ErrCorrupt)
-		}
-		ops := make([]ir.Op, n)
-		for j := range ops {
-			b, err := c.byte()
-			if err != nil {
-				return err
-			}
-			ops[j] = ir.Op(b)
-		}
-		insp.Shapes[i] = ops
-	}
-	section("shape-defs", "operators", defsStart)
-
-	// Shape stream segment.
-	if err := insp.readStream(c, "shape", 0, "operators", totalTrees, false); err != nil {
-		return err
-	}
-	shape := &insp.Streams[0]
-	vals, err := streamValues(shape, insp.Opt)
+	m, _, treeCounts, err := readModuleHeader(br)
 	if err != nil {
-		return fmt.Errorf("%w: shape stream: %v", ErrCorrupt, err)
+		return err
 	}
-	insp.ShapeStream = vals
-
-	// Literal streams, one per literal-carrying opcode in canonical
-	// order. Empty streams still cost their count varint; that byte is
-	// attributed to a per-opcode section so the partition stays exact.
-	for _, op := range litOps() {
-		countStart := c.pos
-		n, err := c.uv()
-		if err != nil || n > 1<<26 {
-			return fmt.Errorf("%w: literal count for %s", ErrCorrupt, op)
+	insp.ModuleName = m.Name
+	for _, f := range m.Functions {
+		insp.FuncNames = append(insp.FuncNames, f.Name)
+	}
+	insp.TreeCounts = treeCounts
+	metaEnd := offset()
+	section("metadata", "metadata", 0, metaEnd)
+	if insp.Shapes, err = readShapeTable(br); err != nil {
+		return err
+	}
+	section("shape-defs", "operators", metaEnd, offset())
+	segs, err := readSegments(br, len(container), treeCounts)
+	if err != nil {
+		return err
+	}
+	for i := range segs {
+		s := &segs[i]
+		class := "literals"
+		if i == 0 {
+			class = "operators"
 		}
-		if n == 0 {
-			section("empty["+op.String()+"]", "literals", countStart)
+		if i > 0 && s.count == 0 {
+			section("empty["+s.name()+"]", class, s.start, s.end)
 			continue
 		}
-		c.pos = countStart // readStream re-reads the count varint
-		if err := insp.readStream(c, op.String(), op, "literals", int(n), true); err != nil {
-			return err
+		st := StreamInfo{
+			Name: s.name(), Op: s.op, Count: s.count,
+			Start: s.start, Len: s.end - s.start, SegBytes: len(s.data),
 		}
+		if err := decodeSegmentDetail(&st, s.data, insp.Opt); err != nil {
+			return fmt.Errorf("%w: stream %s: %v", ErrCorrupt, st.Name, err)
+		}
+		section("stream["+st.Name+"]", class, s.start, s.end)
+		insp.Streams = append(insp.Streams, st)
 	}
-	if c.pos != len(container) {
-		return fmt.Errorf("%w: %d trailing container bytes", ErrCorrupt, len(container)-c.pos)
+	shape := &insp.Streams[0]
+	if insp.ShapeStream, err = unsymbolize(shape.Symbols, shape.Firsts, insp.Opt.NoMTF); err != nil {
+		return fmt.Errorf("%w: shape stream: %v", ErrCorrupt, err)
 	}
 	return nil
 }
 
-// readStream consumes one framed stream — for literal streams the
-// count varint, then for all streams the segment length varint and the
-// segment — recording both the Section and the StreamInfo.
-func (insp *Inspection) readStream(c *icursor, name string, op ir.Op, class string, count int, withCount bool) error {
-	start := c.pos
-	if withCount {
-		if _, err := c.uv(); err != nil {
-			return err
-		}
-	}
-	segLen, err := c.uv()
-	if err != nil || segLen > uint64(len(c.data)) {
-		return fmt.Errorf("%w: segment length for %s", ErrCorrupt, name)
-	}
-	segStart := c.pos
-	if err := c.skip(int(segLen)); err != nil {
-		return fmt.Errorf("%w: segment bytes for %s", ErrCorrupt, name)
-	}
-	segEnd := c.pos
-	// The per-segment CRC32C trailer belongs to the stream's framed
-	// range (so the partition stays exact) but not to SegBytes.
-	if err := c.skip(integrity.ChecksumLen); err != nil {
-		return fmt.Errorf("%w: segment checksum for %s", ErrTruncated, name)
-	}
-	if _, err := integrity.SplitChecksum(c.data[segStart:c.pos], "stream segment"); err != nil {
-		return retag(err)
-	}
-	st := StreamInfo{
-		Name: name, Op: op, Count: count,
-		Start: start, Len: c.pos - start, SegBytes: int(segLen),
-	}
-	if err := decodeSegmentDetail(&st, c.data[segStart:segEnd], insp.Opt); err != nil {
-		return fmt.Errorf("%w: stream %s: %v", ErrCorrupt, name, err)
-	}
-	insp.Sections = append(insp.Sections, Section{Name: "stream[" + name + "]", Class: class, Start: start, Len: st.Len})
-	insp.Streams = append(insp.Streams, st)
-	return nil
-}
-
-// decodeSegmentDetail mirrors readSymbolStream but keeps the coded
-// symbols and the exact bit cost of every component.
+// decodeSegmentDetail mirrors readStream on an in-band segment but
+// keeps the coded symbols and the exact bit cost of every component.
 func decodeSegmentDetail(st *StreamInfo, seg []byte, opt Options) error {
-	br := bitio.NewReader(bytes.NewReader(seg))
+	br := bitio.NewReaderBytes(seg)
 	nFirsts, err := readUvarint(br)
 	if err != nil || nFirsts > uint64(st.Count) {
 		return fmt.Errorf("firsts count")
@@ -416,21 +215,4 @@ func decodeSegmentDetail(st *StreamInfo, seg []byte, opt Options) error {
 		return fmt.Errorf("segment over/underrun (%d pad bits)", st.PadBits)
 	}
 	return nil
-}
-
-// streamValues decodes a stream's coded symbols back to values (the
-// inverse of the MTF or zigzag stage).
-func streamValues(st *StreamInfo, opt Options) ([]int32, error) {
-	if opt.NoMTF {
-		out := make([]int32, len(st.Symbols))
-		for i, s := range st.Symbols {
-			out[i] = unzigzag(uint64(s))
-		}
-		return out, nil
-	}
-	out, ok := mtf.DecodeStream(st.Symbols, st.Firsts)
-	if !ok {
-		return nil, fmt.Errorf("mtf decode failed")
-	}
-	return out, nil
 }

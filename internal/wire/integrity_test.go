@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/flatezip"
 	"repro/internal/integrity"
 	"repro/internal/ir"
 )
@@ -159,5 +162,75 @@ func TestRoundTripAfterHardening(t *testing.T) {
 		if back.String() != mod.String() {
 			t.Fatalf("opts %+v: module changed across round trip", opt)
 		}
+	}
+}
+
+// TestFinalStageBombCapped: every reader runs the final stage under
+// MaxContainerBytes. Each input carries a real flatezip stream whose
+// raw-size varint is rewritten to 64 MiB, sealed with valid CRCs, so
+// only the cap stands between the reader and a 64 MiB allocation.
+func TestFinalStageBombCapped(t *testing.T) {
+	const bomb = 64 << 20
+	fz := flatezip.Compress([]byte("a container that is not really there"))
+	// An FZ1 stream is a 4-byte magic, the raw-size varint, the tables.
+	_, n := binary.Uvarint(fz[4:])
+	hostile := append(binary.AppendUvarint(append([]byte(nil), fz[:4]...), bomb), fz[4+n:]...)
+
+	wir2 := func(declared uint64) []byte {
+		b := append([]byte("WIR2"), formatVersion, 0)
+		b = binary.AppendUvarint(b, declared)
+		b = append(b, hostile...)
+		return integrity.AppendChecksum(b, b)
+	}
+	wirx := append([]byte("WIRX"), formatVersion, 0)
+	wirx = binary.AppendUvarint(wirx, uint64(len(hostile)))
+	wirx = append(wirx, hostile...)
+	wirx = binary.AppendUvarint(wirx, 0) // no chunks
+	wirx = integrity.AppendChecksum(wirx, wirx)
+
+	decompress := func(b []byte) error { _, err := Decompress(b); return err }
+	inspect := func(b []byte) error { _, err := Inspect(b); return err }
+	openIndexed := func(b []byte) error { _, err := OpenIndexed(b); return err }
+	for _, tc := range []struct {
+		name string
+		read func([]byte) error
+		data []byte
+	}{
+		{"Decompress/declared-bomb", decompress, wir2(bomb)},
+		{"Decompress/stream-bomb", decompress, wir2(100)},
+		{"Inspect/declared-bomb", inspect, wir2(bomb)},
+		{"Inspect/stream-bomb", inspect, wir2(100)},
+		{"OpenIndexed/header-bomb", openIndexed, wirx},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := MaxContainerBytes
+			defer func() { MaxContainerBytes = old }()
+			MaxContainerBytes = 4 << 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.read(tc.data)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("hostile stream not rejected as ErrTooLarge: %v", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("reader allocated %d bytes before rejecting", grew)
+			}
+		})
+	}
+}
+
+// TestChecksumOverlapsPrefix: the CRC32C of "WIR2\x02" starts with a
+// valid options byte, so this 9-byte file passes the prefix and
+// checksum checks while its sealed body is shorter than the prefix.
+// Both WIR2 readers must report it truncated.
+func TestChecksumOverlapsPrefix(t *testing.T) {
+	body := append([]byte("WIR2"), formatVersion)
+	data := integrity.AppendChecksum(append([]byte(nil), body...), body)
+	if _, err := Decompress(data); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Decompress: %v", err)
+	}
+	if _, err := Inspect(data); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Inspect: %v", err)
 	}
 }

@@ -19,6 +19,12 @@
 // the encoder and the decoder fan the per-stream work across a bounded
 // worker pool (internal/parallel). The fan-in is ordered, so the
 // output is byte-identical for every Options.Workers setting.
+//
+// The package writes two formats from one codec (codec.go): WIR2, the
+// monolithic object above, and WIRX (indexed.go), the paper's
+// function-at-a-time variant, which moves the Huffman tables into a
+// shared header so each function's chunk decodes on its own. Inspect
+// attributes WIR2 bytes with the same readers.
 package wire
 
 import (
@@ -26,16 +32,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
-	"repro/internal/arith"
 	"repro/internal/bitio"
-	"repro/internal/flatezip"
 	"repro/internal/huffman"
 	"repro/internal/integrity"
 	"repro/internal/ir"
-	"repro/internal/mtf"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
@@ -136,18 +138,6 @@ func litOps() []ir.Op {
 	return litOpsList
 }
 
-// sortedLitKeys returns a map's opcode keys in ascending order — the
-// deterministic-iteration helper for maps that are merged across
-// parallel workers.
-func sortedLitKeys[V any](m map[ir.Op]V) []ir.Op {
-	keys := make([]ir.Op, 0, len(m))
-	for op := range m {
-		keys = append(keys, op)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // Compress encodes a module with the paper's default pipeline.
 func Compress(m *ir.Module) ([]byte, error) { return CompressOpts(m, Options{}) }
 
@@ -159,46 +149,48 @@ func CompressOpts(m *ir.Module, opt Options) ([]byte, error) {
 // CompressTraced encodes a module, reporting per-stage spans and byte
 // deltas into rec (nil disables telemetry at no cost).
 func CompressTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) ([]byte, error) {
-	sp := rec.StartSpan("wire.compress")
-	defer sp.End()
-	_, container, err := buildContainerTraced(m, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	out, err := finalize(container, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	sp.SetAttr(telemetry.Int("container_bytes", int64(len(container))),
-		telemetry.Int("final_bytes", int64(len(out))))
-	return out, nil
+	_, out, err := MeasureTraced(m, opt, rec)
+	return out, err
 }
 
-// finalize frames a container with the wire header — magic, version,
-// options, declared container size — runs the final compression stage,
-// and seals the whole file with a CRC32C trailer.
+// finalize frames a WIR2 container — prefix, declared container size,
+// the final-coded container — and seals the whole file with a CRC32C
+// trailer.
 func finalize(container []byte, opt Options, rec *telemetry.Recorder) ([]byte, error) {
 	sp := rec.StartSpan("wire.final", telemetry.Int("bytes_in", int64(len(container))))
 	defer sp.End()
-	var out bytes.Buffer
-	out.Write(magic[:])
-	out.WriteByte(formatVersion)
-	out.WriteByte(encodeOpts(opt))
-	var szb [binary.MaxVarintLen64]byte
-	out.Write(szb[:binary.PutUvarint(szb[:], uint64(len(container)))])
-	switch opt.Final {
-	case FinalLZ:
-		out.Write(flatezip.Compress(container))
-	case FinalArith:
-		out.Write(arith.Compress(container, arith.Order1))
-	case FinalNone:
-		out.Write(container)
-	default:
-		return nil, fmt.Errorf("wire: unknown final coder %d", opt.Final)
+	out := appendPrefix(nil, magic, opt)
+	out = appendUv(out, uint64(len(container)))
+	out, err := appendFinal(out, container, opt.Final)
+	if err != nil {
+		return nil, err
 	}
-	sealed := integrity.AppendChecksum(out.Bytes(), out.Bytes())
+	sealed := integrity.AppendChecksum(out, out)
 	sp.SetAttr(telemetry.Int("bytes_out", int64(len(sealed))))
 	return sealed, nil
+}
+
+// openContainer reverses finalize: it checks the prefix, verifies the
+// whole-file checksum before any entropy decoding, and undoes the final
+// stage under the declared-size cap.
+func openContainer(data []byte, rec *telemetry.Recorder) (Options, []byte, error) {
+	opt, err := readPrefix(data, magic)
+	if err != nil {
+		return opt, nil, err
+	}
+	body, err := integrity.SplitChecksum(data, "wire object")
+	if err != nil {
+		return opt, nil, retag(err)
+	}
+	if len(body) < prefixLen {
+		return opt, nil, fmt.Errorf("%w: short header", ErrTruncated)
+	}
+	declared, nsz := binary.Uvarint(body[prefixLen:])
+	if nsz <= 0 {
+		return opt, nil, fmt.Errorf("%w: container size header", ErrCorrupt)
+	}
+	container, err := unfinal(body[prefixLen+nsz:], opt.Final, declared, rec)
+	return opt, container, err
 }
 
 // Decompress reconstructs the module from a wire object.
@@ -217,57 +209,11 @@ func DecompressTraced(data []byte, rec *telemetry.Recorder) (*ir.Module, error) 
 func DecompressParallel(data []byte, workers int, rec *telemetry.Recorder) (*ir.Module, error) {
 	sp := rec.StartSpan("wire.decompress", telemetry.Int("bytes_in", int64(len(data))))
 	defer sp.End()
-	if len(data) < 4 {
-		return nil, fmt.Errorf("%w: short header", ErrTruncated)
-	}
-	if !bytes.Equal(data[:4], magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	// Verify the whole-file checksum before any entropy decoding, so a
-	// flipped bit anywhere fails here instead of feeding the coders.
-	body, err := integrity.SplitChecksum(data, "wire object")
-	if err != nil {
-		return nil, retag(err)
-	}
-	if len(body) < 7 {
-		return nil, fmt.Errorf("%w: short header", ErrTruncated)
-	}
-	if body[4] != formatVersion {
-		return nil, fmt.Errorf("%w: version %d (decoder speaks %d)", ErrVersion, body[4], formatVersion)
-	}
-	opt, err := decodeOpts(body[5])
+	opt, container, err := openContainer(data, rec)
 	if err != nil {
 		return nil, err
 	}
 	opt.Workers = workers
-	declared, nsz := binary.Uvarint(body[6:])
-	if nsz <= 0 {
-		return nil, fmt.Errorf("%w: container size header", ErrCorrupt)
-	}
-	// Bomb guard: validate the declared container size against the cap
-	// before the final stage allocates its output buffer.
-	if err := integrity.CheckSize("container", declared, MaxContainerBytes); err != nil {
-		return nil, retag(err)
-	}
-	payload := body[6+nsz:]
-	fsp := rec.StartSpan("wire.unfinal")
-	var container []byte
-	switch opt.Final {
-	case FinalLZ:
-		container, err = flatezip.DecompressLimit(payload, declared)
-	case FinalArith:
-		container, err = arith.Decompress(payload, arith.Order1)
-	case FinalNone:
-		container = payload
-	}
-	fsp.SetAttr(telemetry.Int("bytes_out", int64(len(container))))
-	fsp.End()
-	if err != nil {
-		return nil, fmt.Errorf("%w: final stage: %v", ErrCorrupt, err)
-	}
-	if uint64(len(container)) != declared {
-		return nil, fmt.Errorf("%w: container is %d bytes, header declares %d", ErrCorrupt, len(container), declared)
-	}
 	psp := rec.StartSpan("wire.parse")
 	m, err := parseContainer(container, opt, opt.pool(rec))
 	psp.End()
@@ -294,29 +240,6 @@ func retag(err error) error {
 	}
 }
 
-func encodeOpts(opt Options) byte {
-	b := byte(opt.Final)
-	if opt.NoMTF {
-		b |= 0x10
-	}
-	if opt.NoHuffman {
-		b |= 0x20
-	}
-	return b
-}
-
-func decodeOpts(b byte) (Options, error) {
-	opt := Options{
-		Final:     FinalCoder(b & 0x0F),
-		NoMTF:     b&0x10 != 0,
-		NoHuffman: b&0x20 != 0,
-	}
-	if opt.Final > FinalNone {
-		return opt, fmt.Errorf("%w: options byte %#x", ErrCorrupt, b)
-	}
-	return opt, nil
-}
-
 // Stats describes the size contribution of each pipeline stage.
 type Stats struct {
 	Trees          int // statement trees encoded
@@ -338,18 +261,27 @@ func Measure(m *ir.Module, opt Options) (Stats, error) {
 // It returns the stats and the finished wire object, so callers that
 // want both never encode twice.
 func MeasureTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats, []byte, error) {
-	var st Stats
 	sp := rec.StartSpan("wire.compress")
 	defer sp.End()
-	enc, container, err := buildContainerTraced(m, opt, rec)
+	if err := m.Validate(); err != nil {
+		return Stats{}, nil, fmt.Errorf("wire: %w", err)
+	}
+	st, container, err := encodeContainer(m, opt, rec)
 	if err != nil {
-		return st, nil, err
+		return Stats{}, nil, err
+	}
+	if opt.Debug {
+		if debugTamper != nil {
+			debugTamper(&st)
+		}
+		if err := checkStageSum(st, len(container)); err != nil {
+			return Stats{}, nil, err
+		}
 	}
 	full, err := finalize(container, opt, rec)
 	if err != nil {
-		return st, nil, err
+		return Stats{}, nil, err
 	}
-	st = enc.stats
 	st.ContainerBytes = len(container)
 	st.FinalBytes = len(full)
 	sp.SetAttr(telemetry.Int("container_bytes", int64(len(container))),
@@ -359,62 +291,25 @@ func MeasureTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats, [
 
 // ---- container encoding ----
 
-type encoder struct {
-	m       *ir.Module
-	opt     Options
-	names   []string // symbol table: externs, globals, functions
-	nameIdx map[string]int
-	stats   Stats
-	rec     *telemetry.Recorder
-	pool    *parallel.Pool
-}
-
-func newEncoder(m *ir.Module, opt Options) (*encoder, error) {
-	e := &encoder{m: m, opt: opt, nameIdx: map[string]int{}}
+// symbolIndex numbers the module's symbols — externs, globals, then
+// functions, first occurrence wins — for name literals.
+func symbolIndex(m *ir.Module) map[string]int {
+	idx := map[string]int{}
+	add := func(n string) {
+		if _, ok := idx[n]; !ok {
+			idx[n] = len(idx)
+		}
+	}
 	for _, n := range m.Externs {
-		e.addName(n)
+		add(n)
 	}
 	for _, g := range m.Globals {
-		e.addName(g.Name)
+		add(g.Name)
 	}
 	for _, f := range m.Functions {
-		e.addName(f.Name)
+		add(f.Name)
 	}
-	return e, nil
-}
-
-func (e *encoder) addName(n string) {
-	if _, ok := e.nameIdx[n]; !ok {
-		e.nameIdx[n] = len(e.names)
-		e.names = append(e.names, n)
-	}
-}
-
-// buildContainerTraced validates the module and encodes its container,
-// returning the encoder so callers can read the per-stage stats.
-func buildContainerTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (*encoder, []byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("wire: %w", err)
-	}
-	e, err := newEncoder(m, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.rec = rec
-	e.pool = opt.pool(rec)
-	container, err := e.encode()
-	if err != nil {
-		return nil, nil, err
-	}
-	if opt.Debug {
-		if debugTamper != nil {
-			debugTamper(&e.stats)
-		}
-		if err := checkStageSum(e.stats, len(container)); err != nil {
-			return nil, nil, err
-		}
-	}
-	return e, container, nil
+	return idx
 }
 
 // debugTamper, when non-nil, mutates the stage stats before the Debug
@@ -433,125 +328,63 @@ func checkStageSum(st Stats, container int) error {
 	return nil
 }
 
-func (e *encoder) encode() ([]byte, error) {
+// encodeContainer lays out a WIR2 container: the metadata section, the
+// operators section (shape table, then the shape-stream segment), and
+// the literals section (each literal stream's count, then its segment).
+func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats, []byte, error) {
+	var st Stats
 	var buf bytes.Buffer
 	bw := bitio.NewWriter(&buf)
 
-	// Metadata.
-	msp := e.rec.StartSpan("wire.metadata")
-	writeString(bw, e.m.Name)
-	writeUvarint(bw, uint64(len(e.m.Externs)))
-	for _, n := range e.m.Externs {
-		writeString(bw, n)
-	}
-	writeUvarint(bw, uint64(len(e.m.Globals)))
-	for _, g := range e.m.Globals {
-		writeString(bw, g.Name)
-		writeUvarint(bw, uint64(g.Size))
-		writeUvarint(bw, uint64(len(g.Init)))
-		mustW(bw.WriteBytes(g.Init))
-	}
-	writeUvarint(bw, uint64(len(e.m.Functions)))
-	for _, f := range e.m.Functions {
-		writeString(bw, f.Name)
-		writeUvarint(bw, uint64(f.NumParams))
-		writeUvarint(bw, uint64(f.FrameSize))
-		writeUvarint(bw, uint64(len(f.Trees)))
-	}
+	msp := rec.StartSpan("wire.metadata")
+	writeModuleHeader(bw, m)
 	mustW(bw.Flush())
-	e.stats.MetadataBytes = buf.Len()
+	st.MetadataBytes = buf.Len()
 	msp.SetAttr(telemetry.Int("bytes", int64(buf.Len())))
 	msp.End()
 
-	// Patternize: shape stream + per-op literal streams. A serial fold
-	// over the forest; the expensive entropy coding below is what fans
-	// out. One prefix-order walk per tree accumulates the shape-key
-	// bytes and streams the literals directly into dense op-indexed
-	// tables — the old three walks per tree (ShapeKey, Shape,
-	// CollectLiterals) allocated a string, an op slice, and a literal
-	// slice for every tree in the module.
-	psp := e.rec.StartSpan("wire.patternize")
-	shapeIDs := map[string]int32{}
-	var shapeDefs [][]ir.Op
-	var shapeStream []int32
-	var litStreams [ir.NumOps][]int32 // integer literals (and name indices)
-	var keyBuf []byte
-	var walkErr error
-	visit := func(n *ir.Tree) {
-		keyBuf = append(keyBuf, byte(n.Op))
-		switch n.Op.Lit() {
-		case ir.LitInt:
-			litStreams[n.Op] = append(litStreams[n.Op], int32(n.Lit))
-		case ir.LitName:
-			idx, ok := e.nameIdx[n.Name]
-			if !ok && walkErr == nil {
-				walkErr = fmt.Errorf("wire: unknown symbol %q", n.Name)
-			}
-			litStreams[n.Op] = append(litStreams[n.Op], int32(idx))
-		}
+	// Patternize is a serial fold over the forest; the expensive entropy
+	// coding below is what fans out.
+	psp := rec.StartSpan("wire.patternize")
+	p, err := patternize(m, symbolIndex(m))
+	if err != nil {
+		psp.End()
+		return st, nil, err
 	}
-	for _, f := range e.m.Functions {
-		for _, t := range f.Trees {
-			keyBuf = keyBuf[:0]
-			t.Walk(visit)
-			if walkErr != nil {
-				psp.End()
-				return nil, walkErr
-			}
-			// The string conversion in the lookup does not allocate; the
-			// key is only materialized for first occurrences.
-			id, ok := shapeIDs[string(keyBuf)]
-			if !ok {
-				ops := make([]ir.Op, len(keyBuf))
-				for i, b := range keyBuf {
-					ops[i] = ir.Op(b)
-				}
-				id = int32(len(shapeDefs))
-				shapeIDs[string(keyBuf)] = id
-				shapeDefs = append(shapeDefs, ops)
-			}
-			shapeStream = append(shapeStream, id)
-		}
-	}
-	e.stats.Trees = len(shapeStream)
-	e.stats.Shapes = len(shapeDefs)
-	psp.SetAttr(telemetry.Int("trees", int64(e.stats.Trees)),
-		telemetry.Int("shapes", int64(e.stats.Shapes)))
+	st.Trees = len(p.shapeStream)
+	st.Shapes = len(p.shapes)
+	psp.SetAttr(telemetry.Int("trees", int64(st.Trees)),
+		telemetry.Int("shapes", int64(st.Shapes)))
 	psp.End()
 
 	// Entropy-code every symbol stream concurrently. Job order is
 	// canonical — index 0 is the shape stream, then the literal streams
 	// in opcode order — and the fan-in is ordered, so the assembled
 	// container is byte-identical to the serial path.
-	ops := litOps()
-	jobs := make([][]int32, 0, 1+len(ops))
-	jobs = append(jobs, shapeStream)
-	for _, op := range ops {
-		jobs = append(jobs, litStreams[op])
-	}
-	ssp := e.rec.StartSpan("wire.encode_streams", telemetry.Int("streams", int64(len(jobs))))
-	segs := make([][]byte, len(jobs))
-	err := e.pool.ForEachSpan("wire.stream", len(jobs), func(i int, wsp *telemetry.Span) error {
-		if len(jobs[i]) == 0 {
+	n := numStreams()
+	ssp := rec.StartSpan("wire.encode_streams", telemetry.Int("streams", int64(n)))
+	segs := make([][]byte, n)
+	err = opt.pool(rec).ForEachSpan("wire.stream", n, func(i int, wsp *telemetry.Span) error {
+		stream := p.stream(i)
+		if len(stream) == 0 {
 			return nil
 		}
 		// Per-segment span attributes: raw symbol payload in, coded
-		// segment out. Stream 0 is the shape stream, the rest are
-		// literal streams in opcode order.
-		wsp.SetAttr(telemetry.Int("symbols", int64(len(jobs[i]))))
-		seg, serr := encodeSymbolStream(jobs[i], e.opt)
+		// segment out.
+		wsp.SetAttr(telemetry.Int("symbols", int64(len(stream))))
+		seg, serr := encodeSegment(stream, opt)
 		if serr != nil {
 			return serr
 		}
 		wsp.SetAttr(
-			telemetry.Int("raw_bytes", int64(4*len(jobs[i]))),
+			telemetry.Int("raw_bytes", int64(4*len(stream))),
 			telemetry.Int("coded_bytes", int64(len(seg))))
 		segs[i] = seg
 		return nil
 	})
 	if err != nil {
 		ssp.End()
-		return nil, err
+		return st, nil, err
 	}
 	var codedTotal int64
 	for _, seg := range segs {
@@ -560,39 +393,29 @@ func (e *encoder) encode() ([]byte, error) {
 	ssp.SetAttr(telemetry.Int("coded_bytes", codedTotal))
 	ssp.End()
 
-	// Operators section: shape definitions in first-occurrence order,
-	// then the shape-stream segment.
-	osp := e.rec.StartSpan("wire.operators")
+	osp := rec.StartSpan("wire.operators")
 	opStart := buf.Len()
-	writeUvarint(bw, uint64(len(shapeDefs)))
-	for _, shapeOps := range shapeDefs {
-		writeUvarint(bw, uint64(len(shapeOps)))
-		for _, op := range shapeOps {
-			mustW(bw.WriteByte(byte(op)))
-		}
-	}
+	writeShapeTable(bw, p.shapes)
 	writeSegment(bw, segs[0])
 	mustW(bw.Flush())
-	e.stats.OperatorBytes = buf.Len() - opStart
-	osp.SetAttr(telemetry.Int("bytes", int64(e.stats.OperatorBytes)))
+	st.OperatorBytes = buf.Len() - opStart
+	osp.SetAttr(telemetry.Int("bytes", int64(st.OperatorBytes)))
 	osp.End()
 
-	// Literals section: one segment per operator, in opcode order.
-	lsp := e.rec.StartSpan("wire.literals")
+	lsp := rec.StartSpan("wire.literals")
 	litStart := buf.Len()
-	for j, op := range ops {
-		stream := litStreams[op]
-		writeUvarint(bw, uint64(len(stream)))
-		if len(stream) == 0 {
-			continue
+	for j := 1; j < n; j++ {
+		count := len(p.stream(j))
+		writeUvarint(bw, uint64(count))
+		if count > 0 {
+			writeSegment(bw, segs[j])
 		}
-		writeSegment(bw, segs[j+1])
 	}
 	mustW(bw.Flush())
-	e.stats.LiteralBytes = buf.Len() - litStart
-	lsp.SetAttr(telemetry.Int("bytes", int64(e.stats.LiteralBytes)))
+	st.LiteralBytes = buf.Len() - litStart
+	lsp.SetAttr(telemetry.Int("bytes", int64(st.LiteralBytes)))
 	lsp.End()
-	return buf.Bytes(), nil
+	return st, buf.Bytes(), nil
 }
 
 // writeSegment frames one coded stream segment with its byte length so
@@ -609,502 +432,135 @@ func writeSegment(bw *bitio.Writer, seg []byte) {
 	mustW(bw.WriteBytes(crc[:]))
 }
 
-// streamScratch is the per-stream encoder state — output buffer, bit
-// writer, MTF encoder, symbol/frequency scratch — recycled through
-// scratchPool across streams and across concurrent Compress calls,
-// eliminating the per-stream append-from-nil allocation churn.
-type streamScratch struct {
-	buf     bytes.Buffer
-	bw      *bitio.Writer
-	symbols []int
-	firsts  []int32
-	freqs   []int64
-	enc     mtf.Encoder
-}
-
-var scratchPool = parallel.NewScratch(
-	func() *streamScratch {
-		s := new(streamScratch)
-		s.bw = bitio.NewWriter(&s.buf)
-		return s
-	},
-	nil, // state is reset at Get time, right before use
-)
-
-// encodeSymbolStream MTF-codes (per options) one stream and
-// Huffman-codes the result into a standalone byte-aligned segment.
-// First-occurrence values follow as zigzag varints (the paper's "1, 2,
-// or 4-byte values, as appropriate" byte packing, realized as varints
-// so the LZ stage sees uniform framing).
-func encodeSymbolStream(stream []int32, opt Options) ([]byte, error) {
+// encodeSegment codes one stream into a standalone byte-aligned WIR2
+// segment whose Huffman table, built from the stream's own symbols,
+// travels in-band.
+func encodeSegment(stream []int32, opt Options) ([]byte, error) {
 	s := scratchPool.Get()
 	defer scratchPool.Put(s)
 	s.buf.Reset()
 	s.bw.Reset(&s.buf)
-	bw := s.bw
-
-	symbols := s.symbols[:0]
-	firsts := s.firsts[:0]
-	if opt.NoMTF {
-		// Raw symbols: shift into non-negative space via zigzag.
-		for _, v := range stream {
-			symbols = append(symbols, int(zigzag(v)))
-		}
-	} else {
-		s.enc.Reset()
-		symbols, firsts = mtf.AppendEncode(&s.enc, stream, symbols, firsts)
-	}
-	s.symbols, s.firsts = symbols, firsts // keep grown capacity pooled
-
-	// Value payloads for first occurrences.
-	writeUvarint(bw, uint64(len(firsts)))
-	for _, v := range firsts {
-		writeUvarint(bw, zigzag(v))
-	}
-	if opt.NoHuffman {
-		for _, sym := range symbols {
-			writeUvarint(bw, uint64(sym))
-		}
-	} else {
-		max := 0
-		for _, sym := range symbols {
-			if sym > max {
-				max = sym
-			}
-		}
-		if cap(s.freqs) < max+1 {
-			s.freqs = make([]int64, max+1)
-		}
-		freqs := s.freqs[:max+1]
-		clear(freqs)
-		for _, sym := range symbols {
-			freqs[sym]++
-		}
-		code, err := huffman.Build(freqs, 0)
-		if err != nil {
+	s.moveToFront(stream, opt.NoMTF)
+	var code *huffman.Code
+	if !opt.NoHuffman {
+		s.freqs = addFreqs(s.freqs[:0], s.symbols)
+		var err error
+		if code, err = huffman.Build(s.freqs, 0); err != nil {
 			return nil, fmt.Errorf("wire: huffman: %w", err)
 		}
-		if err := code.WriteLengths(bw); err != nil {
-			return nil, err
-		}
-		for _, sym := range symbols {
-			if err := code.Encode(bw, sym); err != nil {
-				return nil, err
-			}
-		}
 	}
-	mustW(bw.Flush())
+	if err := writeStream(s.bw, s.symbols, s.firsts, code, true); err != nil {
+		return nil, err
+	}
+	mustW(s.bw.Flush())
 	return append([]byte(nil), s.buf.Bytes()...), nil
 }
 
-// decodeSymbolStream reverses encodeSymbolStream on one standalone
-// segment.
-func decodeSymbolStream(seg []byte, count int, opt Options) ([]int32, error) {
-	if count == 0 {
-		return nil, nil
+// ---- container decoding ----
+
+// segment is one framed stream of a WIR2 container.
+type segment struct {
+	op         ir.Op  // OpInvalid for the shape stream
+	count      int    // symbols coded; 0 for an empty literal stream, which has no bytes
+	data       []byte // the coded bytes, CRC trailer verified and stripped
+	start, end int    // framed byte range: count varint (literal streams), length varint, bytes, CRC
+}
+
+func (s *segment) name() string {
+	if s.op == ir.OpInvalid {
+		return "shape"
 	}
-	return readSymbolStream(bitio.NewReaderBytes(seg), count, opt)
+	return s.op.String()
+}
+
+// readSegments reads the shape-stream segment, which codes one symbol
+// per tree, then each literal stream's count and segment in opcode
+// order, and requires the container to end there. Every segment's CRC
+// is verified before it is entropy-decoded.
+func readSegments(br *bitio.Reader, size int, treeCounts []int) ([]segment, error) {
+	shapeCount := 0
+	for _, n := range treeCounts {
+		shapeCount += n
+	}
+	segs := make([]segment, numStreams())
+	for j := range segs {
+		s := &segs[j]
+		s.start = int(br.BitsRead() / 8)
+		s.count = shapeCount
+		if j > 0 {
+			s.op = litOps()[j-1]
+			n, err := readUvarint(br)
+			if err != nil || n > 1<<26 {
+				return nil, fmt.Errorf("%w: literal stream size for %s", ErrCorrupt, s.op)
+			}
+			s.count = int(n)
+		}
+		if j == 0 || s.count > 0 {
+			n, err := readUvarint(br)
+			if err != nil || n > uint64(size) {
+				return nil, fmt.Errorf("%w: segment length for %s", ErrCorrupt, s.name())
+			}
+			framed := make([]byte, n+integrity.ChecksumLen)
+			if err := br.ReadBytes(framed); err != nil {
+				return nil, fmt.Errorf("%w: segment bytes for %s", ErrTruncated, s.name())
+			}
+			if s.data, err = integrity.SplitChecksum(framed, "stream segment"); err != nil {
+				return nil, retag(err)
+			}
+		}
+		s.end = int(br.BitsRead() / 8)
+	}
+	if end := segs[len(segs)-1].end; end != size {
+		return nil, fmt.Errorf("%w: %d trailing container bytes", ErrCorrupt, size-end)
+	}
+	return segs, nil
 }
 
 func parseContainer(data []byte, opt Options, pool *parallel.Pool) (*ir.Module, error) {
 	br := bitio.NewReaderBytes(data)
-	m := &ir.Module{}
-	var err error
-	if m.Name, err = readString(br); err != nil {
-		return nil, fmt.Errorf("%w: name: %v", ErrCorrupt, err)
-	}
-	nExterns, err := readUvarint(br)
-	if err != nil || nExterns > 1<<16 {
-		return nil, fmt.Errorf("%w: externs", ErrCorrupt)
-	}
-	var names []string
-	for i := uint64(0); i < nExterns; i++ {
-		s, err := readString(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: extern name", ErrCorrupt)
-		}
-		m.Externs = append(m.Externs, s)
-		names = append(names, s)
-	}
-	nGlobals, err := readUvarint(br)
-	if err != nil || nGlobals > 1<<20 {
-		return nil, fmt.Errorf("%w: globals", ErrCorrupt)
-	}
-	for i := uint64(0); i < nGlobals; i++ {
-		var g ir.Global
-		if g.Name, err = readString(br); err != nil {
-			return nil, fmt.Errorf("%w: global name", ErrCorrupt)
-		}
-		size, err := readUvarint(br)
-		if err != nil || size > 1<<28 {
-			return nil, fmt.Errorf("%w: global size", ErrCorrupt)
-		}
-		g.Size = int(size)
-		initLen, err := readUvarint(br)
-		if err != nil || initLen > size {
-			return nil, fmt.Errorf("%w: global init", ErrCorrupt)
-		}
-		if initLen > 0 {
-			g.Init = make([]byte, initLen)
-			if err := br.ReadBytes(g.Init); err != nil {
-				return nil, fmt.Errorf("%w: global init bytes", ErrCorrupt)
-			}
-		}
-		m.Globals = append(m.Globals, g)
-		names = append(names, g.Name)
-	}
-	nFuncs, err := readUvarint(br)
-	if err != nil || nFuncs > 1<<20 {
-		return nil, fmt.Errorf("%w: functions", ErrCorrupt)
-	}
-	treeCounts := make([]int, nFuncs)
-	for i := uint64(0); i < nFuncs; i++ {
-		f := &ir.Function{}
-		if f.Name, err = readString(br); err != nil {
-			return nil, fmt.Errorf("%w: function name", ErrCorrupt)
-		}
-		np, err := readUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: params", ErrCorrupt)
-		}
-		fs, err := readUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: frame", ErrCorrupt)
-		}
-		nt, err := readUvarint(br)
-		if err != nil || nt > 1<<24 {
-			return nil, fmt.Errorf("%w: tree count", ErrCorrupt)
-		}
-		f.NumParams, f.FrameSize = int(np), int(fs)
-		treeCounts[i] = int(nt)
-		m.Functions = append(m.Functions, f)
-		names = append(names, f.Name)
-	}
-	br.Align()
-
-	// Shape definitions.
-	nShapes, err := readUvarint(br)
-	if err != nil || nShapes > 1<<24 {
-		return nil, fmt.Errorf("%w: shape count", ErrCorrupt)
-	}
-	shapes := make([][]ir.Op, nShapes)
-	for i := range shapes {
-		n, err := readUvarint(br)
-		if err != nil || n == 0 || n > 1<<16 {
-			return nil, fmt.Errorf("%w: shape length", ErrCorrupt)
-		}
-		ops := make([]ir.Op, n)
-		for j := range ops {
-			b, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("%w: shape ops", ErrCorrupt)
-			}
-			ops[j] = ir.Op(b)
-			if !ops[j].Valid() {
-				return nil, fmt.Errorf("%w: invalid op %d in shape", ErrCorrupt, b)
-			}
-		}
-		shapes[i] = ops
-	}
-	totalTrees := 0
-	for _, n := range treeCounts {
-		totalTrees += n
-	}
-
-	// Slice out every coded stream segment, then decode them all
-	// concurrently — the decode-side mirror of the encoder's fan-out.
-	readSeg := func() ([]byte, error) {
-		n, err := readUvarint(br)
-		if err != nil || n > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: segment length", ErrCorrupt)
-		}
-		framed := make([]byte, n+integrity.ChecksumLen)
-		if err := br.ReadBytes(framed); err != nil {
-			return nil, fmt.Errorf("%w: segment bytes", ErrTruncated)
-		}
-		// Verify the segment trailer before the stream is entropy-decoded.
-		seg, err := integrity.SplitChecksum(framed, "stream segment")
-		if err != nil {
-			return nil, retag(err)
-		}
-		return seg, nil
-	}
-	type streamSeg struct {
-		op    ir.Op // zero for the shape stream
-		count int
-		seg   []byte
-	}
-	shapeSeg, err := readSeg()
+	m, names, treeCounts, err := readModuleHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	segs := []streamSeg{{count: totalTrees, seg: shapeSeg}}
-	for _, op := range litOps() {
-		n, err := readUvarint(br)
-		if err != nil || n > 1<<26 {
-			return nil, fmt.Errorf("%w: literal stream size for %s", ErrCorrupt, op)
-		}
-		if n == 0 {
-			continue
-		}
-		seg, err := readSeg()
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, streamSeg{op: op, count: int(n), seg: seg})
+	shapes, err := readShapeTable(br)
+	if err != nil {
+		return nil, err
 	}
-	decoded, err := parallel.Map(pool, "wire.parse_stream", len(segs), func(i int) ([]int32, error) {
-		vals, derr := decodeSymbolStream(segs[i].seg, segs[i].count, opt)
+	segs, err := readSegments(br, len(data), treeCounts)
+	if err != nil {
+		return nil, err
+	}
+	// Decode every nonempty stream concurrently — the decode-side mirror
+	// of the encoder's fan-out.
+	live := []*segment{&segs[0]}
+	for i := 1; i < len(segs); i++ {
+		if segs[i].count > 0 {
+			live = append(live, &segs[i])
+		}
+	}
+	decoded, err := parallel.Map(pool, "wire.parse_stream", len(live), func(i int) ([]int32, error) {
+		s := live[i]
+		if s.count == 0 {
+			return nil, nil
+		}
+		vals, derr := readStream(bitio.NewReaderBytes(s.data), s.count, opt, nil, true)
 		if derr != nil {
-			if segs[i].op == 0 {
-				return nil, fmt.Errorf("%w: shape stream: %v", ErrCorrupt, derr)
-			}
-			return nil, fmt.Errorf("%w: literal stream for %s: %v", ErrCorrupt, segs[i].op, derr)
+			return nil, fmt.Errorf("%w: %s stream: %v", ErrCorrupt, s.name(), derr)
 		}
 		return vals, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	shapeStream := decoded[0]
-	// Literal streams and cursors are dense op-indexed tables: nextLit
-	// runs once per literal in the module, so two map lookups per call
-	// showed up in decompression profiles.
-	var litStreams [ir.NumOps][]int32
-	var litPos [ir.NumOps]int
-	for i := 1; i < len(segs); i++ {
-		litStreams[segs[i].op] = decoded[i]
+	var lits [ir.NumOps][]int32
+	for i := 1; i < len(live); i++ {
+		lits[live[i].op] = decoded[i]
 	}
-
-	// Rebuild trees.
-	nextLit := func(op ir.Op) (int32, error) {
-		s := litStreams[op]
-		p := litPos[op]
-		if p >= len(s) {
-			return 0, fmt.Errorf("literal underflow for %s", op)
-		}
-		litPos[op] = p + 1
-		return s[p], nil
-	}
-	totalNodes := 0
-	for _, id := range shapeStream {
-		if id >= 0 && int(id) < len(shapes) {
-			totalNodes += len(shapes[id])
-		}
-	}
-	arena := &treeArena{
-		nodes: make([]ir.Tree, totalNodes),
-		kids:  make([]*ir.Tree, totalNodes),
-	}
-	si := 0
-	for fi, f := range m.Functions {
-		for k := 0; k < treeCounts[fi]; k++ {
-			if si >= len(shapeStream) {
-				return nil, fmt.Errorf("%w: shape stream underflow", ErrCorrupt)
-			}
-			id := shapeStream[si]
-			si++
-			if id < 0 || int(id) >= len(shapes) {
-				return nil, fmt.Errorf("%w: shape id %d", ErrCorrupt, id)
-			}
-			t, err := rebuildTree(shapes[id], arena, nextLit, names)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			f.Trees = append(f.Trees, t)
-		}
+	if err := rebuild(m.Functions, treeCounts, decoded[0], shapes, &lits, names); err != nil {
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: reconstructed module invalid: %v", ErrCorrupt, err)
 	}
 	return m, nil
-}
-
-// treeArena hands out node and child-pointer backing for tree
-// reconstruction from two bulk allocations, sized from the total shape
-// length of the trees to be rebuilt. Per-node (and even per-tree)
-// allocation otherwise dominates decompression GC time.
-type treeArena struct {
-	nodes []ir.Tree
-	kids  []*ir.Tree
-}
-
-func (ar *treeArena) take(n int) ([]ir.Tree, []*ir.Tree) {
-	if ar == nil || len(ar.nodes) < n || len(ar.kids) < n {
-		return make([]ir.Tree, n), make([]*ir.Tree, n)
-	}
-	nodes, kids := ar.nodes[:n:n], ar.kids[:n:n]
-	ar.nodes, ar.kids = ar.nodes[n:], ar.kids[n:]
-	return nodes, kids
-}
-
-// rebuildTree reconstructs one tree from its shape, pulling literals
-// from the per-opcode streams in prefix order. ar may be nil for
-// standalone per-tree allocation.
-func rebuildTree(ops []ir.Op, ar *treeArena, nextLit func(ir.Op) (int32, error), names []string) (*ir.Tree, error) {
-	nodes, kidsArena := ar.take(len(ops))
-	ka := 0
-	pos := 0
-	var build func() (*ir.Tree, error)
-	build = func() (*ir.Tree, error) {
-		if pos >= len(ops) {
-			return nil, fmt.Errorf("shape underflow")
-		}
-		op := ops[pos]
-		t := &nodes[pos]
-		pos++
-		t.Op = op
-		switch op.Lit() {
-		case ir.LitInt:
-			v, err := nextLit(op)
-			if err != nil {
-				return nil, err
-			}
-			t.Lit = int64(v)
-		case ir.LitName:
-			v, err := nextLit(op)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 || int(v) >= len(names) {
-				return nil, fmt.Errorf("name index %d out of range", v)
-			}
-			t.Name = names[v]
-		}
-		if arity := op.Arity(); arity > 0 {
-			if ka+arity > len(kidsArena) {
-				return nil, fmt.Errorf("shape underflow")
-			}
-			kids := kidsArena[ka : ka : ka+arity]
-			ka += arity
-			for i := 0; i < arity; i++ {
-				k, err := build()
-				if err != nil {
-					return nil, err
-				}
-				kids = append(kids, k)
-			}
-			t.Kids = kids
-		}
-		return t, nil
-	}
-	t, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if pos != len(ops) {
-		return nil, fmt.Errorf("shape has %d trailing ops", len(ops)-pos)
-	}
-	return t, nil
-}
-
-func readSymbolStream(br *bitio.Reader, count int, opt Options) ([]int32, error) {
-	nFirsts, err := readUvarint(br)
-	if err != nil || nFirsts > uint64(count) {
-		return nil, fmt.Errorf("firsts count")
-	}
-	firsts := make([]int32, nFirsts)
-	for i := range firsts {
-		v, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		firsts[i] = unzigzag(v)
-	}
-	symbols := make([]int, count)
-	if opt.NoHuffman {
-		for i := range symbols {
-			v, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			symbols[i] = int(v)
-		}
-	} else {
-		code, err := huffman.ReadLengths(br)
-		if err != nil {
-			return nil, err
-		}
-		for i := range symbols {
-			s, err := code.Decode(br)
-			if err != nil {
-				return nil, err
-			}
-			symbols[i] = s
-		}
-	}
-	if opt.NoMTF {
-		out := make([]int32, count)
-		for i, s := range symbols {
-			out[i] = unzigzag(uint64(s))
-		}
-		return out, nil
-	}
-	out, ok := mtf.DecodeStream(symbols, firsts)
-	if !ok {
-		return nil, fmt.Errorf("mtf decode failed")
-	}
-	return out, nil
-}
-
-// ---- primitive serialization helpers ----
-
-func mustW(err error) {
-	if err != nil {
-		panic("wire: write to bytes.Buffer failed: " + err.Error())
-	}
-}
-
-func zigzag(v int32) uint64   { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
-func unzigzag(u uint64) int32 { return int32(uint32(u)>>1) ^ -int32(u&1) }
-
-func writeUvarint(bw *bitio.Writer, v uint64) {
-	for v >= 0x80 {
-		mustW(bw.WriteByte(byte(v) | 0x80))
-		v >>= 7
-	}
-	mustW(bw.WriteByte(byte(v)))
-}
-
-func readUvarint(br *bitio.Reader) (uint64, error) {
-	var v uint64
-	var shift uint
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		if shift >= 64 {
-			return 0, fmt.Errorf("varint overflow")
-		}
-		v |= uint64(b&0x7F) << shift
-		if b < 0x80 {
-			return v, nil
-		}
-		shift += 7
-	}
-}
-
-func writeString(bw *bitio.Writer, s string) {
-	writeUvarint(bw, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		mustW(bw.WriteByte(s[i]))
-	}
-}
-
-func readString(br *bitio.Reader) (string, error) {
-	n, err := readUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("string too long")
-	}
-	b := make([]byte, n)
-	for i := range b {
-		if b[i], err = br.ReadByte(); err != nil {
-			return "", err
-		}
-	}
-	return string(b), nil
 }
