@@ -275,8 +275,7 @@ func hCALL(it *Interp, ins *vm.Instr, next int32) (bool, error) {
 
 func hRJR(it *Interp, ins *vm.Instr, next int32) (bool, error) {
 	it.PC = it.Regs[ins.Rs1]
-	it.ctx = 0
-	it.unitIdx = -1 // register targets can land anywhere, even off-grid
+	it.unitIdx = -1 // register targets can land anywhere; resolve traps off-grid ones
 	if it.Depth > 0 {
 		it.Depth--
 	}
@@ -301,8 +300,7 @@ func hEPI(it *Interp, ins *vm.Instr, next int32) (bool, error) {
 	it.Regs[vm.RegSP] += ins.Imm
 	it.Regs[vm.RegRA] = ra
 	it.PC = ra
-	it.ctx = 0
-	it.unitIdx = -1 // return address comes from memory; may be off-grid
+	it.unitIdx = -1 // return address comes from memory; resolve traps off-grid ones
 	if it.Depth > 0 {
 		it.Depth--
 	}

@@ -26,7 +26,7 @@ func TestDecodeUnitEscape(t *testing.T) {
 	obj.Code = code
 	obj.Blocks = []int32{0}
 
-	pid, vals, next, err := obj.decodeUnit(0, 0)
+	pid, vals, next, err := obj.decodeUnitIn(obj.Code, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDecodeUnitTableIndex(t *testing.T) {
 
 	// In LDI's context, index 1 selects MOV; operands rd=2, rs=3.
 	obj.Code = []byte{1, 0x23}
-	pid, vals, _, err := obj.decodeUnit(0, ldiCtx)
+	pid, vals, _, err := obj.decodeUnitIn(obj.Code, 0, ldiCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,28 +80,28 @@ func TestDecodeUnitErrors(t *testing.T) {
 	obj.Contexts[0] = []int{int(vm.HALT)}
 
 	// Offset out of range.
-	if _, _, _, err := obj.decodeUnit(99, 0); err == nil {
+	if _, _, _, err := obj.decodeUnitIn(obj.Code, 99, 0); err == nil {
 		t.Error("bad offset accepted")
 	}
 	// Opcode index beyond the context table.
 	obj.Code = []byte{7}
-	if _, _, _, err := obj.decodeUnit(0, 0); err == nil {
+	if _, _, _, err := obj.decodeUnitIn(obj.Code, 0, 0); err == nil {
 		t.Error("out-of-table index accepted")
 	}
 	// Escape with a bogus pattern id.
 	obj.Code = appendUvarint([]byte{255}, 99999)
-	if _, _, _, err := obj.decodeUnit(0, 0); err == nil {
+	if _, _, _, err := obj.decodeUnitIn(obj.Code, 0, 0); err == nil {
 		t.Error("bogus escape pattern id accepted")
 	}
 	// Truncated operand nibbles.
 	obj.Contexts[0] = []int{int(vm.LDI)}
 	obj.Code = []byte{0} // LDI needs operand nibbles that are missing
-	if _, _, _, err := obj.decodeUnit(0, 0); err == nil {
+	if _, _, _, err := obj.decodeUnitIn(obj.Code, 0, 0); err == nil {
 		t.Error("truncated operands accepted")
 	}
 	// Size nibble too large (>8).
 	obj.Code = []byte{0, 0x59, 0xFF}
-	if _, _, _, err := obj.decodeUnit(0, 0); err == nil {
+	if _, _, _, err := obj.decodeUnitIn(obj.Code, 0, 0); err == nil {
 		t.Error("oversized size nibble accepted")
 	}
 }

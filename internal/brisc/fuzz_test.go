@@ -1,6 +1,8 @@
 package brisc
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,7 +10,9 @@ import (
 
 // FuzzParse: the object parser must never panic on arbitrary bytes,
 // and a parsed object's interpreter must fail cleanly rather than
-// crash.
+// crash. A parsed object whose code does not predecode must be
+// rejected up front by every engine: Run returns ErrCorrupt having
+// executed and printed nothing, and JIT and BuildXIP fail.
 func FuzzParse(f *testing.F) {
 	prog := compileProg(f, "seed", saltSrc)
 	if obj, err := Compress(prog, Options{}); err == nil {
@@ -41,8 +45,21 @@ func FuzzParse(f *testing.F) {
 		}
 		// A structurally valid object may still contain garbage code;
 		// execution must stop with an error, not a panic.
-		it := NewInterp(obj, 1<<16, nil)
-		_, _ = it.Run(10_000)
-		_, _ = JIT(obj)
+		var out bytes.Buffer
+		it := NewInterp(obj, 1<<16, &out)
+		_, runErr := it.Run(10_000)
+		_, jitErr := JIT(obj)
+		if _, err := obj.predecode(); err == nil {
+			return
+		}
+		if !errors.Is(runErr, ErrCorrupt) || it.Steps != 0 || out.Len() != 0 {
+			t.Fatalf("undecodable image: Run err %v after %d steps, output %q", runErr, it.Steps, out.String())
+		}
+		if jitErr == nil {
+			t.Fatal("undecodable image: JIT succeeded")
+		}
+		if _, err := BuildXIP(obj, XIPOptions{}); err == nil {
+			t.Fatal("undecodable image: BuildXIP succeeded")
+		}
 	})
 }

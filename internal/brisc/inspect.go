@@ -4,8 +4,8 @@ package brisc
 // the image, verifies the parse is canonical (re-serializing
 // reproduces the input byte for byte), partitions the file into named
 // sections — down to one section per learned dictionary entry — and
-// statically walks the code stream unit by unit, the same linear
-// Markov decode the JIT performs, recording each unit's byte range,
+// reads the code stream unit by unit from the predecoded unit table
+// the interpreter and the JIT use, recording each unit's byte range,
 // pattern id, and what the unit's instructions would cost encoded with
 // base patterns only. internal/attrib turns this into the P-vs-W
 // dictionary economics and hot-spot reports.
@@ -143,28 +143,18 @@ func (insp *Inspection) buildSections() {
 	frameCRC("code")
 }
 
-// walkUnits linearly Markov-decodes the code stream (the JIT's walk)
-// and records per-unit extents, pattern use, and base-encoding cost.
+// walkUnits records per-unit extents, pattern use, and base-encoding
+// cost from the predecoded unit table, so an image that does not
+// predecode fails here with the interpreter's ErrCorrupt.
 func (insp *Inspection) walkUnits() error {
 	o := insp.Obj
-	blockSet := make(map[int32]bool, len(o.Blocks))
-	for _, off := range o.Blocks {
-		blockSet[off] = true
+	pre, err := o.predecode()
+	if err != nil {
+		return err
 	}
-	off := int32(0)
-	ctx := 0
-	for int(off) < len(o.Code) {
-		if blockSet[off] {
-			ctx = 0
-		}
-		pid, vals, next, err := o.decodeUnit(off, ctx)
-		if err != nil {
-			return err
-		}
-		instrs, err := o.Dict[pid].expand(nil, vals)
-		if err != nil {
-			return err
-		}
+	insp.Units = make([]UnitInfo, 0, len(pre.units))
+	for _, u := range pre.units {
+		instrs := pre.code[u.first : u.first+u.n]
 		base := 0
 		for _, ins := range instrs {
 			bp := basePattern(ins.Op)
@@ -172,12 +162,10 @@ func (insp *Inspection) walkUnits() error {
 			insp.OpStatic[ins.Op]++
 		}
 		insp.Units = append(insp.Units, UnitInfo{
-			Off: off, Len: next - off, Pid: pid,
-			Escape: o.Code[off] == 255,
+			Off: u.off, Len: u.next - u.off, Pid: int(u.pid),
+			Escape: o.Code[u.off] == 255,
 			Instrs: len(instrs), BaseLen: int32(base),
 		})
-		ctx = pid + 1
-		off = next
 	}
 	return nil
 }

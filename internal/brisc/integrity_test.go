@@ -1,6 +1,7 @@
 package brisc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -137,5 +138,52 @@ func TestRoundTripAfterHardening(t *testing.T) {
 	}
 	if len(dict) != len(obj.LearnedDict()) {
 		t.Fatalf("dict round trip: %d patterns, want %d", len(dict), len(obj.LearnedDict()))
+	}
+}
+
+// TestCorruptCodeRejectedByEveryEngine: every section of this object
+// verifies, so Parse accepts it, but its last block opens with an
+// opcode index beyond the block-start context's follower table, so it
+// does not predecode. Every engine rejects it with ErrCorrupt up front:
+// Run executes and prints nothing, and JIT, BuildXIP and Inspect fail
+// too.
+func TestCorruptCodeRejectedByEveryEngine(t *testing.T) {
+	prog := compileProg(t, "integ", saltSrc)
+	good, err := Compress(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := Parse(good.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obj.Contexts[0]) >= 255 {
+		t.Fatalf("block-start context lists %d followers; no index byte is out of table", len(obj.Contexts[0]))
+	}
+	obj.Code[obj.Blocks[len(obj.Blocks)-1]] = byte(len(obj.Contexts[0]))
+	data := obj.Bytes()
+	if obj, err = Parse(data); err != nil {
+		t.Fatalf("Parse rejected the re-sealed object: %v", err)
+	}
+	if _, err := obj.predecode(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("predecode: %v, want ErrCorrupt", err)
+	}
+
+	var out bytes.Buffer
+	it := NewInterp(obj, 0, &out)
+	if _, err := it.Run(0); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Run: %v, want ErrCorrupt", err)
+	}
+	if it.Steps != 0 || it.Units != 0 || out.Len() != 0 {
+		t.Errorf("Run executed %d steps, %d units, printed %q before failing", it.Steps, it.Units, out.String())
+	}
+	if _, err := JIT(obj); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("JIT: %v, want ErrCorrupt", err)
+	}
+	if _, err := BuildXIP(obj, XIPOptions{}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("BuildXIP: %v, want ErrCorrupt", err)
+	}
+	if _, err := Inspect(data); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Inspect: %v, want ErrCorrupt", err)
 	}
 }

@@ -18,9 +18,11 @@ import (
 // flat handler+operand form — the whole image once, up front, or (after
 // EnableXIP) page by page out of a compressed page store under a
 // resident-page budget, the working-set trade the paper's
-// memory-bottleneck scenario and W cost model describe. StepUnit
-// Markov-decodes and executes one unit straight from the stream; Run
-// falls back to it for off-grid PCs and for images that do not decode.
+// memory-bottleneck scenario and W cost model describe. Code is
+// entered only at unit offsets (block starts and the return points
+// CALL pushes): an image that does not predecode fails with ErrCorrupt
+// before anything runs, and a PC off the unit grid traps with
+// ErrCorrupt.
 type Interp struct {
 	Obj  *Object
 	Mem  []byte
@@ -40,8 +42,6 @@ type Interp struct {
 	// limits bounds every Run; install with SetLimits.
 	limits guard.Limits
 
-	blockSet map[int32]bool
-	ctx      int
 	// Trace, when non-nil, receives the byte offset of every unit.
 	Trace func(off int32)
 
@@ -49,9 +49,7 @@ type Interp struct {
 	// end via the Object); unitIdx is the index of the unit at PC in the
 	// unit table being executed, or -1 when PC must be resolved by
 	// offset (start of run, after a computed jump, and after every
-	// jump in paged mode). pre is nil in paged mode, and when
-	// predecoding fails — corrupt images must still execute their
-	// valid prefix, one unit at a time through the stepwise decoder.
+	// jump in paged mode). pre is nil in paged mode.
 	pre     *predecoded
 	unitIdx int32
 
@@ -64,9 +62,6 @@ type Interp struct {
 	// each page fault loads from the store — an instrumentation/test
 	// hook (mid-execution tamper injection), like Trace.
 	XIPFault func(page int32)
-
-	// step is StepUnit's reusable expansion buffer.
-	step []vm.Instr
 
 	// Telemetry. The hot loop touches only local fields behind a single
 	// opCounts nil check; recorder locks are taken in FlushTelemetry,
@@ -92,10 +87,6 @@ func NewInterp(o *Object, memSize int, out io.Writer) *Interp {
 		memSize = vm.DefaultMemSize
 	}
 	it := &Interp{Obj: o, Mem: make([]byte, memSize), Out: out}
-	it.blockSet = make(map[int32]bool, len(o.Blocks))
-	for _, off := range o.Blocks {
-		it.blockSet[off] = true
-	}
 	it.Reset()
 	return it
 }
@@ -112,7 +103,6 @@ func (it *Interp) Reset() {
 	it.Regs = [vm.NumRegs]int32{}
 	it.Regs[vm.RegSP] = int32(len(it.Mem))
 	it.PC = 0
-	it.ctx = 0
 	it.unitIdx = -1
 	it.Steps = 0
 	it.Units = 0
@@ -204,7 +194,8 @@ func (it *Interp) SetLimits(l guard.Limits) error {
 // (maxSteps, 0 = unlimited, merges with any SetLimits step bound),
 // returning the exit code. A limit violation returns a
 // *guard.TrapError, which still matches ErrOutOfSteps for the step
-// limit.
+// limit. An image that does not predecode fails with predecode's
+// ErrCorrupt before anything executes.
 func (it *Interp) Run(maxSteps int64) (int32, error) {
 	defer it.FlushTelemetry()
 	l := it.limits
@@ -216,7 +207,10 @@ func (it *Interp) Run(maxSteps int64) (int32, error) {
 	// by an earlier run (jumpBlock follows pre.blockUnit when set).
 	it.pre = nil
 	if it.xip == nil {
-		it.pre, _ = it.Obj.predecode()
+		var err error
+		if it.pre, err = it.Obj.predecode(); err != nil {
+			return 0, err
+		}
 	}
 	it.unitIdx = -1
 	if err := it.run(&g, !l.Zero()); err != nil {
@@ -251,16 +245,6 @@ func (it *Interp) run(g *guard.Gov, checked bool) error {
 			if err != nil {
 				return err
 			}
-			if i < 0 {
-				// Off-grid PC (a computed jump into the middle of a unit
-				// on hostile input) or an image that does not predecode:
-				// one unit through the stepwise decoder, preserving
-				// in-place semantics exactly.
-				if err := it.StepUnit(); err != nil {
-					return err
-				}
-				continue
-			}
 			tab, idx = t, i
 			it.unitIdx = idx
 		}
@@ -287,7 +271,6 @@ func (it *Interp) run(g *guard.Gov, checked bool) error {
 			}
 		}
 		if !jumped {
-			it.ctx = int(u.pid) + 1
 			it.PC = u.next
 			it.unitIdx = u.nextIdx
 		}
@@ -297,19 +280,23 @@ func (it *Interp) run(g *guard.Gov, checked bool) error {
 
 // resolve finds the unit table and unit index for PC: an offset lookup
 // in the whole-image table, or a page lookup (faulting the page in) in
-// paged mode. A -1 index sends the unit to the stepwise decoder.
+// paged mode. A PC that is not a unit offset — a computed jump to an
+// address no CALL produced, or fall-through past the end of code — is
+// the same offGrid trap in both modes.
 func (it *Interp) resolve(g *guard.Gov) (*unitTable, int32, error) {
 	if it.xip != nil {
 		return it.xip.resolve(it, g, it.PC)
 	}
-	if it.pre == nil {
-		return nil, -1, nil
-	}
 	idx, ok := it.pre.offIdx[it.PC]
 	if !ok {
-		return nil, -1, nil
+		return nil, -1, offGrid(it.PC)
 	}
 	return &it.pre.unitTable, idx, nil
+}
+
+// offGrid is the trap for a PC that is not a unit offset.
+func offGrid(pc int32) error {
+	return fmt.Errorf("%w: jump to %d off the unit grid", ErrCorrupt, pc)
 }
 
 // noteUnit performs the per-unit instrumentation the dispatch loop
@@ -333,49 +320,6 @@ func (it *Interp) recordTrap(err error) {
 	guard.Report(it.rec, err)
 }
 
-// StepUnit decodes and executes one unit (one or more instructions).
-func (it *Interp) StepUnit() error {
-	if it.blockSet[it.PC] {
-		it.ctx = 0
-		if it.opCounts != nil {
-			it.blockCounts[it.PC]++
-		}
-	}
-	if it.Trace != nil {
-		it.Trace(it.PC)
-	}
-	pid, vals, next, err := it.Obj.decodeUnit(it.PC, it.ctx)
-	if err != nil {
-		return err
-	}
-	it.step, err = it.Obj.Dict[pid].expand(it.step[:0], vals)
-	if err != nil {
-		return err
-	}
-	it.Units++
-	jumped := false
-	for k := range it.step {
-		ins := &it.step[k]
-		if it.opCounts != nil && int(ins.Op) < len(it.opCounts) {
-			it.opCounts[ins.Op]++
-		}
-		taken, err := opHandlers[ins.Op](it, ins, next)
-		if err != nil {
-			return err
-		}
-		it.Steps++
-		if taken || it.Halted {
-			jumped = true
-			break
-		}
-	}
-	if !jumped {
-		it.ctx = pid + 1
-		it.PC = next
-	}
-	return nil
-}
-
 // blockTarget resolves a block index to a byte offset.
 func (it *Interp) blockTarget(b int32) (int32, error) {
 	if b < 0 || int(b) >= len(it.Obj.Blocks) {
@@ -390,11 +334,10 @@ func (it *Interp) jumpBlock(b int32) (bool, error) {
 		return false, err
 	}
 	it.PC = off
-	it.ctx = 0
 	if it.pre != nil {
 		it.unitIdx = it.pre.blockUnit[b]
 	} else {
-		it.unitIdx = -1 // paged or stepwise: resolve the target by offset
+		it.unitIdx = -1 // paged: resolve the target by offset
 	}
 	return true, nil
 }

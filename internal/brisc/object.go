@@ -528,20 +528,15 @@ func (o *Object) Func(name string) *ObjFunc {
 	return nil
 }
 
-// ---- unit decoding (shared by the interpreter and the JIT) ----
+// ---- unit decoding (decodeSegment's step) ----
 
-// decodeUnit decodes one unit at byte offset off with Markov context
-// ctx (0 = block start, pid+1 otherwise). It returns the pattern id,
-// the unfixed operand values, and the offset of the next unit.
-func (o *Object) decodeUnit(off int32, ctx int) (pid int, vals []int32, next int32, err error) {
-	return o.decodeUnitIn(o.Code, off, ctx)
-}
-
-// decodeUnitIn is decodeUnit over an arbitrary code slice: the
-// demand-paging executor decodes units out of a faulted-in page frame
-// at page-local offsets, without the full Code stream resident. Every
-// basic block starts at Markov context 0, so any block-aligned byte
-// range is independently decodable.
+// decodeUnitIn decodes one unit at byte offset off of code with Markov
+// context ctx (0 = block start, pid+1 otherwise). It returns the
+// pattern id, the unfixed operand values, and the offset of the next
+// unit. code is Obj.Code for whole-image predecode, or a faulted-in
+// page frame at page-local offsets for demand paging: every basic
+// block starts at Markov context 0, so any block-aligned byte range is
+// independently decodable.
 func (o *Object) decodeUnitIn(code []byte, off int32, ctx int) (pid int, vals []int32, next int32, err error) {
 	if off < 0 || int(off) >= len(code) {
 		return 0, nil, 0, fmt.Errorf("%w: unit offset %d", ErrCorrupt, off)

@@ -419,8 +419,9 @@ func (p Pattern) encodedSizePair(a, b []vm.Instr) int {
 
 // expand appends the concrete instructions of p, with its unfixed
 // fields filled from vals in (instruction, field) order, to dst. It is
-// the one pattern expander: whole-image predecode, XIP page faults,
-// the stepwise decoder and the inspector all go through it. vals must
+// the one pattern expander: decodeSegment calls it for whole-image
+// predecode (which the JIT and the inspector read) and for XIP page
+// faults. vals must
 // hold exactly one value per wildcard field.
 func (p *Pattern) expand(dst []vm.Instr, vals []int32) ([]vm.Instr, error) {
 	vi := 0

@@ -9,18 +9,18 @@ import (
 // unitTable is decoded code in directly dispatchable form: each unit
 // becomes a span in a flat instruction array plus the metadata the
 // dispatch loop needs — successor offset, successor unit index, pattern
-// id for the Markov context, and whether it opens a block. Units keep
-// speaking original code byte offsets (the interpreter's PC, return
-// addresses, and block table all do), so one table type serves both
-// the whole image and a single faulted-in XIP page.
+// id, and whether it opens a block. Units keep speaking original code
+// byte offsets (the interpreter's PC, return addresses, and block table
+// all do), so one table type serves both the whole image and a single
+// faulted-in XIP page.
 type unitTable struct {
 	units []predUnit
 	code  []vm.Instr // expanded instructions, units back to back
 
 	// offIdx maps a unit's byte offset to its index in units; execution
 	// can land off-grid only through computed jumps (RJR/EPI to a
-	// corrupted return address), which fall back to the one-unit
-	// decoder.
+	// corrupted return address) or fall-through past the end of code,
+	// which trap with ErrCorrupt.
 	offIdx map[int32]int32
 }
 
@@ -30,8 +30,8 @@ type predUnit struct {
 	nextIdx int32 // units index at offset next; -1 when next is off-table
 	first   int32 // index of the unit's first instruction in code
 	n       int32 // instruction count
-	pid     int32 // pattern id (Markov context for the successor)
-	isBlock bool  // unit sits at a block boundary (entered with ctx 0)
+	pid     int32 // pattern id (the inspector's per-unit attribution)
+	isBlock bool  // unit sits at a block boundary (decoded from context 0)
 }
 
 // predecoded is a BRISC image decoded once, up front: the whole image
@@ -84,12 +84,12 @@ func (o *Object) segments() ([]segment, error) {
 }
 
 // decodeSegment Markov-decodes segment s out of raw, where its bytes
-// start at raw[local], from context 0: the one walk behind whole-image
-// predecode, XIP image validation, and XIP page faults. Every unit must
-// end inside the segment, so a block offset off the unit grid is
-// corrupt. With a nil t it only validates; otherwise the units are
-// expanded and appended to t under their original offsets (nextIdx is
-// left for link).
+// start at raw[local], from context 0: the one decode walk behind
+// whole-image predecode (and so the JIT and the inspector), XIP image
+// validation, and XIP page faults. Every unit must end inside the
+// segment, so a block offset off the unit grid is corrupt. With a nil t
+// it only validates; otherwise the units are expanded and appended to t
+// under their original offsets (nextIdx is left for link).
 func (o *Object) decodeSegment(t *unitTable, raw []byte, s *segment, local int32) error {
 	base := s.start - local // original offset = local + base
 	end := s.end - base
@@ -135,9 +135,9 @@ func (t *unitTable) link() {
 }
 
 // predecode returns the cached predecoded image, building it on first
-// use. It fails — and the interpreter falls back to stepwise decoding,
-// preserving the valid-prefix semantics of corrupt objects — when any
-// unit of the image fails to decode.
+// use. It fails with ErrCorrupt when any unit of the image fails to
+// decode; Run, the JIT, BuildXIP and Inspect all return that error
+// before executing or attributing anything.
 func (o *Object) predecode() (*predecoded, error) {
 	o.predOnce.Do(func() {
 		o.pred, o.predErr = o.buildPredecode()

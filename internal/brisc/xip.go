@@ -65,10 +65,9 @@ type XIPImage struct {
 
 // BuildXIP cuts o's code stream into block-aligned segments, packs
 // them into pages (profile-driven when opt.BlockCounts is set), and
-// seals the result in a compressed page store. It fails — and callers
-// should fall back to the non-paged interpreter — when the image does
-// not decode cleanly end to end, mirroring predecode's corrupt-image
-// contract.
+// seals the result in a compressed page store. It fails with
+// predecode's ErrCorrupt when the image does not decode cleanly end to
+// end, as Run and the JIT do for the same image.
 func BuildXIP(o *Object, opt XIPOptions) (*XIPImage, error) {
 	x, err := buildXIPMeta(o, opt)
 	if err != nil {
@@ -125,10 +124,9 @@ func (x *XIPImage) Store() *paging.Store { return x.store }
 
 // buildXIPMeta validates the image, cuts it into segments, and assigns
 // segments to pages — everything except materializing the store. Every
-// segment must decode (the contract predecode enforces), so a paged run
-// of a corrupt image fails at build time — the caller then falls back
-// to the stepwise valid-prefix path — and every page fault can decode
-// its segments independently.
+// segment must decode (the contract predecode enforces), so a corrupt
+// image is rejected at build time, before any page is faulted, and
+// every page fault can decode its segments independently.
 func buildXIPMeta(o *Object, opt XIPOptions) (*XIPImage, error) {
 	segs, err := o.segments()
 	if err != nil {
@@ -364,16 +362,15 @@ func (rt *xipRuntime) evict(keep *xipPage) {
 }
 
 // resolve maps an original code offset to its decoded page's unit
-// table and unit index, faulting the page in if needed. A -1 index
-// means off is outside every segment (past the end of code) or inside
-// a page but off the unit grid (computed jump into the middle of a
-// unit); the caller falls back to the stepwise decoder, preserving
-// hostile-input semantics exactly.
+// table and unit index, faulting the page in if needed. An offset
+// outside every segment (past the end of code) or inside a page but
+// off the unit grid (a computed jump into the middle of a unit) is the
+// whole-image interpreter's offGrid trap.
 func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, int32, error) {
 	segs := rt.img.segs
 	si := sort.Search(len(segs), func(i int) bool { return segs[i].end > off })
 	if si >= len(segs) || off < segs[si].start {
-		return nil, -1, nil
+		return nil, -1, offGrid(off)
 	}
 	pid := segs[si].page
 	pg := rt.pages[pid]
@@ -389,7 +386,7 @@ func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, 
 	}
 	idx, ok := pg.offIdx[off]
 	if !ok {
-		return nil, -1, nil
+		return nil, -1, offGrid(off)
 	}
 	return &pg.unitTable, idx, nil
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/integrity"
 	"repro/internal/paging"
 	"repro/internal/telemetry"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -555,14 +556,15 @@ type modeRun struct {
 	faults       int64
 }
 
-// runEntry resets it, enters at pc with Markov context ctx, and runs
-// under a step limit.
-func runEntry(it *Interp, pc int32, ctx int, limit int64) modeRun {
+// runEntry resets it, enters at pc with the return-address register
+// set to ra, and runs under a step limit.
+func runEntry(it *Interp, pc, ra int32, limit int64) modeRun {
 	var r modeRun
 	var out bytes.Buffer
 	it.Reset()
 	it.Out = &out
-	it.PC, it.ctx = pc, ctx
+	it.PC = pc
+	it.Regs[vm.RegRA] = ra
 	it.Trace = func(off int32) { r.trace = append(r.trace, off) }
 	code, err := it.Run(limit)
 	r.steps, r.units, r.code, r.out = it.Steps, it.Units, code, out.String()
@@ -584,15 +586,16 @@ func checkSameModeRun(t *testing.T, label string, want, got modeRun) {
 	}
 }
 
-// TestInterpOffGridFallbackAcrossModes drives the stepwise fallback
-// from the dispatch loop: execution entered mid-unit (as a corrupted
-// return address would) decodes through StepUnit until it lands back
-// on the unit grid. Whole-image and paged runs (one-page and unbounded
-// budgets) must agree on the trace, counters, error, and exit. An
-// Interp that ran whole-image and is then Reset into paged mode must
-// match a fresh paged Interp exactly, fault count included: a paged
-// run must never chain jumps through the earlier whole-image table.
-func TestInterpOffGridFallbackAcrossModes(t *testing.T) {
+// TestInterpOffGridTrapsAcrossModes pins the entry contract: code is
+// entered only at unit offsets, so a PC off the unit grid — entered
+// directly, or reached mid-run by a return to an address no CALL
+// produced — traps with ErrCorrupt. Whole-image and paged runs
+// (one-page and unbounded budgets) must agree on the error text, the
+// trace, and the counters. An Interp that ran whole-image and is then
+// Reset into paged mode must match a fresh paged Interp exactly, fault
+// count included: a paged run must never chain jumps through the
+// earlier whole-image table.
+func TestInterpOffGridTrapsAcrossModes(t *testing.T) {
 	obj := xipObject(t, "loop", loopSrc, Options{})
 	pre, err := obj.predecode()
 	if err != nil {
@@ -606,71 +609,74 @@ func TestInterpOffGridFallbackAcrossModes(t *testing.T) {
 		t.Fatalf("want a multi-page image, got %d pages", img.NumPages())
 	}
 
-	// Entries: the first mid-unit offset at context 0 (decodes garbage
-	// and fails), and the first mid-unit (offset, context) pair that
-	// decodes into a unit and resynchronizes onto the grid.
-	type entry struct {
-		pc  int32
-		ctx int
+	// Off-grid PCs: the first and last mid-unit offsets, the end of
+	// code, and a negative offset.
+	var mid []int32
+	for off := int32(0); off < int32(len(obj.Code)); off++ {
+		if _, ok := pre.offIdx[off]; !ok {
+			mid = append(mid, off)
+		}
 	}
+	if len(mid) == 0 {
+		t.Fatal("no mid-unit offset in the image")
+	}
+	bad := []int32{mid[0], mid[len(mid)-1], int32(len(obj.Code)), -4}
+
+	// Entries: each bad PC entered directly (pc, 0), and each reached
+	// by returning from step() to it (step's entry, bad).
+	type entry struct{ pc, ra int32 }
+	f := obj.Func("step")
+	if f == nil {
+		t.Fatal("no function step")
+	}
+	stepEntry := obj.Blocks[f.EntryBlock]
 	var entries []entry
-	probe := NewInterp(obj, 1<<20, nil)
-	for off := int32(0); off < int32(len(obj.Code)) && len(entries) < 2; off++ {
-		if _, ok := pre.offIdx[off]; ok {
-			continue
-		}
-		if len(entries) == 0 {
-			entries = append(entries, entry{off, 0})
-			continue
-		}
-		for ctx := 0; ctx < len(obj.Contexts); ctx++ {
-			if r := runEntry(probe, off, ctx, 200); r.steps >= 100 {
-				entries = append(entries, entry{off, ctx})
-				break
-			}
-		}
-	}
-	if len(entries) < 2 {
-		t.Fatal("no mid-unit entry resynchronizes onto the unit grid")
+	for _, pc := range bad {
+		entries = append(entries, entry{pc, 0}, entry{stepEntry, pc})
 	}
 
 	const limit = 2_000
 	for _, e := range entries {
-		label := fmt.Sprintf("entry %d ctx %d", e.pc, e.ctx)
-		want := runEntry(NewInterp(obj, 1<<20, nil), e.pc, e.ctx, limit)
-		if len(want.trace) == 0 || want.trace[0] != e.pc {
-			t.Fatalf("%s: run did not start at the off-grid entry: %v", label, want.trace)
+		label := fmt.Sprintf("entry %d ra %d", e.pc, e.ra)
+		target := e.pc
+		if e.pc == stepEntry {
+			target = e.ra
+		}
+		want := runEntry(NewInterp(obj, 1<<20, nil), e.pc, e.ra, limit)
+		if !errors.Is(want.err, ErrCorrupt) || want.err.Error() != offGrid(target).Error() {
+			t.Fatalf("%s: err %v, want %v", label, want.err, offGrid(target))
+		}
+		if e.pc == stepEntry {
+			if want.steps == 0 || len(want.trace) == 0 || want.trace[0] != stepEntry {
+				t.Fatalf("%s: step() did not run before the trap: %d steps, trace %v", label, want.steps, want.trace)
+			}
+		} else if want.steps != 0 || want.units != 0 || len(want.trace) != 0 {
+			t.Fatalf("%s: %d steps, %d units, trace %v before the trap", label, want.steps, want.units, want.trace)
 		}
 		for _, maxPages := range []int{1, 0} {
 			it := NewInterp(obj, 1<<20, nil)
 			if err := it.EnableXIP(img, maxPages, 0); err != nil {
 				t.Fatal(err)
 			}
-			got := runEntry(it, e.pc, e.ctx, limit)
+			got := runEntry(it, e.pc, e.ra, limit)
 			checkSameModeRun(t, fmt.Sprintf("%s paged cache=%d", label, maxPages), want, got)
 		}
-	}
-	if r := runEntry(NewInterp(obj, 1<<20, nil), entries[0].pc, entries[0].ctx, limit); !errors.Is(r.err, ErrCorrupt) {
-		t.Errorf("garbage entry should fail to decode, got %v", r.err)
-	}
-	if r := runEntry(NewInterp(obj, 1<<20, nil), entries[1].pc, entries[1].ctx, limit); !errors.Is(r.err, ErrOutOfSteps) {
-		t.Errorf("resynchronized run should hit the step limit, got %v", r.err)
 	}
 
 	// Whole-image first, then Reset into paged mode on the same Interp.
 	for _, e := range append([]entry{{0, 0}}, entries...) {
-		label := fmt.Sprintf("reuse entry %d ctx %d", e.pc, e.ctx)
+		label := fmt.Sprintf("reuse entry %d ra %d", e.pc, e.ra)
 		fresh := NewInterp(obj, 1<<20, nil)
 		if err := fresh.EnableXIP(img, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		want := runEntry(fresh, e.pc, e.ctx, limit)
+		want := runEntry(fresh, e.pc, e.ra, limit)
 		reused := NewInterp(obj, 1<<20, nil)
-		runEntry(reused, e.pc, e.ctx, limit)
+		runEntry(reused, e.pc, e.ra, limit)
 		if err := reused.EnableXIP(img, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		got := runEntry(reused, e.pc, e.ctx, limit)
+		got := runEntry(reused, e.pc, e.ra, limit)
 		checkSameModeRun(t, label, want, got)
 		if got.faults != want.faults {
 			t.Errorf("%s: %d faults, fresh paged Interp took %d", label, got.faults, want.faults)

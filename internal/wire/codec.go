@@ -442,10 +442,14 @@ func writeStream(bw *bitio.Writer, symbols []int, firsts []int32, code *huffman.
 	return nil
 }
 
-// readStream reverses writeStream for count symbols and undoes the MTF
-// stage. Unless opt.NoHuffman, the symbols are decoded with the table
-// read in-band or, when !inBand, with the shared code.
-func readStream(br *bitio.Reader, count int, opt Options, code *huffman.Code, inBand bool) ([]int32, error) {
+// readStream reverses writeStream for count symbols read from br, whose
+// input is segBytes long, and undoes the MTF stage. Unless
+// opt.NoHuffman, the symbols are decoded with the table read in-band
+// or, when !inBand, with the shared code.
+func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffman.Code, inBand bool) ([]int32, error) {
+	if err := fitSymbols(br, segBytes, count); err != nil {
+		return nil, err
+	}
 	nFirsts, err := readUvarint(br)
 	if err != nil || nFirsts > uint64(count) {
 		return nil, fmt.Errorf("firsts count")
@@ -482,6 +486,17 @@ func readStream(br *bitio.Reader, count int, opt Options, code *huffman.Code, in
 		}
 	}
 	return unsymbolize(symbols, firsts, opt.NoMTF)
+}
+
+// fitSymbols rejects a declared symbol count that the rest of br's
+// segBytes-long input cannot hold. Every coded symbol costs at least
+// one bit (Huffman codes are >= 1 bit, varints 8), so this bounds the
+// count-sized allocations that follow by the input size.
+func fitSymbols(br *bitio.Reader, segBytes, count int) error {
+	if left := 8*int64(segBytes) - br.BitsRead(); int64(count) > left {
+		return fmt.Errorf("%d symbols declared in %d bits", count, left)
+	}
+	return nil
 }
 
 // unsymbolize inverts the MTF stage (or the zigzag shift under noMTF).
@@ -531,6 +546,9 @@ func rebuild(fns []*ir.Function, treeCounts []int, shapeStream []int32, shapes [
 	si := 0
 	for fi, f := range fns {
 		f.Trees = nil
+		if n := treeCounts[fi]; n > 0 {
+			f.Trees = make([]*ir.Tree, 0, n)
+		}
 		for k := 0; k < treeCounts[fi]; k++ {
 			if si >= len(shapeStream) {
 				return fmt.Errorf("%w: shape stream underflow", ErrCorrupt)

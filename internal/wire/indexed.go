@@ -299,7 +299,7 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 		return nil, retag(err)
 	}
 	br := bitio.NewReaderBytes(chunk)
-	shapeStream, err := readStream(br, r.treeCounts[fi], r.opt, r.codes[0], false)
+	shapeStream, err := readStream(br, len(chunk), r.treeCounts[fi], r.opt, r.codes[0], false)
 	if err != nil {
 		return nil, fmt.Errorf("%w: shape stream for %s: %v", ErrCorrupt, name, err)
 	}
@@ -312,7 +312,7 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 		if n == 0 {
 			continue
 		}
-		if lits[op], err = readStream(br, int(n), r.opt, r.codes[j+1], false); err != nil {
+		if lits[op], err = readStream(br, len(chunk), int(n), r.opt, r.codes[j+1], false); err != nil {
 			return nil, fmt.Errorf("%w: literal stream for %s: %v", ErrCorrupt, op, err)
 		}
 	}

@@ -166,6 +166,9 @@ func (insp *Inspection) walk(container []byte) error {
 // keeps the coded symbols and the exact bit cost of every component.
 func decodeSegmentDetail(st *StreamInfo, seg []byte, opt Options) error {
 	br := bitio.NewReaderBytes(seg)
+	if err := fitSymbols(br, len(seg), st.Count); err != nil {
+		return err
+	}
 	nFirsts, err := readUvarint(br)
 	if err != nil || nFirsts > uint64(st.Count) {
 		return fmt.Errorf("firsts count")

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/cc"
 	"repro/internal/flatezip"
 	"repro/internal/integrity"
@@ -215,6 +217,49 @@ func TestFinalStageBombCapped(t *testing.T) {
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 				t.Fatalf("reader allocated %d bytes before rejecting", grew)
+			}
+		})
+	}
+}
+
+// TestSymbolCountBombCapped: a WIR2 file with valid CRCs whose first
+// literal stream declares 2^26 symbols in a 4-byte segment, after a
+// well-formed one-tree shape stream. A coded symbol costs at least one
+// bit, so both WIR2 readers must reject the count as corrupt before
+// allocating for it.
+func TestSymbolCountBombCapped(t *testing.T) {
+	shapeSeg, err := encodeSegment([]int32{0}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	bw := bitio.NewWriter(&buf)
+	writeModuleHeader(bw, &ir.Module{Name: "bomb", Functions: []*ir.Function{{Name: "f", Trees: []*ir.Tree{{Op: ir.RETV}}}}})
+	writeShapeTable(bw, [][]ir.Op{{ir.RETV}})
+	writeSegment(bw, shapeSeg)
+	writeUvarint(bw, 1<<26)
+	writeSegment(bw, []byte{0, 0, 0, 0})
+	for j := 2; j < numStreams(); j++ {
+		writeUvarint(bw, 0)
+	}
+	mustW(bw.Flush())
+	data, err := finalize(buf.Bytes(), Options{Final: FinalNone}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decompress := func(b []byte) error { _, err := Decompress(b); return err }
+	inspect := func(b []byte) error { _, err := Inspect(b); return err }
+	for name, read := range map[string]func([]byte) error{"Decompress": decompress, "Inspect": inspect} {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read(data)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("declared symbol count not rejected as ErrCorrupt: %v", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("reader allocated %d bytes before rejecting: %v", grew, err)
 			}
 		})
 	}

@@ -543,7 +543,7 @@ func parseContainer(data []byte, opt Options, pool *parallel.Pool) (*ir.Module, 
 		if s.count == 0 {
 			return nil, nil
 		}
-		vals, derr := readStream(bitio.NewReaderBytes(s.data), s.count, opt, nil, true)
+		vals, derr := readStream(bitio.NewReaderBytes(s.data), len(s.data), s.count, opt, nil, true)
 		if derr != nil {
 			return nil, fmt.Errorf("%w: %s stream: %v", ErrCorrupt, s.name(), derr)
 		}
