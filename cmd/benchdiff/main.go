@@ -38,8 +38,8 @@ import (
 	"repro/internal/telemetry/expose"
 )
 
-// tool is the process observability state; fatal trips its flight
-// recorder and flushes it before exit.
+// tool is the process observability state; tool.Fail is the one fatal
+// path.
 var tool *expose.Tool
 
 type row struct {
@@ -84,21 +84,21 @@ func main() {
 	var terr error
 	tool, terr = obs.Start()
 	if terr != nil {
-		fatal(terr)
+		tool.Fail(terr)
 	}
 	defer tool.Close()
 	var ignoreRe *regexp.Regexp
 	if *ignore != "" {
 		var err error
 		if ignoreRe, err = regexp.Compile(*ignore); err != nil {
-			fatal(fmt.Errorf("bad -ignore: %w", err))
+			tool.Fail(fmt.Errorf("bad -ignore: %w", err))
 		}
 	}
 	var onlyRe *regexp.Regexp
 	if *only != "" {
 		var err error
 		if onlyRe, err = regexp.Compile(*only); err != nil {
-			fatal(fmt.Errorf("bad -only: %w", err))
+			tool.Fail(fmt.Errorf("bad -only: %w", err))
 		}
 	}
 	oldSnap := readSnapshot(flag.Arg(0))
@@ -197,7 +197,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 	} else {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -270,17 +270,11 @@ func metrics(s telemetry.Snapshot) map[string]float64 {
 func readSnapshot(path string) telemetry.Snapshot {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	var snap telemetry.Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		tool.Fail(fmt.Errorf("%s: %w", path, err))
 	}
 	return snap
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	tool.Fail("fatal: " + err.Error())
-	os.Exit(1)
 }

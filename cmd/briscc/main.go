@@ -8,15 +8,8 @@
 //	briscc file.mc -dict           print the learned dictionary
 //	briscc file.mc -K 20 -abundant -no-combine -no-specialize
 //
-// Observability (shared across the tools):
-//
-//	-metrics             telemetry summary on stderr
-//	-trace file.jsonl    machine-readable span/counter trace
-//	-trace-out f.json    Chrome trace_event trace (load in Perfetto)
-//	-debug-addr a:p      live debug endpoints (/metrics, /snapshot, /spans, /flight, /debug/pprof)
-//	-sample d            runtime sampler interval
-//	-cpuprofile f.pprof  CPU profile
-//	-memprofile f.pprof  heap profile
+// The observability flags every tool shares (-metrics, -trace, ...) are
+// listed in the Observability table of README.md.
 package main
 
 import (
@@ -34,8 +27,8 @@ import (
 	"repro/internal/vm"
 )
 
-// tool is the process observability state; fatal trips its flight
-// recorder and flushes it before exit.
+// tool is the process observability state; tool.Fail is the one fatal
+// path.
 var tool *expose.Tool
 
 func main() {
@@ -62,7 +55,7 @@ func main() {
 	var err error
 	tool, err = obs.Start()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	rec := tool.Rec
 	// -stats is rendered through the telemetry summary sink so the
@@ -74,18 +67,18 @@ func main() {
 
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	sp := rec.StartSpan("briscc.frontend")
 	mod, err := cc.Compile(flag.Arg(0), string(src))
 	if err != nil {
 		sp.End()
-		fatal(err)
+		tool.Fail(err)
 	}
 	prog, err := codegen.Generate(mod, codegen.Options{})
 	sp.End()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	if *optimize {
 		prog = codegen.Peephole(prog)
@@ -102,26 +95,26 @@ func main() {
 	if *dictIn != "" {
 		data, err := os.ReadFile(*dictIn)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		trained, err := brisc.DecodeDict(data)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		obj, err = brisc.CompressWithDict(prog, trained, opt)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 	} else {
 		var err error
 		obj, err = brisc.CompressTraced(prog, opt, rec)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 	}
 	if *dictOut != "" {
 		if err := os.WriteFile(*dictOut, brisc.EncodeDict(obj.LearnedDict()), 0o644); err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote dictionary %s (%d patterns)\n",
 			*dictOut, len(obj.LearnedDict()))
@@ -152,17 +145,11 @@ func main() {
 	if *out != "" {
 		data := obj.Bytes()
 		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, len(data))
 	}
 	if err := tool.Close(); err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "briscc:", err)
-	tool.Fail("fatal: " + err.Error())
-	os.Exit(1)
 }

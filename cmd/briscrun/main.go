@@ -28,15 +28,8 @@
 //	-timeout d     abort after wall-clock duration d (e.g. 2s)
 //	-max-mem n     abort when memory + resident decoded pages exceed n bytes
 //
-// Observability (shared across the tools):
-//
-//	-metrics             telemetry summary on stderr
-//	-trace file.jsonl    machine-readable span/counter trace
-//	-trace-out f.json    Chrome trace_event trace (load in Perfetto)
-//	-debug-addr a:p      live debug endpoints (/metrics, /snapshot, /spans, /flight, /debug/pprof)
-//	-sample d            runtime sampler interval
-//	-cpuprofile f.pprof  CPU profile
-//	-memprofile f.pprof  heap profile
+// The observability flags every tool shares (-metrics, -trace, ...) are
+// listed in the Observability table of README.md.
 package main
 
 import (
@@ -53,8 +46,8 @@ import (
 	"repro/internal/vm"
 )
 
-// tool is the process observability state; fatal trips its flight
-// recorder and flushes it before exit.
+// tool is the process observability state; tool.Fail is the one fatal
+// path.
 var tool *expose.Tool
 
 func main() {
@@ -82,13 +75,12 @@ func main() {
 	var err error
 	tool, err = obs.Start()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	rec := tool.Rec
-	metrics := obs.Metrics
 
 	if *paged && *jit {
-		fatal(fmt.Errorf("-paged and -jit are mutually exclusive"))
+		tool.Fail(fmt.Errorf("-paged and -jit are mutually exclusive"))
 	}
 	limits := guard.Limits{MaxSteps: *maxSteps, MaxMem: *maxMem}
 	if *timeout > 0 {
@@ -103,28 +95,28 @@ func main() {
 
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	obj, err := brisc.Parse(data)
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	var code int32
 	if *jit {
 		prog, err := brisc.JITTraced(obj, rec)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		m := vm.NewMachine(prog, 0, os.Stdout)
 		m.SetRecorder(rec)
 		if err := m.SetLimits(limits); err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		sp := rec.StartSpan("briscrun.run", telemetry.String("mode", "jit"))
 		code, err = m.Run(0)
 		sp.End()
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 	} else {
 		it := brisc.NewInterp(obj, 0, os.Stdout)
@@ -133,25 +125,25 @@ func main() {
 			if *layout != "" {
 				prof, err := os.ReadFile(*layout)
 				if err != nil {
-					fatal(err)
+					tool.Fail(err)
 				}
 				hr, err := attrib.ParseHotJSON(prof)
 				if err != nil {
-					fatal(err)
+					tool.Fail(err)
 				}
 				opt.BlockCounts = hr.BlockCounts()
 			}
 			img, err := brisc.BuildXIP(obj, opt)
 			if err != nil {
-				fatal(err)
+				tool.Fail(err)
 			}
 			if err := it.EnableXIP(img, *pageCache, *pageBytes); err != nil {
-				fatal(err)
+				tool.Fail(err)
 			}
 		}
 		it.SetRecorder(rec)
 		if err := it.SetLimits(limits); err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		runMode := "interp"
 		if *paged {
@@ -161,23 +153,14 @@ func main() {
 		code, err = it.Run(0)
 		sp.End()
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 	}
-	if *timing && !*metrics { // -metrics already prints the summary at Close
+	if *timing && !obs.Metrics { // -metrics already prints the summary at Close
 		telemetry.WriteSummary(os.Stderr, rec)
 	}
 	if err := tool.Close(); err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	os.Exit(int(code))
-}
-
-// fatal trips the flight recorder (dumping the last events to stderr)
-// and flushes traces/metrics before exiting, so governor trap counters
-// reach the summary when a limit kills the run.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "briscrun:", err)
-	tool.Fail("fatal: " + err.Error())
-	os.Exit(1)
 }

@@ -50,7 +50,6 @@ import (
 
 	"repro/internal/compressd"
 	"repro/internal/guard"
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/expose"
 )
 
@@ -77,20 +76,10 @@ func main() {
 
 	// The daemon always runs a recorder: /metrics must be live without
 	// any observability flags.
-	tool, err := expose.Start(expose.Options{
-		ToolOptions: telemetry.ToolOptions{
-			Trace:        *obs.Trace,
-			TraceOut:     *obs.TraceOut,
-			Metrics:      *obs.Metrics,
-			CPUProfile:   *obs.CPUProfile,
-			MemProfile:   *obs.MemProfile,
-			NeedRecorder: true,
-		},
-		DebugAddr: *obs.DebugAddr,
-		Sample:    *obs.Sample,
-	})
+	obs.NeedRecorder = true
+	tool, err := obs.Start()
 	if err != nil {
-		fatal(nil, err)
+		tool.Fail(err)
 	}
 
 	// Install the handler before the listener exists: once the address
@@ -124,7 +113,7 @@ func main() {
 		Rec: tool.Rec,
 	})
 	if err != nil {
-		fatal(tool, err)
+		tool.Fail(err)
 	}
 	// Stdout, unbuffered by newline: supervisors and the e2e tests
 	// scrape the bound address from this line.
@@ -148,10 +137,4 @@ func main() {
 		}
 	}
 	os.Exit(code)
-}
-
-func fatal(tool *expose.Tool, err error) {
-	fmt.Fprintln(os.Stderr, "compressd:", err)
-	tool.Fail("compressd: " + err.Error())
-	os.Exit(1)
 }

@@ -21,14 +21,11 @@
 // JSON — the profile `briscrun -layout` consumes to pack hot blocks
 // onto shared pages for execute-in-place.
 //
-// Observability (shared across the tools):
+//	-json file   report/diff: attribution gauges as a JSON snapshot;
+//	             hot: the HotReport profile ("-" = stdout)
 //
-//	-metrics             telemetry summary on stderr
-//	-trace file.jsonl    machine-readable span/counter trace
-//	-json file           report/diff: attribution gauges as a JSON snapshot;
-//	                     hot: the HotReport profile ("-" = stdout)
-//	-cpuprofile f.pprof  CPU profile
-//	-memprofile f.pprof  heap profile
+// The observability flags every tool shares (-metrics, -trace, ...) are
+// listed in the Observability table of README.md.
 package main
 
 import (
@@ -47,8 +44,8 @@ import (
 	"repro/internal/wire"
 )
 
-// tool is the process observability state; fatal trips its flight
-// recorder and flushes it before exit.
+// tool is the process observability state; tool.Fail is the one fatal
+// path.
 var tool *expose.Tool
 
 func main() {
@@ -70,7 +67,7 @@ func main() {
 	var err error
 	tool, err = obs.Start()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	rec := tool.Rec
 	// -json renders through the telemetry JSON sink; give it a private
@@ -100,11 +97,11 @@ func main() {
 		olds := load(fs.Arg(0), kinds(*format, "wire"))
 		news := load(fs.Arg(1), kinds(*format, "wire"))
 		if len(olds) != 1 || len(news) != 1 {
-			fatal(fmt.Errorf("diff needs exactly one artifact per side; use -format wire or -format brisc"))
+			tool.Fail(fmt.Errorf("diff needs exactly one artifact per side; use -format wire or -format brisc"))
 		}
 		d, err := attrib.Diff(olds[0].Report, news[0].Report)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		attrib.FormatDiff(os.Stdout, d)
 	case "hot":
@@ -115,11 +112,11 @@ func main() {
 		arts := load(fs.Arg(0), kinds(*format, "brisc"))
 		art := arts[0]
 		if art.Brisc == nil {
-			fatal(fmt.Errorf("hot needs a BRISC artifact (got %s)", art.Report.Kind))
+			tool.Fail(fmt.Errorf("hot needs a BRISC artifact (got %s)", art.Report.Kind))
 		}
 		hr, err := runHot(fs.Arg(0), art, rec)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		attrib.FormatHot(os.Stdout, hr)
 		hotReport = hr
@@ -130,7 +127,7 @@ func main() {
 		if *jsonOut != "-" {
 			f, err := os.Create(*jsonOut)
 			if err != nil {
-				fatal(err)
+				tool.Fail(err)
 			}
 			defer f.Close()
 			w = f
@@ -143,11 +140,11 @@ func main() {
 			err = telemetry.WriteJSON(w, rec)
 		}
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 	}
 	if err := tool.Close(); err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 }
 
@@ -164,7 +161,7 @@ func kinds(format, dflt string) []string {
 	case "both":
 		return []string{"wire", "brisc"}
 	}
-	fatal(fmt.Errorf("unknown -format %q (want wire, brisc, or both)", format))
+	tool.Fail(fmt.Errorf("unknown -format %q (want wire, brisc, or both)", format))
 	return nil
 }
 
@@ -175,18 +172,18 @@ func kinds(format, dflt string) []string {
 func load(path string, mcKinds []string) []*attrib.Artifact {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	if !strings.HasSuffix(path, ".mc") {
 		art, err := attrib.Analyze(path, data)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		return []*attrib.Artifact{art}
 	}
 	mod, err := cc.Compile(path, string(data))
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	var arts []*attrib.Artifact
 	for _, kind := range mcKinds {
@@ -196,23 +193,23 @@ func load(path string, mcKinds []string) []*attrib.Artifact {
 		case "wire":
 			label = path + " (wire)"
 			if artifact, err = wire.Compress(mod); err != nil {
-				fatal(err)
+				tool.Fail(err)
 			}
 		case "brisc":
 			label = path + " (brisc)"
 			prog, gerr := codegen.Generate(mod, codegen.Options{})
 			if gerr != nil {
-				fatal(gerr)
+				tool.Fail(gerr)
 			}
 			obj, cerr := brisc.Compress(prog, brisc.Options{})
 			if cerr != nil {
-				fatal(cerr)
+				tool.Fail(cerr)
 			}
 			artifact = obj.Bytes()
 		}
 		art, err := attrib.Analyze(label, artifact)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		arts = append(arts, art)
 	}
@@ -259,10 +256,4 @@ func usage() {
   diff    attribute two artifacts and rank where the bytes moved
   hot     run the BRISC interpreter and rank dictionary entries by dynamic density`)
 	os.Exit(2)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "compscope:", err)
-	tool.Fail("fatal: " + err.Error())
-	os.Exit(1)
 }

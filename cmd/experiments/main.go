@@ -30,8 +30,8 @@ import (
 	"repro/internal/workload"
 )
 
-// tool is the process observability state; fatal paths trip its flight
-// recorder and flush it before exit.
+// tool is the process observability state; tool.Fail is the one fatal
+// path.
 var tool *expose.Tool
 
 func main() {
@@ -42,11 +42,9 @@ func main() {
 	obs := expose.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	var terr error
-	tool, terr = obs.Start()
-	if terr != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", terr)
-		os.Exit(1)
+	var err error
+	if tool, err = obs.Start(); err != nil {
+		tool.Fail(err)
 	}
 	rec := tool.Rec
 	if *metricsOut != "" && rec == nil {
@@ -54,7 +52,6 @@ func main() {
 	}
 	experiments.SetRecorder(rec)
 
-	var err error
 	switch *table {
 	case "all":
 		err = experiments.RunAll(os.Stdout, *quick)
@@ -133,28 +130,22 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		// Trip the flight recorder and flush any trace/metrics gathered
-		// before the failure.
-		tool.Fail("fatal: " + err.Error())
-		os.Exit(1)
+		tool.Fail(err)
 	}
 	if *metricsOut != "" {
-		f, ferr := os.Create(*metricsOut)
-		if ferr == nil {
-			ferr = telemetry.WriteJSON(f, rec)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
+		f, err := os.Create(*metricsOut)
+		if err == nil {
+			err = telemetry.WriteJSON(f, rec)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", ferr)
-			os.Exit(1)
+		if err != nil {
+			tool.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote metrics %s\n", *metricsOut)
 	}
-	if cerr := tool.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", cerr)
-		os.Exit(1)
+	if err := tool.Close(); err != nil {
+		tool.Fail(err)
 	}
 }

@@ -30,8 +30,8 @@ import (
 	"repro/internal/vm"
 )
 
-// tool is the process observability state; fatal trips its flight
-// recorder and flushes it before exit.
+// tool is the process observability state; tool.Fail is the one fatal
+// path.
 var tool *expose.Tool
 
 func main() {
@@ -59,19 +59,19 @@ func main() {
 	var err error
 	tool, err = obs.Start()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	rec := tool.Rec
 
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	sp := rec.StartSpan("mcc.frontend")
 	mod, err := cc.Compile(flag.Arg(0), string(src))
 	sp.End()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	if *dumpIR {
 		fmt.Print(mod.String())
@@ -83,7 +83,7 @@ func main() {
 	})
 	sp.End()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	if *optimize {
 		prog = codegen.Peephole(prog)
@@ -108,30 +108,21 @@ func main() {
 		m := vm.NewMachine(prog, 0, os.Stdout)
 		m.SetRecorder(rec)
 		if err := m.SetLimits(limits); err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		sp = rec.StartSpan("mcc.run")
 		code, err := m.Run(0)
 		sp.End()
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "exit %d (%d instructions)\n", code, m.Steps)
 		if err := tool.Close(); err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		os.Exit(int(code))
 	}
 	if err := tool.Close(); err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
-}
-
-// fatal trips the flight recorder and flushes traces/metrics before
-// exiting, so governor trap counters reach the summary when a limit
-// kills the run.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mcc:", err)
-	tool.Fail("fatal: " + err.Error())
-	os.Exit(1)
 }

@@ -37,8 +37,8 @@ import (
 	"repro/internal/tracescope"
 )
 
-// tool is the process observability state; fatal trips its flight
-// recorder and flushes it before exit.
+// tool is the process observability state; tool.Fail is the one fatal
+// path.
 var tool *expose.Tool
 
 func main() {
@@ -61,7 +61,7 @@ func main() {
 	var err error
 	tool, err = obs.Start()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	defer tool.Close()
 
@@ -104,7 +104,7 @@ func main() {
 func parse(path string) *tracescope.Trace {
 	t, err := tracescope.ParseFile(path)
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	return t
 }
@@ -122,10 +122,4 @@ func usage() {
   tracescope critical [flags] trace.jsonl
   tracescope diff     [flags] old.jsonl new.jsonl`)
 	os.Exit(2)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracescope:", err)
-	tool.Fail("fatal: " + err.Error())
-	os.Exit(1)
 }

@@ -15,15 +15,8 @@
 //	-max-bytes n   reject objects whose final stage would decode to more than
 //	               n bytes (the WIR2 container or the -indexed WIRX header)
 //
-// Observability (shared across the tools):
-//
-//	-metrics             per-stage telemetry summary on stderr
-//	-trace file.jsonl    machine-readable span/counter trace
-//	-trace-out f.json    Chrome trace_event trace (load in Perfetto)
-//	-debug-addr a:p      live debug endpoints (/metrics, /snapshot, /spans, /flight, /debug/pprof)
-//	-sample d            runtime sampler interval
-//	-cpuprofile f.pprof  CPU profile
-//	-memprofile f.pprof  heap profile
+// The observability flags every tool shares (-metrics, -trace, ...) are
+// listed in the Observability table of README.md.
 package main
 
 import (
@@ -37,8 +30,8 @@ import (
 	"repro/internal/wire"
 )
 
-// tool is the process observability state; fatal trips its flight
-// recorder and flushes it before exit.
+// tool is the process observability state; tool.Fail is the one fatal
+// path.
 var tool *expose.Tool
 
 func main() {
@@ -65,10 +58,9 @@ func main() {
 	var err error
 	tool, err = obs.Start()
 	if err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 	rec := tool.Rec
-	metrics := obs.Metrics
 
 	opt := wire.Options{NoMTF: *noMTF, NoHuffman: *noHuff, Workers: *workers}
 	switch *final {
@@ -79,20 +71,20 @@ func main() {
 	case "none":
 		opt.Final = wire.FinalNone
 	default:
-		fatal(fmt.Errorf("unknown -final %q", *final))
+		tool.Fail(fmt.Errorf("unknown -final %q", *final))
 	}
 
 	switch {
 	case *compress != "":
 		src, err := os.ReadFile(*compress)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		sp := rec.StartSpan("wire.frontend")
 		mod, err := cc.Compile(*compress, string(src))
 		sp.End()
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		var data []byte
 		var st wire.Stats
@@ -103,7 +95,7 @@ func main() {
 			st, data, err = wire.MeasureTraced(mod, opt, rec)
 		}
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		if rec.Enabled() && !*indexed {
 			rec.SetGauge("wire.compression_ratio",
@@ -121,12 +113,12 @@ func main() {
 		}
 		if *out != "" {
 			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fatal(err)
+				tool.Fail(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, len(data))
-		} else if !*stats && !*metrics {
+		} else if !*stats && !obs.Metrics {
 			if _, err := os.Stdout.Write(data); err != nil {
-				fatal(err)
+				tool.Fail(err)
 			}
 		}
 	case *decompress != "":
@@ -135,7 +127,7 @@ func main() {
 		}
 		data, err := os.ReadFile(*decompress)
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 		err = guardWall(*timeout, func() error {
 			if *indexed {
@@ -181,7 +173,7 @@ func main() {
 			return nil
 		})
 		if err != nil {
-			fatal(err)
+			tool.Fail(err)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: wirec -c file.mc [-o out.wire] | wirec -d file.wire")
@@ -189,7 +181,7 @@ func main() {
 		os.Exit(2)
 	}
 	if err := tool.Close(); err != nil {
-		fatal(err)
+		tool.Fail(err)
 	}
 }
 
@@ -208,10 +200,4 @@ func guardWall(d time.Duration, f func() error) error {
 	case <-time.After(d):
 		return fmt.Errorf("decode exceeded -timeout %s", d)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wirec:", err)
-	tool.Fail("fatal: " + err.Error())
-	os.Exit(1)
 }

@@ -164,7 +164,7 @@ func prepare(kind byte, data []byte) (func() error, error) {
 			return nil, err
 		}
 		return func() error {
-			_, err := core.RunNative(prog, io.Discard, 0)
+			_, err := core.RunNative(prog, io.Discard, core.Limits{})
 			return err
 		}, nil
 	case 1: // wire: decompress to IR, compile, run
@@ -177,7 +177,7 @@ func prepare(kind byte, data []byte) (func() error, error) {
 			return nil, err
 		}
 		return func() error {
-			_, err := core.RunNative(exe, io.Discard, 0)
+			_, err := core.RunNative(exe, io.Discard, core.Limits{})
 			return err
 		}, nil
 	case 2: // BRISC: parse and JIT
@@ -190,7 +190,7 @@ func prepare(kind byte, data []byte) (func() error, error) {
 			return nil, err
 		}
 		return func() error {
-			_, err := core.RunNative(prog, io.Discard, 0)
+			_, err := core.RunNative(prog, io.Discard, core.Limits{})
 			return err
 		}, nil
 	}

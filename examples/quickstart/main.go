@@ -64,7 +64,7 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("--- native execution ---")
-	if _, err := core.RunNative(exe, os.Stdout, 0); err != nil {
+	if _, err := core.RunNative(exe, os.Stdout, core.Limits{}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -78,12 +78,12 @@ func main() {
 	}
 
 	fmt.Println("--- BRISC interpreted in place ---")
-	if _, err := core.RunBRISC(obj, os.Stdout, 0); err != nil {
+	if _, err := core.RunBRISC(obj, os.Stdout, core.Limits{}); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("--- BRISC JIT-compiled ---")
-	if _, err := core.RunJIT(obj, os.Stdout, 0); err != nil {
+	if _, err := core.RunJIT(obj, os.Stdout, core.Limits{}); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -222,3 +222,94 @@ func TestBenchdiffJSON(t *testing.T) {
 		t.Fatal("bench.X.bytes row missing")
 	}
 }
+
+// TestSharedObservabilityFlags pins the observability contract every
+// one-shot CLI shares through expose.Flags. A successful run with
+// -metrics and all four file sinks exits 0, leaves a non-empty JSONL
+// trace, Chrome trace, CPU profile and heap profile, and prints the
+// summary on stderr; a failing run with -metrics exits 1 with the
+// "<tool>:" error line and the flight-recorder dump on stderr.
+func TestSharedObservabilityFlags(t *testing.T) {
+	dir := t.TempDir()
+	src := writeSample(t)
+	obj := filepath.Join(dir, "app.brisc")
+	if out, code := run(t, "briscc", "-o", obj, src); code != 0 {
+		t.Fatalf("briscc exited %d:\n%s", code, out)
+	}
+	trace := recordTrace(t)
+	snap := filepath.Join(dir, "snap.json")
+	if err := os.WriteFile(snap, []byte(`{"gauges": {"x": 1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing")
+	cases := []struct {
+		tool string
+		mode []string // subcommand, before the flags
+		ok   []string // arguments of a successful run
+		fail []string // arguments of a failing run
+		// summary is a line the -metrics summary must carry; benchdiff
+		// and tracescope record no telemetry of their own, so theirs
+		// is empty.
+		summary string
+	}{
+		{"briscc", nil, []string{src}, []string{missing}, "-- spans --"},
+		{"briscrun", nil, []string{obj}, []string{missing}, "-- spans --"},
+		{"wirec", nil, []string{"-o", filepath.Join(dir, "app.wire"), src}, []string{"-d", missing}, "-- spans --"},
+		{"mcc", nil, []string{"-run", src}, []string{missing}, "-- spans --"},
+		{"compscope", []string{"report"}, []string{src}, []string{missing}, "-- gauges --"},
+		{"tracescope", []string{"report"}, []string{trace}, []string{missing}, ""},
+		{"benchdiff", nil, []string{snap, snap}, []string{missing, missing}, ""},
+		{"experiments", nil, []string{"-table", "wire", "-quick"},
+			[]string{"-table", "wire", "-quick", "-metrics-out", filepath.Join(missing, "m.json")}, "-- spans --"},
+	}
+	for _, c := range cases {
+		t.Run(c.tool, func(t *testing.T) {
+			out := t.TempDir()
+			sinks := []string{"-trace", "T", "-trace-out", "C", "-cpuprofile", "P", "-memprofile", "M"}
+			args := append(append([]string{}, c.mode...), "-metrics")
+			for i := 1; i < len(sinks); i += 2 {
+				args = append(args, sinks[i-1], filepath.Join(out, sinks[i]))
+			}
+			stderr, code := runStderr(t, c.tool, append(args, c.ok...)...)
+			if code != 0 {
+				t.Fatalf("successful run exited %d:\n%s", code, stderr)
+			}
+			for i := 1; i < len(sinks); i += 2 {
+				if st, err := os.Stat(filepath.Join(out, sinks[i])); err != nil || st.Size() == 0 {
+					t.Errorf("%s file missing or empty: %v", sinks[i-1], err)
+				}
+			}
+			if !strings.Contains(stderr, c.summary) {
+				t.Errorf("summary missing %q on stderr:\n%s", c.summary, stderr)
+			}
+
+			args = append(append([]string{}, c.mode...), "-metrics")
+			stderr, code = runStderr(t, c.tool, append(args, c.fail...)...)
+			if code != 1 {
+				t.Fatalf("failing run exited %d, want 1:\n%s", code, stderr)
+			}
+			if !strings.HasPrefix(stderr, c.tool+": ") {
+				t.Errorf("stderr lacks the %q prefix:\n%s", c.tool+": ", stderr)
+			}
+			if !strings.Contains(stderr, "-- flight recorder: fatal: ") {
+				t.Errorf("stderr lacks the flight-recorder dump:\n%s", stderr)
+			}
+		})
+	}
+}
+
+// runStderr executes a built tool and returns its stderr and exit code.
+func runStderr(t *testing.T, name string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(tools(t), name), args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	code := 0
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("%s: %v\n%s", name, err, stderr.String())
+	}
+	return stderr.String(), code
+}

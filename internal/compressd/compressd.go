@@ -513,11 +513,11 @@ func (s *Server) handleRun(ctx context.Context, body []byte) (any, error) {
 		if nerr != nil {
 			return nil, nerr
 		}
-		code, err = core.RunNativeLimits(np, out, limits)
+		code, err = core.RunNative(np, out, limits)
 	case "brisc":
-		code, err = core.RunBRISCLimits(obj, out, limits)
+		code, err = core.RunBRISC(obj, out, limits)
 	case "jit":
-		code, err = core.RunJITLimits(obj, out, limits)
+		code, err = core.RunJIT(obj, out, limits)
 	default:
 		return nil, badRequest("unknown engine %q (want vm, brisc, or jit)", engine)
 	}

@@ -12,8 +12,8 @@
 //
 //	// Memory bottleneck (BRISC):
 //	obj, _ := prog.BRISC(brisc.Options{})
-//	core.RunBRISC(obj, os.Stdout)        // interpret in place, or
-//	core.RunJIT(obj, os.Stdout)          // JIT to native and run
+//	core.RunBRISC(obj, os.Stdout, core.Limits{}) // interpret in place, or
+//	core.RunJIT(obj, os.Stdout, core.Limits{})   // JIT to native and run
 package core
 
 import (
@@ -99,14 +99,9 @@ func (p *Program) BRISC(opt brisc.Options) (*brisc.Object, error) {
 	return brisc.Compress(np, opt)
 }
 
-// RunNative executes a VM program, returning its exit code and output.
-func RunNative(prog *vm.Program, out io.Writer, maxSteps int64) (int32, error) {
-	m := vm.NewMachine(prog, 0, out)
-	return m.Run(maxSteps)
-}
-
-// RunNativeLimits executes a VM program under resource limits.
-func RunNativeLimits(prog *vm.Program, out io.Writer, l Limits) (int32, error) {
+// RunNative executes a VM program under resource limits (the zero
+// Limits means unlimited), returning its exit code.
+func RunNative(prog *vm.Program, out io.Writer, l Limits) (int32, error) {
 	m := vm.NewMachine(prog, 0, out)
 	if err := m.SetLimits(l); err != nil {
 		return 0, err
@@ -120,17 +115,11 @@ func (p *Program) Run(out io.Writer, maxSteps int64) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return RunNative(np, out, maxSteps)
+	return RunNative(np, out, Limits{MaxSteps: maxSteps})
 }
 
-// RunBRISC interprets a BRISC object in place.
-func RunBRISC(obj *brisc.Object, out io.Writer, maxSteps int64) (int32, error) {
-	it := brisc.NewInterp(obj, 0, out)
-	return it.Run(maxSteps)
-}
-
-// RunBRISCLimits interprets a BRISC object under resource limits.
-func RunBRISCLimits(obj *brisc.Object, out io.Writer, l Limits) (int32, error) {
+// RunBRISC interprets a BRISC object in place under resource limits.
+func RunBRISC(obj *brisc.Object, out io.Writer, l Limits) (int32, error) {
 	it := brisc.NewInterp(obj, 0, out)
 	if err := it.SetLimits(l); err != nil {
 		return 0, err
@@ -138,21 +127,12 @@ func RunBRISCLimits(obj *brisc.Object, out io.Writer, l Limits) (int32, error) {
 	return it.Run(0)
 }
 
-// RunJIT translates a BRISC object to native code and executes it.
-func RunJIT(obj *brisc.Object, out io.Writer, maxSteps int64) (int32, error) {
-	np, err := brisc.JIT(obj)
-	if err != nil {
-		return 0, err
-	}
-	return RunNative(np, out, maxSteps)
-}
-
-// RunJITLimits translates a BRISC object to native code and executes it
+// RunJIT translates a BRISC object to native code and executes it
 // under resource limits.
-func RunJITLimits(obj *brisc.Object, out io.Writer, l Limits) (int32, error) {
+func RunJIT(obj *brisc.Object, out io.Writer, l Limits) (int32, error) {
 	np, err := brisc.JIT(obj)
 	if err != nil {
 		return 0, err
 	}
-	return RunNativeLimits(np, out, l)
+	return RunNative(np, out, l)
 }

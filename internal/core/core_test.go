@@ -55,10 +55,10 @@ func TestEndToEndPipelines(t *testing.T) {
 		t.Fatal(err)
 	}
 	var interpOut, jitOut bytes.Buffer
-	if _, err := RunBRISC(obj, &interpOut, 50_000_000); err != nil {
+	if _, err := RunBRISC(obj, &interpOut, Limits{MaxSteps: 50_000_000}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunJIT(obj, &jitOut, 10_000_000); err != nil {
+	if _, err := RunJIT(obj, &jitOut, Limits{MaxSteps: 10_000_000}); err != nil {
 		t.Fatal(err)
 	}
 	if interpOut.String() != nativeOut.String() || jitOut.String() != nativeOut.String() {
@@ -155,13 +155,13 @@ func TestQuickDifferential(t *testing.T) {
 			return false
 		}
 		var iOut bytes.Buffer
-		iCode, err := RunBRISC(obj, &iOut, 100_000_000)
+		iCode, err := RunBRISC(obj, &iOut, Limits{MaxSteps: 100_000_000})
 		if err != nil || iCode != wantCode || iOut.String() != want.String() {
 			t.Logf("seed %d: interp mismatch: %v", seed, err)
 			return false
 		}
 		var jOut bytes.Buffer
-		jCode, err := RunJIT(obj, &jOut, 30_000_000)
+		jCode, err := RunJIT(obj, &jOut, Limits{MaxSteps: 30_000_000})
 		if err != nil || jCode != wantCode || jOut.String() != want.String() {
 			t.Logf("seed %d: jit mismatch: %v", seed, err)
 			return false
@@ -173,7 +173,7 @@ func TestQuickDifferential(t *testing.T) {
 			return false
 		}
 		var pOut bytes.Buffer
-		pCode, err := RunBRISC(parsed, &pOut, 100_000_000)
+		pCode, err := RunBRISC(parsed, &pOut, Limits{MaxSteps: 100_000_000})
 		return err == nil && pCode == wantCode && pOut.String() == want.String()
 	}
 	cfg := &quick.Config{MaxCount: 12}

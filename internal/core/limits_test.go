@@ -64,7 +64,7 @@ func TestStepLimitAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunNativeLimits(np, io.Discard, limits)
+	_, err = RunNative(np, io.Discard, limits)
 	wantTrap(t, err, "vm", "steps")
 
 	obj, err := p.BRISC(brisc.Options{})
@@ -78,7 +78,7 @@ func TestStepLimitAllEngines(t *testing.T) {
 	_, err = it.Run(0)
 	wantTrap(t, err, "brisc", "steps")
 
-	_, err = RunJITLimits(obj, io.Discard, limits)
+	_, err = RunJIT(obj, io.Discard, limits)
 	wantTrap(t, err, "vm", "steps")
 
 	mc, err := irexec.NewMachine(p.Module, 0, io.Discard)
@@ -101,7 +101,7 @@ func TestDeadlineKillsWallClockHang(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = RunNativeLimits(np, io.Discard, Limits{}.WithTimeout(100*time.Millisecond))
+	_, err = RunNative(np, io.Discard, Limits{}.WithTimeout(100*time.Millisecond))
 	wantTrap(t, err, "vm", "deadline")
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("deadline fired after %v, expected ~100ms", elapsed)
@@ -119,7 +119,7 @@ func TestCallDepthLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunNativeLimits(np, io.Discard, Limits{MaxCallDepth: 16})
+	_, err = RunNative(np, io.Discard, Limits{MaxCallDepth: 16})
 	wantTrap(t, err, "vm", "call-depth")
 
 	obj, err := p.BRISC(brisc.Options{})
@@ -155,7 +155,7 @@ func TestLimitsDoNotPerturbValidRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := RunNativeLimits(np, io.Discard, Limits{MaxSteps: 1_000_000, MaxCallDepth: 64}.WithTimeout(10*time.Second))
+	code, err := RunNative(np, io.Discard, Limits{MaxSteps: 1_000_000, MaxCallDepth: 64}.WithTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,13 +147,13 @@ int main() { int i; i = 0; while (i < 10) { i = step(i) - acc + i + 1; } return 
 }
 
 // TestStartLifecycle drives the full flag-level tool: debug server +
-// sampler on, Close idempotent, Fail safe afterwards.
+// sampler on, Close idempotent, the fatal-path teardown safe afterwards.
 func TestStartLifecycle(t *testing.T) {
 	var summary bytes.Buffer
 	tool, err := Start(Options{
-		ToolOptions: telemetry.ToolOptions{SummaryTo: &summary},
-		DebugAddr:   "127.0.0.1:0",
-		Sample:      time.Millisecond,
+		SummaryTo: &summary,
+		DebugAddr: "127.0.0.1:0",
+		Sample:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,9 +174,9 @@ func TestStartLifecycle(t *testing.T) {
 	if err := tool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tool.Fail("after close") // must not panic or double-flush
+	tool.trip("after close") // must not panic or double-flush
 	var nilTool *Tool
-	nilTool.Fail("nil") // nil-safe
+	nilTool.trip("nil") // nil-safe
 	if err := nilTool.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +186,12 @@ func TestStartLifecycle(t *testing.T) {
 // into the summary writer before teardown.
 func TestFailDumpsFlight(t *testing.T) {
 	var summary bytes.Buffer
-	tool, err := Start(Options{ToolOptions: telemetry.ToolOptions{
-		NeedRecorder: true, SummaryTo: &summary,
-	}})
+	tool, err := Start(Options{NeedRecorder: true, SummaryTo: &summary})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tool.Rec.Add("vm.governor.steps", 1)
-	tool.Fail("fatal: steps limit")
+	tool.trip("fatal: steps limit")
 	out := summary.String()
 	if !strings.Contains(out, "flight recorder: fatal: steps limit") ||
 		!strings.Contains(out, "vm.governor.steps") {

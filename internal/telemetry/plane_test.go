@@ -3,9 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -239,31 +236,4 @@ func TestSampler(t *testing.T) {
 	// No-op forms.
 	StartSampler(nil, time.Second)()
 	StartSampler(r, 0)()
-}
-
-// TestToolTraceOut: the shared tool writes the Chrome trace on Close,
-// and Close is idempotent.
-func TestToolTraceOut(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	tool, err := StartTool(ToolOptions{TraceOut: path, SummaryTo: io.Discard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tool.Rec == nil {
-		t.Fatal("TraceOut did not create a recorder")
-	}
-	tool.Rec.StartSpan("s").End()
-	if err := tool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(data) || !strings.Contains(string(data), "\"traceEvents\"") {
-		t.Fatalf("trace file invalid: %.120s", data)
-	}
 }

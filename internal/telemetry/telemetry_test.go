@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -307,62 +305,5 @@ func TestWriteJSONSnapshot(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("snapshot missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestToolLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "t.jsonl")
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	var summary bytes.Buffer
-	tool, err := StartTool(ToolOptions{
-		Trace: trace, Metrics: true,
-		CPUProfile: cpu, MemProfile: mem,
-		SummaryTo: &summary,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tool.Rec == nil {
-		t.Fatal("tool recorder not created")
-	}
-	sp := tool.Rec.StartSpan("work", Int("bytes", 9))
-	sp.End()
-	tool.Rec.Add("count", 1)
-	if err := tool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := ReadJSONL(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) < 2 {
-		t.Fatalf("trace has %d events, want span+counter", len(events))
-	}
-	if !strings.Contains(summary.String(), "work") || !strings.Contains(summary.String(), "count") {
-		t.Errorf("summary missing content:\n%s", summary.String())
-	}
-	for _, p := range []string{cpu, mem} {
-		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
-			t.Errorf("profile %s missing or empty: %v", p, err)
-		}
-	}
-}
-
-func TestToolDisabled(t *testing.T) {
-	tool, err := StartTool(ToolOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tool.Rec != nil {
-		t.Error("recorder created with no observability flags")
-	}
-	if err := tool.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
