@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"sort"
 	"testing"
@@ -54,8 +55,10 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 			t.Fatalf("brisc %s: %v", p.Name, err)
 		}
 		arts["brs1/"+p.Name] = obj.Bytes()
+		arts["pgs/"+p.Name] = xipStore(t, obj, brisc.XIPOptions{})
 		if p.Name == workload.Wep.Name {
 			addOptionVariants(t, arts, p.Name, mod)
+			arts["pgs/"+p.Name+"-hot"] = xipStore(t, obj, brisc.XIPOptions{PageSize: 256, BlockCounts: hotBlocks(t, obj)})
 		}
 	}
 	for name, src := range workload.Kernels() {
@@ -79,6 +82,29 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 		arts["brs1/kernel-"+name] = obj.Bytes()
 	}
 	return arts
+}
+
+// xipStore serializes obj's XIP page store under opt.
+func xipStore(t *testing.T, obj *brisc.Object, opt brisc.XIPOptions) []byte {
+	t.Helper()
+	img, err := brisc.BuildXIP(obj, opt)
+	if err != nil {
+		t.Fatalf("xip %s: %v", obj.Name, err)
+	}
+	return img.StoreBytes()
+}
+
+// hotBlocks profiles one full run of obj into the per-block counts the
+// XIP layout pass consumes, as BenchmarkXIP does.
+func hotBlocks(t *testing.T, obj *brisc.Object) map[int32]int64 {
+	t.Helper()
+	counts := map[int32]int64{}
+	it := brisc.NewInterp(obj, 0, io.Discard)
+	it.Trace = func(off int32) { counts[off]++ }
+	if _, err := it.Run(0); err != nil {
+		t.Fatalf("profile %s: %v", obj.Name, err)
+	}
+	return brisc.BlockCountsFromTrace(obj, counts)
 }
 
 // addOptionVariants pins WIR2 and WIRX under every non-default pipeline

@@ -3,9 +3,14 @@ package brisc
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"repro/internal/guard"
+	"repro/internal/workload"
 )
 
 // FuzzParse: the object parser must never panic on arbitrary bytes,
@@ -61,5 +66,46 @@ func FuzzParse(f *testing.F) {
 		if _, err := BuildXIP(obj, XIPOptions{}); err == nil {
 			t.Fatal("undecodable image: BuildXIP succeeded")
 		}
+	})
+}
+
+// FuzzOpenXIPStore: a page store opened against a fixed wep object and
+// run demand-paged at 4 resident pages under the governor must end in
+// a clean exit, a typed error or a governor trap, never a panic. The
+// header is checked against the layout at open and each page's CRC on
+// every fault, so a mutant that gets past both runs the original code.
+func FuzzOpenXIPStore(f *testing.F) {
+	obj := xipObject(f, "wep", workload.Generate(workload.Wep), Options{})
+	opt := XIPOptions{PageSize: 256}
+	img, err := BuildXIP(obj, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img.StoreBytes())
+	f.Add([]byte{})
+	f.Add([]byte("PGS1"))
+	limits := guard.Limits{MaxSteps: 200_000, MaxCallDepth: 512}.WithTimeout(10 * time.Second)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := OpenXIPStore(obj, data, opt)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped open error: %v", err)
+			}
+			return
+		}
+		it := NewInterp(obj, 0, io.Discard)
+		if err := it.EnableXIP(img, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := it.SetLimits(limits); err != nil {
+			t.Fatal(err)
+		}
+		_, err = it.Run(0)
+		for _, kind := range []error{nil, ErrCorrupt, guard.ErrLimit, ErrOutOfSteps, ErrMemFault, ErrDivByZero} {
+			if errors.Is(err, kind) {
+				return
+			}
+		}
+		t.Fatalf("untyped run error: %v", err)
 	})
 }

@@ -1,25 +1,29 @@
 package brisc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"repro/internal/guard"
-	"repro/internal/paging"
+	"repro/internal/integrity"
 )
 
-// Execute-in-place (XIP): run a BRISC image straight out of the
-// compressed page store. The image's code stream is cut at basic-block
-// boundaries into segments — every block starts at Markov context 0,
-// so each segment is independently decodable from its raw byte range —
-// and the segments are packed into fixed-size pages backed by a
-// paging.Store (per-page flatezip + CRC32C). The interpreter faults
-// pages in on jump and fall-through targets, predecodes each page into
-// the same flat handler+operand representation the whole-image fast
-// path uses, and keeps decoded pages in a bounded LRU cache. Peak
-// resident decoded memory is therefore the working set, not the image
-// — the paper's memory scenario, with the decode cost paid per fault
-// instead of up front.
+// Execute-in-place (XIP): run a BRISC image straight out of its page
+// store. The image's code stream is cut at basic-block boundaries into
+// segments — every block starts at Markov context 0, so each segment is
+// independently decodable from its raw byte range — and the segments
+// are packed into pages of at most PageSize bytes. A page holds exactly
+// the BRISC bytes of its segments, unpadded, sealed with a CRC32C
+// trailer: BRISC is already the compressed form, so a fault is a CRC
+// check plus predecode, with no second coder underneath. The
+// interpreter faults pages in on jump and fall-through targets,
+// predecodes each page into the same flat handler+operand
+// representation the whole-image fast path uses, and keeps decoded
+// pages in a bounded LRU cache. Peak resident decoded memory is
+// therefore the working set, not the image — the paper's memory
+// scenario, with the decode cost paid per fault instead of up front.
 //
 // Profile-driven layout: when XIPOptions.BlockCounts is set (from a
 // `compscope hot -json` join or BlockCountsFromTrace), executed
@@ -52,75 +56,175 @@ type XIPOptions struct {
 }
 
 // XIPImage is the immutable paged form of one Object: the segment and
-// page tables plus the compressed page store. Build once, share across
+// page tables plus the page store. Build once, share across
 // interpreters; per-run cache state lives on the Interp.
 type XIPImage struct {
 	obj      *Object
-	store    *paging.Store
+	store    *PageStore
 	pageSize int
 	segs     []segment // sorted by start (original-code order)
 	pageSegs [][]int32 // page -> segment indices in layout order
-	pageLen  []int32   // used raw bytes per page (rest is padding)
+	pageLen  []int32   // code bytes per page
+}
+
+// PageStore is the serialized page image an XIPImage faults out of:
+//
+//	"PGS1" | version(2) | uvarint pageSize | uvarint nPages |
+//	nPages × uvarint pageLen | nPages × (page bytes | CRC32C(page bytes))
+//
+// Page i holds exactly the BRISC bytes of the segments packed into it,
+// in layout order. Every header field is a function of the object and
+// the layout options, so OpenXIPStore checks each one against the
+// layout it computed rather than trusting it. The store holds no
+// mutable state, so one PageStore serves Page calls from many
+// goroutines.
+type PageStore struct {
+	data  []byte
+	pages [][]byte // page i with its CRC trailer, aliasing data
+}
+
+var storeMagic = []byte("PGS1")
+
+// storeVersion 2 replaced per-page flatezip frames with raw CRC-framed
+// pages.
+const storeVersion = 2
+
+// Page verifies page i's CRC and returns its code bytes, aliasing the
+// store. The check runs on every call, so a page damaged after the
+// store was opened is caught on its next fault.
+func (s *PageStore) Page(i int) ([]byte, error) {
+	if i < 0 || i >= len(s.pages) {
+		return nil, fmt.Errorf("%w: page %d of %d", ErrCorrupt, i, len(s.pages))
+	}
+	raw, err := integrity.SplitChecksum(s.pages[i], "page store")
+	if err != nil {
+		return nil, fmt.Errorf("%w: page %d: %w", ErrCorrupt, i, err)
+	}
+	return raw, nil
+}
+
+// storeHeader lists the varint header fields of x's page store: page
+// size, page count, then each page's length.
+func (x *XIPImage) storeHeader() []int {
+	h := make([]int, 0, 2+len(x.pageLen))
+	h = append(h, x.pageSize, len(x.pageLen))
+	for _, n := range x.pageLen {
+		h = append(h, int(n))
+	}
+	return h
 }
 
 // BuildXIP cuts o's code stream into block-aligned segments, packs
 // them into pages (profile-driven when opt.BlockCounts is set), and
-// seals the result in a compressed page store. It fails with
-// predecode's ErrCorrupt when the image does not decode cleanly end to
-// end, as Run and the JIT do for the same image.
+// seals the result in a page store, opened through the same parser as
+// OpenXIPStore. It fails with predecode's ErrCorrupt when the image
+// does not decode cleanly end to end, as Run and the JIT do for the
+// same image.
 func BuildXIP(o *Object, opt XIPOptions) (*XIPImage, error) {
 	x, err := buildXIPMeta(o, opt)
 	if err != nil {
 		return nil, err
 	}
-	image := make([]byte, len(x.pageLen)*x.pageSize)
-	for p, segs := range x.pageSegs {
-		base := int32(p) * int32(x.pageSize)
+	data := append([]byte(nil), storeMagic...)
+	data = append(data, storeVersion)
+	for _, v := range x.storeHeader() {
+		data = binary.AppendUvarint(data, uint64(v))
+	}
+	for _, segs := range x.pageSegs {
+		start := len(data)
 		for _, si := range segs {
 			s := &x.segs[si]
-			copy(image[base+s.local:], o.Code[s.start:s.end])
+			data = append(data, o.Code[s.start:s.end]...)
 		}
+		data = integrity.AppendChecksum(data, data[start:])
 	}
-	x.store = paging.NewStore(image, x.pageSize)
+	if x.store, err = x.openStore(data); err != nil {
+		return nil, err
+	}
 	return x, nil
 }
 
-// StoreBytes serializes the image's page store (PGS1 container).
-func (x *XIPImage) StoreBytes() []byte { return x.store.Encode() }
+// StoreBytes returns a copy of the serialized page store.
+func (x *XIPImage) StoreBytes() []byte { return append([]byte(nil), x.store.data...) }
 
-// OpenXIPStore rebuilds the XIP tables for o and attaches a
-// deserialized PGS1 page store (as produced by StoreBytes). The layout
-// options must match the ones the store was built with; a geometry
-// mismatch is rejected as corrupt. Page payloads stay unverified until
-// faulted, so a tampered page surfaces as a typed error on the
-// faulting path, mid-execution.
+// OpenXIPStore rebuilds the XIP tables for o and attaches a serialized
+// page store (as produced by StoreBytes). The layout options must
+// match the ones the store was built with; a header that disagrees
+// with the layout is rejected as corrupt. Page payloads stay
+// unverified until faulted, so a tampered page surfaces as a typed
+// error on the faulting path, mid-execution. data is retained, not
+// copied.
 func OpenXIPStore(o *Object, data []byte, opt XIPOptions) (*XIPImage, error) {
 	x, err := buildXIPMeta(o, opt)
 	if err != nil {
 		return nil, err
 	}
-	st, err := paging.OpenStore(data)
-	if err != nil {
+	if x.store, err = x.openStore(data); err != nil {
 		return nil, err
 	}
-	if st.PageSize() != x.pageSize || st.NumPages() != len(x.pageLen) {
-		return nil, fmt.Errorf("%w: page store is %d pages of %d bytes, layout wants %d of %d",
-			ErrCorrupt, st.NumPages(), st.PageSize(), len(x.pageLen), x.pageSize)
-	}
-	x.store = st
 	return x, nil
+}
+
+// openStore parses data as x's page store. Each header field must
+// equal the value x's layout implies, so after the header one exact
+// total-length check bounds every page.
+func (x *XIPImage) openStore(data []byte) (*PageStore, error) {
+	if len(data) < len(storeMagic)+1 {
+		return nil, fmt.Errorf("%w: page store header", ErrTruncated)
+	}
+	if !bytes.Equal(data[:len(storeMagic)], storeMagic) {
+		return nil, fmt.Errorf("%w: page store magic", ErrCorrupt)
+	}
+	if v := data[len(storeMagic)]; v != storeVersion {
+		return nil, fmt.Errorf("%w: page store version %d (decoder speaks %d)", ErrVersion, v, storeVersion)
+	}
+	pos := len(storeMagic) + 1
+	for i, want := range x.storeHeader() {
+		v, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: page store %s", ErrTruncated, storeField(i))
+		}
+		if v != uint64(want) {
+			return nil, fmt.Errorf("%w: page store %s is %d, layout wants %d", ErrCorrupt, storeField(i), v, want)
+		}
+		pos += n
+	}
+	want := len(x.pageLen) * integrity.ChecksumLen
+	for _, n := range x.pageLen {
+		want += int(n)
+	}
+	if len(data)-pos != want {
+		return nil, fmt.Errorf("%w: page store holds %d page bytes, layout wants %d", ErrCorrupt, len(data)-pos, want)
+	}
+	s := &PageStore{data: data, pages: make([][]byte, len(x.pageLen))}
+	for p, n := range x.pageLen {
+		end := pos + int(n) + integrity.ChecksumLen
+		s.pages[p] = data[pos:end:end]
+		pos = end
+	}
+	return s, nil
+}
+
+// storeField names header field i for error messages.
+func storeField(i int) string {
+	switch i {
+	case 0:
+		return "page size"
+	case 1:
+		return "page count"
+	}
+	return fmt.Sprintf("page %d length", i-2)
 }
 
 // NumPages reports the page count of the image.
 func (x *XIPImage) NumPages() int { return len(x.pageLen) }
 
-// PageSize reports the raw bytes per page (after rounding up to the
-// longest segment).
+// PageSize reports the maximum code bytes per page (after rounding up
+// to the longest segment).
 func (x *XIPImage) PageSize() int { return x.pageSize }
 
-// Store exposes the backing page store, e.g. to attach a telemetry
-// recorder for the paging.* fault counters.
-func (x *XIPImage) Store() *paging.Store { return x.store }
+// Store exposes the backing page store.
+func (x *XIPImage) Store() *PageStore { return x.store }
 
 // buildXIPMeta validates the image, cuts it into segments, and assigns
 // segments to pages — everything except materializing the store. Every
@@ -391,11 +495,10 @@ func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, 
 	return &pg.unitTable, idx, nil
 }
 
-// fault loads, verifies, and predecodes page pid, inserts it at the
-// front of the LRU list, charges it against the memory governor, and
-// evicts over-budget pages. Corruption detected by the store's CRC
-// check (or a decode failure behind a colliding CRC) surfaces as a
-// typed integrity error.
+// fault verifies and predecodes page pid, inserts it at the front of
+// the LRU list, charges it against the memory governor, and evicts
+// over-budget pages. Corruption detected by the store's CRC check (or
+// a decode failure behind a colliding CRC) surfaces as ErrCorrupt.
 func (rt *xipRuntime) fault(it *Interp, g *guard.Gov, pid int32) (*xipPage, error) {
 	rt.faults++
 	if it.XIPFault != nil {

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/integrity"
-	"repro/internal/paging"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -426,7 +425,7 @@ func TestXIPMemGuard(t *testing.T) {
 	}
 }
 
-// TestXIPCorruptPageMidExecution: a PGS1 page tampered after the run
+// TestXIPCorruptPageMidExecution: a store page tampered after the run
 // has started surfaces as a typed integrity error on the faulting
 // path, never a panic. The store's frame table is parsed from the
 // serialized form so the flip lands inside one page's sealed payload.
@@ -485,32 +484,33 @@ func TestXIPCorruptPageMidExecution(t *testing.T) {
 	if err == nil {
 		t.Fatal("tampered page executed cleanly")
 	}
-	if !errors.Is(err, integrity.ErrCorrupt) || !errors.Is(err, paging.ErrCorrupt) {
+	if !errors.Is(err, integrity.ErrCorrupt) || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-execution corruption not typed: %v", err)
 	}
 }
 
 type frameRange struct{ start, end int }
 
-// storeFrames parses a PGS1 container's frame table: per-page byte
-// ranges of the sealed payloads (compressed page + CRC trailer).
+// storeFrames parses a page store's header: per-page byte ranges of
+// the sealed frames (page bytes + CRC trailer).
 func storeFrames(t *testing.T, enc []byte) []frameRange {
 	t.Helper()
 	pos := 5 // magic + version
-	uv := func() uint64 {
+	uv := func() int {
 		v, n := binary.Uvarint(enc[pos:])
 		if n <= 0 {
 			t.Fatal("bad store varint")
 		}
 		pos += n
-		return v
+		return int(v)
 	}
 	uv() // page size
-	nPages := uv()
-	uv() // last page length
-	frames := make([]frameRange, 0, nPages)
-	for i := uint64(0); i < nPages; i++ {
-		n := int(uv())
+	lens := make([]int, uv())
+	for i := range lens {
+		lens[i] = uv()
+	}
+	frames := make([]frameRange, 0, len(lens))
+	for _, n := range lens {
 		frames = append(frames, frameRange{start: pos, end: pos + n + integrity.ChecksumLen})
 		pos += n + integrity.ChecksumLen
 	}

@@ -120,7 +120,7 @@ func buildTargets(t *testing.T) []target {
 		if err != nil {
 			t.Fatalf("xip %s: %v", names[i], err)
 		}
-		pgs1 := img.StoreBytes()
+		pgs := img.StoreBytes()
 
 		targets = append(targets,
 			target{format: "wir2", data: wir2, check: checkWire},
@@ -128,7 +128,7 @@ func buildTargets(t *testing.T) []target {
 			target{format: "brs1", data: brs1, check: checkBrisc},
 			target{format: "brd1", data: brd1, check: checkDict},
 			target{format: "fz1", data: fz1, check: checkFlatezip},
-			target{format: "pgs1", data: pgs1, check: checkXIP(obj)},
+			target{format: "pgs", data: pgs, check: checkXIP(obj)},
 		)
 	}
 	return targets

@@ -14,6 +14,9 @@
 // With 1997-era constants (tens of nanoseconds per instruction,
 // ~10 ms per disk fault) a 12× interpretation penalty is easily repaid
 // by halving the number of resident code pages once memory is tight.
+//
+// The package only simulates. Real demand-paged execution, with its
+// page store, lives in brisc's execute-in-place executor (xip.go).
 package paging
 
 import "container/list"
