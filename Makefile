@@ -53,6 +53,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzInspect$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenXIPStore$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
+	$(GO) test -run='^$$' -fuzz='^FuzzExec$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/flatezip/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=$(FUZZTIME) ./internal/cc/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeVsSlow$$' -fuzztime=$(FUZZTIME) ./internal/huffman/

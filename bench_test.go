@@ -841,6 +841,68 @@ func BenchmarkInterpDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkDispatchSteady measures steady-state dispatch: the five
+// kernels on the VM, the whole-image BRISC interpreter, and XIP with a
+// budget of every page. Each engine is allocated once and Reset per op,
+// so the 4 MiB machine memory that dominates BenchmarkInterpDispatch
+// and BenchmarkXIP is not allocated inside the loop. Reset drops XIP's
+// resident set, so each XIP op faults every page it touches once.
+// steps/s is timing-derived, so this benchmark is not gated.
+func BenchmarkDispatchSteady(b *testing.B) {
+	for _, name := range []string{"fib", "sieve", "matmul", "qsortk", "strops"} {
+		prog := kernelProgram(b, name)
+		obj, err := brisc.Compress(prog, brisc.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		img, err := brisc.BuildXIP(obj, brisc.XIPOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := vm.NewMachine(prog, 0, io.Discard)
+		it := brisc.NewInterp(obj, 0, io.Discard)
+		xit := brisc.NewInterp(obj, 0, io.Discard)
+		if err := xit.EnableXIP(img, img.NumPages(), 0); err != nil {
+			b.Fatal(err)
+		}
+		runInterp := func(it *brisc.Interp) func() (int64, error) {
+			return func() (int64, error) {
+				it.Reset()
+				_, err := it.Run(0)
+				return it.Steps, err
+			}
+		}
+		for _, e := range []struct {
+			engine string
+			run    func() (int64, error)
+		}{
+			{"vm", func() (int64, error) {
+				m.Reset()
+				_, err := m.Run(0)
+				return m.Steps, err
+			}},
+			{"brisc", runInterp(it)},
+			{"xip", runInterp(xit)},
+		} {
+			b.Run(e.engine+"/"+name, func(b *testing.B) {
+				var steps int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n, err := e.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					steps = n
+				}
+				b.StopTimer()
+				if ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N); ns > 0 {
+					report(b, float64(steps)/ns*1e9, "steps/s")
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkBriscAblations(b *testing.B) {
 	prog := benchProgram(b, workload.Wep)
 	for _, v := range []struct {

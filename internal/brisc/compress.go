@@ -289,6 +289,9 @@ func (c *compressor) buildUnits(p *vm.Program) error {
 	return c.pool.ForEach("brisc.build_units", len(spans), func(si int) error {
 		for i := spans[si][0]; i < spans[si][1]; i++ {
 			cp := p2.Code[i]
+			if !cp.Op.Valid() {
+				return fmt.Errorf("brisc: instr %d has illegal opcode %d", i, cp.Op)
+			}
 			// Rewrite code targets to block indices.
 			for fi, f := range cp.Op.Fields() {
 				if f == vm.FTgt {

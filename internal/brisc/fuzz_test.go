@@ -6,10 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -107,5 +109,122 @@ func FuzzOpenXIPStore(f *testing.F) {
 			}
 		}
 		t.Fatalf("untyped run error: %v", err)
+	})
+}
+
+// fuzzInstrBytes is the size of one fuzzProgram instruction.
+const fuzzInstrBytes = 5
+
+// fuzzProgram decodes data into a short program, five bytes an
+// instruction: opcode, rd|rs1<<4, rs2|shift<<4, imm, target. The
+// opcode byte selects a valid opcode; the imm byte is sign-extended
+// and shifted left by 8*(shift&3) bits, so immediates reach extreme
+// values; targets fall in [0, n]. Instruction 0 and every CALL target
+// are function entries, so calls compress.
+func fuzzProgram(data []byte) *vm.Program {
+	n := min(len(data)/fuzzInstrBytes, 48)
+	p := &vm.Program{Name: "fuzz", Code: make([]vm.Instr, n)}
+	entry := make([]bool, n+1) // CALL targets fall in [0, n]
+	entry[0] = true
+	for i := range p.Code {
+		b := data[fuzzInstrBytes*i:]
+		ins := vm.Instr{
+			Op:     vm.Opcode(1 + int(b[0])%(vm.NumOpcodes-1)),
+			Rd:     b[1] & 15,
+			Rs1:    b[1] >> 4,
+			Rs2:    b[2] & 15,
+			Imm:    int32(int8(b[3])) << (8 * (b[2] >> 4 & 3)),
+			Target: int32(int(b[4]) % (n + 1)),
+		}
+		if ins.Op == vm.CALL {
+			entry[int(ins.Target)] = true
+		}
+		p.Code[i] = ins
+	}
+	var entries []int
+	for i := range p.Code {
+		if entry[i] {
+			entries = append(entries, i)
+		}
+	}
+	p.Funcs = funcsAt(n, entries)
+	p.ComputeBlockStarts()
+	return p
+}
+
+// encodeFuzzProgram is fuzzProgram's inverse for seed programs whose
+// immediates fit a signed byte.
+func encodeFuzzProgram(code ...vm.Instr) []byte {
+	var b []byte
+	for _, ins := range code {
+		b = append(b, byte(ins.Op-1), ins.Rd|ins.Rs1<<4, ins.Rs2, byte(ins.Imm), byte(ins.Target))
+	}
+	return b
+}
+
+// FuzzExec runs fuzz-decoded programs on vm.Machine, BRISC whole-image,
+// BRISC paged at one resident page, and the JIT under governor limits.
+// No engine may panic and every error must be typed. Whole-image and
+// paged BRISC must agree exactly, as must the VM and the JIT. For
+// programs without CALL, RJR or EPI — whose code addresses differ
+// between the VM and BRISC — the VM and BRISC must agree on registers,
+// memory, exit code, output, steps and error kind. Two differences are
+// allowed: running off the end of code is vm.ErrBadPC in the VM and
+// ErrCorrupt in BRISC, and a governor trap is not compared, because
+// BRISC checks the governor once per unit and the VM once per
+// instruction.
+func FuzzExec(f *testing.F) {
+	f.Add(encodeFuzzProgram(ldi(0, -1), vm.Instr{Op: vm.TRAP, Imm: vm.TrapPuts}, halt))
+	f.Add(encodeFuzzProgram(
+		ldi(1, 5),
+		vm.Instr{Op: vm.ADDI, Rd: 1, Rs1: 1, Imm: -1},
+		vm.Instr{Op: vm.MOV, Rd: 0, Rs1: 1},
+		vm.Instr{Op: vm.TRAP, Imm: vm.TrapPutint},
+		vm.Instr{Op: vm.BNEI, Rs1: 1, Imm: 0, Target: 1},
+		halt,
+	))
+	f.Add(encodeFuzzProgram(binop(vm.DIV, 7, 0)...))
+	f.Add(encodeFuzzProgram(
+		vm.Instr{Op: vm.CALL, Target: 2}, halt,
+		vm.Instr{Op: vm.ENTER, Imm: 8}, vm.Instr{Op: vm.STW, Rs1: vm.RegSP, Rs2: vm.RegRA, Imm: 4}, vm.Instr{Op: vm.EPI, Imm: 8},
+	))
+	limits := guard.Limits{MaxSteps: 2_000, MaxCallDepth: 64}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := fuzzProgram(data)
+		engines, ok, err := isaEngines(p)
+		if !ok {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s [4]isaState
+		for i, e := range engines {
+			var err error
+			if s[i], err = e.run(limits); strings.HasPrefix(s[i].kind, "untyped") {
+				t.Fatalf("%s: untyped error %v", e.name, err)
+			}
+		}
+		vmS, whole, paged, jit := s[0], s[1], s[2], s[3]
+		if whole != paged {
+			t.Fatalf("paged BRISC differs from whole-image:\n got  %+v\n want %+v", paged, whole)
+		}
+		if jit != vmS {
+			t.Fatalf("JIT differs from the VM:\n got  %+v\n want %+v", jit, vmS)
+		}
+		for _, ins := range p.Code {
+			if ins.Op == vm.CALL || ins.Op == vm.RJR || ins.Op == vm.EPI {
+				return
+			}
+		}
+		if vmS.kind == "limit" || whole.kind == "limit" {
+			return
+		}
+		if vmS.kind == "bad-pc" && whole.kind == "corrupt" {
+			whole.kind = vmS.kind
+		}
+		if whole != vmS {
+			t.Fatalf("BRISC differs from the VM:\n got  %+v\n want %+v\n%s", whole, vmS, p.Disassemble())
+		}
 	})
 }

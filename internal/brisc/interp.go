@@ -1,7 +1,6 @@
 package brisc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,29 +14,23 @@ import (
 // byte offsets into the compressed stream: branch targets are block
 // indices resolved through the object's block-offset table, and return
 // addresses are byte offsets. Run dispatches over units decoded into
-// flat handler+operand form — the whole image once, up front, or (after
+// flat vm.Instr arrays — the whole image once, up front, or (after
 // EnableXIP) page by page out of a compressed page store under a
 // resident-page budget, the working-set trade the paper's
-// memory-bottleneck scenario and W cost model describe. Code is
-// entered only at unit offsets (block starts and the return points
-// CALL pushes): an image that does not predecode fails with ErrCorrupt
-// before anything runs, and a PC off the unit grid traps with
-// ErrCorrupt.
+// memory-bottleneck scenario and W cost model describe. Every
+// instruction executes through the embedded vm.CPU, the same
+// definition vm.Machine runs; only control transfers are mapped onto
+// BRISC code (jump). Code is entered only at unit offsets (block
+// starts and the return points CALL pushes): an image that does not
+// predecode fails with ErrCorrupt before anything runs, and a PC off
+// the unit grid traps with ErrCorrupt.
 type Interp struct {
-	Obj  *Object
-	Mem  []byte
-	Regs [vm.NumRegs]int32
-	PC   int32 // byte offset into Obj.Code
-	Out  io.Writer
+	vm.CPU
+	Obj *Object
+	PC  int32 // byte offset into Obj.Code
 
-	Steps    int64 // instructions executed
-	Units    int64 // units decoded
-	ExitCode int32
-	Halted   bool
-
-	// Depth tracks nested activations (CALL increments, returns
-	// decrement) for the governor's call-depth limit.
-	Depth int
+	Steps int64 // instructions executed; a faulting one is not counted
+	Units int64 // units decoded
 
 	// limits bounds every Run; install with SetLimits.
 	limits guard.Limits
@@ -73,11 +66,12 @@ type Interp struct {
 	flushedUnits int64
 }
 
-// Interpreter runtime errors.
+// Interpreter runtime errors. Memory faults and division by zero are
+// the vm sentinels, since vm.CPU executes every instruction.
 var (
 	ErrOutOfSteps = errors.New("brisc: step limit exceeded")
-	ErrMemFault   = errors.New("brisc: memory fault")
-	ErrDivByZero  = errors.New("brisc: division by zero")
+	ErrMemFault   = vm.ErrMemFault
+	ErrDivByZero  = vm.ErrDivByZero
 )
 
 // NewInterp builds an interpreter with the given memory size
@@ -86,7 +80,7 @@ func NewInterp(o *Object, memSize int, out io.Writer) *Interp {
 	if memSize <= 0 {
 		memSize = vm.DefaultMemSize
 	}
-	it := &Interp{Obj: o, Mem: make([]byte, memSize), Out: out}
+	it := &Interp{CPU: vm.CPU{Mem: make([]byte, memSize), Out: out}, Obj: o}
 	it.Reset()
 	return it
 }
@@ -94,21 +88,11 @@ func NewInterp(o *Object, memSize int, out io.Writer) *Interp {
 // Reset reinitializes memory and registers and positions the pc at the
 // first block (the linker's start stub).
 func (it *Interp) Reset() {
-	for i := range it.Mem {
-		it.Mem[i] = 0
-	}
-	for _, g := range it.Obj.Globals {
-		copy(it.Mem[g.Addr:], g.Init)
-	}
-	it.Regs = [vm.NumRegs]int32{}
-	it.Regs[vm.RegSP] = int32(len(it.Mem))
+	it.ResetState(it.Obj.Globals)
 	it.PC = 0
 	it.unitIdx = -1
 	it.Steps = 0
 	it.Units = 0
-	it.Halted = false
-	it.ExitCode = 0
-	it.Depth = 0
 	if it.xip != nil {
 		it.xip.reset()
 	}
@@ -204,7 +188,7 @@ func (it *Interp) Run(maxSteps int64) (int32, error) {
 	}
 	g := guard.New("brisc", l, ErrOutOfSteps)
 	// Paged runs must not chain jumps through a whole-image table left
-	// by an earlier run (jumpBlock follows pre.blockUnit when set).
+	// by an earlier run (jump follows pre.blockUnit when set).
 	it.pre = nil
 	if it.xip == nil {
 		var err error
@@ -220,12 +204,12 @@ func (it *Interp) Run(maxSteps int64) (int32, error) {
 }
 
 // run is the one dispatch loop, shared by whole-image and paged
-// execution: no per-unit decode, no pattern expansion, direct
-// handler-table dispatch over a unit table's flat instruction array.
-// Fall-through follows nextIdx within the table; only a PC without a
-// unit index goes through resolve, the one mode-dependent step.
-// Governor and telemetry work are hoisted behind per-unit flag checks,
-// so with both disabled a unit costs one index step plus its handlers.
+// execution: no per-unit decode, no pattern expansion, vm.CPU.Exec
+// over a unit table's flat instruction array. Fall-through follows
+// nextIdx within the table; only a PC without a unit index goes
+// through resolve, the one mode-dependent step. Governor and
+// telemetry work are hoisted behind per-unit flag checks, so with both
+// disabled a unit costs one index step plus its instructions.
 func (it *Interp) run(g *guard.Gov, checked bool) error {
 	var tab *unitTable
 	if it.pre != nil {
@@ -260,12 +244,20 @@ func (it *Interp) run(g *guard.Gov, checked bool) error {
 			if it.opCounts != nil && int(ins.Op) < len(it.opCounts) {
 				it.opCounts[ins.Op]++
 			}
-			taken, err := opHandlers[ins.Op](it, ins, u.next)
+			target, jump, err := it.Exec(ins, u.next)
 			if err != nil {
-				return err
+				return execErr(err)
+			}
+			if jump {
+				if err := it.jump(ins.Op, target); err != nil {
+					return err
+				}
+				it.Steps++
+				jumped = true
+				break
 			}
 			it.Steps++
-			if taken || it.Halted {
+			if it.Halted {
 				jumped = true
 				break
 			}
@@ -320,71 +312,36 @@ func (it *Interp) recordTrap(err error) {
 	guard.Report(it.rec, err)
 }
 
-// blockTarget resolves a block index to a byte offset.
-func (it *Interp) blockTarget(b int32) (int32, error) {
-	if b < 0 || int(b) >= len(it.Obj.Blocks) {
-		return 0, fmt.Errorf("%w: block target %d", ErrCorrupt, b)
+// execErr reports a vm.CPU fault. Illegal code in a BRISC image (an
+// illegal opcode or unknown trap) is a corrupt image, so it also
+// matches ErrCorrupt.
+func execErr(err error) error {
+	if errors.Is(err, vm.ErrIllegal) {
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	return it.Obj.Blocks[b], nil
+	return err
 }
 
-func (it *Interp) jumpBlock(b int32) (bool, error) {
-	off, err := it.blockTarget(b)
-	if err != nil {
-		return false, err
+// jump moves PC to a control transfer's target — the only BRISC
+// semantics vm.CPU does not define. A branch, JMP or CALL target is a
+// block index and resolves through the block table (and, whole-image,
+// straight to its unit). An RJR or EPI target is a byte offset that
+// came from a register or memory, so it resolves by offset and traps
+// offGrid when no unit starts there.
+func (it *Interp) jump(op vm.Opcode, target int32) error {
+	if op == vm.RJR || op == vm.EPI {
+		it.PC = target
+		it.unitIdx = -1
+		return nil
 	}
-	it.PC = off
+	if target < 0 || int(target) >= len(it.Obj.Blocks) {
+		return fmt.Errorf("%w: block target %d", ErrCorrupt, target)
+	}
+	it.PC = it.Obj.Blocks[target]
 	if it.pre != nil {
-		it.unitIdx = it.pre.blockUnit[b]
+		it.unitIdx = it.pre.blockUnit[target]
 	} else {
 		it.unitIdx = -1 // paged: resolve the target by offset
 	}
-	return true, nil
-}
-
-func (it *Interp) load32(addr int32) (int32, error) {
-	if addr < 0 || int(addr)+4 > len(it.Mem) {
-		return 0, fmt.Errorf("%w: load32 at %d", ErrMemFault, addr)
-	}
-	return int32(binary.LittleEndian.Uint32(it.Mem[addr:])), nil
-}
-
-func (it *Interp) store32(addr, v int32) error {
-	if addr < 0 || int(addr)+4 > len(it.Mem) {
-		return fmt.Errorf("%w: store32 at %d", ErrMemFault, addr)
-	}
-	binary.LittleEndian.PutUint32(it.Mem[addr:], uint32(v))
 	return nil
-}
-
-func (it *Interp) trap(id int32) error {
-	arg := it.Regs[vm.RegArg0]
-	switch id {
-	case vm.TrapPutint:
-		it.print(fmt.Sprintf("%d\n", arg))
-	case vm.TrapPutchar:
-		it.print(string(rune(byte(arg))))
-	case vm.TrapPuts:
-		end := arg
-		for int(end) < len(it.Mem) && it.Mem[end] != 0 {
-			end++
-		}
-		if int(end) >= len(it.Mem) {
-			return fmt.Errorf("%w: unterminated string at %d", ErrMemFault, arg)
-		}
-		it.print(string(it.Mem[arg:end]) + "\n")
-	case vm.TrapExit:
-		it.Halted = true
-		it.ExitCode = arg
-	default:
-		return fmt.Errorf("%w: unknown trap %d", ErrCorrupt, id)
-	}
-	it.Regs[vm.RegArg0] = 0
-	return nil
-}
-
-func (it *Interp) print(s string) {
-	if it.Out != nil {
-		fmt.Fprint(it.Out, s)
-	}
 }

@@ -36,13 +36,13 @@ type predUnit struct {
 
 // predecoded is a BRISC image decoded once, up front: the whole image
 // as one unit table — the same walk the JIT front end performs — plus
-// the block-to-unit map that lets jumpBlock skip the offset lookup.
+// the block-to-unit map that lets jump skip the offset lookup.
 // The decoded form is cached on the Object (it is immutable), so
 // repeated Runs and the JIT share one decode.
 type predecoded struct {
 	unitTable
 
-	// blockUnit maps block index -> unit index, resolving jumpBlock
+	// blockUnit maps block index -> unit index, resolving jump
 	// without the offset map.
 	blockUnit []int32
 }

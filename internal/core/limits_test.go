@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/brisc"
 	"repro/internal/irexec"
+	"repro/internal/vm"
 )
 
 const loopSource = `int main(void) { while (1) {} return 0; }`
@@ -161,5 +162,66 @@ func TestLimitsDoNotPerturbValidRuns(t *testing.T) {
 	}
 	if code != 45 {
 		t.Fatalf("exit code = %d, want 45", code)
+	}
+}
+
+// negPutsSource hands puts the address -1.
+const negPutsSource = `int main(void) { char *p; p = 0; p = p - 1; puts(p); return 0; }`
+
+// TestNegativePutsAddressFaults: puts of a negative address must fail
+// with a memory fault in every engine — the VM, BRISC whole-image and
+// paged at one page, the JIT, and the IR interpreter — never index
+// memory at -1 and panic.
+func TestNegativePutsAddressFaults(t *testing.T) {
+	p, err := CompileC("negputs", negPutsSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, err := p.Native()
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := p.BRISC(brisc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := brisc.BuildXIP(obj, brisc.XIPOptions{PageSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []struct {
+		name string
+		want error
+		run  func() (int32, error)
+	}{
+		{"vm", vm.ErrMemFault, func() (int32, error) { return RunNative(np, io.Discard, Limits{}) }},
+		{"brisc", brisc.ErrMemFault, func() (int32, error) { return RunBRISC(obj, io.Discard, Limits{}) }},
+		{"brisc-paged-1", brisc.ErrMemFault, func() (int32, error) {
+			it := brisc.NewInterp(obj, 0, io.Discard)
+			if err := it.EnableXIP(img, 1, 0); err != nil {
+				return 0, err
+			}
+			return it.Run(0)
+		}},
+		{"jit", vm.ErrMemFault, func() (int32, error) { return RunJIT(obj, io.Discard, Limits{}) }},
+		{"irexec", irexec.ErrMemFault, func() (int32, error) {
+			mc, err := irexec.NewMachine(p.Module, 0, io.Discard)
+			if err != nil {
+				return 0, err
+			}
+			return mc.Run(0)
+		}},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			if _, err := e.run(); !errors.Is(err, e.want) {
+				t.Fatalf("err = %v, want %v", err, e.want)
+			}
+		})
 	}
 }

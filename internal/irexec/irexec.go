@@ -11,6 +11,7 @@
 package irexec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -423,14 +424,14 @@ func (mc *Machine) trap(name string, args []int32) (int32, bool, error) {
 		return 0, true, nil
 	case "puts":
 		a := arg(0)
-		end := a
-		for int(end) < len(mc.Mem) && mc.Mem[end] != 0 {
-			end++
+		n := -1
+		if a >= 0 && int(a) < len(mc.Mem) {
+			n = bytes.IndexByte(mc.Mem[a:], 0)
 		}
-		if int(end) >= len(mc.Mem) {
+		if n < 0 {
 			return 0, true, fmt.Errorf("%w: unterminated string at %d", ErrMemFault, a)
 		}
-		mc.print(string(mc.Mem[a:end]) + "\n")
+		mc.print(string(mc.Mem[a:int(a)+n]) + "\n")
 		return 0, true, nil
 	case "exit":
 		mc.halted = true
