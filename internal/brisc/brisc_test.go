@@ -379,18 +379,17 @@ func TestMatchesAndExtract(t *testing.T) {
 	if len(vals) != 2 || vals[0] != 1 || vals[1] != 2 {
 		t.Errorf("extract = %v", vals)
 	}
-	back, err := sp.expand(nil, vals)
-	if err != nil {
-		t.Fatal(err)
+	// The decode plan rebuilds the instruction from the same values.
+	pl := compilePlans([]Pattern{sp})[0]
+	if len(pl.slots) != len(vals) {
+		t.Fatalf("plan has %d operand slots, extract gave %d values", len(pl.slots), len(vals))
+	}
+	back := append([]vm.Instr(nil), pl.tmpl...)
+	for i, s := range pl.slots {
+		putOperand(&back[s.instr], s.field, vals[i])
 	}
 	if back[0] != yes {
-		t.Errorf("expand = %+v, want %+v", back[0], yes)
-	}
-	if _, err := sp.expand(nil, vals[:1]); err == nil {
-		t.Error("expand with missing operand should fail")
-	}
-	if _, err := sp.expand(nil, append(vals, 9)); err == nil {
-		t.Error("expand with extra operand should fail")
+		t.Errorf("decode plan = %+v, want %+v", back[0], yes)
 	}
 }
 

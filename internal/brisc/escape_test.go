@@ -26,26 +26,20 @@ func TestDecodeUnitEscape(t *testing.T) {
 	obj.Code = code
 	obj.Blocks = []int32{0}
 
-	pid, vals, next, err := obj.decodeUnitIn(obj.Code, 0, 0)
+	var tab unitTable
+	pid, next, err := obj.decodeUnitIn(&tab, obj.Code, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pid != int(vm.LDI) {
 		t.Errorf("pid = %d, want %d", pid, int(vm.LDI))
 	}
-	if len(vals) != 2 || vals[0] != 5 || vals[1] != 3 {
-		t.Errorf("vals = %v, want [5 3]", vals)
-	}
 	if int(next) != len(code) {
 		t.Errorf("next = %d, want %d", next, len(code))
 	}
-	instrs, err := obj.Dict[pid].expand(nil, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := vm.Instr{Op: vm.LDI, Rd: 5, Imm: 3}
-	if instrs[0] != want {
-		t.Errorf("decoded %+v, want %+v", instrs[0], want)
+	if len(tab.code) != 1 || tab.code[0] != want {
+		t.Errorf("decoded %+v, want [%+v]", tab.code, want)
 	}
 }
 
@@ -62,12 +56,14 @@ func TestDecodeUnitTableIndex(t *testing.T) {
 
 	// In LDI's context, index 1 selects MOV; operands rd=2, rs=3.
 	obj.Code = []byte{1, 0x23}
-	pid, vals, _, err := obj.decodeUnitIn(obj.Code, 0, ldiCtx)
+	var tab unitTable
+	pid, _, err := obj.decodeUnitIn(&tab, obj.Code, 0, ldiCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pid != int(vm.MOV) || len(vals) != 2 || vals[0] != 2 || vals[1] != 3 {
-		t.Errorf("pid=%d vals=%v", pid, vals)
+	want := vm.Instr{Op: vm.MOV, Rd: 2, Rs1: 3}
+	if pid != int(vm.MOV) || len(tab.code) != 1 || tab.code[0] != want {
+		t.Errorf("pid=%d decoded %+v, want [%+v]", pid, tab.code, want)
 	}
 }
 
@@ -80,28 +76,28 @@ func TestDecodeUnitErrors(t *testing.T) {
 	obj.Contexts[0] = []int{int(vm.HALT)}
 
 	// Offset out of range.
-	if _, _, _, err := obj.decodeUnitIn(obj.Code, 99, 0); err == nil {
+	if _, _, err := obj.decodeUnitIn(nil, obj.Code, 99, 0); err == nil {
 		t.Error("bad offset accepted")
 	}
 	// Opcode index beyond the context table.
 	obj.Code = []byte{7}
-	if _, _, _, err := obj.decodeUnitIn(obj.Code, 0, 0); err == nil {
+	if _, _, err := obj.decodeUnitIn(nil, obj.Code, 0, 0); err == nil {
 		t.Error("out-of-table index accepted")
 	}
 	// Escape with a bogus pattern id.
 	obj.Code = appendUvarint([]byte{255}, 99999)
-	if _, _, _, err := obj.decodeUnitIn(obj.Code, 0, 0); err == nil {
+	if _, _, err := obj.decodeUnitIn(nil, obj.Code, 0, 0); err == nil {
 		t.Error("bogus escape pattern id accepted")
 	}
 	// Truncated operand nibbles.
 	obj.Contexts[0] = []int{int(vm.LDI)}
 	obj.Code = []byte{0} // LDI needs operand nibbles that are missing
-	if _, _, _, err := obj.decodeUnitIn(obj.Code, 0, 0); err == nil {
+	if _, _, err := obj.decodeUnitIn(nil, obj.Code, 0, 0); err == nil {
 		t.Error("truncated operands accepted")
 	}
 	// Size nibble too large (>8).
 	obj.Code = []byte{0, 0x59, 0xFF}
-	if _, _, _, err := obj.decodeUnitIn(obj.Code, 0, 0); err == nil {
+	if _, _, err := obj.decodeUnitIn(nil, obj.Code, 0, 0); err == nil {
 		t.Error("oversized size nibble accepted")
 	}
 }

@@ -19,7 +19,10 @@ import (
 // and a parsed object's interpreter must fail cleanly rather than
 // crash. A parsed object whose code does not predecode must be
 // rejected up front by every engine: Run returns ErrCorrupt having
-// executed and printed nothing, and JIT and BuildXIP fail.
+// executed and printed nothing, and JIT and BuildXIP fail. One that
+// does predecode must also run paged at a one-page budget, where every
+// fault decodes into a recycled table, exactly as it runs whole-image:
+// same exit code, output, steps and error class.
 func FuzzParse(f *testing.F) {
 	prog := compileProg(f, "seed", saltSrc)
 	if obj, err := Compress(prog, Options{}); err == nil {
@@ -54,9 +57,23 @@ func FuzzParse(f *testing.F) {
 		// execution must stop with an error, not a panic.
 		var out bytes.Buffer
 		it := NewInterp(obj, 1<<16, &out)
-		_, runErr := it.Run(10_000)
+		code, runErr := it.Run(10_000)
 		_, jitErr := JIT(obj)
 		if _, err := obj.predecode(); err == nil {
+			img, err := BuildXIP(obj, XIPOptions{})
+			if err != nil {
+				t.Fatalf("predecoded image: BuildXIP: %v", err)
+			}
+			var pout bytes.Buffer
+			pit := NewInterp(obj, 1<<16, &pout)
+			if err := pit.EnableXIP(img, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			pcode, pErr := pit.Run(10_000)
+			if pcode != code || pout.String() != out.String() || pit.Steps != it.Steps || errClass(pErr) != errClass(runErr) {
+				t.Fatalf("paged run diverged: exit %d/%d steps %d/%d out %q/%q err %v/%v",
+					pcode, code, pit.Steps, it.Steps, pout.String(), out.String(), pErr, runErr)
+			}
 			return
 		}
 		if !errors.Is(runErr, ErrCorrupt) || it.Steps != 0 || out.Len() != 0 {
@@ -69,6 +86,30 @@ func FuzzParse(f *testing.F) {
 			t.Fatal("undecodable image: BuildXIP succeeded")
 		}
 	})
+}
+
+// errClass names the first run-error kind err matches, so two engines'
+// errors compare by kind rather than by text.
+func errClass(err error) string {
+	if err == nil {
+		return "nil"
+	}
+	for _, k := range []struct {
+		name string
+		err  error
+	}{
+		{"steps", ErrOutOfSteps},
+		{"limit", guard.ErrLimit},
+		{"corrupt", ErrCorrupt},
+		{"memfault", ErrMemFault},
+		{"divzero", ErrDivByZero},
+		{"illegal", vm.ErrIllegal},
+	} {
+		if errors.Is(err, k.err) {
+			return k.name
+		}
+	}
+	return "other: " + err.Error()
 }
 
 // FuzzOpenXIPStore: a page store opened against a fixed wep object and

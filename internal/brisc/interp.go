@@ -155,7 +155,7 @@ func (it *Interp) FlushTelemetry() {
 		rt.flushedFaults, rt.flushedHits, rt.flushedEvictions = rt.faults, rt.hits, rt.evictions
 		it.rec.SetGauge("paging.xip.pages", float64(rt.img.NumPages()))
 		it.rec.SetGauge("paging.xip.page_size", float64(rt.img.PageSize()))
-		it.rec.SetGauge("paging.xip.resident_pages", float64(len(rt.pages)))
+		it.rec.SetGauge("paging.xip.resident_pages", float64(rt.nres))
 		it.rec.SetGauge("paging.xip.resident_bytes", float64(rt.resident))
 		it.rec.SetGauge("paging.xip.peak_resident_pages", float64(rt.peakPages))
 		it.rec.SetGauge("paging.xip.peak_resident_bytes", float64(rt.peakBytes))
@@ -279,11 +279,10 @@ func (it *Interp) resolve(g *guard.Gov) (*unitTable, int32, error) {
 	if it.xip != nil {
 		return it.xip.resolve(it, g, it.PC)
 	}
-	idx, ok := it.pre.offIdx[it.PC]
-	if !ok {
+	if it.PC < 0 || int(it.PC) >= len(it.pre.idx) || it.pre.idx[it.PC] < 0 {
 		return nil, -1, offGrid(it.PC)
 	}
-	return &it.pre.unitTable, idx, nil
+	return &it.pre.unitTable, it.pre.idx[it.PC], nil
 }
 
 // offGrid is the trap for a PC that is not a unit offset.

@@ -40,6 +40,10 @@ type Object struct {
 	predOnce sync.Once
 	pred     *predecoded
 	predErr  error
+
+	// Decode plans, compiled from Dict by decodePlans on first use.
+	planOnce sync.Once
+	plans    []decodePlan
 }
 
 // Error taxonomy for malformed serialized objects. All of these match
@@ -530,16 +534,74 @@ func (o *Object) Func(name string) *ObjFunc {
 
 // ---- unit decoding (decodeSegment's step) ----
 
+// decodePlan is one dictionary pattern compiled for decode: its
+// instructions with every fixed field already set, and its wildcard
+// operands in stream order. A unit decodes by appending tmpl to a unit
+// table and writing each operand into the copy as it is read.
+type decodePlan struct {
+	tmpl  []vm.Instr
+	slots []planSlot
+}
+
+// planSlot is one wildcard operand: the template instruction it
+// belongs to, the Instr field it fills, and whether the stream codes
+// it as one register nibble (else a size nibble plus payload).
+type planSlot struct {
+	instr int32
+	field operandField
+	reg   bool
+}
+
+// decodePlans returns the object's decode plans, indexed by pattern
+// id, compiling them from Dict on first use.
+func (o *Object) decodePlans() []decodePlan {
+	o.planOnce.Do(func() { o.plans = compilePlans(o.Dict) })
+	return o.plans
+}
+
+// compilePlans compiles every pattern of dict into a decode plan. All
+// templates share one backing array, as do all slots.
+func compilePlans(dict []Pattern) []decodePlan {
+	nIns, nSlots := 0, 0
+	for i := range dict {
+		nIns += len(dict[i].Seq)
+		nSlots += dict[i].numUnfixed()
+	}
+	tmpl := make([]vm.Instr, 0, nIns)
+	slots := make([]planSlot, 0, nSlots)
+	plans := make([]decodePlan, len(dict))
+	for pid := range dict {
+		t0, s0 := len(tmpl), len(slots)
+		for i := range dict[pid].Seq {
+			pi := &dict[pid].Seq[i]
+			ins := vm.Instr{Op: pi.Op}
+			fields := pi.Op.Fields()
+			for f, fx := range pi.Fixed {
+				if fx {
+					putOperand(&ins, fieldSlot(pi.Op, f), pi.Val[f])
+				} else {
+					slots = append(slots, planSlot{instr: int32(i), field: fieldSlot(pi.Op, f), reg: fields[f] == vm.FReg})
+				}
+			}
+			tmpl = append(tmpl, ins)
+		}
+		plans[pid] = decodePlan{tmpl: tmpl[t0:len(tmpl):len(tmpl)], slots: slots[s0:len(slots):len(slots)]}
+	}
+	return plans
+}
+
 // decodeUnitIn decodes one unit at byte offset off of code with Markov
 // context ctx (0 = block start, pid+1 otherwise). It returns the
-// pattern id, the unfixed operand values, and the offset of the next
-// unit. code is Obj.Code for whole-image predecode, or a faulted-in
-// page frame at page-local offsets for demand paging: every basic
+// pattern id and the offset of the next unit; with a non-nil t it also
+// appends the unit's instructions to t.code, its pattern's decode plan
+// with every operand written in place. A nil t only validates, and
+// allocates nothing. code is Obj.Code for whole-image predecode, or a
+// faulted-in page at page-local offsets for demand paging: every basic
 // block starts at Markov context 0, so any block-aligned byte range is
 // independently decodable.
-func (o *Object) decodeUnitIn(code []byte, off int32, ctx int) (pid int, vals []int32, next int32, err error) {
+func (o *Object) decodeUnitIn(t *unitTable, code []byte, off int32, ctx int) (pid int, next int32, err error) {
 	if off < 0 || int(off) >= len(code) {
-		return 0, nil, 0, fmt.Errorf("%w: unit offset %d", ErrCorrupt, off)
+		return 0, 0, fmt.Errorf("%w: unit offset %d", ErrCorrupt, off)
 	}
 	i := int(off)
 	b := code[i]
@@ -547,88 +609,60 @@ func (o *Object) decodeUnitIn(code []byte, off int32, ctx int) (pid int, vals []
 	if b == 255 {
 		v, n := binary.Uvarint(code[i:])
 		if n <= 0 || v >= uint64(len(o.Dict)) {
-			return 0, nil, 0, fmt.Errorf("%w: escape pattern id at %d", ErrCorrupt, off)
+			return 0, 0, fmt.Errorf("%w: escape pattern id at %d", ErrCorrupt, off)
 		}
 		pid = int(v)
 		i += n
 	} else {
 		if ctx < 0 || ctx >= len(o.Contexts) || int(b) >= len(o.Contexts[ctx]) {
-			return 0, nil, 0, fmt.Errorf("%w: opcode index %d in context %d at %d", ErrCorrupt, b, ctx, off)
+			return 0, 0, fmt.Errorf("%w: opcode index %d in context %d at %d", ErrCorrupt, b, ctx, off)
 		}
 		pid = o.Contexts[ctx][b]
 	}
-	p := &o.Dict[pid]
+	pl := &o.decodePlans()[pid]
+	var ins []vm.Instr
+	if t != nil {
+		first := len(t.code)
+		t.code = append(t.code, pl.tmpl...)
+		ins = t.code[first:]
+	}
 
-	nr := nibbleReader{code: code, pos: i}
-	for si := range p.Seq {
-		pi := &p.Seq[si]
-		fields := pi.Op.Fields()
-		for f, fx := range pi.Fixed {
-			if fx {
-				continue
+	// Operands follow as nibbles, high nibble first: a register is one
+	// nibble; an immediate or target is a size nibble n <= 8 and n
+	// payload nibbles, sign-extended from 4n bits. nib counts nibbles
+	// from the start of code.
+	nib, lim := 2*i, 2*len(code)
+	for _, s := range pl.slots {
+		if nib >= lim {
+			return 0, 0, errNibbleUnderflow
+		}
+		v := int32(code[nib>>1]>>(4-4*(nib&1))) & 0xF
+		nib++
+		if !s.reg {
+			n := int(v)
+			if n > 8 {
+				return 0, 0, fmt.Errorf("%w: size nibble %d at %d", ErrCorrupt, n, off)
 			}
-			if fields[f] == vm.FReg {
-				v, err := nr.get()
-				if err != nil {
-					return 0, nil, 0, err
-				}
-				vals = append(vals, int32(v))
-			} else {
-				n, err := nr.get()
-				if err != nil {
-					return 0, nil, 0, err
-				}
-				if n > 8 {
-					return 0, nil, 0, fmt.Errorf("%w: size nibble %d at %d", ErrCorrupt, n, off)
-				}
-				var v int32
-				for k := 0; k < int(n); k++ {
-					d, err := nr.get()
-					if err != nil {
-						return 0, nil, 0, err
-					}
-					v = v<<4 | int32(d)
-				}
-				// Sign-extend from 4n bits.
-				if n > 0 {
-					bits := uint(4 * n)
-					v = v << (32 - bits) >> (32 - bits)
-				}
-				vals = append(vals, v)
+			if nib+n > lim {
+				return 0, 0, errNibbleUnderflow
+			}
+			v = 0
+			for end := nib + n; nib < end; nib++ {
+				v = v<<4 | int32(code[nib>>1]>>(4-4*(nib&1)))&0xF
+			}
+			if n > 0 {
+				bits := uint(4 * n)
+				v = v << (32 - bits) >> (32 - bits)
 			}
 		}
+		if t != nil {
+			putOperand(&ins[s.instr], s.field, v)
+		}
 	}
-	return pid, vals, int32(nr.byteEnd()), nil
+	return pid, int32((nib + 1) >> 1), nil
 }
 
-type nibbleReader struct {
-	code []byte
-	pos  int
-	half bool
-}
-
-func (r *nibbleReader) get() (uint8, error) {
-	if r.pos >= len(r.code) {
-		return 0, fmt.Errorf("%w: nibble stream underflow", ErrCorrupt)
-	}
-	if r.half {
-		r.half = false
-		v := r.code[r.pos] & 0xF
-		r.pos++
-		return v, nil
-	}
-	r.half = true
-	return r.code[r.pos] >> 4, nil
-}
-
-// byteEnd returns the position after the current (possibly half-read)
-// byte.
-func (r *nibbleReader) byteEnd() int {
-	if r.half {
-		return r.pos + 1
-	}
-	return r.pos
-}
+var errNibbleUnderflow = fmt.Errorf("%w: nibble stream underflow", ErrCorrupt)
 
 // ---- simple byte reader ----
 

@@ -216,14 +216,62 @@ func getField(ins vm.Instr, fi int) int32 {
 
 // setField writes operand field fi of an instruction.
 func setField(ins *vm.Instr, fi int, v int32) {
-	fields := ins.Op.Fields()
-	switch fields[fi] {
+	putOperand(ins, fieldSlot(ins.Op, fi), v)
+}
+
+// operandField names the vm.Instr field an operand field is stored in.
+type operandField uint8
+
+const (
+	inRd operandField = iota
+	inRs1
+	inRs2
+	inImm
+	inTarget
+)
+
+// fieldSlot maps operand field fi of op to the Instr field that holds
+// it: the register families follow regField's convention.
+func fieldSlot(op vm.Opcode, fi int) operandField {
+	switch op.Fields()[fi] {
 	case vm.FImm:
-		ins.Imm = v
+		return inImm
 	case vm.FTgt:
-		ins.Target = v
+		return inTarget
+	}
+	n := regSlot(op, fi)
+	switch op {
+	case vm.LDW, vm.LDB, vm.ADDI, vm.MOV, vm.NEG, vm.NOT:
+		return [2]operandField{inRd, inRs1}[n]
+	case vm.STW, vm.STB:
+		return [2]operandField{inRs2, inRs1}[n]
+	case vm.LDI:
+		return inRd
+	case vm.RJR:
+		return inRs1
+	}
+	if op.IsBranch() {
+		if op.IsImmBranch() {
+			return inRs1
+		}
+		return [2]operandField{inRs1, inRs2}[n]
+	}
+	return [3]operandField{inRd, inRs1, inRs2}[n]
+}
+
+// putOperand stores v in field f of ins; a register keeps v's low byte.
+func putOperand(ins *vm.Instr, f operandField, v int32) {
+	switch f {
+	case inRd:
+		ins.Rd = uint8(v)
+	case inRs1:
+		ins.Rs1 = uint8(v)
+	case inRs2:
+		ins.Rs2 = uint8(v)
+	case inImm:
+		ins.Imm = v
 	default:
-		setRegField(ins, regSlot(ins.Op, fi), uint8(v))
+		ins.Target = v
 	}
 }
 
@@ -263,50 +311,6 @@ func regField(ins vm.Instr, n int) uint8 {
 			return [2]uint8{ins.Rs1, ins.Rs2}[n]
 		}
 		return [3]uint8{ins.Rd, ins.Rs1, ins.Rs2}[n]
-	}
-}
-
-func setRegField(ins *vm.Instr, n int, r uint8) {
-	switch ins.Op {
-	case vm.LDW, vm.LDB:
-		if n == 0 {
-			ins.Rd = r
-		} else {
-			ins.Rs1 = r
-		}
-	case vm.STW, vm.STB:
-		if n == 0 {
-			ins.Rs2 = r
-		} else {
-			ins.Rs1 = r
-		}
-	case vm.LDI:
-		ins.Rd = r
-	case vm.ADDI, vm.MOV, vm.NEG, vm.NOT:
-		if n == 0 {
-			ins.Rd = r
-		} else {
-			ins.Rs1 = r
-		}
-	case vm.RJR:
-		ins.Rs1 = r
-	default:
-		if ins.Op.IsBranch() {
-			if ins.Op.IsImmBranch() || n == 0 {
-				ins.Rs1 = r
-			} else {
-				ins.Rs2 = r
-			}
-			return
-		}
-		switch n {
-		case 0:
-			ins.Rd = r
-		case 1:
-			ins.Rs1 = r
-		default:
-			ins.Rs2 = r
-		}
 	}
 }
 
@@ -415,36 +419,6 @@ func (p Pattern) encodedSizePair(a, b []vm.Instr) int {
 		}
 	}
 	return 1 + (n+1)/2
-}
-
-// expand appends the concrete instructions of p, with its unfixed
-// fields filled from vals in (instruction, field) order, to dst. It is
-// the one pattern expander: decodeSegment calls it for whole-image
-// predecode (which the JIT and the inspector read) and for XIP page
-// faults. vals must
-// hold exactly one value per wildcard field.
-func (p *Pattern) expand(dst []vm.Instr, vals []int32) ([]vm.Instr, error) {
-	vi := 0
-	for i := range p.Seq {
-		pi := &p.Seq[i]
-		ins := vm.Instr{Op: pi.Op}
-		for f, fx := range pi.Fixed {
-			if fx {
-				setField(&ins, f, pi.Val[f])
-				continue
-			}
-			if vi >= len(vals) {
-				return dst, fmt.Errorf("%w: operand underflow applying %s", ErrCorrupt, p)
-			}
-			setField(&ins, f, vals[vi])
-			vi++
-		}
-		dst = append(dst, ins)
-	}
-	if vi != len(vals) {
-		return dst, fmt.Errorf("%w: %d extra operands applying %s", ErrCorrupt, len(vals)-vi, p)
-	}
-	return dst, nil
 }
 
 // ---- operand nibble encoding ----

@@ -17,11 +17,28 @@ type unitTable struct {
 	units []predUnit
 	code  []vm.Instr // expanded instructions, units back to back
 
-	// offIdx maps a unit's byte offset to its index in units; execution
-	// can land off-grid only through computed jumps (RJR/EPI to a
-	// corrupted return address) or fall-through past the end of code,
-	// which trap with ErrCorrupt.
-	offIdx map[int32]int32
+	// idx maps a byte position in the decoded raw buffer — the code
+	// stream for the whole image, the page's bytes for an XIP page — to
+	// the index in units of the unit starting there, or -1 off the unit
+	// grid. Execution can land off-grid only through computed jumps
+	// (RJR/EPI to a corrupted return address) or fall-through past the
+	// end of code, which trap with ErrCorrupt.
+	idx []int32
+}
+
+// reset empties t for decoding a raw buffer of n bytes, keeping the
+// capacity of its slices, so a recycled XIP page table decodes its next
+// page without allocating.
+func (t *unitTable) reset(n int) {
+	t.units = t.units[:0]
+	t.code = t.code[:0]
+	if cap(t.idx) < n {
+		t.idx = make([]int32, n)
+	}
+	t.idx = t.idx[:n]
+	for i := range t.idx {
+		t.idx[i] = -1
+	}
 }
 
 type predUnit struct {
@@ -43,18 +60,19 @@ type predecoded struct {
 	unitTable
 
 	// blockUnit maps block index -> unit index, resolving jump
-	// without the offset map.
+	// without an offset lookup.
 	blockUnit []int32
 }
 
 // segment is a block-aligned byte range of the code stream. Every block
-// starts at Markov context 0, so each segment decodes on its own; XIP
-// additionally records where the segment was packed.
+// starts at Markov context 0, so each segment decodes on its own from
+// the raw buffer it was packed into. The whole image is one buffer, the
+// code itself (page 0, local == start); XIP repacks segments into pages.
 type segment struct {
 	start, end int32 // [start,end) in original Obj.Code coordinates
 	isBlock    bool  // start is a block offset (false only for a preamble)
-	page       int32 // XIP page the segment was packed into
-	local      int32 // offset of start within the page's raw bytes
+	page       int32 // raw buffer (XIP page) the segment was packed into
+	local      int32 // offset of start within that buffer
 }
 
 // segments cuts the code stream at offset 0 and every distinct block
@@ -71,7 +89,7 @@ func (o *Object) segments() ([]segment, error) {
 			return nil, fmt.Errorf("%w: block %d offset %d out of order or beyond code", ErrCorrupt, i, b)
 		}
 		if i == 0 || b != o.Blocks[i-1] {
-			segs = append(segs, segment{start: b, isBlock: true})
+			segs = append(segs, segment{start: b, isBlock: true, local: b})
 		}
 	}
 	for i := range segs {
@@ -83,19 +101,33 @@ func (o *Object) segments() ([]segment, error) {
 	return segs, nil
 }
 
-// decodeSegment Markov-decodes segment s out of raw, where its bytes
-// start at raw[local], from context 0: the one decode walk behind
-// whole-image predecode (and so the JIT and the inspector), XIP image
-// validation, and XIP page faults. Every unit must end inside the
+// decodeSegment Markov-decodes segs[si] out of raw, where its bytes
+// start at raw[segs[si].local], from context 0: the one decode walk
+// behind whole-image predecode (and so the JIT and the inspector), XIP
+// image validation, and XIP page faults. Every unit must end inside the
 // segment, so a block offset off the unit grid is corrupt. With a nil t
-// it only validates; otherwise the units are expanded and appended to t
-// under their original offsets (nextIdx is left for link).
-func (o *Object) decodeSegment(t *unitTable, raw []byte, s *segment, local int32) error {
+// it only validates and allocates nothing; otherwise the units are
+// expanded and appended to t under their original offsets, entered in
+// t.idx, and each unit's nextIdx holds its successor's position in raw
+// (-1 when the successor is not in raw) until link resolves it.
+func (o *Object) decodeSegment(t *unitTable, raw []byte, segs []segment, si int) error {
+	s := &segs[si]
+	local := s.local
 	base := s.start - local // original offset = local + base
 	end := s.end - base
+	// The segment's last unit falls through to the next segment in code
+	// order, which is in raw only when it was packed into the same page.
+	seam := int32(-1)
+	if si+1 < len(segs) && segs[si+1].page == s.page {
+		seam = segs[si+1].local
+	}
 	ctx := 0
 	for local < end {
-		pid, vals, next, err := o.decodeUnitIn(raw, local, ctx)
+		first := int32(0)
+		if t != nil {
+			first = int32(len(t.code))
+		}
+		pid, next, err := o.decodeUnitIn(t, raw, local, ctx)
 		if err != nil {
 			return err
 		}
@@ -103,19 +135,19 @@ func (o *Object) decodeSegment(t *unitTable, raw []byte, s *segment, local int32
 			return fmt.Errorf("%w: unit at %d overruns block boundary %d", ErrCorrupt, base+local, s.end)
 		}
 		if t != nil {
-			first := int32(len(t.code))
-			if t.code, err = o.Dict[pid].expand(t.code, vals); err != nil {
-				return err
+			succ := next
+			if next == end {
+				succ = seam
 			}
-			t.offIdx[base+local] = int32(len(t.units))
+			t.idx[local] = int32(len(t.units))
 			t.units = append(t.units, predUnit{
 				off:     base + local,
 				next:    base + next,
-				nextIdx: -1,
+				nextIdx: succ,
 				first:   first,
 				n:       int32(len(t.code)) - first,
 				pid:     int32(pid),
-				isBlock: s.isBlock && base+local == s.start,
+				isBlock: s.isBlock && local == s.local,
 			})
 		}
 		ctx = pid + 1
@@ -124,12 +156,14 @@ func (o *Object) decodeSegment(t *unitTable, raw []byte, s *segment, local int32
 	return nil
 }
 
-// link chains each unit to its successor when the successor is in the
-// same table, so fall-through dispatches without an offset lookup.
+// link turns each unit's successor position, which decodeSegment left
+// in nextIdx, into the successor's unit index through t.idx, so
+// fall-through dispatches without an offset lookup; a successor that
+// is not in this table stays -1.
 func (t *unitTable) link() {
 	for i := range t.units {
-		if idx, ok := t.offIdx[t.units[i].next]; ok {
-			t.units[i].nextIdx = idx
+		if p := t.units[i].nextIdx; p >= 0 {
+			t.units[i].nextIdx = t.idx[p]
 		}
 	}
 }
@@ -151,18 +185,16 @@ func (o *Object) buildPredecode() (*predecoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &predecoded{
-		unitTable: unitTable{offIdx: make(map[int32]int32, len(o.Code)/2)},
-		blockUnit: make([]int32, len(o.Blocks)),
-	}
+	p := &predecoded{blockUnit: make([]int32, len(o.Blocks))}
+	p.reset(len(o.Code))
 	for i := range segs {
-		if err := o.decodeSegment(&p.unitTable, o.Code, &segs[i], segs[i].start); err != nil {
+		if err := o.decodeSegment(&p.unitTable, o.Code, segs, i); err != nil {
 			return nil, err
 		}
 	}
 	p.link()
 	for b, off := range o.Blocks {
-		p.blockUnit[b] = p.offIdx[off]
+		p.blockUnit[b] = p.idx[off]
 	}
 	return p, nil
 }

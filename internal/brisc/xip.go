@@ -240,7 +240,7 @@ func buildXIPMeta(o *Object, opt XIPOptions) (*XIPImage, error) {
 	maxSeg := 0
 	for i := range segs {
 		s := &segs[i]
-		if err := o.decodeSegment(nil, o.Code, s, s.start); err != nil {
+		if err := o.decodeSegment(nil, o.Code, segs, i); err != nil {
 			return nil, err
 		}
 		if n := int(s.end - s.start); n > maxSeg {
@@ -317,7 +317,7 @@ func BlockCountsFromTrace(o *Object, unitCounts map[int32]int64) map[int32]int64
 // ---- per-run decoded-page cache ----
 
 // Decoded-footprint estimate per expanded instruction and per unit
-// (predUnit plus its offset-index entry). The budget this prices is
+// (predUnit plus its unit-index entry). The budget this prices is
 // the cache's working set; exact malloc accounting is not the point —
 // monotone growth per decoded page is.
 const (
@@ -327,12 +327,13 @@ const (
 
 // xipPage is one decoded page resident in the cache: the page's units
 // in the same table form the whole-image predecode uses, addressed by
-// original code offsets.
+// original code offsets. An evicted page goes to the runtime's free
+// list, and the next fault decodes into its table.
 type xipPage struct {
 	unitTable
 	id         int32
 	bytes      int64
-	prev, next *xipPage // LRU list; nil-terminated both ends
+	prev, next *xipPage // LRU list, nil-terminated both ends; next also chains the free list
 }
 
 // xipRuntime is the per-Interp paged-execution state: the bounded LRU
@@ -343,9 +344,11 @@ type xipRuntime struct {
 	maxPages int   // page-count budget (0 = unbounded)
 	maxBytes int64 // decoded-byte budget (0 = unbounded)
 
-	pages    map[int32]*xipPage
+	pages    []*xipPage // by page id; nil when not resident
+	nres     int        // resident page count
 	mru, lru *xipPage
-	resident int64 // decoded bytes currently cached
+	free     *xipPage // evicted pages, most recently evicted first
+	resident int64    // decoded bytes currently cached
 
 	faults, hits, evictions                      int64
 	flushedFaults, flushedHits, flushedEvictions int64
@@ -377,7 +380,7 @@ func (it *Interp) EnableXIP(img *XIPImage, maxPages, maxBytes int) error {
 		img:      img,
 		maxPages: maxPages,
 		maxBytes: int64(maxBytes),
-		pages:    make(map[int32]*xipPage),
+		pages:    make([]*xipPage, img.NumPages()),
 	}
 	return nil
 }
@@ -393,7 +396,7 @@ func (it *Interp) XIPStats() XIPStats {
 		Faults:            rt.faults,
 		Hits:              rt.hits,
 		Evictions:         rt.evictions,
-		ResidentPages:     len(rt.pages),
+		ResidentPages:     rt.nres,
 		ResidentBytes:     rt.resident,
 		PeakResidentPages: rt.peakPages,
 		PeakResidentBytes: rt.peakBytes,
@@ -401,10 +404,12 @@ func (it *Interp) XIPStats() XIPStats {
 }
 
 // reset drops cache contents and counters, keeping image and budgets.
+// The dropped pages join the free list, so the next run's faults
+// decode into their tables.
 func (rt *xipRuntime) reset() {
-	rt.pages = make(map[int32]*xipPage)
-	rt.mru, rt.lru = nil, nil
-	rt.resident = 0
+	for rt.lru != nil {
+		rt.evictLRU()
+	}
 	rt.faults, rt.hits, rt.evictions = 0, 0, 0
 	rt.flushedFaults, rt.flushedHits, rt.flushedEvictions = 0, 0, 0
 	rt.peakBytes, rt.peakPages = 0, 0
@@ -437,7 +442,7 @@ func (rt *xipRuntime) moveFront(pg *xipPage) {
 }
 
 func (rt *xipRuntime) over() bool {
-	return (rt.maxPages > 0 && len(rt.pages) > rt.maxPages) ||
+	return (rt.maxPages > 0 && rt.nres > rt.maxPages) ||
 		(rt.maxBytes > 0 && rt.resident > rt.maxBytes)
 }
 
@@ -447,22 +452,30 @@ func (rt *xipRuntime) over() bool {
 // resident page.
 func (rt *xipRuntime) evict(keep *xipPage) {
 	for rt.over() {
-		v := rt.lru
-		if v == nil || v == keep {
+		if rt.lru == nil || rt.lru == keep {
 			return
 		}
-		if v.prev != nil {
-			v.prev.next = nil
-		}
-		rt.lru = v.prev
-		if rt.mru == v {
-			rt.mru = nil
-		}
-		v.prev, v.next = nil, nil
-		delete(rt.pages, v.id)
-		rt.resident -= v.bytes
-		rt.evictions++
+		rt.evictLRU()
 	}
+}
+
+// evictLRU unlinks the least-recently-used page and pushes it onto the
+// free list.
+func (rt *xipRuntime) evictLRU() {
+	v := rt.lru
+	if v.prev != nil {
+		v.prev.next = nil
+	}
+	rt.lru = v.prev
+	if rt.mru == v {
+		rt.mru = nil
+	}
+	rt.pages[v.id] = nil
+	rt.nres--
+	rt.resident -= v.bytes
+	rt.evictions++
+	v.prev, v.next = nil, rt.free
+	rt.free = v
 }
 
 // resolve maps an original code offset to its decoded page's unit
@@ -476,20 +489,20 @@ func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, 
 	if si >= len(segs) || off < segs[si].start {
 		return nil, -1, offGrid(off)
 	}
-	pid := segs[si].page
-	pg := rt.pages[pid]
+	s := &segs[si]
+	pg := rt.pages[s.page]
 	if pg != nil {
 		rt.hits++
 		rt.moveFront(pg)
 	} else {
 		var err error
-		pg, err = rt.fault(it, g, pid)
+		pg, err = rt.fault(it, g, s.page)
 		if err != nil {
 			return nil, -1, err
 		}
 	}
-	idx, ok := pg.offIdx[off]
-	if !ok {
+	idx := pg.idx[s.local+off-s.start]
+	if idx < 0 {
 		return nil, -1, offGrid(off)
 	}
 	return &pg.unitTable, idx, nil
@@ -499,6 +512,11 @@ func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, 
 // the LRU list, charges it against the memory governor, and evicts
 // over-budget pages. Corruption detected by the store's CRC check (or
 // a decode failure behind a colliding CRC) surfaces as ErrCorrupt.
+// The page-count budget is enforced before the decode, so the table of
+// the page just evicted (at a one-page budget, the page being left) is
+// the one this fault decodes into; the byte budget, which needs the
+// decoded size, is enforced after. Both evict in LRU order, so the
+// pages evicted are those a single check after the decode would pick.
 func (rt *xipRuntime) fault(it *Interp, g *guard.Gov, pid int32) (*xipPage, error) {
 	rt.faults++
 	if it.XIPFault != nil {
@@ -508,10 +526,20 @@ func (rt *xipRuntime) fault(it *Interp, g *guard.Gov, pid int32) (*xipPage, erro
 	if err != nil {
 		return nil, fmt.Errorf("brisc: xip fault on page %d: %w", pid, err)
 	}
-	pg := &xipPage{id: pid, unitTable: unitTable{offIdx: make(map[int32]int32, 16)}}
+	for rt.maxPages > 0 && rt.nres >= rt.maxPages {
+		rt.evictLRU()
+	}
+	pg := rt.free
+	if pg != nil {
+		rt.free, pg.next = pg.next, nil
+	} else {
+		pg = &xipPage{}
+	}
+	pg.id = pid
+	pg.reset(len(raw))
 	for _, si := range rt.img.pageSegs[pid] {
-		s := &rt.img.segs[si]
-		if err := rt.img.obj.decodeSegment(&pg.unitTable, raw, s, s.local); err != nil {
+		if err := rt.img.obj.decodeSegment(&pg.unitTable, raw, rt.img.segs, int(si)); err != nil {
+			pg.next, rt.free = rt.free, pg
 			return nil, fmt.Errorf("brisc: xip page %d: %w", pid, err)
 		}
 	}
@@ -521,14 +549,15 @@ func (rt *xipRuntime) fault(it *Interp, g *guard.Gov, pid int32) (*xipPage, erro
 	pg.link()
 	pg.bytes = int64(len(pg.code))*xipInstrFootprint + int64(len(pg.units))*xipUnitFootprint
 	rt.pages[pid] = pg
+	rt.nres++
 	rt.moveFront(pg)
 	rt.resident += pg.bytes
 	rt.evict(pg)
 	if rt.resident > rt.peakBytes {
 		rt.peakBytes = rt.resident
 	}
-	if len(rt.pages) > rt.peakPages {
-		rt.peakPages = len(rt.pages)
+	if rt.nres > rt.peakPages {
+		rt.peakPages = rt.nres
 	}
 	if g != nil {
 		if err := g.CheckMemAt(len(it.Mem)+int(rt.resident), int64(it.PC), it.Steps); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -613,7 +614,7 @@ func TestInterpOffGridTrapsAcrossModes(t *testing.T) {
 	// code, and a negative offset.
 	var mid []int32
 	for off := int32(0); off < int32(len(obj.Code)); off++ {
-		if _, ok := pre.offIdx[off]; !ok {
+		if pre.idx[off] < 0 {
 			mid = append(mid, off)
 		}
 	}
@@ -681,5 +682,156 @@ func TestInterpOffGridTrapsAcrossModes(t *testing.T) {
 		if got.faults != want.faults {
 			t.Errorf("%s: %d faults, fresh paged Interp took %d", label, got.faults, want.faults)
 		}
+	}
+
+	// At a one-page budget, returning from step() to a PC on another
+	// page faults that page into the recycled table of the page step()
+	// returned from. Pick an off-grid PC whose position in its page was
+	// a unit start on that earlier page: the recycled index must not
+	// keep the earlier page's entries, so the return still traps.
+	segOf := func(off int32) *segment {
+		for i := range img.segs {
+			if s := &img.segs[i]; off >= s.start && off < s.end {
+				return s
+			}
+		}
+		t.Fatalf("offset %d in no segment", off)
+		return nil
+	}
+	probe := runEntry(NewInterp(obj, 1<<20, nil), stepEntry, -4, limit)
+	prev := segOf(probe.trace[len(probe.trace)-1]).page
+	starts := map[int32]bool{}
+	for _, u := range pre.units {
+		if s := segOf(u.off); s.page == prev {
+			starts[s.local+u.off-s.start] = true
+		}
+	}
+	x := int32(-1)
+	for off := int32(0); off < int32(len(obj.Code)) && x < 0; off++ {
+		if s := segOf(off); pre.idx[off] < 0 && s.page != prev && starts[s.local+off-s.start] {
+			x = off
+		}
+	}
+	if x < 0 {
+		t.Fatalf("no off-grid offset lines up with a unit start of page %d", prev)
+	}
+	want := runEntry(NewInterp(obj, 1<<20, nil), stepEntry, x, limit)
+	if want.err == nil || want.err.Error() != offGrid(x).Error() {
+		t.Fatalf("return to %d: whole-image err %v, want %v", x, want.err, offGrid(x))
+	}
+	it := NewInterp(obj, 1<<20, nil)
+	if err := it.EnableXIP(img, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	xPage := segOf(x).page
+	var recycled *xipPage
+	it.XIPFault = func(p int32) {
+		if p == xPage {
+			recycled = it.xip.pages[prev]
+		}
+	}
+	got := runEntry(it, stepEntry, x, limit)
+	checkSameModeRun(t, fmt.Sprintf("recycled return to %d", x), want, got)
+	if recycled == nil || it.xip.pages[xPage] != recycled {
+		t.Errorf("page %d was not decoded into page %d's recycled table", xPage, prev)
+	}
+}
+
+// TestXIPRecycledPageTables: at a one-page budget every fault after
+// the first decodes into the table of the page it evicts, so a single
+// table serves the whole run. Over every kernel and wep, the seq and
+// profile-driven layouts, and 256- and 512-byte pages, the paged run
+// must match the whole-image run unit for unit. The kernels fit in one
+// page of either size, so 64-byte pages make them fault too.
+func TestXIPRecycledPageTables(t *testing.T) {
+	srcs := map[string]string{"wep": workload.Generate(workload.Wep)}
+	for name, src := range workload.Kernels() {
+		srcs[name] = src
+	}
+	for name, src := range srcs {
+		t.Run(name, func(t *testing.T) {
+			obj := xipObject(t, name, src, Options{})
+			// Long-running kernels are compared on a bounded prefix.
+			const cap = 100_000
+			want := runFull(t, obj, true, cap)
+			recycled := false
+			for _, layout := range []struct {
+				name   string
+				counts map[int32]int64
+			}{
+				{"seq", nil},
+				{"hot", traceBlockCounts(want.trace, obj)},
+			} {
+				for _, pageSize := range []int{64, 256, 512} {
+					label := fmt.Sprintf("%s page=%d", layout.name, pageSize)
+					img, err := BuildXIP(obj, XIPOptions{PageSize: pageSize, BlockCounts: layout.counts})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var out bytes.Buffer
+					it := NewInterp(obj, 1<<20, &out)
+					if err := it.EnableXIP(img, 1, 0); err != nil {
+						t.Fatal(err)
+					}
+					var got runResult
+					it.Trace = func(off int32) { got.trace = append(got.trace, off) }
+					tables := map[*xipPage]bool{}
+					it.XIPFault = func(int32) {
+						if pg := it.xip.mru; pg != nil {
+							tables[pg] = true
+						}
+					}
+					code, err := it.Run(cap)
+					if err != nil && !errors.Is(err, ErrOutOfSteps) {
+						t.Fatalf("%s: paged run: %v", label, err)
+					}
+					got.code, got.out, got.steps, got.units = code, out.String(), it.Steps, it.Units
+					checkSameRun(t, label, want, got)
+					if !int32SlicesEqual(want.trace, got.trace) {
+						t.Errorf("%s: unit trace diverged (len %d vs %d)", label, len(want.trace), len(got.trace))
+					}
+					tables[it.xip.mru] = true
+					faults := it.XIPStats().Faults
+					if len(tables) != 1 || it.xip.free != nil {
+						t.Errorf("%s: %d page tables served %d faults, want 1", label, len(tables), faults)
+					}
+					recycled = recycled || faults > 1
+				}
+			}
+			if !recycled {
+				t.Error("no configuration faulted more than once")
+			}
+		})
+	}
+}
+
+// TestXIPWarmRunAllocs pins the allocation-free fault path: a warm
+// Reset+Run of wep at a one-page budget faults dozens of times, and
+// every fault decodes into a recycled table, so the run allocates a
+// small fixed number of times rather than once or more per fault.
+func TestXIPWarmRunAllocs(t *testing.T) {
+	obj := xipObject(t, "wep", workload.Generate(workload.Wep), Options{})
+	img, err := BuildXIP(obj, XIPOptions{PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := NewInterp(obj, 0, io.Discard)
+	if err := it.EnableXIP(img, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		it.Reset()
+		if _, err := it.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	faults := it.XIPStats().Faults
+	if faults < 50 {
+		t.Fatalf("%d faults per run, want at least 50", faults)
+	}
+	const maxAllocs = 4
+	if n := testing.AllocsPerRun(10, run); n > maxAllocs {
+		t.Errorf("warm paged run allocates %v times over %d faults, want at most %d", n, faults, maxAllocs)
 	}
 }

@@ -114,6 +114,47 @@ func TestCompressTracedStageSpans(t *testing.T) {
 	}
 }
 
+// TestDecompressTracedParseSplit asserts that a traced decode splits
+// wire.parse into its tree rebuild and module validation, each a
+// direct child of the wire.parse span, and that the spans cost no
+// allocation with a nil recorder.
+func TestDecompressTracedParseSplit(t *testing.T) {
+	mod, err := cc.Compile("wep", workload.Generate(workload.Wep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := Compress(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New()
+	if _, err := DecompressTraced(data, rec); err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string][]uint64{}
+	parents := map[string][]uint64{}
+	for _, sr := range rec.Spans() {
+		ids[sr.Name] = append(ids[sr.Name], sr.ID)
+		parents[sr.Name] = append(parents[sr.Name], sr.Parent)
+	}
+	if len(ids["wire.parse"]) != 1 {
+		t.Fatalf("%d wire.parse spans, want 1", len(ids["wire.parse"]))
+	}
+	for _, name := range []string{"wire.rebuild", "wire.validate"} {
+		if len(parents[name]) != 1 || parents[name][0] != ids["wire.parse"][0] {
+			t.Errorf("%s parents %v, want one span under wire.parse %d", name, parents[name], ids["wire.parse"][0])
+		}
+	}
+
+	var off *telemetry.Recorder
+	if n := testing.AllocsPerRun(100, func() {
+		off.StartSpan("wire.rebuild").End()
+		off.StartSpan("wire.validate").End()
+	}); n != 0 {
+		t.Errorf("nil-recorder spans allocate %v times", n)
+	}
+}
+
 // TestMeasureEncodesOnce guards the Measure refactor: the container is
 // built exactly once per call (previously Measure built it, then
 // CompressOpts rebuilt it from scratch).

@@ -215,7 +215,7 @@ func DecompressParallel(data []byte, workers int, rec *telemetry.Recorder) (*ir.
 	}
 	opt.Workers = workers
 	psp := rec.StartSpan("wire.parse")
-	m, err := parseContainer(container, opt, opt.pool(rec))
+	m, err := parseContainer(container, opt, rec)
 	psp.End()
 	if m != nil {
 		sp.SetAttr(telemetry.Int("trees", int64(m.NumTrees())))
@@ -516,7 +516,12 @@ func readSegments(br *bitio.Reader, size int, treeCounts []int) ([]segment, erro
 	return segs, nil
 }
 
-func parseContainer(data []byte, opt Options, pool *parallel.Pool) (*ir.Module, error) {
+// parseContainer decodes a container body into a module: header,
+// shapes and segments, the streams (fanned out on opt's pool), then
+// tree rebuild and module validation, each under its own span so a
+// trace splits the caller's wire.parse span. rec may be nil.
+func parseContainer(data []byte, opt Options, rec *telemetry.Recorder) (*ir.Module, error) {
+	pool := opt.pool(rec)
 	br := bitio.NewReaderBytes(data)
 	m, names, treeCounts, err := readModuleHeader(br)
 	if err != nil {
@@ -556,10 +561,16 @@ func parseContainer(data []byte, opt Options, pool *parallel.Pool) (*ir.Module, 
 	for i := 1; i < len(live); i++ {
 		lits[live[i].op] = decoded[i]
 	}
-	if err := rebuild(m.Functions, treeCounts, decoded[0], shapes, &lits, names); err != nil {
+	rsp := rec.StartSpan("wire.rebuild")
+	err = rebuild(m.Functions, treeCounts, decoded[0], shapes, &lits, names)
+	rsp.End()
+	if err != nil {
 		return nil, err
 	}
-	if err := m.Validate(); err != nil {
+	vsp := rec.StartSpan("wire.validate")
+	err = m.Validate()
+	vsp.End()
+	if err != nil {
 		return nil, fmt.Errorf("%w: reconstructed module invalid: %v", ErrCorrupt, err)
 	}
 	return m, nil
