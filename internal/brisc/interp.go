@@ -80,8 +80,8 @@ func NewInterp(o *Object, memSize int, out io.Writer) *Interp {
 	if memSize <= 0 {
 		memSize = vm.DefaultMemSize
 	}
-	it := &Interp{CPU: vm.CPU{Mem: make([]byte, memSize), Out: out}, Obj: o}
-	it.Reset()
+	it := &Interp{CPU: vm.CPU{Mem: make([]byte, memSize), Out: out}, Obj: o, unitIdx: -1}
+	it.InitState(o.Globals) // the rest of Reset's state is already zero
 	return it
 }
 

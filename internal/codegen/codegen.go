@@ -40,7 +40,21 @@ func Generate(m *ir.Module, opt Options) (*vm.Program, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
-	g := &gen{opt: opt, prog: &vm.Program{Name: m.Name}, globalAddr: map[string]int32{}}
+	// Size the tables from counts the module already has. The code
+	// estimate covers the generated code's usual instructions per tree
+	// plus each function's prologue and epilogue; an under-estimate
+	// (the de-tuned variants) just grows the slice once.
+	g := &gen{
+		opt: opt,
+		prog: &vm.Program{
+			Name:    m.Name,
+			Code:    make([]vm.Instr, 0, 4*m.NumTrees()+8*len(m.Functions)+3),
+			Funcs:   make([]vm.FuncInfo, 0, len(m.Functions)),
+			Globals: make([]vm.GlobalData, 0, len(m.Globals)),
+		},
+		globalAddr: make(map[string]int32, len(m.Globals)),
+		tables:     funcTables{labels: map[int64]int{}},
+	}
 
 	// Lay out the data segment.
 	addr := int32(DataBase)
@@ -92,6 +106,7 @@ type gen struct {
 	prog       *vm.Program
 	globalAddr map[string]int32
 	callFix    []fixup
+	tables     funcTables
 }
 
 func (g *gen) emit(ins vm.Instr) int {
@@ -118,21 +133,30 @@ type patch struct {
 	kind patchKind
 }
 
-type fgen struct {
-	g         *gen
-	f         *ir.Function
-	entry     int
+// branchFixup is a branch or jump at code index at whose target is the
+// IR label, resolved once the function's labels are all placed.
+type branchFixup struct {
+	at    int
+	label int64
+}
+
+// funcTables are the per-function tables. genFunc empties them for
+// each function, so a module allocates them once.
+type funcTables struct {
 	labels    map[int64]int // IR label -> code index
-	branchFix []struct {
-		at    int
-		label int64
-	}
-	patches  []patch
+	branchFix []branchFixup
+	patches   []patch
+	free      []uint8 // scratch register free list
+}
+
+type fgen struct {
+	g *gen
+	*funcTables
+	f        *ir.Function
+	entry    int
 	outSize  int // outgoing-argument area bytes
 	spills   int // spill slots used
 	pendArgs int // ARGI count since last call
-
-	free []uint8 // scratch register free list
 }
 
 // Scratch registers available to expression evaluation. r0..r3 carry
@@ -146,13 +170,11 @@ var scratchRegs = []uint8{4, 5, 6, 7, 8, 9, 10, 11}
 const RegGP = 13
 
 func (g *gen) genFunc(f *ir.Function) error {
-	fg := &fgen{
-		g:      g,
-		f:      f,
-		entry:  len(g.prog.Code),
-		labels: map[int64]int{},
-		free:   append([]uint8(nil), scratchRegs...),
-	}
+	tab := &g.tables
+	clear(tab.labels)
+	tab.branchFix, tab.patches = tab.branchFix[:0], tab.patches[:0]
+	tab.free = append(tab.free[:0], scratchRegs...)
+	fg := &fgen{g: g, funcTables: tab, f: f, entry: len(g.prog.Code)}
 	// Prologue: allocate frame, save ra.
 	fg.patch(g.emit(vm.Instr{Op: vm.ENTER, Imm: 0}), pkTotal)
 	fg.memOp(vm.STW, vm.RegRA, vm.RegSP, 0, pkRA, true)
@@ -314,14 +336,14 @@ func (fg *fgen) epilogue() {
 }
 
 // branchOpFor maps an IR compare-branch operator to the VM opcode.
-var branchOpFor = map[ir.Op]vm.Opcode{
+var branchOpFor = [ir.NumOps]vm.Opcode{
 	ir.EQI: vm.BEQ, ir.NEI: vm.BNE, ir.LTI: vm.BLT,
 	ir.LEI: vm.BLE, ir.GTI: vm.BGT, ir.GEI: vm.BGE,
 }
 
 // immBranchFor maps register-register branch opcodes to their
 // compare-immediate forms.
-var immBranchFor = map[vm.Opcode]vm.Opcode{
+var immBranchFor = [vm.NumOpcodes]vm.Opcode{
 	vm.BEQ: vm.BEQI, vm.BNE: vm.BNEI, vm.BLT: vm.BLTI,
 	vm.BLE: vm.BLEI, vm.BGT: vm.BGTI, vm.BGE: vm.BGEI,
 }
@@ -337,10 +359,7 @@ func (fg *fgen) stmt(t *ir.Tree) error {
 		return nil
 	case ir.JUMPV:
 		at := fg.emit(vm.Instr{Op: vm.JMP})
-		fg.branchFix = append(fg.branchFix, struct {
-			at    int
-			label int64
-		}{at, t.Lit})
+		fg.branchFix = append(fg.branchFix, branchFixup{at, t.Lit})
 		return nil
 	case ir.EQI, ir.NEI, ir.LTI, ir.LEI, ir.GTI, ir.GEI:
 		return fg.genBranch(t)
@@ -385,10 +404,7 @@ func (fg *fgen) genBranch(t *ir.Tree) error {
 	// variant allows it ("ble.i n4,0,$L56").
 	if isConst(t.Kids[1]) && !fg.g.opt.NoImmediates {
 		at := fg.emit(vm.Instr{Op: immBranchFor[op], Rs1: l, Imm: int32(t.Kids[1].Lit)})
-		fg.branchFix = append(fg.branchFix, struct {
-			at    int
-			label int64
-		}{at, t.Lit})
+		fg.branchFix = append(fg.branchFix, branchFixup{at, t.Lit})
 		fg.release(l)
 		return nil
 	}
@@ -397,10 +413,7 @@ func (fg *fgen) genBranch(t *ir.Tree) error {
 		return err
 	}
 	at := fg.emit(vm.Instr{Op: op, Rs1: l, Rs2: r})
-	fg.branchFix = append(fg.branchFix, struct {
-		at    int
-		label int64
-	}{at, t.Lit})
+	fg.branchFix = append(fg.branchFix, branchFixup{at, t.Lit})
 	fg.release(l)
 	fg.release(r)
 	return nil
@@ -519,7 +532,9 @@ func need(t *ir.Tree) int {
 	}
 }
 
-var aluFor = map[ir.Op]vm.Opcode{
+// aluFor maps an IR binary operator to its VM ALU opcode; vm.BAD marks
+// operators that are not ALU operations.
+var aluFor = [ir.NumOps]vm.Opcode{
 	ir.ADDI: vm.ADD, ir.SUBI: vm.SUB, ir.MULI: vm.MUL,
 	ir.DIVI: vm.DIV, ir.MODI: vm.REM, ir.BANDI: vm.AND,
 	ir.BORI: vm.OR, ir.BXORI: vm.XOR, ir.LSHI: vm.SHL, ir.RSHI: vm.SHR,
@@ -599,11 +614,10 @@ func (fg *fgen) expr(t *ir.Tree) (uint8, error) {
 	case ir.CALLI:
 		return 0, fmt.Errorf("call in mid-expression position (front end must spill)")
 	default:
-		alu, ok := aluFor[t.Op]
-		if !ok {
+		if int(t.Op) >= len(aluFor) || aluFor[t.Op] == vm.BAD {
 			return 0, fmt.Errorf("unsupported expression operator %s", t.Op)
 		}
-		return fg.genALU(t, alu)
+		return fg.genALU(t, aluFor[t.Op])
 	}
 }
 

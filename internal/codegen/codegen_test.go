@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // run compiles MiniC source through the whole pipeline and executes it,
@@ -462,4 +463,28 @@ int main(void) { return salt(1, 2); }`)
 			t.Errorf("disassembly missing %q:\n%s", want, d)
 		}
 	}
+}
+
+// TestGenerateAllocs pins the presized tables: generating the lcc
+// preset allocates a small, fixed number of times (the code, function
+// and global tables once each, plus the per-module maps and the
+// per-function tables that grow once and are reused). A Code slice that
+// regrows by appending would add one allocation per doubling.
+func TestGenerateAllocs(t *testing.T) {
+	mod, err := cc.Compile("lcc", workload.Generate(workload.Lcc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prog *vm.Program
+	n := testing.AllocsPerRun(5, func() {
+		if prog, err = Generate(mod, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured: 79 allocations for 35k instructions on go1.24/amd64.
+	const maxAllocs = 90
+	if n > maxAllocs {
+		t.Errorf("Generate(lcc) allocates %v times for %d instructions, want at most %d", n, len(prog.Code), maxAllocs)
+	}
+	t.Logf("Generate(lcc): %v allocs, %d instructions, code cap %d", n, len(prog.Code), cap(prog.Code))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/telemetry"
 )
 
@@ -149,6 +150,10 @@ func TestAdmissionConcurrent(t *testing.T) {
 func TestServerShedsUnderOverload(t *testing.T) {
 	_, base := startServer(t, Config{
 		Admission: AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 2 * time.Second},
+		// A fast host spins through DefaultMaxSteps inside the 1s
+		// deadline (413, not 408); lift the step bound so the deadline
+		// is what stops the held requests.
+		BaseLimits: guard.Limits{MaxSteps: 1 << 40},
 	})
 
 	// Occupy the slot with a request that spins for ~1s.

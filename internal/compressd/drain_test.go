@@ -18,7 +18,12 @@ import (
 // executing lets it finish (here: trap on its own deadline), rejects
 // late requests, and completes cleanly inside the budget.
 func TestDrainWaitsForInFlight(t *testing.T) {
-	srv, base := startServer(t, Config{DrainTimeout: 5 * time.Second})
+	srv, base := startServer(t, Config{
+		DrainTimeout: 5 * time.Second,
+		// The 500ms deadline, not the step bound, must stop the spin,
+		// however fast the host runs it.
+		BaseLimits: guard.Limits{MaxSteps: 1 << 40},
+	})
 
 	inFlight := make(chan int, 1)
 	go func() {

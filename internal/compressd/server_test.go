@@ -227,7 +227,9 @@ func TestCorruptArtifactsAreTyped(t *testing.T) {
 }
 
 func TestLimitsTrapTyped(t *testing.T) {
-	_, base := startServer(t, Config{})
+	// No server step bound that a fast host could reach inside the
+	// deadline case's 150ms; the step case tightens it per request.
+	_, base := startServer(t, Config{BaseLimits: guard.Limits{MaxSteps: 1 << 40}})
 
 	// Step budget exhausted → 413 limit:steps.
 	code, kind := errKind(t, base+"/v1/run", RunRequest{Source: spinSrc, Limits: LimitsSpec{MaxSteps: 10_000}})
@@ -267,7 +269,10 @@ func TestClientCannotExceedServerCeiling(t *testing.T) {
 func TestRequestTimeoutCeiling(t *testing.T) {
 	// The server-wide request timeout applies even when the client asks
 	// for no limits at all.
-	_, base := startServer(t, Config{RequestTimeout: 200 * time.Millisecond})
+	_, base := startServer(t, Config{
+		RequestTimeout: 200 * time.Millisecond,
+		BaseLimits:     guard.Limits{MaxSteps: 1 << 40}, // the timeout must bind first
+	})
 	start := time.Now()
 	code, kind := errKind(t, base+"/v1/run", RunRequest{Source: spinSrc})
 	if code != 408 || kind != "limit:"+guard.LimitDeadline {

@@ -78,9 +78,10 @@ func (m *Module) String() string {
 }
 
 // Validate checks structural invariants: operator arities and literal
-// kinds are enforced by construction, so this checks label consistency
-// (every branch/jump target is defined exactly once in its function)
-// and that call targets resolve to a known name when static.
+// kinds are enforced by construction, so this checks symbol uniqueness
+// (externs may repeat; a global may not repeat an extern or a global,
+// nor a function any earlier name), label consistency (see
+// LabelCheck) and that ADDRGP names resolve to a known symbol.
 func (m *Module) Validate() error {
 	known := map[string]bool{}
 	for _, e := range m.Externs {
@@ -98,36 +99,79 @@ func (m *Module) Validate() error {
 		}
 		known[f.Name] = true
 	}
-	for _, f := range m.Functions {
-		defined := map[int64]int{}
-		used := map[int64]bool{}
-		for _, t := range f.Trees {
-			var walkErr error
-			t.Walk(func(n *Tree) {
-				switch {
-				case n.Op == LABELV:
-					defined[n.Lit]++
-				case n.Op.IsBranch() || n.Op == JUMPV:
-					used[n.Lit] = true
-				case n.Op == ADDRGP:
-					if !known[n.Name] {
-						walkErr = fmt.Errorf("ir: %s references unknown symbol %q", f.Name, n.Name)
-					}
-				}
-			})
-			if walkErr != nil {
+	var (
+		labels  LabelCheck
+		fn      *Function
+		walkErr error
+	)
+	visit := func(n *Tree) {
+		switch {
+		case walkErr != nil:
+		case n.Op == LABELV:
+			walkErr = labels.Define(n.Lit)
+		case n.Op.IsBranch() || n.Op == JUMPV:
+			labels.Use(n.Lit)
+		case n.Op == ADDRGP:
+			if !known[n.Name] {
+				walkErr = fmt.Errorf("ir: %s references unknown symbol %q", fn.Name, n.Name)
+			}
+		}
+	}
+	for _, fn = range m.Functions {
+		labels.Begin(fn.Name)
+		for _, t := range fn.Trees {
+			if t.Walk(visit); walkErr != nil {
 				return walkErr
 			}
 		}
-		for l, n := range defined {
-			if n > 1 {
-				return fmt.Errorf("ir: %s defines label %d %d times", f.Name, l, n)
-			}
+		if err := labels.End(); err != nil {
+			return err
 		}
-		for l := range used {
-			if defined[l] == 0 {
-				return fmt.Errorf("ir: %s branches to undefined label %d", f.Name, l)
-			}
+	}
+	return nil
+}
+
+// LabelCheck enforces the label invariants of one function at a time:
+// each LABELV label is defined at most once, and every branch or JUMPV
+// target is defined in the same function (checked at End, so forward
+// references pass). One LabelCheck serves a whole module: its table is
+// reused across functions instead of rebuilt for each. Validate and the
+// wire decoder share it.
+type LabelCheck struct {
+	fn   string
+	gen  int32           // 1-based index of the current function
+	defs map[int64]int32 // label -> gen of the last function defining it
+	uses []int64         // targets used in the current function
+}
+
+// Begin starts checking the function named fn.
+func (c *LabelCheck) Begin(fn string) {
+	if c.defs == nil {
+		c.defs = map[int64]int32{}
+	}
+	c.fn = fn
+	c.gen++
+	c.uses = c.uses[:0]
+}
+
+// Define records a definition of label l, failing if the current
+// function already defines it.
+func (c *LabelCheck) Define(l int64) error {
+	if c.defs[l] == c.gen {
+		return fmt.Errorf("ir: %s defines label %d more than once", c.fn, l)
+	}
+	c.defs[l] = c.gen
+	return nil
+}
+
+// Use records a branch or jump to label l.
+func (c *LabelCheck) Use(l int64) { c.uses = append(c.uses, l) }
+
+// End fails if the current function uses a label it never defines.
+func (c *LabelCheck) End() error {
+	for _, l := range c.uses {
+		if c.defs[l] != c.gen {
+			return fmt.Errorf("ir: %s branches to undefined label %d", c.fn, l)
 		}
 	}
 	return nil

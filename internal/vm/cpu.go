@@ -27,10 +27,17 @@ type CPU struct {
 	Depth int
 }
 
-// ResetState zeroes memory, copies the data segment in, clears the
-// registers and flags, and points the stack at the top of memory.
+// ResetState zeroes memory and loads the initial state (InitState).
 func (c *CPU) ResetState(globals []GlobalData) {
 	clear(c.Mem)
+	c.InitState(globals)
+}
+
+// InitState copies the data segment into memory that is already zero,
+// clears the registers and flags, and points the stack at the top of
+// memory. A CPU with freshly allocated memory calls it instead of
+// ResetState, so that memory is zeroed once, by the allocation.
+func (c *CPU) InitState(globals []GlobalData) {
 	for _, g := range globals {
 		copy(c.Mem[g.Addr:], g.Init)
 	}

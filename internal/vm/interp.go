@@ -58,7 +58,7 @@ func NewMachine(p *Program, memSize int, out io.Writer) *Machine {
 		memSize = DefaultMemSize
 	}
 	m := &Machine{CPU: CPU{Mem: make([]byte, memSize), Out: out}, Prog: p}
-	m.Reset()
+	m.InitState(p.Globals) // the rest of Reset's state is already zero
 	return m
 }
 

@@ -90,28 +90,32 @@ func (p *Program) Global(name string) *GlobalData {
 }
 
 // ComputeBlockStarts fills BlockStarts from the code: function entries,
-// branch/jump targets, and instructions following block enders.
+// branch/jump targets, and instructions following block enders. Marks
+// outside the code (a hostile Program's entries or targets) are
+// dropped.
 func (p *Program) ComputeBlockStarts() {
-	mark := make(map[int]bool)
+	n := len(p.Code)
+	mark := make([]bool, n)
+	set := func(i int) {
+		if i >= 0 && i < n {
+			mark[i] = true
+		}
+	}
 	for _, f := range p.Funcs {
-		mark[f.Entry] = true
+		set(f.Entry)
 	}
 	for i, ins := range p.Code {
 		switch {
 		case ins.Op.IsBranch() || ins.Op == JMP:
-			mark[int(ins.Target)] = true
-			mark[i+1] = true
-		case ins.Op == CALL:
-			mark[i+1] = true
-		case ins.Op == RJR || ins.Op == EPI || ins.Op == HALT:
-			if i+1 < len(p.Code) {
-				mark[i+1] = true
-			}
+			set(int(ins.Target))
+			set(i + 1)
+		case ins.Op == CALL || ins.Op == RJR || ins.Op == EPI || ins.Op == HALT:
+			set(i + 1)
 		}
 	}
 	p.BlockStarts = p.BlockStarts[:0]
-	for i := range p.Code {
-		if mark[i] {
+	for i, m := range mark {
+		if m {
 			p.BlockStarts = append(p.BlockStarts, i)
 		}
 	}

@@ -148,7 +148,11 @@ func writeModuleHeader(bw *bitio.Writer, m *ir.Module) {
 
 // readModuleHeader reverses writeModuleHeader. It returns the module
 // with tree-less functions, the symbol table name literals index into
-// (externs, globals, then functions), and each function's tree count.
+// (externs, globals, then functions, first occurrence wins, as
+// symbolIndex numbers them), and each function's tree count. It
+// rejects symbol collisions as ir.Module.Validate does: externs may
+// repeat, but a global may not repeat an extern or a global, nor a
+// function any earlier name.
 func readModuleHeader(br *bitio.Reader) (*ir.Module, []string, []int, error) {
 	m := &ir.Module{}
 	var err error
@@ -160,13 +164,17 @@ func readModuleHeader(br *bitio.Reader) (*ir.Module, []string, []int, error) {
 		return nil, nil, nil, fmt.Errorf("%w: externs", ErrCorrupt)
 	}
 	var names []string
+	known := map[string]bool{}
 	for i := uint64(0); i < nExterns; i++ {
 		s, err := readString(br)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("%w: extern name", ErrCorrupt)
 		}
 		m.Externs = append(m.Externs, s)
-		names = append(names, s)
+		if !known[s] {
+			known[s] = true
+			names = append(names, s)
+		}
 	}
 	nGlobals, err := readUvarint(br)
 	if err != nil || nGlobals > 1<<20 {
@@ -177,6 +185,10 @@ func readModuleHeader(br *bitio.Reader) (*ir.Module, []string, []int, error) {
 		if g.Name, err = readString(br); err != nil {
 			return nil, nil, nil, fmt.Errorf("%w: global name", ErrCorrupt)
 		}
+		if known[g.Name] {
+			return nil, nil, nil, fmt.Errorf("%w: duplicate global %q", ErrCorrupt, g.Name)
+		}
+		known[g.Name] = true
 		size, err := readUvarint(br)
 		if err != nil || size > 1<<28 {
 			return nil, nil, nil, fmt.Errorf("%w: global size", ErrCorrupt)
@@ -205,6 +217,10 @@ func readModuleHeader(br *bitio.Reader) (*ir.Module, []string, []int, error) {
 		if f.Name, err = readString(br); err != nil {
 			return nil, nil, nil, fmt.Errorf("%w: function name", ErrCorrupt)
 		}
+		if known[f.Name] {
+			return nil, nil, nil, fmt.Errorf("%w: duplicate symbol %q", ErrCorrupt, f.Name)
+		}
+		known[f.Name] = true
 		np, err := readUvarint(br)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("%w: params", ErrCorrupt)
@@ -237,8 +253,9 @@ func writeShapeTable(bw *bitio.Writer, shapes [][]ir.Op) {
 	}
 }
 
-// readShapeTable reverses writeShapeTable, rejecting empty shapes and
-// undefined opcodes.
+// readShapeTable reverses writeShapeTable. It rejects undefined
+// opcodes and any shape that is not exactly one tree in prefix order,
+// so rebuild can link every node by arity alone.
 func readShapeTable(br *bitio.Reader) ([][]ir.Op, error) {
 	nShapes, err := readUvarint(br)
 	if err != nil || nShapes > 1<<24 {
@@ -251,7 +268,11 @@ func readShapeTable(br *bitio.Reader) ([][]ir.Op, error) {
 			return nil, fmt.Errorf("%w: shape length", ErrCorrupt)
 		}
 		ops := make([]ir.Op, n)
+		open := 1 // subtrees the shape still owes
 		for j := range ops {
+			if open == 0 {
+				return nil, fmt.Errorf("%w: shape %d has %d trailing ops", ErrCorrupt, i, len(ops)-j)
+			}
 			b, err := br.ReadByte()
 			if err != nil {
 				return nil, fmt.Errorf("%w: shape ops", ErrCorrupt)
@@ -260,6 +281,10 @@ func readShapeTable(br *bitio.Reader) ([][]ir.Op, error) {
 			if !ops[j].Valid() {
 				return nil, fmt.Errorf("%w: invalid op %d in shape", ErrCorrupt, b)
 			}
+			open += ops[j].Arity() - 1
+		}
+		if open != 0 {
+			return nil, fmt.Errorf("%w: shape %d misses %d operands", ErrCorrupt, i, open)
 		}
 		shapes[i] = ops
 	}
@@ -519,130 +544,132 @@ func unsymbolize(symbols []int, firsts []int32, noMTF bool) ([]int32, error) {
 
 // rebuild fills in fns' trees — treeCounts[i] for fns[i] — from the
 // shape stream and the per-opcode literal streams, consuming both in
-// order. Literal streams and cursors are dense op-indexed tables, since
-// nextLit runs once per literal; all nodes come from one arena sized
+// order. It is the decode path's one walk over the trees, so it also
+// checks what ir.Module.Validate checks there: each function's labels,
+// through one ir.LabelCheck, and each ADDRGP name index against names,
+// which holds only declared symbols, so an index in range is a known
+// name. readShapeTable has already checked that every shape is one
+// well-formed tree. All nodes and tree lists come from arenas sized
 // from the shape stream.
 func rebuild(fns []*ir.Function, treeCounts []int, shapeStream []int32, shapes [][]ir.Op, lits *[ir.NumOps][]int32, names []string) error {
-	var litPos [ir.NumOps]int
-	nextLit := func(op ir.Op) (int32, error) {
-		s := lits[op]
-		p := litPos[op]
-		if p >= len(s) {
-			return 0, fmt.Errorf("literal underflow for %s", op)
-		}
-		litPos[op] = p + 1
-		return s[p], nil
-	}
-	totalNodes := 0
+	total := 0
 	for _, id := range shapeStream {
 		if id >= 0 && int(id) < len(shapes) {
-			totalNodes += len(shapes[id])
+			total += len(shapes[id])
 		}
 	}
-	arena := &treeArena{
-		nodes: make([]ir.Tree, totalNodes),
-		kids:  make([]*ir.Tree, totalNodes),
+	rb := &rebuilder{
+		lits:  lits,
+		names: names,
+		nodes: make([]ir.Tree, total),
+		// A tree of n nodes has n-1 children.
+		kids: make([]*ir.Tree, max(total-len(shapeStream), 0)),
 	}
+	trees := make([]*ir.Tree, len(shapeStream))
 	si := 0
 	for fi, f := range fns {
-		f.Trees = nil
-		if n := treeCounts[fi]; n > 0 {
-			f.Trees = make([]*ir.Tree, 0, n)
+		n := treeCounts[fi]
+		if n > len(shapeStream)-si {
+			return fmt.Errorf("%w: shape stream underflow", ErrCorrupt)
 		}
-		for k := 0; k < treeCounts[fi]; k++ {
-			if si >= len(shapeStream) {
-				return fmt.Errorf("%w: shape stream underflow", ErrCorrupt)
-			}
+		f.Trees = nil
+		if n > 0 {
+			f.Trees = trees[si : si+n : si+n]
+		}
+		rb.labels.Begin(f.Name)
+		for k := range f.Trees {
 			id := shapeStream[si]
 			si++
 			if id < 0 || int(id) >= len(shapes) {
 				return fmt.Errorf("%w: shape id %d", ErrCorrupt, id)
 			}
-			t, err := rebuildTree(shapes[id], arena, nextLit, names)
+			t, err := rb.tree(shapes[id])
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
-			f.Trees = append(f.Trees, t)
+			f.Trees[k] = t
+		}
+		if err := rb.labels.End(); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 	return nil
 }
 
-// treeArena hands out node and child-pointer backing for tree
-// reconstruction from two bulk allocations, sized from the total shape
-// length of the trees to be rebuilt. Per-node (and even per-tree)
-// allocation otherwise dominates decompression GC time.
-type treeArena struct {
-	nodes []ir.Tree
-	kids  []*ir.Tree
+// rebuilder is rebuild's state: the literal streams with one cursor per
+// opcode, the current function's label check, and the node, child and
+// ancestor-stack backing shared by every tree.
+type rebuilder struct {
+	lits   *[ir.NumOps][]int32
+	litPos [ir.NumOps]int
+	names  []string
+	labels ir.LabelCheck
+	nodes  []ir.Tree
+	kids   []*ir.Tree
+	stack  []openNode
 }
 
-func (ar *treeArena) take(n int) ([]ir.Tree, []*ir.Tree) {
-	if len(ar.nodes) < n || len(ar.kids) < n {
-		return make([]ir.Tree, n), make([]*ir.Tree, n)
+// openNode is a node of the tree being rebuilt that still misses
+// children: its index and the child slot it fills next.
+type openNode struct{ node, next int32 }
+
+// tree rebuilds one tree from a well-formed shape in one iterative
+// prefix walk: each node takes its literal, if it carries one, from
+// its opcode's stream, and fills the next child slot of the innermost
+// node on the stack that still misses children.
+func (rb *rebuilder) tree(ops []ir.Op) (*ir.Tree, error) {
+	n := len(ops)
+	// Invalid shape ids in the stream leave the arenas short; the
+	// rebuild fails at the first one, but trees before it still fit.
+	if len(rb.nodes) < n || len(rb.kids) < n-1 {
+		rb.nodes, rb.kids = make([]ir.Tree, n), make([]*ir.Tree, n-1)
 	}
-	nodes, kids := ar.nodes[:n:n], ar.kids[:n:n]
-	ar.nodes, ar.kids = ar.nodes[n:], ar.kids[n:]
-	return nodes, kids
-}
-
-// rebuildTree reconstructs one tree from its shape, pulling literals
-// from the per-opcode streams in prefix order.
-func rebuildTree(ops []ir.Op, ar *treeArena, nextLit func(ir.Op) (int32, error), names []string) (*ir.Tree, error) {
-	nodes, kidsArena := ar.take(len(ops))
-	ka := 0
-	pos := 0
-	var build func() (*ir.Tree, error)
-	build = func() (*ir.Tree, error) {
-		if pos >= len(ops) {
-			return nil, fmt.Errorf("shape underflow")
-		}
-		op := ops[pos]
-		t := &nodes[pos]
-		pos++
+	nodes, kids := rb.nodes[:n:n], rb.kids[:n-1:n-1]
+	rb.nodes, rb.kids = rb.nodes[n:], rb.kids[n-1:]
+	stack := rb.stack[:0]
+	for i, op := range ops {
+		t := &nodes[i]
 		t.Op = op
-		switch op.Lit() {
-		case ir.LitInt:
-			v, err := nextLit(op)
-			if err != nil {
-				return nil, err
+		if kind := op.Lit(); kind != ir.LitNone {
+			s, p := rb.lits[op], rb.litPos[op]
+			if p >= len(s) {
+				return nil, fmt.Errorf("literal underflow for %s", op)
 			}
-			t.Lit = int64(v)
-		case ir.LitName:
-			v, err := nextLit(op)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 || int(v) >= len(names) {
-				return nil, fmt.Errorf("name index %d out of range", v)
-			}
-			t.Name = names[v]
-		}
-		if arity := op.Arity(); arity > 0 {
-			if ka+arity > len(kidsArena) {
-				return nil, fmt.Errorf("shape underflow")
-			}
-			kids := kidsArena[ka : ka : ka+arity]
-			ka += arity
-			for i := 0; i < arity; i++ {
-				k, err := build()
-				if err != nil {
+			rb.litPos[op] = p + 1
+			v := s[p]
+			switch {
+			case kind == ir.LitName:
+				if v < 0 || int(v) >= len(rb.names) {
+					return nil, fmt.Errorf("name index %d out of range", v)
+				}
+				t.Name = rb.names[v]
+			case op == ir.LABELV:
+				t.Lit = int64(v)
+				if err := rb.labels.Define(t.Lit); err != nil {
 					return nil, err
 				}
-				kids = append(kids, k)
+			case op == ir.JUMPV || op.IsBranch():
+				t.Lit = int64(v)
+				rb.labels.Use(t.Lit)
+			default:
+				t.Lit = int64(v)
 			}
-			t.Kids = kids
 		}
-		return t, nil
+		if top := len(stack) - 1; top >= 0 {
+			o := &stack[top]
+			parent := nodes[o.node].Kids
+			parent[o.next] = t
+			if o.next++; int(o.next) == len(parent) {
+				stack = stack[:top]
+			}
+		}
+		if arity := op.Arity(); arity > 0 {
+			t.Kids, kids = kids[:arity:arity], kids[arity:]
+			stack = append(stack, openNode{int32(i), 0})
+		}
 	}
-	t, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if pos != len(ops) {
-		return nil, fmt.Errorf("shape has %d trailing ops", len(ops)-pos)
-	}
-	return t, nil
+	rb.stack = stack
+	return &nodes[0], nil
 }
 
 // ---- primitive serialization helpers ----

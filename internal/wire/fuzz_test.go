@@ -55,29 +55,68 @@ int main(void) { return f(2, 3); }`)
 			f.Add(data)
 		}
 	}
+	// Invalid modules the encoder would refuse: only the decoder's
+	// own checks stand between these and a caller.
+	for _, tc := range hostileCases {
+		m := hostileBase()
+		tc.mutate(m)
+		f.Add(encodeUnchecked(f, m))
+		f.Add(encodeIndexedUnchecked(f, m))
+	}
 	f.Add([]byte{})
 	f.Add([]byte("WIR1"))
 	f.Add([]byte("WIRX"))
 }
 
+// FuzzDecompress: every rejection is a typed corrupt-input error, and
+// every module the decoder accepts passes ir.Module.Validate, the
+// reference for the checks the decoder folds into its rebuild.
 func FuzzDecompress(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decompress(data)
-		if err == nil && m == nil {
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if m == nil {
 			t.Fatal("nil module without error")
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("decoder accepted an invalid module: %v", err)
 		}
 	})
 }
 
+// FuzzOpenIndexed holds WIRX to the same contract as FuzzDecompress,
+// loading one function on its own before the rest.
 func FuzzOpenIndexed(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenIndexed(data)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped open error: %v", err)
+			}
 			return
 		}
-		_, _ = r.LoadAll()
+		if fns := r.Functions(); len(fns) > 0 {
+			if _, err := r.LoadFunction(fns[len(fns)-1]); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+		}
+		m, err := r.LoadAll()
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("decoder accepted an invalid module: %v", err)
+		}
 	})
 }
 

@@ -37,6 +37,9 @@ func CompressIndexedTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (
 	sp := rec.StartSpan("wire.compress_indexed",
 		telemetry.Int("functions", int64(len(m.Functions))))
 	defer sp.End()
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
 	data, err := compressIndexed(m, opt, opt.pool(rec))
 	if err == nil {
 		sp.SetAttr(telemetry.Int("bytes_out", int64(len(data))))
@@ -44,10 +47,9 @@ func CompressIndexedTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (
 	return data, err
 }
 
+// compressIndexed lays out a WIRX object for a module the caller has
+// validated.
 func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
 	p, err := patternize(m, symbolIndex(m))
 	if err != nil {
 		return nil, err
@@ -272,7 +274,9 @@ func (r *IndexedReader) Functions() []string {
 func (r *IndexedReader) Metadata() *ir.Module { return r.module }
 
 // LoadFunction decompresses one function's chunk (idempotent) and
-// returns the function with its trees filled in.
+// returns the function with its trees filled in. The rebuild checks
+// the function's labels, and OpenIndexed checked the symbols, so a
+// loaded function is valid on its own.
 func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 	fi := -1
 	for i, f := range r.module.Functions {
@@ -324,15 +328,13 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 	return f, nil
 }
 
-// LoadAll decompresses every function and returns the full module.
+// LoadAll decompresses every function and returns the full module,
+// which is then valid (see LoadFunction).
 func (r *IndexedReader) LoadAll() (*ir.Module, error) {
 	for _, f := range r.module.Functions {
 		if _, err := r.LoadFunction(f.Name); err != nil {
 			return nil, err
 		}
-	}
-	if err := r.module.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: reconstructed module invalid: %v", ErrCorrupt, err)
 	}
 	return r.module, nil
 }

@@ -518,8 +518,10 @@ func readSegments(br *bitio.Reader, size int, treeCounts []int) ([]segment, erro
 
 // parseContainer decodes a container body into a module: header,
 // shapes and segments, the streams (fanned out on opt's pool), then
-// tree rebuild and module validation, each under its own span so a
-// trace splits the caller's wire.parse span. rec may be nil.
+// the tree rebuild under its own span, which splits the caller's
+// wire.parse span in a trace. The header and rebuild check every
+// invariant ir.Module.Validate checks, so the module is valid without
+// a second walk. rec may be nil.
 func parseContainer(data []byte, opt Options, rec *telemetry.Recorder) (*ir.Module, error) {
 	pool := opt.pool(rec)
 	br := bitio.NewReaderBytes(data)
@@ -566,12 +568,6 @@ func parseContainer(data []byte, opt Options, rec *telemetry.Recorder) (*ir.Modu
 	rsp.End()
 	if err != nil {
 		return nil, err
-	}
-	vsp := rec.StartSpan("wire.validate")
-	err = m.Validate()
-	vsp.End()
-	if err != nil {
-		return nil, fmt.Errorf("%w: reconstructed module invalid: %v", ErrCorrupt, err)
 	}
 	return m, nil
 }
