@@ -11,6 +11,7 @@ package codecomp
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"io"
@@ -56,6 +57,7 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 		}
 		arts["brs1/"+p.Name] = obj.Bytes()
 		arts["pgs/"+p.Name] = xipStore(t, obj, brisc.XIPOptions{})
+		arts["jit/"+p.Name] = jitProgram(t, obj)
 		if p.Name == workload.Wep.Name {
 			addOptionVariants(t, arts, p.Name, mod)
 			arts["pgs/"+p.Name+"-hot"] = xipStore(t, obj, brisc.XIPOptions{PageSize: 256, BlockCounts: hotBlocks(t, obj)})
@@ -80,8 +82,53 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 			t.Fatalf("brisc kernel %s: %v", name, err)
 		}
 		arts["brs1/kernel-"+name] = obj.Bytes()
+		if name == "qsortk" {
+			arts["jit/kernel-"+name] = jitProgram(t, obj)
+		}
 	}
 	return arts
+}
+
+// jitProgram JITs obj and encodes the resulting vm.Program in a fixed
+// little-endian layout: code, funcs, block starts, then globals and the
+// data size. The JIT has no serialized form of its own; this encoding
+// pins its output the way the artifact bytes pin the compressors'.
+func jitProgram(t *testing.T, obj *brisc.Object) []byte {
+	t.Helper()
+	p, err := brisc.JIT(obj)
+	if err != nil {
+		t.Fatalf("jit %s: %v", obj.Name, err)
+	}
+	var b []byte
+	u32 := func(v int) { b = binary.LittleEndian.AppendUint32(b, uint32(v)) }
+	str := func(s string) { u32(len(s)); b = append(b, s...) }
+	u32(len(p.Code))
+	for _, ins := range p.Code {
+		b = append(b, byte(ins.Op), ins.Rd, ins.Rs1, ins.Rs2)
+		u32(int(ins.Imm))
+		u32(int(ins.Target))
+	}
+	u32(len(p.Funcs))
+	for _, f := range p.Funcs {
+		str(f.Name)
+		u32(f.Entry)
+		u32(f.End)
+		u32(f.Frame)
+	}
+	u32(len(p.BlockStarts))
+	for _, s := range p.BlockStarts {
+		u32(s)
+	}
+	u32(len(p.Globals))
+	for _, g := range p.Globals {
+		str(g.Name)
+		u32(int(g.Addr))
+		u32(g.Size)
+		u32(len(g.Init))
+		b = append(b, g.Init...)
+	}
+	u32(p.DataSize)
+	return b
 }
 
 // xipStore serializes obj's XIP page store under opt.
