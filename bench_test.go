@@ -316,6 +316,9 @@ func BenchmarkInterpPenalty(b *testing.B) {
 
 // ---- S2: JIT throughput ("2.5 MB/s on a 120 MHz Pentium") ----
 
+// BenchmarkJITThroughput reports MB/s of produced code. Every JIT call
+// decodes the whole image into tables of its own, so the timed loop
+// includes the decode; the first call only sizes the output.
 func BenchmarkJITThroughput(b *testing.B) {
 	obj := benchObject(b, workload.Gcc)
 	jp, err := brisc.JIT(obj)
@@ -329,6 +332,46 @@ func BenchmarkJITThroughput(b *testing.B) {
 		if _, err := brisc.JIT(obj); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkParseJIT is a client's load of a shipped BRISC object: parse
+// the bytes into a fresh Object, then JIT it. It is gated (wep, the
+// short-mode size) so that the JIT's allocations stay a fixed number of
+// presized tables; lcc runs outside short mode. Parse makes most of
+// allocs/op, so jit-allocs counts one JIT's own allocations on its own.
+func BenchmarkParseJIT(b *testing.B) {
+	profiles := []workload.Profile{workload.Wep}
+	if !testing.Short() {
+		profiles = append(profiles, workload.Lcc)
+	}
+	for _, p := range profiles {
+		data := benchObject(b, p).Bytes()
+		b.Run(p.Name, func(b *testing.B) {
+			obj, err := brisc.Parse(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			jitAllocs := testing.AllocsPerRun(1, func() {
+				if _, err := brisc.JIT(obj); err != nil {
+					b.Fatal(err)
+				}
+			})
+			b.SetBytes(int64(len(data)))
+			defer allocTracked(b)()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				obj, err := brisc.Parse(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := brisc.JIT(obj); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			report(b, jitAllocs, "jit-allocs")
+		})
 	}
 }
 

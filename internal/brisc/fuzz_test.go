@@ -19,10 +19,14 @@ import (
 // and a parsed object's interpreter must fail cleanly rather than
 // crash. A parsed object whose code does not predecode must be
 // rejected up front by every engine: Run returns ErrCorrupt having
-// executed and printed nothing, and JIT and BuildXIP fail. One that
-// does predecode must also run paged at a one-page budget, where every
-// fault decodes into a recycled table, exactly as it runs whole-image:
-// same exit code, output, steps and error class.
+// executed and printed nothing, and BuildXIP fails. The JIT, which
+// decodes the image itself, fails exactly when predecode does, with
+// the same error class, or when the image names a block that does not
+// exist (a target or function entry predecode leaves unchecked, which
+// the interpreter traps on only when reached). One that does predecode
+// must also run paged at a one-page budget, where every fault decodes
+// into a recycled table, exactly as it runs whole-image: same exit
+// code, output, steps and error class.
 func FuzzParse(f *testing.F) {
 	prog := compileProg(f, "seed", saltSrc)
 	if obj, err := Compress(prog, Options{}); err == nil {
@@ -59,7 +63,15 @@ func FuzzParse(f *testing.F) {
 		it := NewInterp(obj, 1<<16, &out)
 		code, runErr := it.Run(10_000)
 		_, jitErr := JIT(obj)
-		if _, err := obj.predecode(); err == nil {
+		pre, preErr := obj.predecode()
+		if preErr != nil {
+			if errClass(jitErr) != errClass(preErr) {
+				t.Fatalf("undecodable image: JIT err %v, predecode err %v", jitErr, preErr)
+			}
+		} else if badRef := badBlockRef(obj, pre); (jitErr != nil) != badRef || (badRef && errClass(jitErr) != "corrupt") {
+			t.Fatalf("decodable image (bad block reference %v): JIT err %v", badRef, jitErr)
+		}
+		if preErr == nil {
 			img, err := BuildXIP(obj, XIPOptions{})
 			if err != nil {
 				t.Fatalf("predecoded image: BuildXIP: %v", err)
@@ -79,13 +91,30 @@ func FuzzParse(f *testing.F) {
 		if !errors.Is(runErr, ErrCorrupt) || it.Steps != 0 || out.Len() != 0 {
 			t.Fatalf("undecodable image: Run err %v after %d steps, output %q", runErr, it.Steps, out.String())
 		}
-		if jitErr == nil {
-			t.Fatal("undecodable image: JIT succeeded")
-		}
 		if _, err := BuildXIP(obj, XIPOptions{}); err == nil {
 			t.Fatal("undecodable image: BuildXIP succeeded")
 		}
 	})
+}
+
+// badBlockRef reports whether a predecoded image names a block that
+// does not exist: an instruction's block target or a function's entry
+// block outside the block table.
+func badBlockRef(o *Object, pre *predecoded) bool {
+	nb := int32(len(o.Blocks))
+	for _, ins := range pre.code {
+		for _, f := range ins.Op.Fields() {
+			if f == vm.FTgt && (ins.Target < 0 || ins.Target >= nb) {
+				return true
+			}
+		}
+	}
+	for _, f := range o.Funcs {
+		if f.EntryBlock < 0 || f.EntryBlock >= nb {
+			return true
+		}
+	}
+	return false
 }
 
 // errClass names the first run-error kind err matches, so two engines'

@@ -5,9 +5,9 @@ package brisc
 // reproduces the input byte for byte), partitions the file into named
 // sections — down to one section per learned dictionary entry — and
 // reads the code stream unit by unit from the predecoded unit table
-// the interpreter and the JIT use, recording each unit's byte range,
-// pattern id, and what the unit's instructions would cost encoded with
-// base patterns only. internal/attrib turns this into the P-vs-W
+// the interpreter uses (the JIT decodes with the same walk), recording
+// each unit's byte range, pattern id, and what the unit's instructions
+// would cost encoded with base patterns only. internal/attrib turns this into the P-vs-W
 // dictionary economics and hot-spot reports.
 
 import (

@@ -38,11 +38,11 @@ type Interp struct {
 	// Trace, when non-nil, receives the byte offset of every unit.
 	Trace func(off int32)
 
-	// pre is the whole-image predecoded form (shared with the JIT front
-	// end via the Object); unitIdx is the index of the unit at PC in the
-	// unit table being executed, or -1 when PC must be resolved by
-	// offset (start of run, after a computed jump, and after every
-	// jump in paged mode). pre is nil in paged mode.
+	// pre is the whole-image predecoded form (cached on the Object and
+	// shared by its interpreters); unitIdx is the index of the unit at
+	// PC in the unit table being executed, or -1 when PC must be
+	// resolved by offset (start of run, after a computed jump, and after
+	// every jump in paged mode). pre is nil in paged mode.
 	pre     *predecoded
 	unitIdx int32
 

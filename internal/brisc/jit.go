@@ -1,8 +1,9 @@
 package brisc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/telemetry"
 	"repro/internal/vm"
@@ -10,10 +11,14 @@ import (
 
 // JIT translates a BRISC object back into a directly executable VM
 // program — the paper's just-in-time native code generation path. The
-// translation is a single linear decode: Markov-decode each unit,
-// expand its pattern, and resolve block-relative targets to
-// instruction indices. Measured throughput of this function is the
-// "MB/sec of produced code" figure in the results table.
+// translation is a single linear decode: Markov-decode each unit into
+// its pattern's decode plan, then resolve block-relative targets to
+// instruction indices in place. Every call decodes the whole image
+// into tables it owns (the interpreter's cached predecode is neither
+// read nor written), so the returned Code is the decoded table itself;
+// Globals is the object's own read-only slice. Measured throughput of
+// this function is the "MB/sec of produced code" figure in the results
+// table.
 func JIT(o *Object) (*vm.Program, error) {
 	return JITTraced(o, nil)
 }
@@ -23,34 +28,30 @@ func JIT(o *Object) (*vm.Program, error) {
 func JITTraced(o *Object, rec *telemetry.Recorder) (*vm.Program, error) {
 	sp := rec.StartSpan("brisc.jit", telemetry.Int("bytes_in", int64(len(o.Code))))
 	defer sp.End()
-	// The linear Markov-decode walk is shared with the interpreter's
-	// fast path via the object's predecoded image. Targets are resolved
-	// in place below, so the shared instruction array must be copied.
-	pre, err := o.predecode()
+	pre, err := o.buildPredecode()
 	if err != nil {
 		return nil, err
 	}
-	units := len(pre.units)
-	code := append([]vm.Instr(nil), pre.code...)
-	blockInstr := make([]int32, len(o.Blocks))
-	for bi, ui := range pre.blockUnit {
+	code := pre.code
+	// blockUnit becomes block index -> first instruction index.
+	blockInstr := pre.blockUnit
+	for bi, ui := range blockInstr {
 		blockInstr[bi] = pre.units[ui].first
 	}
-	// Resolve block-relative targets.
+	// Resolve block-relative targets; an opcode has at most one target
+	// field, and it lives in Target.
 	for i := range code {
 		ins := &code[i]
-		for fi, f := range ins.Op.Fields() {
+		for _, f := range ins.Op.Fields() {
 			if f != vm.FTgt {
 				continue
 			}
-			b, err := fieldAt(*ins, fi)
-			if err != nil {
-				return nil, err
-			}
+			b := ins.Target
 			if b < 0 || int(b) >= len(blockInstr) {
 				return nil, fmt.Errorf("%w: block target %d out of range", ErrCorrupt, b)
 			}
-			setField(ins, fi, blockInstr[b])
+			ins.Target = blockInstr[b]
+			break
 		}
 	}
 	p := &vm.Program{
@@ -58,6 +59,7 @@ func JITTraced(o *Object, rec *telemetry.Recorder) (*vm.Program, error) {
 		Code:     code,
 		Globals:  o.Globals,
 		DataSize: o.DataSize,
+		Funcs:    make([]vm.FuncInfo, len(o.Funcs)),
 	}
 	// Function extents: entries from the table, ends from the next
 	// function's entry in address order.
@@ -65,15 +67,14 @@ func JITTraced(o *Object, rec *telemetry.Recorder) (*vm.Program, error) {
 		fi    int
 		entry int
 	}
-	var order []fe
+	order := make([]fe, len(o.Funcs))
 	for i, f := range o.Funcs {
 		if f.EntryBlock < 0 || int(f.EntryBlock) >= len(blockInstr) {
 			return nil, fmt.Errorf("%w: function %s entry block %d", ErrCorrupt, f.Name, f.EntryBlock)
 		}
-		order = append(order, fe{i, int(blockInstr[f.EntryBlock])})
+		order[i] = fe{i, int(blockInstr[f.EntryBlock])}
 	}
-	sort.Slice(order, func(a, b int) bool { return order[a].entry < order[b].entry })
-	p.Funcs = make([]vm.FuncInfo, len(o.Funcs))
+	slices.SortStableFunc(order, func(a, b fe) int { return cmp.Compare(a.entry, b.entry) })
 	for k, e := range order {
 		end := len(code)
 		if k+1 < len(order) {
@@ -88,6 +89,7 @@ func JITTraced(o *Object, rec *telemetry.Recorder) (*vm.Program, error) {
 	}
 	p.ComputeBlockStarts()
 	if rec.Enabled() {
+		units := len(pre.units)
 		sp.SetAttr(
 			telemetry.Int("units", int64(units)),
 			telemetry.Int("instrs_out", int64(len(code))),

@@ -35,8 +35,9 @@ type Object struct {
 	Passes int
 
 	// Whole-image predecode, built lazily by predecode() and shared by
-	// the interpreter and the JIT front end. The Once makes concurrent
-	// first uses safe; everything above is immutable after construction.
+	// the interpreters and the inspector; the JIT decodes its own. The
+	// Once makes concurrent first uses safe; everything above is
+	// immutable after construction.
 	predOnce sync.Once
 	pred     *predecoded
 	predErr  error

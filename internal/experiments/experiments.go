@@ -159,7 +159,9 @@ func briscSizeRow(name string, prog *vm.Program, opt brisc.Options) (BriscRow, *
 }
 
 // measureJITThroughput times brisc.JIT and reports MB of produced
-// (variable-encoded) code per second.
+// (variable-encoded) code per second. Every JIT call decodes the whole
+// image into tables of its own, so the time includes the decode; the
+// untimed first call only sizes the output.
 func measureJITThroughput(name string, obj *brisc.Object) (float64, error) {
 	jp, err := brisc.JIT(obj)
 	if err != nil {

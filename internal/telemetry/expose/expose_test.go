@@ -164,9 +164,17 @@ func TestStartLifecycle(t *testing.T) {
 	if !strings.Contains(summary.String(), "debug: serving http://") {
 		t.Fatalf("no startup line: %q", summary.String())
 	}
-	time.Sleep(5 * time.Millisecond)
-	if _, body := get(t, "http://"+tool.Server.Addr()+"/metrics"); !strings.Contains(body, "runtime_goroutines") {
-		t.Fatalf("sampler gauges missing from /metrics: %.200q", body)
+	// The sampler publishes on its own goroutine; wait for its first
+	// sample rather than for a fixed time, which a loaded host overran.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		_, body := get(t, "http://"+tool.Server.Addr()+"/metrics")
+		if strings.Contains(body, "runtime_goroutines") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sampler gauges missing from /metrics: %.200q", body)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if err := tool.Close(); err != nil {
 		t.Fatal(err)

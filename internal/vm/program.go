@@ -92,13 +92,16 @@ func (p *Program) Global(name string) *GlobalData {
 // ComputeBlockStarts fills BlockStarts from the code: function entries,
 // branch/jump targets, and instructions following block enders. Marks
 // outside the code (a hostile Program's entries or targets) are
-// dropped.
+// dropped. The marks are counted as they are set, so BlockStarts is
+// allocated at most once.
 func (p *Program) ComputeBlockStarts() {
 	n := len(p.Code)
 	mark := make([]bool, n)
+	count := 0
 	set := func(i int) {
-		if i >= 0 && i < n {
+		if i >= 0 && i < n && !mark[i] {
 			mark[i] = true
+			count++
 		}
 	}
 	for _, f := range p.Funcs {
@@ -112,6 +115,9 @@ func (p *Program) ComputeBlockStarts() {
 		case ins.Op == CALL || ins.Op == RJR || ins.Op == EPI || ins.Op == HALT:
 			set(i + 1)
 		}
+	}
+	if cap(p.BlockStarts) < count {
+		p.BlockStarts = make([]int, 0, count)
 	}
 	p.BlockStarts = p.BlockStarts[:0]
 	for i, m := range mark {
