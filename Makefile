@@ -3,7 +3,7 @@ GO ?= go
 # Per-target budget for the short fuzz pass `check` runs.
 FUZZTIME ?= 3s
 
-.PHONY: build test bench bench-baseline check fmt vet attrib fuzz-short metriclint trace-check service-check perfbench-check
+.PHONY: build test bench bench-baseline check fmt vet attrib fuzz-short metriclint trace-check service-check perfbench-check loc
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ bench-baseline:
 attrib:
 	$(GO) run ./cmd/compscope report examples/modules/*.mc
 	$(GO) run ./cmd/compscope hot examples/modules/fib.mc
+
+# Non-test Go line counts per package under internal/ and cmd/, plus
+# a total: run it before and after a change for the change's net line
+# count.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

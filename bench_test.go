@@ -854,9 +854,10 @@ func BenchmarkRawDecode(b *testing.B) {
 }
 
 // BenchmarkInterpDispatch measures the BRISC interpreter's dispatch
-// loop: full kernel runs, reported in executed steps per second. The
-// step count itself is deterministic and gates in benchdiff; steps/s
-// is timing-derived and excluded.
+// loop: full kernel runs, reported in executed steps per second. Each
+// op builds a fresh Interp, so it also pays that Interp's whole-image
+// decode and 4 MiB memory. The step count itself is deterministic and
+// gates in benchdiff; steps/s is timing-derived and excluded.
 func BenchmarkInterpDispatch(b *testing.B) {
 	for _, name := range []string{"sieve", "matmul"} {
 		prog := kernelProgram(b, name)

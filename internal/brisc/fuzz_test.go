@@ -17,13 +17,13 @@ import (
 
 // FuzzParse: the object parser must never panic on arbitrary bytes,
 // and a parsed object's interpreter must fail cleanly rather than
-// crash. A parsed object whose code does not predecode must be
+// crash. A parsed object whose code does not decode must be
 // rejected up front by every engine: Run returns ErrCorrupt having
 // executed and printed nothing, and BuildXIP fails. The JIT, which
-// decodes the image itself, fails exactly when predecode does, with
+// decodes the image itself, fails exactly when decodeImage does, with
 // the same error class, or when the image names a block that does not
-// exist (a target or function entry predecode leaves unchecked, which
-// the interpreter traps on only when reached). One that does predecode
+// exist (a target or function entry decodeImage leaves unchecked, which
+// the interpreter traps on only when reached). One that does decode
 // must also run paged at a one-page budget, where every fault decodes
 // into a recycled table, exactly as it runs whole-image: same exit
 // code, output, steps and error class.
@@ -63,10 +63,10 @@ func FuzzParse(f *testing.F) {
 		it := NewInterp(obj, 1<<16, &out)
 		code, runErr := it.Run(10_000)
 		_, jitErr := JIT(obj)
-		pre, preErr := obj.predecode()
+		pre, preErr := obj.decodeImage()
 		if preErr != nil {
 			if errClass(jitErr) != errClass(preErr) {
-				t.Fatalf("undecodable image: JIT err %v, predecode err %v", jitErr, preErr)
+				t.Fatalf("undecodable image: JIT err %v, decode err %v", jitErr, preErr)
 			}
 		} else if badRef := badBlockRef(obj, pre); (jitErr != nil) != badRef || (badRef && errClass(jitErr) != "corrupt") {
 			t.Fatalf("decodable image (bad block reference %v): JIT err %v", badRef, jitErr)
@@ -74,7 +74,7 @@ func FuzzParse(f *testing.F) {
 		if preErr == nil {
 			img, err := BuildXIP(obj, XIPOptions{})
 			if err != nil {
-				t.Fatalf("predecoded image: BuildXIP: %v", err)
+				t.Fatalf("decodable image: BuildXIP: %v", err)
 			}
 			var pout bytes.Buffer
 			pit := NewInterp(obj, 1<<16, &pout)
@@ -97,10 +97,10 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// badBlockRef reports whether a predecoded image names a block that
+// badBlockRef reports whether a decoded image names a block that
 // does not exist: an instruction's block target or a function's entry
 // block outside the block table.
-func badBlockRef(o *Object, pre *predecoded) bool {
+func badBlockRef(o *Object, pre *unitTable) bool {
 	nb := int32(len(o.Blocks))
 	for _, ins := range pre.code {
 		for _, f := range ins.Op.Fields() {

@@ -4,8 +4,8 @@ package brisc
 // the image, verifies the parse is canonical (re-serializing
 // reproduces the input byte for byte), partitions the file into named
 // sections — down to one section per learned dictionary entry — and
-// reads the code stream unit by unit from the predecoded unit table
-// the interpreter uses (the JIT decodes with the same walk), recording
+// reads the code stream unit by unit from a whole-image decode, the
+// same one the interpreter and the JIT run (decodeImage), recording
 // each unit's byte range, pattern id, and what the unit's instructions
 // would cost encoded with base patterns only. internal/attrib turns this into the P-vs-W
 // dictionary economics and hot-spot reports.
@@ -144,17 +144,17 @@ func (insp *Inspection) buildSections() {
 }
 
 // walkUnits records per-unit extents, pattern use, and base-encoding
-// cost from the predecoded unit table, so an image that does not
-// predecode fails here with the interpreter's ErrCorrupt.
+// cost from a whole-image decode, so an image that does not decode
+// fails here with the interpreter's ErrCorrupt.
 func (insp *Inspection) walkUnits() error {
 	o := insp.Obj
-	pre, err := o.predecode()
+	t, err := o.decodeImage()
 	if err != nil {
 		return err
 	}
-	insp.Units = make([]UnitInfo, 0, len(pre.units))
-	for _, u := range pre.units {
-		instrs := pre.code[u.first : u.first+u.n]
+	insp.Units = make([]UnitInfo, 0, len(t.units))
+	for _, u := range t.units {
+		instrs := t.code[u.first : u.first+u.n]
 		base := 0
 		for _, ins := range instrs {
 			bp := basePattern(ins.Op)

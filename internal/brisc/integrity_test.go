@@ -144,7 +144,7 @@ func TestRoundTripAfterHardening(t *testing.T) {
 // TestCorruptCodeRejectedByEveryEngine: every section of this object
 // verifies, so Parse accepts it, but its last block opens with an
 // opcode index beyond the block-start context's follower table, so it
-// does not predecode. Every engine rejects it with ErrCorrupt up front:
+// does not decode. Every engine rejects it with ErrCorrupt up front:
 // Run executes and prints nothing, and JIT, BuildXIP and Inspect fail
 // too.
 func TestCorruptCodeRejectedByEveryEngine(t *testing.T) {
@@ -165,8 +165,8 @@ func TestCorruptCodeRejectedByEveryEngine(t *testing.T) {
 	if obj, err = Parse(data); err != nil {
 		t.Fatalf("Parse rejected the re-sealed object: %v", err)
 	}
-	if _, err := obj.predecode(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("predecode: %v, want ErrCorrupt", err)
+	if _, err := obj.decodeImage(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decodeImage: %v, want ErrCorrupt", err)
 	}
 
 	var out bytes.Buffer

@@ -14,16 +14,18 @@ import (
 // byte offsets into the compressed stream: branch targets are block
 // indices resolved through the object's block-offset table, and return
 // addresses are byte offsets. Run dispatches over units decoded into
-// flat vm.Instr arrays — the whole image once, up front, or (after
+// flat vm.Instr arrays — the whole image, decoded by the first Run into
+// a table this Interp owns and keeps across Resets, or (after
 // EnableXIP) page by page out of a compressed page store under a
 // resident-page budget, the working-set trade the paper's
-// memory-bottleneck scenario and W cost model describe. Every
-// instruction executes through the embedded vm.CPU, the same
-// definition vm.Machine runs; only control transfers are mapped onto
-// BRISC code (jump). Code is entered only at unit offsets (block
+// memory-bottleneck scenario and W cost model describe. No decoded
+// code is shared with another Interp or the JIT, or kept on the
+// Object. Every instruction executes through the embedded vm.CPU, the
+// same definition vm.Machine runs; only control transfers are mapped
+// onto BRISC code (jump). Code is entered only at unit offsets (block
 // starts and the return points CALL pushes): an image that does not
-// predecode fails with ErrCorrupt before anything runs, and a PC off
-// the unit grid traps with ErrCorrupt.
+// decode fails with ErrCorrupt before anything runs, and a PC off the
+// unit grid traps with ErrCorrupt.
 type Interp struct {
 	vm.CPU
 	Obj *Object
@@ -38,12 +40,13 @@ type Interp struct {
 	// Trace, when non-nil, receives the byte offset of every unit.
 	Trace func(off int32)
 
-	// pre is the whole-image predecoded form (cached on the Object and
-	// shared by its interpreters); unitIdx is the index of the unit at
-	// PC in the unit table being executed, or -1 when PC must be
-	// resolved by offset (start of run, after a computed jump, and after
-	// every jump in paged mode). pre is nil in paged mode.
-	pre     *predecoded
+	// image is the whole image decoded by the first whole-image Run,
+	// owned by this Interp, kept by Reset and dropped by EnableXIP, so
+	// it is nil in paged mode. unitIdx is the index of the unit at PC in
+	// the unit table being executed, or -1 when PC must be resolved by
+	// offset (start of run, after a computed jump, and after every jump
+	// in paged mode).
+	image   *unitTable
 	unitIdx int32
 
 	// xip, when non-nil (EnableXIP), switches Run to demand-paged
@@ -178,8 +181,8 @@ func (it *Interp) SetLimits(l guard.Limits) error {
 // (maxSteps, 0 = unlimited, merges with any SetLimits step bound),
 // returning the exit code. A limit violation returns a
 // *guard.TrapError, which still matches ErrOutOfSteps for the step
-// limit. An image that does not predecode fails with predecode's
-// ErrCorrupt before anything executes.
+// limit. An image that does not decode fails with ErrCorrupt before
+// anything executes.
 func (it *Interp) Run(maxSteps int64) (int32, error) {
 	defer it.FlushTelemetry()
 	l := it.limits
@@ -187,12 +190,9 @@ func (it *Interp) Run(maxSteps int64) (int32, error) {
 		l.MaxSteps = maxSteps
 	}
 	g := guard.New("brisc", l, ErrOutOfSteps)
-	// Paged runs must not chain jumps through a whole-image table left
-	// by an earlier run (jump follows pre.blockUnit when set).
-	it.pre = nil
-	if it.xip == nil {
+	if it.xip == nil && it.image == nil {
 		var err error
-		if it.pre, err = it.Obj.predecode(); err != nil {
+		if it.image, err = it.Obj.decodeImage(); err != nil {
 			return 0, err
 		}
 	}
@@ -211,10 +211,7 @@ func (it *Interp) Run(maxSteps int64) (int32, error) {
 // telemetry work are hoisted behind per-unit flag checks, so with both
 // disabled a unit costs one index step plus its instructions.
 func (it *Interp) run(g *guard.Gov, checked bool) error {
-	var tab *unitTable
-	if it.pre != nil {
-		tab = &it.pre.unitTable
-	}
+	tab := it.image
 	instrumented := it.Trace != nil || it.opCounts != nil
 	for !it.Halted {
 		if checked {
@@ -279,10 +276,10 @@ func (it *Interp) resolve(g *guard.Gov) (*unitTable, int32, error) {
 	if it.xip != nil {
 		return it.xip.resolve(it, g, it.PC)
 	}
-	if it.PC < 0 || int(it.PC) >= len(it.pre.idx) || it.pre.idx[it.PC] < 0 {
+	if it.PC < 0 || int(it.PC) >= len(it.image.idx) || it.image.idx[it.PC] < 0 {
 		return nil, -1, offGrid(it.PC)
 	}
-	return &it.pre.unitTable, it.pre.idx[it.PC], nil
+	return it.image, it.image.idx[it.PC], nil
 }
 
 // offGrid is the trap for a PC that is not a unit offset.
@@ -324,9 +321,9 @@ func execErr(err error) error {
 // jump moves PC to a control transfer's target — the only BRISC
 // semantics vm.CPU does not define. A branch, JMP or CALL target is a
 // block index and resolves through the block table (and, whole-image,
-// straight to its unit). An RJR or EPI target is a byte offset that
-// came from a register or memory, so it resolves by offset and traps
-// offGrid when no unit starts there.
+// through the dense index straight to the unit at that offset). An RJR
+// or EPI target is a byte offset that came from a register or memory,
+// so it resolves by offset and traps offGrid when no unit starts there.
 func (it *Interp) jump(op vm.Opcode, target int32) error {
 	if op == vm.RJR || op == vm.EPI {
 		it.PC = target
@@ -337,8 +334,8 @@ func (it *Interp) jump(op vm.Opcode, target int32) error {
 		return fmt.Errorf("%w: block target %d", ErrCorrupt, target)
 	}
 	it.PC = it.Obj.Blocks[target]
-	if it.pre != nil {
-		it.unitIdx = it.pre.blockUnit[target]
+	if it.image != nil {
+		it.unitIdx = it.image.idx[it.PC]
 	} else {
 		it.unitIdx = -1 // paged: resolve the target by offset
 	}

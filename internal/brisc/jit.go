@@ -14,11 +14,10 @@ import (
 // translation is a single linear decode: Markov-decode each unit into
 // its pattern's decode plan, then resolve block-relative targets to
 // instruction indices in place. Every call decodes the whole image
-// into tables it owns (the interpreter's cached predecode is neither
-// read nor written), so the returned Code is the decoded table itself;
-// Globals is the object's own read-only slice. Measured throughput of
-// this function is the "MB/sec of produced code" figure in the results
-// table.
+// into a table it owns (decodeImage, the interpreter's decode), so the
+// returned Code is the decoded table itself; Globals is the object's
+// own read-only slice. Measured throughput of this function is the
+// "MB/sec of produced code" figure in the results table.
 func JIT(o *Object) (*vm.Program, error) {
 	return JITTraced(o, nil)
 }
@@ -26,17 +25,22 @@ func JIT(o *Object) (*vm.Program, error) {
 // JITTraced is JIT under a "brisc.jit" span recording the compressed
 // input size, units decoded, and instructions produced. rec may be nil.
 func JITTraced(o *Object, rec *telemetry.Recorder) (*vm.Program, error) {
-	sp := rec.StartSpan("brisc.jit", telemetry.Int("bytes_in", int64(len(o.Code))))
+	// A nil or disabled recorder must not pay for the attribute.
+	var sp *telemetry.Span
+	if rec.Enabled() {
+		sp = rec.StartSpan("brisc.jit", telemetry.Int("bytes_in", int64(len(o.Code))))
+	}
 	defer sp.End()
-	pre, err := o.buildPredecode()
+	t, err := o.decodeImage()
 	if err != nil {
 		return nil, err
 	}
-	code := pre.code
-	// blockUnit becomes block index -> first instruction index.
-	blockInstr := pre.blockUnit
-	for bi, ui := range blockInstr {
-		blockInstr[bi] = pre.units[ui].first
+	code := t.code
+	// Block index -> first instruction index. Every block offset starts
+	// a segment, so a decoded image has a unit there.
+	blockInstr := make([]int32, len(o.Blocks))
+	for b, off := range o.Blocks {
+		blockInstr[b] = t.units[t.idx[off]].first
 	}
 	// Resolve block-relative targets; an opcode has at most one target
 	// field, and it lives in Target.
@@ -89,7 +93,7 @@ func JITTraced(o *Object, rec *telemetry.Recorder) (*vm.Program, error) {
 	}
 	p.ComputeBlockStarts()
 	if rec.Enabled() {
-		units := len(pre.units)
+		units := len(t.units)
 		sp.SetAttr(
 			telemetry.Int("units", int64(units)),
 			telemetry.Int("instrs_out", int64(len(code))),

@@ -2,7 +2,9 @@ package brisc
 
 import (
 	"bytes"
+	"io"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/vm"
@@ -10,9 +12,9 @@ import (
 )
 
 // maxDecodeAllocs bounds the allocations of one whole-image decode
-// (buildPredecode) and of one JIT, whatever the image size: each table
+// (decodeImage) and of one JIT, whatever the image size: each table
 // is allocated once, presized before the walk. Measured on go1.24:
-// 6 for buildPredecode and 13 for JIT, on lcc and on gcc alike.
+// 5 for decodeImage and 11 for JIT, on lcc and on gcc alike.
 const maxDecodeAllocs = 16
 
 // decodeAllocObjs caches decodeAllocObjects' result: compressing gcc
@@ -34,29 +36,29 @@ func decodeAllocObjects(t *testing.T) []*Object {
 	return decodeAllocObjs
 }
 
-// TestPredecodeAllocs: whole-image predecode allocates a constant
+// TestPredecodeAllocs: a whole-image decode allocates a constant
 // number of times, not once per regrowth of its unit and instruction
 // tables.
 func TestPredecodeAllocs(t *testing.T) {
 	for _, obj := range decodeAllocObjects(t) {
-		var pre *predecoded
+		var tab *unitTable
 		n := testing.AllocsPerRun(3, func() {
 			var err error
-			if pre, err = obj.buildPredecode(); err != nil {
+			if tab, err = obj.decodeImage(); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if n > maxDecodeAllocs {
-			t.Errorf("%s: buildPredecode allocates %v times for %d units, %d instructions; want at most %d",
-				obj.Name, n, len(pre.units), len(pre.code), maxDecodeAllocs)
+			t.Errorf("%s: decodeImage allocates %v times for %d units, %d instructions; want at most %d",
+				obj.Name, n, len(tab.units), len(tab.code), maxDecodeAllocs)
 		}
-		if cap(pre.units) != len(obj.Code)*unitsPerByteNum/unitsPerByteDen {
-			t.Errorf("%s: unit table regrew: %d units, cap %d", obj.Name, len(pre.units), cap(pre.units))
+		if cap(tab.units) != len(obj.Code)*unitsPerByteNum/unitsPerByteDen {
+			t.Errorf("%s: unit table regrew: %d units, cap %d", obj.Name, len(tab.units), cap(tab.units))
 		}
-		if cap(pre.code) != len(obj.Code)*instrsPerByteNum/instrsPerByteDen {
-			t.Errorf("%s: instruction table regrew: %d instructions, cap %d", obj.Name, len(pre.code), cap(pre.code))
+		if cap(tab.code) != len(obj.Code)*instrsPerByteNum/instrsPerByteDen {
+			t.Errorf("%s: instruction table regrew: %d instructions, cap %d", obj.Name, len(tab.code), cap(tab.code))
 		}
-		t.Logf("%s: %v allocs, %d code bytes, %d units, %d instructions", obj.Name, n, len(obj.Code), len(pre.units), len(pre.code))
+		t.Logf("%s: %v allocs, %d code bytes, %d units, %d instructions", obj.Name, n, len(obj.Code), len(tab.units), len(tab.code))
 	}
 }
 
@@ -78,11 +80,13 @@ func TestJITAllocs(t *testing.T) {
 	}
 }
 
-// TestJITOwnsItsCode: every JIT returns a program of its own. Two
+// TestJITOwnsItsCode: every executor owns its decoded code. Two JIT
 // translations are equal but share no code, function or block-start
-// array, neither shares the interpreter's cached predecode, and
-// scribbling over a translation's code leaves later interpreter runs
-// unchanged.
+// array; neither shares an interpreter's table; two Interps on one
+// Object decode into tables of their own; an Interp that ran
+// whole-image and is then switched to paged mode holds no whole-image
+// table; and scribbling over a translation's code leaves later
+// interpreter runs unchanged.
 func TestJITOwnsItsCode(t *testing.T) {
 	obj := xipObject(t, "wep", workload.Generate(workload.Wep), Options{})
 	run := func(it *Interp) (int32, string, int64) {
@@ -112,19 +116,27 @@ func TestJITOwnsItsCode(t *testing.T) {
 			t.Errorf("%s: programs share a backing array", what)
 		}
 	}
+	shares := func(a, b *unitTable) bool {
+		return a == b || &a.code[0] == &b.code[0] || &a.units[0] == &b.units[0] || &a.idx[0] == &b.idx[0]
+	}
 
 	p1, p2 := jit(), jit()
 	distinct("JIT twice", p1, p2)
-	if obj.pred != nil {
-		t.Error("JIT filled the interpreter's predecode cache")
-	}
 
 	it := NewInterp(obj, 0, nil)
 	code, out, steps := run(it)
 	p3 := jit()
 	distinct("JIT after Run", p1, p3)
-	if &p3.Code[0] == &it.pre.code[0] {
+	if &p3.Code[0] == &it.image.code[0] {
 		t.Error("JIT after Run returned the interpreter's instruction table")
+	}
+
+	it2 := NewInterp(obj, 0, nil)
+	if c, o, s := run(it2); c != code || o != out || s != steps {
+		t.Errorf("second Interp: exit %d, %d steps, output %q; want %d, %d, %q", c, s, o, code, steps, out)
+	}
+	if shares(it.image, it2.image) {
+		t.Error("two Interps on one Object share a decoded table")
 	}
 
 	for _, p := range []*vm.Program{p1, p2, p3} {
@@ -139,4 +151,125 @@ func TestJITOwnsItsCode(t *testing.T) {
 	if c, o, s := run(NewInterp(obj, 0, nil)); c != code || o != out || s != steps {
 		t.Errorf("fresh run after scribbling: exit %d, %d steps, output %q; want %d, %d, %q", c, s, o, code, steps, out)
 	}
+
+	img, err := BuildXIP(obj, XIPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := it2.EnableXIP(img, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	it2.Reset()
+	if c, o, s := run(it2); c != code || o != out || s != steps {
+		t.Errorf("paged rerun: exit %d, %d steps, output %q; want %d, %d, %q", c, s, o, code, steps, out)
+	}
+	if it2.image != nil {
+		t.Error("an Interp Reset into paged mode still holds a whole-image table")
+	}
+	if it2.XIPStats().Faults == 0 {
+		t.Error("paged rerun faulted no page")
+	}
+}
+
+// TestWholeImageWarmRunAllocs pins that the whole image is decoded
+// once per Interp: a warm Reset+Run keeps the table the first Run
+// decoded and allocates only what the program's output traps do, as
+// many times as a vm.Machine running the JIT'd program (a decode would
+// add several allocations per run).
+func TestWholeImageWarmRunAllocs(t *testing.T) {
+	obj := xipObject(t, "wep", workload.Generate(workload.Wep), Options{})
+	p, err := JIT(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := vm.NewMachine(p, 0, io.Discard)
+	vmAllocs := testing.AllocsPerRun(10, func() {
+		m.Reset()
+		if _, err := m.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	it := NewInterp(obj, 0, io.Discard)
+	run := func() {
+		it.Reset()
+		if _, err := it.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	tab := it.image
+	if tab == nil {
+		t.Fatal("whole-image Run left no decoded table")
+	}
+	if n := testing.AllocsPerRun(10, run); n > vmAllocs {
+		t.Errorf("warm whole-image run allocates %v times, want at most the VM's %v", n, vmAllocs)
+	}
+	if it.image != tab {
+		t.Error("Reset+Run decoded the image again")
+	}
+}
+
+// TestSharedObjectConcurrentEngines runs one Object concurrently
+// through whole-image Interps, paged Interps and JIT translations
+// (the race detector checks that they share no mutable decoded
+// state); every run must report the same exit code, output and steps.
+func TestSharedObjectConcurrentEngines(t *testing.T) {
+	obj := xipObject(t, "qsortk", workload.Kernels()["qsortk"], Options{})
+	img, err := BuildXIP(obj, XIPOptions{PageSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		code  int32
+		out   string
+		steps int64
+		err   error
+	}
+	engines := map[string]func() result{
+		"whole-image": func() result {
+			var out bytes.Buffer
+			it := NewInterp(obj, 0, &out)
+			code, err := it.Run(0)
+			return result{code, out.String(), it.Steps, err}
+		},
+		"paged": func() result {
+			var out bytes.Buffer
+			it := NewInterp(obj, 0, &out)
+			if err := it.EnableXIP(img, 1, 0); err != nil {
+				return result{err: err}
+			}
+			code, err := it.Run(0)
+			return result{code, out.String(), it.Steps, err}
+		},
+		"jit": func() result {
+			p, err := JIT(obj)
+			if err != nil {
+				return result{err: err}
+			}
+			var out bytes.Buffer
+			m := vm.NewMachine(p, 0, &out)
+			code, err := m.Run(0)
+			return result{code, out.String(), m.Steps, err}
+		},
+	}
+	want := engines["whole-image"]()
+	if want.err != nil || want.out == "" {
+		t.Fatalf("reference run: exit %d, output %q, err %v", want.code, want.out, want.err)
+	}
+	const perEngine = 2
+	var wg sync.WaitGroup
+	for name, run := range engines {
+		for range perEngine {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := run(); got != want {
+					t.Errorf("%s: exit %d, %d steps, output %q, err %v; want %d, %d, %q",
+						name, got.code, got.steps, got.out, got.err, want.code, want.steps, want.out)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

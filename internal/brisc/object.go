@@ -34,15 +34,10 @@ type Object struct {
 	// Passes records how many compressor passes built the dictionary.
 	Passes int
 
-	// Whole-image predecode, built lazily by predecode() and shared by
-	// the interpreters and the inspector; the JIT decodes its own. The
-	// Once makes concurrent first uses safe; everything above is
-	// immutable after construction.
-	predOnce sync.Once
-	pred     *predecoded
-	predErr  error
-
-	// Decode plans, compiled from Dict by decodePlans on first use.
+	// Decode plans, compiled from Dict by decodePlans on first use; the
+	// Once makes concurrent first uses safe. Everything above is
+	// immutable after construction. Decoded code is never kept here:
+	// each executor decodes into a unitTable it owns.
 	planOnce sync.Once
 	plans    []decodePlan
 }
@@ -596,7 +591,7 @@ func compilePlans(dict []Pattern) []decodePlan {
 // pattern id and the offset of the next unit; with a non-nil t it also
 // appends the unit's instructions to t.code, its pattern's decode plan
 // with every operand written in place. A nil t only validates, and
-// allocates nothing. code is Obj.Code for whole-image predecode, or a
+// allocates nothing. code is Obj.Code for a whole-image decode, or a
 // faulted-in page at page-local offsets for demand paging: every basic
 // block starts at Markov context 0, so any block-aligned byte range is
 // independently decodable.

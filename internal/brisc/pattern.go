@@ -168,9 +168,6 @@ func (p Pattern) String() string {
 	return "<" + strings.Join(parts, ",") + ">"
 }
 
-// NumInstrs reports the total instruction count in the pattern.
-func (p Pattern) NumInstrs() int { return len(p.Seq) }
-
 // numUnfixed counts wildcard fields.
 func (p Pattern) numUnfixed() int {
 	n := 0

@@ -12,7 +12,10 @@ import (
 // id, and whether it opens a block. Units keep speaking original code
 // byte offsets (the interpreter's PC, return addresses, and block table
 // all do), so one table type serves both the whole image and a single
-// faulted-in XIP page.
+// faulted-in XIP page. Each table has exactly one owner — an Interp's
+// whole image, one JIT or Inspect call, or one XIP page slot of one
+// Interp — and none is shared or kept on the Object, which holds no
+// decoded code.
 type unitTable struct {
 	units []predUnit
 	code  []vm.Instr // expanded instructions, units back to back
@@ -29,7 +32,7 @@ type unitTable struct {
 // Table reservations per byte of the raw buffer a unitTable decodes.
 // Measured whole images (wep, lcc, gcc and word, lcc at ten seeds, the
 // five kernels) run 0.29–0.38 units and 0.32–0.76 instructions per
-// code byte, so whole-image predecode fills its tables without
+// code byte, so a whole-image decode fills its tables without
 // regrowing them. Single 512-byte XIP pages reach 0.44 and 0.85, and a
 // page past the bound grows its table once by append; that table is
 // then recycled. Hostile input past it also just appends. The
@@ -68,19 +71,6 @@ type predUnit struct {
 	n       int32 // instruction count
 	pid     int32 // pattern id (the inspector's per-unit attribution)
 	isBlock bool  // unit sits at a block boundary (decoded from context 0)
-}
-
-// predecoded is a BRISC image decoded once, up front: the whole image
-// as one unit table plus the block-to-unit map that lets jump skip the
-// offset lookup. The interpreter's copy is cached on the Object (it is
-// immutable), so repeated Runs share one decode; the JIT builds its own
-// and rewrites it in place.
-type predecoded struct {
-	unitTable
-
-	// blockUnit maps block index -> unit index, resolving jump
-	// without an offset lookup.
-	blockUnit []int32
 }
 
 // segment is a block-aligned byte range of the code stream. Every block
@@ -122,13 +112,14 @@ func (o *Object) segments() ([]segment, error) {
 
 // decodeSegment Markov-decodes segs[si] out of raw, where its bytes
 // start at raw[segs[si].local], from context 0: the one decode walk
-// behind whole-image predecode (and so the JIT and the inspector), XIP
-// image validation, and XIP page faults. Every unit must end inside the
-// segment, so a block offset off the unit grid is corrupt. With a nil t
-// it only validates and allocates nothing; otherwise the units are
-// expanded and appended to t under their original offsets, entered in
-// t.idx, and each unit's nextIdx holds its successor's position in raw
-// (-1 when the successor is not in raw) until link resolves it.
+// behind decodeImage (and so the interpreter, the JIT and the
+// inspector), XIP image validation, and XIP page faults. Every unit
+// must end inside the segment, so a block offset off the unit grid is
+// corrupt. With a nil t it only validates and allocates nothing;
+// otherwise the units are expanded and appended to t under their
+// original offsets, entered in t.idx, and each unit's nextIdx holds its
+// successor's position in raw (-1 when the successor is not in raw)
+// until link resolves it.
 func (o *Object) decodeSegment(t *unitTable, raw []byte, segs []segment, si int) error {
 	s := &segs[si]
 	local := s.local
@@ -187,34 +178,22 @@ func (t *unitTable) link() {
 	}
 }
 
-// predecode returns the cached predecoded image, building it on first
-// use. It fails with ErrCorrupt when any unit of the image fails to
-// decode; Run, BuildXIP and Inspect all return that error before
-// executing or attributing anything, as the JIT returns the same
-// error from its own buildPredecode.
-func (o *Object) predecode() (*predecoded, error) {
-	o.predOnce.Do(func() {
-		o.pred, o.predErr = o.buildPredecode()
-	})
-	return o.pred, o.predErr
-}
-
-// buildPredecode decodes every segment of the image into one table.
-func (o *Object) buildPredecode() (*predecoded, error) {
+// decodeImage decodes every segment of the image into one unit table:
+// the one whole-image decode behind Interp.Run, the JIT and Inspect.
+// Each call returns a table of its own, which its caller owns; an
+// image that fails to decode anywhere fails with ErrCorrupt.
+func (o *Object) decodeImage() (*unitTable, error) {
 	segs, err := o.segments()
 	if err != nil {
 		return nil, err
 	}
-	p := &predecoded{blockUnit: make([]int32, len(o.Blocks))}
-	p.reset(len(o.Code))
+	t := &unitTable{}
+	t.reset(len(o.Code))
 	for i := range segs {
-		if err := o.decodeSegment(&p.unitTable, o.Code, segs, i); err != nil {
+		if err := o.decodeSegment(t, o.Code, segs, i); err != nil {
 			return nil, err
 		}
 	}
-	p.link()
-	for b, off := range o.Blocks {
-		p.blockUnit[b] = p.idx[off]
-	}
-	return p, nil
+	t.link()
+	return t, nil
 }

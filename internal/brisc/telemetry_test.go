@@ -205,3 +205,31 @@ func TestVMDispatchCounters(t *testing.T) {
 		t.Errorf("dispatch counters sum to %d, want steps %d", dispatch, m.Steps)
 	}
 }
+
+// TestJITTracedSpan: with telemetry enabled, the brisc.jit span carries
+// its attributes in order and the counters agree with the program.
+func TestJITTracedSpan(t *testing.T) {
+	obj, err := Compress(compileProg(t, "loop", loopSrc), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New()
+	p, err := JITTraced(obj, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, sr := range rec.Spans() {
+		if sr.Name == "brisc.jit" {
+			for _, a := range sr.Attrs {
+				keys = append(keys, a.Key)
+			}
+		}
+	}
+	if got := strings.Join(keys, ","); got != "bytes_in,units,instrs_out" {
+		t.Errorf("brisc.jit attributes %q, want bytes_in,units,instrs_out", got)
+	}
+	if n := rec.Counter("brisc.jit.instrs_out"); n != int64(len(p.Code)) {
+		t.Errorf("brisc.jit.instrs_out = %d, want %d", n, len(p.Code))
+	}
+}

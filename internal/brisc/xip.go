@@ -117,7 +117,7 @@ func (x *XIPImage) storeHeader() []int {
 // BuildXIP cuts o's code stream into block-aligned segments, packs
 // them into pages (profile-driven when opt.BlockCounts is set), and
 // seals the result in a page store, opened through the same parser as
-// OpenXIPStore. It fails with predecode's ErrCorrupt when the image
+// OpenXIPStore. It fails with decodeImage's ErrCorrupt when the image
 // does not decode cleanly end to end, as Run and the JIT do for the
 // same image.
 func BuildXIP(o *Object, opt XIPOptions) (*XIPImage, error) {
@@ -228,7 +228,7 @@ func (x *XIPImage) Store() *PageStore { return x.store }
 
 // buildXIPMeta validates the image, cuts it into segments, and assigns
 // segments to pages — everything except materializing the store. Every
-// segment must decode (the contract predecode enforces), so a corrupt
+// segment must decode (the contract decodeImage enforces), so a corrupt
 // image is rejected at build time, before any page is faulted, and
 // every page fault can decode its segments independently.
 func buildXIPMeta(o *Object, opt XIPOptions) (*XIPImage, error) {
@@ -326,7 +326,7 @@ const (
 )
 
 // xipPage is one decoded page resident in the cache: the page's units
-// in the same table form the whole-image predecode uses, addressed by
+// in the same table form a whole-image decode uses, addressed by
 // original code offsets. An evicted page goes to the runtime's free
 // list, and the next fault decodes into its table.
 type xipPage struct {
@@ -371,11 +371,13 @@ type XIPStats struct {
 // unbounded; a single page is always allowed, so a budget smaller than
 // one page degrades to exactly-one-resident-page). img must have been
 // built from the interpreter's Object. Reset preserves the setting but
-// drops cache contents and counters.
+// drops cache contents and counters. Any whole-image table an earlier
+// Run decoded is dropped, so paged runs never chain jumps through it.
 func (it *Interp) EnableXIP(img *XIPImage, maxPages, maxBytes int) error {
 	if img.obj != it.Obj {
 		return fmt.Errorf("brisc: XIP image was built from a different object")
 	}
+	it.image = nil
 	it.xip = &xipRuntime{
 		img:      img,
 		maxPages: maxPages,

@@ -598,7 +598,7 @@ func checkSameModeRun(t *testing.T, label string, want, got modeRun) {
 // earlier whole-image table.
 func TestInterpOffGridTrapsAcrossModes(t *testing.T) {
 	obj := xipObject(t, "loop", loopSrc, Options{})
-	pre, err := obj.predecode()
+	pre, err := obj.decodeImage()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,9 +62,6 @@ func CompileC(name, src string) (*Program, error) {
 	return &Program{Module: m}, nil
 }
 
-// FromModule wraps an existing IR module.
-func FromModule(m *ir.Module) *Program { return &Program{Module: m} }
-
 // Native generates the linked VM executable.
 func (p *Program) Native() (*vm.Program, error) {
 	return codegen.Generate(p.Module, p.CodegenOptions)

@@ -447,9 +447,6 @@ func (c *Code) CodeLen(s int) uint8 {
 	return c.Lengths[s]
 }
 
-// NumSymbols reports the alphabet size the code was built over.
-func (c *Code) NumSymbols() int { return len(c.Lengths) }
-
 // EncodedSize returns the total bit cost of coding the given frequency
 // profile with this code, ignoring absent symbols with zero frequency.
 func (c *Code) EncodedSize(freqs []int64) int64 {

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -45,20 +44,6 @@ func (m *Module) Function(name string) *Function {
 		}
 	}
 	return nil
-}
-
-// GlobalNames returns all global and function names, sorted; this is
-// the symbol table the wire format transmits for ADDRGP literals.
-func (m *Module) GlobalNames() []string {
-	var names []string
-	for _, g := range m.Globals {
-		names = append(names, g.Name)
-	}
-	for _, f := range m.Functions {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // String renders the whole module in the paper's textual tree form.

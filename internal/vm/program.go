@@ -185,6 +185,3 @@ func (p *Program) Disassemble() string {
 	}
 	return sb.String()
 }
-
-// NumInstrs reports the instruction count.
-func (p *Program) NumInstrs() int { return len(p.Code) }

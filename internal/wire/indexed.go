@@ -269,10 +269,6 @@ func (r *IndexedReader) Functions() []string {
 	return out
 }
 
-// Metadata returns the module with whatever functions have been loaded
-// so far (others have empty bodies).
-func (r *IndexedReader) Metadata() *ir.Module { return r.module }
-
 // LoadFunction decompresses one function's chunk (idempotent) and
 // returns the function with its trees filled in. The rebuild checks
 // the function's labels, and OpenIndexed checked the symbols, so a

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -116,8 +117,9 @@ func TestCompressTracedStageSpans(t *testing.T) {
 
 // TestDecompressTracedParseSplit asserts that a traced decode opens
 // the tree rebuild as one direct child of the wire.parse span, emits
-// no separate validation span (the rebuild does the checking), and
-// that the span costs no allocation with a nil recorder.
+// no separate validation span (the rebuild does the checking), keeps
+// the wire.decompress attributes in order, and that the span costs no
+// allocation with a nil recorder.
 func TestDecompressTracedParseSplit(t *testing.T) {
 	mod, err := cc.Compile("wep", workload.Generate(workload.Wep))
 	if err != nil {
@@ -136,6 +138,15 @@ func TestDecompressTracedParseSplit(t *testing.T) {
 	for _, sr := range rec.Spans() {
 		ids[sr.Name] = append(ids[sr.Name], sr.ID)
 		parents[sr.Name] = append(parents[sr.Name], sr.Parent)
+		if sr.Name == "wire.decompress" {
+			var keys []string
+			for _, a := range sr.Attrs {
+				keys = append(keys, a.Key)
+			}
+			if got := strings.Join(keys, ","); got != "bytes_in,trees" {
+				t.Errorf("wire.decompress attributes %s, want bytes_in,trees", got)
+			}
+		}
 	}
 	if len(ids["wire.parse"]) != 1 {
 		t.Fatalf("%d wire.parse spans, want 1", len(ids["wire.parse"]))

@@ -207,7 +207,11 @@ func DecompressTraced(data []byte, rec *telemetry.Recorder) (*ir.Module, error) 
 // bound (0 = GOMAXPROCS, 1 = serial). The reconstructed module is
 // identical for every setting.
 func DecompressParallel(data []byte, workers int, rec *telemetry.Recorder) (*ir.Module, error) {
-	sp := rec.StartSpan("wire.decompress", telemetry.Int("bytes_in", int64(len(data))))
+	// A nil or disabled recorder must not pay for the attributes.
+	var sp *telemetry.Span
+	if rec.Enabled() {
+		sp = rec.StartSpan("wire.decompress", telemetry.Int("bytes_in", int64(len(data))))
+	}
 	defer sp.End()
 	opt, container, err := openContainer(data, rec)
 	if err != nil {
@@ -217,7 +221,7 @@ func DecompressParallel(data []byte, workers int, rec *telemetry.Recorder) (*ir.
 	psp := rec.StartSpan("wire.parse")
 	m, err := parseContainer(container, opt, rec)
 	psp.End()
-	if m != nil {
+	if m != nil && sp != nil {
 		sp.SetAttr(telemetry.Int("trees", int64(m.NumTrees())))
 	}
 	return m, err
