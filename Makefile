@@ -3,10 +3,18 @@ GO ?= go
 # Per-target budget for the short fuzz pass `check` runs.
 FUZZTIME ?= 3s
 
-.PHONY: build test bench bench-baseline check fmt vet attrib fuzz-short metriclint trace-check service-check perfbench-check loc
+.PHONY: build test bench bench-baseline check fmt vet attrib fuzz-short metriclint trace-check service-check perfbench-check loc cross-build
 
 build:
 	$(GO) build ./...
+
+# Build the main module for two non-linux targets, so the portable
+# fallbacks behind build tags (vm's heap-backed machine memory) keep
+# compiling. perfbench/ is a separate, linux-only module and is not
+# built here.
+cross-build:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -137,7 +145,8 @@ service-check:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Everything CI would run: formatting, vet, build, race-enabled tests
+# Everything CI would run: formatting, vet, build, the cross-builds,
+# race-enabled tests
 # (which include the Workers=1 vs Workers=N determinism suites, the
 # shared-pool stress tests, and the fault-injection sweep over every
 # artifact format), a short fuzz pass over the untrusted-input
@@ -154,7 +163,7 @@ perfbench-check:
 # swing them a few percent run to run, while the churn this gate
 # guards against (a reintroduced per-pass or per-stream allocation)
 # moves them by integer factors.
-check: fmt vet build metriclint
+check: fmt vet build cross-build metriclint
 	$(GO) test -race ./...
 	$(MAKE) fuzz-short
 	BENCH_METRICS=/tmp/BENCH_check.json $(GO) test -race -short -run='^$$' -bench='$(GATED_BENCH)' -benchtime=5x .

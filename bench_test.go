@@ -300,6 +300,7 @@ func BenchmarkInterpPenalty(b *testing.B) {
 				if _, err := m.Run(0); err != nil {
 					b.Fatal(err)
 				}
+				m.Release()
 			}
 		})
 		b.Run(name+"/interp", func(b *testing.B) {
@@ -309,6 +310,7 @@ func BenchmarkInterpPenalty(b *testing.B) {
 				if _, err := it.Run(0); err != nil {
 					b.Fatal(err)
 				}
+				it.Release()
 			}
 		})
 	}
@@ -395,6 +397,7 @@ func BenchmarkJITRunPenalty(b *testing.B) {
 				if _, err := m.Run(0); err != nil {
 					b.Fatal(err)
 				}
+				m.Release()
 			}
 		})
 		b.Run(name+"/jitted", func(b *testing.B) {
@@ -404,6 +407,7 @@ func BenchmarkJITRunPenalty(b *testing.B) {
 				if _, err := m.Run(0); err != nil {
 					b.Fatal(err)
 				}
+				m.Release()
 			}
 		})
 	}
@@ -434,12 +438,14 @@ func BenchmarkWorkingSet(b *testing.B) {
 		if _, err := m.Run(0); err != nil {
 			b.Fatal(err)
 		}
+		m.Release()
 		briscSim := paging.NewSimulator(paging.Config{PageSize: 1024})
 		it := brisc.NewInterp(obj, 0, io.Discard)
 		it.Trace = func(off int32) { briscSim.Touch(int64(off), 2) }
 		if _, err := it.Run(0); err != nil {
 			b.Fatal(err)
 		}
+		it.Release()
 		natPages = natSim.Result(1).PagesTouched
 		briscPages = briscSim.Result(1).PagesTouched
 	}
@@ -478,12 +484,14 @@ func BenchmarkPagingScenario(b *testing.B) {
 		if _, err := m.Run(0); err != nil {
 			b.Fatal(err)
 		}
+		m.Release()
 		briscSim := paging.NewSimulator(cfg)
 		it := brisc.NewInterp(obj, 0, io.Discard)
 		it.Trace = func(off int32) { briscSim.Touch(int64(off), 2) }
 		if _, err := it.Run(0); err != nil {
 			b.Fatal(err)
 		}
+		it.Release()
 		natMs = natSim.Result(1).TotalTime / 1000
 		briscMs = briscSim.Result(12).TotalTime / 1000
 	}
@@ -510,6 +518,7 @@ func BenchmarkXIP(b *testing.B) {
 		if _, err := it.Run(0); err != nil {
 			b.Fatal(err)
 		}
+		it.Release()
 	}
 	blockCounts := brisc.BlockCountsFromTrace(obj, counts)
 	const pageSize = 256
@@ -540,6 +549,7 @@ func BenchmarkXIP(b *testing.B) {
 					}
 					stats = it.XIPStats()
 					steps = it.Steps
+					it.Release()
 				}
 				b.StopTimer()
 				report(b, float64(stats.Faults), "faults")
@@ -856,7 +866,7 @@ func BenchmarkRawDecode(b *testing.B) {
 // BenchmarkInterpDispatch measures the BRISC interpreter's dispatch
 // loop: full kernel runs, reported in executed steps per second. Each
 // op builds a fresh Interp, so it also pays that Interp's whole-image
-// decode and 4 MiB memory. The step count itself is deterministic and
+// decode and the mapping of its 4 MiB demand-zero memory. The step count itself is deterministic and
 // gates in benchdiff; steps/s is timing-derived and excluded.
 func BenchmarkInterpDispatch(b *testing.B) {
 	for _, name := range []string{"sieve", "matmul"} {
@@ -875,6 +885,7 @@ func BenchmarkInterpDispatch(b *testing.B) {
 					b.Fatal(err)
 				}
 				steps = it.Steps
+				it.Release()
 			}
 			b.StopTimer()
 			report(b, float64(steps), "steps")
@@ -888,10 +899,11 @@ func BenchmarkInterpDispatch(b *testing.B) {
 // BenchmarkDispatchSteady measures steady-state dispatch: the five
 // kernels on the VM, the whole-image BRISC interpreter, and XIP with a
 // budget of every page. Each engine is allocated once and Reset per op,
-// so the 4 MiB machine memory that dominates BenchmarkInterpDispatch
-// and BenchmarkXIP is not allocated inside the loop. Reset drops XIP's
-// resident set, so each XIP op faults every page it touches once.
-// steps/s is timing-derived, so this benchmark is not gated.
+// so neither machine memory nor whole-image decode is set up inside the
+// loop, as it is in BenchmarkInterpDispatch and BenchmarkXIP. Reset
+// drops XIP's resident set, so each XIP op faults every page it
+// touches once. steps/s is timing-derived, so this benchmark is not
+// gated.
 func BenchmarkDispatchSteady(b *testing.B) {
 	for _, name := range []string{"fib", "sieve", "matmul", "qsortk", "strops"} {
 		prog := kernelProgram(b, name)

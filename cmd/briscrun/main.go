@@ -115,6 +115,7 @@ func main() {
 		sp := rec.StartSpan("briscrun.run", telemetry.String("mode", "jit"))
 		code, err = m.Run(0)
 		sp.End()
+		m.Release()
 		if err != nil {
 			tool.Fail(err)
 		}
@@ -152,6 +153,7 @@ func main() {
 		sp := rec.StartSpan("briscrun.run", telemetry.String("mode", runMode))
 		code, err = it.Run(0)
 		sp.End()
+		it.Release()
 		if err != nil {
 			tool.Fail(err)
 		}

@@ -224,6 +224,7 @@ func load(path string, mcKinds []string) []*attrib.Artifact {
 func runHot(source string, art *attrib.Artifact, rec *telemetry.Recorder) (*attrib.HotReport, error) {
 	counts := map[int32]int64{}
 	it := brisc.NewInterp(art.Brisc.Obj, 0, os.Stdout)
+	defer it.Release()
 	it.Trace = func(off int32) { counts[off]++ }
 	priv := telemetry.New()
 	it.SetRecorder(priv)

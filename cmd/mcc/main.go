@@ -113,6 +113,7 @@ func main() {
 		sp = rec.StartSpan("mcc.run")
 		code, err := m.Run(0)
 		sp.End()
+		m.Release()
 		if err != nil {
 			tool.Fail(err)
 		}

@@ -67,6 +67,7 @@ func main() {
 		if _, err := m.Run(0); err != nil {
 			log.Fatal(err)
 		}
+		m.Release()
 		nat := natSim.Result(1)
 
 		briscSim := paging.NewSimulator(cfg)
@@ -75,6 +76,7 @@ func main() {
 		if _, err := it.Run(0); err != nil {
 			log.Fatal(err)
 		}
+		it.Release()
 		br := briscSim.Result(12)
 
 		winner := "native"

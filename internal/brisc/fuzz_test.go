@@ -261,7 +261,7 @@ func FuzzExec(f *testing.F) {
 	limits := guard.Limits{MaxSteps: 2_000, MaxCallDepth: 64}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
-		engines, ok, err := isaEngines(p)
+		engines, ok, err := isaEngines(p, isaMem)
 		if !ok {
 			return
 		}

@@ -78,12 +78,13 @@ var (
 )
 
 // NewInterp builds an interpreter with the given memory size
-// (0 selects vm.DefaultMemSize), writing trap output to out.
+// (0 selects vm.DefaultMemSize), writing trap output to out. Call
+// Release when done with it (see vm.Memory).
 func NewInterp(o *Object, memSize int, out io.Writer) *Interp {
 	if memSize <= 0 {
 		memSize = vm.DefaultMemSize
 	}
-	it := &Interp{CPU: vm.CPU{Mem: make([]byte, memSize), Out: out}, Obj: o, unitIdx: -1}
+	it := &Interp{CPU: vm.CPU{Memory: vm.MakeMemory(memSize), Out: out}, Obj: o, unitIdx: -1}
 	it.InitState(o.Globals) // the rest of Reset's state is already zero
 	return it
 }

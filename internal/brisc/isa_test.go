@@ -73,11 +73,11 @@ type isaEngine struct {
 	run  func(limits guard.Limits) (isaState, error)
 }
 
-// isaEngines builds the four engines for p: the VM on p itself, BRISC
-// whole-image and paged at one resident page, and the VM on the JIT's
-// translation. ok is false when p does not compress; err reports any
-// other setup failure.
-func isaEngines(p *vm.Program) (engines []isaEngine, ok bool, err error) {
+// isaEngines builds the four engines for p, each with memSize bytes of
+// memory: the VM on p itself, BRISC whole-image and paged at one
+// resident page, and the VM on the JIT's translation. ok is false when
+// p does not compress; err reports any other setup failure.
+func isaEngines(p *vm.Program, memSize int) (engines []isaEngine, ok bool, err error) {
 	obj, cerr := Compress(p, Options{NoEPI: true})
 	if cerr != nil {
 		return nil, false, nil
@@ -93,7 +93,8 @@ func isaEngines(p *vm.Program) (engines []isaEngine, ok bool, err error) {
 	runVM := func(p *vm.Program) func(guard.Limits) (isaState, error) {
 		return func(l guard.Limits) (isaState, error) {
 			var out bytes.Buffer
-			m := vm.NewMachine(p, isaMem, &out)
+			m := vm.NewMachine(p, memSize, &out)
+			defer m.Release()
 			if err := m.SetLimits(l); err != nil {
 				return isaState{}, err
 			}
@@ -104,7 +105,8 @@ func isaEngines(p *vm.Program) (engines []isaEngine, ok bool, err error) {
 	runBRISC := func(pages int) func(guard.Limits) (isaState, error) {
 		return func(l guard.Limits) (isaState, error) {
 			var out bytes.Buffer
-			it := NewInterp(obj, isaMem, &out)
+			it := NewInterp(obj, memSize, &out)
+			defer it.Release()
 			if pages > 0 {
 				if err := it.EnableXIP(img, pages, 0); err != nil {
 					return isaState{}, err
@@ -332,7 +334,7 @@ func TestISASemanticsAcrossEngines(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := &vm.Program{Name: c.name, Code: c.code, Funcs: funcsAt(len(c.code), c.entries)}
 			p.ComputeBlockStarts()
-			engines, ok, err := isaEngines(p)
+			engines, ok, err := isaEngines(p, isaMem)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,6 +367,45 @@ func TestISASemanticsAcrossEngines(t *testing.T) {
 	for op := vm.Opcode(1); int(op) < vm.NumOpcodes; op++ {
 		if !covered[op] {
 			t.Errorf("no case executes %s", op.Name())
+		}
+	}
+}
+
+// TestMemSizeEdgeAcrossEngines: at a memory size that is not a whole
+// number of pages, every engine accepts a store ending at the last byte
+// and faults on one byte further, with the same state left behind.
+func TestMemSizeEdgeAcrossEngines(t *testing.T) {
+	const size = isaMem + 3
+	for _, c := range []struct {
+		op   vm.Opcode
+		addr int32
+		want string
+	}{
+		{vm.STB, size - 1, "ok"},
+		{vm.STB, size, "mem-fault"},
+		{vm.STW, size - 4, "ok"},
+		{vm.STW, size - 3, "mem-fault"},
+		{vm.LDW, size - 4, "ok"},
+		{vm.LDW, size - 3, "mem-fault"},
+	} {
+		name := fmt.Sprintf("%s@%d", c.op.Name(), c.addr)
+		p := &vm.Program{Name: name, Code: memOp(c.op, c.addr)}
+		p.ComputeBlockStarts()
+		engines, ok, err := isaEngines(p, size)
+		if err != nil || !ok {
+			t.Fatalf("%s: engines: ok %v, err %v", name, ok, err)
+		}
+		var want isaState
+		for i, e := range engines {
+			got, err := e.run(guard.Limits{MaxSteps: 100})
+			if got.kind != c.want {
+				t.Errorf("%s: %s: error kind %q (%v), want %q", name, e.name, got.kind, err, c.want)
+			}
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s: %s differs from %s:\n got  %+v\n want %+v", name, e.name, engines[0].name, got, want)
+			}
 		}
 	}
 }

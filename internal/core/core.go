@@ -100,6 +100,7 @@ func (p *Program) BRISC(opt brisc.Options) (*brisc.Object, error) {
 // Limits means unlimited), returning its exit code.
 func RunNative(prog *vm.Program, out io.Writer, l Limits) (int32, error) {
 	m := vm.NewMachine(prog, 0, out)
+	defer m.Release()
 	if err := m.SetLimits(l); err != nil {
 		return 0, err
 	}
@@ -118,6 +119,7 @@ func (p *Program) Run(out io.Writer, maxSteps int64) (int32, error) {
 // RunBRISC interprets a BRISC object in place under resource limits.
 func RunBRISC(obj *brisc.Object, out io.Writer, l Limits) (int32, error) {
 	it := brisc.NewInterp(obj, 0, out)
+	defer it.Release()
 	if err := it.SetLimits(l); err != nil {
 		return 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,19 +37,19 @@ func SetRecorder(r *telemetry.Recorder) { rec = r }
 // Recorder returns the currently installed recorder (may be nil).
 func Recorder() *telemetry.Recorder { return rec }
 
-// measureNamed times f like measure and publishes the per-iteration
-// mean as a span and a histogram observation under the given name. An
+// measureNamed times f like measure and publishes the per-call median
+// as a span and a histogram observation under the given name. An
 // error from f aborts the measurement and is reported to the caller
 // rather than panicking mid-experiment.
 func measureNamed(name string, f func() error) (time.Duration, error) {
 	sp := rec.StartSpan("experiments.measure", telemetry.String("what", name))
 	d, err := measure(f)
-	sp.SetAttr(telemetry.Int("mean_ns", d.Nanoseconds()))
+	sp.SetAttr(telemetry.Int("median_ns", d.Nanoseconds()))
 	sp.End()
 	if err != nil {
 		return 0, fmt.Errorf("experiments: measuring %s: %w", name, err)
 	}
-	rec.Observe("experiments.measure."+name+".mean_ns", float64(d.Nanoseconds()))
+	rec.Observe("experiments.measure."+name+".median_ns", float64(d.Nanoseconds()))
 	return d, nil
 }
 
@@ -180,28 +181,47 @@ func measureJITThroughput(name string, obj *brisc.Object) (float64, error) {
 	return mbps, nil
 }
 
-// measure times f with enough repetitions for a stable reading. The
-// first error aborts the repetition loop immediately.
+// measure times f for a stable reading. It finds a repetition count
+// that fills a window of at least 30 ms, times five such windows (the
+// calibrating one included) and returns the median per-call time, so a
+// window disturbed by a GC cycle or a noisy neighbour does not set the
+// reading. The first error aborts immediately.
 func measure(f func() error) (time.Duration, error) {
-	const minDuration = 30 * time.Millisecond
-	n := 1
-	for {
+	const (
+		minDuration = 30 * time.Millisecond
+		windows     = 5
+	)
+	window := func(n int) (time.Duration, error) {
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			if err := f(); err != nil {
 				return 0, err
 			}
 		}
-		elapsed := time.Since(start)
-		if elapsed >= minDuration {
-			return elapsed / time.Duration(n), nil
-		}
+		return time.Since(start), nil
+	}
+	n := 1
+	elapsed, err := window(n)
+	for ; err == nil && elapsed < minDuration; elapsed, err = window(n) {
 		if elapsed <= 0 {
 			n *= 100
-			continue
+		} else {
+			n *= int(minDuration/elapsed) + 1
 		}
-		n *= int(minDuration/elapsed) + 1
 	}
+	if err != nil {
+		return 0, err
+	}
+	perCall := []time.Duration{elapsed / time.Duration(n)}
+	for len(perCall) < windows {
+		d, err := window(n)
+		if err != nil {
+			return 0, err
+		}
+		perCall = append(perCall, d/time.Duration(n))
+	}
+	slices.Sort(perCall)
+	return perCall[windows/2], nil
 }
 
 // BriscTable regenerates the §4 results table. Size columns come from
@@ -268,12 +288,14 @@ func BriscTable(withTimings bool) ([]BriscRow, error) {
 
 func runVM(p *vm.Program) error {
 	m := vm.NewMachine(p, 0, io.Discard)
+	defer m.Release()
 	_, err := m.Run(0)
 	return err
 }
 
 func runInterp(o *brisc.Object) error {
 	it := brisc.NewInterp(o, 0, io.Discard)
+	defer it.Release()
 	_, err := it.Run(0)
 	return err
 }
@@ -466,6 +488,7 @@ func traceNative(prog *vm.Program, sim *paging.Simulator) error {
 		offsets[i+1] = offsets[i] + int64(native.VariableSize([]vm.Instr{ins}))
 	}
 	m := vm.NewMachine(prog, 0, io.Discard)
+	defer m.Release()
 	m.Trace = func(pc int32) {
 		sim.Touch(offsets[pc], int(offsets[pc+1]-offsets[pc]))
 	}
@@ -476,6 +499,7 @@ func traceNative(prog *vm.Program, sim *paging.Simulator) error {
 // traceBrisc interprets obj in place, feeding unit byte offsets to sim.
 func traceBrisc(obj *brisc.Object, sim *paging.Simulator) error {
 	it := brisc.NewInterp(obj, 0, io.Discard)
+	defer it.Release()
 	it.Trace = func(off int32) { sim.Touch(int64(off), 2) }
 	_, err := it.Run(0)
 	return err
@@ -627,7 +651,9 @@ func XIPTable(profile workload.Profile) ([]XIPRow, error) {
 	counts := map[int32]int64{}
 	it := brisc.NewInterp(obj, 0, io.Discard)
 	it.Trace = func(off int32) { counts[off]++ }
-	if _, err := it.Run(0); err != nil {
+	_, err = it.Run(0)
+	it.Release()
+	if err != nil {
 		return nil, err
 	}
 	blockCounts := brisc.BlockCountsFromTrace(obj, counts)
@@ -647,6 +673,7 @@ func XIPTable(profile workload.Profile) ([]XIPRow, error) {
 			var steps int64
 			d, err := measureNamed(fmt.Sprintf("xip.%s.%s.cache%d", profile.Name, layout.name, cachePages), func() error {
 				it := brisc.NewInterp(obj, 0, io.Discard)
+				defer it.Release()
 				if err := it.EnableXIP(img, cachePages, 0); err != nil {
 					return err
 				}
@@ -773,6 +800,7 @@ func CallProfile(profile workload.Profile) (CallProfileResult, error) {
 	}
 	entryCount := map[int32]int{}
 	m := vm.NewMachine(prog, 0, io.Discard)
+	defer m.Release()
 	m.Trace = func(pc int32) {
 		ins := prog.Code[pc]
 		if ins.Op == vm.CALL {

@@ -20,6 +20,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/ir"
 	"repro/internal/telemetry"
+	"repro/internal/vm"
 )
 
 // Runtime errors.
@@ -32,10 +33,11 @@ var (
 // DataBase matches codegen.DataBase so absolute addresses agree.
 const DataBase = 16
 
-// Machine interprets an ir.Module.
+// Machine interprets an ir.Module. Its memory is a vm.Memory, with
+// the same ownership rules: call Release when done.
 type Machine struct {
+	vm.Memory
 	Mod *ir.Module
-	Mem []byte
 	Out io.Writer
 
 	Steps    int64 // tree nodes evaluated
@@ -59,14 +61,14 @@ type Machine struct {
 }
 
 // NewMachine lays out the module's globals and prepares execution.
-// memSize 0 selects 4 MiB.
+// memSize 0 selects vm.DefaultMemSize.
 func NewMachine(m *ir.Module, memSize int, out io.Writer) (*Machine, error) {
 	if memSize <= 0 {
-		memSize = 4 << 20
+		memSize = vm.DefaultMemSize
 	}
 	mc := &Machine{
+		Memory:  vm.MakeMemory(memSize),
 		Mod:     m,
-		Mem:     make([]byte, memSize),
 		Out:     out,
 		globals: map[string]int32{},
 		funcs:   map[string]*ir.Function{},

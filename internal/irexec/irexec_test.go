@@ -2,6 +2,8 @@ package irexec
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -263,5 +265,59 @@ func TestQuickDifferentialVsVM(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: n}); err != nil {
 		t.Error(err)
+	}
+}
+
+// edgeMachine compiles a program that stores one byte off bytes past
+// the global g (at DataBase), in a machine of memSize bytes.
+func edgeMachine(t *testing.T, off, memSize int) *Machine {
+	t.Helper()
+	mod, err := cc.Compile("t", fmt.Sprintf(`char g[4];
+int main(void) { char *p = g; p[%d] = 1; return 0; }`, off))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(mod, memSize, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestMemSizeEdge: at a memory size that is not a whole number of
+// pages, a store at the last byte succeeds and one a byte further
+// faults with ErrMemFault.
+func TestMemSizeEdge(t *testing.T) {
+	const size = 4096 + 3
+	for _, c := range []struct {
+		addr  int
+		fault bool
+	}{{size - 1, false}, {size, true}} {
+		m := edgeMachine(t, c.addr-DataBase, size)
+		if len(m.Mem) != size {
+			t.Fatalf("len(Mem) = %d, want %d", len(m.Mem), size)
+		}
+		_, err := m.Run(0)
+		if got := errors.Is(err, ErrMemFault); got != c.fault {
+			t.Errorf("store at %d: err %v, want fault %v", c.addr, err, c.fault)
+		}
+		if !c.fault && m.Mem[c.addr] != 1 {
+			t.Errorf("store at %d did not land", c.addr)
+		}
+		m.Release()
+	}
+}
+
+// TestReleaseIdempotent: Release frees memory at once, a second
+// Release is a no-op, and a Run afterwards faults with ErrMemFault.
+func TestReleaseIdempotent(t *testing.T) {
+	m := edgeMachine(t, 0, 0)
+	m.Release()
+	m.Release()
+	if m.Mem != nil {
+		t.Fatalf("Mem after Release has length %d", len(m.Mem))
+	}
+	if _, err := m.Run(0); !errors.Is(err, ErrMemFault) {
+		t.Errorf("Run after Release: err %v, want ErrMemFault", err)
 	}
 }

@@ -149,7 +149,7 @@ func checkFreshMemory(t *testing.T, what string, mem []byte, sp int32, globals [
 
 func TestNewMachineStartsZeroed(t *testing.T) {
 	p := memProgram()
-	for _, size := range []int{0, 4096} {
+	for _, size := range []int{0, 4096, 4096 + 3} {
 		m := vm.NewMachine(p, size, nil)
 		checkFreshMemory(t, "NewMachine", m.Mem, m.Regs[vm.RegSP], p.Globals)
 		if m.PC != 0 || m.Steps != 0 || m.Halted || m.ExitCode != 0 || m.Depth != 0 {

@@ -15,7 +15,7 @@ import (
 // code) embed a CPU and differ only in how they fetch instructions and
 // where a control transfer lands.
 type CPU struct {
-	Mem  []byte
+	Memory
 	Regs [NumRegs]int32
 	Out  io.Writer
 
@@ -29,17 +29,20 @@ type CPU struct {
 
 // ResetState zeroes memory and loads the initial state (InitState).
 func (c *CPU) ResetState(globals []GlobalData) {
-	clear(c.Mem)
+	c.zero()
 	c.InitState(globals)
 }
 
 // InitState copies the data segment into memory that is already zero,
 // clears the registers and flags, and points the stack at the top of
-// memory. A CPU with freshly allocated memory calls it instead of
-// ResetState, so that memory is zeroed once, by the allocation.
+// memory. A CPU with fresh memory calls it instead of ResetState:
+// fresh memory is already zero. Released memory gets no data segment,
+// so every access faults.
 func (c *CPU) InitState(globals []GlobalData) {
-	for _, g := range globals {
-		copy(c.Mem[g.Addr:], g.Init)
+	if c.Mem != nil {
+		for _, g := range globals {
+			copy(c.Mem[g.Addr:], g.Init)
+		}
 	}
 	c.Regs = [NumRegs]int32{}
 	c.Regs[RegSP] = int32(len(c.Mem))

@@ -52,12 +52,13 @@ type Machine struct {
 }
 
 // NewMachine builds a machine with the given memory size (0 selects
-// DefaultMemSize) writing trap output to out (nil discards it).
+// DefaultMemSize) writing trap output to out (nil discards it). Call
+// Release when done with it (see Memory).
 func NewMachine(p *Program, memSize int, out io.Writer) *Machine {
 	if memSize <= 0 {
 		memSize = DefaultMemSize
 	}
-	m := &Machine{CPU: CPU{Mem: make([]byte, memSize), Out: out}, Prog: p}
+	m := &Machine{CPU: CPU{Memory: MakeMemory(memSize), Out: out}, Prog: p}
 	m.InitState(p.Globals) // the rest of Reset's state is already zero
 	return m
 }
