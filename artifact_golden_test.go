@@ -10,6 +10,7 @@ package codecomp
 // only after an *intentional* format change, and say so in the commit.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/codegen"
 	"repro/internal/ir"
+	"repro/internal/vm"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -42,6 +44,7 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 			t.Fatalf("wire %s: %v", p.Name, err)
 		}
 		arts["wir2/"+p.Name] = wb
+		addProgramKeys(t, arts, p.Name, mod, wb)
 		wx, err := wire.CompressIndexed(mod, wire.Options{})
 		if err != nil {
 			t.Fatalf("wirx %s: %v", p.Name, err)
@@ -73,6 +76,7 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 			t.Fatalf("wire kernel %s: %v", name, err)
 		}
 		arts["wir2/kernel-"+name] = wb
+		addProgramKeys(t, arts, "kernel-"+name, mod, wb)
 		prog, err := codegen.Generate(mod, codegen.Options{})
 		if err != nil {
 			t.Fatalf("codegen kernel %s: %v", name, err)
@@ -89,16 +93,46 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 	return arts
 }
 
-// jitProgram JITs obj and encodes the resulting vm.Program in a fixed
-// little-endian layout: code, funcs, block starts, then globals and the
-// data size. The JIT has no serialized form of its own; this encoding
-// pins its output the way the artifact bytes pin the compressors'.
+// addProgramKeys pins mod's textual IR as ir/<name> and the program
+// codegen.Generate makes of it as vm/<name>, and requires the module
+// decoded from its wire object wb to generate that same program.
+func addProgramKeys(t *testing.T, arts map[string][]byte, name string, mod *ir.Module, wb []byte) {
+	t.Helper()
+	arts["ir/"+name] = []byte(mod.String())
+	prog, err := codegen.Generate(mod, codegen.Options{})
+	if err != nil {
+		t.Fatalf("codegen %s: %v", name, err)
+	}
+	arts["vm/"+name] = encodeProgram(prog)
+	back, err := wire.Decompress(wb)
+	if err != nil {
+		t.Fatalf("wire decode %s: %v", name, err)
+	}
+	prog, err = codegen.Generate(back, codegen.Options{})
+	if err != nil {
+		t.Fatalf("codegen of decoded %s: %v", name, err)
+	}
+	if !bytes.Equal(encodeProgram(prog), arts["vm/"+name]) {
+		t.Errorf("%s: the wire round trip changes the generated program", name)
+	}
+}
+
+// jitProgram JITs obj and encodes the resulting vm.Program.
 func jitProgram(t *testing.T, obj *brisc.Object) []byte {
 	t.Helper()
 	p, err := brisc.JIT(obj)
 	if err != nil {
 		t.Fatalf("jit %s: %v", obj.Name, err)
 	}
+	return encodeProgram(p)
+}
+
+// encodeProgram encodes p in a fixed little-endian layout: code,
+// funcs, block starts, then globals and the data size. A vm.Program
+// has no serialized form of its own; this encoding pins the JIT's and
+// the code generator's output the way the artifact bytes pin the
+// compressors'.
+func encodeProgram(p *vm.Program) []byte {
 	var b []byte
 	u32 := func(v int) { b = binary.LittleEndian.AppendUint32(b, uint32(v)) }
 	str := func(s string) { u32(len(s)); b = append(b, s...) }
