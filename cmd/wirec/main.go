@@ -142,12 +142,12 @@ func main() {
 						return err
 					}
 					if *dumpIR {
-						for _, t := range f.Trees {
-							fmt.Println(t)
+						for k := range f.Roots {
+							fmt.Println(r.Module().TreeString(f, k))
 						}
 					}
 					fmt.Fprintf(os.Stderr, "loaded %s: %d trees, touched %d of %d bytes\n",
-						*fn, len(f.Trees), r.BytesTouched, len(data))
+						*fn, len(f.Roots), r.BytesTouched, len(data))
 					return nil
 				}
 				mod, err := r.LoadAll()

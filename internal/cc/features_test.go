@@ -168,10 +168,7 @@ int main(void) {
 	s.b = 5;
 	return s.b;
 }`)
-	dump := ""
-	for _, tr := range m.Function("main").Trees {
-		dump += tr.String() + "\n"
-	}
+	dump := dumpTrees(m, m.Function("main"))
 	// s.b should fold to a single frame offset, not ADDI(addr, 4).
 	if strings.Contains(dump, "ADDI(ADDRLP") {
 		t.Errorf("local member offset not folded:\n%s", dump)

@@ -3,6 +3,7 @@ package cc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -28,6 +29,7 @@ func Lower(name string, prog *Program) (*ir.Module, error) {
 	lw := &lowerer{
 		mod:     &ir.Module{Name: name},
 		strings: map[string]string{},
+		symIDs:  map[string]int32{},
 	}
 	for _, b := range Builtins {
 		lw.mod.Externs = append(lw.mod.Externs, b.Name)
@@ -57,6 +59,7 @@ func Lower(name string, prog *Program) (*ir.Module, error) {
 		data := append([]byte(s), 0)
 		lw.mod.Globals = append(lw.mod.Globals, ir.Global{Name: gname, Size: len(data), Init: data})
 	}
+	lw.numberSymbols()
 	if err := lw.mod.Validate(); err != nil {
 		return nil, fmt.Errorf("cc: lowering produced invalid IR: %w", err)
 	}
@@ -81,26 +84,107 @@ func lowerGlobal(g *GlobalDecl) ir.Global {
 	return out
 }
 
+// numberSymbols sets the module's symbol table, which is complete
+// only once every function is lowered (string-literal globals come
+// before the functions in it), and renumbers each ADDRGP node from the
+// lowerer's provisional symbol to its index there.
+func (lw *lowerer) numberSymbols() {
+	m := lw.mod
+	m.IndexSymbols()
+	final := make(map[string]int32, len(m.Syms))
+	for i, name := range m.Syms {
+		final[name] = int32(i)
+	}
+	renumber := make([]int32, len(lw.symNames))
+	for i, name := range lw.symNames {
+		s, ok := final[name]
+		if !ok {
+			s = -1 // Validate reports it
+		}
+		renumber[i] = s
+	}
+	for _, f := range m.Functions {
+		for i := range f.Nodes {
+			if n := &f.Nodes[i]; n.Op == ir.ADDRGP {
+				n.Sym = renumber[n.Sym]
+			}
+		}
+	}
+}
+
 type lowerer struct {
 	mod     *ir.Module
 	strings map[string]string // literal -> global name
+	// Provisional symbols: ADDRGP nodes index symNames until
+	// numberSymbols renumbers them.
+	symIDs   map[string]int32
+	symNames []string
 
 	fn        *FuncDecl
-	out       []*ir.Tree
 	frameSize int
 	nextLabel int64
 	breakLbl  []int64
 	contLbl   []int64
+
+	// scratch holds the trees under construction; nodes and roots the
+	// function's finished statements (see ir.Function).
+	scratch []ir.Node
+	nodes   []ir.Node
+	roots   []int32
 }
 
-func (lw *lowerer) emit(t *ir.Tree) { lw.out = append(lw.out, t) }
+// tree is a tree under construction: the nodes scratch[start:end], in
+// prefix order. Trees are never changed in place, so one may be used
+// more than once.
+type tree struct{ start, end int32 }
+
+// leaf builds a one-node tree.
+func (lw *lowerer) leaf(n ir.Node) tree {
+	lw.scratch = append(lw.scratch, n)
+	return tree{int32(len(lw.scratch) - 1), int32(len(lw.scratch))}
+}
+
+// node builds a tree of op, carrying literal lit, over kids.
+func (lw *lowerer) node(op ir.Op, lit int64, kids ...tree) tree {
+	start := int32(len(lw.scratch))
+	lw.scratch = append(lw.scratch, ir.Node{Op: op, Lit: lit})
+	for _, k := range kids {
+		lw.scratch = append(lw.scratch, lw.scratch[k.start:k.end]...)
+	}
+	return tree{start, int32(len(lw.scratch))}
+}
+
+// op builds a tree of op, which carries no literal, over kids.
+func (lw *lowerer) op(op ir.Op, kids ...tree) tree { return lw.node(op, 0, kids...) }
+
+// root returns t's root node.
+func (lw *lowerer) root(t tree) ir.Node { return lw.scratch[t.start] }
+
+// global builds the address of the named global or function.
+func (lw *lowerer) global(name string) tree {
+	s, ok := lw.symIDs[name]
+	if !ok {
+		s = int32(len(lw.symNames))
+		lw.symIDs[name] = s
+		lw.symNames = append(lw.symNames, name)
+	}
+	return lw.leaf(ir.Node{Op: ir.ADDRGP, Sym: s})
+}
+
+// emit appends t to the function as its next statement.
+func (lw *lowerer) emit(t tree) {
+	lw.roots = append(lw.roots, int32(len(lw.nodes)))
+	lw.nodes = append(lw.nodes, lw.scratch[t.start:t.end]...)
+}
 
 func (lw *lowerer) newLabel() int64 {
 	lw.nextLabel++
 	return lw.nextLabel
 }
 
-func (lw *lowerer) label(l int64) { lw.emit(ir.NewLit(ir.LABELV, l)) }
+func (lw *lowerer) label(l int64) { lw.emit(lw.node(ir.LABELV, l)) }
+
+func (lw *lowerer) jump(l int64) { lw.emit(lw.node(ir.JUMPV, l)) }
 
 // alloc reserves frame space with alignment and returns the offset.
 func (lw *lowerer) alloc(size, align int) int {
@@ -123,7 +207,7 @@ func (lw *lowerer) strGlobal(s string) string {
 
 func (lw *lowerer) lowerFunc(fn *FuncDecl) (*ir.Function, error) {
 	lw.fn = fn
-	lw.out = nil
+	lw.scratch, lw.nodes, lw.roots = lw.scratch[:0], lw.nodes[:0], lw.roots[:0]
 	lw.frameSize = 0
 	lw.nextLabel = 0
 	lw.breakLbl = lw.breakLbl[:0]
@@ -133,44 +217,51 @@ func (lw *lowerer) lowerFunc(fn *FuncDecl) (*ir.Function, error) {
 	// 4-byte slot in the caller-visible parameter area (ADDRFP).
 	for i, p := range fn.Params {
 		p.Offset = lw.alloc(p.Type.Size(), p.Type.Align())
-		src := ir.New(ir.INDIRI, ir.ParamAddr(int64(i*4)))
-		lw.store(ir.LocalAddr(int64(p.Offset)), src, p.Type)
+		src := lw.op(ir.INDIRI, lw.leaf(ir.ParamAddr(int64(i*4))))
+		lw.store(lw.local(int64(p.Offset)), src, p.Type)
 	}
 	if err := lw.stmt(fn.Body); err != nil {
 		return nil, err
 	}
 	// Guarantee a terminating return.
-	if n := len(lw.out); n == 0 || lw.out[n-1].Op != ir.RETI && lw.out[n-1].Op != ir.RETV {
+	if n := len(lw.roots); n == 0 || lw.nodes[lw.roots[n-1]].Op != ir.RETI && lw.nodes[lw.roots[n-1]].Op != ir.RETV {
 		if fn.Ret.Kind == TVoid {
-			lw.emit(ir.New(ir.RETV))
+			lw.emit(lw.op(ir.RETV))
 		} else {
-			lw.emit(ir.New(ir.RETI, ir.Const(0)))
+			lw.emit(lw.op(ir.RETI, lw.constant(0)))
 		}
 	}
 	return &ir.Function{
 		Name:      fn.Name,
 		NumParams: len(fn.Params),
 		FrameSize: (lw.frameSize + 3) &^ 3,
-		Trees:     lw.out,
+		Nodes:     slices.Clone(lw.nodes),
+		Roots:     slices.Clone(lw.roots),
 	}, nil
 }
 
 // store emits the correctly-typed store of value through addr.
-func (lw *lowerer) store(addr, value *ir.Tree, t *Type) {
+func (lw *lowerer) store(addr, value tree, t *Type) {
 	if t.Kind == TChar {
-		lw.emit(ir.New(ir.ASGNC, addr, ir.New(ir.CVIC, value)))
+		lw.emit(lw.op(ir.ASGNC, addr, lw.op(ir.CVIC, value)))
 	} else {
-		lw.emit(ir.New(ir.ASGNI, addr, value))
+		lw.emit(lw.op(ir.ASGNI, addr, value))
 	}
 }
 
 // load builds the correctly-typed load through addr.
-func load(addr *ir.Tree, t *Type) *ir.Tree {
+func (lw *lowerer) load(addr tree, t *Type) tree {
 	if t.Kind == TChar {
-		return ir.New(ir.CVCI, ir.New(ir.INDIRC, addr))
+		return lw.op(ir.CVCI, lw.op(ir.INDIRC, addr))
 	}
-	return ir.New(ir.INDIRI, addr)
+	return lw.op(ir.INDIRI, addr)
 }
+
+// local builds the address of frame offset off.
+func (lw *lowerer) local(off int64) tree { return lw.leaf(ir.LocalAddr(off)) }
+
+// constant builds the smallest constant tree holding v.
+func (lw *lowerer) constant(v int64) tree { return lw.leaf(ir.Const(v)) }
 
 func (lw *lowerer) stmt(st *Stmt) error {
 	switch st.Kind {
@@ -188,7 +279,7 @@ func (lw *lowerer) stmt(st *Stmt) error {
 				if err != nil {
 					return err
 				}
-				lw.store(ir.LocalAddr(int64(d.Sym.Offset)), v, d.Sym.Type)
+				lw.store(lw.local(int64(d.Sym.Offset)), v, d.Sym.Type)
 			}
 		}
 	case SExpr:
@@ -204,7 +295,7 @@ func (lw *lowerer) stmt(st *Stmt) error {
 		}
 		if st.Else != nil {
 			end := lw.newLabel()
-			lw.emit(ir.NewLit(ir.JUMPV, end))
+			lw.jump(end)
 			lw.label(els)
 			if err := lw.stmt(st.Else); err != nil {
 				return err
@@ -224,7 +315,7 @@ func (lw *lowerer) stmt(st *Stmt) error {
 			return err
 		}
 		lw.popLoop()
-		lw.emit(ir.NewLit(ir.JUMPV, top))
+		lw.jump(top)
 		lw.label(end)
 	case SDoWhile:
 		top, cont, end := lw.newLabel(), lw.newLabel(), lw.newLabel()
@@ -261,24 +352,24 @@ func (lw *lowerer) stmt(st *Stmt) error {
 				return err
 			}
 		}
-		lw.emit(ir.NewLit(ir.JUMPV, top))
+		lw.jump(top)
 		lw.label(end)
 	case SSwitch:
 		return lw.switchStmt(st)
 	case SReturn:
 		if st.Expr == nil {
-			lw.emit(ir.New(ir.RETV))
+			lw.emit(lw.op(ir.RETV))
 			return nil
 		}
 		v, err := lw.expr(st.Expr)
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.New(ir.RETI, v))
+		lw.emit(lw.op(ir.RETI, v))
 	case SBreak:
-		lw.emit(ir.NewLit(ir.JUMPV, lw.breakLbl[len(lw.breakLbl)-1]))
+		lw.jump(lw.breakLbl[len(lw.breakLbl)-1])
 	case SContinue:
-		lw.emit(ir.NewLit(ir.JUMPV, lw.contLbl[len(lw.contLbl)-1]))
+		lw.jump(lw.contLbl[len(lw.contLbl)-1])
 	}
 	return nil
 }
@@ -292,7 +383,7 @@ func (lw *lowerer) switchStmt(st *Stmt) error {
 		return err
 	}
 	tmp := int64(lw.temp())
-	lw.emit(ir.New(ir.ASGNI, ir.LocalAddr(tmp), v))
+	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), v))
 
 	end := lw.newLabel()
 	defaultLbl := end
@@ -302,14 +393,14 @@ func (lw *lowerer) switchStmt(st *Stmt) error {
 		case SCase:
 			l := lw.newLabel()
 			caseLbl[sub] = l
-			lw.emit(ir.NewLit(ir.EQI, l,
-				ir.New(ir.INDIRI, ir.LocalAddr(tmp)), ir.Const(sub.Expr.Val)))
+			lw.emit(lw.node(ir.EQI, l,
+				lw.op(ir.INDIRI, lw.local(tmp)), lw.constant(sub.Expr.Val)))
 		case SDefault:
 			defaultLbl = lw.newLabel()
 			caseLbl[sub] = defaultLbl
 		}
 	}
-	lw.emit(ir.NewLit(ir.JUMPV, defaultLbl))
+	lw.jump(defaultLbl)
 
 	// Body: break jumps to end; continue stays bound to the enclosing
 	// loop, so only the break stack is pushed.
@@ -366,33 +457,33 @@ func (lw *lowerer) exprStmt(e *Expr) error {
 }
 
 // addr lowers an lvalue (or array/string designator) to an address tree.
-func (lw *lowerer) addr(e *Expr) (*ir.Tree, error) {
+func (lw *lowerer) addr(e *Expr) (tree, error) {
 	switch e.Kind {
 	case EVar:
 		switch e.Sym.Kind {
 		case SymGlobal, SymFunc:
-			return ir.NewName(ir.ADDRGP, e.Sym.Name), nil
+			return lw.global(e.Sym.Name), nil
 		default:
-			return ir.LocalAddr(int64(e.Sym.Offset)), nil
+			return lw.local(int64(e.Sym.Offset)), nil
 		}
 	case EString:
-		return ir.NewName(ir.ADDRGP, lw.strGlobal(e.Str)), nil
+		return lw.global(lw.strGlobal(e.Str)), nil
 	case EIndex:
 		base, err := lw.expr(e.L) // decayed pointer value
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
 		idx, err := lw.expr(e.R)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
-		return ir.New(ir.ADDI, base, scale(idx, e.Type.Size())), nil
+		return lw.op(ir.ADDI, base, lw.scale(idx, e.Type.Size())), nil
 	case EUnary:
 		if e.Op == "*" {
 			return lw.expr(e.L)
 		}
 	case EMember:
-		var base *ir.Tree
+		var base tree
 		var st *Type
 		var err error
 		if e.Op == "->" {
@@ -403,39 +494,39 @@ func (lw *lowerer) addr(e *Expr) (*ir.Tree, error) {
 			st = e.L.Type
 		}
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
 		fld := st.Field(e.Name)
 		if fld == nil {
-			return nil, errf(e.Line, e.Col, "internal: missing field %q", e.Name)
+			return tree{}, errf(e.Line, e.Col, "internal: missing field %q", e.Name)
 		}
 		if fld.Offset == 0 {
 			return base, nil
 		}
 		// Fold the field offset into frame-relative addresses.
-		if base.Op == ir.ADDRLP || base.Op == ir.ADDRLP8 {
-			return ir.LocalAddr(base.Lit + int64(fld.Offset)), nil
+		if b := lw.root(base); b.Op == ir.ADDRLP || b.Op == ir.ADDRLP8 {
+			return lw.local(b.Lit + int64(fld.Offset)), nil
 		}
-		return ir.New(ir.ADDI, base, ir.Const(int64(fld.Offset))), nil
+		return lw.op(ir.ADDI, base, lw.constant(int64(fld.Offset))), nil
 	}
-	return nil, errf(e.Line, e.Col, "internal: not an lvalue in lowering")
+	return tree{}, errf(e.Line, e.Col, "internal: not an lvalue in lowering")
 }
 
 // scale multiplies an index value by an element size, omitting the
 // multiply for size 1 and folding constants.
-func scale(idx *ir.Tree, size int) *ir.Tree {
+func (lw *lowerer) scale(idx tree, size int) tree {
 	if size == 1 {
 		return idx
 	}
-	if idx.Op == ir.CNSTC || idx.Op == ir.CNSTS || idx.Op == ir.CNSTI {
-		return ir.Const(idx.Lit * int64(size))
+	if n := lw.root(idx); n.Op == ir.CNSTC || n.Op == ir.CNSTS || n.Op == ir.CNSTI {
+		return lw.constant(n.Lit * int64(size))
 	}
-	return ir.New(ir.MULI, idx, ir.Const(int64(size)))
+	return lw.op(ir.MULI, idx, lw.constant(int64(size)))
 }
 
 // isLeafAddr reports whether an address tree can be safely duplicated.
-func isLeafAddr(t *ir.Tree) bool {
-	switch t.Op {
+func (lw *lowerer) isLeafAddr(t tree) bool {
+	switch lw.root(t).Op {
 	case ir.ADDRLP, ir.ADDRLP8, ir.ADDRFP, ir.ADDRFP8, ir.ADDRGP:
 		return true
 	}
@@ -444,113 +535,113 @@ func isLeafAddr(t *ir.Tree) bool {
 
 // stableAddr returns an address tree that may be evaluated twice
 // without repeating side effects, spilling to a temp if needed.
-func (lw *lowerer) stableAddr(a *ir.Tree) *ir.Tree {
-	if isLeafAddr(a) {
+func (lw *lowerer) stableAddr(a tree) tree {
+	if lw.isLeafAddr(a) {
 		return a
 	}
 	tmp := int64(lw.temp())
-	lw.emit(ir.New(ir.ASGNI, ir.LocalAddr(tmp), a))
-	return ir.New(ir.INDIRI, ir.LocalAddr(tmp))
+	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), a))
+	return lw.op(ir.INDIRI, lw.local(tmp))
 }
 
 // assign lowers e.L (op)= e.R; when needValue it returns the stored value.
-func (lw *lowerer) assign(e *Expr, needValue bool) (*ir.Tree, error) {
+func (lw *lowerer) assign(e *Expr, needValue bool) (tree, error) {
 	a, err := lw.addr(e.L)
 	if err != nil {
-		return nil, err
+		return tree{}, err
 	}
 	if needValue || e.Op != "" {
 		a = lw.stableAddr(a)
 	}
-	var v *ir.Tree
+	var v tree
 	if e.Op == "" {
 		v, err = lw.expr(e.R)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
 	} else {
 		rhs, err := lw.expr(e.R)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
-		v, err = lw.binary(e.Op, load(a.Clone(), e.L.Type), rhs, e.L, e.R)
+		v, err = lw.binary(e.Op, lw.load(a, e.L.Type), rhs, e.L, e.R)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
 	}
 	lw.store(a, v, e.L.Type)
 	if !needValue {
-		return nil, nil
+		return tree{}, nil
 	}
-	return load(a.Clone(), e.L.Type), nil
+	return lw.load(a, e.L.Type), nil
 }
 
 // incDec lowers ++/-- (pre or post); when needValue it returns the
 // expression's value (old for postfix, new for prefix).
-func (lw *lowerer) incDec(lv *Expr, op string, prefix, needValue bool) (*ir.Tree, error) {
+func (lw *lowerer) incDec(lv *Expr, op string, prefix, needValue bool) (tree, error) {
 	a, err := lw.addr(lv)
 	if err != nil {
-		return nil, err
+		return tree{}, err
 	}
 	a = lw.stableAddr(a)
 	step := int64(1)
 	if lv.Type.Decay().Kind == TPtr {
 		step = int64(lv.Type.Decay().Elem.Size())
 	}
-	old := load(a.Clone(), lv.Type)
-	var saved *ir.Tree
+	old := lw.load(a, lv.Type)
+	var saved tree
 	if needValue && !prefix {
 		tmp := int64(lw.temp())
-		lw.emit(ir.New(ir.ASGNI, ir.LocalAddr(tmp), old))
-		old = ir.New(ir.INDIRI, ir.LocalAddr(tmp))
-		saved = ir.New(ir.INDIRI, ir.LocalAddr(tmp))
+		lw.emit(lw.op(ir.ASGNI, lw.local(tmp), old))
+		old = lw.op(ir.INDIRI, lw.local(tmp))
+		saved = old
 	}
 	bop := ir.ADDI
 	if op == "--" {
 		bop = ir.SUBI
 	}
-	lw.store(a, ir.New(bop, old, ir.Const(step)), lv.Type)
+	lw.store(a, lw.op(bop, old, lw.constant(step)), lv.Type)
 	if !needValue {
-		return nil, nil
+		return tree{}, nil
 	}
 	if prefix {
-		return load(a.Clone(), lv.Type), nil
+		return lw.load(a, lv.Type), nil
 	}
 	return saved, nil
 }
 
 // call lowers a function call; when needValue the result is spilled to
 // a temp so ARGI/CALL sequences for distinct calls never interleave.
-func (lw *lowerer) call(e *Expr, needValue bool) (*ir.Tree, error) {
+func (lw *lowerer) call(e *Expr, needValue bool) (tree, error) {
 	// Evaluate all argument values first: any nested calls spill
 	// themselves to temps here, keeping this call's ARGI block contiguous.
-	args := make([]*ir.Tree, len(e.Args))
+	args := make([]tree, len(e.Args))
 	for i, aexpr := range e.Args {
 		v, err := lw.expr(aexpr)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
 		args[i] = v
 	}
 	for _, v := range args {
-		lw.emit(ir.New(ir.ARGI, v))
+		lw.emit(lw.op(ir.ARGI, v))
 	}
-	callee := ir.NewName(ir.ADDRGP, e.L.Name)
+	callee := lw.global(e.L.Name)
 	retVoid := e.L.Sym.Type.Elem.Kind == TVoid
 	if !needValue {
 		if retVoid {
-			lw.emit(ir.New(ir.CALLV, callee))
+			lw.emit(lw.op(ir.CALLV, callee))
 		} else {
-			lw.emit(ir.New(ir.CALLI, callee))
+			lw.emit(lw.op(ir.CALLI, callee))
 		}
-		return nil, nil
+		return tree{}, nil
 	}
 	if retVoid {
-		return nil, errf(e.Line, e.Col, "void value used")
+		return tree{}, errf(e.Line, e.Col, "void value used")
 	}
 	tmp := int64(lw.temp())
-	lw.emit(ir.New(ir.ASGNI, ir.LocalAddr(tmp), ir.New(ir.CALLI, callee)))
-	return ir.New(ir.INDIRI, ir.LocalAddr(tmp)), nil
+	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), lw.op(ir.CALLI, callee)))
+	return lw.op(ir.INDIRI, lw.local(tmp)), nil
 }
 
 var binOpMap = map[string]ir.Op{
@@ -561,37 +652,37 @@ var binOpMap = map[string]ir.Op{
 
 // binary lowers an arithmetic/bitwise binary operation on already
 // lowered operand values, applying pointer scaling rules.
-func (lw *lowerer) binary(op string, l, r *ir.Tree, le, re *Expr) (*ir.Tree, error) {
+func (lw *lowerer) binary(op string, l, r tree, le, re *Expr) (tree, error) {
 	lt, rt := le.Type.Decay(), re.Type.Decay()
 	switch op {
 	case "+":
 		switch {
 		case lt.Kind == TPtr:
-			return ir.New(ir.ADDI, l, scale(r, lt.Elem.Size())), nil
+			return lw.op(ir.ADDI, l, lw.scale(r, lt.Elem.Size())), nil
 		case rt.Kind == TPtr:
-			return ir.New(ir.ADDI, scale(l, rt.Elem.Size()), r), nil
+			return lw.op(ir.ADDI, lw.scale(l, rt.Elem.Size()), r), nil
 		default:
-			return ir.New(ir.ADDI, l, r), nil
+			return lw.op(ir.ADDI, l, r), nil
 		}
 	case "-":
 		switch {
 		case lt.Kind == TPtr && rt.Kind == TPtr:
-			diff := ir.New(ir.SUBI, l, r)
+			diff := lw.op(ir.SUBI, l, r)
 			if sz := lt.Elem.Size(); sz > 1 {
-				return ir.New(ir.DIVI, diff, ir.Const(int64(sz))), nil
+				return lw.op(ir.DIVI, diff, lw.constant(int64(sz))), nil
 			}
 			return diff, nil
 		case lt.Kind == TPtr:
-			return ir.New(ir.SUBI, l, scale(r, lt.Elem.Size())), nil
+			return lw.op(ir.SUBI, l, lw.scale(r, lt.Elem.Size())), nil
 		default:
-			return ir.New(ir.SUBI, l, r), nil
+			return lw.op(ir.SUBI, l, r), nil
 		}
 	default:
 		irop, ok := binOpMap[op]
 		if !ok {
-			return nil, errf(le.Line, le.Col, "internal: binary op %q", op)
+			return tree{}, errf(le.Line, le.Col, "internal: binary op %q", op)
 		}
-		return ir.New(irop, l, r), nil
+		return lw.op(irop, l, r), nil
 	}
 }
 
@@ -635,7 +726,7 @@ func (lw *lowerer) cond(e *Expr, target int64, jumpIfTrue bool) error {
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.NewLit(relBranch(e.Op, jumpIfTrue), target, l, r))
+		lw.emit(lw.node(relBranch(e.Op, jumpIfTrue), target, l, r))
 		return nil
 	case e.Kind == EBinary && e.Op == "&&":
 		if jumpIfTrue {
@@ -671,7 +762,7 @@ func (lw *lowerer) cond(e *Expr, target int64, jumpIfTrue bool) error {
 		return nil
 	case e.Kind == EConst:
 		if (e.Val != 0) == jumpIfTrue {
-			lw.emit(ir.NewLit(ir.JUMPV, target))
+			lw.jump(target)
 		}
 		return nil
 	default:
@@ -683,30 +774,30 @@ func (lw *lowerer) cond(e *Expr, target int64, jumpIfTrue bool) error {
 		if !jumpIfTrue {
 			op = ir.EQI
 		}
-		lw.emit(ir.NewLit(op, target, v, ir.Const(0)))
+		lw.emit(lw.node(op, target, v, lw.constant(0)))
 		return nil
 	}
 }
 
 // condValue materializes a boolean expression as 0/1 through a temp.
-func (lw *lowerer) condValue(e *Expr) (*ir.Tree, error) {
+func (lw *lowerer) condValue(e *Expr) (tree, error) {
 	tmp := int64(lw.temp())
 	end := lw.newLabel()
-	lw.emit(ir.New(ir.ASGNI, ir.LocalAddr(tmp), ir.Const(1)))
+	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), lw.constant(1)))
 	if err := lw.cond(e, end, true); err != nil {
-		return nil, err
+		return tree{}, err
 	}
-	lw.emit(ir.New(ir.ASGNI, ir.LocalAddr(tmp), ir.Const(0)))
+	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), lw.constant(0)))
 	lw.label(end)
-	return ir.New(ir.INDIRI, ir.LocalAddr(tmp)), nil
+	return lw.op(ir.INDIRI, lw.local(tmp)), nil
 }
 
 // expr lowers an expression to a value tree, emitting any side-effect
 // statements (calls, assignments, boolean materialization) first.
-func (lw *lowerer) expr(e *Expr) (*ir.Tree, error) {
+func (lw *lowerer) expr(e *Expr) (tree, error) {
 	switch e.Kind {
 	case EConst:
-		return ir.Const(int64(int32(e.Val))), nil
+		return lw.constant(int64(int32(e.Val))), nil
 	case EString:
 		return lw.addr(e)
 	case EVar:
@@ -715,40 +806,40 @@ func (lw *lowerer) expr(e *Expr) (*ir.Tree, error) {
 		}
 		a, err := lw.addr(e)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
-		return load(a, e.Type), nil
+		return lw.load(a, e.Type), nil
 	case EUnary:
 		switch e.Op {
 		case "-":
 			v, err := lw.expr(e.L)
 			if err != nil {
-				return nil, err
+				return tree{}, err
 			}
-			return ir.New(ir.NEGI, v), nil
+			return lw.op(ir.NEGI, v), nil
 		case "~":
 			v, err := lw.expr(e.L)
 			if err != nil {
-				return nil, err
+				return tree{}, err
 			}
-			return ir.New(ir.BCOMI, v), nil
+			return lw.op(ir.BCOMI, v), nil
 		case "!":
 			return lw.condValue(e)
 		case "*":
 			a, err := lw.expr(e.L)
 			if err != nil {
-				return nil, err
+				return tree{}, err
 			}
 			if e.Type.Kind == TArray {
 				return a, nil
 			}
-			return load(a, e.Type), nil
+			return lw.load(a, e.Type), nil
 		case "&":
 			return lw.addr(e.L)
 		case "++", "--":
 			return lw.incDec(e.L, e.Op, true, true)
 		}
-		return nil, errf(e.Line, e.Col, "internal: unary %q", e.Op)
+		return tree{}, errf(e.Line, e.Col, "internal: unary %q", e.Op)
 	case EPostfix:
 		return lw.incDec(e.L, e.Op, false, true)
 	case EBinary:
@@ -758,11 +849,11 @@ func (lw *lowerer) expr(e *Expr) (*ir.Tree, error) {
 		default:
 			l, err := lw.expr(e.L)
 			if err != nil {
-				return nil, err
+				return tree{}, err
 			}
 			r, err := lw.expr(e.R)
 			if err != nil {
-				return nil, err
+				return tree{}, err
 			}
 			return lw.binary(e.Op, l, r, e.L, e.R)
 		}
@@ -771,12 +862,12 @@ func (lw *lowerer) expr(e *Expr) (*ir.Tree, error) {
 	case EIndex, EMember:
 		a, err := lw.addr(e)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
 		if e.Type.Kind == TArray {
 			return a, nil
 		}
-		return load(a, e.Type), nil
+		return lw.load(a, e.Type), nil
 	case ECall:
 		return lw.call(e, true)
 	case ECond:
@@ -784,22 +875,22 @@ func (lw *lowerer) expr(e *Expr) (*ir.Tree, error) {
 		tmp := int64(lw.temp())
 		elseL, endL := lw.newLabel(), lw.newLabel()
 		if err := lw.cond(e.Cond, elseL, false); err != nil {
-			return nil, err
+			return tree{}, err
 		}
 		v, err := lw.expr(e.L)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
-		lw.emit(ir.New(ir.ASGNI, ir.LocalAddr(tmp), v))
-		lw.emit(ir.NewLit(ir.JUMPV, endL))
+		lw.emit(lw.op(ir.ASGNI, lw.local(tmp), v))
+		lw.jump(endL)
 		lw.label(elseL)
 		v, err = lw.expr(e.R)
 		if err != nil {
-			return nil, err
+			return tree{}, err
 		}
-		lw.emit(ir.New(ir.ASGNI, ir.LocalAddr(tmp), v))
+		lw.emit(lw.op(ir.ASGNI, lw.local(tmp), v))
 		lw.label(endL)
-		return ir.New(ir.INDIRI, ir.LocalAddr(tmp)), nil
+		return lw.op(ir.INDIRI, lw.local(tmp)), nil
 	}
-	return nil, errf(e.Line, e.Col, "internal: expression kind %d", e.Kind)
+	return tree{}, errf(e.Line, e.Col, "internal: expression kind %d", e.Kind)
 }

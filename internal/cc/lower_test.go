@@ -34,10 +34,7 @@ int salt(int j, int i) {
 	if salt == nil {
 		t.Fatal("no salt function")
 	}
-	dump := ""
-	for _, tr := range salt.Trees {
-		dump += tr.String() + "\n"
-	}
+	dump := dumpTrees(m, salt)
 	for _, want := range []string{
 		"LEI[", // j > 0 inverted to branch-if-false LEI, as in the paper
 		"ARGI(INDIRI(ADDRLP8[",
@@ -105,10 +102,7 @@ int f(int i) {
 	buf[i] = 'x';
 	return buf[i];
 }`)
-	dump := ""
-	for _, tr := range m.Function("f").Trees {
-		dump += tr.String() + "\n"
-	}
+	dump := dumpTrees(m, m.Function("f"))
 	if !strings.Contains(dump, "ASGNC(") || !strings.Contains(dump, "CVIC(") {
 		t.Errorf("char store should use ASGNC/CVIC:\n%s", dump)
 	}
@@ -124,10 +118,7 @@ int f(int* p, char* q) {
 	q = q + 2;
 	return p[1] + q[1];
 }`)
-	dump := ""
-	for _, tr := range m.Function("f").Trees {
-		dump += tr.String() + "\n"
-	}
+	dump := dumpTrees(m, m.Function("f"))
 	// int* + 2 scales by 4 (constant-folded to 8); char* + 2 stays 2.
 	if !strings.Contains(dump, "CNSTC[8]") {
 		t.Errorf("int pointer scaling missing:\n%s", dump)
@@ -143,12 +134,10 @@ int f(int a, int b) {
 }`)
 	f := m.Function("f")
 	branches := 0
-	for _, tr := range f.Trees {
-		tr.Walk(func(n *ir.Tree) {
-			if n.Op.IsBranch() {
-				branches++
-			}
-		})
+	for _, n := range f.Nodes {
+		if n.Op.IsBranch() {
+			branches++
+		}
 	}
 	// 2 for &&, 2 for ||, 2+ for the value-context && materialization.
 	if branches < 6 {
@@ -164,19 +153,20 @@ int g(int x) { return x + 1; }
 int f(int a) { return g(g(a) + g(2)); }`)
 	f := m.Function("f")
 	pendingArgs := 0
-	for _, tr := range f.Trees {
+	for k := range f.Roots {
+		tr := f.Tree(k)
 		hasCall := false
-		tr.Walk(func(n *ir.Tree) {
+		for _, n := range tr {
 			if n.Op == ir.CALLI || n.Op == ir.CALLV {
 				hasCall = true
 			}
-		})
+		}
 		switch {
-		case tr.Op == ir.ARGI:
+		case tr[0].Op == ir.ARGI:
 			pendingArgs++
 		case hasCall:
 			if pendingArgs == 0 {
-				t.Errorf("call tree %s with no preceding ARGI", tr)
+				t.Errorf("call tree %s with no preceding ARGI", m.TreeString(f, k))
 			}
 			pendingArgs = 0
 		}
@@ -186,12 +176,12 @@ int f(int a) { return g(g(a) + g(2)); }`)
 func TestLowerFallOffEndReturns(t *testing.T) {
 	m := compile(t, `int f(int a) { a++; } void v(void) { }`)
 	f := m.Function("f")
-	last := f.Trees[len(f.Trees)-1]
+	last := f.Tree(len(f.Roots) - 1)[0]
 	if last.Op != ir.RETI {
 		t.Errorf("int function should end with RETI, got %s", last.Op)
 	}
 	v := m.Function("v")
-	last = v.Trees[len(v.Trees)-1]
+	last = v.Tree(len(v.Roots) - 1)[0]
 	if last.Op != ir.RETV {
 		t.Errorf("void function should end with RETV, got %s", last.Op)
 	}
@@ -230,10 +220,7 @@ int f(int i) {
 	}
 	// Semantic check happens in the VM end-to-end tests; here we just
 	// confirm a temp spill appears (an extra ASGNI before the store).
-	dump := ""
-	for _, tr := range m.Function("f").Trees {
-		dump += tr.String() + "\n"
-	}
+	dump := dumpTrees(m, m.Function("f"))
 	if strings.Count(dump, "ASGNI") < 3 {
 		t.Errorf("postfix lowering missing temp spill:\n%s", dump)
 	}
@@ -248,8 +235,8 @@ int f(int n) {
 }`)
 	f := m.Function("f")
 	var labels, jumps int
-	for _, tr := range f.Trees {
-		switch tr.Op {
+	for _, r := range f.Roots {
+		switch f.Nodes[r].Op {
 		case ir.LABELV:
 			labels++
 		case ir.JUMPV:
@@ -284,12 +271,18 @@ int f(void) {
 	*p = 7;
 	return x;
 }`)
-	dump := ""
-	for _, tr := range m.Function("f").Trees {
-		dump += tr.String() + "\n"
-	}
+	dump := dumpTrees(m, m.Function("f"))
 	// &x is the frame address; *p = 7 stores through a loaded pointer.
 	if !strings.Contains(dump, "ASGNI(INDIRI(ADDRLP8[") {
 		t.Errorf("store-through-pointer missing:\n%s", dump)
 	}
+}
+
+// dumpTrees renders f's trees in the textual form, one per line.
+func dumpTrees(m *ir.Module, f *ir.Function) string {
+	dump := ""
+	for k := range f.Roots {
+		dump += m.TreeString(f, k) + "\n"
+	}
+	return dump
 }

@@ -16,6 +16,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/vm"
@@ -46,32 +47,43 @@ func Generate(m *ir.Module, opt Options) (*vm.Program, error) {
 	// (the de-tuned variants) just grows the slice once.
 	g := &gen{
 		opt: opt,
+		mod: m,
 		prog: &vm.Program{
 			Name:    m.Name,
 			Code:    make([]vm.Instr, 0, 4*m.NumTrees()+8*len(m.Functions)+3),
 			Funcs:   make([]vm.FuncInfo, 0, len(m.Functions)),
 			Globals: make([]vm.GlobalData, 0, len(m.Globals)),
 		},
-		globalAddr: make(map[string]int32, len(m.Globals)),
+		globalAddr: make([]int32, len(m.Globals)),
 		tables:     funcTables{labels: map[int64]int{}},
+	}
+	main := -1
+	for i, f := range m.Functions {
+		if f.Name == "main" {
+			main = i
+			break
+		}
+	}
+	if main < 0 {
+		return nil, fmt.Errorf("codegen: module has no main function")
 	}
 
 	// Lay out the data segment.
 	addr := int32(DataBase)
-	for _, gl := range m.Globals {
+	for i, gl := range m.Globals {
 		align := int32(4)
 		addr = (addr + align - 1) &^ (align - 1)
 		g.prog.Globals = append(g.prog.Globals, vm.GlobalData{
 			Name: gl.Name, Addr: addr, Size: gl.Size, Init: gl.Init,
 		})
-		g.globalAddr[gl.Name] = addr
+		g.globalAddr[i] = addr
 		addr += int32(gl.Size)
 	}
 	g.prog.DataSize = int(addr)
 
 	// Start stub: call main, exit with its return value.
 	g.emit(vm.Instr{Op: vm.CALL})
-	g.callFix = append(g.callFix, fixup{at: 0, name: "main"})
+	g.callFix = append(g.callFix, fixup{at: 0, fn: main})
 	g.emit(vm.Instr{Op: vm.TRAP, Imm: vm.TrapExit})
 	g.emit(vm.Instr{Op: vm.HALT})
 
@@ -81,32 +93,33 @@ func Generate(m *ir.Module, opt Options) (*vm.Program, error) {
 		}
 	}
 
-	// Resolve calls.
+	// Resolve calls: g.prog.Funcs[i] is m.Functions[i].
 	for _, fx := range g.callFix {
-		fi := g.prog.Func(fx.name)
-		if fi == nil {
-			return nil, fmt.Errorf("codegen: call to undefined function %q", fx.name)
-		}
-		g.prog.Code[fx.at].Target = int32(fi.Entry)
-	}
-	if g.prog.Func("main") == nil {
-		return nil, fmt.Errorf("codegen: module has no main function")
+		g.prog.Code[fx.at].Target = int32(g.prog.Funcs[fx.fn].Entry)
 	}
 	g.prog.ComputeBlockStarts()
 	return g.prog, nil
 }
 
-type fixup struct {
-	at   int
-	name string
-}
+// fixup is a CALL at code index at to the function m.Functions[fn].
+type fixup struct{ at, fn int }
 
 type gen struct {
 	opt        Options
+	mod        *ir.Module
 	prog       *vm.Program
-	globalAddr map[string]int32
+	globalAddr []int32 // by index in m.Globals
 	callFix    []fixup
 	tables     funcTables
+}
+
+// global returns the data address of symbol s, if it names a global.
+func (g *gen) global(s int32) (int32, bool) {
+	i := g.mod.GlobalIndex(s)
+	if i < 0 {
+		return 0, false
+	}
+	return g.globalAddr[i], true
 }
 
 func (g *gen) emit(ins vm.Instr) int {
@@ -140,13 +153,22 @@ type branchFixup struct {
 	label int64
 }
 
-// funcTables are the per-function tables. genFunc empties them for
-// each function, so a module allocates them once.
+// funcTables are the per-function and per-tree tables. genFunc empties
+// them for each function and measure for each tree, so a module
+// allocates them once.
 type funcTables struct {
 	labels    map[int64]int // IR label -> code index
 	branchFix []branchFixup
 	patches   []patch
 	free      []uint8 // scratch register free list
+
+	// The tree being compiled, and for each of its nodes the index just
+	// past its subtree and its Sethi–Ullman register need; stack is
+	// measure's scratch.
+	nodes []ir.Node
+	end   []int32
+	need  []int32
+	stack []int32
 }
 
 type fgen struct {
@@ -179,12 +201,13 @@ func (g *gen) genFunc(f *ir.Function) error {
 	fg.patch(g.emit(vm.Instr{Op: vm.ENTER, Imm: 0}), pkTotal)
 	fg.memOp(vm.STW, vm.RegRA, vm.RegSP, 0, pkRA, true)
 
-	for _, t := range f.Trees {
-		if err := fg.stmt(t); err != nil {
+	for k := range f.Roots {
+		fg.measure(f.Tree(k))
+		if err := fg.stmt(0); err != nil {
 			return fmt.Errorf("codegen: %s: %w", f.Name, err)
 		}
 		if len(fg.free) != len(scratchRegs) {
-			return fmt.Errorf("codegen: %s: register leak after %s", f.Name, t)
+			return fmt.Errorf("codegen: %s: register leak after %s", f.Name, g.mod.TreeString(f, k))
 		}
 	}
 	// Safety net: IR guarantees a trailing return, but synthesize an
@@ -348,11 +371,49 @@ var immBranchFor = [vm.NumOpcodes]vm.Opcode{
 	vm.BLE: vm.BLEI, vm.BGT: vm.BGTI, vm.BGE: vm.BGEI,
 }
 
-func isConst(t *ir.Tree) bool {
-	return t.Op == ir.CNSTC || t.Op == ir.CNSTS || t.Op == ir.CNSTI
+// measure makes nodes, a tree of a function that passed Validate, the
+// tree being compiled, and fills end and need for it in one pass from
+// its last node back to its root: a node's kids are measured before
+// it, and the first kid is on top of the stack.
+func (fg *fgen) measure(nodes []ir.Node) {
+	n := len(nodes)
+	fg.nodes = nodes
+	fg.end = slices.Grow(fg.end[:0], n)[:n]
+	fg.need = slices.Grow(fg.need[:0], n)[:n]
+	stack := fg.stack[:0]
+	for i := n - 1; i >= 0; i-- {
+		end, need := int32(i+1), int32(1)
+		switch nodes[i].Op.Arity() {
+		case 1:
+			k := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			end, need = fg.end[k], max(fg.need[k], 1)
+		case 2:
+			l, r := stack[len(stack)-1], stack[len(stack)-2]
+			stack = stack[:len(stack)-2]
+			end = fg.end[r]
+			if need = max(fg.need[l], fg.need[r]); fg.need[l] == fg.need[r] {
+				need++
+			}
+		}
+		fg.end[i], fg.need[i] = end, need
+		stack = append(stack, int32(i))
+	}
+	fg.stack = stack
 }
 
-func (fg *fgen) stmt(t *ir.Tree) error {
+// second returns the index of binary node i's second kid; the first is
+// at i+1.
+func (fg *fgen) second(i int) int { return int(fg.end[i+1]) }
+
+func (fg *fgen) isConst(i int) bool {
+	op := fg.nodes[i].Op
+	return op == ir.CNSTC || op == ir.CNSTS || op == ir.CNSTI
+}
+
+// stmt compiles the statement tree rooted at node i.
+func (fg *fgen) stmt(i int) error {
+	t := fg.nodes[i]
 	switch t.Op {
 	case ir.LABELV:
 		fg.labels[t.Lit] = len(fg.g.prog.Code)
@@ -362,16 +423,16 @@ func (fg *fgen) stmt(t *ir.Tree) error {
 		fg.branchFix = append(fg.branchFix, branchFixup{at, t.Lit})
 		return nil
 	case ir.EQI, ir.NEI, ir.LTI, ir.LEI, ir.GTI, ir.GEI:
-		return fg.genBranch(t)
+		return fg.genBranch(i)
 	case ir.ASGNI, ir.ASGNC:
-		return fg.genStore(t)
+		return fg.genStore(i)
 	case ir.ARGI:
-		return fg.genArg(t.Kids[0])
+		return fg.genArg(i + 1)
 	case ir.CALLI, ir.CALLV:
 		// Result (if any) unused.
-		return fg.genCall(t)
+		return fg.genCall(i)
 	case ir.RETI:
-		r, err := fg.expr(t.Kids[0])
+		r, err := fg.expr(i + 1)
 		if err != nil {
 			return err
 		}
@@ -385,7 +446,7 @@ func (fg *fgen) stmt(t *ir.Tree) error {
 	default:
 		// A bare expression statement (possible only through hand-built
 		// IR): evaluate and discard.
-		r, err := fg.expr(t)
+		r, err := fg.expr(i)
 		if err != nil {
 			return err
 		}
@@ -394,21 +455,22 @@ func (fg *fgen) stmt(t *ir.Tree) error {
 	}
 }
 
-func (fg *fgen) genBranch(t *ir.Tree) error {
+func (fg *fgen) genBranch(i int) error {
+	t, rk := fg.nodes[i], fg.second(i)
 	op := branchOpFor[t.Op]
-	l, err := fg.expr(t.Kids[0])
+	l, err := fg.expr(i + 1)
 	if err != nil {
 		return err
 	}
 	// Compare-immediate form when the right operand is constant and the
 	// variant allows it ("ble.i n4,0,$L56").
-	if isConst(t.Kids[1]) && !fg.g.opt.NoImmediates {
-		at := fg.emit(vm.Instr{Op: immBranchFor[op], Rs1: l, Imm: int32(t.Kids[1].Lit)})
+	if fg.isConst(rk) && !fg.g.opt.NoImmediates {
+		at := fg.emit(vm.Instr{Op: immBranchFor[op], Rs1: l, Imm: int32(fg.nodes[rk].Lit)})
 		fg.branchFix = append(fg.branchFix, branchFixup{at, t.Lit})
 		fg.release(l)
 		return nil
 	}
-	r, err := fg.expr(t.Kids[1])
+	r, err := fg.expr(rk)
 	if err != nil {
 		return err
 	}
@@ -422,12 +484,12 @@ func (fg *fgen) genBranch(t *ir.Tree) error {
 // genStore compiles ASGNI/ASGNC. Stores of a call result are the one
 // place a call appears mid-tree (the front end guarantees the call is
 // the direct right child).
-func (fg *fgen) genStore(t *ir.Tree) error {
-	addr, val := t.Kids[0], t.Kids[1]
-	isChar := t.Op == ir.ASGNC
+func (fg *fgen) genStore(i int) error {
+	addr, val := i+1, fg.second(i)
+	isChar := fg.nodes[i].Op == ir.ASGNC
 	// Unwrap the front end's CVIC before char stores: STB truncates.
-	if isChar && val.Op == ir.CVIC {
-		val = val.Kids[0]
+	if isChar && fg.nodes[val].Op == ir.CVIC {
+		val++
 	}
 	memop := vm.STW
 	if isChar {
@@ -435,7 +497,7 @@ func (fg *fgen) genStore(t *ir.Tree) error {
 	}
 
 	var v uint8
-	if val.Op == ir.CALLI {
+	if fg.nodes[val].Op == ir.CALLI {
 		if err := fg.genCall(val); err != nil {
 			return err
 		}
@@ -453,13 +515,13 @@ func (fg *fgen) genStore(t *ir.Tree) error {
 		}
 	}
 
-	switch addr.Op {
+	switch a := fg.nodes[addr]; a.Op {
 	case ir.ADDRLP, ir.ADDRLP8:
-		fg.memOp(memop, v, vm.RegSP, int32(addr.Lit), pkLocal, true)
+		fg.memOp(memop, v, vm.RegSP, int32(a.Lit), pkLocal, true)
 	case ir.ADDRGP:
-		ga, ok := fg.g.globalAddr[addr.Name]
+		ga, ok := fg.g.global(a.Sym)
 		if !ok {
-			return fmt.Errorf("store to unknown global %q", addr.Name)
+			return fmt.Errorf("store to unknown global %q", fg.g.mod.Syms[a.Sym])
 		}
 		fg.memOp(memop, v, RegGP, ga, 0, false)
 	default:
@@ -474,7 +536,7 @@ func (fg *fgen) genStore(t *ir.Tree) error {
 	return nil
 }
 
-func (fg *fgen) genArg(val *ir.Tree) error {
+func (fg *fgen) genArg(val int) error {
 	k := fg.pendArgs
 	fg.pendArgs++
 	v, err := fg.expr(val)
@@ -494,42 +556,24 @@ func (fg *fgen) genArg(val *ir.Tree) error {
 	return nil
 }
 
-func (fg *fgen) genCall(t *ir.Tree) error {
-	callee := t.Kids[0]
+func (fg *fgen) genCall(i int) error {
+	callee := fg.nodes[i+1]
 	if callee.Op != ir.ADDRGP {
 		return fmt.Errorf("indirect calls are not supported")
 	}
 	fg.pendArgs = 0
-	if trap, ok := vm.TrapByName(callee.Name); ok {
+	name := fg.g.mod.Syms[callee.Sym]
+	if trap, ok := vm.TrapByName(name); ok {
 		fg.emit(vm.Instr{Op: vm.TRAP, Imm: trap})
 		return nil
 	}
-	at := fg.emit(vm.Instr{Op: vm.CALL})
-	fg.g.callFix = append(fg.g.callFix, fixup{at: at, name: callee.Name})
-	return nil
-}
-
-// need computes the Sethi–Ullman register need of a pure expression.
-func need(t *ir.Tree) int {
-	switch len(t.Kids) {
-	case 0:
-		return 1
-	case 1:
-		n := need(t.Kids[0])
-		if n < 1 {
-			n = 1
-		}
-		return n
-	default:
-		l, r := need(t.Kids[0]), need(t.Kids[1])
-		if l == r {
-			return l + 1
-		}
-		if l > r {
-			return l
-		}
-		return r
+	fn := fg.g.mod.FuncIndex(callee.Sym)
+	if fn < 0 {
+		return fmt.Errorf("call to undefined function %q", name)
 	}
+	at := fg.emit(vm.Instr{Op: vm.CALL})
+	fg.g.callFix = append(fg.g.callFix, fixup{at: at, fn: fn})
+	return nil
 }
 
 // aluFor maps an IR binary operator to its VM ALU opcode; vm.BAD marks
@@ -540,9 +584,10 @@ var aluFor = [ir.NumOps]vm.Opcode{
 	ir.BORI: vm.OR, ir.BXORI: vm.XOR, ir.LSHI: vm.SHL, ir.RSHI: vm.SHR,
 }
 
-// expr evaluates a pure expression tree into a freshly allocated
-// scratch register.
-func (fg *fgen) expr(t *ir.Tree) (uint8, error) {
+// expr evaluates the pure expression tree rooted at node i into a
+// freshly allocated scratch register.
+func (fg *fgen) expr(i int) (uint8, error) {
+	t := fg.nodes[i]
 	switch t.Op {
 	case ir.CNSTC, ir.CNSTS, ir.CNSTI:
 		r, err := fg.alloc()
@@ -563,9 +608,9 @@ func (fg *fgen) expr(t *ir.Tree) (uint8, error) {
 		// under INDIRI (copy-in), handled below.
 		return 0, fmt.Errorf("unsupported bare ADDRFP")
 	case ir.ADDRGP:
-		ga, ok := fg.g.globalAddr[t.Name]
+		ga, ok := fg.g.global(t.Sym)
 		if !ok {
-			return 0, fmt.Errorf("address of unknown global %q", t.Name)
+			return 0, fmt.Errorf("address of unknown global %q", fg.g.mod.Syms[t.Sym])
 		}
 		r, err := fg.alloc()
 		if err != nil {
@@ -574,12 +619,12 @@ func (fg *fgen) expr(t *ir.Tree) (uint8, error) {
 		fg.loadImm(r, ga)
 		return r, nil
 	case ir.INDIRI, ir.INDIRC:
-		return fg.genLoad(t)
+		return fg.genLoad(i)
 	case ir.CVCI:
-		if t.Kids[0].Op == ir.INDIRC {
-			return fg.genLoad(t.Kids[0]) // LDB sign-extends
+		if fg.nodes[i+1].Op == ir.INDIRC {
+			return fg.genLoad(i + 1) // LDB sign-extends
 		}
-		r, err := fg.expr(t.Kids[0])
+		r, err := fg.expr(i + 1)
 		if err != nil {
 			return 0, err
 		}
@@ -589,7 +634,7 @@ func (fg *fgen) expr(t *ir.Tree) (uint8, error) {
 		return r, nil
 	case ir.CVIC:
 		// Value-context truncation to char then implicit widening.
-		r, err := fg.expr(t.Kids[0])
+		r, err := fg.expr(i + 1)
 		if err != nil {
 			return 0, err
 		}
@@ -598,14 +643,14 @@ func (fg *fgen) expr(t *ir.Tree) (uint8, error) {
 		fg.emit(vm.Instr{Op: vm.SHR, Rd: r, Rs1: r, Rs2: vm.RegTmp})
 		return r, nil
 	case ir.NEGI:
-		r, err := fg.expr(t.Kids[0])
+		r, err := fg.expr(i + 1)
 		if err != nil {
 			return 0, err
 		}
 		fg.emit(vm.Instr{Op: vm.NEG, Rd: r, Rs1: r})
 		return r, nil
 	case ir.BCOMI:
-		r, err := fg.expr(t.Kids[0])
+		r, err := fg.expr(i + 1)
 		if err != nil {
 			return 0, err
 		}
@@ -617,18 +662,18 @@ func (fg *fgen) expr(t *ir.Tree) (uint8, error) {
 		if int(t.Op) >= len(aluFor) || aluFor[t.Op] == vm.BAD {
 			return 0, fmt.Errorf("unsupported expression operator %s", t.Op)
 		}
-		return fg.genALU(t, aluFor[t.Op])
+		return fg.genALU(i, aluFor[t.Op])
 	}
 }
 
 // genALU evaluates a binary ALU node with Sethi–Ullman ordering and
 // spill-on-pressure.
-func (fg *fgen) genALU(t *ir.Tree, alu vm.Opcode) (uint8, error) {
-	l, r := t.Kids[0], t.Kids[1]
+func (fg *fgen) genALU(i int, alu vm.Opcode) (uint8, error) {
+	op, l, r := fg.nodes[i].Op, i+1, fg.second(i)
 	// Immediate add/sub peephole.
-	if !fg.g.opt.NoImmediates && (t.Op == ir.ADDI || t.Op == ir.SUBI) && isConst(r) {
-		imm := int32(r.Lit)
-		if t.Op == ir.SUBI {
+	if !fg.g.opt.NoImmediates && (op == ir.ADDI || op == ir.SUBI) && fg.isConst(r) {
+		imm := int32(fg.nodes[r].Lit)
+		if op == ir.SUBI {
 			imm = -imm
 		}
 		rl, err := fg.expr(l)
@@ -639,7 +684,7 @@ func (fg *fgen) genALU(t *ir.Tree, alu vm.Opcode) (uint8, error) {
 		return rl, nil
 	}
 	avail := len(fg.free)
-	nl, nr := need(l), need(r)
+	nl, nr := int(fg.need[l]), int(fg.need[r])
 	if nl >= avail && nr >= avail {
 		// Not enough registers for either order: evaluate the right
 		// side, spill it, evaluate the left, reload.
@@ -690,13 +735,12 @@ func (fg *fgen) genALU(t *ir.Tree, alu vm.Opcode) (uint8, error) {
 }
 
 // genLoad compiles INDIRI/INDIRC with addressing-mode selection.
-func (fg *fgen) genLoad(t *ir.Tree) (uint8, error) {
+func (fg *fgen) genLoad(i int) (uint8, error) {
 	op := vm.LDW
-	if t.Op == ir.INDIRC {
+	if fg.nodes[i].Op == ir.INDIRC {
 		op = vm.LDB
 	}
-	addr := t.Kids[0]
-	switch addr.Op {
+	switch addr := fg.nodes[i+1]; addr.Op {
 	case ir.ADDRLP, ir.ADDRLP8:
 		r, err := fg.alloc()
 		if err != nil {
@@ -717,9 +761,9 @@ func (fg *fgen) genLoad(t *ir.Tree) (uint8, error) {
 		}
 		return r, nil
 	case ir.ADDRGP:
-		ga, ok := fg.g.globalAddr[addr.Name]
+		ga, ok := fg.g.global(addr.Sym)
 		if !ok {
-			return 0, fmt.Errorf("load from unknown global %q", addr.Name)
+			return 0, fmt.Errorf("load from unknown global %q", fg.g.mod.Syms[addr.Sym])
 		}
 		r, err := fg.alloc()
 		if err != nil {
@@ -728,7 +772,7 @@ func (fg *fgen) genLoad(t *ir.Tree) (uint8, error) {
 		fg.memOp(op, r, RegGP, ga, 0, false)
 		return r, nil
 	default:
-		a, err := fg.expr(addr)
+		a, err := fg.expr(i + 1)
 		if err != nil {
 			return 0, err
 		}

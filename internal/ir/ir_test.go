@@ -1,35 +1,32 @@
 package ir
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// saltTree builds the first tree of the paper's salt() example:
-// ASGNI(ADDRLP8[72], SUBI(INDIRI(ADDRLP8[72]),CNSTC[1])).
-func saltTree() *Tree {
-	return New(ASGNI,
-		NewLit(ADDRLP8, 72),
-		New(SUBI,
-			New(INDIRI, NewLit(ADDRLP8, 72)),
-			NewLit(CNSTC, 1)))
+// saltSrc is the first tree of the paper's salt() example.
+const saltSrc = "ASGNI(ADDRLP8[72],SUBI(INDIRI(ADDRLP8[72]),CNSTC[1]))"
+
+// parseOne parses src as the only tree of a function in an otherwise
+// empty module whose symbol table holds syms.
+func parseOne(src string, syms ...string) (*Module, *Function, error) {
+	f := &Function{Name: "f"}
+	m := &Module{Functions: []*Function{f}, Syms: syms}
+	return m, f, m.AppendTree(f, src)
 }
 
 func TestStringMatchesPaperForm(t *testing.T) {
-	got := saltTree().String()
-	want := "ASGNI(ADDRLP8[72],SUBI(INDIRI(ADDRLP8[72]),CNSTC[1]))"
-	if got != want {
-		t.Errorf("String = %s, want %s", got, want)
+	m, f, err := parseOne(saltSrc)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPatternString(t *testing.T) {
-	got := saltTree().PatternString()
-	want := "ASGNI(ADDRLP8[*],SUBI(INDIRI(ADDRLP8[*]),CNSTC[*]))"
-	if got != want {
-		t.Errorf("PatternString = %s, want %s", got, want)
+	if got := m.TreeString(f, 0); got != saltSrc {
+		t.Errorf("TreeString = %s, want %s", got, saltSrc)
 	}
 }
 
@@ -61,71 +58,38 @@ func TestLocalAddrSelectsWidth(t *testing.T) {
 	}
 }
 
-func TestArityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New with wrong arity should panic")
-		}
-	}()
-	New(ASGNI, NewLit(CNSTC, 1)) // ASGNI needs 2 kids
-}
-
-func TestCloneAndEqual(t *testing.T) {
-	a := saltTree()
-	b := a.Clone()
-	if !a.Equal(b) {
-		t.Error("clone not equal")
-	}
-	b.Kids[1].Kids[1].Lit = 2
-	if a.Equal(b) {
-		t.Error("mutated clone still equal")
-	}
-	if a.Equal(nil) {
-		t.Error("tree equal to nil")
-	}
-}
-
+// TestShapeAndLiterals: a tree's nodes are its shape, the wire
+// format's operator pattern, in prefix order, with each literal on its
+// node.
 func TestShapeAndLiterals(t *testing.T) {
-	tr := saltTree()
-	shape := tr.Shape()
-	wantShape := []Op{ASGNI, ADDRLP8, SUBI, INDIRI, ADDRLP8, CNSTC}
-	if len(shape) != len(wantShape) {
-		t.Fatalf("shape length %d, want %d", len(shape), len(wantShape))
-	}
-	for i := range shape {
-		if shape[i] != wantShape[i] {
-			t.Errorf("shape[%d] = %s, want %s", i, shape[i], wantShape[i])
-		}
-	}
-	lits := tr.CollectLiterals()
-	if len(lits) != 3 || lits[0].Int != 72 || lits[1].Int != 72 || lits[2].Int != 1 {
-		t.Errorf("literals = %+v", lits)
-	}
-}
-
-func TestTreeFromShape(t *testing.T) {
-	tr := saltTree()
-	back, nops, nlits, err := TreeFromShape(tr.Shape(), tr.CollectLiterals())
+	_, f, err := parseOne(saltSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nops != tr.Size() || nlits != 3 {
-		t.Errorf("consumed %d ops, %d lits", nops, nlits)
+	want := []Node{
+		{Op: ASGNI}, {Op: ADDRLP8, Lit: 72}, {Op: SUBI}, {Op: INDIRI},
+		{Op: ADDRLP8, Lit: 72}, {Op: CNSTC, Lit: 1},
 	}
-	if !back.Equal(tr) {
-		t.Errorf("rebuilt tree %s != original %s", back, tr)
+	if got := f.Tree(0); !slices.Equal(got, want) {
+		t.Errorf("nodes = %+v, want %+v", got, want)
 	}
 }
 
-func TestTreeFromShapeMalformed(t *testing.T) {
-	if _, _, _, err := TreeFromShape([]Op{ASGNI}, nil); err == nil {
-		t.Error("truncated shape accepted")
-	}
-	if _, _, _, err := TreeFromShape([]Op{CNSTC}, nil); err == nil {
-		t.Error("missing literal accepted")
-	}
-	if _, _, _, err := TreeFromShape([]Op{Op(200)}, nil); err == nil {
-		t.Error("invalid op accepted")
+// TestValidateRejectsMalformedTrees: Validate accepts only node arrays
+// that are exactly the trees Roots names, each one well-formed.
+func TestValidateRejectsMalformedTrees(t *testing.T) {
+	for name, f := range map[string]*Function{
+		"cut short":      {Nodes: []Node{{Op: ASGNI}, {Op: CNSTC}}, Roots: []int32{0}},
+		"invalid op":     {Nodes: []Node{{Op: Op(200)}}, Roots: []int32{0}},
+		"trailing nodes": {Nodes: []Node{{Op: RETV}, {Op: RETV}}, Roots: []int32{0}},
+		"root mid-tree":  {Nodes: []Node{{Op: RETI}, {Op: CNSTC}}, Roots: []int32{0, 1}},
+		"unknown symbol": {Nodes: []Node{{Op: CALLV}, {Op: ADDRGP, Sym: 7}}, Roots: []int32{0}},
+	} {
+		f.Name = "f"
+		m := &Module{Functions: []*Function{f}, Syms: []string{"f"}}
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -141,23 +105,23 @@ func TestParseRoundTrip(t *testing.T) {
 		"RETV",
 	}
 	for _, in := range inputs {
-		tr, err := ParseTree(in)
+		m, f, err := parseOne(in, "pepper")
 		if err != nil {
-			t.Fatalf("ParseTree(%q): %v", in, err)
+			t.Fatalf("AppendTree(%q): %v", in, err)
 		}
-		if got := tr.String(); got != in {
+		if got := m.TreeString(f, 0); got != in {
 			t.Errorf("round trip: %q -> %q", in, got)
 		}
 	}
 }
 
 func TestParseWithSpaces(t *testing.T) {
-	tr, err := ParseTree("ASGNI( ADDRLP8[72] , CNSTC[1] )")
+	m, f, err := parseOne("ASGNI( ADDRLP8[72] , CNSTC[1] )")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.String() != "ASGNI(ADDRLP8[72],CNSTC[1])" {
-		t.Errorf("got %s", tr)
+	if got := m.TreeString(f, 0); got != "ASGNI(ADDRLP8[72],CNSTC[1])" {
+		t.Errorf("got %s", got)
 	}
 }
 
@@ -165,11 +129,11 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"", "FOO[1]", "ASGNI(CNSTC[1])", "CNSTC", "CNSTC[x]",
 		"ADDRGP[]", "ASGNI(CNSTC[1],CNSTC[2]", "CNSTC[1]extra",
-		"ASGNI(CNSTC[1];CNSTC[2])", "LABELV[9",
+		"ASGNI(CNSTC[1];CNSTC[2])", "LABELV[9", "ADDRGP[ghost]",
 	}
 	for _, in := range bad {
-		if _, err := ParseTree(in); err == nil {
-			t.Errorf("ParseTree(%q) succeeded, want error", in)
+		if _, f, err := parseOne(in); err == nil || len(f.Nodes) != 0 || len(f.Roots) != 0 {
+			t.Errorf("AppendTree(%q) = %v, %d nodes, %d roots; want an error and no change", in, err, len(f.Nodes), len(f.Roots))
 		}
 	}
 }
@@ -212,26 +176,36 @@ func TestOpMetadata(t *testing.T) {
 	}
 }
 
-func sampleModule() *Module {
-	f := &Function{
-		Name:      "salt",
-		NumParams: 2,
-		FrameSize: 80,
-		Trees: []*Tree{
-			New(ASGNI, NewLit(ADDRLP8, 72), New(INDIRI, NewLit(ADDRFP8, 0))),
-			NewLit(LEI, 1, New(INDIRI, NewLit(ADDRLP8, 68)), NewLit(CNSTC, 0)),
-			New(ARGI, New(INDIRI, NewLit(ADDRLP8, 72))),
-			New(CALLV, NewName(ADDRGP, "pepper")),
-			NewLit(LABELV, 1),
-			New(RETI, New(INDIRI, NewLit(ADDRLP8, 68))),
-		},
+// sampleModule builds a module from trees in the textual form; it
+// fails the test on a parse error.
+func sampleModule(t *testing.T) *Module {
+	t.Helper()
+	f := &Function{Name: "salt", NumParams: 2, FrameSize: 80}
+	p := &Function{Name: "pepper", NumParams: 2}
+	m := &Module{Name: "m", Functions: []*Function{f, p}}
+	m.IndexSymbols()
+	appendTrees(t, m, f,
+		"ASGNI(ADDRLP8[72],INDIRI(ADDRFP8[0]))",
+		"LEI[1](INDIRI(ADDRLP8[68]),CNSTC[0])",
+		"ARGI(INDIRI(ADDRLP8[72]))",
+		"CALLV(ADDRGP[pepper])",
+		"LABELV[1]",
+		"RETI(INDIRI(ADDRLP8[68]))")
+	appendTrees(t, m, p, "RETV")
+	return m
+}
+
+func appendTrees(t *testing.T, m *Module, f *Function, srcs ...string) {
+	t.Helper()
+	for _, src := range srcs {
+		if err := m.AppendTree(f, src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p := &Function{Name: "pepper", NumParams: 2, FrameSize: 0, Trees: []*Tree{New(RETV)}}
-	return &Module{Name: "m", Functions: []*Function{f, p}}
 }
 
 func TestModuleValidate(t *testing.T) {
-	m := sampleModule()
+	m := sampleModule(t)
 	if err := m.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -247,34 +221,42 @@ func TestModuleValidate(t *testing.T) {
 }
 
 func TestModuleValidateCatchesBadLabels(t *testing.T) {
-	m := sampleModule()
+	m := sampleModule(t)
 	// Branch to an undefined label.
-	m.Functions[0].Trees = append(m.Functions[0].Trees, NewLit(JUMPV, 99))
+	appendTrees(t, m, m.Functions[0], "JUMPV[99]")
 	if err := m.Validate(); err == nil {
 		t.Error("undefined label not caught")
 	}
 
-	m = sampleModule()
-	m.Functions[0].Trees = append(m.Functions[0].Trees, NewLit(LABELV, 1))
+	m = sampleModule(t)
+	appendTrees(t, m, m.Functions[0], "LABELV[1]")
 	if err := m.Validate(); err == nil {
 		t.Error("duplicate label not caught")
 	}
 
-	m = sampleModule()
-	m.Functions[0].Trees = append(m.Functions[0].Trees, New(CALLV, NewName(ADDRGP, "ghost")))
+	m = sampleModule(t)
+	f := m.Functions[0]
+	f.Roots = append(f.Roots, int32(len(f.Nodes)))
+	f.Nodes = append(f.Nodes, Node{Op: CALLV}, Node{Op: ADDRGP, Sym: int32(len(m.Syms))})
 	if err := m.Validate(); err == nil {
 		t.Error("unknown symbol not caught")
 	}
 
-	m = sampleModule()
+	m = sampleModule(t)
 	m.Functions = append(m.Functions, &Function{Name: "salt"})
 	if err := m.Validate(); err == nil {
 		t.Error("duplicate function not caught")
 	}
+
+	m = sampleModule(t)
+	m.Syms[0], m.Syms[1] = m.Syms[1], m.Syms[0]
+	if err := m.Validate(); err == nil {
+		t.Error("misnumbered symbol table not caught")
+	}
 }
 
 func TestModuleString(t *testing.T) {
-	s := sampleModule().String()
+	s := sampleModule(t).String()
 	for _, want := range []string{"func salt params 2 frame 80", "CALLV(ADDRGP[pepper])", "LABELV[1]"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("module dump missing %q:\n%s", want, s)
@@ -282,45 +264,35 @@ func TestModuleString(t *testing.T) {
 	}
 }
 
-// randomTree builds a random well-formed tree for property tests.
-func randomTree(rng *rand.Rand, depth int) *Tree {
+// randomTree writes a random well-formed tree in the textual form.
+func randomTree(sb *strings.Builder, rng *rand.Rand, depth int) {
 	if depth <= 0 {
 		leaves := []Op{CNSTC, CNSTS, CNSTI, ADDRLP8, ADDRFP8}
-		op := leaves[rng.Intn(len(leaves))]
-		return NewLit(op, int64(rng.Intn(100)))
+		fmt.Fprintf(sb, "%s[%d]", leaves[rng.Intn(len(leaves))], rng.Intn(100))
+		return
 	}
 	ops := []Op{ADDI, SUBI, MULI, BANDI, INDIRI, NEGI, CVCI}
 	op := ops[rng.Intn(len(ops))]
-	kids := make([]*Tree, op.Arity())
-	for i := range kids {
-		kids[i] = randomTree(rng, depth-1)
+	sb.WriteString(op.String() + "(")
+	for i := 0; i < op.Arity(); i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		randomTree(sb, rng, depth-1)
 	}
-	return New(op, kids...)
+	sb.WriteByte(')')
 }
 
-// TestQuickShapeLiteralRoundTrip: decomposing any tree into
-// (shape, literals) and rebuilding yields an equal tree — the invariant
-// the wire format relies on.
-func TestQuickShapeLiteralRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, rng.Intn(6))
-		back, _, _, err := TreeFromShape(tr.Shape(), tr.CollectLiterals())
-		return err == nil && back.Equal(tr)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickParsePrintRoundTrip: printing and reparsing any tree is the
-// identity.
+// TestQuickParsePrintRoundTrip: parsing and printing any tree is the
+// identity, and the parsed nodes form one valid tree.
 func TestQuickParsePrintRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, rng.Intn(6))
-		back, err := ParseTree(tr.String())
-		return err == nil && back.Equal(tr)
+		var sb strings.Builder
+		randomTree(&sb, rng, rng.Intn(6))
+		m, fn, err := parseOne(sb.String())
+		m.IndexSymbols()
+		return err == nil && m.TreeString(fn, 0) == sb.String() && m.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

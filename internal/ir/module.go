@@ -14,7 +14,21 @@ type Function struct {
 	// offsets index into it. Parameter offsets index a separate area
 	// addressed by ADDRFP.
 	FrameSize int
-	Trees     []*Tree
+	// Nodes holds the statement trees in order, one after another,
+	// each in prefix order (see Node).
+	Nodes []Node
+	// Roots[k] is the index in Nodes of tree k's root; the tree ends
+	// where the next one starts, the last one where Nodes does.
+	Roots []int32
+}
+
+// Tree returns the nodes of tree k.
+func (f *Function) Tree(k int) []Node {
+	end := len(f.Nodes)
+	if k+1 < len(f.Roots) {
+		end = int(f.Roots[k+1])
+	}
+	return f.Nodes[f.Roots[k]:end]
 }
 
 // Global is a module-level datum.
@@ -34,6 +48,54 @@ type Module struct {
 	// Externs lists symbols supplied by the runtime (builtin functions
 	// such as putint); ADDRGP references to them are valid.
 	Externs []string
+	// Syms is the symbol table Node.Sym indexes: the externs, the
+	// globals, then the functions, each name once, at its first
+	// occurrence (see IndexSymbols). The wire format numbers name
+	// literals the same way.
+	Syms []string
+}
+
+// IndexSymbols sets m.Syms from the externs, globals and functions.
+func (m *Module) IndexSymbols() {
+	n := len(m.Externs) + len(m.Globals) + len(m.Functions)
+	m.Syms = make([]string, 0, n)
+	seen := make(map[string]bool, n)
+	add := func(name string) {
+		if !seen[name] {
+			seen[name] = true
+			m.Syms = append(m.Syms, name)
+		}
+	}
+	for _, e := range m.Externs {
+		add(e)
+	}
+	for _, g := range m.Globals {
+		add(g.Name)
+	}
+	for _, f := range m.Functions {
+		add(f.Name)
+	}
+}
+
+// GlobalIndex returns the index in m.Globals of symbol s, or -1 when s
+// names no global. FuncIndex does the same for m.Functions. Both rely
+// on the numbering Validate checks: globals and functions repeat no
+// earlier name, so they fill the tail of Syms in order.
+func (m *Module) GlobalIndex(s int32) int {
+	i := int(s) - (len(m.Syms) - len(m.Functions) - len(m.Globals))
+	if i < 0 || i >= len(m.Globals) {
+		return -1
+	}
+	return i
+}
+
+// FuncIndex returns the index in m.Functions of symbol s, or -1.
+func (m *Module) FuncIndex(s int32) int {
+	i := int(s) - (len(m.Syms) - len(m.Functions))
+	if i < 0 || i >= len(m.Functions) {
+		return -1
+	}
+	return i
 }
 
 // Function looks up a function by name.
@@ -54,64 +116,145 @@ func (m *Module) String() string {
 	}
 	for _, f := range m.Functions {
 		fmt.Fprintf(&sb, "func %s params %d frame %d\n", f.Name, f.NumParams, f.FrameSize)
-		for _, t := range f.Trees {
-			sb.WriteString(t.String())
+		for k := range f.Roots {
+			m.writeTree(&sb, f.Tree(k), 0)
 			sb.WriteByte('\n')
 		}
 	}
 	return sb.String()
 }
 
-// Validate checks structural invariants: operator arities and literal
-// kinds are enforced by construction, so this checks symbol uniqueness
-// (externs may repeat; a global may not repeat an extern or a global,
-// nor a function any earlier name), label consistency (see
-// LabelCheck) and that ADDRGP names resolve to a known symbol.
+// TreeString renders tree k of f in the paper's textual form, e.g.
+// ASGNI(ADDRLP8[72],SUBI(INDIRI(ADDRLP8[72]),CNSTC[1])), naming
+// symbols from m.Syms.
+func (m *Module) TreeString(f *Function, k int) string {
+	var sb strings.Builder
+	m.writeTree(&sb, f.Tree(k), 0)
+	return sb.String()
+}
+
+// writeTree writes the subtree at nodes[i] and returns the index just
+// past it.
+func (m *Module) writeTree(sb *strings.Builder, nodes []Node, i int) int {
+	n := nodes[i]
+	sb.WriteString(n.Op.String())
+	switch n.Op.Lit() {
+	case LitInt:
+		fmt.Fprintf(sb, "[%d]", n.Lit)
+	case LitName:
+		if n.Sym >= 0 && int(n.Sym) < len(m.Syms) {
+			fmt.Fprintf(sb, "[%s]", m.Syms[n.Sym])
+		} else {
+			fmt.Fprintf(sb, "[#%d]", n.Sym)
+		}
+	}
+	i++
+	if arity := n.Op.Arity(); arity > 0 {
+		sb.WriteByte('(')
+		for k := 0; k < arity; k++ {
+			if k > 0 {
+				sb.WriteByte(',')
+			}
+			i = m.writeTree(sb, nodes, i)
+		}
+		sb.WriteByte(')')
+	}
+	return i
+}
+
+// Validate checks the module's invariants, so that consumers may index
+// its node arrays without further checks:
+//   - symbols: externs may repeat, but a global may not repeat an
+//     extern or a global, nor a function any earlier name, and Syms
+//     numbers them as IndexSymbols does;
+//   - trees: each function's Roots start its trees in order, every
+//     tree is exactly one well-formed prefix-order tree of valid
+//     operators, and the last one ends with Nodes;
+//   - labels (see LabelCheck), and every ADDRGP symbol index is in
+//     range, so it names a known symbol.
 func (m *Module) Validate() error {
-	known := map[string]bool{}
+	known := make(map[string]bool, len(m.Syms))
+	next := 0 // symbols numbered so far
+	number := func(name string) error {
+		known[name] = true
+		if next >= len(m.Syms) || m.Syms[next] != name {
+			return fmt.Errorf("ir: symbol %d is not %q", next, name)
+		}
+		next++
+		return nil
+	}
 	for _, e := range m.Externs {
-		known[e] = true
+		if !known[e] {
+			if err := number(e); err != nil {
+				return err
+			}
+		}
 	}
 	for _, g := range m.Globals {
 		if known[g.Name] {
 			return fmt.Errorf("ir: duplicate global %q", g.Name)
 		}
-		known[g.Name] = true
+		if err := number(g.Name); err != nil {
+			return err
+		}
 	}
 	for _, f := range m.Functions {
 		if known[f.Name] {
 			return fmt.Errorf("ir: duplicate symbol %q", f.Name)
 		}
-		known[f.Name] = true
-	}
-	var (
-		labels  LabelCheck
-		fn      *Function
-		walkErr error
-	)
-	visit := func(n *Tree) {
-		switch {
-		case walkErr != nil:
-		case n.Op == LABELV:
-			walkErr = labels.Define(n.Lit)
-		case n.Op.IsBranch() || n.Op == JUMPV:
-			labels.Use(n.Lit)
-		case n.Op == ADDRGP:
-			if !known[n.Name] {
-				walkErr = fmt.Errorf("ir: %s references unknown symbol %q", fn.Name, n.Name)
-			}
+		if err := number(f.Name); err != nil {
+			return err
 		}
 	}
-	for _, fn = range m.Functions {
-		labels.Begin(fn.Name)
-		for _, t := range fn.Trees {
-			if t.Walk(visit); walkErr != nil {
-				return walkErr
-			}
+	if next != len(m.Syms) {
+		return fmt.Errorf("ir: %d symbols in the table, %d in the module", len(m.Syms), next)
+	}
+	var labels LabelCheck
+	for _, f := range m.Functions {
+		labels.Begin(f.Name)
+		if err := m.checkTrees(f, &labels); err != nil {
+			return err
 		}
 		if err := labels.End(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkTrees is Validate's one linear scan over f's nodes.
+func (m *Module) checkTrees(f *Function, labels *LabelCheck) error {
+	i := 0
+	for k, root := range f.Roots {
+		if int(root) != i {
+			return fmt.Errorf("ir: %s: tree %d starts at node %d, not %d", f.Name, k, root, i)
+		}
+		for open := 1; open > 0; open-- {
+			if i >= len(f.Nodes) {
+				return fmt.Errorf("ir: %s: tree %d is cut short", f.Name, k)
+			}
+			n := f.Nodes[i]
+			i++
+			if !n.Op.Valid() {
+				return fmt.Errorf("ir: %s: invalid op %d", f.Name, n.Op)
+			}
+			open += n.Op.Arity()
+			switch {
+			case n.Op == LABELV:
+				if err := labels.Define(n.Lit); err != nil {
+					return err
+				}
+			case n.Op.IsBranch() || n.Op == JUMPV:
+				labels.Use(n.Lit)
+			case n.Op == ADDRGP:
+				if n.Sym < 0 || int(n.Sym) >= len(m.Syms) {
+					return fmt.Errorf("ir: %s references unknown symbol %d", f.Name, n.Sym)
+				}
+			}
+		}
+	}
+	if i != len(f.Nodes) {
+		return fmt.Errorf("ir: %s: %d nodes after the last tree", f.Name, len(f.Nodes)-i)
 	}
 	return nil
 }
@@ -166,7 +309,7 @@ func (c *LabelCheck) End() error {
 func (m *Module) NumTrees() int {
 	n := 0
 	for _, f := range m.Functions {
-		n += len(f.Trees)
+		n += len(f.Roots)
 	}
 	return n
 }
@@ -175,9 +318,7 @@ func (m *Module) NumTrees() int {
 func (m *Module) NumNodes() int {
 	n := 0
 	for _, f := range m.Functions {
-		for _, t := range f.Trees {
-			n += t.Size()
-		}
+		n += len(f.Nodes)
 	}
 	return n
 }

@@ -2,29 +2,36 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// ParseTree parses the paper-style textual tree form produced by
-// Tree.String, e.g. "ASGNI(ADDRLP8[72],SUBI(INDIRI(ADDRLP8[72]),CNSTC[1]))".
-// Whitespace between tokens is ignored.
-func ParseTree(s string) (*Tree, error) {
-	p := &treeParser{src: s}
-	t, err := p.parse()
+// AppendTree parses one tree in the textual form TreeString renders,
+// e.g. "ASGNI(ADDRLP8[72],SUBI(INDIRI(ADDRLP8[72]),CNSTC[1]))", and
+// appends it to f as its last statement; a name must be in m.Syms.
+// Whitespace between tokens is ignored. It builds IR by hand, for
+// tests; on an error f is unchanged.
+func (m *Module) AppendTree(f *Function, s string) error {
+	p := &treeParser{src: s, m: m, f: f}
+	root := len(f.Nodes)
+	err := p.parse()
+	if p.skipSpace(); err == nil && p.pos != len(p.src) {
+		err = fmt.Errorf("ir: trailing input at %d: %q", p.pos, p.src[p.pos:])
+	}
 	if err != nil {
-		return nil, err
+		f.Nodes = f.Nodes[:root]
+		return err
 	}
-	p.skipSpace()
-	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("ir: trailing input at %d: %q", p.pos, p.src[p.pos:])
-	}
-	return t, nil
+	f.Roots = append(f.Roots, int32(root))
+	return nil
 }
 
 type treeParser struct {
 	src string
 	pos int
+	m   *Module
+	f   *Function
 }
 
 func (p *treeParser) skipSpace() {
@@ -33,25 +40,25 @@ func (p *treeParser) skipSpace() {
 	}
 }
 
-func (p *treeParser) parse() (*Tree, error) {
+func (p *treeParser) parse() error {
 	p.skipSpace()
 	start := p.pos
 	for p.pos < len(p.src) && (isIdentChar(p.src[p.pos])) {
 		p.pos++
 	}
 	if p.pos == start {
-		return nil, fmt.Errorf("ir: expected operator at %d", start)
+		return fmt.Errorf("ir: expected operator at %d", start)
 	}
 	opName := p.src[start:p.pos]
 	op, ok := OpByName(opName)
 	if !ok {
-		return nil, fmt.Errorf("ir: unknown operator %q", opName)
+		return fmt.Errorf("ir: unknown operator %q", opName)
 	}
-	t := &Tree{Op: op}
+	n := Node{Op: op}
 	p.skipSpace()
 	if op.Lit() != LitNone {
 		if p.pos >= len(p.src) || p.src[p.pos] != '[' {
-			return nil, fmt.Errorf("ir: %s requires [literal] at %d", op, p.pos)
+			return fmt.Errorf("ir: %s requires [literal] at %d", op, p.pos)
 		}
 		p.pos++
 		litStart := p.pos
@@ -59,7 +66,7 @@ func (p *treeParser) parse() (*Tree, error) {
 			p.pos++
 		}
 		if p.pos >= len(p.src) {
-			return nil, fmt.Errorf("ir: unterminated literal for %s", op)
+			return fmt.Errorf("ir: unterminated literal for %s", op)
 		}
 		lit := p.src[litStart:p.pos]
 		p.pos++ // ']'
@@ -67,43 +74,43 @@ func (p *treeParser) parse() (*Tree, error) {
 		case LitInt:
 			v, err := strconv.ParseInt(strings.TrimSpace(lit), 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("ir: bad integer literal %q for %s", lit, op)
+				return fmt.Errorf("ir: bad integer literal %q for %s", lit, op)
 			}
-			t.Lit = v
+			n.Lit = v
 		case LitName:
-			if lit == "" {
-				return nil, fmt.Errorf("ir: empty name literal for %s", op)
+			sym := slices.Index(p.m.Syms, lit)
+			if sym < 0 {
+				return fmt.Errorf("ir: unknown symbol %q for %s", lit, op)
 			}
-			t.Name = lit
+			n.Sym = int32(sym)
 		}
 	}
+	p.f.Nodes = append(p.f.Nodes, n)
 	p.skipSpace()
 	if op.Arity() > 0 {
 		if p.pos >= len(p.src) || p.src[p.pos] != '(' {
-			return nil, fmt.Errorf("ir: %s requires %d operand(s) at %d", op, op.Arity(), p.pos)
+			return fmt.Errorf("ir: %s requires %d operand(s) at %d", op, op.Arity(), p.pos)
 		}
 		p.pos++
 		for i := 0; i < op.Arity(); i++ {
 			if i > 0 {
 				p.skipSpace()
 				if p.pos >= len(p.src) || p.src[p.pos] != ',' {
-					return nil, fmt.Errorf("ir: expected ',' in %s operands at %d", op, p.pos)
+					return fmt.Errorf("ir: expected ',' in %s operands at %d", op, p.pos)
 				}
 				p.pos++
 			}
-			k, err := p.parse()
-			if err != nil {
-				return nil, err
+			if err := p.parse(); err != nil {
+				return err
 			}
-			t.Kids = append(t.Kids, k)
 		}
 		p.skipSpace()
 		if p.pos >= len(p.src) || p.src[p.pos] != ')' {
-			return nil, fmt.Errorf("ir: expected ')' closing %s at %d", op, p.pos)
+			return fmt.Errorf("ir: expected ')' closing %s at %d", op, p.pos)
 		}
 		p.pos++
 	}
-	return t, nil
+	return nil
 }
 
 func isIdentChar(c byte) bool {

@@ -13,21 +13,22 @@ package irexec
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/guard"
+	"repro/internal/integrity"
 	"repro/internal/ir"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
-// Runtime errors.
+// Runtime errors. Each also matches the vm sentinel of the same name
+// under errors.Is, so callers can compare the engines' failures.
 var (
-	ErrOutOfSteps = errors.New("irexec: step limit exceeded")
-	ErrMemFault   = errors.New("irexec: memory fault")
-	ErrDivByZero  = errors.New("irexec: division by zero")
+	ErrOutOfSteps = integrity.Alias("irexec: step limit exceeded", vm.ErrOutOfSteps)
+	ErrMemFault   = integrity.Alias("irexec: memory fault", vm.ErrMemFault)
+	ErrDivByZero  = integrity.Alias("irexec: division by zero", vm.ErrDivByZero)
 )
 
 // DataBase matches codegen.DataBase so absolute addresses agree.
@@ -42,8 +43,7 @@ type Machine struct {
 
 	Steps    int64 // tree nodes evaluated
 	ExitCode int32
-	globals  map[string]int32
-	funcs    map[string]*ir.Function
+	globals  []int32 // data address, by index in Mod.Globals
 	sp       int32
 	dataEnd  int32
 	halted   bool
@@ -60,30 +60,31 @@ type Machine struct {
 	flushedSteps int64
 }
 
-// NewMachine lays out the module's globals and prepares execution.
-// memSize 0 selects vm.DefaultMemSize.
+// NewMachine validates the module, lays out its globals and prepares
+// execution. memSize 0 selects vm.DefaultMemSize; a memory too small
+// for the data segment is an error that matches vm.ErrMemFault.
 func NewMachine(m *ir.Module, memSize int, out io.Writer) (*Machine, error) {
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("irexec: %w", err)
+	}
 	if memSize <= 0 {
 		memSize = vm.DefaultMemSize
 	}
-	mc := &Machine{
-		Memory:  vm.MakeMemory(memSize),
-		Mod:     m,
-		Out:     out,
-		globals: map[string]int32{},
-		funcs:   map[string]*ir.Function{},
-	}
-	addr := int32(DataBase)
-	for _, g := range m.Globals {
+	globals := make([]int32, len(m.Globals))
+	addr := int64(DataBase)
+	for i, g := range m.Globals {
 		addr = (addr + 3) &^ 3
-		mc.globals[g.Name] = addr
-		copy(mc.Mem[addr:], g.Init)
-		addr += int32(g.Size)
+		globals[i] = int32(addr)
+		addr += int64(g.Size)
 	}
-	for _, f := range m.Functions {
-		mc.funcs[f.Name] = f
+	if addr > int64(memSize) {
+		return nil, fmt.Errorf("%w: data segment ends at %d, memory is %d bytes", ErrMemFault, addr, memSize)
 	}
-	mc.dataEnd = addr
+	mc := &Machine{Memory: vm.MakeMemory(memSize), Mod: m, Out: out, globals: globals}
+	for i, g := range m.Globals {
+		copy(mc.Mem[globals[i]:], g.Init)
+	}
+	mc.dataEnd = int32(addr)
 	mc.sp = int32(len(mc.Mem))
 	return mc, nil
 }
@@ -144,7 +145,7 @@ func (mc *Machine) Run(maxSteps int64) (int32, error) {
 		l.MaxSteps = maxSteps
 	}
 	mc.gov = guard.New("irexec", l, ErrOutOfSteps)
-	main := mc.funcs["main"]
+	main := mc.Mod.Function("main")
 	if main == nil {
 		return 0, fmt.Errorf("irexec: no main function")
 	}
@@ -161,8 +162,10 @@ func (mc *Machine) Run(maxSteps int64) (int32, error) {
 
 // frame is one activation record.
 type frame struct {
-	base int32   // frame base: ADDRLP offsets index from here
-	args []int32 // incoming arguments (ADDRFP)
+	base    int32     // frame base: ADDRLP offsets index from here
+	args    []int32   // incoming arguments (ADDRFP)
+	nodes   []ir.Node // the function's trees
+	pending []int32   // ARGI values for the next call
 }
 
 // call executes one function body.
@@ -178,22 +181,22 @@ func (mc *Machine) call(f *ir.Function, args []int32) (int32, error) {
 	defer func() { mc.sp += size; mc.depth-- }()
 
 	labels := map[int64]int{}
-	for i, t := range f.Trees {
-		if t.Op == ir.LABELV {
-			labels[t.Lit] = i
+	for k, r := range f.Roots {
+		if t := f.Nodes[r]; t.Op == ir.LABELV {
+			labels[t.Lit] = k
 		}
 	}
-	fr := &frame{base: base, args: args}
-	var pendingArgs []int32
+	fr := &frame{base: base, args: args, nodes: f.Nodes}
 	pc := 0
-	for pc < len(f.Trees) {
+	for pc < len(f.Roots) {
 		// Statement dispatch counts as a step too: a LABELV/JUMPV-only
 		// loop never reaches eval, and must still hit the governor.
 		mc.Steps++
 		if err := mc.gov.Check(mc.Steps, mc.depth, int64(pc)); err != nil {
 			return 0, err
 		}
-		t := f.Trees[pc]
+		i := int(f.Roots[pc])
+		t := f.Nodes[i]
 		switch t.Op {
 		case ir.LABELV:
 			pc++
@@ -204,11 +207,7 @@ func (mc *Machine) call(f *ir.Function, args []int32) (int32, error) {
 			}
 			pc = to
 		case ir.EQI, ir.NEI, ir.LTI, ir.LEI, ir.GTI, ir.GEI:
-			l, err := mc.eval(t.Kids[0], fr, &pendingArgs)
-			if err != nil {
-				return 0, err
-			}
-			r, err := mc.eval(t.Kids[1], fr, &pendingArgs)
+			l, r, _, err := mc.evalPair(fr, i)
 			if err != nil {
 				return 0, err
 			}
@@ -237,18 +236,19 @@ func (mc *Machine) call(f *ir.Function, args []int32) (int32, error) {
 				pc++
 			}
 		case ir.RETI:
-			return mc.eval(t.Kids[0], fr, &pendingArgs)
+			v, _, err := mc.eval(fr, i+1)
+			return v, err
 		case ir.RETV:
 			return 0, nil
 		case ir.ARGI:
-			v, err := mc.eval(t.Kids[0], fr, &pendingArgs)
+			v, _, err := mc.eval(fr, i+1)
 			if err != nil {
 				return 0, err
 			}
-			pendingArgs = append(pendingArgs, v)
+			fr.pending = append(fr.pending, v)
 			pc++
 		default:
-			if _, err := mc.eval(t, fr, &pendingArgs); err != nil {
+			if _, _, err := mc.eval(fr, i); err != nil {
 				return 0, err
 			}
 			pc++
@@ -260,152 +260,152 @@ func (mc *Machine) call(f *ir.Function, args []int32) (int32, error) {
 	return 0, nil
 }
 
-// eval evaluates an expression tree to an int32.
-func (mc *Machine) eval(t *ir.Tree, fr *frame, pendingArgs *[]int32) (int32, error) {
+// eval evaluates the expression tree rooted at fr.nodes[i] to an
+// int32 and returns the index just past the tree.
+func (mc *Machine) eval(fr *frame, i int) (int32, int, error) {
+	t := fr.nodes[i]
 	if mc.opCounts != nil && int(t.Op) < len(mc.opCounts) {
 		mc.opCounts[t.Op]++
 	}
 	mc.Steps++
 	if err := mc.gov.Check(mc.Steps, mc.depth, int64(mc.depth)); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	switch t.Op {
 	case ir.CNSTC, ir.CNSTS, ir.CNSTI:
-		return int32(t.Lit), nil
+		return int32(t.Lit), i + 1, nil
 	case ir.ADDRLP, ir.ADDRLP8:
-		return fr.base + int32(t.Lit), nil
+		return fr.base + int32(t.Lit), i + 1, nil
 	case ir.ADDRFP, ir.ADDRFP8:
 		k := int(t.Lit / 4)
 		if k < 0 || k >= len(fr.args) {
-			return 0, fmt.Errorf("irexec: argument %d out of range", k)
+			return 0, 0, fmt.Errorf("irexec: argument %d out of range", k)
 		}
 		// ADDRFP only appears under INDIRI in front-end output; the
 		// special case lives in the INDIRI handler. A bare ADDRFP has
 		// no meaningful address here.
-		return 0, fmt.Errorf("irexec: bare ADDRFP")
+		return 0, 0, fmt.Errorf("irexec: bare ADDRFP")
 	case ir.ADDRGP:
-		if a, ok := mc.globals[t.Name]; ok {
-			return a, nil
+		if g := mc.Mod.GlobalIndex(t.Sym); g >= 0 {
+			return mc.globals[g], i + 1, nil
 		}
-		return 0, fmt.Errorf("irexec: address of non-data symbol %q", t.Name)
+		return 0, 0, fmt.Errorf("irexec: address of non-data symbol %q", mc.Mod.Syms[t.Sym])
 	case ir.INDIRI:
-		if t.Kids[0].Op == ir.ADDRFP || t.Kids[0].Op == ir.ADDRFP8 {
-			k := int(t.Kids[0].Lit / 4)
+		if a := fr.nodes[i+1]; a.Op == ir.ADDRFP || a.Op == ir.ADDRFP8 {
+			k := int(a.Lit / 4)
 			if k < 0 || k >= len(fr.args) {
-				return 0, fmt.Errorf("irexec: argument %d out of range", k)
+				return 0, 0, fmt.Errorf("irexec: argument %d out of range", k)
 			}
-			return fr.args[k], nil
+			return fr.args[k], i + 2, nil
 		}
-		a, err := mc.eval(t.Kids[0], fr, pendingArgs)
+		a, next, err := mc.eval(fr, i+1)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		return mc.load32(a)
+		v, err := mc.load32(a)
+		return v, next, err
 	case ir.INDIRC:
-		a, err := mc.eval(t.Kids[0], fr, pendingArgs)
+		a, next, err := mc.eval(fr, i+1)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if a < 0 || int(a) >= len(mc.Mem) {
-			return 0, fmt.Errorf("%w: load8 at %d", ErrMemFault, a)
+			return 0, 0, fmt.Errorf("%w: load8 at %d", ErrMemFault, a)
 		}
-		return int32(int8(mc.Mem[a])), nil
+		return int32(int8(mc.Mem[a])), next, nil
 	case ir.ASGNI, ir.ASGNC:
-		a, err := mc.eval(t.Kids[0], fr, pendingArgs)
+		a, v, next, err := mc.evalPair(fr, i)
 		if err != nil {
-			return 0, err
-		}
-		v, err := mc.eval(t.Kids[1], fr, pendingArgs)
-		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if t.Op == ir.ASGNC {
 			if a < 0 || int(a) >= len(mc.Mem) {
-				return 0, fmt.Errorf("%w: store8 at %d", ErrMemFault, a)
+				return 0, 0, fmt.Errorf("%w: store8 at %d", ErrMemFault, a)
 			}
 			mc.Mem[a] = byte(v)
-			return v, nil
+			return v, next, nil
 		}
-		return v, mc.store32(a, v)
-	case ir.CVCI:
-		v, err := mc.eval(t.Kids[0], fr, pendingArgs)
-		if err != nil {
-			return 0, err
-		}
-		return int32(int8(v)), nil
-	case ir.CVIC:
-		v, err := mc.eval(t.Kids[0], fr, pendingArgs)
-		if err != nil {
-			return 0, err
-		}
-		return int32(int8(v)), nil
+		return v, next, mc.store32(a, v)
+	case ir.CVCI, ir.CVIC:
+		v, next, err := mc.eval(fr, i+1)
+		return int32(int8(v)), next, err
 	case ir.NEGI:
-		v, err := mc.eval(t.Kids[0], fr, pendingArgs)
-		return -v, err
+		v, next, err := mc.eval(fr, i+1)
+		return -v, next, err
 	case ir.BCOMI:
-		v, err := mc.eval(t.Kids[0], fr, pendingArgs)
-		return ^v, err
+		v, next, err := mc.eval(fr, i+1)
+		return ^v, next, err
 	case ir.CALLI, ir.CALLV:
-		callee := t.Kids[0]
+		callee := fr.nodes[i+1]
 		if callee.Op != ir.ADDRGP {
-			return 0, fmt.Errorf("irexec: indirect call")
+			return 0, 0, fmt.Errorf("irexec: indirect call")
 		}
-		args := *pendingArgs
-		*pendingArgs = nil
-		if v, handled, err := mc.trap(callee.Name, args); handled {
-			return v, err
+		args := fr.pending
+		fr.pending = nil
+		name := mc.Mod.Syms[callee.Sym]
+		if v, handled, err := mc.trap(name, args); handled {
+			return v, i + 2, err
 		}
-		f := mc.funcs[callee.Name]
-		if f == nil {
-			return 0, fmt.Errorf("irexec: call to undefined %q", callee.Name)
+		f := mc.Mod.FuncIndex(callee.Sym)
+		if f < 0 {
+			return 0, 0, fmt.Errorf("irexec: call to undefined %q", name)
 		}
-		return mc.call(f, args)
+		v, err := mc.call(mc.Mod.Functions[f], args)
+		return v, i + 2, err
 	default:
-		return mc.binary(t, fr, pendingArgs)
+		return mc.binary(fr, i)
 	}
 }
 
-func (mc *Machine) binary(t *ir.Tree, fr *frame, pendingArgs *[]int32) (int32, error) {
-	if len(t.Kids) != 2 {
-		return 0, fmt.Errorf("irexec: unsupported operator %s", t.Op)
-	}
-	l, err := mc.eval(t.Kids[0], fr, pendingArgs)
+// evalPair evaluates binary node i's kids, left then right, and
+// returns the index just past node i's tree.
+func (mc *Machine) evalPair(fr *frame, i int) (l, r int32, next int, err error) {
+	l, next, err = mc.eval(fr, i+1)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
-	r, err := mc.eval(t.Kids[1], fr, pendingArgs)
+	r, next, err = mc.eval(fr, next)
+	return l, r, next, err
+}
+
+func (mc *Machine) binary(fr *frame, i int) (int32, int, error) {
+	op := fr.nodes[i].Op
+	if op.Arity() != 2 {
+		return 0, 0, fmt.Errorf("irexec: unsupported operator %s", op)
+	}
+	l, r, next, err := mc.evalPair(fr, i)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	switch t.Op {
+	switch op {
 	case ir.ADDI:
-		return l + r, nil
+		return l + r, next, nil
 	case ir.SUBI:
-		return l - r, nil
+		return l - r, next, nil
 	case ir.MULI:
-		return l * r, nil
+		return l * r, next, nil
 	case ir.DIVI:
 		if r == 0 {
-			return 0, ErrDivByZero
+			return 0, 0, ErrDivByZero
 		}
-		return l / r, nil
+		return l / r, next, nil
 	case ir.MODI:
 		if r == 0 {
-			return 0, ErrDivByZero
+			return 0, 0, ErrDivByZero
 		}
-		return l % r, nil
+		return l % r, next, nil
 	case ir.BANDI:
-		return l & r, nil
+		return l & r, next, nil
 	case ir.BORI:
-		return l | r, nil
+		return l | r, next, nil
 	case ir.BXORI:
-		return l ^ r, nil
+		return l ^ r, next, nil
 	case ir.LSHI:
-		return l << (uint32(r) & 31), nil
+		return l << (uint32(r) & 31), next, nil
 	case ir.RSHI:
-		return l >> (uint32(r) & 31), nil
+		return l >> (uint32(r) & 31), next, nil
 	}
-	return 0, fmt.Errorf("irexec: unsupported operator %s", t.Op)
+	return 0, 0, fmt.Errorf("irexec: unsupported operator %s", op)
 }
 
 // trap handles the runtime builtins; handled is false for ordinary

@@ -3,7 +3,7 @@ package wire
 // The codec both formats are built from. WIR2 and WIRX share every
 // format decision below: the file prefix, the final stage and its bomb
 // cap, the module header and shape table, patternization, the symbol
-// stream coder, and tree reconstruction. They differ only in framing —
+// stream coder, and the tree fill. They differ only in framing —
 // WIR2 puts the whole container through the final stage and gives each
 // stream an in-band Huffman table, while WIRX finals only its header,
 // which holds one table per stream, and slices every stream into
@@ -142,103 +142,101 @@ func writeModuleHeader(bw *bitio.Writer, m *ir.Module) {
 		writeString(bw, f.Name)
 		writeUvarint(bw, uint64(f.NumParams))
 		writeUvarint(bw, uint64(f.FrameSize))
-		writeUvarint(bw, uint64(len(f.Trees)))
+		writeUvarint(bw, uint64(len(f.Roots)))
 	}
 }
 
 // readModuleHeader reverses writeModuleHeader. It returns the module
-// with tree-less functions, the symbol table name literals index into
-// (externs, globals, then functions, first occurrence wins, as
-// symbolIndex numbers them), and each function's tree count. It
-// rejects symbol collisions as ir.Module.Validate does: externs may
-// repeat, but a global may not repeat an extern or a global, nor a
-// function any earlier name.
-func readModuleHeader(br *bitio.Reader) (*ir.Module, []string, []int, error) {
+// with tree-less functions and its symbol table, which name literals
+// index (externs, globals, then functions, first occurrence wins), and
+// each function's tree count. It rejects symbol collisions as
+// ir.Module.Validate does: externs may repeat, but a global may not
+// repeat an extern or a global, nor a function any earlier name.
+func readModuleHeader(br *bitio.Reader) (*ir.Module, []int, error) {
 	m := &ir.Module{}
 	var err error
 	if m.Name, err = readString(br); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: name: %v", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: name: %v", ErrCorrupt, err)
 	}
 	nExterns, err := readUvarint(br)
 	if err != nil || nExterns > 1<<16 {
-		return nil, nil, nil, fmt.Errorf("%w: externs", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: externs", ErrCorrupt)
 	}
-	var names []string
 	known := map[string]bool{}
 	for i := uint64(0); i < nExterns; i++ {
 		s, err := readString(br)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: extern name", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: extern name", ErrCorrupt)
 		}
 		m.Externs = append(m.Externs, s)
 		if !known[s] {
 			known[s] = true
-			names = append(names, s)
+			m.Syms = append(m.Syms, s)
 		}
 	}
 	nGlobals, err := readUvarint(br)
 	if err != nil || nGlobals > 1<<20 {
-		return nil, nil, nil, fmt.Errorf("%w: globals", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: globals", ErrCorrupt)
 	}
 	for i := uint64(0); i < nGlobals; i++ {
 		var g ir.Global
 		if g.Name, err = readString(br); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: global name", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: global name", ErrCorrupt)
 		}
 		if known[g.Name] {
-			return nil, nil, nil, fmt.Errorf("%w: duplicate global %q", ErrCorrupt, g.Name)
+			return nil, nil, fmt.Errorf("%w: duplicate global %q", ErrCorrupt, g.Name)
 		}
 		known[g.Name] = true
 		size, err := readUvarint(br)
 		if err != nil || size > 1<<28 {
-			return nil, nil, nil, fmt.Errorf("%w: global size", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: global size", ErrCorrupt)
 		}
 		g.Size = int(size)
 		initLen, err := readUvarint(br)
 		if err != nil || initLen > size {
-			return nil, nil, nil, fmt.Errorf("%w: global init", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: global init", ErrCorrupt)
 		}
 		if initLen > 0 {
 			g.Init = make([]byte, initLen)
 			if err := br.ReadBytes(g.Init); err != nil {
-				return nil, nil, nil, fmt.Errorf("%w: global init bytes", ErrCorrupt)
+				return nil, nil, fmt.Errorf("%w: global init bytes", ErrCorrupt)
 			}
 		}
 		m.Globals = append(m.Globals, g)
-		names = append(names, g.Name)
+		m.Syms = append(m.Syms, g.Name)
 	}
 	nFuncs, err := readUvarint(br)
 	if err != nil || nFuncs > 1<<20 {
-		return nil, nil, nil, fmt.Errorf("%w: functions", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: functions", ErrCorrupt)
 	}
 	treeCounts := make([]int, nFuncs)
 	for i := range treeCounts {
 		f := &ir.Function{}
 		if f.Name, err = readString(br); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: function name", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: function name", ErrCorrupt)
 		}
 		if known[f.Name] {
-			return nil, nil, nil, fmt.Errorf("%w: duplicate symbol %q", ErrCorrupt, f.Name)
+			return nil, nil, fmt.Errorf("%w: duplicate symbol %q", ErrCorrupt, f.Name)
 		}
 		known[f.Name] = true
 		np, err := readUvarint(br)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: params", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: params", ErrCorrupt)
 		}
 		fs, err := readUvarint(br)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: frame", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: frame", ErrCorrupt)
 		}
 		nt, err := readUvarint(br)
 		if err != nil || nt > 1<<24 {
-			return nil, nil, nil, fmt.Errorf("%w: tree count", ErrCorrupt)
+			return nil, nil, fmt.Errorf("%w: tree count", ErrCorrupt)
 		}
 		f.NumParams, f.FrameSize = int(np), int(fs)
 		treeCounts[i] = int(nt)
 		m.Functions = append(m.Functions, f)
-		names = append(names, f.Name)
+		m.Syms = append(m.Syms, f.Name)
 	}
-	return m, names, treeCounts, nil
+	return m, treeCounts, nil
 }
 
 // writeShapeTable writes the shape dictionary in first-occurrence
@@ -255,7 +253,7 @@ func writeShapeTable(bw *bitio.Writer, shapes [][]ir.Op) {
 
 // readShapeTable reverses writeShapeTable. It rejects undefined
 // opcodes and any shape that is not exactly one tree in prefix order,
-// so rebuild can link every node by arity alone.
+// so every tree fill copies out of it is well-formed.
 func readShapeTable(br *bitio.Reader) ([][]ir.Op, error) {
 	nShapes, err := readUvarint(br)
 	if err != nil || nShapes > 1<<24 {
@@ -325,10 +323,10 @@ func (p *patterns) funcStream(fi, j int) []int32 {
 	return p.stream(j)[p.marks[fi*n+j]:p.marks[(fi+1)*n+j]]
 }
 
-// patternize splits the module in one prefix-order walk per tree: the
-// walk accumulates the shape-key bytes and routes each literal to its
-// opcode's stream, with name literals mapped through nameIdx.
-func patternize(m *ir.Module, nameIdx map[string]int) (*patterns, error) {
+// patternize splits the module in one pass over each function's
+// nodes: a tree's shape is the ops of its node range, and each literal
+// goes to its opcode's stream, a name as its symbol index.
+func patternize(m *ir.Module) *patterns {
 	n := numStreams()
 	p := &patterns{marks: make([]int32, 0, (len(m.Functions)+1)*n)}
 	mark := func() {
@@ -338,27 +336,18 @@ func patternize(m *ir.Module, nameIdx map[string]int) (*patterns, error) {
 	}
 	shapeIDs := map[string]int32{}
 	var keyBuf []byte
-	var walkErr error
-	visit := func(t *ir.Tree) {
-		keyBuf = append(keyBuf, byte(t.Op))
-		switch t.Op.Lit() {
-		case ir.LitInt:
-			p.lits[t.Op] = append(p.lits[t.Op], int32(t.Lit))
-		case ir.LitName:
-			idx, ok := nameIdx[t.Name]
-			if !ok && walkErr == nil {
-				walkErr = fmt.Errorf("wire: unknown symbol %q", t.Name)
-			}
-			p.lits[t.Op] = append(p.lits[t.Op], int32(idx))
-		}
-	}
 	for _, f := range m.Functions {
 		mark()
-		for _, t := range f.Trees {
+		for k := range f.Roots {
 			keyBuf = keyBuf[:0]
-			t.Walk(visit)
-			if walkErr != nil {
-				return nil, walkErr
+			for _, nd := range f.Tree(k) {
+				keyBuf = append(keyBuf, byte(nd.Op))
+				switch nd.Op.Lit() {
+				case ir.LitInt:
+					p.lits[nd.Op] = append(p.lits[nd.Op], int32(nd.Lit))
+				case ir.LitName:
+					p.lits[nd.Op] = append(p.lits[nd.Op], nd.Sym)
+				}
 			}
 			// The string conversion in the lookup does not allocate; the
 			// key is only materialized for first occurrences.
@@ -376,7 +365,7 @@ func patternize(m *ir.Module, nameIdx map[string]int) (*patterns, error) {
 		}
 	}
 	mark()
-	return p, nil
+	return p
 }
 
 // ---- symbol streams ----
@@ -540,136 +529,89 @@ func unsymbolize(symbols []int, firsts []int32, noMTF bool) ([]int32, error) {
 	return out, nil
 }
 
-// ---- tree rebuild ----
+// ---- tree fill ----
 
-// rebuild fills in fns' trees — treeCounts[i] for fns[i] — from the
-// shape stream and the per-opcode literal streams, consuming both in
-// order. It is the decode path's one walk over the trees, so it also
-// checks what ir.Module.Validate checks there: each function's labels,
-// through one ir.LabelCheck, and each ADDRGP name index against names,
-// which holds only declared symbols, so an index in range is a known
-// name. readShapeTable has already checked that every shape is one
-// well-formed tree. All nodes and tree lists come from arenas sized
-// from the shape stream.
-func rebuild(fns []*ir.Function, treeCounts []int, shapeStream []int32, shapes [][]ir.Op, lits *[ir.NumOps][]int32, names []string) error {
+// fill sets fns' trees — treeCounts[i] for fns[i] — from the shape
+// stream and the per-opcode literal streams, consuming both in order.
+// readShapeTable has already checked that every shape is one
+// well-formed tree, so a tree is its shape's ops with each literal
+// taken from its opcode's stream: there is nothing to link. Every
+// function's nodes and roots are slices of one array each, sized from
+// the shape stream. fill is the decode path's one pass over the
+// trees, so it also checks what ir.Module.Validate checks there: each
+// function's labels, through one ir.LabelCheck, and each ADDRGP symbol
+// index against nSyms, the size of a symbol table that holds only
+// declared symbols, so an index in range is a known name.
+func fill(fns []*ir.Function, treeCounts []int, shapeStream []int32, shapes [][]ir.Op, lits *[ir.NumOps][]int32, nSyms int) error {
 	total := 0
 	for _, id := range shapeStream {
 		if id >= 0 && int(id) < len(shapes) {
 			total += len(shapes[id])
 		}
 	}
-	rb := &rebuilder{
-		lits:  lits,
-		names: names,
-		nodes: make([]ir.Tree, total),
-		// A tree of n nodes has n-1 children.
-		kids: make([]*ir.Tree, max(total-len(shapeStream), 0)),
-	}
-	trees := make([]*ir.Tree, len(shapeStream))
-	si := 0
+	// An invalid shape id leaves the array short of the stream's
+	// trees, but the fill fails there, before it needs the room.
+	nodes := make([]ir.Node, total)
+	roots := make([]int32, len(shapeStream))
+	var (
+		litPos [ir.NumOps]int
+		labels ir.LabelCheck
+	)
+	si, ni := 0, 0
 	for fi, f := range fns {
 		n := treeCounts[fi]
 		if n > len(shapeStream)-si {
 			return fmt.Errorf("%w: shape stream underflow", ErrCorrupt)
 		}
-		f.Trees = nil
-		if n > 0 {
-			f.Trees = trees[si : si+n : si+n]
-		}
-		rb.labels.Begin(f.Name)
-		for k := range f.Trees {
+		first := ni
+		f.Roots = roots[si : si+n : si+n]
+		labels.Begin(f.Name)
+		for k := range f.Roots {
 			id := shapeStream[si]
 			si++
 			if id < 0 || int(id) >= len(shapes) {
 				return fmt.Errorf("%w: shape id %d", ErrCorrupt, id)
 			}
-			t, err := rb.tree(shapes[id])
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, err)
+			f.Roots[k] = int32(ni - first)
+			for _, op := range shapes[id] {
+				nd := &nodes[ni]
+				ni++
+				nd.Op = op
+				kind := op.Lit()
+				if kind == ir.LitNone {
+					continue
+				}
+				s, p := lits[op], litPos[op]
+				if p >= len(s) {
+					return fmt.Errorf("%w: literal underflow for %s", ErrCorrupt, op)
+				}
+				litPos[op] = p + 1
+				v := s[p]
+				switch {
+				case kind == ir.LitName:
+					if v < 0 || int(v) >= nSyms {
+						return fmt.Errorf("%w: name index %d out of range", ErrCorrupt, v)
+					}
+					nd.Sym = v
+				case op == ir.LABELV:
+					nd.Lit = int64(v)
+					if err := labels.Define(nd.Lit); err != nil {
+						return fmt.Errorf("%w: %v", ErrCorrupt, err)
+					}
+				case op == ir.JUMPV || op.IsBranch():
+					nd.Lit = int64(v)
+					labels.Use(nd.Lit)
+				default:
+					nd.Lit = int64(v)
+				}
 			}
-			f.Trees[k] = t
 		}
-		if err := rb.labels.End(); err != nil {
+		f.Nodes = nodes[first:ni:ni]
+		if err := labels.End(); err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 	return nil
-}
-
-// rebuilder is rebuild's state: the literal streams with one cursor per
-// opcode, the current function's label check, and the node, child and
-// ancestor-stack backing shared by every tree.
-type rebuilder struct {
-	lits   *[ir.NumOps][]int32
-	litPos [ir.NumOps]int
-	names  []string
-	labels ir.LabelCheck
-	nodes  []ir.Tree
-	kids   []*ir.Tree
-	stack  []openNode
-}
-
-// openNode is a node of the tree being rebuilt that still misses
-// children: its index and the child slot it fills next.
-type openNode struct{ node, next int32 }
-
-// tree rebuilds one tree from a well-formed shape in one iterative
-// prefix walk: each node takes its literal, if it carries one, from
-// its opcode's stream, and fills the next child slot of the innermost
-// node on the stack that still misses children.
-func (rb *rebuilder) tree(ops []ir.Op) (*ir.Tree, error) {
-	n := len(ops)
-	// Invalid shape ids in the stream leave the arenas short; the
-	// rebuild fails at the first one, but trees before it still fit.
-	if len(rb.nodes) < n || len(rb.kids) < n-1 {
-		rb.nodes, rb.kids = make([]ir.Tree, n), make([]*ir.Tree, n-1)
-	}
-	nodes, kids := rb.nodes[:n:n], rb.kids[:n-1:n-1]
-	rb.nodes, rb.kids = rb.nodes[n:], rb.kids[n-1:]
-	stack := rb.stack[:0]
-	for i, op := range ops {
-		t := &nodes[i]
-		t.Op = op
-		if kind := op.Lit(); kind != ir.LitNone {
-			s, p := rb.lits[op], rb.litPos[op]
-			if p >= len(s) {
-				return nil, fmt.Errorf("literal underflow for %s", op)
-			}
-			rb.litPos[op] = p + 1
-			v := s[p]
-			switch {
-			case kind == ir.LitName:
-				if v < 0 || int(v) >= len(rb.names) {
-					return nil, fmt.Errorf("name index %d out of range", v)
-				}
-				t.Name = rb.names[v]
-			case op == ir.LABELV:
-				t.Lit = int64(v)
-				if err := rb.labels.Define(t.Lit); err != nil {
-					return nil, err
-				}
-			case op == ir.JUMPV || op.IsBranch():
-				t.Lit = int64(v)
-				rb.labels.Use(t.Lit)
-			default:
-				t.Lit = int64(v)
-			}
-		}
-		if top := len(stack) - 1; top >= 0 {
-			o := &stack[top]
-			parent := nodes[o.node].Kids
-			parent[o.next] = t
-			if o.next++; int(o.next) == len(parent) {
-				stack = stack[:top]
-			}
-		}
-		if arity := op.Arity(); arity > 0 {
-			t.Kids, kids = kids[:arity:arity], kids[arity:]
-			stack = append(stack, openNode{int32(i), 0})
-		}
-	}
-	rb.stack = stack
-	return &nodes[0], nil
 }
 
 // ---- primitive serialization helpers ----

@@ -8,33 +8,33 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPatternizeMatchesReference checks the single-walk patternize
-// against the reference definitions ir.Tree.Shape and CollectLiterals,
-// function by function, so the per-function stream slices WIRX cuts its
-// chunks from are pinned too.
+// TestPatternizeMatchesReference checks patternize against the
+// definition of the streams: a tree's shape is the ops of its node
+// range, and its literals are its nodes' literals in prefix order, a
+// name as its symbol index. It checks function by function, so the
+// per-function stream slices WIRX cuts its chunks from are pinned too.
 func TestPatternizeMatchesReference(t *testing.T) {
 	m := compileMod(t, "wep", workload.Generate(workload.Wep))
-	nameIdx := symbolIndex(m)
-	p, err := patternize(m, nameIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := patternize(m)
 	for fi, f := range m.Functions {
 		shapes := p.funcStream(fi, 0)
-		if len(shapes) != len(f.Trees) {
-			t.Fatalf("%s: %d shape ids for %d trees", f.Name, len(shapes), len(f.Trees))
+		if len(shapes) != len(f.Roots) {
+			t.Fatalf("%s: %d shape ids for %d trees", f.Name, len(shapes), len(f.Roots))
 		}
 		var want [ir.NumOps][]int32
-		for i, tr := range f.Trees {
-			if !slices.Equal(p.shapes[shapes[i]], tr.Shape()) {
-				t.Fatalf("%s tree %d: shape %v, want %v", f.Name, i, p.shapes[shapes[i]], tr.Shape())
-			}
-			for _, lit := range tr.CollectLiterals() {
-				v := int32(lit.Int)
-				if lit.Op.Lit() == ir.LitName {
-					v = int32(nameIdx[lit.Name])
+		for k := range f.Roots {
+			var shape []ir.Op
+			for _, n := range f.Tree(k) {
+				shape = append(shape, n.Op)
+				switch n.Op.Lit() {
+				case ir.LitInt:
+					want[n.Op] = append(want[n.Op], int32(n.Lit))
+				case ir.LitName:
+					want[n.Op] = append(want[n.Op], n.Sym)
 				}
-				want[lit.Op] = append(want[lit.Op], v)
+			}
+			if !slices.Equal(p.shapes[shapes[k]], shape) {
+				t.Fatalf("%s tree %d: shape %v, want %v", f.Name, k, p.shapes[shapes[k]], shape)
 			}
 		}
 		for j, op := range litOps() {

@@ -56,6 +56,6 @@ int main(void) { return twice(21); }`)
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(f.Name, len(f.Trees) > 0)
+	fmt.Println(f.Name, len(f.Roots) > 0)
 	// Output: twice true
 }

@@ -19,29 +19,47 @@ import (
 // check: a forward JUMPV, a backward compare-branch, and ADDRGP
 // references to an extern, a global and a function.
 func hostileBase() *ir.Module {
-	main := &ir.Function{Name: "main", Trees: []*ir.Tree{
-		ir.NewLit(ir.JUMPV, 2), // forward reference
-		ir.NewLit(ir.LABELV, 1),
-		ir.New(ir.ASGNI, ir.NewName(ir.ADDRGP, "g"), ir.NewLit(ir.CNSTI, 7)),
-		ir.NewLit(ir.LABELV, 2),
-		ir.New(ir.CALLV, ir.NewName(ir.ADDRGP, "aux")),
-		ir.New(ir.ARGI, ir.New(ir.INDIRI, ir.NewName(ir.ADDRGP, "g"))),
-		ir.New(ir.CALLV, ir.NewName(ir.ADDRGP, "putint")),
-		&ir.Tree{Op: ir.EQI, Lit: 1, Kids: []*ir.Tree{ir.NewLit(ir.CNSTI, 0), ir.NewLit(ir.CNSTI, 1)}},
-		ir.New(ir.RETI, ir.NewLit(ir.CNSTI, 0)),
-	}}
-	aux := &ir.Function{Name: "aux", Trees: []*ir.Tree{ir.NewLit(ir.LABELV, 1), ir.New(ir.RETV)}}
-	return &ir.Module{
+	main := &ir.Function{Name: "main"}
+	aux := &ir.Function{Name: "aux"}
+	m := &ir.Module{
 		Name:      "hostile",
 		Externs:   []string{"putint"},
 		Globals:   []ir.Global{{Name: "g", Size: 4}},
 		Functions: []*ir.Function{main, aux},
 	}
+	m.IndexSymbols()
+	appendTrees(m, main,
+		"JUMPV[2]", // forward reference
+		"LABELV[1]",
+		"ASGNI(ADDRGP[g],CNSTI[7])",
+		"LABELV[2]",
+		"CALLV(ADDRGP[aux])",
+		"ARGI(INDIRI(ADDRGP[g]))",
+		"CALLV(ADDRGP[putint])",
+		"EQI[1](CNSTI[0],CNSTI[1])",
+		"RETI(CNSTI[0])")
+	appendTrees(m, aux, "LABELV[1]", "RETV")
+	return m
+}
+
+// appendTrees appends trees in the textual form to f; the sources are
+// fixed, so a parse error is a bug in the test.
+func appendTrees(m *ir.Module, f *ir.Function, srcs ...string) {
+	for _, src := range srcs {
+		if err := m.AppendTree(f, src); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// retv is a function whose one tree is RETV.
+func retv(name string) *ir.Function {
+	return &ir.Function{Name: name, Nodes: []ir.Node{{Op: ir.RETV}}, Roots: []int32{0}}
 }
 
 // hostileCases mutates hostileBase into modules Validate rejects.
 // label is true when the defect is in main's trees (caught by the
-// rebuild) rather than in the symbol table (caught by the header).
+// fill) rather than in the symbol table (caught by the header).
 var hostileCases = []struct {
 	name   string
 	label  bool
@@ -54,20 +72,19 @@ var hostileCases = []struct {
 		m.Globals = append(m.Globals, ir.Global{Name: "g", Size: 8})
 	}},
 	{"function repeats global", false, func(m *ir.Module) {
-		m.Functions = append(m.Functions, &ir.Function{Name: "g", Trees: []*ir.Tree{ir.New(ir.RETV)}})
+		m.Functions = append(m.Functions, retv("g"))
 	}},
 	{"function repeats function", false, func(m *ir.Module) {
-		m.Functions = append(m.Functions, &ir.Function{Name: "aux", Trees: []*ir.Tree{ir.New(ir.RETV)}})
+		m.Functions = append(m.Functions, retv("aux"))
 	}},
 	{"label defined twice", true, func(m *ir.Module) {
-		m.Functions[0].Trees = append(m.Functions[0].Trees, ir.NewLit(ir.LABELV, 1))
+		appendTrees(m, m.Functions[0], "LABELV[1]")
 	}},
 	{"branch to undefined label", true, func(m *ir.Module) {
-		m.Functions[0].Trees = append(m.Functions[0].Trees,
-			&ir.Tree{Op: ir.LTI, Lit: 9, Kids: []*ir.Tree{ir.NewLit(ir.CNSTI, 0), ir.NewLit(ir.CNSTI, 1)}})
+		appendTrees(m, m.Functions[0], "LTI[9](CNSTI[0],CNSTI[1])")
 	}},
 	{"jump to undefined label", true, func(m *ir.Module) {
-		m.Functions[0].Trees = append(m.Functions[0].Trees, ir.NewLit(ir.JUMPV, 9))
+		appendTrees(m, m.Functions[0], "JUMPV[9]")
 	}},
 }
 
@@ -177,24 +194,21 @@ func TestDecodeAcceptsValidEdgeCases(t *testing.T) {
 }
 
 // TestRebuildBadShapeID: an out-of-range shape id after a valid tree
-// shrinks the arenas sized from the stream below what the valid tree
-// needs; the rebuild must still fail cleanly at the bad id.
+// leaves the node array, sized from the stream's valid ids, short of
+// the stream's trees; the fill must still fail cleanly at the bad id.
 func TestRebuildBadShapeID(t *testing.T) {
 	shapes := [][]ir.Op{{ir.RETI, ir.ADDI, ir.CNSTI, ir.CNSTI}}
 	var lits [ir.NumOps][]int32
 	lits[ir.CNSTI] = []int32{1, 2}
 	fns := []*ir.Function{{Name: "f"}}
-	err := rebuild(fns, []int{2}, []int32{0, 99}, shapes, &lits, nil)
+	err := fill(fns, []int{2}, []int32{0, 99}, shapes, &lits, 0)
 	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("rebuild: %v, want ErrCorrupt", err)
-	}
-	if got := fns[0].Trees[0].String(); got != "RETI(ADDI(CNSTI[1],CNSTI[2]))" {
-		t.Errorf("tree before the bad id = %s", got)
+		t.Fatalf("fill: %v, want ErrCorrupt", err)
 	}
 }
 
 // TestShapeTableRejectsMalformedShapes: a shape must be exactly one
-// tree in prefix order, or the rebuild could not link it by arity.
+// tree in prefix order, or the trees filled from it would not be.
 func TestShapeTableRejectsMalformedShapes(t *testing.T) {
 	for name, shape := range map[string][]ir.Op{
 		"trailing ops":    {ir.RETV, ir.RETV},

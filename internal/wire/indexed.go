@@ -50,10 +50,7 @@ func CompressIndexedTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (
 // compressIndexed lays out a WIRX object for a module the caller has
 // validated.
 func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, error) {
-	p, err := patternize(m, symbolIndex(m))
-	if err != nil {
-		return nil, err
-	}
+	p := patternize(m)
 	nFuncs, n := len(m.Functions), numStreams()
 
 	// Shared codes, one per stream, built over every function's MTF
@@ -61,6 +58,7 @@ func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, er
 	// codes.
 	codes := make([]*huffman.Code, n)
 	if !opt.NoHuffman {
+		var err error
 		codes, err = parallel.Map(pool, "wire.symbolize", n, func(j int) (*huffman.Code, error) {
 			s := scratchPool.Get()
 			defer scratchPool.Put(s)
@@ -155,8 +153,7 @@ func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, er
 // IndexedReader provides random access to an indexed wire object.
 type IndexedReader struct {
 	opt        Options
-	module     *ir.Module // metadata; Trees filled per function on demand
-	names      []string
+	module     *ir.Module // metadata; trees filled per function on demand
 	shapes     [][]ir.Op
 	codes      []*huffman.Code // shared code per stream; all nil under NoHuffman
 	chunks     [][]byte
@@ -222,7 +219,7 @@ func OpenIndexed(data []byte) (*IndexedReader, error) {
 	}
 	r := &IndexedReader{opt: opt, BytesTouched: pos}
 	br := bitio.NewReaderBytes(hdr)
-	if r.module, r.names, r.treeCounts, err = readModuleHeader(br); err != nil {
+	if r.module, r.treeCounts, err = readModuleHeader(br); err != nil {
 		return nil, err
 	}
 	if r.shapes, err = readShapeTable(br); err != nil {
@@ -269,8 +266,12 @@ func (r *IndexedReader) Functions() []string {
 	return out
 }
 
+// Module returns the object's module: its metadata and symbol table,
+// with the trees of the functions loaded so far.
+func (r *IndexedReader) Module() *ir.Module { return r.module }
+
 // LoadFunction decompresses one function's chunk (idempotent) and
-// returns the function with its trees filled in. The rebuild checks
+// returns the function with its trees filled in. The fill checks
 // the function's labels, and OpenIndexed checked the symbols, so a
 // loaded function is valid on its own.
 func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
@@ -317,7 +318,7 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 		}
 	}
 	f := r.module.Functions[fi]
-	if err := rebuild([]*ir.Function{f}, r.treeCounts[fi:fi+1], shapeStream, r.shapes, &lits, r.names); err != nil {
+	if err := fill([]*ir.Function{f}, r.treeCounts[fi:fi+1], shapeStream, r.shapes, &lits, len(r.module.Syms)); err != nil {
 		return nil, err
 	}
 	r.loaded[fi] = true

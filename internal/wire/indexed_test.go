@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -71,7 +72,7 @@ func TestIndexedPartialLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Trees) == 0 {
+	if len(f.Roots) == 0 {
 		t.Errorf("function %s loaded empty", name)
 	}
 	oneCost := r.BytesTouched
@@ -90,12 +91,12 @@ func TestIndexedPartialLoad(t *testing.T) {
 	}
 	// The loaded function matches the original.
 	orig := m.Function(name)
-	if len(orig.Trees) != len(f.Trees) {
-		t.Fatalf("tree count %d != %d", len(f.Trees), len(orig.Trees))
+	if len(orig.Roots) != len(f.Roots) {
+		t.Fatalf("tree count %d != %d", len(f.Roots), len(orig.Roots))
 	}
-	for i := range orig.Trees {
-		if !orig.Trees[i].Equal(f.Trees[i]) {
-			t.Errorf("tree %d differs", i)
+	for k := range orig.Roots {
+		if !slices.Equal(orig.Tree(k), f.Tree(k)) {
+			t.Errorf("tree %d differs", k)
 		}
 	}
 }

@@ -116,7 +116,7 @@ func (insp *Inspection) walk(container []byte) error {
 	section := func(name, class string, start, end int) {
 		insp.Sections = append(insp.Sections, Section{Name: name, Class: class, Start: start, Len: end - start})
 	}
-	m, _, treeCounts, err := readModuleHeader(br)
+	m, treeCounts, err := readModuleHeader(br)
 	if err != nil {
 		return err
 	}

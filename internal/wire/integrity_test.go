@@ -234,7 +234,7 @@ func TestSymbolCountBombCapped(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	bw := bitio.NewWriter(&buf)
-	writeModuleHeader(bw, &ir.Module{Name: "bomb", Functions: []*ir.Function{{Name: "f", Trees: []*ir.Tree{{Op: ir.RETV}}}}})
+	writeModuleHeader(bw, &ir.Module{Name: "bomb", Functions: []*ir.Function{{Name: "f", Nodes: []ir.Node{{Op: ir.RETV}}, Roots: []int32{0}}}})
 	writeShapeTable(bw, [][]ir.Op{{ir.RETV}})
 	writeSegment(bw, shapeSeg)
 	writeUvarint(bw, 1<<26)

@@ -116,8 +116,8 @@ func TestCompressTracedStageSpans(t *testing.T) {
 }
 
 // TestDecompressTracedParseSplit asserts that a traced decode opens
-// the tree rebuild as one direct child of the wire.parse span, emits
-// no separate validation span (the rebuild does the checking), keeps
+// the tree fill as one direct child of the wire.parse span, emits
+// no separate validation span (the fill does the checking), keeps
 // the wire.decompress attributes in order, and that the span costs no
 // allocation with a nil recorder.
 func TestDecompressTracedParseSplit(t *testing.T) {
@@ -151,17 +151,17 @@ func TestDecompressTracedParseSplit(t *testing.T) {
 	if len(ids["wire.parse"]) != 1 {
 		t.Fatalf("%d wire.parse spans, want 1", len(ids["wire.parse"]))
 	}
-	if p := parents["wire.rebuild"]; len(p) != 1 || p[0] != ids["wire.parse"][0] {
-		t.Errorf("wire.rebuild parents %v, want one span under wire.parse %d", p, ids["wire.parse"][0])
+	if p := parents["wire.fill"]; len(p) != 1 || p[0] != ids["wire.parse"][0] {
+		t.Errorf("wire.fill parents %v, want one span under wire.parse %d", p, ids["wire.parse"][0])
 	}
-	// The rebuild checks what Validate did, so decode has no second walk.
+	// The fill checks what Validate did, so decode has no second walk.
 	if n := len(ids["wire.validate"]); n != 0 {
 		t.Errorf("%d wire.validate spans, want none", n)
 	}
 
 	var off *telemetry.Recorder
 	if n := testing.AllocsPerRun(100, func() {
-		off.StartSpan("wire.rebuild").End()
+		off.StartSpan("wire.fill").End()
 	}); n != 0 {
 		t.Errorf("nil-recorder spans allocate %v times", n)
 	}

@@ -295,27 +295,6 @@ func MeasureTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats, [
 
 // ---- container encoding ----
 
-// symbolIndex numbers the module's symbols — externs, globals, then
-// functions, first occurrence wins — for name literals.
-func symbolIndex(m *ir.Module) map[string]int {
-	idx := map[string]int{}
-	add := func(n string) {
-		if _, ok := idx[n]; !ok {
-			idx[n] = len(idx)
-		}
-	}
-	for _, n := range m.Externs {
-		add(n)
-	}
-	for _, g := range m.Globals {
-		add(g.Name)
-	}
-	for _, f := range m.Functions {
-		add(f.Name)
-	}
-	return idx
-}
-
 // debugTamper, when non-nil, mutates the stage stats before the Debug
 // verification runs — a test hook proving the check actually fires on
 // a corrupted attribution.
@@ -350,11 +329,7 @@ func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats,
 	// Patternize is a serial fold over the forest; the expensive entropy
 	// coding below is what fans out.
 	psp := rec.StartSpan("wire.patternize")
-	p, err := patternize(m, symbolIndex(m))
-	if err != nil {
-		psp.End()
-		return st, nil, err
-	}
+	p := patternize(m)
 	st.Trees = len(p.shapeStream)
 	st.Shapes = len(p.shapes)
 	psp.SetAttr(telemetry.Int("trees", int64(st.Trees)),
@@ -368,7 +343,7 @@ func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats,
 	n := numStreams()
 	ssp := rec.StartSpan("wire.encode_streams", telemetry.Int("streams", int64(n)))
 	segs := make([][]byte, n)
-	err = opt.pool(rec).ForEachSpan("wire.stream", n, func(i int, wsp *telemetry.Span) error {
+	err := opt.pool(rec).ForEachSpan("wire.stream", n, func(i int, wsp *telemetry.Span) error {
 		stream := p.stream(i)
 		if len(stream) == 0 {
 			return nil
@@ -522,14 +497,14 @@ func readSegments(br *bitio.Reader, size int, treeCounts []int) ([]segment, erro
 
 // parseContainer decodes a container body into a module: header,
 // shapes and segments, the streams (fanned out on opt's pool), then
-// the tree rebuild under its own span, which splits the caller's
-// wire.parse span in a trace. The header and rebuild check every
+// the tree fill under its own span, which splits the caller's
+// wire.parse span in a trace. The header and fill check every
 // invariant ir.Module.Validate checks, so the module is valid without
 // a second walk. rec may be nil.
 func parseContainer(data []byte, opt Options, rec *telemetry.Recorder) (*ir.Module, error) {
 	pool := opt.pool(rec)
 	br := bitio.NewReaderBytes(data)
-	m, names, treeCounts, err := readModuleHeader(br)
+	m, treeCounts, err := readModuleHeader(br)
 	if err != nil {
 		return nil, err
 	}
@@ -567,9 +542,9 @@ func parseContainer(data []byte, opt Options, rec *telemetry.Recorder) (*ir.Modu
 	for i := 1; i < len(live); i++ {
 		lits[live[i].op] = decoded[i]
 	}
-	rsp := rec.StartSpan("wire.rebuild")
-	err = rebuild(m.Functions, treeCounts, decoded[0], shapes, &lits, names)
-	rsp.End()
+	fsp := rec.StartSpan("wire.fill")
+	err = fill(m.Functions, treeCounts, decoded[0], shapes, &lits, len(m.Syms))
+	fsp.End()
 	if err != nil {
 		return nil, err
 	}

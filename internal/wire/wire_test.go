@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cc"
@@ -22,7 +23,8 @@ func compileMod(t testing.TB, name, src string) *ir.Module {
 
 func modulesEqual(a, b *ir.Module) bool {
 	if a.Name != b.Name || len(a.Globals) != len(b.Globals) ||
-		len(a.Functions) != len(b.Functions) || len(a.Externs) != len(b.Externs) {
+		len(a.Functions) != len(b.Functions) || len(a.Externs) != len(b.Externs) ||
+		!slices.Equal(a.Syms, b.Syms) {
 		return false
 	}
 	for i := range a.Externs {
@@ -39,13 +41,9 @@ func modulesEqual(a, b *ir.Module) bool {
 	for i := range a.Functions {
 		fa, fb := a.Functions[i], b.Functions[i]
 		if fa.Name != fb.Name || fa.NumParams != fb.NumParams ||
-			fa.FrameSize != fb.FrameSize || len(fa.Trees) != len(fb.Trees) {
+			fa.FrameSize != fb.FrameSize || !slices.Equal(fa.Roots, fb.Roots) ||
+			!slices.Equal(fa.Nodes, fb.Nodes) {
 			return false
-		}
-		for j := range fa.Trees {
-			if !fa.Trees[j].Equal(fb.Trees[j]) {
-				return false
-			}
 		}
 	}
 	return true
