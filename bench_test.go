@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -766,6 +767,37 @@ func BenchmarkWireDecompress(b *testing.B) {
 			b.StopTimer()
 			report(b, float64(len(data)), "bytes")
 		})
+	}
+}
+
+// BenchmarkWireLoad is a client's load of a shipped wire object up to
+// runnable code: wire.Decompress, then codegen.Generate. The input has
+// cold-start's shape — the first lcc-scale MainSweep image the
+// benchmark's cold-start workload draws at seed 103 — or wep under
+// -short, and MB/s counts wire input.
+func BenchmarkWireLoad(b *testing.B) {
+	p := workload.Wep
+	if !testing.Short() {
+		p = workload.Lcc
+		p.Name = "lcc-sweep"
+		p.Seed = rand.New(rand.NewSource(103)).Int63()
+		p.MainSweep, p.MainRounds = true, 1
+	}
+	data, err := wire.Compress(benchModule(b, p))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	defer allocTracked(b)()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mod, err := wire.Decompress(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := codegen.Generate(mod, codegen.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -182,8 +182,9 @@ func (it *Interp) SetLimits(l guard.Limits) error {
 // (maxSteps, 0 = unlimited, merges with any SetLimits step bound),
 // returning the exit code. A limit violation returns a
 // *guard.TrapError, which still matches ErrOutOfSteps for the step
-// limit. An image that does not decode fails with ErrCorrupt before
-// anything executes.
+// limit. A data segment that does not fit in memory fails with
+// vm.ErrMemFault, and an image that does not decode with ErrCorrupt,
+// before anything executes.
 func (it *Interp) Run(maxSteps int64) (int32, error) {
 	defer it.FlushTelemetry()
 	l := it.limits
@@ -191,6 +192,9 @@ func (it *Interp) Run(maxSteps int64) (int32, error) {
 		l.MaxSteps = maxSteps
 	}
 	g := guard.New("brisc", l, ErrOutOfSteps)
+	if err := it.DataErr(); err != nil {
+		return 0, err
+	}
 	if it.xip == nil && it.image == nil {
 		var err error
 		if it.image, err = it.Obj.decodeImage(); err != nil {

@@ -225,3 +225,84 @@ func TestNegativePutsAddressFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestDataSegmentLargerThanMemory: a memory smaller than the data
+// segment (globals end at 32, memory is 20 bytes) is a memory fault in
+// every engine, never a panic — from the VM's and BRISC's first Run and
+// again after Reset, and from irexec.NewMachine.
+func TestDataSegmentLargerThanMemory(t *testing.T) {
+	const memSize = 20
+	p, err := CompileC("bigdata", `int g[4]; int main(void) { g[3] = 1; return g[3]; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, err := p.Native()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := np.Globals[len(np.Globals)-1]; int(g.Addr)+g.Size != 32 {
+		t.Fatalf("globals end at %d, want 32", int(g.Addr)+g.Size)
+	}
+	obj, err := p.BRISC(brisc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := brisc.BuildXIP(obj, brisc.XIPOptions{PageSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jitted, err := brisc.JIT(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// runTwice runs once, then resets and runs again, returning both
+	// errors.
+	type engine interface {
+		Run(int64) (int32, error)
+		Reset()
+		Release()
+	}
+	runTwice := func(e engine) []error {
+		defer e.Release()
+		_, err1 := e.Run(0)
+		e.Reset()
+		_, err2 := e.Run(0)
+		return []error{err1, err2}
+	}
+	engines := []struct {
+		name string
+		run  func() []error
+	}{
+		{"vm", func() []error { return runTwice(vm.NewMachine(np, memSize, io.Discard)) }},
+		{"brisc", func() []error { return runTwice(brisc.NewInterp(obj, memSize, io.Discard)) }},
+		{"brisc-paged-1", func() []error {
+			it := brisc.NewInterp(obj, memSize, io.Discard)
+			if err := it.EnableXIP(img, 1, 0); err != nil {
+				return []error{err}
+			}
+			return runTwice(it)
+		}},
+		{"jit", func() []error { return runTwice(vm.NewMachine(jitted, memSize, io.Discard)) }},
+		{"irexec", func() []error {
+			mc, err := irexec.NewMachine(p.Module, memSize, io.Discard)
+			if err == nil {
+				mc.Release()
+			}
+			return []error{err}
+		}},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			for i, err := range e.run() {
+				if !errors.Is(err, vm.ErrMemFault) {
+					t.Errorf("run %d: err = %v, want vm.ErrMemFault", i+1, err)
+				}
+			}
+		})
+	}
+}

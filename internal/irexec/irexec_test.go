@@ -9,7 +9,10 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/codegen"
+	"repro/internal/guard"
+	"repro/internal/ir"
 	"repro/internal/vm"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -216,9 +219,99 @@ func TestNoMain(t *testing.T) {
 	}
 }
 
+// errOther is the class of an error that matches no sentinel errClass
+// knows.
+var errOther = errors.New("other error")
+
+// errClass maps an engine's error onto the vm or guard sentinel it
+// matches, so failures on different engines compare.
+func errClass(err error) error {
+	if err == nil {
+		return nil
+	}
+	for _, s := range []error{guard.ErrLimit, vm.ErrDivByZero, vm.ErrMemFault} {
+		if errors.Is(err, s) {
+			return s
+		}
+	}
+	return errOther
+}
+
+// run is one program's observable behaviour on one engine.
+type run struct {
+	code int32
+	out  string
+	err  error // its class (errClass)
+}
+
+// runIRExec interprets mod under a step limit (0: the interpreter's
+// default).
+func runIRExec(mod *ir.Module, maxSteps int64) run {
+	var out bytes.Buffer
+	m, err := NewMachine(mod, 1<<20, &out)
+	if err != nil {
+		return run{err: errClass(err)}
+	}
+	defer m.Release()
+	code, err := m.Run(maxSteps)
+	return run{code, out.String(), errClass(err)}
+}
+
+// runCompiled generates code for mod and runs it on the VM under a
+// step limit.
+func runCompiled(mod *ir.Module, maxSteps int64) run {
+	prog, err := codegen.Generate(mod, codegen.Options{})
+	if err != nil {
+		return run{err: errClass(err)}
+	}
+	var out bytes.Buffer
+	mach := vm.NewMachine(prog, 1<<20, &out)
+	defer mach.Release()
+	code, err := mach.Run(maxSteps)
+	return run{code, out.String(), errClass(err)}
+}
+
+// fourWay runs src through the tree interpreter and the compiled
+// pipeline, on the compiled module and on the module the wire format's
+// round trip returns, under the given step limits. It returns the
+// runs' common behaviour, or an error naming the first run that differs
+// from the first in exit code, output or error class.
+func fourWay(src string, irSteps, vmSteps int64) (run, error) {
+	mod, err := cc.Compile("rand", src)
+	if err != nil {
+		return run{}, fmt.Errorf("compile: %w", err)
+	}
+	data, err := wire.Compress(mod)
+	if err != nil {
+		return run{}, fmt.Errorf("wire: %w", err)
+	}
+	back, err := wire.Decompress(data)
+	if err != nil {
+		return run{}, fmt.Errorf("wire decode: %w", err)
+	}
+	runs := []struct {
+		name string
+		run
+	}{
+		{"irexec", runIRExec(mod, irSteps)},
+		{"vm", runCompiled(mod, vmSteps)},
+		{"wire+irexec", runIRExec(back, irSteps)},
+		{"wire+vm", runCompiled(back, vmSteps)},
+	}
+	for _, r := range runs[1:] {
+		if r.run != runs[0].run {
+			return run{}, fmt.Errorf("divergence %s(%d,%q,%v) %s(%d,%q,%v)",
+				runs[0].name, runs[0].code, runs[0].out, runs[0].err,
+				r.name, r.code, r.out, r.err)
+		}
+	}
+	return runs[0].run, nil
+}
+
 // TestQuickDifferentialVsVM: for random generated programs, the tree
 // interpreter and the compiled pipeline agree — an independent check
-// of the code generator's semantics.
+// of the code generator's semantics — and so do both on the module the
+// wire format's round trip returns.
 func TestQuickDifferentialVsVM(t *testing.T) {
 	f := func(seed int64) bool {
 		prof := workload.Profile{
@@ -226,35 +319,8 @@ func TestQuickDifferentialVsVM(t *testing.T) {
 			LeafFuncs: 6, MidFuncs: 2, GlobalInts: 3, GlobalArrs: 2,
 			Strings: 1, MeanStmts: 7,
 		}
-		src := workload.Generate(prof)
-		mod, err := cc.Compile("rand", src)
-		if err != nil {
-			return false
-		}
-		var irOut bytes.Buffer
-		m, err := NewMachine(mod, 1<<20, &irOut)
-		if err != nil {
-			return false
-		}
-		irCode, err := m.Run(0)
-		if err != nil {
-			t.Logf("seed %d: irexec: %v", seed, err)
-			return false
-		}
-		prog, err := codegen.Generate(mod, codegen.Options{})
-		if err != nil {
-			return false
-		}
-		var vmOut bytes.Buffer
-		mach := vm.NewMachine(prog, 1<<20, &vmOut)
-		vmCode, err := mach.Run(100_000_000)
-		if err != nil {
-			t.Logf("seed %d: vm: %v", seed, err)
-			return false
-		}
-		if irCode != vmCode || irOut.String() != vmOut.String() {
-			t.Logf("seed %d: divergence ir(%d,%q) vm(%d,%q)",
-				seed, irCode, irOut.String(), vmCode, vmOut.String())
+		if _, err := fourWay(workload.Generate(prof), 0, 100_000_000); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		return true
@@ -265,6 +331,32 @@ func TestQuickDifferentialVsVM(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: n}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDifferentialErrorClasses: programs that fail do so the same way
+// on all four runs of fourWay — same output up to the failure, same
+// vm or guard sentinel.
+func TestDifferentialErrorClasses(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		want      run
+	}{
+		{"div by zero", `int main(void) { int z = 0; putint(1); return 4 / z; }`,
+			run{out: "1\n", err: vm.ErrDivByZero}},
+		{"mem fault", `int main(void) { int *p = 0; putint(2); p = p - 9; return *p; }`,
+			run{out: "2\n", err: vm.ErrMemFault}},
+		{"step limit", `int main(void) { while (1) ; return 0; }`,
+			run{err: guard.ErrLimit}},
+		{"exit", `int main(void) { putint(3); exit(7); return 0; }`,
+			run{code: 7, out: "3\n"}},
+	} {
+		got, err := fourWay(c.src, 100_000, 100_000)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		} else if got != c.want {
+			t.Errorf("%s: all runs gave %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }
 

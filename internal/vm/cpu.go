@@ -25,6 +25,10 @@ type CPU struct {
 	// Depth tracks nested activations (CALL increments, returns
 	// decrement) for the governor's call-depth limit.
 	Depth int
+
+	// dataErr reports a data segment that did not fit in memory at the
+	// last InitState (see DataErr).
+	dataErr error
 }
 
 // ResetState zeroes memory and loads the initial state (InitState).
@@ -37,12 +41,12 @@ func (c *CPU) ResetState(globals []GlobalData) {
 // clears the registers and flags, and points the stack at the top of
 // memory. A CPU with fresh memory calls it instead of ResetState:
 // fresh memory is already zero. Released memory gets no data segment,
-// so every access faults.
+// so every access faults. A data segment that does not fit in memory
+// is not copied at all; DataErr reports it.
 func (c *CPU) InitState(globals []GlobalData) {
+	c.dataErr = nil
 	if c.Mem != nil {
-		for _, g := range globals {
-			copy(c.Mem[g.Addr:], g.Init)
-		}
+		c.dataErr = c.loadData(globals)
 	}
 	c.Regs = [NumRegs]int32{}
 	c.Regs[RegSP] = int32(len(c.Mem))
@@ -50,6 +54,26 @@ func (c *CPU) InitState(globals []GlobalData) {
 	c.Halted = false
 	c.Depth = 0
 }
+
+// loadData copies the globals' initial bytes into memory. When a
+// global does not fit, it copies nothing and returns an error matching
+// ErrMemFault.
+func (c *CPU) loadData(globals []GlobalData) error {
+	for _, g := range globals {
+		if end := int64(g.Addr) + int64(max(g.Size, len(g.Init))); g.Addr < 0 || end > int64(len(c.Mem)) {
+			return fmt.Errorf("%w: global %s at %d..%d, memory is %d bytes", ErrMemFault, g.Name, g.Addr, end, len(c.Mem))
+		}
+	}
+	for _, g := range globals {
+		copy(c.Mem[g.Addr:], g.Init)
+	}
+	return nil
+}
+
+// DataErr returns the error, matching ErrMemFault, for a data segment
+// that did not fit in memory at the last InitState or ResetState, or
+// nil. The engines' Run returns it before executing anything.
+func (c *CPU) DataErr() error { return c.dataErr }
 
 // Exec executes one instruction. ret is the return address CALL stores
 // in ra (the address of the following instruction, in the caller's

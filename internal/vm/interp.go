@@ -125,6 +125,9 @@ func (m *Machine) Run(maxSteps int64) (int32, error) {
 		l.MaxSteps = maxSteps
 	}
 	g := guard.New("vm", l, ErrOutOfSteps)
+	if m.dataErr != nil {
+		return 0, m.dataErr
+	}
 	code := m.Prog.Code
 	for !m.Halted {
 		if err := g.Check(m.Steps, m.Depth, int64(m.PC)); err != nil {

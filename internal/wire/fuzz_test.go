@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/codegen"
+	"repro/internal/ir"
 )
 
 // exampleSources reads the shared example modules so real artifacts
@@ -68,9 +70,20 @@ int main(void) { return f(2, 3); }`)
 	f.Add([]byte("WIRX"))
 }
 
+// generates checks that codegen, which indexes a module's node arrays
+// directly, returns a program or an error for a module the decoder
+// accepted, and does not panic.
+func generates(t *testing.T, m *ir.Module) {
+	t.Helper()
+	if p, err := codegen.Generate(m, codegen.Options{}); p == nil && err == nil {
+		t.Fatal("codegen returned neither a program nor an error")
+	}
+}
+
 // FuzzDecompress: every rejection is a typed corrupt-input error, and
 // every module the decoder accepts passes ir.Module.Validate, the
-// reference for the checks the decoder folds into its rebuild.
+// reference for the checks the decoder folds into its fill, and
+// reaches codegen.
 func FuzzDecompress(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -87,6 +100,7 @@ func FuzzDecompress(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("decoder accepted an invalid module: %v", err)
 		}
+		generates(t, m)
 	})
 }
 
@@ -117,6 +131,7 @@ func FuzzOpenIndexed(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("decoder accepted an invalid module: %v", err)
 		}
+		generates(t, m)
 	})
 }
 
