@@ -16,7 +16,6 @@ package codegen
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/vm"
@@ -162,14 +161,16 @@ type funcTables struct {
 	patches   []patch
 	free      []uint8 // scratch register free list
 
-	// The tree being compiled, and for each of its nodes the index just
-	// past its subtree and its Sethi–Ullman register need; stack is
+	// The tree being compiled and, by node, its subtrees; stack is
 	// measure's scratch.
 	nodes []ir.Node
-	end   []int32
-	need  []int32
+	sub   []subtree
 	stack []int32
 }
+
+// subtree describes the subtree rooted at a node: the index just past
+// it, and its Sethi–Ullman register need.
+type subtree struct{ end, need int32 }
 
 type fgen struct {
 	g *gen
@@ -372,39 +373,39 @@ var immBranchFor = [vm.NumOpcodes]vm.Opcode{
 }
 
 // measure makes nodes, a tree of a function that passed Validate, the
-// tree being compiled, and fills end and need for it in one pass from
-// its last node back to its root: a node's kids are measured before
-// it, and the first kid is on top of the stack.
+// tree being compiled, and describes each of its subtrees in one pass
+// from its last node back to its root: a node's kids are described
+// before it, with the first kid's root on top of the stack.
 func (fg *fgen) measure(nodes []ir.Node) {
 	n := len(nodes)
+	if cap(fg.sub) < n {
+		fg.sub, fg.stack = make([]subtree, n), make([]int32, n)
+	}
 	fg.nodes = nodes
-	fg.end = slices.Grow(fg.end[:0], n)[:n]
-	fg.need = slices.Grow(fg.need[:0], n)[:n]
-	stack := fg.stack[:0]
+	sub, stack, top := fg.sub[:n], fg.stack[:n], 0
 	for i := n - 1; i >= 0; i-- {
-		end, need := int32(i+1), int32(1)
+		s := subtree{int32(i + 1), 1}
 		switch nodes[i].Op.Arity() {
 		case 1:
-			k := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			end, need = fg.end[k], max(fg.need[k], 1)
+			top--
+			s = sub[stack[top]]
 		case 2:
-			l, r := stack[len(stack)-1], stack[len(stack)-2]
-			stack = stack[:len(stack)-2]
-			end = fg.end[r]
-			if need = max(fg.need[l], fg.need[r]); fg.need[l] == fg.need[r] {
-				need++
+			top -= 2
+			l, r := sub[stack[top+1]], sub[stack[top]]
+			s = subtree{r.end, max(l.need, r.need)}
+			if l.need == r.need {
+				s.need++
 			}
 		}
-		fg.end[i], fg.need[i] = end, need
-		stack = append(stack, int32(i))
+		sub[i] = s
+		stack[top] = int32(i)
+		top++
 	}
-	fg.stack = stack
 }
 
 // second returns the index of binary node i's second kid; the first is
 // at i+1.
-func (fg *fgen) second(i int) int { return int(fg.end[i+1]) }
+func (fg *fgen) second(i int) int { return int(fg.sub[i+1].end) }
 
 func (fg *fgen) isConst(i int) bool {
 	op := fg.nodes[i].Op
@@ -684,7 +685,7 @@ func (fg *fgen) genALU(i int, alu vm.Opcode) (uint8, error) {
 		return rl, nil
 	}
 	avail := len(fg.free)
-	nl, nr := int(fg.need[l]), int(fg.need[r])
+	nl, nr := int(fg.sub[l].need), int(fg.sub[r].need)
 	if nl >= avail && nr >= avail {
 		// Not enough registers for either order: evaluate the right
 		// side, spill it, evaluate the left, reload.

@@ -224,37 +224,33 @@ func (m *Module) Validate() error {
 
 // checkTrees is Validate's one linear scan over f's nodes.
 func (m *Module) checkTrees(f *Function, labels *LabelCheck) error {
-	i := 0
-	for k, root := range f.Roots {
-		if int(root) != i {
-			return fmt.Errorf("ir: %s: tree %d starts at node %d, not %d", f.Name, k, root, i)
+	k, open := 0, 0 // trees begun; subtrees the current tree still owes
+	for i, n := range f.Nodes {
+		if open == 0 {
+			if k == len(f.Roots) || int(f.Roots[k]) != i {
+				return fmt.Errorf("ir: %s: node %d starts no tree Roots names", f.Name, i)
+			}
+			k, open = k+1, 1
 		}
-		for open := 1; open > 0; open-- {
-			if i >= len(f.Nodes) {
-				return fmt.Errorf("ir: %s: tree %d is cut short", f.Name, k)
+		if !n.Op.Valid() {
+			return fmt.Errorf("ir: %s: invalid op %d", f.Name, n.Op)
+		}
+		open += n.Op.Arity() - 1
+		switch n.Op {
+		case LABELV:
+			if err := labels.Define(n.Lit); err != nil {
+				return err
 			}
-			n := f.Nodes[i]
-			i++
-			if !n.Op.Valid() {
-				return fmt.Errorf("ir: %s: invalid op %d", f.Name, n.Op)
-			}
-			open += n.Op.Arity()
-			switch {
-			case n.Op == LABELV:
-				if err := labels.Define(n.Lit); err != nil {
-					return err
-				}
-			case n.Op.IsBranch() || n.Op == JUMPV:
-				labels.Use(n.Lit)
-			case n.Op == ADDRGP:
-				if n.Sym < 0 || int(n.Sym) >= len(m.Syms) {
-					return fmt.Errorf("ir: %s references unknown symbol %d", f.Name, n.Sym)
-				}
+		case EQI, NEI, LTI, LEI, GTI, GEI, JUMPV:
+			labels.Use(n.Lit)
+		case ADDRGP:
+			if n.Sym < 0 || int(n.Sym) >= len(m.Syms) {
+				return fmt.Errorf("ir: %s references unknown symbol %d", f.Name, n.Sym)
 			}
 		}
 	}
-	if i != len(f.Nodes) {
-		return fmt.Errorf("ir: %s: %d nodes after the last tree", f.Name, len(f.Nodes)-i)
+	if open != 0 || k != len(f.Roots) {
+		return fmt.Errorf("ir: %s: tree %d is cut short", f.Name, k)
 	}
 	return nil
 }

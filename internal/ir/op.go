@@ -100,7 +100,9 @@ type opInfo struct {
 	litBits int
 }
 
-var opTable = [numOps]opInfo{
+// opTable covers every byte value, so lookups by an Op need no bounds
+// check; undefined operators have arity 0 and no literal.
+var opTable = [256]opInfo{
 	OpInvalid: {"INVALID", 0, LitNone, 0},
 	CNSTC:     {"CNSTC", 0, LitInt, 8},
 	CNSTS:     {"CNSTS", 0, LitInt, 16},
@@ -152,28 +154,13 @@ func (op Op) String() string {
 }
 
 // Arity reports the number of subtree operands.
-func (op Op) Arity() int {
-	if op >= numOps {
-		return 0
-	}
-	return opTable[op].arity
-}
+func (op Op) Arity() int { return opTable[op].arity }
 
 // Lit reports the kind of literal operand the operator carries.
-func (op Op) Lit() LitKind {
-	if op >= numOps {
-		return LitNone
-	}
-	return opTable[op].lit
-}
+func (op Op) Lit() LitKind { return opTable[op].lit }
 
 // LitBits reports the transport width hint for integer literals.
-func (op Op) LitBits() int {
-	if op >= numOps {
-		return 0
-	}
-	return opTable[op].litBits
-}
+func (op Op) LitBits() int { return opTable[op].litBits }
 
 // Valid reports whether op is a defined operator.
 func (op Op) Valid() bool { return op > OpInvalid && op < numOps }
