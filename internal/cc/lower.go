@@ -91,17 +91,14 @@ func lowerGlobal(g *GlobalDecl) ir.Global {
 func (lw *lowerer) numberSymbols() {
 	m := lw.mod
 	m.IndexSymbols()
-	final := make(map[string]int32, len(m.Syms))
-	for i, name := range m.Syms {
-		final[name] = int32(i)
-	}
 	renumber := make([]int32, len(lw.symNames))
-	for i, name := range lw.symNames {
-		s, ok := final[name]
-		if !ok {
-			s = -1 // Validate reports it
+	for i := range renumber {
+		renumber[i] = -1 // a name no symbol has; Validate reports it
+	}
+	for s, name := range m.Syms {
+		if p, ok := lw.symIDs[name]; ok {
+			renumber[p] = int32(s)
 		}
-		renumber[i] = s
 	}
 	for _, f := range m.Functions {
 		for i := range f.Nodes {

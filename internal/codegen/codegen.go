@@ -56,17 +56,6 @@ func Generate(m *ir.Module, opt Options) (*vm.Program, error) {
 		globalAddr: make([]int32, len(m.Globals)),
 		tables:     funcTables{labels: map[int64]int{}},
 	}
-	main := -1
-	for i, f := range m.Functions {
-		if f.Name == "main" {
-			main = i
-			break
-		}
-	}
-	if main < 0 {
-		return nil, fmt.Errorf("codegen: module has no main function")
-	}
-
 	// Lay out the data segment.
 	addr := int32(DataBase)
 	for i, gl := range m.Globals {
@@ -80,9 +69,8 @@ func Generate(m *ir.Module, opt Options) (*vm.Program, error) {
 	}
 	g.prog.DataSize = int(addr)
 
-	// Start stub: call main, exit with its return value.
+	// Start stub: call main (placed below), exit with its return value.
 	g.emit(vm.Instr{Op: vm.CALL})
-	g.callFix = append(g.callFix, fixup{at: 0, fn: main})
 	g.emit(vm.Instr{Op: vm.TRAP, Imm: vm.TrapExit})
 	g.emit(vm.Instr{Op: vm.HALT})
 
@@ -96,6 +84,11 @@ func Generate(m *ir.Module, opt Options) (*vm.Program, error) {
 	for _, fx := range g.callFix {
 		g.prog.Code[fx.at].Target = int32(g.prog.Funcs[fx.fn].Entry)
 	}
+	main := g.prog.Func("main")
+	if main == nil {
+		return nil, fmt.Errorf("codegen: module has no main function")
+	}
+	g.prog.Code[0].Target = int32(main.Entry)
 	g.prog.ComputeBlockStarts()
 	return g.prog, nil
 }
