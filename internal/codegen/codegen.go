@@ -743,6 +743,10 @@ func (fg *fgen) genLoad(i int) (uint8, error) {
 		fg.memOp(op, r, vm.RegSP, int32(addr.Lit), pkLocal, true)
 		return r, nil
 	case ir.ADDRFP, ir.ADDRFP8:
+		// A negative offset would name no argument register.
+		if addr.Lit < 0 {
+			return 0, fmt.Errorf("parameter offset %d out of range", addr.Lit)
+		}
 		k := int(addr.Lit / 4)
 		r, err := fg.alloc()
 		if err != nil {

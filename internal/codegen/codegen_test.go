@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/ir"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -487,4 +488,23 @@ func TestGenerateAllocs(t *testing.T) {
 		t.Errorf("Generate(lcc) allocates %v times for %d instructions, want at most %d", n, len(prog.Code), maxAllocs)
 	}
 	t.Logf("Generate(lcc): %v allocs, %d instructions, code cap %d", n, len(prog.Code), cap(prog.Code))
+}
+
+// TestGenerateRejectsNegativeParamOffset: a valid module can load a
+// parameter at a negative offset (a wire object can carry one); that
+// offset names no argument register, so Generate rejects it instead of
+// emitting a register number the VM cannot index.
+func TestGenerateRejectsNegativeParamOffset(t *testing.T) {
+	f := &ir.Function{Name: "main"}
+	m := &ir.Module{Functions: []*ir.Function{f}}
+	m.IndexSymbols()
+	if err := m.AppendTree(f, "RETI(INDIRI(ADDRFP[-4]))"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(m, Options{}); err == nil || !strings.Contains(err.Error(), "parameter offset -4") {
+		t.Fatalf("Generate: %v, want a parameter offset error", err)
+	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/codegen"
 	"repro/internal/ir"
+	"repro/internal/vm"
 )
 
 // exampleSources reads the shared example modules so real artifacts
@@ -72,12 +74,20 @@ int main(void) { return f(2, 3); }`)
 
 // generates checks that codegen, which indexes a module's node arrays
 // directly, returns a program or an error for a module the decoder
-// accepted, and does not panic.
+// accepted, and does not panic; a program then runs on a small VM for
+// a few steps, which may fail but must not panic either.
 func generates(t *testing.T, m *ir.Module) {
 	t.Helper()
-	if p, err := codegen.Generate(m, codegen.Options{}); p == nil && err == nil {
+	p, err := codegen.Generate(m, codegen.Options{})
+	if err != nil {
+		return
+	}
+	if p == nil {
 		t.Fatal("codegen returned neither a program nor an error")
 	}
+	mach := vm.NewMachine(p, 1<<16, io.Discard)
+	defer mach.Release()
+	mach.Run(10_000)
 }
 
 // FuzzDecompress: every rejection is a typed corrupt-input error, and
