@@ -457,9 +457,10 @@ func writeStream(bw *bitio.Writer, symbols []int, firsts []int32, code *huffman.
 }
 
 // readStream reverses writeStream for count symbols read from br, whose
-// input is segBytes long, and undoes the MTF stage. Unless
-// opt.NoHuffman, the symbols are decoded with the table read in-band
-// or, when !inBand, with the shared code.
+// input is segBytes long, and undoes the MTF stage as it goes, so each
+// symbol decodes straight to its value. Unless opt.NoHuffman, the
+// symbols are decoded with the table read in-band or, when !inBand,
+// with the shared code.
 func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffman.Code, inBand bool) ([]int32, error) {
 	if err := fitSymbols(br, segBytes, count); err != nil {
 		return nil, err
@@ -476,30 +477,33 @@ func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffma
 		}
 		firsts[i] = unzigzag(v)
 	}
-	symbols := make([]int, count)
 	if opt.NoHuffman {
-		for i := range symbols {
-			v, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			symbols[i] = int(v)
-		}
-		return unsymbolize(symbols, firsts, opt.NoMTF)
-	}
-	if inBand {
+		code = nil
+	} else if inBand {
 		if code, err = huffman.ReadLengths(br); err != nil {
 			return nil, err
 		}
 	} else if code == nil && count > 0 {
 		return nil, fmt.Errorf("missing shared code")
 	}
-	for i := range symbols {
-		if symbols[i], err = code.Decode(br); err != nil {
+	u := newUnsymbolizer(firsts, opt.NoMTF)
+	vals := make([]int32, count)
+	for i := range vals {
+		var sym int
+		if code == nil {
+			v, err := readUvarint(br)
+			if err != nil {
+				return nil, err
+			}
+			sym = int(v)
+		} else if sym, err = code.Decode(br); err != nil {
+			return nil, err
+		}
+		if vals[i], err = u.value(sym); err != nil {
 			return nil, err
 		}
 	}
-	return unsymbolize(symbols, firsts, opt.NoMTF)
+	return vals, nil
 }
 
 // fitSymbols rejects a declared symbol count that the rest of br's
@@ -513,18 +517,54 @@ func fitSymbols(br *bitio.Reader, segBytes, count int) error {
 	return nil
 }
 
-// unsymbolize inverts the MTF stage (or the zigzag shift under noMTF).
-func unsymbolize(symbols []int, firsts []int32, noMTF bool) ([]int32, error) {
-	if noMTF {
-		out := make([]int32, len(symbols))
-		for i, s := range symbols {
-			out[i] = unzigzag(uint64(s))
-		}
-		return out, nil
+// unsymbolizer inverts the MTF stage one symbol at a time, or the
+// zigzag shift under noMTF.
+type unsymbolizer struct {
+	dec    *mtf.Decoder // nil under noMTF
+	firsts []int32      // first-occurrence values not yet used
+}
+
+func newUnsymbolizer(firsts []int32, noMTF bool) unsymbolizer {
+	u := unsymbolizer{firsts: firsts}
+	if !noMTF {
+		u.dec = mtf.NewDecoder()
 	}
-	out, ok := mtf.DecodeStream(symbols, firsts)
+	return u
+}
+
+// value returns the value symbol sym codes.
+func (u *unsymbolizer) value(sym int) (int32, error) {
+	if u.dec == nil {
+		return unzigzag(uint64(sym)), nil
+	}
+	var fresh int32
+	if sym == 0 {
+		if len(u.firsts) == 0 {
+			return 0, fmt.Errorf("mtf decode failed")
+		}
+		fresh = u.firsts[0]
+	}
+	v, used, ok := u.dec.Decode(sym, fresh)
 	if !ok {
-		return nil, fmt.Errorf("mtf decode failed")
+		return 0, fmt.Errorf("mtf decode failed")
+	}
+	if used {
+		u.firsts = u.firsts[1:]
+	}
+	return v, nil
+}
+
+// unsymbolize inverts the MTF stage (or the zigzag shift under noMTF)
+// over a whole stream of symbols.
+func unsymbolize(symbols []int, firsts []int32, noMTF bool) ([]int32, error) {
+	u := newUnsymbolizer(firsts, noMTF)
+	out := make([]int32, len(symbols))
+	for i, sym := range symbols {
+		v, err := u.value(sym)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
 	}
 	return out, nil
 }
