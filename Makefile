@@ -28,8 +28,8 @@ bench:
 # Benchmarks snapshotted into the committed baseline and re-run by the
 # `check` regression gate: the parallel-pipeline encoders plus the
 # serial fast-path decode/dispatch micro-benchmarks, plus a client's
-# parse+JIT load.
-GATED_BENCH = WireCompress|BriscCompress|Batch|WireDecompress|RawDecode|InterpDispatch|XIP|ParseJIT
+# parse+JIT load and its wire decode+codegen load.
+GATED_BENCH = WireCompress|BriscCompress|Batch|WireDecompress|WireLoad|RawDecode|InterpDispatch|XIP|ParseJIT
 
 # Regenerate the committed short-mode baseline the `check` regression
 # gate compares against. Run this (and commit the result) after an
