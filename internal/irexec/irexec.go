@@ -207,7 +207,11 @@ func (mc *Machine) call(f *ir.Function, args []int32) (int32, error) {
 			}
 			pc = to
 		case ir.EQI, ir.NEI, ir.LTI, ir.LEI, ir.GTI, ir.GEI:
-			l, r, _, err := mc.evalPair(fr, i)
+			l, next, err := mc.eval(fr, i+1)
+			if err != nil {
+				return 0, err
+			}
+			r, _, err := mc.eval(fr, next)
 			if err != nil {
 				return 0, err
 			}
@@ -314,7 +318,11 @@ func (mc *Machine) eval(fr *frame, i int) (int32, int, error) {
 		}
 		return int32(int8(mc.Mem[a])), next, nil
 	case ir.ASGNI, ir.ASGNC:
-		a, v, next, err := mc.evalPair(fr, i)
+		a, next, err := mc.eval(fr, i+1)
+		if err != nil {
+			return 0, 0, err
+		}
+		v, next, err := mc.eval(fr, next)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -357,23 +365,16 @@ func (mc *Machine) eval(fr *frame, i int) (int32, int, error) {
 	}
 }
 
-// evalPair evaluates binary node i's kids, left then right, and
-// returns the index just past node i's tree.
-func (mc *Machine) evalPair(fr *frame, i int) (l, r int32, next int, err error) {
-	l, next, err = mc.eval(fr, i+1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	r, next, err = mc.eval(fr, next)
-	return l, r, next, err
-}
-
 func (mc *Machine) binary(fr *frame, i int) (int32, int, error) {
 	op := fr.nodes[i].Op
 	if op.Arity() != 2 {
 		return 0, 0, fmt.Errorf("irexec: unsupported operator %s", op)
 	}
-	l, r, next, err := mc.evalPair(fr, i)
+	l, next, err := mc.eval(fr, i+1)
+	if err != nil {
+		return 0, 0, err
+	}
+	r, next, err := mc.eval(fr, next)
 	if err != nil {
 		return 0, 0, err
 	}
