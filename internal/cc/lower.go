@@ -123,39 +123,48 @@ type lowerer struct {
 	breakLbl  []int64
 	contLbl   []int64
 
-	// scratch holds the trees under construction; nodes and roots the
-	// function's finished statements (see ir.Function).
-	scratch []ir.Node
-	nodes   []ir.Node
-	roots   []int32
+	// arena holds the trees under construction, linked by index, and
+	// stack is emit's work list; nodes and roots hold the function's
+	// finished statements (see ir.Function).
+	arena []snode
+	stack []int32
+	nodes []ir.Node
+	roots []int32
 }
 
-// tree is a tree under construction: the nodes scratch[start:end], in
-// prefix order. Trees are never changed in place, so one may be used
-// more than once.
-type tree struct{ start, end int32 }
+// snode is a node of a tree under construction, with the arena indices
+// of its kids (-1 past the last). A parent only links its kids, so
+// building a tree costs one arena entry per node, however deep it is.
+type snode struct {
+	ir.Node
+	kids [2]int32
+}
+
+// tree is a tree under construction: the arena index of its root.
+// Trees are never changed in place, so one may be used more than once;
+// each use is copied out when its statement is emitted.
+type tree struct{ at int32 }
 
 // leaf builds a one-node tree.
 func (lw *lowerer) leaf(n ir.Node) tree {
-	lw.scratch = append(lw.scratch, n)
-	return tree{int32(len(lw.scratch) - 1), int32(len(lw.scratch))}
+	lw.arena = append(lw.arena, snode{Node: n, kids: [2]int32{-1, -1}})
+	return tree{int32(len(lw.arena) - 1)}
 }
 
-// node builds a tree of op, carrying literal lit, over kids.
+// node builds a tree of op, carrying literal lit, over at most two kids.
 func (lw *lowerer) node(op ir.Op, lit int64, kids ...tree) tree {
-	start := int32(len(lw.scratch))
-	lw.scratch = append(lw.scratch, ir.Node{Op: op, Lit: lit})
-	for _, k := range kids {
-		lw.scratch = append(lw.scratch, lw.scratch[k.start:k.end]...)
+	t := lw.leaf(ir.Node{Op: op, Lit: lit})
+	for i, k := range kids {
+		lw.arena[t.at].kids[i] = k.at
 	}
-	return tree{start, int32(len(lw.scratch))}
+	return t
 }
 
 // op builds a tree of op, which carries no literal, over kids.
 func (lw *lowerer) op(op ir.Op, kids ...tree) tree { return lw.node(op, 0, kids...) }
 
 // root returns t's root node.
-func (lw *lowerer) root(t tree) ir.Node { return lw.scratch[t.start] }
+func (lw *lowerer) root(t tree) ir.Node { return lw.arena[t.at].Node }
 
 // global builds the address of the named global or function.
 func (lw *lowerer) global(name string) tree {
@@ -168,10 +177,22 @@ func (lw *lowerer) global(name string) tree {
 	return lw.leaf(ir.Node{Op: ir.ADDRGP, Sym: s})
 }
 
-// emit appends t to the function as its next statement.
+// emit appends t to the function as its next statement, writing its
+// nodes out in prefix order.
 func (lw *lowerer) emit(t tree) {
 	lw.roots = append(lw.roots, int32(len(lw.nodes)))
-	lw.nodes = append(lw.nodes, lw.scratch[t.start:t.end]...)
+	stack := append(lw.stack[:0], t.at)
+	for len(stack) > 0 {
+		n := &lw.arena[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		lw.nodes = append(lw.nodes, n.Node)
+		for k := len(n.kids) - 1; k >= 0; k-- {
+			if n.kids[k] >= 0 {
+				stack = append(stack, n.kids[k])
+			}
+		}
+	}
+	lw.stack = stack
 }
 
 func (lw *lowerer) newLabel() int64 {
@@ -204,7 +225,7 @@ func (lw *lowerer) strGlobal(s string) string {
 
 func (lw *lowerer) lowerFunc(fn *FuncDecl) (*ir.Function, error) {
 	lw.fn = fn
-	lw.scratch, lw.nodes, lw.roots = lw.scratch[:0], lw.nodes[:0], lw.roots[:0]
+	lw.arena, lw.nodes, lw.roots = lw.arena[:0], lw.nodes[:0], lw.roots[:0]
 	lw.frameSize = 0
 	lw.nextLabel = 0
 	lw.breakLbl = lw.breakLbl[:0]

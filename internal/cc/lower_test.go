@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -285,4 +286,31 @@ func dumpTrees(m *ir.Module, f *ir.Function) string {
 		dump += m.TreeString(f, k) + "\n"
 	}
 	return dump
+}
+
+// TestLowerLongExpressionIsLinear compiles `return x+x+...+x;`, which
+// parses to a left-deep tree as deep as it is long, and bounds the bytes
+// the front end allocates by a fixed multiple of the IR's node count. A
+// lowering that copied each subtree into its parent would allocate
+// quadratically: at 2,000 terms, some 90 KB per node.
+func TestLowerLongExpressionIsLinear(t *testing.T) {
+	const terms = 2000
+	src := "int f(int x) { return x" + strings.Repeat("+x", terms-1) + "; }\n" +
+		"int main(void) { return f(1); }\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := compile(t, src)
+	runtime.ReadMemStats(&after)
+	nodes := 0
+	for _, f := range m.Functions {
+		nodes += len(f.Nodes)
+	}
+	if nodes < 2*terms {
+		t.Fatalf("lowered %d nodes for %d terms", nodes, terms)
+	}
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(nodes)
+	t.Logf("%d nodes, %.0f bytes allocated per node", nodes, perNode)
+	if perNode > 1024 {
+		t.Fatalf("front end allocated %.0f bytes per IR node; want a linear cost", perNode)
+	}
 }
