@@ -300,28 +300,45 @@ func AppendEncode(e *Encoder, syms []int32, indices []int, firsts []int32) ([]in
 	return indices, firsts
 }
 
+// StreamDecoder decodes one stream an index at a time: index 0 takes
+// the next value from the stream's first-occurrence list.
+type StreamDecoder struct {
+	d      Decoder
+	firsts []int32 // first-occurrence values not yet used
+}
+
+// NewStreamDecoder returns a decoder for a stream whose first-occurrence
+// values are firsts, in order.
+func NewStreamDecoder(firsts []int32) *StreamDecoder {
+	return &StreamDecoder{firsts: firsts}
+}
+
+// Next decodes the stream's next index. ok is false on a malformed
+// stream: index out of range, or no first-occurrence value left.
+func (s *StreamDecoder) Next(index int) (sym int32, ok bool) {
+	var fresh int32
+	if index == 0 {
+		if len(s.firsts) == 0 {
+			return 0, false
+		}
+		fresh = s.firsts[0]
+	}
+	sym, used, ok := s.d.Decode(index, fresh)
+	if used {
+		s.firsts = s.firsts[1:]
+	}
+	return sym, ok
+}
+
 // DecodeStream reverses EncodeStream. It reports ok=false on a malformed
 // input (index out of range or too few first-occurrence values).
 func DecodeStream(indices []int, firsts []int32) (syms []int32, ok bool) {
-	d := NewDecoder()
+	d := NewStreamDecoder(firsts)
 	syms = make([]int32, len(indices))
-	fi := 0
 	for i, idx := range indices {
-		var fresh int32
-		if idx == 0 {
-			if fi >= len(firsts) {
-				return nil, false
-			}
-			fresh = firsts[fi]
-		}
-		s, used, ok := d.Decode(idx, fresh)
-		if !ok {
+		if syms[i], ok = d.Next(idx); !ok {
 			return nil, false
 		}
-		if used {
-			fi++
-		}
-		syms[i] = s
 	}
 	return syms, true
 }

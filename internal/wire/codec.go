@@ -486,7 +486,7 @@ func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffma
 	} else if code == nil && count > 0 {
 		return nil, fmt.Errorf("missing shared code")
 	}
-	u := newUnsymbolizer(firsts, opt.NoMTF)
+	u := streamDecoder(firsts, opt.NoMTF)
 	vals := make([]int32, count)
 	for i := range vals {
 		var sym int
@@ -499,7 +499,7 @@ func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffma
 		} else if sym, err = code.Decode(br); err != nil {
 			return nil, err
 		}
-		if vals[i], err = u.value(sym); err != nil {
+		if vals[i], err = symbolValue(u, sym); err != nil {
 			return nil, err
 		}
 	}
@@ -517,39 +517,24 @@ func fitSymbols(br *bitio.Reader, segBytes, count int) error {
 	return nil
 }
 
-// unsymbolizer inverts the MTF stage one symbol at a time, or the
-// zigzag shift under noMTF.
-type unsymbolizer struct {
-	dec    *mtf.Decoder // nil under noMTF
-	firsts []int32      // first-occurrence values not yet used
-}
-
-func newUnsymbolizer(firsts []int32, noMTF bool) unsymbolizer {
-	u := unsymbolizer{firsts: firsts}
-	if !noMTF {
-		u.dec = mtf.NewDecoder()
+// streamDecoder returns the MTF decoder for a stream whose
+// first-occurrence values are firsts, or nil under noMTF.
+func streamDecoder(firsts []int32, noMTF bool) *mtf.StreamDecoder {
+	if noMTF {
+		return nil
 	}
-	return u
+	return mtf.NewStreamDecoder(firsts)
 }
 
-// value returns the value symbol sym codes.
-func (u *unsymbolizer) value(sym int) (int32, error) {
-	if u.dec == nil {
+// symbolValue returns the value symbol sym codes: its MTF decode through u,
+// or its zigzag shift when u is nil (noMTF).
+func symbolValue(u *mtf.StreamDecoder, sym int) (int32, error) {
+	if u == nil {
 		return unzigzag(uint64(sym)), nil
 	}
-	var fresh int32
-	if sym == 0 {
-		if len(u.firsts) == 0 {
-			return 0, fmt.Errorf("mtf decode failed")
-		}
-		fresh = u.firsts[0]
-	}
-	v, used, ok := u.dec.Decode(sym, fresh)
+	v, ok := u.Next(sym)
 	if !ok {
 		return 0, fmt.Errorf("mtf decode failed")
-	}
-	if used {
-		u.firsts = u.firsts[1:]
 	}
 	return v, nil
 }
@@ -557,10 +542,10 @@ func (u *unsymbolizer) value(sym int) (int32, error) {
 // unsymbolize inverts the MTF stage (or the zigzag shift under noMTF)
 // over a whole stream of symbols.
 func unsymbolize(symbols []int, firsts []int32, noMTF bool) ([]int32, error) {
-	u := newUnsymbolizer(firsts, noMTF)
+	u := streamDecoder(firsts, noMTF)
 	out := make([]int32, len(symbols))
 	for i, sym := range symbols {
-		v, err := u.value(sym)
+		v, err := symbolValue(u, sym)
 		if err != nil {
 			return nil, err
 		}
