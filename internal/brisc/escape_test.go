@@ -26,8 +26,8 @@ func TestDecodeUnitEscape(t *testing.T) {
 	obj.Code = code
 	obj.Blocks = []int32{0}
 
-	var tab unitTable
-	pid, next, err := obj.decodeUnitIn(&tab, obj.Code, 0, 0)
+	var got []vm.Instr
+	pid, next, err := obj.decodeUnitIn(&got, obj.Code, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestDecodeUnitEscape(t *testing.T) {
 		t.Errorf("next = %d, want %d", next, len(code))
 	}
 	want := vm.Instr{Op: vm.LDI, Rd: 5, Imm: 3}
-	if len(tab.code) != 1 || tab.code[0] != want {
-		t.Errorf("decoded %+v, want [%+v]", tab.code, want)
+	if len(got) != 1 || got[0] != want {
+		t.Errorf("decoded %+v, want [%+v]", got, want)
 	}
 }
 
@@ -56,14 +56,14 @@ func TestDecodeUnitTableIndex(t *testing.T) {
 
 	// In LDI's context, index 1 selects MOV; operands rd=2, rs=3.
 	obj.Code = []byte{1, 0x23}
-	var tab unitTable
-	pid, _, err := obj.decodeUnitIn(&tab, obj.Code, 0, ldiCtx)
+	var code []vm.Instr
+	pid, _, err := obj.decodeUnitIn(&code, obj.Code, 0, ldiCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := vm.Instr{Op: vm.MOV, Rd: 2, Rs1: 3}
-	if pid != int(vm.MOV) || len(tab.code) != 1 || tab.code[0] != want {
-		t.Errorf("pid=%d decoded %+v, want [%+v]", pid, tab.code, want)
+	if pid != int(vm.MOV) || len(code) != 1 || code[0] != want {
+		t.Errorf("pid=%d decoded %+v, want [%+v]", pid, code, want)
 	}
 }
 

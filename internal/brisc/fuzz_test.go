@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +33,9 @@ func FuzzParse(f *testing.F) {
 	if obj, err := Compress(prog, Options{}); err == nil {
 		f.Add(obj.Bytes())
 		f.Add(EncodeDict(obj.LearnedDict()))
+		for _, bad := range badBlockTables(f, obj) {
+			f.Add(bad.Bytes())
+		}
 	}
 	// Real artifacts from the shared example modules widen the corpus;
 	// a missing tree just leaves the inline seeds.
@@ -95,6 +99,37 @@ func FuzzParse(f *testing.F) {
 			t.Fatal("undecodable image: BuildXIP succeeded")
 		}
 	})
+}
+
+// badBlockTables returns two copies of obj whose block tables break
+// the segment walk: one with a block offset moved one byte forward, off
+// the unit grid, and one with a block offset moved one byte back, so
+// the unit before it overruns its segment. Each must fail to decode.
+func badBlockTables(tb testing.TB, obj *Object) []*Object {
+	tb.Helper()
+	var out []*Object
+	for _, delta := range []int32{+1, -1} {
+		found := false
+		for k := 1; k < len(obj.Blocks) && !found; k++ {
+			blocks := slices.Clone(obj.Blocks)
+			blocks[k] += delta
+			next := int32(len(obj.Code))
+			if k+1 < len(blocks) {
+				next = blocks[k+1]
+			}
+			if blocks[k] <= blocks[k-1] || blocks[k] >= next {
+				continue
+			}
+			bad := withBlocks(obj, blocks)
+			if _, err := bad.decodeImage(); err != nil {
+				out, found = append(out, bad), true
+			}
+		}
+		if !found {
+			tb.Fatalf("%s: no block offset moved by %+d breaks the decode", obj.Name, delta)
+		}
+	}
+	return out
 }
 
 // badBlockRef reports whether a decoded image names a block that

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // maxDecodeAllocs bounds the allocations of one whole-image decode
 // (decodeImage) and of one JIT, whatever the image size: each table
 // is allocated once, presized before the walk. Measured on go1.24:
-// 5 for decodeImage and 11 for JIT, on lcc and on gcc alike.
+// 4 for decodeImage and 7 for JIT, on lcc and on gcc alike.
 const maxDecodeAllocs = 16
 
 // decodeAllocObjs caches decodeAllocObjects' result: compressing gcc
@@ -62,8 +63,9 @@ func TestPredecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestJITAllocs: JIT allocates a constant number of times: its own
-// presized decode, the function table and the block starts.
+// TestJITAllocs: JIT allocates a constant number of times: its
+// presized code and block table, the block marks, the function table
+// and the block starts.
 func TestJITAllocs(t *testing.T) {
 	for _, obj := range decodeAllocObjects(t) {
 		var p *vm.Program
@@ -272,4 +274,86 @@ func TestSharedObjectConcurrentEngines(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// withBlocks returns a copy of o with another block table.
+func withBlocks(o *Object, blocks []int32) *Object {
+	return &Object{
+		Name: o.Name, Dict: o.Dict, Contexts: o.Contexts, Code: o.Code,
+		Blocks: blocks, Funcs: o.Funcs, Globals: o.Globals, DataSize: o.DataSize, Passes: o.Passes,
+	}
+}
+
+// TestJITDecodeMatchesImage: the JIT's own decode gives the code and
+// unit count of the whole-image unit table, and each block's first
+// instruction is the one that table's unit at the block's offset
+// starts; the JIT's BlockStarts is exactly the set
+// vm.Program.ComputeBlockStarts computes from its code and functions.
+// It runs on the presets and kernels, whose first block is not at
+// offset 0 (the code before it is a preamble segment, which no block
+// names), and on the same images with a block at offset 0 instead, or
+// with every third block offset doubled, which no compressor writes.
+func TestJITDecodeMatchesImage(t *testing.T) {
+	objs := []*Object{xipObject(t, "wep", workload.Generate(workload.Wep), Options{})}
+	var kernels []string
+	for name := range workload.Kernels() {
+		kernels = append(kernels, name)
+	}
+	slices.Sort(kernels)
+	for _, name := range kernels {
+		objs = append(objs, xipObject(t, name, workload.Kernels()[name], Options{}))
+	}
+	if !testing.Short() {
+		objs = append(objs, decodeAllocObjects(t)...)
+	}
+	check := func(name string, obj *Object) {
+		t.Helper()
+		tab, err := obj.decodeImage()
+		if err != nil {
+			t.Fatalf("%s: decodeImage: %v", name, err)
+		}
+		code, blockInstr, units, err := obj.jitDecode()
+		if err != nil {
+			t.Fatalf("%s: jitDecode: %v", name, err)
+		}
+		if !slices.Equal(code, tab.code) || units != len(tab.units) {
+			t.Fatalf("%s: JIT decoded %d instructions in %d units, the unit table %d in %d (or they differ)",
+				name, len(code), units, len(tab.code), len(tab.units))
+		}
+		for b, off := range obj.Blocks {
+			if want := tab.units[tab.idx[off]].first; blockInstr[b] != want {
+				t.Fatalf("%s: block %d at offset %d starts at instruction %d, the unit table says %d", name, b, off, blockInstr[b], want)
+			}
+		}
+		p, err := JIT(obj)
+		if err != nil {
+			t.Fatalf("%s: JIT: %v", name, err)
+		}
+		ref := &vm.Program{Code: p.Code, Funcs: p.Funcs}
+		ref.ComputeBlockStarts()
+		if !slices.Equal(p.BlockStarts, ref.BlockStarts) {
+			t.Fatalf("%s: JIT block starts %v\nComputeBlockStarts %v", name, p.BlockStarts, ref.BlockStarts)
+		}
+	}
+	for _, obj := range objs {
+		check(obj.Name, obj)
+		// A compiled program's start-up code is not a block, so every
+		// image here opens with a preamble segment.
+		bl := obj.Blocks
+		if len(bl) == 0 || bl[0] == 0 {
+			t.Fatalf("%s: no preamble before the first block", obj.Name)
+		}
+		// A block at offset 0 in place of the preamble: both decode
+		// from context 0.
+		check(obj.Name+"/block0", withBlocks(obj, append([]int32{0}, bl...)))
+		// Every third offset doubled.
+		var dup []int32
+		for b, off := range bl {
+			dup = append(dup, off)
+			if b%3 == 0 {
+				dup = append(dup, off)
+			}
+		}
+		check(obj.Name+"/dup", withBlocks(obj, dup))
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -246,16 +247,25 @@ func TestDrainOverrunDumpsFlight(t *testing.T) {
 	}
 	// A CPU-profile scrape blocks for its `seconds` parameter — a
 	// realistic long-lived debug request.
-	started := make(chan struct{})
+	started, scraped := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(scraped)
 		close(started)
-		http.Get("http://" + srv.Addr() + "/debug/pprof/profile?seconds=5")
+		if resp, err := http.Get("http://" + srv.Addr() + "/debug/pprof/profile?seconds=5"); err == nil {
+			resp.Body.Close()
+		}
 	}()
 	<-started
 	time.Sleep(100 * time.Millisecond) // let the scrape reach the handler
 
 	start := time.Now()
 	err = srv.Drain(200 * time.Millisecond)
+	// The forced drain ended the scrape's handler, so the CPU profiler
+	// is free for the next user (another test's StartCPUProfile).
+	if perr := pprof.StartCPUProfile(io.Discard); perr != nil {
+		t.Fatalf("CPU profiler still held after forced drain: %v", perr)
+	}
+	pprof.StopCPUProfile()
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("overrun drain: want deadline error, got %v", err)
 	}
@@ -269,6 +279,7 @@ func TestDrainOverrunDumpsFlight(t *testing.T) {
 	if _, err := http.Get("http://" + srv.Addr() + "/healthz"); err == nil {
 		t.Fatal("server still accepting after forced drain")
 	}
+	<-scraped
 }
 
 // TestDrainCleanNoDump: a drain with no in-flight requests finishes

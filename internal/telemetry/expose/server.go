@@ -20,6 +20,7 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -35,6 +36,11 @@ type Server struct {
 	ln  net.Listener
 	srv *http.Server
 	rec *telemetry.Recorder
+
+	// active counts handlers still running, so a forced drain can wait
+	// for them: a CPU-profile scrape holds the process's one profiler
+	// until its handler returns.
+	active atomic.Int64
 }
 
 // StartServer binds addr (host:port; ":0" picks a free port) and
@@ -91,7 +97,12 @@ func StartServer(addr string, rec *telemetry.Recorder) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}, rec: rec}
+	s := &Server{ln: ln, rec: rec}
+	s.srv = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		s.active.Add(1)
+		defer s.active.Add(-1)
+		mux.ServeHTTP(w, req)
+	})}
 	go s.srv.Serve(ln)
 	return s, nil
 }
@@ -113,7 +124,9 @@ func (s *Server) Close() error { return s.Drain(DefaultDrainTimeout) }
 // timeout to finish, and on overrun the flight-recorder ring is
 // dumped — a scrape that outlives the drain window is exactly the
 // kind of stuck-process evidence the ring exists to preserve — before
-// the remaining connections are force-closed. The overrun still
+// the remaining connections are force-closed and their handlers, which
+// see their request contexts canceled, are given up to another timeout
+// to return. The overrun still
 // returns context.DeadlineExceeded so callers can distinguish a clean
 // drain from a forced one.
 func (s *Server) Drain(timeout time.Duration) error {
@@ -129,6 +142,13 @@ func (s *Server) Drain(timeout time.Duration) error {
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.rec.Trip(fmt.Sprintf("expose: drain deadline (%v) exceeded; force-closing debug connections", timeout))
 		s.srv.Close()
+		// Closing a connection cancels its request's context, which
+		// ends the pprof handlers' waits; give the handlers up to
+		// another timeout to return, so none holds the CPU profiler
+		// past the drain.
+		for end := time.Now().Add(timeout); s.active.Load() > 0 && time.Now().Before(end); {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	return err
 }

@@ -251,6 +251,11 @@ func writeShapeTable(bw *bitio.Writer, shapes [][]ir.Op) {
 	}
 }
 
+// maxShapeOps is the longest shape, in ops, readShapeTable accepts.
+// patternize refuses a module with a longer tree, so the encoder never
+// writes a shape table its decoder rejects.
+const maxShapeOps = 1 << 16
+
 // readShapeTable reverses writeShapeTable. It rejects undefined
 // opcodes and any shape that is not exactly one tree in prefix order,
 // so every tree fill copies out of it is well-formed.
@@ -262,7 +267,7 @@ func readShapeTable(br *bitio.Reader) ([][]ir.Op, error) {
 	shapes := make([][]ir.Op, nShapes)
 	for i := range shapes {
 		n, err := readUvarint(br)
-		if err != nil || n == 0 || n > 1<<16 {
+		if err != nil || n == 0 || n > maxShapeOps {
 			return nil, fmt.Errorf("%w: shape length", ErrCorrupt)
 		}
 		ops := make([]ir.Op, n)
@@ -325,8 +330,9 @@ func (p *patterns) funcStream(fi, j int) []int32 {
 
 // patternize splits the module in one pass over each function's
 // nodes: a tree's shape is the ops of its node range, and each literal
-// goes to its opcode's stream, a name as its symbol index.
-func patternize(m *ir.Module) *patterns {
+// goes to its opcode's stream, a name as its symbol index. A tree of
+// more than maxShapeOps ops fails with ErrTooLarge.
+func patternize(m *ir.Module) (*patterns, error) {
 	n := numStreams()
 	p := &patterns{marks: make([]int32, 0, (len(m.Functions)+1)*n)}
 	mark := func() {
@@ -339,6 +345,10 @@ func patternize(m *ir.Module) *patterns {
 	for _, f := range m.Functions {
 		mark()
 		for k := range f.Roots {
+			if n := len(f.Tree(k)); n > maxShapeOps {
+				return nil, fmt.Errorf("%w: function %s has a tree of %d ops, over the shape limit %d",
+					ErrTooLarge, f.Name, n, maxShapeOps)
+			}
 			keyBuf = keyBuf[:0]
 			for _, nd := range f.Tree(k) {
 				keyBuf = append(keyBuf, byte(nd.Op))
@@ -365,7 +375,7 @@ func patternize(m *ir.Module) *patterns {
 		}
 	}
 	mark()
-	return p
+	return p, nil
 }
 
 // ---- symbol streams ----

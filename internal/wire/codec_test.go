@@ -15,7 +15,10 @@ import (
 // per-function stream slices WIRX cuts its chunks from are pinned too.
 func TestPatternizeMatchesReference(t *testing.T) {
 	m := compileMod(t, "wep", workload.Generate(workload.Wep))
-	p := patternize(m)
+	p, err := patternize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for fi, f := range m.Functions {
 		shapes := p.funcStream(fi, 0)
 		if len(shapes) != len(f.Roots) {

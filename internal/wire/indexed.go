@@ -50,7 +50,10 @@ func CompressIndexedTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (
 // compressIndexed lays out a WIRX object for a module the caller has
 // validated.
 func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, error) {
-	p := patternize(m)
+	p, err := patternize(m)
+	if err != nil {
+		return nil, err
+	}
 	nFuncs, n := len(m.Functions), numStreams()
 
 	// Shared codes, one per stream, built over every function's MTF

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bitio"
@@ -119,6 +120,43 @@ func TestContainerSizeCap(t *testing.T) {
 	MaxContainerBytes = old
 	if _, err := Decompress(data); err != nil {
 		t.Fatalf("restored cap rejects valid object: %v", err)
+	}
+}
+
+// TestOversizedShapeRefused: a tree longer than the shape table's limit
+// (`return x+x+…+x;` at 40,000 terms) is refused by both encoders with
+// ErrTooLarge, so Compress never writes an artifact its own decoder
+// rejects, while the same statement at 10,000 terms, under the limit,
+// round-trips.
+func TestOversizedShapeRefused(t *testing.T) {
+	sum := func(terms int) *ir.Module {
+		t.Helper()
+		src := "int f(int x) { return x" + strings.Repeat("+x", terms-1) + "; }\n" +
+			"int main(void) { return f(1); }\n"
+		mod, err := cc.Compile("sum", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mod
+	}
+	long := sum(40000)
+	if data, err := Compress(long); !errors.Is(err, ErrTooLarge) || !errors.Is(err, ErrCorrupt) || data != nil {
+		t.Errorf("Compress of a 40,000-term tree: %d bytes, err %v; want ErrTooLarge", len(data), err)
+	}
+	if data, err := CompressIndexed(long, Options{}); !errors.Is(err, ErrTooLarge) || data != nil {
+		t.Errorf("CompressIndexed of a 40,000-term tree: %d bytes, err %v; want ErrTooLarge", len(data), err)
+	}
+	short := sum(10000)
+	data, err := Compress(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decompress(data)
+	if err != nil {
+		t.Fatalf("Decompress of a 10,000-term tree: %v", err)
+	}
+	if back.String() != short.String() {
+		t.Error("10,000-term tree did not round-trip")
 	}
 }
 

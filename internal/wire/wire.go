@@ -329,7 +329,11 @@ func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats,
 	// Patternize is a serial fold over the forest; the expensive entropy
 	// coding below is what fans out.
 	psp := rec.StartSpan("wire.patternize")
-	p := patternize(m)
+	p, err := patternize(m)
+	if err != nil {
+		psp.End()
+		return st, nil, err
+	}
 	st.Trees = len(p.shapeStream)
 	st.Shapes = len(p.shapes)
 	psp.SetAttr(telemetry.Int("trees", int64(st.Trees)),
@@ -343,7 +347,7 @@ func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats,
 	n := numStreams()
 	ssp := rec.StartSpan("wire.encode_streams", telemetry.Int("streams", int64(n)))
 	segs := make([][]byte, n)
-	err := opt.pool(rec).ForEachSpan("wire.stream", n, func(i int, wsp *telemetry.Span) error {
+	err = opt.pool(rec).ForEachSpan("wire.stream", n, func(i int, wsp *telemetry.Span) error {
 		stream := p.stream(i)
 		if len(stream) == 0 {
 			return nil
