@@ -68,9 +68,11 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecompress$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenIndexed$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzInspect$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseContainer$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenXIPStore$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
 	$(GO) test -run='^$$' -fuzz='^FuzzExec$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCode$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/flatezip/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=$(FUZZTIME) ./internal/cc/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeVsSlow$$' -fuzztime=$(FUZZTIME) ./internal/huffman/

@@ -25,8 +25,8 @@ import (
 // the same error class, or when the image names a block that does not
 // exist (a target or function entry decodeImage leaves unchecked, which
 // the interpreter traps on only when reached). One that does decode
-// must also run paged at a one-page budget, where every fault decodes
-// into a recycled table, exactly as it runs whole-image: same exit
+// must also run paged at a one-page budget, where every fault reuses
+// a recycled table, exactly as it runs whole-image: same exit
 // code, output, steps and error class.
 func FuzzParse(f *testing.F) {
 	prog := compileProg(f, "seed", saltSrc)
@@ -332,4 +332,110 @@ func FuzzExec(f *testing.F) {
 			t.Fatalf("BRISC differs from the VM:\n got  %+v\n want %+v\n%s", whole, vmS, p.Disassemble())
 		}
 	})
+}
+
+// FuzzDecodeCode splices fuzz bytes into a real object's code stream,
+// overwriting or inserting at a fuzzed offset, and re-serializes the
+// object, so every mutant passes the section CRCs and reaches the
+// decoder. The validate-only walk (no destination) must accept exactly
+// the images decodeImage accepts, and fail with the same error text.
+// An accepted image must run paged at budgets of 1 and 8 pages exactly
+// as it runs whole-image: same exit code, output, steps and error
+// class.
+func FuzzDecodeCode(f *testing.F) {
+	obj := xipObject(f, "wep", workload.Generate(workload.Wep), Options{})
+	n := len(obj.Code)
+	f.Add(uint16(0), []byte{}, false)
+	f.Add(uint16(n/2), []byte{0xFF}, false)
+	f.Add(uint16(n/3), []byte{0x99, 0x99}, false)
+	f.Add(uint16(n-1), []byte{0x00}, false)
+	f.Add(uint16(n/4), []byte{0x12, 0x34, 0x56}, true)
+	f.Add(uint16(obj.Blocks[len(obj.Blocks)/2]), []byte{0x01}, false)
+	limits := guard.Limits{MaxSteps: 100_000, MaxCallDepth: 256}
+	f.Fuzz(func(t *testing.T, at uint16, patch []byte, insert bool) {
+		if len(patch) > 64 {
+			return
+		}
+		pos := int(at) % (n + 1)
+		spliced := slices.Clone(obj.Code[:pos])
+		spliced = append(spliced, patch...)
+		if insert {
+			spliced = append(spliced, obj.Code[pos:]...)
+		} else if pos+len(patch) < n {
+			spliced = append(spliced, obj.Code[pos+len(patch):]...)
+		}
+		mut := withBlocks(obj, obj.Blocks)
+		mut.Code = spliced
+		o, err := Parse(mut.Bytes())
+		if err != nil {
+			t.Fatalf("re-serialized object does not parse: %v", err)
+		}
+		if !decodesAlike(t, o) {
+			return
+		}
+		run := func(budget int) (int32, string, int64, error) {
+			var out bytes.Buffer
+			it := NewInterp(o, 1<<16, &out)
+			defer it.Release()
+			if budget > 0 {
+				img, err := BuildXIP(o, XIPOptions{PageSize: 128})
+				if err != nil {
+					t.Fatalf("decodable image: BuildXIP: %v", err)
+				}
+				if err := it.EnableXIP(img, budget, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := it.SetLimits(limits); err != nil {
+				t.Fatal(err)
+			}
+			code, err := it.Run(0)
+			return code, out.String(), it.Steps, err
+		}
+		code, out, steps, err := run(0)
+		for _, budget := range []int{1, 8} {
+			pcode, pout, psteps, pErr := run(budget)
+			if pcode != code || pout != out || psteps != steps || errClass(pErr) != errClass(err) {
+				t.Fatalf("budget %d: paged run diverged: exit %d/%d steps %d/%d out %q/%q err %v/%v",
+					budget, pcode, code, psteps, steps, pout, out, pErr, err)
+			}
+		}
+	})
+}
+
+// TestValidateWalkMatchesDecode is FuzzDecodeCode's validate-only
+// check as a deterministic sweep: every byte of the quick profile's
+// code stream, overwritten with each of a few values (an escape, size
+// nibbles over 8, zero), must leave the validate-only walk and
+// decodeImage agreeing on accept or reject, with the same error text.
+func TestValidateWalkMatchesDecode(t *testing.T) {
+	obj := xipObject(t, "quick", workload.Generate(workload.Quick), Options{})
+	rejected := 0
+	for pos := range obj.Code {
+		for _, v := range []byte{0xFF, 0x99, 0x00, obj.Code[pos] ^ 0x10} {
+			mut := withBlocks(obj, obj.Blocks)
+			mut.Code = slices.Clone(obj.Code)
+			mut.Code[pos] = v
+			if !decodesAlike(t, mut) {
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no mutant was rejected")
+	}
+	t.Logf("%d of %d mutants rejected", rejected, 4*len(obj.Code))
+}
+
+// decodesAlike fails t unless the validate-only walk and decodeImage
+// agree on o, both accepting it or both rejecting it with the same
+// error text, and reports whether o decodes.
+func decodesAlike(t *testing.T, o *Object) bool {
+	t.Helper()
+	_, vErr := o.decodeWhole(nil, nil, nil)
+	_, dErr := o.decodeImage()
+	if (vErr == nil) != (dErr == nil) || (vErr != nil && vErr.Error() != dErr.Error()) {
+		t.Fatalf("validate-only walk: %v; full decode: %v", vErr, dErr)
+	}
+	return dErr == nil
 }

@@ -156,7 +156,8 @@ func (it *Interp) FlushTelemetry() {
 		it.rec.Add("paging.xip.faults", rt.faults-rt.flushedFaults)
 		it.rec.Add("paging.xip.hits", rt.hits-rt.flushedHits)
 		it.rec.Add("paging.xip.evictions", rt.evictions-rt.flushedEvictions)
-		rt.flushedFaults, rt.flushedHits, rt.flushedEvictions = rt.faults, rt.hits, rt.evictions
+		it.rec.Add("paging.xip.segment_decodes", rt.segDecodes-rt.flushedSegDecodes)
+		rt.flushedFaults, rt.flushedHits, rt.flushedEvictions, rt.flushedSegDecodes = rt.faults, rt.hits, rt.evictions, rt.segDecodes
 		it.rec.SetGauge("paging.xip.pages", float64(rt.img.NumPages()))
 		it.rec.SetGauge("paging.xip.page_size", float64(rt.img.PageSize()))
 		it.rec.SetGauge("paging.xip.resident_pages", float64(rt.nres))

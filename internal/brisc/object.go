@@ -593,6 +593,11 @@ func (o *Object) Func(name string) *ObjFunc {
 type decodePlan struct {
 	tmpl  []vm.Instr
 	slots []planSlot
+	// regRuns serves the validate-only walk, which writes no operand:
+	// regRuns[k] is the number of register nibbles before the plan's
+	// k-th immediate or target operand, and the last entry those after
+	// its final one, so the walk steps over each run in one add.
+	regRuns []int32
 }
 
 // planSlot is one wildcard operand: the template instruction it
@@ -612,7 +617,8 @@ func (o *Object) decodePlans() []decodePlan {
 }
 
 // compilePlans compiles every pattern of dict into a decode plan. All
-// templates share one backing array, as do all slots.
+// templates share one backing array, as do all slots and all register
+// runs.
 func compilePlans(dict []Pattern) []decodePlan {
 	nIns, nSlots := 0, 0
 	for i := range dict {
@@ -621,9 +627,10 @@ func compilePlans(dict []Pattern) []decodePlan {
 	}
 	tmpl := make([]vm.Instr, 0, nIns)
 	slots := make([]planSlot, 0, nSlots)
+	runs := make([]int32, 0, nSlots+len(dict)) // at most one per operand, plus one per plan
 	plans := make([]decodePlan, len(dict))
 	for pid := range dict {
-		t0, s0 := len(tmpl), len(slots)
+		t0, s0, r0 := len(tmpl), len(slots), len(runs)
 		for i := range dict[pid].Seq {
 			pi := &dict[pid].Seq[i]
 			ins := vm.Instr{Op: pi.Op}
@@ -637,7 +644,20 @@ func compilePlans(dict []Pattern) []decodePlan {
 			}
 			tmpl = append(tmpl, ins)
 		}
-		plans[pid] = decodePlan{tmpl: tmpl[t0:len(tmpl):len(tmpl)], slots: slots[s0:len(slots):len(slots)]}
+		run := int32(0)
+		for _, sl := range slots[s0:] {
+			if sl.reg {
+				run++
+			} else {
+				runs, run = append(runs, run), 0
+			}
+		}
+		runs = append(runs, run)
+		plans[pid] = decodePlan{
+			tmpl:    tmpl[t0:len(tmpl):len(tmpl)],
+			slots:   slots[s0:len(slots):len(slots)],
+			regRuns: runs[r0:len(runs):len(runs)],
+		}
 	}
 	return plans
 }
@@ -646,8 +666,8 @@ func compilePlans(dict []Pattern) []decodePlan {
 // context ctx (0 = block start, pid+1 otherwise). It returns the
 // pattern id and the offset of the next unit; with a non-nil dst it
 // also appends the unit's instructions to *dst, its pattern's decode
-// plan with every operand written in place. A nil dst only validates,
-// and allocates nothing. code is Obj.Code for a whole-image decode, or
+// plan with every operand written in place. A nil dst only validates:
+// skipOperands steps over the operands, and nothing is allocated. code is Obj.Code for a whole-image decode, or
 // a faulted-in page at page-local offsets for demand paging: every
 // basic block starts at Markov context 0, so any block-aligned byte
 // range is independently decodable.
@@ -672,18 +692,19 @@ func (o *Object) decodeUnitIn(dst *[]vm.Instr, code []byte, off int32, ctx int) 
 		pid = o.Contexts[ctx][b]
 	}
 	pl := &o.decodePlans()[pid]
-	var ins []vm.Instr
-	if dst != nil {
-		first := len(*dst)
-		*dst = append(*dst, pl.tmpl...)
-		ins = (*dst)[first:]
-	}
 
 	// Operands follow as nibbles, high nibble first: a register is one
 	// nibble; an immediate or target is a size nibble n <= 8 and n
 	// payload nibbles, sign-extended from 4n bits. nib counts nibbles
 	// from the start of code.
 	nib, lim := 2*i, 2*len(code)
+	if dst == nil {
+		next, err = skipOperands(pl.regRuns, code, nib, off)
+		return pid, next, err
+	}
+	first := len(*dst)
+	*dst = append(*dst, pl.tmpl...)
+	ins := (*dst)[first:]
 	for _, s := range pl.slots {
 		if nib >= lim {
 			return 0, 0, errNibbleUnderflow
@@ -707,11 +728,41 @@ func (o *Object) decodeUnitIn(dst *[]vm.Instr, code []byte, off int32, ctx int) 
 				v = v << (32 - bits) >> (32 - bits)
 			}
 		}
-		if dst != nil {
-			putOperand(&ins[s.instr], s.field, v)
-		}
+		putOperand(&ins[s.instr], s.field, v)
 	}
 	return pid, int32((nib + 1) >> 1), nil
+}
+
+// skipOperands is decodeUnitIn's operand walk without a destination:
+// it steps over the unit's operands from nibble nib of code, reading
+// only size nibbles, and returns the offset of the next unit. A run of
+// r register nibbles underflows exactly when reading them one by one
+// would, nib+r > lim, so it fails where the full decode does, with the
+// same errors.
+func skipOperands(regRuns []int32, code []byte, nib int, off int32) (int32, error) {
+	lim := 2 * len(code)
+	last := len(regRuns) - 1
+	for k, r := range regRuns {
+		if nib += int(r); nib > lim {
+			return 0, errNibbleUnderflow
+		}
+		if k == last {
+			break
+		}
+		if nib >= lim {
+			return 0, errNibbleUnderflow
+		}
+		n := int(code[nib>>1]>>(4-4*(nib&1))) & 0xF
+		nib++
+		if n > 8 {
+			return 0, fmt.Errorf("%w: size nibble %d at %d", ErrCorrupt, n, off)
+		}
+		if nib+n > lim {
+			return 0, errNibbleUnderflow
+		}
+		nib += n
+	}
+	return int32((nib + 1) >> 1), nil
 }
 
 var errNibbleUnderflow = fmt.Errorf("%w: nibble stream underflow", ErrCorrupt)

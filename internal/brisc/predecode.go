@@ -128,7 +128,7 @@ func (o *Object) segments() ([]segment, error) {
 
 // decodeSegment Markov-decodes segment s out of raw, where its bytes
 // start at raw[s.local], from context 0: the one per-unit walk behind
-// every decode (whole images through decodeWhole, XIP page faults), and
+// every decode (whole images through decodeWhole, XIP segments), and
 // so behind the interpreter, the JIT, the inspector and XIP
 // validation. Every unit must end inside the segment, so a block
 // offset off the unit grid is corrupt. It returns the number of units.
@@ -185,14 +185,18 @@ func (o *Object) decodeSegment(t *unitTable, code *[]vm.Instr, raw []byte, s seg
 	return units, nil
 }
 
-// link turns each unit's successor position, which decodeSegment left
-// in nextIdx, into the successor's unit index through t.idx, so
-// fall-through dispatches without an offset lookup; a successor that
-// is not in this table stays -1.
-func (t *unitTable) link() {
-	for i := range t.units {
+// link turns the successor position that decodeSegment left in
+// nextIdx, for each unit from the from'th on, into the successor's
+// unit index through t.idx, so fall-through dispatches without an
+// offset lookup. A successor that is not in raw stays -1, and one that
+// is but is not decoded (only an XIP page decodes segment by segment)
+// becomes nextUndecoded.
+func (t *unitTable) link(from int) {
+	for i := from; i < len(t.units); i++ {
 		if p := t.units[i].nextIdx; p >= 0 {
-			t.units[i].nextIdx = t.idx[p]
+			if t.units[i].nextIdx = t.idx[p]; t.units[i].nextIdx < 0 {
+				t.units[i].nextIdx = nextUndecoded
+			}
 		}
 	}
 }
@@ -231,6 +235,6 @@ func (o *Object) decodeImage() (*unitTable, error) {
 	if _, err := o.decodeWhole(t, nil, nil); err != nil {
 		return nil, err
 	}
-	t.link()
+	t.link(0)
 	return t, nil
 }

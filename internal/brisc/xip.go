@@ -17,13 +17,14 @@ import (
 // are packed into pages of at most PageSize bytes. A page holds exactly
 // the BRISC bytes of its segments, unpadded, sealed with a CRC32C
 // trailer: BRISC is already the compressed form, so a fault is a CRC
-// check plus predecode, with no second coder underneath. The
-// interpreter faults pages in on jump and fall-through targets,
-// predecodes each page into the same flat handler+operand
-// representation the whole-image fast path uses, and keeps decoded
-// pages in a bounded LRU cache. Peak resident decoded memory is
-// therefore the working set, not the image — the paper's memory
-// scenario, with the decode cost paid per fault instead of up front.
+// check, with no second coder underneath. The interpreter faults pages
+// in on jump and fall-through targets and keeps them in a bounded LRU
+// cache. A fault decodes nothing: a segment is predecoded, into the
+// same flat unit table the whole-image fast path uses, the first time
+// a run enters it while its page is resident, so code a run never
+// enters is never decoded. Peak resident decoded memory is therefore
+// the working set, not the image — the paper's memory scenario, with
+// the decode cost paid per segment entered instead of up front.
 //
 // Profile-driven layout: when XIPOptions.BlockCounts is set (from a
 // `compscope hot -json` join or BlockCountsFromTrace), executed
@@ -230,7 +231,7 @@ func (x *XIPImage) Store() *PageStore { return x.store }
 // segments to pages — everything except materializing the store. Every
 // segment must decode (the contract decodeImage enforces), so a corrupt
 // image is rejected at build time, before any page is faulted, and
-// every page fault can decode its segments independently.
+// every segment of a faulted page decodes on its own.
 func buildXIPMeta(o *Object, opt XIPOptions) (*XIPImage, error) {
 	if _, err := o.decodeWhole(nil, nil, nil); err != nil {
 		return nil, err
@@ -324,19 +325,31 @@ const (
 	xipUnitFootprint  = 48
 )
 
-// xipPage is one decoded page resident in the cache: the page's units
-// in the same table form a whole-image decode uses, addressed by
-// original code offsets. An evicted page goes to the runtime's free
-// list, and the next fault decodes into its table.
+// xipPage is one page resident in the cache: a copy of its verified
+// bytes, and the units of the segments entered since it faulted in, in
+// the same table form a whole-image decode uses, addressed by original
+// code offsets. A segment is decoded exactly when idx holds a unit at
+// its first byte; the fault resets idx, so no mark outlives the
+// residency. An evicted page goes to the runtime's free list, and the
+// next fault reuses its buffers.
 type xipPage struct {
 	unitTable
+	raw        []byte // the page's bytes, copied when its CRC passed
 	id         int32
-	bytes      int64
+	bytes      int64    // decoded footprint of the segments decoded so far
 	prev, next *xipPage // LRU list, nil-terminated both ends; next also chains the free list
 }
 
+// nextUndecoded is the nextIdx of a unit whose successor starts a
+// segment of the same page that is not decoded yet. resolve decodes
+// that segment and counts neither a hit nor a page use, since a
+// decoded successor is entered without a resolve; once it is decoded,
+// the predecessor's nextIdx points at it, and a fall-through that
+// still resolves counts as a hit.
+const nextUndecoded = -2
+
 // xipRuntime is the per-Interp paged-execution state: the bounded LRU
-// cache of decoded pages plus fault/hit/eviction accounting. Telemetry
+// cache of pages plus fault/hit/eviction/decode accounting. Telemetry
 // counters are batched here and published by FlushTelemetry.
 type xipRuntime struct {
 	img      *XIPImage
@@ -348,16 +361,22 @@ type xipRuntime struct {
 	mru, lru *xipPage
 	free     *xipPage // evicted pages, most recently evicted first
 	resident int64    // decoded bytes currently cached
+	// rawSlab backs every page table's raw copy, one page size each,
+	// sized for as many tables as the budgets let exist.
+	rawSlab []byte
 
-	faults, hits, evictions                      int64
-	flushedFaults, flushedHits, flushedEvictions int64
-	peakBytes                                    int64
-	peakPages                                    int
+	faults, hits, evictions, segDecodes                             int64
+	flushedFaults, flushedHits, flushedEvictions, flushedSegDecodes int64
+	peakBytes                                                       int64
+	peakPages                                                       int
 }
 
 // XIPStats is a point-in-time snapshot of the paged-execution cache.
+// SegmentDecodes counts segments decoded on first entry; a fault
+// decodes none.
 type XIPStats struct {
 	Faults, Hits, Evictions int64
+	SegmentDecodes          int64
 	ResidentPages           int
 	ResidentBytes           int64
 	PeakResidentPages       int
@@ -377,11 +396,16 @@ func (it *Interp) EnableXIP(img *XIPImage, maxPages, maxBytes int) error {
 		return fmt.Errorf("brisc: XIP image was built from a different object")
 	}
 	it.image = nil
+	tables := img.NumPages()
+	if maxPages > 0 {
+		tables = min(tables, maxPages)
+	}
 	it.xip = &xipRuntime{
 		img:      img,
 		maxPages: maxPages,
 		maxBytes: int64(maxBytes),
 		pages:    make([]*xipPage, img.NumPages()),
+		rawSlab:  make([]byte, 0, tables*img.pageSize),
 	}
 	return nil
 }
@@ -397,6 +421,7 @@ func (it *Interp) XIPStats() XIPStats {
 		Faults:            rt.faults,
 		Hits:              rt.hits,
 		Evictions:         rt.evictions,
+		SegmentDecodes:    rt.segDecodes,
 		ResidentPages:     rt.nres,
 		ResidentBytes:     rt.resident,
 		PeakResidentPages: rt.peakPages,
@@ -411,8 +436,8 @@ func (rt *xipRuntime) reset() {
 	for rt.lru != nil {
 		rt.evictLRU()
 	}
-	rt.faults, rt.hits, rt.evictions = 0, 0, 0
-	rt.flushedFaults, rt.flushedHits, rt.flushedEvictions = 0, 0, 0
+	rt.faults, rt.hits, rt.evictions, rt.segDecodes = 0, 0, 0, 0
+	rt.flushedFaults, rt.flushedHits, rt.flushedEvictions, rt.flushedSegDecodes = 0, 0, 0, 0
 	rt.peakBytes, rt.peakPages = 0, 0
 }
 
@@ -479,11 +504,11 @@ func (rt *xipRuntime) evictLRU() {
 	rt.free = v
 }
 
-// resolve maps an original code offset to its decoded page's unit
-// table and unit index, faulting the page in if needed. An offset
-// outside every segment (past the end of code) or inside a page but
-// off the unit grid (a computed jump into the middle of a unit) is the
-// whole-image interpreter's offGrid trap.
+// resolve maps an original code offset to its page's unit table and
+// unit index, faulting the page in and decoding the offset's segment
+// if needed. An offset outside every segment (past the end of code) or
+// inside a segment but off the unit grid (a computed jump into the
+// middle of a unit) is the whole-image interpreter's offGrid trap.
 func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, int32, error) {
 	segs := rt.img.segs
 	si := sort.Search(len(segs), func(i int) bool { return segs[i].end > off })
@@ -492,13 +517,18 @@ func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, 
 	}
 	s := &segs[si]
 	pg := rt.pages[s.page]
-	if pg != nil {
+	switch {
+	case pg == nil:
+		var err error
+		if pg, err = rt.fault(it, s.page); err != nil {
+			return nil, -1, err
+		}
+	case it.unitIdx != nextUndecoded || pg.idx[s.local] >= 0:
 		rt.hits++
 		rt.moveFront(pg)
-	} else {
-		var err error
-		pg, err = rt.fault(it, g, s.page)
-		if err != nil {
+	}
+	if pg.idx[s.local] < 0 {
+		if err := rt.decode(it, g, pg, si); err != nil {
 			return nil, -1, err
 		}
 	}
@@ -509,16 +539,14 @@ func (rt *xipRuntime) resolve(it *Interp, g *guard.Gov, off int32) (*unitTable, 
 	return &pg.unitTable, idx, nil
 }
 
-// fault verifies and predecodes page pid, inserts it at the front of
-// the LRU list, charges it against the memory governor, and evicts
-// over-budget pages. Corruption detected by the store's CRC check (or
-// a decode failure behind a colliding CRC) surfaces as ErrCorrupt.
-// The page-count budget is enforced before the decode, so the table of
-// the page just evicted (at a one-page budget, the page being left) is
-// the one this fault decodes into; the byte budget, which needs the
-// decoded size, is enforced after. Both evict in LRU order, so the
-// pages evicted are those a single check after the decode would pick.
-func (rt *xipRuntime) fault(it *Interp, g *guard.Gov, pid int32) (*xipPage, error) {
+// fault verifies page pid's CRC, copies its bytes into a page table
+// (the one of the page just evicted, when the page-count budget is
+// full: at a one-page budget, the page being left) and inserts it at
+// the front of the LRU list, with no segment decoded. Corruption
+// detected by the store's CRC check surfaces as ErrCorrupt. Segments
+// decode from the copy, so a store damaged while its page is resident
+// never reaches the decoder unverified.
+func (rt *xipRuntime) fault(it *Interp, pid int32) (*xipPage, error) {
 	rt.faults++
 	if it.XIPFault != nil {
 		it.XIPFault(pid)
@@ -534,45 +562,68 @@ func (rt *xipRuntime) fault(it *Interp, g *guard.Gov, pid int32) (*xipPage, erro
 	if pg != nil {
 		rt.free, pg.next = pg.next, nil
 	} else {
-		pg = &xipPage{}
+		pg = &xipPage{raw: carve(&rt.rawSlab, rt.img.pageSize)}
 	}
 	pg.id = pid
+	pg.raw = append(pg.raw[:0], raw...)
 	pg.reset(len(raw))
-	segs := rt.img.segs
-	for _, si := range rt.img.pageSegs[pid] {
-		// The segment's last unit falls through to the next segment in
-		// code order, which is in raw only when it was packed into the
-		// same page.
-		seam := int32(-1)
-		if int(si)+1 < len(segs) && segs[si+1].page == pid {
-			seam = segs[si+1].local
-		}
-		if _, err := rt.img.obj.decodeSegment(&pg.unitTable, nil, raw, segs[si], seam); err != nil {
-			pg.next, rt.free = rt.free, pg
-			return nil, fmt.Errorf("brisc: xip page %d: %w", pid, err)
-		}
-	}
-	// Chain in-page fall-throughs so consecutive units dispatch without
-	// re-touching the cache; cross-page successors stay -1 and resolve
-	// through the fault path.
-	pg.link()
-	pg.bytes = int64(len(pg.code))*xipInstrFootprint + int64(len(pg.units))*xipUnitFootprint
+	pg.bytes = 0
 	rt.pages[pid] = pg
 	rt.nres++
 	rt.moveFront(pg)
-	rt.resident += pg.bytes
+	if rt.nres > rt.peakPages {
+		rt.peakPages = rt.nres
+	}
+	return pg, nil
+}
+
+// decode predecodes segment si into its resident page pg on the run's
+// first entry, chains in-page fall-through both ways (into the next
+// segment in code order when it is decoded, and from the previous one
+// when that is), charges the segment's decoded footprint to the cache
+// and the memory governor, and evicts over the byte budget, keeping
+// pg. A decode failure behind a colliding CRC is ErrCorrupt, and
+// leaves the segment undecoded.
+func (rt *xipRuntime) decode(it *Interp, g *guard.Gov, pg *xipPage, si int) error {
+	segs := rt.img.segs
+	s := segs[si]
+	t := &pg.unitTable
+	u0, c0 := len(t.units), len(t.code)
+	// The segment's last unit falls through to the next segment in code
+	// order, which is in this page only when it was packed into it.
+	seam := int32(-1)
+	if si+1 < len(segs) && segs[si+1].page == pg.id {
+		seam = segs[si+1].local
+	}
+	if _, err := rt.img.obj.decodeSegment(t, nil, pg.raw, s, seam); err != nil {
+		for _, u := range t.units[u0:] {
+			t.idx[u.off-s.start+s.local] = -1
+		}
+		t.units, t.code = t.units[:u0], t.code[:c0]
+		return fmt.Errorf("brisc: xip page %d: %w", pg.id, err)
+	}
+	rt.segDecodes++
+	t.link(u0)
+	if p := si - 1; p >= 0 && segs[p].page == pg.id {
+		if k := t.idx[segs[p].local]; k >= 0 {
+			for t.units[k].next != s.start {
+				k++
+			}
+			t.units[k].nextIdx = int32(u0)
+		}
+	}
+	n := int64(len(t.code)-c0)*xipInstrFootprint + int64(len(t.units)-u0)*xipUnitFootprint
+	pg.bytes += n
+	rt.resident += n
 	rt.evict(pg)
 	if rt.resident > rt.peakBytes {
 		rt.peakBytes = rt.resident
 	}
-	if rt.nres > rt.peakPages {
-		rt.peakPages = rt.nres
-	}
 	if g != nil {
 		if err := g.CheckMemAt(len(it.Mem)+int(rt.resident), int64(it.PC), it.Steps); err != nil {
 			it.recordTrap(err)
-			return nil, err
+			return err
 		}
 	}
-	return pg, nil
+	return nil
 }

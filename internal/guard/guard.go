@@ -172,7 +172,7 @@ func (g *Gov) CheckMem(memBytes int) error {
 
 // CheckMemAt enforces the memory limit mid-run, recording where the
 // trap fired. Engines whose working set can grow after setup — the
-// demand-paging executor's decoded-page cache faulting pages in — call
+// demand-paging executor decoding the segments a run enters — call
 // this on each growth event so a run that would exceed MaxMem traps
 // instead of silently ballooning.
 func (g *Gov) CheckMemAt(memBytes int, pc, steps int64) error {
