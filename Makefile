@@ -69,6 +69,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenIndexed$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzInspect$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseContainer$$' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadStream$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenXIPStore$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
 	$(GO) test -run='^$$' -fuzz='^FuzzExec$$' -fuzztime=$(FUZZTIME) ./internal/brisc/

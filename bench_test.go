@@ -828,7 +828,7 @@ var bitsSink uint64
 // symbol decoding, MTF stream decoding, and raw bit extraction.
 func BenchmarkRawDecode(b *testing.B) {
 	syms := rawDecodeStream()
-	indices, firsts := mtf.EncodeStream(syms)
+	indices, firsts := mtf.AppendEncode(mtf.NewEncoder(), syms, nil, nil)
 	max := 0
 	for _, s := range indices {
 		if s > max {
@@ -840,6 +840,10 @@ func BenchmarkRawDecode(b *testing.B) {
 		freqs[s]++
 	}
 	code, err := huffman.Build(freqs, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := huffman.FromLengths(code.Lengths) // decoder-side, with its table
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -861,7 +865,7 @@ func BenchmarkRawDecode(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			br := bitio.NewReader(bytes.NewReader(coded))
 			for j := 0; j < len(indices); j++ {
-				if _, err := code.Decode(br); err != nil {
+				if _, err := dec.Decode(br); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -871,8 +875,13 @@ func BenchmarkRawDecode(b *testing.B) {
 	b.Run("MTF", func(b *testing.B) {
 		defer allocTracked(b)()
 		for i := 0; i < b.N; i++ {
-			if _, ok := mtf.DecodeStream(indices, firsts); !ok {
-				b.Fatal("mtf decode failed")
+			d := mtf.NewStreamDecoder(firsts)
+			out := make([]int32, len(indices))
+			for j, idx := range indices {
+				var ok bool
+				if out[j], ok = d.Next(idx); !ok {
+					b.Fatal("mtf decode failed")
+				}
 			}
 		}
 		report(b, float64(len(indices)), "symbols")

@@ -373,6 +373,27 @@ func (br *Reader) ReadBytes(p []byte) error {
 	return nil
 }
 
+// ReadSlice returns the next n bytes. On a byte-aligned Reader made by
+// NewReaderBytes they are a slice of its input, not a copy; otherwise
+// ReadSlice copies them as ReadBytes does. On short input it consumes
+// what remains and returns an error.
+func (br *Reader) ReadSlice(n int) ([]byte, error) {
+	if br.r != nil || br.nacc%8 != 0 {
+		p := make([]byte, n)
+		return p, br.ReadBytes(p)
+	}
+	at := br.pos - int(br.nacc/8) // first byte not yet consumed
+	br.acc, br.nacc = 0, 0
+	if n > len(br.data)-at {
+		br.count += 8 * int64(len(br.data)-at)
+		br.pos = len(br.data)
+		return nil, br.inputErr()
+	}
+	br.count += 8 * int64(n)
+	br.pos = at + n
+	return br.data[at:br.pos:br.pos], nil
+}
+
 // Peek returns the next n bits (n <= 56) right-justified without
 // consuming them, plus the number of bits actually available. Past end
 // of input the missing low bits read as zero; callers must not Skip
@@ -401,6 +422,44 @@ func (br *Reader) Skip(n uint) {
 
 // BitsRead reports the total number of bits consumed so far.
 func (br *Reader) BitsRead() int64 { return br.count }
+
+// Lend hands a slice-backed Reader's bit buffer to a decode loop that
+// keeps it in locals: the accumulator (valid bits left-justified, zeros
+// below), its valid-bit count, the input, and the position in data of
+// the first byte not yet in acc. The loop consumes bits by shifting acc
+// and lowering n, tops acc up with Refill, and hands the state back with
+// Restore before the Reader is used again. Lend panics on a Reader made
+// by NewReader, whose slab is not the whole input.
+func (br *Reader) Lend() (acc uint64, n uint, data []byte, pos int) {
+	if br.r != nil {
+		panic("bitio: Lend on an io.Reader-backed Reader")
+	}
+	return br.acc, br.nacc, br.data, br.pos
+}
+
+// Restore takes back the bit buffer Lend handed out, as the loop left
+// it, and counts the bits the loop consumed.
+func (br *Reader) Restore(acc uint64, n uint, pos int) {
+	br.count += 8*int64(pos-br.pos) - int64(n) + int64(br.nacc)
+	br.acc, br.nacc, br.pos = acc, n, pos
+}
+
+// Refill is the Reader's refill on lent state: it moves whole bytes of
+// data from pos into acc until acc holds at least 57 valid bits or data
+// runs out, keeping the bits below the valid ones zero.
+func Refill(acc uint64, n uint, data []byte, pos int) (uint64, uint, int) {
+	if pos+8 <= len(data) {
+		k := (64 - n) &^ 7 // bits of whole bytes that fit
+		w := binary.BigEndian.Uint64(data[pos:]) >> (64 - k)
+		return acc | w<<(64-n-k), n + k, pos + int(k>>3)
+	}
+	for n <= 56 && pos < len(data) {
+		acc |= uint64(data[pos]) << (56 - n)
+		pos++
+		n += 8
+	}
+	return acc, n, pos
+}
 
 // Align discards bits up to the next byte boundary.
 func (br *Reader) Align() {

@@ -559,3 +559,93 @@ func TestWriteBytesUnaligned(t *testing.T) {
 		}
 	}
 }
+
+// TestLendRefillMatchesReadBits: a decode loop on lent state — reads
+// of random widths up to 32 bits off the accumulator, topped up by
+// Refill — sees the same bits as ReadBits, and Restore leaves the Reader
+// where ReadBits would have: same BitsRead, same next bits, and the
+// same error at the end of input.
+func TestLendRefillMatchesReadBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		data := make([]byte, rng.Intn(40))
+		rng.Read(data)
+		lent, ref := NewReaderBytes(data), NewReaderBytes(data)
+		if k := uint(rng.Intn(9)); k > 0 {
+			lent.ReadBits(k) // lend an unaligned Reader too
+			ref.ReadBits(k)
+		}
+		for round := 0; ; round++ {
+			acc, n, buf, pos := lent.Lend()
+			for steps := rng.Intn(8); steps > 0; steps-- {
+				w := uint(rng.Intn(32) + 1)
+				if n < w {
+					acc, n, pos = Refill(acc, n, buf, pos)
+				}
+				if n < w {
+					break
+				}
+				want, err := ref.ReadBits(w)
+				if err != nil {
+					t.Fatalf("trial %d: reference read failed with %d bits held", trial, n)
+				}
+				if got := acc >> (64 - w); got != want {
+					t.Fatalf("trial %d round %d: lent %d bits %#x, ReadBits %#x", trial, round, w, got, want)
+				}
+				acc, n = acc<<w, n-w
+			}
+			lent.Restore(acc, n, pos)
+			if lent.BitsRead() != ref.BitsRead() {
+				t.Fatalf("trial %d round %d: BitsRead %d after Restore, want %d", trial, round, lent.BitsRead(), ref.BitsRead())
+			}
+			w := uint(rng.Intn(20) + 1)
+			a, ea := lent.ReadBits(w)
+			b, eb := ref.ReadBits(w)
+			if a != b || (ea == nil) != (eb == nil) || lent.BitsRead() != ref.BitsRead() {
+				t.Fatalf("trial %d round %d: ReadBits(%d) after Restore (%#x,%v) at %d, want (%#x,%v) at %d",
+					trial, round, w, a, ea, lent.BitsRead(), b, eb, ref.BitsRead())
+			}
+			if ea != nil {
+				break
+			}
+		}
+	}
+}
+
+// TestReadSlice: on a byte-aligned slice-backed Reader ReadSlice
+// returns the input's own bytes; unaligned, or over an io.Reader, it
+// copies what ReadBytes reads. Either way BitsRead and the error on
+// short input match ReadBytes.
+func TestReadSlice(t *testing.T) {
+	data := []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x11, 0x22, 0x33}
+	for _, skip := range []uint{0, 4, 8, 16, 72} {
+		for n := 0; n <= len(data)+1; n++ {
+			readers := []*Reader{NewReaderBytes(data), NewReader(bytes.NewReader(data)), NewReaderBytes(data)}
+			for _, r := range readers {
+				r.ReadBits(skip % 64)
+				r.ReadBits(skip - skip%64)
+			}
+			got, gerr := readers[0].ReadSlice(n)
+			viaIO, ierr := readers[1].ReadSlice(n)
+			want := make([]byte, n)
+			werr := readers[2].ReadBytes(want)
+			if (gerr == nil) != (werr == nil) || (ierr == nil) != (werr == nil) {
+				t.Fatalf("skip %d n %d: errors %v, %v, want %v", skip, n, gerr, ierr, werr)
+			}
+			for i, r := range readers[:2] {
+				if r.BitsRead() != readers[2].BitsRead() {
+					t.Fatalf("skip %d n %d: reader %d at bit %d, ReadBytes at %d", skip, n, i, r.BitsRead(), readers[2].BitsRead())
+				}
+			}
+			if werr != nil {
+				continue
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(viaIO, want) {
+				t.Fatalf("skip %d n %d: got %x and %x, want %x", skip, n, got, viaIO, want)
+			}
+			if aligned := skip%8 == 0; aligned && n > 0 && &got[0] != &data[skip/8] {
+				t.Fatalf("skip %d n %d: aligned ReadSlice copied", skip, n)
+			}
+		}
+	}
+}

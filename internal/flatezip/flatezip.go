@@ -240,22 +240,16 @@ func mustW(err error) {
 	}
 }
 
-// Decompress reverses Compress.
-func Decompress(data []byte) ([]byte, error) {
-	return DecompressLimit(data, 0)
-}
-
-// DecompressLimit is Decompress with a decompression-bomb guard: the
-// stream's declared raw size is validated against max *before* the
+// DecompressLimit reverses Compress, with a decompression-bomb guard:
+// the stream's declared raw size is validated against max *before* the
 // output buffer is allocated, returning ErrTooLarge when it exceeds it.
 // A max of 0 applies only the built-in 2 GiB sanity cap.
 func DecompressLimit(data []byte, max uint64) ([]byte, error) {
 	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	r := bytes.NewReader(data[len(magic):])
-	rawSize, err := binary.ReadUvarint(r)
-	if err != nil {
+	rawSize, nsz := binary.Uvarint(data[len(magic):])
+	if nsz <= 0 {
 		return nil, fmt.Errorf("%w: size header", ErrCorrupt)
 	}
 	if rawSize > 1<<31 {
@@ -264,19 +258,44 @@ func DecompressLimit(data []byte, max uint64) ([]byte, error) {
 	if max > 0 && rawSize > max {
 		return nil, fmt.Errorf("%w: declared %d > cap %d", ErrTooLarge, rawSize, max)
 	}
-	br := bitio.NewReader(r)
-	llCode, err := huffman.ReadLengths(br)
+	br := bitio.NewReaderBytes(data[len(magic)+nsz:])
+	var arena huffman.Arena
+	llCode, err := huffman.ReadLengths(br, &arena)
 	if err != nil {
 		return nil, fmt.Errorf("%w: literal/length table: %v", ErrCorrupt, err)
 	}
-	dCode, err := huffman.ReadLengths(br)
+	dCode, err := huffman.ReadLengths(br, &arena)
 	if err != nil {
 		return nil, fmt.Errorf("%w: distance table: %v", ErrCorrupt, err)
 	}
+	return inflate(br, llCode, dCode, rawSize)
+}
+
+// tokenBits is the most bits a match token takes with DEFLATE's 15-bit
+// code limit, which Compress keeps: a literal/length code, 5 extra
+// bits, a distance code and 13 extra bits.
+const tokenBits = 15 + 5 + 15 + 13
+
+// inflate decodes the token stream up to its end-of-block symbol, which
+// must close exactly rawSize bytes of output. It keeps br's bit buffer
+// in locals, topped up once per token: both codes resolve through their
+// tables, while a code the tables cannot resolve, or one or extra bits
+// that outrun the bits held, takes DecodeSlow or br.ReadBits, so each
+// error and the bits consumed are those of a bit-at-a-time decode. A
+// match that does not overlap itself is copied with one append.
+func inflate(br *bitio.Reader, llCode, dCode *huffman.Code, rawSize uint64) ([]byte, error) {
+	ll, dt := llCode.Table(), dCode.Table()
 	out := make([]byte, 0, rawSize)
+	acc, n, data, pos := br.Lend()
+	var err error
 	for {
-		s, err := llCode.Decode(br)
-		if err != nil {
+		if n < tokenBits {
+			acc, n, pos = bitio.Refill(acc, n, data, pos)
+		}
+		s, l := ll.Lookup(acc)
+		if l != 0 && l <= n {
+			acc, n = acc<<l, n-l
+		} else if s, acc, n, pos, err = slowSymbol(br, llCode, acc, n, pos); err != nil {
 			return nil, fmt.Errorf("%w: token stream: %v", ErrCorrupt, err)
 		}
 		switch {
@@ -292,28 +311,38 @@ func DecompressLimit(data []byte, max uint64) ([]byte, error) {
 			if lc >= len(lengthBase) {
 				return nil, fmt.Errorf("%w: length code %d", ErrCorrupt, s)
 			}
-			extra, err := br.ReadBits(lengthExtra[lc])
-			if err != nil {
+			var extra uint64
+			if x := lengthExtra[lc]; x <= n {
+				extra, acc, n = acc>>(64-x), acc<<x, n-x
+			} else if extra, acc, n, pos, err = slowBits(br, x, acc, n, pos); err != nil {
 				return nil, fmt.Errorf("%w: length extra: %v", ErrCorrupt, err)
 			}
 			length := lengthBase[lc] + int(extra)
-			dc, err := dCode.Decode(br)
-			if err != nil {
+			dc, l := dt.Lookup(acc)
+			if l != 0 && l <= n {
+				acc, n = acc<<l, n-l
+			} else if dc, acc, n, pos, err = slowSymbol(br, dCode, acc, n, pos); err != nil {
 				return nil, fmt.Errorf("%w: distance: %v", ErrCorrupt, err)
 			}
 			if dc >= len(distBase) {
 				return nil, fmt.Errorf("%w: distance code %d", ErrCorrupt, dc)
 			}
-			dextra, err := br.ReadBits(distExtra[dc])
-			if err != nil {
+			if x := distExtra[dc]; x <= n {
+				extra, acc, n = acc>>(64-x), acc<<x, n-x
+			} else if extra, acc, n, pos, err = slowBits(br, x, acc, n, pos); err != nil {
 				return nil, fmt.Errorf("%w: distance extra: %v", ErrCorrupt, err)
 			}
-			dist := distBase[dc] + int(dextra)
+			dist := distBase[dc] + int(extra)
 			if dist > len(out) {
 				return nil, fmt.Errorf("%w: distance %d beyond output %d", ErrCorrupt, dist, len(out))
 			}
-			for k := 0; k < length; k++ {
-				out = append(out, out[len(out)-dist])
+			from := len(out) - dist
+			if dist >= length {
+				out = append(out, out[from:from+length]...)
+			} else {
+				for k := 0; k < length; k++ {
+					out = append(out, out[from+k])
+				}
 			}
 		}
 		if uint64(len(out)) > rawSize {
@@ -322,10 +351,19 @@ func DecompressLimit(data []byte, max uint64) ([]byte, error) {
 	}
 }
 
-// Ratio reports compressed/original size; 0 for empty input.
-func Ratio(src []byte) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	return float64(len(Compress(src))) / float64(len(src))
+// slowSymbol decodes one symbol of c with DecodeSlow, taking the lent
+// bit buffer back into br first and lending it again after.
+func slowSymbol(br *bitio.Reader, c *huffman.Code, acc uint64, n uint, pos int) (int, uint64, uint, int, error) {
+	br.Restore(acc, n, pos)
+	s, err := c.DecodeSlow(br)
+	acc, n, _, pos = br.Lend()
+	return s, acc, n, pos, err
+}
+
+// slowBits reads x bits with br.ReadBits, which refills, the same way.
+func slowBits(br *bitio.Reader, x uint, acc uint64, n uint, pos int) (uint64, uint64, uint, int, error) {
+	br.Restore(acc, n, pos)
+	v, err := br.ReadBits(x)
+	acc, n, _, pos = br.Lend()
+	return v, acc, n, pos, err
 }

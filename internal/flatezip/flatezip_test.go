@@ -2,6 +2,7 @@ package flatezip
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func roundTrip(t *testing.T, src []byte) []byte {
 	t.Helper()
 	comp := Compress(src)
-	back, err := Decompress(comp)
+	back, err := DecompressLimit(comp, 0)
 	if err != nil {
 		t.Fatalf("Decompress: %v", err)
 	}
@@ -95,36 +96,38 @@ func TestFarDistances(t *testing.T) {
 }
 
 func TestCorruptInputs(t *testing.T) {
-	if _, err := Decompress([]byte("nope")); err == nil {
+	if _, err := DecompressLimit([]byte("nope"), 0); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := Decompress(nil); err == nil {
+	if _, err := DecompressLimit(nil, 0); err == nil {
 		t.Error("empty input accepted")
 	}
 	good := Compress([]byte("hello hello hello hello"))
 	// Truncations must error, never panic.
 	for cut := 1; cut < len(good); cut += 3 {
-		if _, err := Decompress(good[:cut]); err == nil {
+		if _, err := DecompressLimit(good[:cut], 0); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	// Flipped body bytes must not produce a silent wrong answer of the
-	// advertised size with no error... (some flips still decode to the
-	// right length; we only require no panic).
+	// Flipped body bytes must not panic (some flips still decode to the
+	// right length), and every flip and cut of a larger stream decodes
+	// to the output or the error text of decompressRef.
 	for i := len(magic) + 1; i < len(good); i += 2 {
 		bad := append([]byte(nil), good...)
 		bad[i] ^= 0x55
-		_, _ = Decompress(bad)
+		_, _ = DecompressLimit(bad, 0)
 	}
-}
-
-func TestRatioHelper(t *testing.T) {
-	if Ratio(nil) != 0 {
-		t.Error("Ratio(nil) should be 0")
-	}
-	r := Ratio(bytes.Repeat([]byte("ab"), 5000))
-	if r <= 0 || r >= 0.5 {
-		t.Errorf("Ratio = %v, expected small positive", r)
+	big := Compress([]byte(strings.Repeat("int salt(int j) { return j * 3 + pepper(j - 1); }\n", 40)))
+	for i := len(magic); i < len(big); i++ {
+		flipped := append([]byte(nil), big...)
+		flipped[i] ^= 0xA5
+		for _, bad := range [][]byte{flipped, big[:i]} {
+			got, gerr := DecompressLimit(bad, 0)
+			want, werr := decompressRef(bad)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !bytes.Equal(got, want) {
+				t.Fatalf("byte %d: error %v, reference %v", i, gerr, werr)
+			}
+		}
 	}
 }
 
@@ -147,7 +150,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				src[i] = pat[i%len(pat)]
 			}
 		}
-		back, err := Decompress(Compress(src))
+		back, err := DecompressLimit(Compress(src), 0)
 		return err == nil && bytes.Equal(back, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -172,7 +175,7 @@ func BenchmarkDecompress(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp); err != nil {
+		if _, err := DecompressLimit(comp, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,17 +54,17 @@ func specCode(spec []byte) *Code {
 // divergence in symbols, errors, or bit positions.
 func diffDecode(t *testing.T, c *Code, payload []byte) {
 	t.Helper()
-	// A fresh Code for the oracle so its fast table is never built and
-	// cannot mask a table-construction bug.
-	oracle, err := FromLengths(c.Lengths)
+	// Decode through a decoder-side rebuild, whose table FromLengths
+	// builds, whichever constructor made c; the oracle walks c itself.
+	dec, err := FromLengths(c.Lengths)
 	if err != nil {
-		t.Fatalf("oracle rebuild: %v", err)
+		t.Fatalf("decoder rebuild: %v", err)
 	}
 	fast := bitio.NewReaderBytes(payload)
 	slow := bitio.NewReaderBytes(payload)
 	for step := 0; ; step++ {
-		s1, e1 := c.Decode(fast)
-		s2, e2 := oracle.DecodeSlow(slow)
+		s1, e1 := dec.Decode(fast)
+		s2, e2 := c.DecodeSlow(slow)
 		if e1 != e2 {
 			t.Fatalf("step %d: error divergence: fast=%v slow=%v", step, e1, e2)
 		}

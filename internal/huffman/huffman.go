@@ -7,6 +7,9 @@
 // identical codes by assigning values in (length, symbol) order. Lengths
 // can be limited (the flatezip container limits them to 15 bits, like
 // DEFLATE) using a heuristic that demotes over-long codes.
+//
+// A decoder-side code (FromLengths, ReadLengths) carries a two-level
+// decode table built with it; an encoder-side code (Build) does not.
 package huffman
 
 import (
@@ -21,6 +24,10 @@ import (
 
 // MaxBits is the largest code length this package will ever produce.
 const MaxBits = 32
+
+// maxSymbols bounds the alphabet of a decoder-side code, so a decode
+// table entry holds any symbol in 24 bits.
+const maxSymbols = 1 << 24
 
 var (
 	// ErrNoSymbols is returned when a code is built from an all-zero
@@ -38,23 +45,19 @@ var (
 // Lengths[s] == 0 do not participate in the code.
 type Code struct {
 	Lengths []uint8  // bits per symbol; 0 = absent
-	codes   []uint32 // left-justified-at-length canonical code values
-	decode  *decodeTable
-
-	// Two-level decode table, built lazily on first Decode so
-	// encode-only codes never pay for it. Guarded by a Once because
-	// indexed containers share one Code across decoder goroutines.
-	fastOnce sync.Once
-	fast     *fastTable
+	codes   []uint32 // canonical code value of each symbol, right-justified
+	canon   canonical
+	tab     Table // zero for an encoder-side code
 }
 
-type decodeTable struct {
-	// counts[l] = number of codes of length l; offsets[l] = first
-	// canonical code value of length l; symbols sorted by (length, symbol).
+// canonical is the code as DecodeSlow walks it: per length, the first
+// canonical code value, the number of codes, and the index in symbols
+// of the first one; symbols sorted by (length, symbol).
+type canonical struct {
 	firstCode   [MaxBits + 1]uint32
-	firstSymIdx [MaxBits + 1]int
-	count       [MaxBits + 1]int
-	symbols     []int
+	firstSymIdx [MaxBits + 1]int32
+	count       [MaxBits + 1]int32
+	symbols     []uint32
 	maxLen      uint8
 }
 
@@ -88,6 +91,8 @@ func (h *buildHeap) Pop() interface{} {
 // is the occurrence count of symbol s; zero-frequency symbols get no
 // code. maxLen caps code lengths (0 means MaxBits). A single-symbol
 // alphabet yields a 1-bit code, so every symbol always costs >=1 bit.
+// The code is encoder-side: it has no decode table, so Decode walks it
+// bit by bit. A decoder rebuilds it with FromLengths or ReadLengths.
 func Build(freqs []int64, maxLen uint8) (*Code, error) {
 	if maxLen == 0 || maxLen > MaxBits {
 		maxLen = MaxBits
@@ -118,7 +123,7 @@ func Build(freqs []int64, maxLen uint8) (*Code, error) {
 	lengths := make([]uint8, len(freqs))
 	if len(h) == 1 {
 		lengths[h[0].sym] = 1
-		return FromLengths(lengths)
+		return newCode(lengths, nil)
 	}
 	heap.Init(&h)
 	for h.Len() > 1 {
@@ -130,7 +135,7 @@ func Build(freqs []int64, maxLen uint8) (*Code, error) {
 	root := h[0]
 	assignDepths(root, 0, lengths)
 	limitLengths(lengths, maxLen)
-	return FromLengths(lengths)
+	return newCode(lengths, nil)
 }
 
 func assignDepths(n *buildNode, depth uint8, lengths []uint8) {
@@ -195,7 +200,7 @@ func limitLengths(lengths []uint8, maxLen uint8) {
 			}
 		}
 		if !demoted {
-			break // cannot repair; FromLengths will reject
+			break // cannot repair; newCode will reject
 		}
 	}
 	// Tighten: if the sum is under-full, promote deep codes where possible.
@@ -222,56 +227,73 @@ func limitLengths(lengths []uint8, maxLen uint8) {
 }
 
 // FromLengths constructs the canonical code implied by a code-length
-// table (the decoder-side constructor). The table must satisfy the
-// Kraft inequality.
+// table (the decoder-side constructor), with its decode table. The
+// table must satisfy the Kraft inequality and hold at most 1<<24
+// symbols.
 func FromLengths(lengths []uint8) (*Code, error) {
-	c := &Code{Lengths: append([]uint8(nil), lengths...)}
-	var dt decodeTable
+	return decoderCode(append([]uint8(nil), lengths...), nil)
+}
+
+// decoderCode is newCode plus the two-level decode table, its storage
+// carved from a.
+func decoderCode(lengths []uint8, a *Arena) (*Code, error) {
+	if len(lengths) > maxSymbols {
+		return nil, ErrBadLengths
+	}
+	c, err := newCode(lengths, a)
+	if err != nil {
+		return nil, err
+	}
+	c.buildTable(a)
+	return c, nil
+}
+
+// newCode assigns the canonical code for lengths, which the code keeps:
+// one counting pass over the table finds each length's first code and
+// symbol index, and a second places every symbol, so symbols of one
+// length take consecutive codes in symbol order. The code values and
+// symbol order are carved from a.
+func newCode(lengths []uint8, a *Arena) (*Code, error) {
+	c := &Code{Lengths: lengths}
+	cn := &c.canon
 	var kraft int64
 	limit := int64(1) << MaxBits
-	for s, l := range lengths {
+	for _, l := range lengths {
 		if l > MaxBits {
 			return nil, ErrBadLengths
 		}
 		if l > 0 {
-			dt.count[l]++
+			cn.count[l]++
 			kraft += int64(1) << (MaxBits - l)
 			if kraft > limit {
 				return nil, ErrBadLengths
 			}
-			if l > dt.maxLen {
-				dt.maxLen = l
-			}
-			_ = s
+			cn.maxLen = max(cn.maxLen, l)
 		}
 	}
-	if dt.maxLen == 0 {
+	if cn.maxLen == 0 {
 		return nil, ErrNoSymbols
 	}
-	// Canonical first-code per length.
 	var code uint32
-	idx := 0
-	for l := uint8(1); l <= dt.maxLen; l++ {
+	var idx int32
+	for l := uint8(1); l <= cn.maxLen; l++ {
 		code <<= 1
-		dt.firstCode[l] = code
-		dt.firstSymIdx[l] = idx
-		code += uint32(dt.count[l])
-		idx += dt.count[l]
+		cn.firstCode[l] = code
+		cn.firstSymIdx[l] = idx
+		code += uint32(cn.count[l])
+		idx += cn.count[l]
 	}
-	// Symbols in (length, symbol) order.
-	dt.symbols = make([]int, 0, idx)
-	c.codes = make([]uint32, len(lengths))
-	next := dt.firstCode
-	for l := uint8(1); l <= dt.maxLen; l++ {
-		for s, sl := range lengths {
-			if sl == l {
-				dt.symbols = append(dt.symbols, s)
-				c.codes[s] = next[l]
-				next[l]++
-			}
+	words := a.alloc(len(lengths) + int(idx))
+	c.codes, cn.symbols = words[:len(lengths):len(lengths)], words[len(lengths):]
+	next := cn.firstSymIdx
+	for s, l := range lengths {
+		if l > 0 {
+			i := next[l]
+			next[l]++
+			cn.symbols[i] = uint32(s)
+			c.codes[s] = cn.firstCode[l] + uint32(i-cn.firstSymIdx[l])
 		}
 	}
-	c.decode = &dt
 	return c, nil
 }
 
@@ -293,128 +315,114 @@ const (
 	rootBitsMax    = 10
 	subBitsMax     = 12
 	subEntryBudget = 1 << 16
+	// PeekBits is the most bits a Table lookup looks at.
+	PeekBits = rootBitsMax + subBitsMax
 )
 
-// dEntry is one decode-table slot. bits==0 means "no (table-resolvable)
-// code here"; sub marks an indirection, with sym the subtable index and
-// bits its width.
-type dEntry struct {
-	sym  int32
-	bits uint8
-	sub  bool
-}
+// A table entry packs a symbol (or a subtable's offset in entries) in
+// its top 24 bits, the sub flag, and the code length (or the
+// subtable's width in bits) in its low 6 bits. A zero entry resolves
+// nothing.
+const (
+	entrySub = 1 << 7
+	entryLen = 1<<6 - 1
+)
 
-type fastTable struct {
+// Table is a code's two-level decode table, for decode loops that keep
+// their bit buffer in locals: Lookup resolves the code at the top of
+// the buffer with one or two indexed loads.
+type Table struct {
 	rootBits uint
-	root     []dEntry
-	subs     [][]dEntry
+	entries  []uint32 // the root table, then the subtables
 }
 
-func (c *Code) fastTab() *fastTable {
-	c.fastOnce.Do(func() { c.fast = c.buildFast() })
-	return c.fast
+// Table returns c's decode table. Only a decoder-side code has one: the
+// Table of a code made by Build must not be used.
+func (c *Code) Table() Table { return c.tab }
+
+// Lookup resolves the code whose bits lead acc, left-justified and
+// zero-padded. It returns the symbol and the code's length, or length 0
+// when the tables cannot resolve the code (an under-full region, or a
+// code too deep for them); a caller must also check the length against
+// the bits it holds. DecodeSlow decodes whatever Lookup leaves, with
+// the bit consumption and errors a bit-at-a-time walk gives.
+func (t Table) Lookup(acc uint64) (sym int, n uint) {
+	e := t.entries[acc>>(64-t.rootBits)]
+	if e&entrySub != 0 {
+		e = t.entries[int(e>>8)+int(acc<<t.rootBits>>(64-e&entryLen))]
+	}
+	return int(e >> 8), uint(e & entryLen)
 }
 
-func (c *Code) buildFast() *fastTable {
-	dt := c.decode
-	f := &fastTable{rootBits: uint(dt.maxLen)}
-	if f.rootBits > rootBitsMax {
-		f.rootBits = rootBitsMax
-	}
-	f.root = make([]dEntry, 1<<f.rootBits)
-	for s, l := range c.Lengths {
-		if l == 0 || uint(l) > f.rootBits {
-			continue
-		}
-		start := int(c.codes[s]) << (f.rootBits - uint(l))
-		n := 1 << (f.rootBits - uint(l))
-		for i := 0; i < n; i++ {
-			f.root[start+i] = dEntry{sym: int32(s), bits: l}
-		}
-	}
-	if uint(dt.maxLen) <= f.rootBits {
-		return f
-	}
-	// Long codes: size each prefix's subtable by the deepest code that
-	// shares it, capped at subBitsMax.
-	width := map[uint32]uint{}
-	for s, l := range c.Lengths {
-		if uint(l) <= f.rootBits {
-			continue
-		}
-		p := c.codes[s] >> (uint(l) - f.rootBits)
-		w := uint(l) - f.rootBits
-		if w > subBitsMax {
-			w = subBitsMax
-		}
-		if w > width[p] {
-			width[p] = w
+// buildTable fills c's two-level table. A root prefix that leads longer
+// codes gets a subtable sized by the deepest of them, capped at
+// subBitsMax; prefixes whose subtables would pass subEntryBudget, in
+// prefix order, keep a zero root entry.
+func (c *Code) buildTable(a *Arena) {
+	rb := uint(min(c.canon.maxLen, rootBitsMax))
+	root := 1 << rb
+	var width [1 << rootBitsMax]uint8
+	if uint(c.canon.maxLen) > rb {
+		for s, l := range c.Lengths {
+			if uint(l) > rb {
+				p := c.codes[s] >> (uint(l) - rb)
+				width[p] = max(width[p], uint8(min(uint(l)-rb, subBitsMax)))
+			}
 		}
 	}
-	prefixes := make([]uint32, 0, len(width))
-	for p := range width {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
-	subIdx := map[uint32]int32{}
-	total := 0
-	for _, p := range prefixes {
-		w := width[p]
-		if total+(1<<w) > subEntryBudget {
-			continue
+	size := root
+	for p, w := range width[:root] {
+		if w > 0 && size-root+1<<w > subEntryBudget {
+			width[p] = 0
+		} else if w > 0 {
+			size += 1 << w
 		}
-		subIdx[p] = int32(len(f.subs))
-		f.root[p] = dEntry{sym: int32(len(f.subs)), bits: uint8(w), sub: true}
-		f.subs = append(f.subs, make([]dEntry, 1<<w))
-		total += 1 << w
+	}
+	entries := a.alloc(size)
+	off := root
+	for p, w := range width[:root] {
+		if w > 0 {
+			entries[p] = uint32(off)<<8 | entrySub | uint32(w)
+			off += 1 << w
+		}
 	}
 	for s, l := range c.Lengths {
-		if uint(l) <= f.rootBits {
+		if l == 0 {
 			continue
 		}
-		p := c.codes[s] >> (uint(l) - f.rootBits)
-		si, ok := subIdx[p]
-		if !ok {
+		code, l, e := c.codes[s], uint(l), uint32(s)<<8|uint32(l)
+		if l <= rb {
+			fill(entries[code<<(rb-l):], 1<<(rb-l), e)
 			continue
 		}
-		w := width[p]
-		if uint(l) > f.rootBits+w {
-			continue // deeper than the capped subtable: slow path
-		}
-		low := c.codes[s] & (1<<(uint(l)-f.rootBits) - 1)
-		start := int(low) << (f.rootBits + w - uint(l))
-		n := 1 << (f.rootBits + w - uint(l))
-		sub := f.subs[si]
-		for i := 0; i < n; i++ {
-			sub[start+i] = dEntry{sym: int32(s), bits: l}
+		r := entries[code>>(l-rb)]
+		if w := uint(r & entryLen); r&entrySub != 0 && l <= rb+w {
+			low := code & (1<<(l-rb) - 1)
+			fill(entries[int(r>>8)+int(low<<(rb+w-l)):], 1<<(rb+w-l), e)
 		}
 	}
-	return f
+	c.tab = Table{rootBits: rb, entries: entries}
 }
 
-// Decode reads one symbol from br: one Peek resolves most codes through
-// the root table, long codes take one more through a subtable, and
-// anything the tables cannot resolve (stream tail shorter than the
-// peek, under-full code regions, ultra-deep codes past the table
+func fill(dst []uint32, n int, e uint32) {
+	for i := range dst[:n] {
+		dst[i] = e
+	}
+}
+
+// Decode reads one symbol from br: one peek resolves it through the
+// decode table, and anything the table cannot resolve (stream tail
+// shorter than the code, under-full code regions, codes past the table
 // budget) falls back to DecodeSlow, which also reproduces the exact
-// error and bit-consumption behavior of the original walker.
+// error and bit-consumption behavior of the original walker. A code
+// made by Build has no table and always takes DecodeSlow.
 func (c *Code) Decode(br *bitio.Reader) (int, error) {
-	f := c.fastTab()
-	v, avail := br.Peek(f.rootBits)
-	e := f.root[v]
-	if e.sub {
-		w := uint(e.bits)
-		v2, avail2 := br.Peek(f.rootBits + w)
-		se := f.subs[e.sym][v2&(1<<w-1)]
-		if se.bits != 0 && uint(se.bits) <= avail2 {
-			br.Skip(uint(se.bits))
-			return int(se.sym), nil
+	if c.tab.entries != nil {
+		v, avail := br.Peek(PeekBits)
+		if sym, n := c.tab.Lookup(v << (64 - PeekBits)); n != 0 && n <= avail {
+			br.Skip(n)
+			return sym, nil
 		}
-		return c.DecodeSlow(br)
-	}
-	if e.bits != 0 && uint(e.bits) <= avail {
-		br.Skip(uint(e.bits))
-		return int(e.sym), nil
 	}
 	return c.DecodeSlow(br)
 }
@@ -424,19 +432,55 @@ func (c *Code) Decode(br *bitio.Reader) (int, error) {
 // tests compare the two) and the fallback for inputs the tables do not
 // cover.
 func (c *Code) DecodeSlow(br *bitio.Reader) (int, error) {
-	dt := c.decode
+	cn := &c.canon
 	var code uint32
-	for l := uint8(1); l <= dt.maxLen; l++ {
+	for l := uint8(1); l <= cn.maxLen; l++ {
 		b, err := br.ReadBit()
 		if err != nil {
 			return 0, err
 		}
 		code = code<<1 | uint32(b)
-		if dt.count[l] > 0 && code-dt.firstCode[l] < uint32(dt.count[l]) {
-			return dt.symbols[dt.firstSymIdx[l]+int(code-dt.firstCode[l])], nil
+		if cn.count[l] > 0 && code-cn.firstCode[l] < uint32(cn.count[l]) {
+			return int(cn.symbols[cn.firstSymIdx[l]+int32(code-cn.firstCode[l])]), nil
 		}
 	}
 	return 0, ErrBadLengths
+}
+
+// Arena hands out the decode storage of many codes — each code's
+// values, symbol order and decode table — from shared slabs, so reading
+// a container's codes costs a few allocations rather than several per
+// code. It is safe for concurrent use, and the zero value is ready; a
+// nil Arena allocates each code's storage on its own. A slab lives as
+// long as any code carved from it.
+type Arena struct {
+	mu   sync.Mutex
+	free []uint32
+	slab int // words in the next slab
+}
+
+// Slab sizes, in words: the first slab is small, so a tiny container
+// pays little, and each next one doubles up to arenaSlabMax. A request
+// over a quarter of the largest slab gets its own allocation.
+const (
+	arenaSlabMin = 1 << 10
+	arenaSlabMax = 1 << 15
+)
+
+// alloc returns n zeroed words.
+func (a *Arena) alloc(n int) []uint32 {
+	if a == nil || n > arenaSlabMax/4 {
+		return make([]uint32, n)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n > len(a.free) {
+		a.slab = min(max(2*a.slab, arenaSlabMin), arenaSlabMax)
+		a.free = make([]uint32, max(a.slab, n))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
 // CodeLen reports the bit length assigned to symbol s (0 if absent).
@@ -484,13 +528,14 @@ func (c *Code) WriteLengths(bw *bitio.Writer) error {
 }
 
 // ReadLengths deserializes a table written by WriteLengths and returns
-// the reconstructed code.
-func ReadLengths(br *bitio.Reader) (*Code, error) {
+// the reconstructed decoder-side code, its storage carved from a (which
+// may be nil).
+func ReadLengths(br *bitio.Reader, a *Arena) (*Code, error) {
 	n, err := readUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<24 {
+	if n > maxSymbols {
 		return nil, ErrBadLengths
 	}
 	lengths := make([]uint8, 0, n)
@@ -510,7 +555,7 @@ func ReadLengths(br *bitio.Reader) (*Code, error) {
 			lengths = append(lengths, uint8(l))
 		}
 	}
-	return FromLengths(lengths)
+	return decoderCode(lengths, a)
 }
 
 func writeUvarint(bw *bitio.Writer, v uint64) error {

@@ -126,7 +126,7 @@ func TestLengthsRoundTrip(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := ReadLengths(bitio.NewReader(&buf))
+	c2, err := ReadLengths(bitio.NewReader(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestQuickLengthTableTransport(t *testing.T) {
 		if err := bw.Flush(); err != nil {
 			return false
 		}
-		c2, err := ReadLengths(bitio.NewReader(&buf))
+		c2, err := ReadLengths(bitio.NewReader(&buf), nil)
 		if err != nil {
 			return false
 		}
@@ -362,13 +362,88 @@ func BenchmarkDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
+	dec, err := FromLengths(c.Lengths) // the decoder-side code, with its table
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	b.SetBytes(int64(len(msg)))
 	for i := 0; i < b.N; i++ {
 		br := bitio.NewReader(bytes.NewReader(data))
 		for range msg {
-			if _, err := c.Decode(br); err != nil {
+			if _, err := dec.Decode(br); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestArenaConcurrent: codes read from one Arena by several goroutines
+// at once, as a container's segments are, each decode their own
+// payload, and no two share storage.
+func TestArenaConcurrent(t *testing.T) {
+	const workers, perWorker = 4, 40
+	type job struct {
+		table, payload []byte
+		want           []int
+	}
+	rng := rand.New(rand.NewSource(5))
+	jobs := make([]job, workers*perWorker)
+	for i := range jobs {
+		freqs := make([]int64, rng.Intn(3000)+2)
+		for s := range freqs {
+			freqs[s] = int64(rng.Intn(1 << uint(rng.Intn(14))))
+		}
+		freqs[0]++
+		c, err := Build(freqs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tb, pb bytes.Buffer
+		tw, pw := bitio.NewWriter(&tb), bitio.NewWriter(&pb)
+		if err := c.WriteLengths(tw); err != nil || tw.Flush() != nil {
+			t.Fatal("writing lengths failed")
+		}
+		for k := 0; k < 200; k++ {
+			s := rng.Intn(len(freqs))
+			if c.CodeLen(s) > 0 {
+				jobs[i].want = append(jobs[i].want, s)
+				if err := c.Encode(pw, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := pw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		jobs[i].table, jobs[i].payload = tb.Bytes(), pb.Bytes()
+	}
+	var arena Arena
+	codes := make([]*Code, len(jobs))
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for i := w; i < len(jobs); i += workers {
+				c, err := ReadLengths(bitio.NewReaderBytes(jobs[i].table), &arena)
+				if err != nil {
+					errs <- err
+					return
+				}
+				codes[i] = c
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range codes {
+		br := bitio.NewReaderBytes(jobs[i].payload)
+		for k, want := range jobs[i].want {
+			if got, err := c.Decode(br); err != nil || got != want {
+				t.Fatalf("code %d symbol %d: got %d, %v; want %d", i, k, got, err, want)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package mtf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -72,7 +73,7 @@ func diffEncodeDecode(t *testing.T, syms []int32) {
 			firsts = append(firsts, syms[i])
 		}
 	}
-	dec := NewDecoder()
+	dec := &decoder{}
 	rdec := &refDecoder{}
 	fi := 0
 	for i, idx := range indices {
@@ -97,7 +98,7 @@ func diffEncodeDecode(t *testing.T, syms []int32) {
 // position of the first rejection.
 func diffDecodeRaw(t *testing.T, indices []int, firsts []int32) {
 	t.Helper()
-	dec := NewDecoder()
+	dec := &decoder{}
 	rdec := &refDecoder{}
 	fi := 0
 	for i, idx := range indices {
@@ -199,6 +200,46 @@ func TestEncoderResetAcrossModes(t *testing.T) {
 	for _, s := range []int32{5, 5, 9, 5, 9, 1, 2, 3, 4, 5, 9} {
 		if got, want := e.Encode(s), ref.encode(s); got != want {
 			t.Fatalf("post-Reset Encode(%d) = %d, want %d", s, got, want)
+		}
+	}
+}
+
+// TestResumeMidStream: a stream decoded by the reference array decoder
+// up to any point and handed to Resume, its table most recent last,
+// decodes to the same symbols as the whole stream, including a hand-over
+// before the first symbol.
+func TestResumeMidStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		syms := make([]int32, rng.Intn(600))
+		alpha := rng.Intn(300) + 1
+		for i := range syms {
+			syms[i] = int32(rng.Intn(alpha))
+		}
+		indices, firsts := AppendEncode(NewEncoder(), syms, nil, nil)
+		split := 0
+		if len(syms) > 0 {
+			split = rng.Intn(len(syms) + 1)
+		}
+		ref := &refDecoder{}
+		fi := 0
+		for _, idx := range indices[:split] {
+			var fresh int32
+			if idx == 0 {
+				fresh = firsts[fi]
+				fi++
+			}
+			ref.decode(idx, fresh)
+		}
+		table := slices.Clone(ref.table)
+		slices.Reverse(table)
+		d := Resume(table, firsts[fi:])
+		for i, idx := range indices[split:] {
+			got, ok := d.Next(idx)
+			if !ok || got != syms[split+i] {
+				t.Fatalf("trial %d: symbol %d after a hand-over at %d: got %d (ok=%v), want %d",
+					trial, split+i, split, got, ok, syms[split+i])
+			}
 		}
 	}
 }

@@ -16,8 +16,12 @@
 // below a decreasing front pointer, so rank (encode) and select
 // (decode) are O(log n) instead of O(n) scans plus memmoves, with an
 // amortized O(n log n) compaction when the front pointer hits zero.
-// Both representations produce bit-identical output.
+// Both representations produce bit-identical output. The wire decoder
+// runs the array mode inside its own decode loop, to a size limit of
+// its own, and continues a stream in tree mode through Resume.
 package mtf
+
+import "slices"
 
 // treeThreshold is the table size at which the coders migrate from the
 // linear-scan array to the Fenwick-backed sliding structure. The value
@@ -216,20 +220,17 @@ func (e *Encoder) TableLen() int {
 	return len(e.table)
 }
 
-// Decoder mirrors Encoder. It needs no symbol index: decode addresses
+// decoder mirrors Encoder. It needs no symbol index: decode addresses
 // the table by rank (Fenwick select in tree mode).
-type Decoder struct {
+type decoder struct {
 	table []int32
 	tree  *sliding
 }
 
-// NewDecoder returns a decoder with an empty recency table.
-func NewDecoder() *Decoder { return &Decoder{} }
-
 // Decode reverses Encode. index 0 introduces sym `fresh` (the next value
 // from the first-occurrence side stream); fresh is ignored otherwise.
 // ok is false if index is out of range for the current table.
-func (d *Decoder) Decode(index int, fresh int32) (sym int32, usedFresh, ok bool) {
+func (d *decoder) Decode(index int, fresh int32) (sym int32, usedFresh, ok bool) {
 	if d.tree == nil {
 		if index == 0 {
 			if len(d.table) >= treeThreshold {
@@ -276,19 +277,11 @@ func (d *Decoder) Decode(index int, fresh int32) (sym int32, usedFresh, ok bool)
 	return sym, false, true
 }
 
-// EncodeStream codes a whole stream at once, returning the MTF index
-// sequence and the first-occurrence value list (the paper's "table",
-// in first-seen order).
-func EncodeStream(syms []int32) (indices []int, firsts []int32) {
-	return AppendEncode(NewEncoder(), syms, nil, nil)
-}
-
-// AppendEncode is EncodeStream with caller-owned scratch: it codes
-// syms through e (call Reset first for a fresh stream), appending the
-// indices and first-occurrence values to the provided slices and
-// returning them. Passing slices truncated to length zero reuses
-// their backing arrays, eliminating the per-stream allocation churn
-// of EncodeStream in hot encode loops.
+// AppendEncode codes syms through e (call Reset first for a fresh
+// stream), appending the MTF indices and the first-occurrence values
+// (the paper's "table", in first-seen order) to the provided slices and
+// returning them. Passing slices truncated to length zero reuses their
+// backing arrays, so a hot encode loop allocates nothing per stream.
 func AppendEncode(e *Encoder, syms []int32, indices []int, firsts []int32) ([]int, []int32) {
 	for _, s := range syms {
 		idx := e.Encode(s)
@@ -303,7 +296,7 @@ func AppendEncode(e *Encoder, syms []int32, indices []int, firsts []int32) ([]in
 // StreamDecoder decodes one stream an index at a time: index 0 takes
 // the next value from the stream's first-occurrence list.
 type StreamDecoder struct {
-	d      Decoder
+	d      decoder
 	firsts []int32 // first-occurrence values not yet used
 }
 
@@ -330,15 +323,17 @@ func (s *StreamDecoder) Next(index int) (sym int32, ok bool) {
 	return sym, ok
 }
 
-// DecodeStream reverses EncodeStream. It reports ok=false on a malformed
-// input (index out of range or too few first-occurrence values).
-func DecodeStream(indices []int, firsts []int32) (syms []int32, ok bool) {
-	d := NewStreamDecoder(firsts)
-	syms = make([]int32, len(indices))
-	for i, idx := range indices {
-		if syms[i], ok = d.Next(idx); !ok {
-			return nil, false
-		}
-	}
-	return syms, true
+// Resume returns a stream decoder in tree mode that continues a stream
+// whose start a caller's own loop decoded in array mode (wire's fused
+// decode loop, once its table is full): table holds the stream's
+// distinct symbols so far, most recent last, so that a new symbol is an
+// append, and firsts the first-occurrence values not yet used. Resume
+// takes table over. With an empty table it returns a decoder in tree
+// mode from the stream's first symbol.
+func Resume(table, firsts []int32) *StreamDecoder {
+	slices.Reverse(table)
+	s := &StreamDecoder{firsts: firsts}
+	s.d.tree = &sliding{}
+	s.d.tree.reset(table)
+	return s
 }

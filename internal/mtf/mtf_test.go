@@ -7,11 +7,29 @@ import (
 	"testing/quick"
 )
 
+// encodeStream codes a whole stream with a fresh encoder.
+func encodeStream(syms []int32) (indices []int, firsts []int32) {
+	return AppendEncode(NewEncoder(), syms, nil, nil)
+}
+
+// decodeStream decodes a whole index stream; ok is false at the first
+// malformed index.
+func decodeStream(indices []int, firsts []int32) (syms []int32, ok bool) {
+	d := NewStreamDecoder(firsts)
+	syms = make([]int32, len(indices))
+	for i, idx := range indices {
+		if syms[i], ok = d.Next(idx); !ok {
+			return nil, false
+		}
+	}
+	return syms, true
+}
+
 // TestPaperExample reproduces the paper's ADDRLP8 stream example:
 // [72 72 68 72 68 68 68 68] -> indices [0 1 0 2 2 1 1 1], table {72, 68}.
 func TestPaperExample(t *testing.T) {
 	stream := []int32{72, 72, 68, 72, 68, 68, 68, 68}
-	indices, firsts := EncodeStream(stream)
+	indices, firsts := encodeStream(stream)
 	wantIdx := []int{0, 1, 0, 2, 2, 1, 1, 1}
 	wantFirsts := []int32{72, 68}
 	if !reflect.DeepEqual(indices, wantIdx) {
@@ -20,18 +38,18 @@ func TestPaperExample(t *testing.T) {
 	if !reflect.DeepEqual(firsts, wantFirsts) {
 		t.Errorf("firsts = %v, want %v", firsts, wantFirsts)
 	}
-	back, ok := DecodeStream(indices, firsts)
+	back, ok := decodeStream(indices, firsts)
 	if !ok || !reflect.DeepEqual(back, stream) {
-		t.Errorf("DecodeStream = %v, %v; want %v", back, ok, stream)
+		t.Errorf("decodeStream = %v, %v; want %v", back, ok, stream)
 	}
 }
 
 func TestEmptyStream(t *testing.T) {
-	indices, firsts := EncodeStream(nil)
+	indices, firsts := encodeStream(nil)
 	if len(indices) != 0 || len(firsts) != 0 {
 		t.Errorf("empty stream: indices=%v firsts=%v", indices, firsts)
 	}
-	back, ok := DecodeStream(indices, firsts)
+	back, ok := decodeStream(indices, firsts)
 	if !ok || len(back) != 0 {
 		t.Errorf("empty decode: %v %v", back, ok)
 	}
@@ -39,7 +57,7 @@ func TestEmptyStream(t *testing.T) {
 
 func TestAllSame(t *testing.T) {
 	stream := []int32{5, 5, 5, 5}
-	indices, firsts := EncodeStream(stream)
+	indices, firsts := encodeStream(stream)
 	if !reflect.DeepEqual(indices, []int{0, 1, 1, 1}) {
 		t.Errorf("indices = %v", indices)
 	}
@@ -50,7 +68,7 @@ func TestAllSame(t *testing.T) {
 
 func TestAllDistinct(t *testing.T) {
 	stream := []int32{1, 2, 3, 4}
-	indices, firsts := EncodeStream(stream)
+	indices, firsts := encodeStream(stream)
 	if !reflect.DeepEqual(indices, []int{0, 0, 0, 0}) {
 		t.Errorf("indices = %v", indices)
 	}
@@ -63,7 +81,7 @@ func TestLocalityYieldsSmallIndices(t *testing.T) {
 	// A stream with strong spatial locality should produce mostly
 	// small indices — the property the paper exploits.
 	stream := []int32{1, 1, 1, 2, 2, 2, 1, 1, 3, 3, 3, 2, 2}
-	indices, _ := EncodeStream(stream)
+	indices, _ := encodeStream(stream)
 	small := 0
 	for _, idx := range indices {
 		if idx <= 2 {
@@ -76,21 +94,21 @@ func TestLocalityYieldsSmallIndices(t *testing.T) {
 }
 
 func TestDecodeMalformed(t *testing.T) {
-	if _, ok := DecodeStream([]int{0}, nil); ok {
+	if _, ok := decodeStream([]int{0}, nil); ok {
 		t.Error("expected failure: index 0 with no first values")
 	}
-	if _, ok := DecodeStream([]int{3}, nil); ok {
+	if _, ok := decodeStream([]int{3}, nil); ok {
 		t.Error("expected failure: rank beyond table")
 	}
-	if _, ok := DecodeStream([]int{0, 5}, []int32{9}); ok {
+	if _, ok := decodeStream([]int{0, 5}, []int32{9}); ok {
 		t.Error("expected failure: rank 5 with 1-entry table")
 	}
 }
 
 func TestNegativeSymbols(t *testing.T) {
 	stream := []int32{-4, -4, 0, -4, 7}
-	indices, firsts := EncodeStream(stream)
-	back, ok := DecodeStream(indices, firsts)
+	indices, firsts := encodeStream(stream)
+	back, ok := decodeStream(indices, firsts)
 	if !ok || !reflect.DeepEqual(back, stream) {
 		t.Errorf("round trip with negatives failed: %v %v", back, ok)
 	}
@@ -105,8 +123,8 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i := range stream {
 			stream[i] = int32(rng.Intn(alphabet) - alphabet/2)
 		}
-		indices, firsts := EncodeStream(stream)
-		back, ok := DecodeStream(indices, firsts)
+		indices, firsts := encodeStream(stream)
+		back, ok := decodeStream(indices, firsts)
 		return ok && reflect.DeepEqual(back, stream)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -118,7 +136,7 @@ func TestQuickRoundTrip(t *testing.T) {
 // symbol exactly once, in first-appearance order.
 func TestQuickFirstsAreDistinctInOrder(t *testing.T) {
 	f := func(raw []int32) bool {
-		_, firsts := EncodeStream(raw)
+		_, firsts := encodeStream(raw)
 		seen := map[int32]bool{}
 		want := []int32{}
 		for _, s := range raw {
@@ -147,6 +165,6 @@ func BenchmarkEncodeStream(b *testing.B) {
 	b.SetBytes(int64(len(stream) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EncodeStream(stream)
+		encodeStream(stream)
 	}
 }

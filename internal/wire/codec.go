@@ -12,6 +12,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/arith"
@@ -469,9 +470,9 @@ func writeStream(bw *bitio.Writer, symbols []int, firsts []int32, code *huffman.
 // readStream reverses writeStream for count symbols read from br, whose
 // input is segBytes long, and undoes the MTF stage as it goes, so each
 // symbol decodes straight to its value. Unless opt.NoHuffman, the
-// symbols are decoded with the table read in-band or, when !inBand,
-// with the shared code.
-func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffman.Code, inBand bool) ([]int32, error) {
+// symbols are decoded with the table read in-band, its storage carved
+// from arena, or, when !inBand, with the shared code.
+func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffman.Code, inBand bool, arena *huffman.Arena) ([]int32, error) {
 	if err := fitSymbols(br, segBytes, count); err != nil {
 		return nil, err
 	}
@@ -487,33 +488,120 @@ func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffma
 		}
 		firsts[i] = unzigzag(v)
 	}
+	vals := make([]int32, count)
 	if opt.NoHuffman {
-		code = nil
-	} else if inBand {
-		if code, err = huffman.ReadLengths(br); err != nil {
+		u := streamDecoder(firsts, opt.NoMTF)
+		for i := range vals {
+			v, err := readUvarint(br)
+			if err != nil {
+				return nil, err
+			}
+			if vals[i], err = symbolValue(u, int(v)); err != nil {
+				return nil, err
+			}
+		}
+		return vals, nil
+	}
+	if inBand {
+		if code, err = huffman.ReadLengths(br, arena); err != nil {
 			return nil, err
 		}
 	} else if code == nil && count > 0 {
 		return nil, fmt.Errorf("missing shared code")
 	}
-	u := streamDecoder(firsts, opt.NoMTF)
-	vals := make([]int32, count)
-	for i := range vals {
-		var sym int
-		if code == nil {
-			v, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			sym = int(v)
-		} else if sym, err = code.Decode(br); err != nil {
-			return nil, err
-		}
-		if vals[i], err = symbolValue(u, sym); err != nil {
+	if count > 0 {
+		if err := decodeSymbols(br, code, vals, firsts, opt.NoMTF); err != nil {
 			return nil, err
 		}
 	}
 	return vals, nil
+}
+
+// arrayMTFMax is the most distinct values decodeSymbols keeps in its
+// MTF array before it hands the stream to mtf's tree mode, so it bounds
+// the values one symbol can move (DESIGN.md, MTF). It is a variable so
+// tests can force the hand-over.
+var arrayMTFMax = 4096
+
+var errMTF = errors.New("mtf decode failed")
+
+// decodeSymbols fills vals with the values of br's Huffman-coded
+// symbols under code, a decoder-side code, whose first-occurrence
+// values are firsts. It is the decode path's one loop per stream, with
+// br's bit buffer in locals: each iteration resolves a symbol through
+// code's table, turns the MTF index into its value (or undoes the
+// zigzag shift under noMTF) and stores it. The MTF array holds the
+// distinct values so far, most recent last: a new value is an append,
+// a front hit reads the last entry, and a deeper hit moves the entries
+// above it down by one. A code the table cannot resolve takes
+// huffman's DecodeSlow, with the bits and errors of a bit-at-a-time
+// walk, and a stream with more than arrayMTFMax distinct values
+// continues in mtf's tree mode.
+func decodeSymbols(br *bitio.Reader, code *huffman.Code, vals, firsts []int32, noMTF bool) error {
+	tab := code.Table()
+	var table []int32
+	if !noMTF {
+		table = make([]int32, 0, min(len(firsts), arrayMTFMax))
+	}
+	var tree *mtf.StreamDecoder
+	var err error
+	nf := 0
+	acc, n, data, pos := br.Lend()
+loop:
+	for i := range vals {
+		if n < huffman.PeekBits {
+			acc, n, pos = bitio.Refill(acc, n, data, pos)
+		}
+		sym, l := tab.Lookup(acc)
+		if l != 0 && l <= n {
+			acc <<= l
+			n -= l
+		} else {
+			br.Restore(acc, n, pos)
+			if sym, err = code.DecodeSlow(br); err != nil {
+				return err
+			}
+			acc, n, _, pos = br.Lend()
+		}
+		switch {
+		case noMTF:
+			vals[i] = unzigzag(uint64(sym))
+		case tree != nil:
+			v, ok := tree.Next(sym)
+			if !ok {
+				err = errMTF
+				break loop
+			}
+			vals[i] = v
+		case sym == 1 && len(table) > 0:
+			vals[i] = table[len(table)-1]
+		case sym == 0:
+			if nf == len(firsts) {
+				err = errMTF
+				break loop
+			}
+			if len(table) == arrayMTFMax {
+				tree = mtf.Resume(table, firsts[nf:])
+				vals[i], _ = tree.Next(0)
+				continue
+			}
+			table = append(table, firsts[nf])
+			nf++
+			vals[i] = table[len(table)-1]
+		default:
+			k := len(table) - sym
+			if k < 0 {
+				err = errMTF
+				break loop
+			}
+			v := table[k]
+			copy(table[k:], table[k+1:])
+			table[len(table)-1] = v
+			vals[i] = v
+		}
+	}
+	br.Restore(acc, n, pos)
+	return err
 }
 
 // fitSymbols rejects a declared symbol count that the rest of br's
@@ -544,7 +632,7 @@ func symbolValue(u *mtf.StreamDecoder, sym int) (int32, error) {
 	}
 	v, ok := u.Next(sym)
 	if !ok {
-		return 0, fmt.Errorf("mtf decode failed")
+		return 0, errMTF
 	}
 	return v, nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -13,8 +14,10 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/cc"
 	"repro/internal/codegen"
+	"repro/internal/huffman"
 	"repro/internal/integrity"
 	"repro/internal/ir"
+	"repro/internal/mtf"
 	"repro/internal/vm"
 )
 
@@ -301,4 +304,146 @@ func TestResealSegments(t *testing.T) {
 	if _, err := parseContainer(c, Options{Workers: 1}, nil); err != nil {
 		t.Fatalf("resealed container: %v", err)
 	}
+}
+
+// readStreamOracle is readStream one symbol at a time, as the decoder
+// read streams before its fused loop: huffman's bit-walking DecodeSlow
+// for every symbol, and the MTF stage in mtf's tree mode from the first
+// symbol (mtf.Resume with an empty table), so neither the decode table
+// nor the MTF array of decodeSymbols takes part.
+func readStreamOracle(br *bitio.Reader, segBytes, count int, noMTF bool) ([]int32, error) {
+	if err := fitSymbols(br, segBytes, count); err != nil {
+		return nil, err
+	}
+	nFirsts, err := readUvarint(br)
+	if err != nil || nFirsts > uint64(count) {
+		return nil, errors.New("firsts count")
+	}
+	firsts := make([]int32, nFirsts)
+	for i := range firsts {
+		v, err := readUvarint(br)
+		if err != nil {
+			return nil, err
+		}
+		firsts[i] = unzigzag(v)
+	}
+	code, err := huffman.ReadLengths(br, nil)
+	if err != nil {
+		return nil, err
+	}
+	u := mtf.Resume(nil, firsts)
+	vals := make([]int32, count)
+	for i := range vals {
+		sym, err := code.DecodeSlow(br)
+		if err != nil {
+			return nil, err
+		}
+		if noMTF {
+			vals[i] = unzigzag(uint64(sym))
+			continue
+		}
+		var ok bool
+		if vals[i], ok = u.Next(sym); !ok {
+			return nil, errMTF
+		}
+	}
+	return vals, nil
+}
+
+// FuzzReadStream runs arbitrary WIR2 segment bytes, coding count
+// symbols, through readStream's fused loop and through
+// readStreamOracle, and requires the same values, the same
+// error-or-not, and the same bits consumed. flags bit 0 selects NoMTF;
+// the rest, when nonzero, cap the fused loop's MTF array at
+// flags>>1 - 1 values, so small streams reach the hand-over to tree
+// mode. The seeds are every segment of the example modules, at the
+// default cap and at caps of 0, 1 and 7, and each also with one symbol
+// too many and cut to two thirds, plus a stream under a code too deep
+// for the decode table.
+func FuzzReadStream(f *testing.F) {
+	for name, src := range exampleSources() {
+		m, err := cc.Compile(name, src)
+		if err != nil {
+			continue
+		}
+		for _, noMTF := range []bool{false, true} {
+			_, c, err := encodeContainer(m, Options{NoMTF: noMTF, Workers: 1}, nil)
+			if err != nil {
+				f.Fatal(err)
+			}
+			br := bitio.NewReaderBytes(c)
+			_, treeCounts, err := readModuleHeader(br)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if _, err := readShapeTable(br); err != nil {
+				f.Fatal(err)
+			}
+			segs, err := readSegments(br, len(c), treeCounts)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for _, s := range segs {
+				if s.count == 0 {
+					continue
+				}
+				if noMTF {
+					f.Add(s.data, uint32(s.count), byte(1))
+					continue
+				}
+				for _, flags := range []byte{0, 1 << 1, 2 << 1, 8 << 1} {
+					f.Add(s.data, uint32(s.count), flags)
+				}
+				// Past the last symbol into the padding, and cut short:
+				// the tail where codes outrun the bits left.
+				f.Add(s.data, uint32(s.count+1), byte(0))
+				f.Add(s.data[:len(s.data)*2/3], uint32(s.count), byte(0))
+			}
+		}
+	}
+	// A code deeper than the decode table reaches (lengths 1 to 32), so
+	// its deep symbols take DecodeSlow and the loop carries on after.
+	var deep []uint8
+	for l := uint8(1); l <= 31; l++ {
+		deep = append(deep, l)
+	}
+	code, err := huffman.FromLengths(append(deep, 32, 32))
+	if err != nil {
+		f.Fatal(err)
+	}
+	syms := append(make([]int, 33), 32, 31, 1, 32, 30, 2)
+	firsts := make([]int32, 33)
+	for i := range firsts {
+		firsts[i] = int32(7*i - 50)
+	}
+	var buf bytes.Buffer
+	bw := bitio.NewWriter(&buf)
+	if err := writeStream(bw, syms, firsts, code, true); err != nil || bw.Flush() != nil {
+		f.Fatal("writing the deep-code seed failed")
+	}
+	f.Add(buf.Bytes(), uint32(len(syms)), byte(0))
+	f.Add(buf.Bytes(), uint32(len(syms)), byte(1))
+	f.Fuzz(func(t *testing.T, seg []byte, count uint32, flags byte) {
+		if count > 1<<20 {
+			count %= 1 << 20
+		}
+		if c := int(flags >> 1); c > 0 {
+			defer func(old int) { arrayMTFMax = old }(arrayMTFMax)
+			arrayMTFMax = c - 1
+		}
+		noMTF := flags&1 != 0
+		fused := bitio.NewReaderBytes(seg)
+		got, gerr := readStream(fused, len(seg), int(count), Options{NoMTF: noMTF}, nil, true, new(huffman.Arena))
+		walk := bitio.NewReaderBytes(seg)
+		want, werr := readStreamOracle(walk, len(seg), int(count), noMTF)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("fused loop error %v, oracle error %v", gerr, werr)
+		}
+		if gerr == nil && !slices.Equal(got, want) {
+			t.Fatalf("fused loop decoded %v, oracle %v", got, want)
+		}
+		if fused.BitsRead() != walk.BitsRead() {
+			t.Fatalf("fused loop read %d bits, oracle %d (errors %v, %v)", fused.BitsRead(), walk.BitsRead(), gerr, werr)
+		}
+	})
 }

@@ -230,13 +230,14 @@ func OpenIndexed(data []byte) (*IndexedReader, error) {
 	}
 	r.codes = make([]*huffman.Code, numStreams())
 	if !opt.NoHuffman {
+		var arena huffman.Arena
 		for j := range r.codes {
 			bit, err := br.ReadBit()
 			if err != nil {
 				return nil, fmt.Errorf("%w: code flag", ErrCorrupt)
 			}
 			if bit == 1 {
-				if r.codes[j], err = huffman.ReadLengths(br); err != nil {
+				if r.codes[j], err = huffman.ReadLengths(br, &arena); err != nil {
 					return nil, fmt.Errorf("%w: shared code %d: %v", ErrCorrupt, j, err)
 				}
 			}
@@ -303,7 +304,7 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 		return nil, retag(err)
 	}
 	br := bitio.NewReaderBytes(chunk)
-	shapeStream, err := readStream(br, len(chunk), r.treeCounts[fi], r.opt, r.codes[0], false)
+	shapeStream, err := readStream(br, len(chunk), r.treeCounts[fi], r.opt, r.codes[0], false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: shape stream for %s: %v", ErrCorrupt, name, err)
 	}
@@ -316,7 +317,7 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 		if n == 0 {
 			continue
 		}
-		if lits[op], err = readStream(br, len(chunk), int(n), r.opt, r.codes[j+1], false); err != nil {
+		if lits[op], err = readStream(br, len(chunk), int(n), r.opt, r.codes[j+1], false, nil); err != nil {
 			return nil, fmt.Errorf("%w: literal stream for %s: %v", ErrCorrupt, op, err)
 		}
 	}

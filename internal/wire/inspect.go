@@ -198,7 +198,7 @@ func decodeSegmentDetail(st *StreamInfo, seg []byte, opt Options) error {
 		st.PayloadBits = br.BitsRead() - int64(st.FirstsBytes)*8
 	} else {
 		tableStart := br.BitsRead()
-		code, err := huffman.ReadLengths(br)
+		code, err := huffman.ReadLengths(br, nil)
 		if err != nil {
 			return err
 		}

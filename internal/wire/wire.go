@@ -458,8 +458,9 @@ func (s *segment) name() string {
 
 // readSegments reads the shape-stream segment, which codes one symbol
 // per tree, then each literal stream's count and segment in opcode
-// order, and requires the container to end there. Every segment's CRC
-// is verified before it is entropy-decoded.
+// order, and requires the container to end there. A segment's bytes are
+// a slice of the container, not a copy, and its CRC is verified here,
+// before it is entropy-decoded.
 func readSegments(br *bitio.Reader, size int, treeCounts []int) ([]segment, error) {
 	shapeCount := 0
 	for _, n := range treeCounts {
@@ -483,8 +484,8 @@ func readSegments(br *bitio.Reader, size int, treeCounts []int) ([]segment, erro
 			if err != nil || n > uint64(size) {
 				return nil, fmt.Errorf("%w: segment length for %s", ErrCorrupt, s.name())
 			}
-			framed := make([]byte, n+integrity.ChecksumLen)
-			if err := br.ReadBytes(framed); err != nil {
+			framed, err := br.ReadSlice(int(n) + integrity.ChecksumLen)
+			if err != nil {
 				return nil, fmt.Errorf("%w: segment bytes for %s", ErrTruncated, s.name())
 			}
 			if s.data, err = integrity.SplitChecksum(framed, "stream segment"); err != nil {
@@ -528,12 +529,13 @@ func parseContainer(data []byte, opt Options, rec *telemetry.Recorder) (*ir.Modu
 			live = append(live, &segs[i])
 		}
 	}
+	var arena huffman.Arena // every segment's in-band table
 	decoded, err := parallel.Map(pool, "wire.parse_stream", len(live), func(i int) ([]int32, error) {
 		s := live[i]
 		if s.count == 0 {
 			return nil, nil
 		}
-		vals, derr := readStream(bitio.NewReaderBytes(s.data), len(s.data), s.count, opt, nil, true)
+		vals, derr := readStream(bitio.NewReaderBytes(s.data), len(s.data), s.count, opt, nil, true, &arena)
 		if derr != nil {
 			return nil, fmt.Errorf("%w: %s stream: %v", ErrCorrupt, s.name(), derr)
 		}
