@@ -45,7 +45,7 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 		}
 		arts["wir2/"+p.Name] = wb
 		addProgramKeys(t, arts, p.Name, mod, wb)
-		wx, err := wire.CompressIndexed(mod, wire.Options{})
+		wx, err := wire.CompressIndexedTraced(mod, wire.Options{}, nil)
 		if err != nil {
 			t.Fatalf("wirx %s: %v", p.Name, err)
 		}
@@ -207,7 +207,7 @@ func addOptionVariants(t *testing.T, arts map[string][]byte, name string, mod *i
 			t.Fatalf("wire %s/%s: %v", name, v.suffix, err)
 		}
 		arts["wir2/"+name+"-"+v.suffix] = wb
-		wx, err := wire.CompressIndexed(mod, v.opt)
+		wx, err := wire.CompressIndexedTraced(mod, v.opt, nil)
 		if err != nil {
 			t.Fatalf("wirx %s/%s: %v", name, v.suffix, err)
 		}

@@ -7,7 +7,6 @@ package codecomp
 // numbers behind every table row.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -828,7 +827,7 @@ var bitsSink uint64
 // symbol decoding, MTF stream decoding, and raw bit extraction.
 func BenchmarkRawDecode(b *testing.B) {
 	syms := rawDecodeStream()
-	indices, firsts := mtf.AppendEncode(mtf.NewEncoder(), syms, nil, nil)
+	indices, firsts := mtf.AppendEncode(new(mtf.Encoder), syms, nil, nil)
 	max := 0
 	for _, s := range indices {
 		if s > max {
@@ -847,23 +846,19 @@ func BenchmarkRawDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := new(bitio.Writer)
 	for _, s := range indices {
 		if err := code.Encode(bw, s); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	coded := buf.Bytes()
+	coded := bw.Bytes()
 
 	b.Run("Huffman", func(b *testing.B) {
 		b.SetBytes(int64(len(coded)))
 		defer allocTracked(b)()
 		for i := 0; i < b.N; i++ {
-			br := bitio.NewReader(bytes.NewReader(coded))
+			br := bitio.NewReaderBytes(coded)
 			for j := 0; j < len(indices); j++ {
 				if _, err := dec.Decode(br); err != nil {
 					b.Fatal(err)
@@ -890,7 +885,7 @@ func BenchmarkRawDecode(b *testing.B) {
 		b.SetBytes(int64(len(coded)))
 		defer allocTracked(b)()
 		for i := 0; i < b.N; i++ {
-			br := bitio.NewReader(bytes.NewReader(coded))
+			br := bitio.NewReaderBytes(coded)
 			var sum uint64
 			for {
 				v, err := br.ReadBits(13)

@@ -14,7 +14,6 @@
 package arith
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -95,19 +94,14 @@ func newEncoder(bw *bitio.Writer) *encoder {
 	return &encoder{bw: bw, high: top - 1}
 }
 
-func (e *encoder) emit(bit uint) error {
-	if err := e.bw.WriteBit(bit); err != nil {
-		return err
-	}
+func (e *encoder) emit(bit uint) {
+	e.bw.WriteBit(bit)
 	for ; e.pending > 0; e.pending-- {
-		if err := e.bw.WriteBit(bit ^ 1); err != nil {
-			return err
-		}
+		e.bw.WriteBit(bit ^ 1)
 	}
-	return nil
 }
 
-func (e *encoder) encode(m *model, s int) error {
+func (e *encoder) encode(m *model, s int) {
 	span := e.high - e.low + 1
 	lo := uint64(m.cumBefore(s))
 	hi := lo + uint64(m.freq[s])
@@ -117,13 +111,9 @@ func (e *encoder) encode(m *model, s int) error {
 	for {
 		switch {
 		case e.high < half:
-			if err := e.emit(0); err != nil {
-				return err
-			}
+			e.emit(0)
 		case e.low >= half:
-			if err := e.emit(1); err != nil {
-				return err
-			}
+			e.emit(1)
 			e.low -= half
 			e.high -= half
 		case e.low >= quarter && e.high < threeQtr:
@@ -132,20 +122,20 @@ func (e *encoder) encode(m *model, s int) error {
 			e.high -= quarter
 		default:
 			m.update(s)
-			return nil
+			return
 		}
 		e.low <<= 1
 		e.high = e.high<<1 | 1
 	}
 }
 
-func (e *encoder) finish() error {
+func (e *encoder) finish() {
 	e.pending++
 	var bit uint
 	if e.low >= quarter {
 		bit = 1
 	}
-	return e.emit(bit)
+	e.emit(bit)
 }
 
 type decoder struct {
@@ -163,12 +153,12 @@ type decoder struct {
 // maxPadBits bounds reads past end of input (see decoder.padBits).
 const maxPadBits = 2 * codeBits
 
-func newDecoder(br *bitio.Reader) (*decoder, error) {
+func newDecoder(br *bitio.Reader) *decoder {
 	d := &decoder{br: br, high: top - 1}
 	for i := 0; i < codeBits; i++ {
 		d.value = d.value<<1 | uint64(d.nextBit())
 	}
-	return d, nil
+	return d
 }
 
 // nextBit reads one bit, substituting zeros past end of input and
@@ -232,36 +222,31 @@ const (
 // order. The output embeds no header; pair it with the same order on
 // decode.
 func Compress(src []byte, order Order) []byte {
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
-	enc := newEncoder(bw)
+	var bw bitio.Writer
+	enc := newEncoder(&bw)
 	models := newModelBank(order)
 	ctx := 0
 	for _, b := range src {
-		if err := enc.encode(models.get(ctx), int(b)); err != nil {
-			panic("arith: write to bytes.Buffer failed: " + err.Error())
-		}
+		enc.encode(models.get(ctx), int(b))
 		ctx = models.next(ctx, int(b))
 	}
-	if err := enc.encode(models.get(ctx), eofSym); err != nil {
-		panic("arith: write to bytes.Buffer failed: " + err.Error())
-	}
-	if err := enc.finish(); err != nil {
-		panic("arith: write to bytes.Buffer failed: " + err.Error())
-	}
-	if err := bw.Flush(); err != nil {
-		panic("arith: write to bytes.Buffer failed: " + err.Error())
-	}
-	return buf.Bytes()
+	enc.encode(models.get(ctx), eofSym)
+	enc.finish()
+	return bw.Bytes()
 }
 
-// Decompress reverses Compress; order must match.
-func Decompress(data []byte, order Order) ([]byte, error) {
-	br := bitio.NewReader(bytes.NewReader(data))
-	dec, err := newDecoder(br)
-	if err != nil {
-		return nil, err
+// maxOutput is Decompress's built-in output cap.
+const maxOutput = 1 << 30
+
+// Decompress reverses Compress; order must match. It fails once the
+// output passes max bytes (a max of 0 applies only the built-in 1 GiB
+// cap), so a caller that knows the output's size stops a stream that
+// runs past it as soon as it does.
+func Decompress(data []byte, order Order, max int) ([]byte, error) {
+	if max <= 0 || max > maxOutput {
+		max = maxOutput
 	}
+	dec := newDecoder(bitio.NewReaderBytes(data))
 	models := newModelBank(order)
 	var out []byte
 	ctx := 0
@@ -275,8 +260,8 @@ func Decompress(data []byte, order Order) ([]byte, error) {
 		}
 		out = append(out, byte(s))
 		ctx = models.next(ctx, s)
-		if len(out) > 1<<30 {
-			return nil, fmt.Errorf("%w: runaway output", ErrCorrupt)
+		if len(out) > max {
+			return nil, fmt.Errorf("%w: output passes %d bytes", ErrCorrupt, max)
 		}
 	}
 }

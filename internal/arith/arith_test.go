@@ -11,7 +11,7 @@ import (
 func roundTrip(t *testing.T, src []byte, order Order) []byte {
 	t.Helper()
 	comp := Compress(src, order)
-	back, err := Decompress(comp, order)
+	back, err := Decompress(comp, order, 0)
 	if err != nil {
 		t.Fatalf("Decompress(order=%d): %v", order, err)
 	}
@@ -79,7 +79,7 @@ func TestCorruptStreamTerminates(t *testing.T) {
 	// padding out to the runaway guard.
 	for _, data := range [][]byte{nil, {0}, {0xFF, 0xFF}, make([]byte, 64)} {
 		for _, order := range []Order{Order0, Order1} {
-			out, err := Decompress(data, order)
+			out, err := Decompress(data, order, 0)
 			if err == nil && len(out) > 1<<20 {
 				t.Errorf("garbage %v decoded to %d bytes without error", data, len(out))
 			}
@@ -93,7 +93,7 @@ func TestQuickRoundTripBothOrders(t *testing.T) {
 		if useOrder1 {
 			order = Order1
 		}
-		back, err := Decompress(Compress(src, order), order)
+		back, err := Decompress(Compress(src, order), order, 0)
 		return err == nil && bytes.Equal(back, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -109,7 +109,7 @@ func TestQuickLongAdaptive(t *testing.T) {
 		for i := range src {
 			src[i] = byte(rng.Intn(6)) // hot alphabet drives counts up fast
 		}
-		back, err := Decompress(Compress(src, Order1), Order1)
+		back, err := Decompress(Compress(src, Order1), Order1, 0)
 		return err == nil && bytes.Equal(back, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

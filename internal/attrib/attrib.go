@@ -11,7 +11,6 @@
 package attrib
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -216,13 +215,6 @@ func Format(w io.Writer, r *Report) {
 		}
 		tw.Flush()
 	}
-}
-
-// FormatString renders the report to a string.
-func FormatString(r *Report) string {
-	var buf bytes.Buffer
-	Format(&buf, r)
-	return buf.String()
 }
 
 func learnedDict(dict []DictStat) []DictStat {

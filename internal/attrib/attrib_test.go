@@ -94,7 +94,9 @@ func TestFullAccounting(t *testing.T) {
 			}
 			// The human table must render without panicking and
 			// mention the artifact.
-			if out := FormatString(r); !strings.Contains(out, name) {
+			var out strings.Builder
+			Format(&out, r)
+			if !strings.Contains(out.String(), name) {
 				t.Errorf("%s/%s: report does not name its source", name, tc.kind)
 			}
 		}
@@ -210,7 +212,9 @@ func TestHotJoin(t *testing.T) {
 	if joined == 0 {
 		t.Error("no opcode joins static occurrences with dispatch counts")
 	}
-	if out := FormatHotString(hr); !strings.Contains(out, "density") {
+	var out strings.Builder
+	FormatHot(&out, hr)
+	if !strings.Contains(out.String(), "density") {
 		t.Error("hot report missing density table")
 	}
 }

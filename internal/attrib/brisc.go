@@ -7,17 +7,9 @@ import (
 	"repro/internal/vm"
 )
 
-// BriscReport attributes every byte of a serialized BRISC image. The
+// briscReport attributes every byte of a serialized BRISC image. The
 // attributed space is the file itself (BRISC has no final recoding
 // stage), down to one component per learned dictionary entry.
-func BriscReport(source string, data []byte) (*Report, error) {
-	insp, err := brisc.Inspect(data)
-	if err != nil {
-		return nil, err
-	}
-	return briscReport(source, insp)
-}
-
 func briscReport(source string, insp *brisc.Inspection) (*Report, error) {
 	r := &Report{
 		Kind:       KindBrisc,

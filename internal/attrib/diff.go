@@ -1,7 +1,6 @@
 package attrib
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -165,11 +164,4 @@ func FormatDiff(w io.Writer, d *DiffReport) {
 		}
 		tw.Flush()
 	}
-}
-
-// FormatDiffString renders the diff to a string.
-func FormatDiffString(d *DiffReport) string {
-	var buf bytes.Buffer
-	FormatDiff(&buf, d)
-	return buf.String()
 }

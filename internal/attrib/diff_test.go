@@ -50,17 +50,21 @@ func wireArtifact(t *testing.T, name, src string) []byte {
 	return data
 }
 
+// report attributes an artifact through Analyze.
+func report(t *testing.T, source string, data []byte) *Report {
+	t.Helper()
+	a, err := Analyze(source, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Report
+}
+
 // TestDiffStreamGrown: growing one literal stream must surface that
 // stream at the top of the ranked delta output.
 func TestDiffStreamGrown(t *testing.T) {
-	oldRep, err := WireReport("base", wireArtifact(t, "base", diffBase))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRep, err := WireReport("grown", wireArtifact(t, "grown", diffGrown))
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldRep := report(t, "base", wireArtifact(t, "base", diffBase))
+	newRep := report(t, "grown", wireArtifact(t, "grown", diffGrown))
 	d, err := Diff(oldRep, newRep)
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +98,10 @@ func TestDiffStreamGrown(t *testing.T) {
 			t.Fatalf("literal stream %s outranks the grown CNSTI stream", s.Name)
 		}
 	}
-	out := FormatDiffString(d)
-	if !strings.Contains(out, "CNSTI") {
-		t.Errorf("diff output does not mention the grown stream:\n%s", out)
+	var out strings.Builder
+	FormatDiff(&out, d)
+	if !strings.Contains(out.String(), "CNSTI") {
+		t.Errorf("diff output does not mention the grown stream:\n%s", out.String())
 	}
 }
 
@@ -120,14 +125,8 @@ func TestDiffDictDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldRep, err := BriscReport("full", full.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRep, err := BriscReport("bare", bare.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldRep := report(t, "full", full.Bytes())
+	newRep := report(t, "bare", bare.Bytes())
 	if len(learnedDict(oldRep.Dict)) == 0 {
 		t.Skip("no patterns adopted on this input")
 	}
@@ -145,28 +144,23 @@ func TestDiffDictDropped(t *testing.T) {
 			t.Fatal("dropped entries not ranked by bytes")
 		}
 	}
-	out := FormatDiffString(d)
-	if !strings.Contains(out, "dict dropped:") {
-		t.Errorf("diff output missing dropped entries:\n%s", out)
+	var out strings.Builder
+	FormatDiff(&out, d)
+	if !strings.Contains(out.String(), "dict dropped:") {
+		t.Errorf("diff output missing dropped entries:\n%s", out.String())
 	}
 }
 
 // TestDiffKindMismatch: wire-vs-brisc diffs are refused.
 func TestDiffKindMismatch(t *testing.T) {
-	w, err := WireReport("w", wireArtifact(t, "w", diffBase))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := report(t, "w", wireArtifact(t, "w", diffBase))
 	mod, _ := cc.Compile("b", diffBase)
 	prog, _ := codegen.Generate(mod, codegen.Options{})
 	obj, err := brisc.Compress(prog, brisc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BriscReport("b", obj.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := report(t, "b", obj.Bytes())
 	if _, err := Diff(w, b); err == nil {
 		t.Fatal("diffing mismatched kinds succeeded")
 	}

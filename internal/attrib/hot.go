@@ -1,7 +1,6 @@
 package attrib
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -184,11 +183,4 @@ func FormatHot(w io.Writer, hr *HotReport) {
 		}
 	}
 	tw.Flush()
-}
-
-// FormatHotString renders the hot report to a string.
-func FormatHotString(hr *HotReport) string {
-	var buf bytes.Buffer
-	FormatHot(&buf, hr)
-	return buf.String()
 }

@@ -7,18 +7,10 @@ import (
 	"repro/internal/wire"
 )
 
-// WireReport attributes every byte of a WIR2 artifact. The attributed
+// wireReport attributes every byte of a WIR2 artifact. The attributed
 // space is the container (after undoing the final LZ/arith stage),
 // because that is where streams, tables, and metadata have distinct
 // extents; FileBytes still records the on-disk artifact size.
-func WireReport(source string, data []byte) (*Report, error) {
-	insp, err := wire.Inspect(data)
-	if err != nil {
-		return nil, err
-	}
-	return wireReport(source, insp)
-}
-
 func wireReport(source string, insp *wire.Inspection) (*Report, error) {
 	r := &Report{
 		Kind:       KindWire,

@@ -1,6 +1,6 @@
-// Package bitio provides MSB-first bit-granular readers and writers used
-// by every entropy coder in this repository (Huffman, arithmetic, and the
-// wire/BRISC container formats).
+// Package bitio provides MSB-first bit-granular readers and writers over
+// byte slices, used by every entropy coder in this repository (Huffman,
+// arithmetic, and the wire/BRISC container formats).
 //
 // Bits are packed most-significant-bit first within each byte, so a
 // stream written as WriteBit(1), WriteBit(0), WriteBit(1) occupies the
@@ -9,13 +9,9 @@
 // lexicographically as left-justified bit strings.
 //
 // Both directions run on a 64-bit accumulator: the Writer packs bits
-// left-justified into a word and spills completed bytes to an internal
-// slab (handed to the underlying io.Writer on Flush or when the slab
-// fills), and the Reader refills its word from an internal byte slab —
-// either the caller's slice (NewReaderBytes) or a read-ahead buffer over
-// an io.Reader. The Reader therefore consumes from the underlying
-// io.Reader ahead of the bit position; do not interleave direct reads of
-// the underlying reader with Reader use.
+// left-justified into a word and appends each completed word to a byte
+// slice it owns, and the Reader refills its word from the caller's
+// slice, a word at a time where eight bytes remain.
 package bitio
 
 import (
@@ -24,63 +20,33 @@ import (
 	"io"
 )
 
-// ErrOverflow is returned when a requested bit count exceeds what a
-// single call supports (64 bits).
+// ErrOverflow reports a bit count over 64: ReadBits returns it, and
+// WriteBits panics with it, since a writer's widths come from code.
 var ErrOverflow = errors.New("bitio: bit count out of range")
 
-// writerSpill is the slab size at which the Writer hands accumulated
-// bytes to the underlying io.Writer ahead of Flush.
-const writerSpill = 32 << 10
-
-// readerSlab is the read-ahead buffer size for io.Reader-backed Readers.
-const readerSlab = 4 << 10
-
-// Writer accumulates bits MSB-first and flushes whole bytes to an
-// underlying io.Writer. The zero value is not usable; use NewWriter.
+// Writer accumulates bits MSB-first and appends whole bytes to a slice
+// it owns. The zero value is ready to use.
 //
 // Invariant: acc holds nacc valid bits left-justified (bit 63 is the
-// oldest pending bit) and every bit below them is zero, so Flush can pad
+// oldest pending bit) and every bit below them is zero, so Bytes can pad
 // by rounding nacc up. The accumulator fills to a complete 64-bit word
-// before spilling — eight bytes land in the slab per spill instead of
-// one — which is the write-side mirror of the Reader's word-at-a-time
-// refill.
+// before it lands in buf, eight bytes per append instead of one — the
+// write-side mirror of the Reader's word-at-a-time refill.
 type Writer struct {
-	w     io.Writer
-	acc   uint64
-	nacc  uint // 0..63 between calls
-	count int64
-	buf   []byte
-	err   error
+	acc  uint64
+	nacc uint // 0..63 between calls
+	buf  []byte
 }
 
-// NewWriter returns a Writer that emits packed bytes to w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w}
-}
-
-// Reset redirects the Writer to w, reusing the grown output slab. All
-// accumulator state and counters restart from zero and any previous
-// error is cleared, so one Writer can encode many streams without
-// reallocating.
-func (bw *Writer) Reset(w io.Writer) {
-	bw.w = w
-	bw.acc, bw.nacc, bw.count = 0, 0, 0
-	bw.buf = bw.buf[:0]
-	bw.err = nil
-}
-
-// drain writes the slab to the underlying writer.
-func (bw *Writer) drain() {
-	if bw.err != nil || len(bw.buf) == 0 {
-		return
-	}
-	if _, err := bw.w.Write(bw.buf); err != nil {
-		bw.err = err
-	}
+// Reset empties the Writer, keeping its grown storage, so one Writer
+// can encode many streams without reallocating. Slices returned by
+// Bytes before the Reset are overwritten by later writes.
+func (bw *Writer) Reset() {
+	bw.acc, bw.nacc = 0, 0
 	bw.buf = bw.buf[:0]
 }
 
-// spillAligned moves the accumulator's complete bytes into the slab.
+// spillAligned moves the accumulator's complete bytes into buf.
 // Callers must hold a byte-aligned accumulator (nacc divisible by 8).
 func (bw *Writer) spillAligned() {
 	for bw.nacc > 0 {
@@ -91,47 +57,36 @@ func (bw *Writer) spillAligned() {
 }
 
 // WriteBit appends a single bit (any nonzero b counts as 1).
-func (bw *Writer) WriteBit(b uint) error {
-	if bw.err != nil {
-		return bw.err
-	}
+func (bw *Writer) WriteBit(b uint) {
 	if b != 0 {
 		bw.acc |= 1 << (63 - bw.nacc)
 	}
 	bw.nacc++
-	bw.count++
 	if bw.nacc == 64 {
 		bw.buf = binary.BigEndian.AppendUint64(bw.buf, bw.acc)
 		bw.acc, bw.nacc = 0, 0
-		if len(bw.buf) >= writerSpill {
-			bw.drain()
-		}
 	}
-	return bw.err
 }
 
-// WriteBits appends the low n bits of v, most significant first.
-func (bw *Writer) WriteBits(v uint64, n uint) error {
+// WriteBits appends the low n bits of v, most significant first. It
+// panics if n exceeds 64.
+func (bw *Writer) WriteBits(v uint64, n uint) {
 	if n > 64 {
-		return ErrOverflow
-	}
-	if bw.err != nil {
-		return bw.err
+		panic(ErrOverflow)
 	}
 	if n == 0 {
-		return nil
+		return
 	}
 	if n < 64 {
 		v &= 1<<n - 1
 	}
-	bw.count += int64(n)
 	if bw.nacc+n < 64 {
 		bw.acc |= v << (64 - bw.nacc - n)
 		bw.nacc += n
-		return nil
+		return
 	}
 	// The value fills (or straddles) the accumulator: the top bits
-	// complete the current word, which spills whole, and the k leftover
+	// complete the current word, which lands whole, and the k leftover
 	// bits start a fresh one. (Shifts by 64 yield 0 in Go, so k == 0
 	// needs no special case.)
 	k := bw.nacc + n - 64
@@ -139,117 +94,55 @@ func (bw *Writer) WriteBits(v uint64, n uint) error {
 	bw.buf = binary.BigEndian.AppendUint64(bw.buf, bw.acc)
 	bw.acc = v << (64 - k)
 	bw.nacc = k
-	if len(bw.buf) >= writerSpill {
-		bw.drain()
-	}
-	return bw.err
-}
-
-// WriteByte appends 8 bits.
-func (bw *Writer) WriteByte(b byte) error {
-	return bw.WriteBits(uint64(b), 8)
 }
 
 // WriteBytes appends len(p) whole bytes. When the stream is
 // byte-aligned the accumulator's pending bytes spill once and the
-// payload lands in the slab as a single bulk append.
-func (bw *Writer) WriteBytes(p []byte) error {
-	if bw.err != nil {
-		return bw.err
-	}
+// payload lands as a single bulk append.
+func (bw *Writer) WriteBytes(p []byte) {
 	if bw.nacc&7 == 0 {
 		bw.spillAligned()
 		bw.buf = append(bw.buf, p...)
-		bw.count += 8 * int64(len(p))
-		if len(bw.buf) >= writerSpill {
-			bw.drain()
-		}
-		return bw.err
+		return
 	}
 	for _, b := range p {
-		if err := bw.WriteBits(uint64(b), 8); err != nil {
-			return err
-		}
+		bw.WriteBits(uint64(b), 8)
 	}
-	return nil
 }
 
-// BitsWritten reports the total number of bits accepted so far,
-// including any bits still buffered in the current partial byte.
-func (bw *Writer) BitsWritten() int64 { return bw.count }
-
-// Flush pads the current partial byte with zero bits and writes all
-// buffered bytes to the underlying writer. It is safe to call Flush
-// when the stream is already byte-aligned, and writing may continue
-// after a Flush.
-func (bw *Writer) Flush() error {
-	if bw.err != nil {
-		return bw.err
-	}
+// Bytes pads the current partial byte with zero bits and returns
+// everything written since the last Reset. It is safe to call Bytes on
+// an already byte-aligned stream, and writing may continue afterwards.
+// The result aliases the Writer's storage: it stays valid until the
+// next Reset.
+func (bw *Writer) Bytes() []byte {
 	// Low accumulator bits are already zero (see invariant), so
 	// rounding up to a whole byte is the padding.
 	bw.nacc = (bw.nacc + 7) &^ 7
 	bw.spillAligned()
-	bw.drain()
-	return bw.err
+	return bw.buf
 }
 
-// Reader consumes bits MSB-first from an internal byte slab, refilling
-// a 64-bit accumulator a word at a time.
+// Reader consumes bits MSB-first from a byte slice, refilling a 64-bit
+// accumulator a word at a time.
 //
 // Invariant: acc holds nacc valid bits left-justified (bit 63 is the
 // next bit to be read) and every bit below them is zero.
 type Reader struct {
 	acc   uint64
 	nacc  uint
-	data  []byte // current slab; data[pos:] is not yet in acc
+	data  []byte // the input; data[pos:] is not yet in acc
 	pos   int
 	count int64
-	r     io.Reader // nil when reading from a caller-supplied slice
-	buf   []byte    // read-ahead storage when r != nil
-	eof   bool
-	err   error // sticky non-EOF error from r
-}
-
-// NewReader returns a Reader that unpacks bits from r. The Reader reads
-// ahead of the bit position; r must not be read directly afterwards.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
 }
 
 // NewReaderBytes returns a Reader that unpacks bits directly from data
-// without copying. This is the fast path for in-memory sources.
+// without copying.
 func NewReaderBytes(data []byte) *Reader {
 	return &Reader{data: data}
 }
 
-// more pulls the next block of bytes from the underlying io.Reader into
-// the read-ahead slab. It reports whether any bytes became available.
-func (br *Reader) more() bool {
-	if br.r == nil || br.eof || br.err != nil {
-		return false
-	}
-	if br.buf == nil {
-		br.buf = make([]byte, readerSlab)
-	}
-	for {
-		n, err := br.r.Read(br.buf)
-		if err == io.EOF {
-			br.eof = true
-		} else if err != nil {
-			br.err = err
-		}
-		if n > 0 {
-			br.data, br.pos = br.buf[:n], 0
-			return true
-		}
-		if err != nil {
-			return false
-		}
-	}
-}
-
-// refill tops the accumulator up from the slab, a whole word at a time
+// refill tops the accumulator up from the input, a whole word at a time
 // when the accumulator is empty.
 func (br *Reader) refill() {
 	if br.nacc == 0 && len(br.data)-br.pos >= 8 {
@@ -258,35 +151,20 @@ func (br *Reader) refill() {
 		br.nacc = 64
 		return
 	}
-	for br.nacc <= 56 {
-		if br.pos >= len(br.data) {
-			if !br.more() {
-				return
-			}
-		}
+	for br.nacc <= 56 && br.pos < len(br.data) {
 		br.acc |= uint64(br.data[br.pos]) << (56 - br.nacc)
 		br.pos++
 		br.nacc += 8
 	}
 }
 
-// inputErr is the error reported when the accumulator cannot be
-// refilled: the underlying reader's error if it failed, io.EOF
-// otherwise.
-func (br *Reader) inputErr() error {
-	if br.err != nil {
-		return br.err
-	}
-	return io.EOF
-}
-
 // ReadBit returns the next bit (0 or 1). At end of input it returns
-// io.EOF (or the underlying reader's error).
+// io.EOF.
 func (br *Reader) ReadBit() (uint, error) {
 	if br.nacc == 0 {
 		br.refill()
 		if br.nacc == 0 {
-			return 0, br.inputErr()
+			return 0, io.EOF
 		}
 	}
 	b := uint(br.acc >> 63)
@@ -315,7 +193,7 @@ func (br *Reader) ReadBits(n uint) (uint64, error) {
 		if br.nacc == 0 {
 			br.refill()
 			if br.nacc == 0 {
-				return 0, br.inputErr()
+				return 0, io.EOF
 			}
 		}
 		take := n
@@ -359,26 +237,21 @@ func (br *Reader) ReadBytes(p []byte) error {
 		br.count += 8
 		i++
 	}
-	for i < len(p) {
-		if br.pos >= len(br.data) {
-			if !br.more() {
-				return br.inputErr()
-			}
-		}
-		n := copy(p[i:], br.data[br.pos:])
-		br.pos += n
-		br.count += 8 * int64(n)
-		i += n
+	n := copy(p[i:], br.data[br.pos:])
+	br.pos += n
+	br.count += 8 * int64(n)
+	if i+n < len(p) {
+		return io.EOF
 	}
 	return nil
 }
 
-// ReadSlice returns the next n bytes. On a byte-aligned Reader made by
-// NewReaderBytes they are a slice of its input, not a copy; otherwise
-// ReadSlice copies them as ReadBytes does. On short input it consumes
-// what remains and returns an error.
+// ReadSlice returns the next n bytes. On a byte-aligned Reader they are
+// a slice of its input, not a copy; otherwise ReadSlice copies them as
+// ReadBytes does. On short input it consumes what remains and returns
+// an error.
 func (br *Reader) ReadSlice(n int) ([]byte, error) {
-	if br.r != nil || br.nacc%8 != 0 {
+	if br.nacc%8 != 0 {
 		p := make([]byte, n)
 		return p, br.ReadBytes(p)
 	}
@@ -387,7 +260,7 @@ func (br *Reader) ReadSlice(n int) ([]byte, error) {
 	if n > len(br.data)-at {
 		br.count += 8 * int64(len(br.data)-at)
 		br.pos = len(br.data)
-		return nil, br.inputErr()
+		return nil, io.EOF
 	}
 	br.count += 8 * int64(n)
 	br.pos = at + n
@@ -428,12 +301,8 @@ func (br *Reader) BitsRead() int64 { return br.count }
 // below), its valid-bit count, the input, and the position in data of
 // the first byte not yet in acc. The loop consumes bits by shifting acc
 // and lowering n, tops acc up with Refill, and hands the state back with
-// Restore before the Reader is used again. Lend panics on a Reader made
-// by NewReader, whose slab is not the whole input.
+// Restore before the Reader is used again.
 func (br *Reader) Lend() (acc uint64, n uint, data []byte, pos int) {
-	if br.r != nil {
-		panic("bitio: Lend on an io.Reader-backed Reader")
-	}
 	return br.acc, br.nacc, br.data, br.pos
 }
 

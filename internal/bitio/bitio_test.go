@@ -8,29 +8,24 @@ import (
 	"testing/quick"
 )
 
+// bitsWritten is the number of bits a Writer holds, buffered or
+// pending.
+func bitsWritten(bw *Writer) int64 { return 8*int64(len(bw.buf)) + int64(bw.nacc) }
+
 func TestWriteReadBits(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewWriter(&buf)
-	if err := bw.WriteBits(0b101, 3); err != nil {
-		t.Fatal(err)
+	var bw Writer
+	bw.WriteBits(0b101, 3)
+	bw.WriteBits(0xAB, 8)
+	bw.WriteBits(0x3FFFF, 18)
+	if got, want := bitsWritten(&bw), int64(29); got != want {
+		t.Errorf("bits written = %d, want %d", got, want)
 	}
-	if err := bw.WriteBits(0xAB, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.WriteBits(0x3FFFF, 18); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := bw.BitsWritten(), int64(29); got != want {
-		t.Errorf("BitsWritten = %d, want %d", got, want)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.Len(), 4; got != want {
+	out := bw.Bytes()
+	if got, want := len(out), 4; got != want {
 		t.Fatalf("output length = %d, want %d", got, want)
 	}
 
-	br := NewReader(&buf)
+	br := NewReaderBytes(out)
 	v, err := br.ReadBits(3)
 	if err != nil || v != 0b101 {
 		t.Fatalf("ReadBits(3) = %v, %v; want 5", v, err)
@@ -46,74 +41,56 @@ func TestWriteReadBits(t *testing.T) {
 }
 
 func TestMSBFirstPacking(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewWriter(&buf)
+	var bw Writer
 	for _, b := range []uint{1, 0, 1} {
-		if err := bw.WriteBit(b); err != nil {
-			t.Fatal(err)
-		}
+		bw.WriteBit(b)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.Bytes()[0], byte(0b10100000); got != want {
+	if got, want := bw.Bytes()[0], byte(0b10100000); got != want {
 		t.Errorf("packed byte = %08b, want %08b", got, want)
 	}
 }
 
+// TestFlushIdempotent: padding an aligned stream adds nothing, so a
+// second Bytes returns the same bytes.
 func TestFlushIdempotent(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewWriter(&buf)
-	if err := bw.WriteByte(0x7F); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 1 {
-		t.Errorf("double Flush wrote extra bytes: len=%d", buf.Len())
+	var bw Writer
+	bw.WriteBits(0x7F, 8)
+	bw.Bytes()
+	if n := len(bw.Bytes()); n != 1 {
+		t.Errorf("second Bytes grew the output: len=%d", n)
 	}
 }
 
 func TestReadEOF(t *testing.T) {
-	br := NewReader(bytes.NewReader(nil))
+	br := NewReaderBytes(nil)
 	if _, err := br.ReadBit(); err != io.EOF {
 		t.Errorf("ReadBit at EOF = %v, want io.EOF", err)
 	}
 }
 
 func TestOverflow(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewWriter(&buf)
-	if err := bw.WriteBits(0, 65); err != ErrOverflow {
-		t.Errorf("WriteBits(65) err = %v, want ErrOverflow", err)
-	}
-	br := NewReader(&buf)
+	func() {
+		defer func() {
+			if r := recover(); r != ErrOverflow {
+				t.Errorf("WriteBits(65) panicked with %v, want ErrOverflow", r)
+			}
+		}()
+		var bw Writer
+		bw.WriteBits(0, 65)
+	}()
+	br := NewReaderBytes(nil)
 	if _, err := br.ReadBits(65); err != ErrOverflow {
 		t.Errorf("ReadBits(65) err = %v, want ErrOverflow", err)
 	}
 }
 
 func TestAlign(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewWriter(&buf)
-	if err := bw.WriteBits(0b1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.WriteByte(0xCD); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	var bw Writer
+	bw.WriteBits(0b1, 1)
+	bw.Bytes()
+	bw.WriteBits(0xCD, 8)
 
-	br := NewReader(&buf)
+	br := NewReaderBytes(bw.Bytes())
 	if _, err := br.ReadBit(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,17 +118,11 @@ func TestRoundTripQuick(t *testing.T) {
 			width := uint(rng.Intn(64) + 1)
 			items[i] = item{v: rng.Uint64() & (^uint64(0) >> (64 - width)), n: width}
 		}
-		var buf bytes.Buffer
-		bw := NewWriter(&buf)
+		var bw Writer
 		for _, it := range items {
-			if err := bw.WriteBits(it.v, it.n); err != nil {
-				return false
-			}
+			bw.WriteBits(it.v, it.n)
 		}
-		if err := bw.Flush(); err != nil {
-			return false
-		}
-		br := NewReader(&buf)
+		br := NewReaderBytes(bw.Bytes())
 		for _, it := range items {
 			v, err := br.ReadBits(it.n)
 			if err != nil || v != it.v {
@@ -166,19 +137,13 @@ func TestRoundTripQuick(t *testing.T) {
 }
 
 func TestZeroWidth(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewWriter(&buf)
-	if err := bw.WriteBits(0xFFFF, 0); err != nil {
-		t.Fatal(err)
+	var bw Writer
+	bw.WriteBits(0xFFFF, 0)
+	if got := bitsWritten(&bw); got != 0 {
+		t.Errorf("bits written after 0-bit write = %d, want 0", got)
 	}
-	if got := bw.BitsWritten(); got != 0 {
-		t.Errorf("BitsWritten after 0-bit write = %d, want 0", got)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("0-bit write produced %d bytes", buf.Len())
+	if n := len(bw.Bytes()); n != 0 {
+		t.Errorf("0-bit write produced %d bytes", n)
 	}
 	br := NewReaderBytes(nil)
 	if v, err := br.ReadBits(0); err != nil || v != 0 {
@@ -190,27 +155,17 @@ func TestZeroWidth(t *testing.T) {
 }
 
 func TestFullWidth(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewWriter(&buf)
+	var bw Writer
 	const v = uint64(0xDEADBEEFCAFEF00D)
 	// A 3-bit prefix forces the 64-bit value to straddle accumulator
 	// words on both ends.
-	if err := bw.WriteBits(0b101, 3); err != nil {
-		t.Fatal(err)
+	bw.WriteBits(0b101, 3)
+	bw.WriteBits(v, 64)
+	bw.WriteBits(^uint64(0), 64)
+	if got := bitsWritten(&bw); got != 131 {
+		t.Errorf("bits written = %d, want 131", got)
 	}
-	if err := bw.WriteBits(v, 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.WriteBits(^uint64(0), 64); err != nil {
-		t.Fatal(err)
-	}
-	if got := bw.BitsWritten(); got != 131 {
-		t.Errorf("BitsWritten = %d, want 131", got)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := NewReaderBytes(buf.Bytes())
+	br := NewReaderBytes(bw.Bytes())
 	if got, err := br.ReadBits(3); err != nil || got != 0b101 {
 		t.Fatalf("prefix = %d, %v", got, err)
 	}
@@ -228,23 +183,11 @@ func TestFullWidth(t *testing.T) {
 func TestAlignAfterPartialBytes(t *testing.T) {
 	// Alignment from every in-byte phase, including already-aligned.
 	for phase := uint(0); phase < 8; phase++ {
-		var buf bytes.Buffer
-		bw := NewWriter(&buf)
-		if phase > 0 {
-			if err := bw.WriteBits(0, phase); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.WriteByte(0xA5); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		br := NewReaderBytes(buf.Bytes())
+		var bw Writer
+		bw.WriteBits(0, phase)
+		bw.Bytes()
+		bw.WriteBits(0xA5, 8)
+		br := NewReaderBytes(bw.Bytes())
 		if phase > 0 {
 			if _, err := br.ReadBits(phase); err != nil {
 				t.Fatal(err)
@@ -320,43 +263,28 @@ func TestReadWriteBytesBulk(t *testing.T) {
 		payload[i] = byte(i * 131)
 	}
 	for _, prefix := range []uint{0, 3, 8} {
-		var buf bytes.Buffer
-		bw := NewWriter(&buf)
-		if err := bw.WriteBits(0b111, prefix); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.WriteBytes(payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		var bw Writer
+		bw.WriteBits(0b111, prefix)
+		bw.WriteBytes(payload)
 		want := int64(prefix) + 8*int64(len(payload))
-		if got := bw.BitsWritten(); got != want {
-			t.Fatalf("prefix %d: BitsWritten = %d, want %d", prefix, got, want)
+		if got := bitsWritten(&bw); got != want {
+			t.Fatalf("prefix %d: bits written = %d, want %d", prefix, got, want)
 		}
-		for _, fromBytes := range []bool{true, false} {
-			var br *Reader
-			if fromBytes {
-				br = NewReaderBytes(buf.Bytes())
-			} else {
-				br = NewReader(bytes.NewReader(buf.Bytes()))
+		br := NewReaderBytes(bw.Bytes())
+		if prefix > 0 {
+			if _, err := br.ReadBits(prefix); err != nil {
+				t.Fatal(err)
 			}
-			if prefix > 0 {
-				if _, err := br.ReadBits(prefix); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := make([]byte, len(payload))
-			if err := br.ReadBytes(got); err != nil {
-				t.Fatalf("prefix %d: ReadBytes: %v", prefix, err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatalf("prefix %d (bytes=%v): ReadBytes mismatch", prefix, fromBytes)
-			}
-			if got := br.BitsRead(); got != want {
-				t.Fatalf("prefix %d: BitsRead = %d, want %d", prefix, got, want)
-			}
+		}
+		got := make([]byte, len(payload))
+		if err := br.ReadBytes(got); err != nil {
+			t.Fatalf("prefix %d: ReadBytes: %v", prefix, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("prefix %d: ReadBytes mismatch", prefix)
+		}
+		if got := br.BitsRead(); got != want {
+			t.Fatalf("prefix %d: BitsRead = %d, want %d", prefix, got, want)
 		}
 	}
 }
@@ -372,21 +300,30 @@ func TestReadBytesShortInput(t *testing.T) {
 	}
 }
 
-// TestReaderBytesMatchesReader cross-checks the two constructors over
-// random mixed-width read schedules.
+// TestReaderBytesMatchesReader cross-checks ReadBits over random
+// mixed-width read schedules against a reference that reads the same
+// bytes one ReadBit at a time.
 func TestReaderBytesMatchesReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 1024)
 	rng.Read(data)
 	for trial := 0; trial < 50; trial++ {
-		a := NewReaderBytes(data)
-		b := NewReader(bytes.NewReader(data))
+		a, b := NewReaderBytes(data), NewReaderBytes(data)
 		for {
 			n := uint(rng.Intn(64) + 1)
 			va, ea := a.ReadBits(n)
-			vb, eb := b.ReadBits(n)
+			var vb uint64
+			var eb error
+			for i := uint(0); i < n && eb == nil; i++ {
+				var bit uint
+				bit, eb = b.ReadBit()
+				vb = vb<<1 | uint64(bit)
+			}
+			if eb != nil {
+				vb = 0
+			}
 			if va != vb || (ea == nil) != (eb == nil) {
-				t.Fatalf("trial %d width %d: bytes-backed (%#x,%v) vs reader-backed (%#x,%v)",
+				t.Fatalf("trial %d width %d: ReadBits (%#x,%v) vs per-bit (%#x,%v)",
 					trial, n, va, ea, vb, eb)
 			}
 			if a.BitsRead() != b.BitsRead() {
@@ -400,23 +337,17 @@ func TestReaderBytesMatchesReader(t *testing.T) {
 }
 
 func TestBitsWrittenMatchesBitsRead(t *testing.T) {
-	var buf bytes.Buffer
-	bw := NewWriter(&buf)
+	var bw Writer
 	widths := []uint{1, 7, 13, 32, 64, 3}
 	var total uint
 	for i, w := range widths {
-		if err := bw.WriteBits(uint64(i), w); err != nil {
-			t.Fatal(err)
-		}
+		bw.WriteBits(uint64(i), w)
 		total += w
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
+	if got := bitsWritten(&bw); got != int64(total) {
+		t.Errorf("bits written = %d, want %d", got, total)
 	}
-	if got := bw.BitsWritten(); got != int64(total) {
-		t.Errorf("BitsWritten = %d, want %d", got, total)
-	}
-	br := NewReader(&buf)
+	br := NewReaderBytes(bw.Bytes())
 	for i, w := range widths {
 		v, err := br.ReadBits(w)
 		if err != nil {
@@ -432,68 +363,33 @@ func TestBitsWrittenMatchesBitsRead(t *testing.T) {
 }
 
 // TestWriterReset checks that a recycled Writer produces bytes
-// identical to a fresh one: same payload, counters restarted, prior
-// error state cleared, grown slab reused transparently.
+// identical to a fresh one, with its state restarted and its grown
+// storage reused.
 func TestWriterReset(t *testing.T) {
-	write := func(bw *Writer) {
-		if err := bw.WriteBits(0b1011, 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.WriteBytes([]byte{0xDE, 0xAD, 0xBE, 0xEF}); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.WriteBits(0xFFFFFFFFFFFFFFFF, 64); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
+	write := func(bw *Writer) []byte {
+		bw.WriteBits(0b1011, 4)
+		bw.WriteBytes([]byte{0xDE, 0xAD, 0xBE, 0xEF})
+		bw.WriteBits(0xFFFFFFFFFFFFFFFF, 64)
+		return bw.Bytes()
 	}
-	var fresh bytes.Buffer
-	write(NewWriter(&fresh))
+	var fresh Writer
+	want := write(&fresh)
 
-	var first, second bytes.Buffer
-	bw := NewWriter(&first)
-	write(bw)
-	bw.Reset(&second)
-	if got := bw.BitsWritten(); got != 0 {
-		t.Fatalf("BitsWritten after Reset = %d, want 0", got)
+	var bw Writer
+	bw.WriteBits(0b1, 3) // a partial byte Reset must drop
+	first := write(&bw)
+	bw.Reset()
+	if got := bitsWritten(&bw); got != 0 {
+		t.Fatalf("bits written after Reset = %d, want 0", got)
 	}
-	write(bw)
-	if !bytes.Equal(second.Bytes(), fresh.Bytes()) {
-		t.Errorf("reset writer output %x, want %x", second.Bytes(), fresh.Bytes())
+	second := write(&bw)
+	if !bytes.Equal(second, want) {
+		t.Errorf("reset writer output %x, want %x", second, want)
 	}
-	if !bytes.Equal(first.Bytes(), fresh.Bytes()) {
-		t.Errorf("pre-reset output was disturbed: %x, want %x", first.Bytes(), fresh.Bytes())
+	if &first[0] != &second[0] {
+		t.Error("Reset did not keep the writer's storage")
 	}
 }
-
-// TestWriterResetClearsError checks a Writer is usable again after
-// Reset clears a sticky write error.
-func TestWriterResetClearsError(t *testing.T) {
-	bw := NewWriter(failWriter{})
-	for i := 0; i < writerSpill+8; i++ {
-		bw.WriteByte(byte(i))
-	}
-	if bw.Flush() == nil {
-		t.Fatal("expected sticky error from failing writer")
-	}
-	var buf bytes.Buffer
-	bw.Reset(&buf)
-	if err := bw.WriteByte(0x5A); err != nil {
-		t.Fatalf("WriteByte after Reset: %v", err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), []byte{0x5A}) {
-		t.Errorf("output after Reset = %x, want 5a", buf.Bytes())
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 
 // TestWriterWordBoundary hits the accumulator spill edges: writes that
 // land the accumulator exactly on 64 bits (the k == 0 carry case),
@@ -509,25 +405,18 @@ func TestWriterWordBoundary(t *testing.T) {
 		{{0x0, 7}, {0xFFFFFFFFFFFFFFFF, 57}, {0x0, 64}},     // fill, then zero word
 	}
 	for ci, seq := range cases {
-		var fast, slow bytes.Buffer
-		fw, sw := NewWriter(&fast), NewWriter(&slow)
+		var fw, sw Writer
 		for _, vw := range seq {
-			if err := fw.WriteBits(vw[0], uint(vw[1])); err != nil {
-				t.Fatal(err)
-			}
+			fw.WriteBits(vw[0], uint(vw[1]))
 			for i := int(vw[1]) - 1; i >= 0; i-- { // reference: bit at a time
-				if err := sw.WriteBit(uint(vw[0] >> i & 1)); err != nil {
-					t.Fatal(err)
-				}
+				sw.WriteBit(uint(vw[0] >> i & 1))
 			}
 		}
-		if fw.BitsWritten() != sw.BitsWritten() {
-			t.Errorf("case %d: BitsWritten %d != reference %d", ci, fw.BitsWritten(), sw.BitsWritten())
+		if bitsWritten(&fw) != bitsWritten(&sw) {
+			t.Errorf("case %d: bits written %d != reference %d", ci, bitsWritten(&fw), bitsWritten(&sw))
 		}
-		fw.Flush()
-		sw.Flush()
-		if !bytes.Equal(fast.Bytes(), slow.Bytes()) {
-			t.Errorf("case %d: WriteBits %x != per-bit reference %x", ci, fast.Bytes(), slow.Bytes())
+		if fast, slow := fw.Bytes(), sw.Bytes(); !bytes.Equal(fast, slow) {
+			t.Errorf("case %d: WriteBits %x != per-bit reference %x", ci, fast, slow)
 		}
 	}
 }
@@ -542,19 +431,14 @@ func TestWriteBytesUnaligned(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	for phase := uint(0); phase < 24; phase++ {
-		var fast, slow bytes.Buffer
-		fw, sw := NewWriter(&fast), NewWriter(&slow)
+		var fw, sw Writer
 		fw.WriteBits(0, phase)
 		sw.WriteBits(0, phase)
-		if err := fw.WriteBytes(payload); err != nil {
-			t.Fatal(err)
-		}
+		fw.WriteBytes(payload)
 		for _, b := range payload {
 			sw.WriteBits(uint64(b), 8)
 		}
-		fw.Flush()
-		sw.Flush()
-		if !bytes.Equal(fast.Bytes(), slow.Bytes()) {
+		if !bytes.Equal(fw.Bytes(), sw.Bytes()) {
 			t.Errorf("phase %d: WriteBytes diverges from per-byte writes", phase)
 		}
 	}
@@ -612,36 +496,32 @@ func TestLendRefillMatchesReadBits(t *testing.T) {
 	}
 }
 
-// TestReadSlice: on a byte-aligned slice-backed Reader ReadSlice
-// returns the input's own bytes; unaligned, or over an io.Reader, it
-// copies what ReadBytes reads. Either way BitsRead and the error on
-// short input match ReadBytes.
+// TestReadSlice: on a byte-aligned Reader ReadSlice returns the input's
+// own bytes; unaligned it copies what ReadBytes reads. Either way
+// BitsRead and the error on short input match ReadBytes.
 func TestReadSlice(t *testing.T) {
 	data := []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x11, 0x22, 0x33}
 	for _, skip := range []uint{0, 4, 8, 16, 72} {
 		for n := 0; n <= len(data)+1; n++ {
-			readers := []*Reader{NewReaderBytes(data), NewReader(bytes.NewReader(data)), NewReaderBytes(data)}
-			for _, r := range readers {
+			sr, br := NewReaderBytes(data), NewReaderBytes(data)
+			for _, r := range []*Reader{sr, br} {
 				r.ReadBits(skip % 64)
 				r.ReadBits(skip - skip%64)
 			}
-			got, gerr := readers[0].ReadSlice(n)
-			viaIO, ierr := readers[1].ReadSlice(n)
+			got, gerr := sr.ReadSlice(n)
 			want := make([]byte, n)
-			werr := readers[2].ReadBytes(want)
-			if (gerr == nil) != (werr == nil) || (ierr == nil) != (werr == nil) {
-				t.Fatalf("skip %d n %d: errors %v, %v, want %v", skip, n, gerr, ierr, werr)
+			werr := br.ReadBytes(want)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("skip %d n %d: error %v, want %v", skip, n, gerr, werr)
 			}
-			for i, r := range readers[:2] {
-				if r.BitsRead() != readers[2].BitsRead() {
-					t.Fatalf("skip %d n %d: reader %d at bit %d, ReadBytes at %d", skip, n, i, r.BitsRead(), readers[2].BitsRead())
-				}
+			if sr.BitsRead() != br.BitsRead() {
+				t.Fatalf("skip %d n %d: ReadSlice at bit %d, ReadBytes at %d", skip, n, sr.BitsRead(), br.BitsRead())
 			}
 			if werr != nil {
 				continue
 			}
-			if !bytes.Equal(got, want) || !bytes.Equal(viaIO, want) {
-				t.Fatalf("skip %d n %d: got %x and %x, want %x", skip, n, got, viaIO, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("skip %d n %d: got %x, want %x", skip, n, got, want)
 			}
 			if aligned := skip%8 == 0; aligned && n > 0 && &got[0] != &data[skip/8] {
 				t.Fatalf("skip %d n %d: aligned ReadSlice copied", skip, n)

@@ -72,11 +72,6 @@ func (p *Program) Wire() ([]byte, error) {
 	return wire.Compress(p.Module)
 }
 
-// WireOpts compresses with an explicit pipeline configuration.
-func (p *Program) WireOpts(opt wire.Options) ([]byte, error) {
-	return wire.CompressOpts(p.Module, opt)
-}
-
 // FromWire decompresses a wire object back into a Program.
 func FromWire(data []byte) (*Program, error) {
 	m, err := wire.Decompress(data)

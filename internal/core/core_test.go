@@ -95,7 +95,7 @@ func TestWireOptsFlowThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := p.WireOpts(wire.Options{Final: wire.FinalArith})
+	data, err := wire.CompressOpts(p.Module, wire.Options{Final: wire.FinalArith})
 	if err != nil {
 		t.Fatal(err)
 	}

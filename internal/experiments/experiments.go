@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -33,9 +32,6 @@ var rec *telemetry.Recorder
 // SetRecorder installs the telemetry recorder the experiment runners
 // report through. nil (the default) disables reporting.
 func SetRecorder(r *telemetry.Recorder) { rec = r }
-
-// Recorder returns the currently installed recorder (may be nil).
-func Recorder() *telemetry.Recorder { return rec }
 
 // measureNamed times f like measure and publishes the per-call median
 // as a span and a histogram observation under the given name. An
@@ -906,11 +902,4 @@ func RunAll(w io.Writer, quick bool) error {
 		fmt.Fprintln(w, FormatPenalty(ip))
 	}
 	return nil
-}
-
-// Buffer runs all experiments into a string (test helper).
-func Buffer(quick bool) (string, error) {
-	var buf bytes.Buffer
-	err := RunAll(&buf, quick)
-	return buf.String(), err
 }

@@ -11,12 +11,7 @@
 // (format, mutator, seed) pins down the exact mutant byte-for-byte.
 package faultify
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/telemetry"
-)
+import "math/rand"
 
 // Mutator is one corruption strategy. Apply never modifies its input;
 // it returns a fresh mutant derived from data and the rng stream. An
@@ -102,31 +97,4 @@ func lengthTamper(data []byte, rng *rand.Rand) []byte {
 	return d
 }
 
-// Sweep runs rounds full passes of the mutator suite over artifact,
-// calling check(mutatorName, round, mutant) for each generated mutant.
-// Mutants are derived from a single rng seeded with seed, so the whole
-// sweep — len(Mutators()) × rounds mutants — replays exactly.
-func Sweep(artifact []byte, seed int64, rounds int, check func(mutator string, round int, mutant []byte)) {
-	rng := rand.New(rand.NewSource(seed))
-	for round := 0; round < rounds; round++ {
-		for _, m := range Mutators() {
-			check(m.Name, round, m.Apply(artifact, rng))
-		}
-	}
-}
-
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
-
-// ReportFailure records a sweep failure on rec: it counts
-// faultify.failures (plus a per-mutator breakdown) and trips the
-// flight recorder, so the first contract violation of a long sweep
-// dumps the events that led up to it alongside the (format, mutator,
-// seed, round) tuple that replays the mutant. Nil-safe.
-func ReportFailure(rec *telemetry.Recorder, format, mutator string, seed int64, round int, err error) {
-	if !rec.Enabled() {
-		return
-	}
-	rec.Add("faultify.failures", 1)
-	rec.Add("faultify.failures."+mutator, 1)
-	rec.Trip(fmt.Sprintf("faultify: %s/%s seed=%d round=%d: %v", format, mutator, seed, round, err))
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,7 +106,7 @@ func buildTargets(t *testing.T) []target {
 		if err != nil {
 			t.Fatalf("wire %s: %v", names[i], err)
 		}
-		wirx, err := wire.CompressIndexed(mods[i], wire.Options{})
+		wirx, err := wire.CompressIndexedTraced(mods[i], wire.Options{}, nil)
 		if err != nil {
 			t.Fatalf("wire indexed %s: %v", names[i], err)
 		}
@@ -241,12 +242,13 @@ func TestFaultSweep(t *testing.T) {
 	for ti, tgt := range buildTargets(t) {
 		tgt := tgt
 		seed := int64(1000 + ti) // fixed seeds: the sweep replays exactly
-		Sweep(tgt.data, seed, roundsPerModule, func(mutator string, round int, mutant []byte) {
+		sweep(tgt.data, seed, roundsPerModule, func(mutator string, round int, mutant []byte) {
 			perFormat[tgt.format]++
 			rec.Add("faultify.mutants", 1)
 			err := runChecked(tgt.check, mutant)
 			if err != nil && !isTyped(err) {
-				ReportFailure(rec, tgt.format, mutator, seed, round, err)
+				rec.Add("faultify.failures", 1)
+				rec.Trip(fmt.Sprintf("faultify: %s/%s seed=%d round=%d: %v", tgt.format, mutator, seed, round, err))
 				t.Errorf("%s/%s seed=%d round=%d: untyped error: %v",
 					tgt.format, mutator, seed, round, err)
 			}
@@ -255,6 +257,19 @@ func TestFaultSweep(t *testing.T) {
 	for format, n := range perFormat {
 		if n < 500 {
 			t.Errorf("%s: only %d mutants swept, want >= 500", format, n)
+		}
+	}
+}
+
+// sweep runs rounds full passes of the mutator suite over artifact,
+// calling check(mutatorName, round, mutant) for each generated mutant.
+// Mutants are derived from a single rng seeded with seed, so the whole
+// sweep — len(Mutators()) × rounds mutants — replays exactly.
+func sweep(artifact []byte, seed int64, rounds int, check func(mutator string, round int, mutant []byte)) {
+	rng := rand.New(rand.NewSource(seed))
+	for round := 0; round < rounds; round++ {
+		for _, m := range Mutators() {
+			check(m.Name, round, m.Apply(artifact, rng))
 		}
 	}
 }
@@ -275,11 +290,11 @@ func runChecked(check func([]byte) error, mutant []byte) (err error) {
 func TestMutatorsDeterministic(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog 0123456789")
 	var first [][]byte
-	Sweep(data, 42, 3, func(_ string, _ int, m []byte) {
+	sweep(data, 42, 3, func(_ string, _ int, m []byte) {
 		first = append(first, append([]byte(nil), m...))
 	})
 	i := 0
-	Sweep(data, 42, 3, func(mutator string, round int, m []byte) {
+	sweep(data, 42, 3, func(mutator string, round int, m []byte) {
 		if string(m) != string(first[i]) {
 			t.Fatalf("%s round %d: mutant differs between identical sweeps", mutator, round)
 		}
@@ -295,7 +310,7 @@ func TestMutatorsDeterministic(t *testing.T) {
 func TestMutatorsPreserveInput(t *testing.T) {
 	orig := []byte("immutable input artifact bytes 0123456789")
 	data := append([]byte(nil), orig...)
-	Sweep(data, 7, 5, func(mutator string, _ int, _ []byte) {
+	sweep(data, 7, 5, func(mutator string, _ int, _ []byte) {
 		if string(data) != string(orig) {
 			t.Fatalf("%s modified its input", mutator)
 		}

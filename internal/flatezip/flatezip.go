@@ -209,41 +209,41 @@ func Compress(src []byte) []byte {
 		dCode, _ = huffman.Build([]int64{1}, 15)
 	}
 
-	var buf bytes.Buffer
-	buf.Write(magic[:])
+	var bw bitio.Writer
+	bw.WriteBytes(magic[:])
 	var szb [binary.MaxVarintLen64]byte
-	buf.Write(szb[:binary.PutUvarint(szb[:], uint64(len(src)))])
-
-	bw := bitio.NewWriter(&buf)
-	mustW(llCode.WriteLengths(bw))
-	mustW(dCode.WriteLengths(bw))
+	bw.WriteBytes(szb[:binary.PutUvarint(szb[:], uint64(len(src)))])
+	llCode.WriteLengths(&bw)
+	dCode.WriteLengths(&bw)
+	// Every token's symbols were counted above, so each has a code.
+	encode := func(c *huffman.Code, s int) {
+		if err := c.Encode(&bw, s); err != nil {
+			panic("flatezip: internal: " + err.Error())
+		}
+	}
 	for _, t := range toks {
 		if t.length == 0 {
-			mustW(llCode.Encode(bw, int(t.lit)))
+			encode(llCode, int(t.lit))
 			continue
 		}
 		lc := lengthCode(t.length)
-		mustW(llCode.Encode(bw, 257+lc))
-		mustW(bw.WriteBits(uint64(t.length-lengthBase[lc]), lengthExtra[lc]))
+		encode(llCode, 257+lc)
+		bw.WriteBits(uint64(t.length-lengthBase[lc]), lengthExtra[lc])
 		dc := distCode(t.dist)
-		mustW(dCode.Encode(bw, dc))
-		mustW(bw.WriteBits(uint64(t.dist-distBase[dc]), distExtra[dc]))
+		encode(dCode, dc)
+		bw.WriteBits(uint64(t.dist-distBase[dc]), distExtra[dc])
 	}
-	mustW(llCode.Encode(bw, symEOB))
-	mustW(bw.Flush())
-	return buf.Bytes()
-}
-
-func mustW(err error) {
-	if err != nil {
-		panic("flatezip: write to bytes.Buffer failed: " + err.Error())
-	}
+	encode(llCode, symEOB)
+	return bw.Bytes()
 }
 
 // DecompressLimit reverses Compress, with a decompression-bomb guard:
 // the stream's declared raw size is validated against max *before* the
 // output buffer is allocated, returning ErrTooLarge when it exceeds it.
-// A max of 0 applies only the built-in 2 GiB sanity cap.
+// A max of 0 applies only the built-in 2 GiB sanity cap. The buffer is
+// sized by the declared size only up to what the input can produce
+// (maxExpand bytes per input byte), so a tiny stream that declares a
+// huge size costs little before it fails.
 func DecompressLimit(data []byte, max uint64) ([]byte, error) {
 	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
@@ -271,6 +271,11 @@ func DecompressLimit(data []byte, max uint64) ([]byte, error) {
 	return inflate(br, llCode, dCode, rawSize)
 }
 
+// maxExpand bounds the output per input byte: the longest match, 258
+// bytes, costs at least 2 bits (a literal/length code and a distance
+// code of one bit each), so a byte of tokens yields at most 4*258.
+const maxExpand = 4 * maxMatch
+
 // tokenBits is the most bits a match token takes with DEFLATE's 15-bit
 // code limit, which Compress keeps: a literal/length code, 5 extra
 // bits, a distance code and 13 extra bits.
@@ -282,11 +287,12 @@ const tokenBits = 15 + 5 + 15 + 13
 // tables, while a code the tables cannot resolve, or one or extra bits
 // that outrun the bits held, takes DecodeSlow or br.ReadBits, so each
 // error and the bits consumed are those of a bit-at-a-time decode. A
-// match that does not overlap itself is copied with one append.
+// match that does not overlap itself is copied with one append. The
+// output is sized for rawSize only up to what the input can produce.
 func inflate(br *bitio.Reader, llCode, dCode *huffman.Code, rawSize uint64) ([]byte, error) {
 	ll, dt := llCode.Table(), dCode.Table()
-	out := make([]byte, 0, rawSize)
 	acc, n, data, pos := br.Lend()
+	out := make([]byte, 0, min(rawSize, maxExpand*uint64(len(data))))
 	var err error
 	for {
 		if n < tokenBits {

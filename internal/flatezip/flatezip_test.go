@@ -2,8 +2,11 @@ package flatezip
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,6 +131,26 @@ func TestCorruptInputs(t *testing.T) {
 				t.Fatalf("byte %d: error %v, reference %v", i, gerr, werr)
 			}
 		}
+	}
+}
+
+// TestDeclaredSizeBoundsAllocation: a tiny stream whose size header
+// declares 2 GiB fails having allocated what its tokens could fill,
+// not what the header claims.
+func TestDeclaredSizeBoundsAllocation(t *testing.T) {
+	fz := Compress([]byte("a stream far smaller than it says"))
+	_, n := binary.Uvarint(fz[len(magic):])
+	bomb := binary.AppendUvarint(append([]byte(nil), fz[:len(magic)]...), 1<<31)
+	bomb = append(bomb, fz[len(magic)+n:]...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecompressLimit(bomb, 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%d-byte stream declaring 2 GiB: %v, want ErrCorrupt", len(bomb), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoder allocated %d bytes before rejecting a %d-byte stream", grew, len(bomb))
 	}
 }
 

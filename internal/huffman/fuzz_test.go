@@ -8,7 +8,6 @@ package huffman
 // symbols.
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -122,8 +121,7 @@ func TestDecodeVsSlowRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		bw := bitio.NewWriter(&buf)
+		bw := new(bitio.Writer)
 		for i := 0; i < 500; i++ {
 			s := rng.Intn(n)
 			if c.CodeLen(s) == 0 {
@@ -133,10 +131,7 @@ func TestDecodeVsSlowRandom(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		payload := buf.Bytes()
+		payload := bw.Bytes()
 		// Half the trials append garbage so the tail exercises the
 		// error paths too.
 		if trial%2 == 0 {
@@ -162,19 +157,15 @@ func TestDeepCodeFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := new(bitio.Writer)
 	want := []int{0, 31, 32, 15, 30, 0, 32}
 	for _, s := range want {
 		if err := c.Encode(bw, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	diffDecode(t, c, buf.Bytes())
-	br := bitio.NewReaderBytes(buf.Bytes())
+	diffDecode(t, c, bw.Bytes())
+	br := bitio.NewReaderBytes(bw.Bytes())
 	for i, s := range want {
 		got, err := c.Decode(br)
 		if err != nil {

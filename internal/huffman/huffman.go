@@ -302,7 +302,8 @@ func (c *Code) Encode(bw *bitio.Writer, s int) error {
 	if s < 0 || s >= len(c.Lengths) || c.Lengths[s] == 0 {
 		return fmt.Errorf("%w: %d", ErrUnknownSymbol, s)
 	}
-	return bw.WriteBits(uint64(c.codes[s]), uint(c.Lengths[s]))
+	bw.WriteBits(uint64(c.codes[s]), uint(c.Lengths[s]))
+	return nil
 }
 
 // Two-level decode table sizing. The root table resolves codes up to
@@ -491,40 +492,21 @@ func (c *Code) CodeLen(s int) uint8 {
 	return c.Lengths[s]
 }
 
-// EncodedSize returns the total bit cost of coding the given frequency
-// profile with this code, ignoring absent symbols with zero frequency.
-func (c *Code) EncodedSize(freqs []int64) int64 {
-	var bits int64
-	for s, f := range freqs {
-		if f > 0 && s < len(c.Lengths) {
-			bits += f * int64(c.Lengths[s])
-		}
-	}
-	return bits
-}
-
 // WriteLengths serializes the code-length table so a decoder can rebuild
 // the code with FromLengths. Format: uvarint symbol count, then a simple
 // run-length scheme over lengths: (length byte, uvarint run).
-func (c *Code) WriteLengths(bw *bitio.Writer) error {
-	if err := writeUvarint(bw, uint64(len(c.Lengths))); err != nil {
-		return err
-	}
+func (c *Code) WriteLengths(bw *bitio.Writer) {
+	writeUvarint(bw, uint64(len(c.Lengths)))
 	i := 0
 	for i < len(c.Lengths) {
 		j := i
 		for j < len(c.Lengths) && c.Lengths[j] == c.Lengths[i] {
 			j++
 		}
-		if err := bw.WriteBits(uint64(c.Lengths[i]), 6); err != nil {
-			return err
-		}
-		if err := writeUvarint(bw, uint64(j-i)); err != nil {
-			return err
-		}
+		bw.WriteBits(uint64(c.Lengths[i]), 6)
+		writeUvarint(bw, uint64(j-i))
 		i = j
 	}
-	return nil
 }
 
 // ReadLengths deserializes a table written by WriteLengths and returns
@@ -558,14 +540,12 @@ func ReadLengths(br *bitio.Reader, a *Arena) (*Code, error) {
 	return decoderCode(lengths, a)
 }
 
-func writeUvarint(bw *bitio.Writer, v uint64) error {
+func writeUvarint(bw *bitio.Writer, v uint64) {
 	for v >= 0x80 {
-		if err := bw.WriteByte(byte(v) | 0x80); err != nil {
-			return err
-		}
+		bw.WriteBits(uint64(byte(v)|0x80), 8)
 		v >>= 7
 	}
-	return bw.WriteByte(byte(v))
+	bw.WriteBits(v, 8)
 }
 
 func readUvarint(br *bitio.Reader) (uint64, error) {

@@ -1,7 +1,6 @@
 package huffman
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,17 +36,13 @@ func TestSingleSymbol(t *testing.T) {
 	if c.CodeLen(1) != 1 {
 		t.Errorf("single-symbol code length = %d, want 1", c.CodeLen(1))
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := new(bitio.Writer)
 	for i := 0; i < 5; i++ {
 		if err := c.Encode(bw, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := bitio.NewReader(&buf)
+	br := bitio.NewReaderBytes(bw.Bytes())
 	for i := 0; i < 5; i++ {
 		s, err := c.Decode(br)
 		if err != nil || s != 1 {
@@ -73,8 +68,7 @@ func TestUnknownSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := new(bitio.Writer)
 	if err := c.Encode(bw, 2); err == nil {
 		t.Error("expected error encoding zero-frequency symbol")
 	}
@@ -90,17 +84,13 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []int{0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 0, 1, 1, 2, 7}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := new(bitio.Writer)
 	for _, s := range msg {
 		if err := c.Encode(bw, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := bitio.NewReader(&buf)
+	br := bitio.NewReaderBytes(bw.Bytes())
 	for i, want := range msg {
 		s, err := c.Decode(br)
 		if err != nil {
@@ -118,15 +108,9 @@ func TestLengthsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
-	if err := c.WriteLengths(bw); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := ReadLengths(bitio.NewReader(&buf), nil)
+	bw := new(bitio.Writer)
+	c.WriteLengths(bw)
+	c2, err := ReadLengths(bitio.NewReaderBytes(bw.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +145,13 @@ func TestLengthLimit(t *testing.T) {
 		}
 	}
 	// The limited code must still decode what it encodes.
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := new(bitio.Writer)
 	for s := range freqs {
 		if err := c.Encode(bw, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := bitio.NewReader(&buf)
+	br := bitio.NewReaderBytes(bw.Bytes())
 	for s := range freqs {
 		got, err := c.Decode(br)
 		if err != nil || got != s {
@@ -187,18 +167,26 @@ func TestBadLengths(t *testing.T) {
 	}
 }
 
+// TestEncodedSize: coding a frequency profile costs exactly the sum of
+// frequency × code length bits.
 func TestEncodedSize(t *testing.T) {
 	freqs := []int64{4, 2, 1, 1}
 	c, err := Build(freqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
+	bw := new(bitio.Writer)
+	var want int
 	for s, f := range freqs {
-		want += f * int64(c.CodeLen(s))
+		for ; f > 0; f-- {
+			if err := c.Encode(bw, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want += int(freqs[s]) * int(c.CodeLen(s))
 	}
-	if got := c.EncodedSize(freqs); got != want {
-		t.Errorf("EncodedSize = %d, want %d", got, want)
+	if got := 8 * len(bw.Bytes()); got != (want+7)&^7 {
+		t.Errorf("encoded %d bits (padded), want %d", got, want)
 	}
 }
 
@@ -242,17 +230,13 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i := range msg {
 			msg[i] = present[rng.Intn(len(present))]
 		}
-		var buf bytes.Buffer
-		bw := bitio.NewWriter(&buf)
+		bw := new(bitio.Writer)
 		for _, s := range msg {
 			if err := c.Encode(bw, s); err != nil {
 				return false
 			}
 		}
-		if err := bw.Flush(); err != nil {
-			return false
-		}
-		br := bitio.NewReader(&buf)
+		br := bitio.NewReaderBytes(bw.Bytes())
 		for _, want := range msg {
 			s, err := c.Decode(br)
 			if err != nil || s != want {
@@ -281,15 +265,9 @@ func TestQuickLengthTableTransport(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		bw := bitio.NewWriter(&buf)
-		if err := c.WriteLengths(bw); err != nil {
-			return false
-		}
-		if err := bw.Flush(); err != nil {
-			return false
-		}
-		c2, err := ReadLengths(bitio.NewReader(&buf), nil)
+		bw := new(bitio.Writer)
+		c.WriteLengths(bw)
+		c2, err := ReadLengths(bitio.NewReaderBytes(bw.Bytes()), nil)
 		if err != nil {
 			return false
 		}
@@ -323,15 +301,11 @@ func BenchmarkEncode(b *testing.B) {
 	b.ResetTimer()
 	b.SetBytes(int64(len(msg)))
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		bw := bitio.NewWriter(&buf)
+		bw := new(bitio.Writer)
 		for _, s := range msg {
 			if err := c.Encode(bw, s); err != nil {
 				b.Fatal(err)
 			}
-		}
-		if err := bw.Flush(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -351,17 +325,13 @@ func BenchmarkDecode(b *testing.B) {
 	for i := range msg {
 		msg[i] = rng.Intn(256)
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := new(bitio.Writer)
 	for _, s := range msg {
 		if err := c.Encode(bw, s); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := bw.Bytes()
 	dec, err := FromLengths(c.Lengths) // the decoder-side code, with its table
 	if err != nil {
 		b.Fatal(err)
@@ -369,7 +339,7 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	b.SetBytes(int64(len(msg)))
 	for i := 0; i < b.N; i++ {
-		br := bitio.NewReader(bytes.NewReader(data))
+		br := bitio.NewReaderBytes(data)
 		for range msg {
 			if _, err := dec.Decode(br); err != nil {
 				b.Fatal(err)
@@ -399,11 +369,8 @@ func TestArenaConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tb, pb bytes.Buffer
-		tw, pw := bitio.NewWriter(&tb), bitio.NewWriter(&pb)
-		if err := c.WriteLengths(tw); err != nil || tw.Flush() != nil {
-			t.Fatal("writing lengths failed")
-		}
+		tw, pw := new(bitio.Writer), new(bitio.Writer)
+		c.WriteLengths(tw)
 		for k := 0; k < 200; k++ {
 			s := rng.Intn(len(freqs))
 			if c.CodeLen(s) > 0 {
@@ -413,10 +380,7 @@ func TestArenaConcurrent(t *testing.T) {
 				}
 			}
 		}
-		if err := pw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		jobs[i].table, jobs[i].payload = tb.Bytes(), pb.Bytes()
+		jobs[i].table, jobs[i].payload = tw.Bytes(), pw.Bytes()
 	}
 	var arena Arena
 	codes := make([]*Code, len(jobs))

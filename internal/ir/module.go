@@ -309,12 +309,3 @@ func (m *Module) NumTrees() int {
 	}
 	return n
 }
-
-// NumNodes reports the total IR node count across functions.
-func (m *Module) NumNodes() int {
-	n := 0
-	for _, f := range m.Functions {
-		n += len(f.Nodes)
-	}
-	return n
-}

@@ -95,54 +95,51 @@ type opInfo struct {
 	name  string
 	arity int
 	lit   LitKind
-	// litBits is the transport width hint for the literal (8, 16, or 32);
-	// used by the wire format when byte-serializing literal streams.
-	litBits int
 }
 
 // opTable covers every byte value, so lookups by an Op need no bounds
 // check; undefined operators have arity 0 and no literal.
 var opTable = [256]opInfo{
-	OpInvalid: {"INVALID", 0, LitNone, 0},
-	CNSTC:     {"CNSTC", 0, LitInt, 8},
-	CNSTS:     {"CNSTS", 0, LitInt, 16},
-	CNSTI:     {"CNSTI", 0, LitInt, 32},
-	ADDRLP:    {"ADDRLP", 0, LitInt, 32},
-	ADDRLP8:   {"ADDRLP8", 0, LitInt, 8},
-	ADDRFP:    {"ADDRFP", 0, LitInt, 32},
-	ADDRFP8:   {"ADDRFP8", 0, LitInt, 8},
-	ADDRGP:    {"ADDRGP", 0, LitName, 0},
-	INDIRI:    {"INDIRI", 1, LitNone, 0},
-	INDIRC:    {"INDIRC", 1, LitNone, 0},
-	ASGNI:     {"ASGNI", 2, LitNone, 0},
-	ASGNC:     {"ASGNC", 2, LitNone, 0},
-	ADDI:      {"ADDI", 2, LitNone, 0},
-	SUBI:      {"SUBI", 2, LitNone, 0},
-	MULI:      {"MULI", 2, LitNone, 0},
-	DIVI:      {"DIVI", 2, LitNone, 0},
-	MODI:      {"MODI", 2, LitNone, 0},
-	BANDI:     {"BANDI", 2, LitNone, 0},
-	BORI:      {"BORI", 2, LitNone, 0},
-	BXORI:     {"BXORI", 2, LitNone, 0},
-	LSHI:      {"LSHI", 2, LitNone, 0},
-	RSHI:      {"RSHI", 2, LitNone, 0},
-	NEGI:      {"NEGI", 1, LitNone, 0},
-	BCOMI:     {"BCOMI", 1, LitNone, 0},
-	CVCI:      {"CVCI", 1, LitNone, 0},
-	CVIC:      {"CVIC", 1, LitNone, 0},
-	EQI:       {"EQI", 2, LitInt, 16},
-	NEI:       {"NEI", 2, LitInt, 16},
-	LTI:       {"LTI", 2, LitInt, 16},
-	LEI:       {"LEI", 2, LitInt, 16},
-	GTI:       {"GTI", 2, LitInt, 16},
-	GEI:       {"GEI", 2, LitInt, 16},
-	JUMPV:     {"JUMPV", 0, LitInt, 16},
-	LABELV:    {"LABELV", 0, LitInt, 16},
-	ARGI:      {"ARGI", 1, LitNone, 0},
-	CALLI:     {"CALLI", 1, LitNone, 0},
-	CALLV:     {"CALLV", 1, LitNone, 0},
-	RETI:      {"RETI", 1, LitNone, 0},
-	RETV:      {"RETV", 0, LitNone, 0},
+	OpInvalid: {"INVALID", 0, LitNone},
+	CNSTC:     {"CNSTC", 0, LitInt},
+	CNSTS:     {"CNSTS", 0, LitInt},
+	CNSTI:     {"CNSTI", 0, LitInt},
+	ADDRLP:    {"ADDRLP", 0, LitInt},
+	ADDRLP8:   {"ADDRLP8", 0, LitInt},
+	ADDRFP:    {"ADDRFP", 0, LitInt},
+	ADDRFP8:   {"ADDRFP8", 0, LitInt},
+	ADDRGP:    {"ADDRGP", 0, LitName},
+	INDIRI:    {"INDIRI", 1, LitNone},
+	INDIRC:    {"INDIRC", 1, LitNone},
+	ASGNI:     {"ASGNI", 2, LitNone},
+	ASGNC:     {"ASGNC", 2, LitNone},
+	ADDI:      {"ADDI", 2, LitNone},
+	SUBI:      {"SUBI", 2, LitNone},
+	MULI:      {"MULI", 2, LitNone},
+	DIVI:      {"DIVI", 2, LitNone},
+	MODI:      {"MODI", 2, LitNone},
+	BANDI:     {"BANDI", 2, LitNone},
+	BORI:      {"BORI", 2, LitNone},
+	BXORI:     {"BXORI", 2, LitNone},
+	LSHI:      {"LSHI", 2, LitNone},
+	RSHI:      {"RSHI", 2, LitNone},
+	NEGI:      {"NEGI", 1, LitNone},
+	BCOMI:     {"BCOMI", 1, LitNone},
+	CVCI:      {"CVCI", 1, LitNone},
+	CVIC:      {"CVIC", 1, LitNone},
+	EQI:       {"EQI", 2, LitInt},
+	NEI:       {"NEI", 2, LitInt},
+	LTI:       {"LTI", 2, LitInt},
+	LEI:       {"LEI", 2, LitInt},
+	GTI:       {"GTI", 2, LitInt},
+	GEI:       {"GEI", 2, LitInt},
+	JUMPV:     {"JUMPV", 0, LitInt},
+	LABELV:    {"LABELV", 0, LitInt},
+	ARGI:      {"ARGI", 1, LitNone},
+	CALLI:     {"CALLI", 1, LitNone},
+	CALLV:     {"CALLV", 1, LitNone},
+	RETI:      {"RETI", 1, LitNone},
+	RETV:      {"RETV", 0, LitNone},
 }
 
 // String returns the lcc-style operator name.
@@ -159,20 +156,11 @@ func (op Op) Arity() int { return opTable[op].arity }
 // Lit reports the kind of literal operand the operator carries.
 func (op Op) Lit() LitKind { return opTable[op].lit }
 
-// LitBits reports the transport width hint for integer literals.
-func (op Op) LitBits() int { return opTable[op].litBits }
-
 // Valid reports whether op is a defined operator.
 func (op Op) Valid() bool { return op > OpInvalid && op < numOps }
 
 // IsBranch reports whether op is a compare-and-branch operator.
 func (op Op) IsBranch() bool { return op >= EQI && op <= GEI }
-
-// IsBlockBoundary reports whether a tree with this root ends or starts a
-// basic block (branches, jumps, labels, returns).
-func (op Op) IsBlockBoundary() bool {
-	return op.IsBranch() || op == JUMPV || op == LABELV || op == RETI || op == RETV
-}
 
 // OpByName resolves an operator name; ok is false for unknown names.
 func OpByName(name string) (Op, bool) {

@@ -49,12 +49,20 @@ func (d *refDecoder) decode(index int, fresh int32) (sym int32, usedFresh, ok bo
 	return sym, false, true
 }
 
+// tableLen reports the number of distinct symbols e has seen.
+func tableLen(e *Encoder) int {
+	if e.tree != nil {
+		return e.tree.n
+	}
+	return len(e.table)
+}
+
 // diffEncodeDecode pushes one symbol stream through both encoder
 // implementations and both decoder implementations, failing on any
 // divergence.
 func diffEncodeDecode(t *testing.T, syms []int32) {
 	t.Helper()
-	enc := NewEncoder()
+	enc := new(Encoder)
 	ref := &refEncoder{}
 	var indices []int
 	for i, s := range syms {
@@ -62,8 +70,8 @@ func diffEncodeDecode(t *testing.T, syms []int32) {
 		if got != want {
 			t.Fatalf("sym %d (%d): encode index %d, ref %d", i, s, got, want)
 		}
-		if got, want := enc.TableLen(), len(ref.table); got != want {
-			t.Fatalf("sym %d: TableLen %d, ref %d", i, got, want)
+		if got, want := tableLen(enc), len(ref.table); got != want {
+			t.Fatalf("sym %d: table length %d, ref %d", i, got, want)
 		}
 		indices = append(indices, got)
 	}
@@ -185,7 +193,7 @@ func TestMTFDiffRandom(t *testing.T) {
 func TestEncoderResetAcrossModes(t *testing.T) {
 	restore := setTreeThreshold(4)
 	defer restore()
-	e := NewEncoder()
+	e := new(Encoder)
 	for s := int32(0); s < 100; s++ {
 		e.Encode(s)
 	}
@@ -193,8 +201,8 @@ func TestEncoderResetAcrossModes(t *testing.T) {
 		t.Fatal("expected tree mode after 100 distinct symbols")
 	}
 	e.Reset()
-	if got := e.TableLen(); got != 0 {
-		t.Fatalf("TableLen after Reset = %d", got)
+	if got := tableLen(e); got != 0 {
+		t.Fatalf("table length after Reset = %d", got)
 	}
 	ref := &refEncoder{}
 	for _, s := range []int32{5, 5, 9, 5, 9, 1, 2, 3, 4, 5, 9} {
@@ -216,7 +224,7 @@ func TestResumeMidStream(t *testing.T) {
 		for i := range syms {
 			syms[i] = int32(rng.Intn(alpha))
 		}
-		indices, firsts := AppendEncode(NewEncoder(), syms, nil, nil)
+		indices, firsts := AppendEncode(new(Encoder), syms, nil, nil)
 		split := 0
 		if len(syms) > 0 {
 			split = rng.Intn(len(syms) + 1)

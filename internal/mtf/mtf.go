@@ -145,9 +145,6 @@ type Encoder struct {
 	pos   map[int32]int // symbol -> slot (tree mode only)
 }
 
-// NewEncoder returns an encoder with an empty recency table.
-func NewEncoder() *Encoder { return &Encoder{} }
-
 // Reset clears the recency table while keeping the array capacity, so
 // one Encoder can be reused across streams (the wire encoder pools
 // them). A large-alphabet tree from a previous stream is released.
@@ -210,14 +207,6 @@ func (e *Encoder) Encode(sym int32) int {
 	}
 	e.treeInsert(sym)
 	return 0
-}
-
-// TableLen reports the number of distinct symbols seen so far.
-func (e *Encoder) TableLen() int {
-	if e.tree != nil {
-		return e.tree.n
-	}
-	return len(e.table)
 }
 
 // decoder mirrors Encoder. It needs no symbol index: decode addresses

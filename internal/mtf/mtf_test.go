@@ -9,7 +9,7 @@ import (
 
 // encodeStream codes a whole stream with a fresh encoder.
 func encodeStream(syms []int32) (indices []int, firsts []int32) {
-	return AppendEncode(NewEncoder(), syms, nil, nil)
+	return AppendEncode(new(Encoder), syms, nil, nil)
 }
 
 // decodeStream decodes a whole index stream; ok is false at the first

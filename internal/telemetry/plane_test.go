@@ -133,8 +133,8 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Flushes() != 1 {
-		t.Fatalf("flushes = %d, want 1 after double Close", c.Flushes())
+	if c.flushes != 1 {
+		t.Fatalf("flushes = %d, want 1 after double Close", c.flushes)
 	}
 }
 

@@ -252,17 +252,3 @@ func (c *Collector) Gauges() map[string]float64 {
 	defer c.mu.Unlock()
 	return c.gauges
 }
-
-// Hists returns the last flushed histograms.
-func (c *Collector) Hists() map[string]HistSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hists
-}
-
-// Flushes reports how many times Flush ran.
-func (c *Collector) Flushes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flushes
-}

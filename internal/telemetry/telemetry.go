@@ -32,9 +32,6 @@ type Attr struct {
 // Int builds an integer attribute.
 func Int(key string, v int64) Attr { return Attr{Key: key, Value: v} }
 
-// Float builds a float attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, Value: v} }
-
 // String builds a string attribute.
 func String(key, v string) Attr { return Attr{Key: key, Value: v} }
 
@@ -451,17 +448,6 @@ func (r *Recorder) Counter(name string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counters[name]
-}
-
-// Gauge returns the current value of a gauge and whether it was set.
-func (r *Recorder) Gauge(name string) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gauges[name]
-	return v, ok
 }
 
 // Histogram returns a copy of the named histogram.

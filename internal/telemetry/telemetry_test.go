@@ -85,7 +85,7 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	if _, ok := r.Counters()["zero"]; ok {
 		t.Error("zero-delta Add should not create a counter")
 	}
-	if g, _ := r.Gauge("g"); g != 2.5 {
+	if g := r.Gauges()["g"]; g != 2.5 {
 		t.Errorf("gauge g = %v, want 2.5", g)
 	}
 	h := r.Histogram("h")
@@ -225,17 +225,17 @@ func TestCollectorFlush(t *testing.T) {
 	r.Add("a", 1)
 	r.SetGauge("g", 2)
 	r.Observe("h", 3)
-	if c.Flushes() != 0 {
+	if c.flushes != 0 {
 		t.Fatal("premature flush")
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Flushes() != 1 {
-		t.Fatalf("flushes = %d, want 1", c.Flushes())
+	if c.flushes != 1 {
+		t.Fatalf("flushes = %d, want 1", c.flushes)
 	}
-	if c.Counters()["a"] != 1 || c.Gauges()["g"] != 2 || c.Hists()["h"].Count != 1 {
-		t.Errorf("collector state: %v %v %v", c.Counters(), c.Gauges(), c.Hists())
+	if c.Counters()["a"] != 1 || c.Gauges()["g"] != 2 || c.hists["h"].Count != 1 {
+		t.Errorf("collector state: %v %v %v", c.Counters(), c.Gauges(), c.hists)
 	}
 }
 

@@ -2,7 +2,7 @@
 // BRISC experiments run on: a RISC instruction set with 16 integer
 // registers (two of which serve as sp and ra, following the paper's
 // examples "enter sp,sp,24" and "spill.i ra,20(sp)"), macro
-// instructions for function entry/exit, an assembler/disassembler, and
+// instructions for function entry/exit, a disassembler, and
 // an interpreter over a flat little-endian memory.
 package vm
 

@@ -69,26 +69,6 @@ func (p *Program) Func(name string) *FuncInfo {
 	return nil
 }
 
-// FuncAt returns the function containing instruction index pc.
-func (p *Program) FuncAt(pc int) *FuncInfo {
-	for i := range p.Funcs {
-		if pc >= p.Funcs[i].Entry && pc < p.Funcs[i].End {
-			return &p.Funcs[i]
-		}
-	}
-	return nil
-}
-
-// Global looks up a global by name.
-func (p *Program) Global(name string) *GlobalData {
-	for i := range p.Globals {
-		if p.Globals[i].Name == name {
-			return &p.Globals[i]
-		}
-	}
-	return nil
-}
-
 // ComputeBlockStarts fills BlockStarts from the code: function entries,
 // branch/jump targets, and instructions following block enders. Marks
 // outside the code (a hostile Program's entries or targets) are

@@ -65,6 +65,45 @@ func TestInterpBranchesAndLoop(t *testing.T) {
 	}
 }
 
+// TestAssembleEveryBranchForm runs each compare-and-branch opcode on a
+// comparison it must take, plus one BEQ it must not; any wrong decision
+// lands on the exit-1 block.
+func TestAssembleEveryBranchForm(t *testing.T) {
+	taken := []Instr{
+		{Op: BNE, Rs1: 1, Rs2: 2}, {Op: BLT, Rs1: 1, Rs2: 2},
+		{Op: BLE, Rs1: 1, Rs2: 2}, {Op: BGT, Rs1: 2, Rs2: 1},
+		{Op: BGE, Rs1: 2, Rs2: 1}, {Op: BEQI, Rs1: 1, Imm: 5},
+		{Op: BNEI, Rs1: 1, Imm: 9}, {Op: BLTI, Rs1: 1, Imm: 6},
+		{Op: BLEI, Rs1: 1, Imm: 5}, {Op: BGTI, Rs1: 1, Imm: 4},
+		{Op: BGEI, Rs1: 1, Imm: 5},
+	}
+	bad := int32(4 + 2*len(taken)) // after the preamble, the pairs and the jump to good
+	code := []Instr{
+		{Op: LDI, Rd: 1, Imm: 5},
+		{Op: LDI, Rd: 2, Imm: 6},
+		{Op: BEQ, Rs1: 1, Rs2: 2, Target: bad},
+	}
+	for _, b := range taken {
+		b.Target = int32(len(code) + 2)
+		code = append(code, b, Instr{Op: JMP, Target: bad})
+	}
+	code = append(code,
+		Instr{Op: JMP, Target: bad + 2}, // every branch taken: skip to good
+		Instr{Op: LDI, Rd: RegArg0, Imm: 1},
+		Instr{Op: TRAP, Imm: TrapExit},
+		Instr{Op: LDI, Rd: RegArg0, Imm: 0},
+		Instr{Op: TRAP, Imm: TrapExit},
+	)
+	m := NewMachine(&Program{Code: code}, 1<<16, nil)
+	exit, err := m.Run(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exit != 0 {
+		t.Error("branch semantics test took the wrong path")
+	}
+}
+
 func TestInterpCallReturn(t *testing.T) {
 	// main: call f; exit(r0). f: r0 = 99; rjr ra.
 	p := &Program{Code: []Instr{
@@ -224,12 +263,6 @@ func TestProgramHelpers(t *testing.T) {
 	p.Funcs = []FuncInfo{{Name: "main", Entry: 0, End: len(p.Code)}}
 	if p.Func("main") == nil || p.Func("x") != nil {
 		t.Error("Func lookup wrong")
-	}
-	if p.FuncAt(3) == nil || p.FuncAt(3).Name != "main" {
-		t.Error("FuncAt wrong")
-	}
-	if p.FuncAt(100) != nil {
-		t.Error("FuncAt out of range should be nil")
 	}
 	d := p.Disassemble()
 	if !strings.Contains(d, "main:") || !strings.Contains(d, "mul.i") {

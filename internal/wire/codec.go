@@ -102,7 +102,7 @@ func unfinal(payload []byte, fc FinalCoder, declared uint64, rec *telemetry.Reco
 	case FinalLZ:
 		raw, err = flatezip.DecompressLimit(payload, limit)
 	case FinalArith:
-		raw, err = arith.Decompress(payload, arith.Order1)
+		raw, err = arith.Decompress(payload, arith.Order1, int(limit))
 	case FinalNone:
 		raw = payload
 	}
@@ -136,7 +136,7 @@ func writeModuleHeader(bw *bitio.Writer, m *ir.Module) {
 		writeString(bw, g.Name)
 		writeUvarint(bw, uint64(g.Size))
 		writeUvarint(bw, uint64(len(g.Init)))
-		mustW(bw.WriteBytes(g.Init))
+		bw.WriteBytes(g.Init)
 	}
 	writeUvarint(bw, uint64(len(m.Functions)))
 	for _, f := range m.Functions {
@@ -247,7 +247,7 @@ func writeShapeTable(bw *bitio.Writer, shapes [][]ir.Op) {
 	for _, ops := range shapes {
 		writeUvarint(bw, uint64(len(ops)))
 		for _, op := range ops {
-			mustW(bw.WriteByte(byte(op)))
+			bw.WriteBits(uint64(op), 8)
 		}
 	}
 }
@@ -381,13 +381,12 @@ func patternize(m *ir.Module) (*patterns, error) {
 
 // ---- symbol streams ----
 
-// streamScratch is the per-stream encoder state — output buffer, bit
-// writer, MTF encoder, symbol/frequency scratch — recycled through
-// scratchPool across streams and across concurrent Compress calls,
-// eliminating the per-stream append-from-nil allocation churn.
+// streamScratch is the per-stream encoder state — bit writer, MTF
+// encoder, symbol/frequency scratch — recycled through scratchPool
+// across streams and across concurrent Compress calls, eliminating the
+// per-stream append-from-nil allocation churn.
 type streamScratch struct {
-	buf     bytes.Buffer
-	bw      *bitio.Writer
+	bw      bitio.Writer
 	symbols []int
 	firsts  []int32
 	freqs   []int64
@@ -395,11 +394,7 @@ type streamScratch struct {
 }
 
 var scratchPool = parallel.NewScratch(
-	func() *streamScratch {
-		s := new(streamScratch)
-		s.bw = bitio.NewWriter(&s.buf)
-		return s
-	},
+	func() *streamScratch { return new(streamScratch) },
 	nil, // state is reset at Get time, right before use
 )
 
@@ -455,9 +450,7 @@ func writeStream(bw *bitio.Writer, symbols []int, firsts []int32, code *huffman.
 		return nil
 	}
 	if inBand {
-		if err := code.WriteLengths(bw); err != nil {
-			return err
-		}
+		code.WriteLengths(bw)
 	}
 	for _, sym := range symbols {
 		if err := code.Encode(bw, sym); err != nil {
@@ -739,21 +732,15 @@ func fill(fns []*ir.Function, treeCounts []int, shapeStream []int32, shapes [][]
 
 // ---- primitive serialization helpers ----
 
-func mustW(err error) {
-	if err != nil {
-		panic("wire: write to bytes.Buffer failed: " + err.Error())
-	}
-}
-
 func zigzag(v int32) uint64   { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
 func unzigzag(u uint64) int32 { return int32(uint32(u)>>1) ^ -int32(u&1) }
 
 func writeUvarint(bw *bitio.Writer, v uint64) {
 	for v >= 0x80 {
-		mustW(bw.WriteByte(byte(v) | 0x80))
+		bw.WriteBits(uint64(byte(v)|0x80), 8)
 		v >>= 7
 	}
-	mustW(bw.WriteByte(byte(v)))
+	bw.WriteBits(v, 8)
 }
 
 func readUvarint(br *bitio.Reader) (uint64, error) {
@@ -783,7 +770,7 @@ func appendUv(dst []byte, v uint64) []byte {
 func writeString(bw *bitio.Writer, s string) {
 	writeUvarint(bw, uint64(len(s)))
 	for i := 0; i < len(s); i++ {
-		mustW(bw.WriteByte(s[i]))
+		bw.WriteBits(uint64(s[i]), 8)
 	}
 }
 

@@ -51,11 +51,11 @@ func TestParallelOutputIdentical(t *testing.T) {
 				t.Errorf("%s variant %d: plain container differs between Workers=1 and Workers=8", p.Name, vi)
 			}
 
-			wantIdx, err := CompressIndexed(mod, serial)
+			wantIdx, err := CompressIndexedTraced(mod, serial, nil)
 			if err != nil {
 				t.Fatalf("%s variant %d serial indexed: %v", p.Name, vi, err)
 			}
-			gotIdx, err := CompressIndexed(mod, parallelOpt)
+			gotIdx, err := CompressIndexedTraced(mod, parallelOpt, nil)
 			if err != nil {
 				t.Fatalf("%s variant %d parallel indexed: %v", p.Name, vi, err)
 			}

@@ -41,7 +41,7 @@ int main(void) { return twice(21); }`)
 		fmt.Println(err)
 		return
 	}
-	data, err := wire.CompressIndexed(mod, wire.Options{})
+	data, err := wire.CompressIndexedTraced(mod, wire.Options{}, nil)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -51,7 +50,7 @@ int main(void) { return f(2, 3); }`)
 		if data, err := CompressOpts(mod, opt); err == nil {
 			f.Add(data)
 		}
-		if data, err := CompressIndexed(mod, opt); err == nil {
+		if data, err := CompressIndexedTraced(mod, opt, nil); err == nil {
 			f.Add(data)
 		}
 	}
@@ -63,7 +62,7 @@ int main(void) { return f(2, 3); }`)
 		if data, err := Compress(mod); err == nil {
 			f.Add(data)
 		}
-		if data, err := CompressIndexed(mod, Options{}); err == nil {
+		if data, err := CompressIndexedTraced(mod, Options{}, nil); err == nil {
 			f.Add(data)
 		}
 	}
@@ -416,13 +415,12 @@ func FuzzReadStream(f *testing.F) {
 	for i := range firsts {
 		firsts[i] = int32(7*i - 50)
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
-	if err := writeStream(bw, syms, firsts, code, true); err != nil || bw.Flush() != nil {
+	bw := new(bitio.Writer)
+	if err := writeStream(bw, syms, firsts, code, true); err != nil {
 		f.Fatal("writing the deep-code seed failed")
 	}
-	f.Add(buf.Bytes(), uint32(len(syms)), byte(0))
-	f.Add(buf.Bytes(), uint32(len(syms)), byte(1))
+	f.Add(bw.Bytes(), uint32(len(syms)), byte(0))
+	f.Add(bw.Bytes(), uint32(len(syms)), byte(1))
 	f.Fuzz(func(t *testing.T, seg []byte, count uint32, flags byte) {
 		if count > 1<<20 {
 			count %= 1 << 20

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -25,11 +24,6 @@ import (
 // too small to benefit.
 
 var idxMagic = [4]byte{'W', 'I', 'R', 'X'}
-
-// CompressIndexed encodes a module with per-function random access.
-func CompressIndexed(m *ir.Module, opt Options) ([]byte, error) {
-	return CompressIndexedTraced(m, opt, nil)
-}
 
 // CompressIndexedTraced encodes a module with per-function random
 // access, reporting a span with the object's vitals into rec.
@@ -82,21 +76,19 @@ func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, er
 
 	// Header: module metadata, the shape table, then a presence bit and
 	// lengths per shared code.
-	var hdr bytes.Buffer
-	hw := bitio.NewWriter(&hdr)
-	writeModuleHeader(hw, m)
-	writeShapeTable(hw, p.shapes)
+	var hw bitio.Writer
+	writeModuleHeader(&hw, m)
+	writeShapeTable(&hw, p.shapes)
 	if !opt.NoHuffman {
 		for _, c := range codes {
 			if c == nil {
-				mustW(hw.WriteBit(0))
+				hw.WriteBit(0)
 				continue
 			}
-			mustW(hw.WriteBit(1))
-			mustW(c.WriteLengths(hw))
+			hw.WriteBit(1)
+			c.WriteLengths(&hw)
 		}
 	}
-	mustW(hw.Flush())
 
 	// Chunks: per-function coded streams only — the shape stream, then
 	// each literal stream's count and (if nonempty) symbols. Each chunk
@@ -107,23 +99,21 @@ func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, er
 	chunks, err := parallel.Map(pool, "wire.chunk", nFuncs, func(fi int) ([]byte, error) {
 		s := scratchPool.Get()
 		defer scratchPool.Put(s)
-		s.buf.Reset()
-		s.bw.Reset(&s.buf)
+		s.bw.Reset()
 		for j := 0; j < n; j++ {
 			stream := p.funcStream(fi, j)
 			if j > 0 {
-				writeUvarint(s.bw, uint64(len(stream)))
+				writeUvarint(&s.bw, uint64(len(stream)))
 				if len(stream) == 0 {
 					continue
 				}
 			}
 			s.moveToFront(stream, opt.NoMTF)
-			if err := writeStream(s.bw, s.symbols, s.firsts, codes[j], false); err != nil {
+			if err := writeStream(&s.bw, s.symbols, s.firsts, codes[j], false); err != nil {
 				return nil, err
 			}
 		}
-		mustW(s.bw.Flush())
-		return append([]byte(nil), s.buf.Bytes()...), nil
+		return append([]byte(nil), s.bw.Bytes()...), nil
 	})
 	if err != nil {
 		return nil, err
@@ -133,7 +123,7 @@ func compressIndexed(m *ir.Module, opt Options, pool *parallel.Pool) ([]byte, er
 	// its own CRC32C and each chunk carries a trailing CRC32C — but no
 	// whole-file checksum, so partial loads still touch only the header
 	// plus the chunks they read.
-	hc, err := appendFinal(nil, hdr.Bytes(), opt.Final)
+	hc, err := appendFinal(nil, hw.Bytes(), opt.Final)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestIndexedRoundTrip(t *testing.T) {
 	m := compileMod(t, "salt", saltSrc)
-	data, err := CompressIndexed(m, Options{})
+	data, err := CompressIndexedTraced(m, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestIndexedAllFinalCoders(t *testing.T) {
 		{NoMTF: true},
 		{NoHuffman: true},
 	} {
-		data, err := CompressIndexed(m, opt)
+		data, err := CompressIndexedTraced(m, opt, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", opt, err)
 		}
@@ -58,7 +58,7 @@ func TestIndexedPartialLoad(t *testing.T) {
 	// paper's function-at-a-time random access.
 	src := workload.Generate(workload.Wep)
 	m := compileMod(t, "wep", src)
-	data, err := CompressIndexed(m, Options{})
+	data, err := CompressIndexedTraced(m, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestIndexedOverheadModerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := CompressIndexed(m, Options{})
+	indexed, err := CompressIndexedTraced(m, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestCompressDeterministic(t *testing.T) {
 	if string(a) != string(b) {
 		t.Error("wire compression is not deterministic")
 	}
-	ai, err := CompressIndexed(m, Options{})
+	ai, err := CompressIndexedTraced(m, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi, err := CompressIndexed(m, Options{})
+	bi, err := CompressIndexedTraced(m, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCompressDeterministic(t *testing.T) {
 
 func TestIndexedUnknownFunction(t *testing.T) {
 	m := compileMod(t, "salt", saltSrc)
-	data, err := CompressIndexed(m, Options{})
+	data, err := CompressIndexedTraced(m, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestIndexedUnknownFunction(t *testing.T) {
 
 func TestIndexedCorrupt(t *testing.T) {
 	m := compileMod(t, "salt", saltSrc)
-	good, err := CompressIndexed(m, Options{})
+	good, err := CompressIndexedTraced(m, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

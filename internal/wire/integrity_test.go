@@ -1,13 +1,13 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/arith"
 	"repro/internal/bitio"
 	"repro/internal/cc"
 	"repro/internal/flatezip"
@@ -88,7 +88,7 @@ func TestVersionByteRejected(t *testing.T) {
 // TestIndexedVersionByteRejected: the indexed header checks its
 // version before the prefix CRC, so a plain byte rewrite suffices.
 func TestIndexedVersionByteRejected(t *testing.T) {
-	data, err := CompressIndexed(integrityTestModule(t), Options{})
+	data, err := CompressIndexedTraced(integrityTestModule(t), Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestOversizedShapeRefused(t *testing.T) {
 	if data, err := Compress(long); !errors.Is(err, ErrTooLarge) || !errors.Is(err, ErrCorrupt) || data != nil {
 		t.Errorf("Compress of a 40,000-term tree: %d bytes, err %v; want ErrTooLarge", len(data), err)
 	}
-	if data, err := CompressIndexed(long, Options{}); !errors.Is(err, ErrTooLarge) || data != nil {
+	if data, err := CompressIndexedTraced(long, Options{}, nil); !errors.Is(err, ErrTooLarge) || data != nil {
 		t.Errorf("CompressIndexed of a 40,000-term tree: %d bytes, err %v; want ErrTooLarge", len(data), err)
 	}
 	short := sum(10000)
@@ -163,7 +163,7 @@ func TestOversizedShapeRefused(t *testing.T) {
 // TestIndexedChunkCorruption flips bytes across the chunk region and
 // demands typed errors from the per-chunk CRC on load.
 func TestIndexedChunkCorruption(t *testing.T) {
-	data, err := CompressIndexed(integrityTestModule(t), Options{})
+	data, err := CompressIndexedTraced(integrityTestModule(t), Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +260,44 @@ func TestFinalStageBombCapped(t *testing.T) {
 	}
 }
 
+// TestFinalStageRespectsDeclaredSize: under the default cap, a WIR2
+// object whose final-stage stream could decode far past the size its
+// header declares, or whose flatezip stream declares far more than its
+// tokens can produce, fails having allocated less than 1 MiB.
+func TestFinalStageRespectsDeclaredSize(t *testing.T) {
+	wir2 := func(fc FinalCoder, declared uint64, payload []byte) []byte {
+		b := append([]byte("WIR2"), formatVersion, byte(fc))
+		b = binary.AppendUvarint(b, declared)
+		b = append(b, payload...)
+		return integrity.AppendChecksum(b, b)
+	}
+	const bomb = 64 << 20
+	fz := flatezip.Compress([]byte("a container that is not really there"))
+	_, n := binary.Uvarint(fz[4:])
+	lz := append(binary.AppendUvarint(append([]byte(nil), fz[:4]...), bomb), fz[4+n:]...)
+	zeros := arith.Compress(make([]byte, 2<<20), arith.Order1) // a few KiB
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"lz", wir2(FinalLZ, bomb, lz)},
+		{"arith", wir2(FinalArith, 1000, zeros)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decompress(tc.data)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%d-byte object: %v, want ErrCorrupt", len(tc.data), err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("reader allocated %d bytes before rejecting a %d-byte object", grew, len(tc.data))
+			}
+		})
+	}
+}
+
 // TestSymbolCountBombCapped: a WIR2 file with valid CRCs whose first
 // literal stream declares 2^26 symbols in a 4-byte segment, after a
 // well-formed one-tree shape stream. A coded symbol costs at least one
@@ -270,8 +308,7 @@ func TestSymbolCountBombCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := new(bitio.Writer)
 	writeModuleHeader(bw, &ir.Module{Name: "bomb", Functions: []*ir.Function{{Name: "f", Nodes: []ir.Node{{Op: ir.RETV}}, Roots: []int32{0}}}})
 	writeShapeTable(bw, [][]ir.Op{{ir.RETV}})
 	writeSegment(bw, shapeSeg)
@@ -280,8 +317,7 @@ func TestSymbolCountBombCapped(t *testing.T) {
 	for j := 2; j < numStreams(); j++ {
 		writeUvarint(bw, 0)
 	}
-	mustW(bw.Flush())
-	data, err := finalize(buf.Bytes(), Options{Final: FinalNone}, nil)
+	data, err := finalize(bw.Bytes(), Options{Final: FinalNone}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -255,12 +254,6 @@ type Stats struct {
 	FinalBytes     int // the compressed object (including header)
 }
 
-// Measure compresses and reports per-stage sizes.
-func Measure(m *ir.Module, opt Options) (Stats, error) {
-	st, _, err := MeasureTraced(m, opt, nil)
-	return st, err
-}
-
 // MeasureTraced compresses once, reporting per-stage sizes and spans.
 // It returns the stats and the finished wire object, so callers that
 // want both never encode twice.
@@ -316,14 +309,12 @@ func checkStageSum(st Stats, container int) error {
 // the literals section (each literal stream's count, then its segment).
 func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats, []byte, error) {
 	var st Stats
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	var bw bitio.Writer
 
 	msp := rec.StartSpan("wire.metadata")
-	writeModuleHeader(bw, m)
-	mustW(bw.Flush())
-	st.MetadataBytes = buf.Len()
-	msp.SetAttr(telemetry.Int("bytes", int64(buf.Len())))
+	writeModuleHeader(&bw, m)
+	st.MetadataBytes = len(bw.Bytes())
+	msp.SetAttr(telemetry.Int("bytes", int64(st.MetadataBytes)))
 	msp.End()
 
 	// Patternize is a serial fold over the forest; the expensive entropy
@@ -377,28 +368,26 @@ func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats,
 	ssp.End()
 
 	osp := rec.StartSpan("wire.operators")
-	opStart := buf.Len()
-	writeShapeTable(bw, p.shapes)
-	writeSegment(bw, segs[0])
-	mustW(bw.Flush())
-	st.OperatorBytes = buf.Len() - opStart
+	writeShapeTable(&bw, p.shapes)
+	writeSegment(&bw, segs[0])
+	st.OperatorBytes = len(bw.Bytes()) - st.MetadataBytes
 	osp.SetAttr(telemetry.Int("bytes", int64(st.OperatorBytes)))
 	osp.End()
 
 	lsp := rec.StartSpan("wire.literals")
-	litStart := buf.Len()
+	litStart := len(bw.Bytes())
 	for j := 1; j < n; j++ {
 		count := len(p.stream(j))
-		writeUvarint(bw, uint64(count))
+		writeUvarint(&bw, uint64(count))
 		if count > 0 {
-			writeSegment(bw, segs[j])
+			writeSegment(&bw, segs[j])
 		}
 	}
-	mustW(bw.Flush())
-	st.LiteralBytes = buf.Len() - litStart
+	container := bw.Bytes()
+	st.LiteralBytes = len(container) - litStart
 	lsp.SetAttr(telemetry.Int("bytes", int64(st.LiteralBytes)))
 	lsp.End()
-	return st, buf.Bytes(), nil
+	return st, container, nil
 }
 
 // writeSegment frames one coded stream segment with its byte length so
@@ -409,10 +398,10 @@ func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats,
 // so both writes take the Writer's bulk-append path.
 func writeSegment(bw *bitio.Writer, seg []byte) {
 	writeUvarint(bw, uint64(len(seg)))
-	mustW(bw.WriteBytes(seg))
+	bw.WriteBytes(seg)
 	var crc [integrity.ChecksumLen]byte
 	binary.LittleEndian.PutUint32(crc[:], integrity.Checksum(seg))
-	mustW(bw.WriteBytes(crc[:]))
+	bw.WriteBytes(crc[:])
 }
 
 // encodeSegment codes one stream into a standalone byte-aligned WIR2
@@ -421,8 +410,7 @@ func writeSegment(bw *bitio.Writer, seg []byte) {
 func encodeSegment(stream []int32, opt Options) ([]byte, error) {
 	s := scratchPool.Get()
 	defer scratchPool.Put(s)
-	s.buf.Reset()
-	s.bw.Reset(&s.buf)
+	s.bw.Reset()
 	s.moveToFront(stream, opt.NoMTF)
 	var code *huffman.Code
 	if !opt.NoHuffman {
@@ -432,11 +420,10 @@ func encodeSegment(stream []int32, opt Options) ([]byte, error) {
 			return nil, fmt.Errorf("wire: huffman: %w", err)
 		}
 	}
-	if err := writeStream(s.bw, s.symbols, s.firsts, code, true); err != nil {
+	if err := writeStream(&s.bw, s.symbols, s.firsts, code, true); err != nil {
 		return nil, err
 	}
-	mustW(s.bw.Flush())
-	return append([]byte(nil), s.buf.Bytes()...), nil
+	return append([]byte(nil), s.bw.Bytes()...), nil
 }
 
 // ---- container decoding ----

@@ -152,7 +152,7 @@ func TestCompressionFactor(t *testing.T) {
 
 func TestMeasureStats(t *testing.T) {
 	m := compileMod(t, "salt", saltSrc)
-	st, err := Measure(m, Options{})
+	st, _, err := MeasureTraced(m, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
