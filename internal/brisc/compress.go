@@ -1,8 +1,9 @@
 package brisc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
@@ -176,14 +177,14 @@ type compressor struct {
 	specCache     [][]int          // -1 plus each specializable field
 	dictCostCache []int            // dictEntryBytes
 
-	// cands is the persistent candidate-statistics map: the exact sum
+	// cands is the persistent candidate-statistics table: the exact sum
 	// of per-anchor contributions over the current unit array. fullScan
 	// builds it once; rewrite maintains it incrementally by retracting
 	// the contributions of every anchor it is about to disturb and
 	// re-scanning those anchors after committing. nil outside run()
 	// (CompressWithDict never scans, so its rewrites skip the
 	// bookkeeping).
-	cands map[candKey]candStat
+	cands *candTable
 
 	rec    *telemetry.Recorder
 	pool   *parallel.Pool
@@ -244,6 +245,9 @@ func (c *compressor) findDict(p Pattern, h uint64) int {
 // buildUnits seeds one unit per instruction with base patterns and
 // block-relative targets.
 func (c *compressor) buildUnits(p *vm.Program) error {
+	if len(p.Code) > maxUnits {
+		return fmt.Errorf("brisc: %d instructions exceed the compressor's limit of %d", len(p.Code), maxUnits)
+	}
 	p2 := *p
 	p2.ComputeBlockStarts()
 	blockOf := make(map[int32]int32, len(p2.BlockStarts))
@@ -318,6 +322,11 @@ func (c *compressor) buildUnits(p *vm.Program) error {
 	})
 }
 
+// maxUnits bounds the instructions one compressor run accepts. An
+// occurrence of a candidate saves at most 11 bytes, so the int32
+// candidate sums stay below 2^31.
+const maxUnits = 1 << 27
+
 // dictEntryBytes estimates the serialized dictionary cost of a pattern
 // (the paper's "bytes needed to represent the instruction pattern in
 // the dictionary").
@@ -342,31 +351,11 @@ func tableCostW(p Pattern) int {
 	return 12 + 11*len(p.Seq)
 }
 
-// candKey identifies a candidate without materializing its pattern:
-// a source pattern plus an optional one-field specialization for each
-// half (f == -1 means no specialization; pid2 == -1 means the candidate
-// is a pure specialization of pid1).
-type candKey struct {
-	pid1, f1 int
-	v1       int32
-	pid2, f2 int
-	v2       int32
-}
-
-type candStat struct {
-	count   int
-	savings int // accumulated program-byte reduction across occurrences
-}
-
 // floc locates one unfixed field within a pattern.
 type floc struct {
 	ii, fi int
 	kind   vm.FieldKind
 }
-
-// flocs returns the unfixed-field locations of dictionary pattern pid,
-// in operand order (precomputed by addDict).
-func (c *compressor) flocs(pid int) []floc { return c.flocCache[pid] }
 
 // fieldNibbles is the operand cost of one unfixed field instance.
 func fieldNibbles(kind vm.FieldKind, v int32) int {
@@ -380,13 +369,13 @@ func fieldNibbles(kind vm.FieldKind, v int32) int {
 func (c *compressor) materialize(k candKey) Pattern {
 	p := c.dict[k.pid1]
 	if k.f1 >= 0 {
-		fl := c.flocs(k.pid1)[k.f1]
+		fl := c.flocCache[k.pid1][k.f1]
 		p = specialize(p, fl.ii, fl.fi, k.v1)
 	}
 	if k.pid2 >= 0 {
 		q := c.dict[k.pid2]
 		if k.f2 >= 0 {
-			fl := c.flocs(k.pid2)[k.f2]
+			fl := c.flocCache[k.pid2][k.f2]
 			q = specialize(q, fl.ii, fl.fi, k.v2)
 		}
 		p = combine(p, q)
@@ -406,48 +395,67 @@ func (c *compressor) materialize(k candKey) Pattern {
 // would produce, so the greedy choices — and the output bytes — are
 // unchanged (pinned by TestArtifactGolden and the determinism suites).
 func (c *compressor) run() {
-	c.cands = c.sc.cands
-	ssp := c.rec.StartSpan("brisc.scan", telemetry.Int("units", int64(len(c.units))))
-	c.fullScan()
-	ssp.SetAttr(telemetry.Int("candidates", int64(len(c.cands))))
-	ssp.End()
+	c.startScan()
 	for pass := 0; pass < c.opt.MaxPasses; pass++ {
-		c.passes++
-		sp := c.rec.StartSpan("brisc.pass", telemetry.Int("pass", int64(c.passes)))
-		nCands := len(c.cands)
-		asp := c.rec.StartSpan("brisc.adopt", telemetry.Int("candidates", int64(nCands)))
-		adopted := c.adopt()
-		asp.SetAttr(telemetry.Int("adopted", int64(len(adopted))))
-		asp.End()
-		c.rec.Add("brisc.pass.candidates", int64(nCands))
-		c.rec.Add("brisc.pass.adopted", int64(len(adopted)))
-		sp.SetAttr(
-			telemetry.Int("candidates", int64(nCands)),
-			telemetry.Int("adopted", int64(len(adopted))),
-		)
-		sp.Event("adopt", telemetry.Int("patterns", int64(len(adopted))))
-		if len(adopted) == 0 {
-			sp.End()
+		if !c.pass() {
 			break
-		}
-		rsp := c.rec.StartSpan("brisc.rewrite", telemetry.Int("patterns", int64(len(adopted))))
-		c.rewrite(adopted)
-		rsp.SetAttr(telemetry.Int("units", int64(len(c.units))))
-		rsp.End()
-		sp.Event("rewrite", telemetry.Int("units", int64(len(c.units))))
-		sp.SetAttr(telemetry.Int("units", int64(len(c.units))))
-		sp.End()
-		if len(adopted) < c.opt.K {
-			break // the pass did not yield K useful patterns
 		}
 	}
 	c.cands = nil
 }
 
-// fullScan seeds the candidate map by scanning every anchor once.
+// startScan sizes the candidate table for this run and fills it with a
+// full scan.
+func (c *compressor) startScan() {
+	c.cands = &c.sc.cands
+	c.cands.reset(candsPerUnit * len(c.units))
+	ssp := c.rec.StartSpan("brisc.scan", telemetry.Int("units", int64(len(c.units))))
+	c.fullScan()
+	ssp.SetAttr(telemetry.Int("candidates", int64(c.cands.n)))
+	ssp.End()
+}
+
+// candsPerUnit sizes a fresh candidate table from the unit count: a
+// full scan finds about 4.4 distinct candidates per unit on wep, 3.1 on
+// word and 5 to 7 on the small kernels, and later passes hold fewer.
+const candsPerUnit = 5
+
+// pass runs one greedy pass, adopting the best candidates and
+// rewriting the units with them, and reports whether another pass
+// should follow.
+func (c *compressor) pass() bool {
+	c.passes++
+	sp := c.rec.StartSpan("brisc.pass", telemetry.Int("pass", int64(c.passes)))
+	defer sp.End()
+	nCands := c.cands.n
+	asp := c.rec.StartSpan("brisc.adopt", telemetry.Int("candidates", int64(nCands)))
+	adopted := c.adopt()
+	asp.SetAttr(telemetry.Int("adopted", int64(len(adopted))))
+	asp.End()
+	c.rec.Add("brisc.pass.candidates", int64(nCands))
+	c.rec.Add("brisc.pass.adopted", int64(len(adopted)))
+	sp.SetAttr(
+		telemetry.Int("candidates", int64(nCands)),
+		telemetry.Int("adopted", int64(len(adopted))),
+	)
+	sp.Event("adopt", telemetry.Int("patterns", int64(len(adopted))))
+	if len(adopted) == 0 {
+		return false
+	}
+	rsp := c.rec.StartSpan("brisc.rewrite", telemetry.Int("patterns", int64(len(adopted))))
+	c.rewrite(adopted)
+	rsp.SetAttr(telemetry.Int("units", int64(len(c.units))))
+	rsp.End()
+	sp.Event("rewrite", telemetry.Int("units", int64(len(c.units))))
+	sp.SetAttr(telemetry.Int("units", int64(len(c.units))))
+	// A pass that did not yield K useful patterns is the last.
+	return len(adopted) >= c.opt.K
+}
+
+// fullScan seeds the candidate table by scanning every anchor once.
 //
 // The scan shards across the pool: each worker folds its contiguous
-// unit span into a private map, and the shard maps are merged
+// unit span into a private table, and the shard tables are merged
 // afterwards. The merge only sums per-key counters — a commutative
 // reduction — so the resulting statistics (and hence adoption, which
 // sorts by benefit with a total candKey tie-break) are identical to
@@ -462,57 +470,44 @@ func (c *compressor) fullScan() {
 	}
 	sc := c.sc
 	for len(sc.shards) < len(spans) {
-		sc.shards = append(sc.shards, nil)
+		sc.shards = append(sc.shards, candTable{})
 	}
 	c.pool.ForEach("brisc.scan_shard", len(spans), func(si int) error {
-		m := sc.shards[si]
-		if m == nil {
-			m = make(map[candKey]candStat, 1<<10)
-			sc.shards[si] = m
-		} else {
-			clear(m)
-		}
+		t := &sc.shards[si]
+		t.reset(candsPerUnit * (spans[si][1] - spans[si][0]))
 		for i := spans[si][0]; i < spans[si][1]; i++ {
-			c.scanUnit(i, 1, m)
+			c.scanUnit(i, 1, t)
 		}
 		return nil
 	})
 	msp := c.rec.StartSpan("brisc.merge", telemetry.Int("shards", int64(len(spans))))
 	for si := range spans {
-		for k, st := range sc.shards[si] {
-			g := c.cands[k]
-			g.count += st.count
-			g.savings += st.savings
-			c.cands[k] = g
+		for _, s := range sc.shards[si].slots {
+			if s.count != 0 {
+				c.cands.add(s.key, s.count, s.savings)
+			}
 		}
 	}
-	msp.SetAttr(telemetry.Int("candidates", int64(len(c.cands))))
+	msp.SetAttr(telemetry.Int("candidates", int64(c.cands.n)))
 	msp.End()
 }
 
-// scanUnit folds the candidates anchored at unit i into m with the
+// scanUnit folds the candidates anchored at unit i into t with the
 // given sign: +1 proposes them (the full scan and post-rewrite re-adds)
 // and -1 retracts a contribution previously added for the exact same
 // unit state. A contribution depends only on units[i], units[i+1], and
-// immutable dictionary entries, so retract-mutate-re-add keeps m equal
-// to a from-scratch scan of the current array; entries whose stats
-// reach zero are deleted to preserve that equivalence exactly.
+// immutable dictionary entries, so retract-mutate-re-add keeps t equal
+// to a from-scratch scan of the current array; an entry whose count
+// returns to zero leaves the table, preserving that equivalence
+// exactly.
 //
 // Combination pairs (i, i+1) are anchored at i, so a contiguous span
 // scan reads one unit past its upper bound but never writes — parallel
 // shards overlap only in reads.
-func (c *compressor) scanUnit(i, sign int, m map[candKey]candStat) {
+func (c *compressor) scanUnit(i int, sign int32, t *candTable) {
 	add := func(k candKey, saved int) {
-		if saved <= 0 {
-			return
-		}
-		st := m[k]
-		st.count += sign
-		st.savings += sign * saved
-		if st == (candStat{}) {
-			delete(m, k)
-		} else {
-			m[k] = st
+		if saved > 0 {
+			t.add(k, sign, sign*int32(saved))
 		}
 	}
 	ceil2 := func(n int) int { return (n + 1) / 2 }
@@ -530,7 +525,7 @@ func (c *compressor) scanUnit(i, sign int, m map[candKey]candStat) {
 				continue
 			}
 			newSize := 1 + ceil2(u.nib-fieldNibbles(fl.kind, u.vals[k]))
-			add(candKey{pid1: u.pat, f1: k, v1: u.vals[k], pid2: -1, f2: -1},
+			add(candKey{pid1: int32(u.pat), f1: int32(k), v1: u.vals[k], pid2: -1, f2: -1},
 				uSize-newSize)
 		}
 	}
@@ -558,7 +553,7 @@ func (c *compressor) scanUnit(i, sign int, m map[candKey]candStat) {
 				nibV -= fieldNibbles(vFlocs[vc].kind, v.vals[vc])
 			}
 			newSize := 1 + ceil2(nibU+nibV)
-			k := candKey{pid1: u.pat, f1: uc, pid2: v.pat, f2: vc}
+			k := candKey{pid1: int32(u.pat), f1: int32(uc), pid2: int32(v.pat), f2: int32(vc)}
 			if uc >= 0 {
 				k.v1 = u.vals[uc]
 			}
@@ -574,20 +569,26 @@ func (c *compressor) scanUnit(i, sign int, m map[candKey]candStat) {
 // the dictionary, returning their indices.
 func (c *compressor) adopt() []int {
 	list := c.sc.scored[:0]
-	for k, st := range c.cands {
-		b := st.savings - c.dictCostOfKey(k)
+	for i := range c.cands.slots {
+		s := &c.cands.slots[i]
+		if s.count == 0 {
+			continue
+		}
+		b := int(s.savings) - c.dictCostOfKey(s.key)
 		if !c.opt.AbundantMemory {
-			b -= 12 + 11*c.seqLenOfKey(k)
+			b -= 12 + 11*c.seqLenOfKey(s.key)
 		}
 		if b > 0 {
-			list = append(list, scoredCand{k, b})
+			list = append(list, scoredCand{s.key, b})
 		}
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].b != list[j].b {
-			return list[i].b > list[j].b
+	slices.SortFunc(list, func(x, y scoredCand) int {
+		// Benefit descending, then the total key order, so the
+		// table's slot order never shows.
+		if x.b != y.b {
+			return cmp.Compare(y.b, x.b)
 		}
-		return candKeyLess(list[i].key, list[j].key) // deterministic
+		return candKeyCompare(x.key, y.key)
 	})
 	c.sc.scored = list
 	// Materialize winners only; distinct candidate keys can denote the
@@ -604,7 +605,7 @@ func (c *compressor) adopt() []int {
 		}
 		ids = append(ids, c.addDict(p, h))
 		if c.rec.Enabled() {
-			st := c.cands[s.key]
+			st := c.cands.get(s.key)
 			c.rec.Add("brisc.dict.savings_p", int64(st.savings))
 			c.rec.Add("brisc.dict.cost_w", int64(tableCostW(p)))
 			c.rec.Observe("brisc.adopt.benefit", float64(s.b))
@@ -631,7 +632,7 @@ func (c *compressor) dictCostOfKey(k candKey) int {
 	return cost
 }
 
-func (c *compressor) baseDictCost(pid int) int { return c.dictCostCache[pid] }
+func (c *compressor) baseDictCost(pid int32) int { return c.dictCostCache[pid] }
 
 func (c *compressor) seqLenOfKey(k candKey) int {
 	n := len(c.dict[k.pid1].Seq)
@@ -639,23 +640,6 @@ func (c *compressor) seqLenOfKey(k candKey) int {
 		n += len(c.dict[k.pid2].Seq)
 	}
 	return n
-}
-
-func candKeyLess(a, b candKey) bool {
-	switch {
-	case a.pid1 != b.pid1:
-		return a.pid1 < b.pid1
-	case a.f1 != b.f1:
-		return a.f1 < b.f1
-	case a.v1 != b.v1:
-		return a.v1 < b.v1
-	case a.pid2 != b.pid2:
-		return a.pid2 < b.pid2
-	case a.f2 != b.f2:
-		return a.f2 < b.f2
-	default:
-		return a.v2 < b.v2
-	}
 }
 
 // rewrite applies newly adopted patterns: combinations first (merging
@@ -891,7 +875,7 @@ func appendAnchor(dst []int, j, n int) []int {
 // dedupeSorted sorts xs ascending and drops duplicates in place, so
 // each disturbed anchor is retracted and re-added exactly once.
 func dedupeSorted(xs []int) []int {
-	sort.Ints(xs)
+	slices.Sort(xs)
 	out := xs[:0]
 	for i, x := range xs {
 		if i == 0 || x != xs[i-1] {
@@ -1052,11 +1036,8 @@ func (c *compressor) finish(p *vm.Program) (*Object, error) {
 		for pid, n := range m {
 			list = append(list, pf{pid, n})
 		}
-		sort.Slice(list, func(a, b int) bool {
-			if list[a].n != list[b].n {
-				return list[a].n > list[b].n
-			}
-			return list[a].pid < list[b].pid
+		slices.SortFunc(list, func(a, b pf) int {
+			return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.pid, b.pid))
 		})
 		if len(list) > 255 {
 			list = list[:255] // overflow encodes via escape byte

@@ -99,10 +99,11 @@ type compressScratch struct {
 	valInit []int32
 	valOff  []int32
 
-	// Incremental candidate statistics: the persistent candKey→candStat
-	// map plus per-shard maps for the initial parallel full scan.
-	cands  map[candKey]candStat
-	shards []map[candKey]candStat
+	// Incremental candidate statistics: the persistent table plus one
+	// table per shard of the initial parallel full scan. Each run resets
+	// them to its own size.
+	cands  candTable
+	shards []candTable
 
 	// Per-pass working sets.
 	scored  []scoredCand
@@ -133,11 +134,8 @@ type compressScratch struct {
 // reset hook drops per-run entries but keeps grown capacity, so batch
 // workloads reach a steady state with near-zero scratch allocation.
 var compressPool = parallel.NewScratch(
-	func() *compressScratch {
-		return &compressScratch{cands: make(map[candKey]candStat, 1<<12)}
-	},
+	func() *compressScratch { return new(compressScratch) },
 	func(sc *compressScratch) {
-		clear(sc.cands)
 		sc.vals.reset()
 		for i := range sc.catArenas {
 			sc.catArenas[i].reset()

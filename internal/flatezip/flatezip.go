@@ -260,11 +260,11 @@ func DecompressLimit(data []byte, max uint64) ([]byte, error) {
 	}
 	br := bitio.NewReaderBytes(data[len(magic)+nsz:])
 	var arena huffman.Arena
-	llCode, err := huffman.ReadLengths(br, &arena)
+	llCode, err := huffman.ReadLengths(br, &arena, numLitLen)
 	if err != nil {
 		return nil, fmt.Errorf("%w: literal/length table: %v", ErrCorrupt, err)
 	}
-	dCode, err := huffman.ReadLengths(br, &arena)
+	dCode, err := huffman.ReadLengths(br, &arena, numDistSyms)
 	if err != nil {
 		return nil, fmt.Errorf("%w: distance table: %v", ErrCorrupt, err)
 	}

@@ -154,6 +154,24 @@ func TestDeclaredSizeBoundsAllocation(t *testing.T) {
 	}
 }
 
+// TestTableSizeBoundsAllocation: a literal/length table whose 4-byte
+// symbol count declares 2^24 symbols fails before its length array is
+// allocated, since the alphabet has only numLitLen symbols.
+func TestTableSizeBoundsAllocation(t *testing.T) {
+	bomb := binary.AppendUvarint(append([]byte(nil), magic[:]...), 100)
+	bomb = binary.AppendUvarint(bomb, 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecompressLimit(bomb, 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("table declaring 2^24 symbols: %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoder allocated %d bytes before rejecting a %d-byte stream", grew, len(bomb))
+	}
+}
+
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64, kind uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

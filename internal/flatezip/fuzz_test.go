@@ -63,11 +63,11 @@ func decompressRef(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: implausible size %d", ErrCorrupt, rawSize)
 	}
 	br := bitio.NewReaderBytes(data[len(magic)+nsz:])
-	llCode, err := huffman.ReadLengths(br, nil)
+	llCode, err := huffman.ReadLengths(br, nil, numLitLen)
 	if err != nil {
 		return nil, fmt.Errorf("%w: literal/length table: %v", ErrCorrupt, err)
 	}
-	dCode, err := huffman.ReadLengths(br, nil)
+	dCode, err := huffman.ReadLengths(br, nil, numDistSyms)
 	if err != nil {
 		return nil, fmt.Errorf("%w: distance table: %v", ErrCorrupt, err)
 	}

@@ -25,9 +25,9 @@ import (
 // MaxBits is the largest code length this package will ever produce.
 const MaxBits = 32
 
-// maxSymbols bounds the alphabet of a decoder-side code, so a decode
+// MaxSymbols bounds the alphabet of a decoder-side code, so a decode
 // table entry holds any symbol in 24 bits.
-const maxSymbols = 1 << 24
+const MaxSymbols = 1 << 24
 
 var (
 	// ErrNoSymbols is returned when a code is built from an all-zero
@@ -237,7 +237,7 @@ func FromLengths(lengths []uint8) (*Code, error) {
 // decoderCode is newCode plus the two-level decode table, its storage
 // carved from a.
 func decoderCode(lengths []uint8, a *Arena) (*Code, error) {
-	if len(lengths) > maxSymbols {
+	if len(lengths) > MaxSymbols {
 		return nil, ErrBadLengths
 	}
 	c, err := newCode(lengths, a)
@@ -511,13 +511,16 @@ func (c *Code) WriteLengths(bw *bitio.Writer) {
 
 // ReadLengths deserializes a table written by WriteLengths and returns
 // the reconstructed decoder-side code, its storage carved from a (which
-// may be nil).
-func ReadLengths(br *bitio.Reader, a *Arena) (*Code, error) {
+// may be nil). A table declaring more than maxSyms symbols (or
+// MaxSymbols) is rejected before its length array is allocated: one
+// short run may legally cover millions of lengths, so only the caller's
+// alphabet can bound that allocation.
+func ReadLengths(br *bitio.Reader, a *Arena, maxSyms int) (*Code, error) {
 	n, err := readUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxSymbols {
+	if n > uint64(min(maxSyms, MaxSymbols)) {
 		return nil, ErrBadLengths
 	}
 	lengths := make([]uint8, 0, n)

@@ -102,6 +102,23 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadLengthsAlphabetBound: a table declaring more symbols than the
+// caller's bound fails with ErrBadLengths, and one at the bound reads.
+func TestReadLengthsAlphabetBound(t *testing.T) {
+	c, err := Build([]int64{3, 1, 1, 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := new(bitio.Writer)
+	c.WriteLengths(bw)
+	if _, err := ReadLengths(bitio.NewReaderBytes(bw.Bytes()), nil, 4); err != nil {
+		t.Fatalf("4-symbol table under bound 4: %v", err)
+	}
+	if _, err := ReadLengths(bitio.NewReaderBytes(bw.Bytes()), nil, 3); err != ErrBadLengths {
+		t.Fatalf("4-symbol table under bound 3: %v, want ErrBadLengths", err)
+	}
+}
+
 func TestLengthsRoundTrip(t *testing.T) {
 	freqs := []int64{9, 0, 4, 4, 0, 0, 1, 2, 88}
 	c, err := Build(freqs, 0)
@@ -110,7 +127,7 @@ func TestLengthsRoundTrip(t *testing.T) {
 	}
 	bw := new(bitio.Writer)
 	c.WriteLengths(bw)
-	c2, err := ReadLengths(bitio.NewReaderBytes(bw.Bytes()), nil)
+	c2, err := ReadLengths(bitio.NewReaderBytes(bw.Bytes()), nil, MaxSymbols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +284,7 @@ func TestQuickLengthTableTransport(t *testing.T) {
 		}
 		bw := new(bitio.Writer)
 		c.WriteLengths(bw)
-		c2, err := ReadLengths(bitio.NewReaderBytes(bw.Bytes()), nil)
+		c2, err := ReadLengths(bitio.NewReaderBytes(bw.Bytes()), nil, MaxSymbols)
 		if err != nil {
 			return false
 		}
@@ -388,7 +405,7 @@ func TestArenaConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			for i := w; i < len(jobs); i += workers {
-				c, err := ReadLengths(bitio.NewReaderBytes(jobs[i].table), &arena)
+				c, err := ReadLengths(bitio.NewReaderBytes(jobs[i].table), &arena, MaxSymbols)
 				if err != nil {
 					errs <- err
 					return

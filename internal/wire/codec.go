@@ -496,7 +496,7 @@ func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffma
 		return vals, nil
 	}
 	if inBand {
-		if code, err = huffman.ReadLengths(br, arena); err != nil {
+		if code, err = huffman.ReadLengths(br, arena, alphabetBound(len(firsts), opt.NoMTF)); err != nil {
 			return nil, err
 		}
 	} else if code == nil && count > 0 {
@@ -508,6 +508,18 @@ func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffma
 		}
 	}
 	return vals, nil
+}
+
+// alphabetBound is the most symbols an in-band code can need for a
+// stream with nFirsts first-occurrence values: under MTF a symbol is 0
+// (a new value) or the rank of one of at most nFirsts values seen so
+// far. Without MTF the symbols are zigzagged values and only
+// huffman.MaxSymbols bounds them.
+func alphabetBound(nFirsts int, noMTF bool) int {
+	if noMTF {
+		return huffman.MaxSymbols
+	}
+	return nFirsts + 1
 }
 
 // arrayMTFMax is the most distinct values decodeSymbols keeps in its

@@ -326,7 +326,12 @@ func readStreamOracle(br *bitio.Reader, segBytes, count int, noMTF bool) ([]int3
 		}
 		firsts[i] = unzigzag(v)
 	}
-	code, err := huffman.ReadLengths(br, nil)
+	// Under MTF a symbol is 0 or the rank of a value seen so far.
+	bound := len(firsts) + 1
+	if noMTF {
+		bound = huffman.MaxSymbols
+	}
+	code, err := huffman.ReadLengths(br, nil, bound)
 	if err != nil {
 		return nil, err
 	}

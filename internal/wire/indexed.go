@@ -227,7 +227,7 @@ func OpenIndexed(data []byte) (*IndexedReader, error) {
 				return nil, fmt.Errorf("%w: code flag", ErrCorrupt)
 			}
 			if bit == 1 {
-				if r.codes[j], err = huffman.ReadLengths(br, &arena); err != nil {
+				if r.codes[j], err = huffman.ReadLengths(br, &arena, huffman.MaxSymbols); err != nil {
 					return nil, fmt.Errorf("%w: shared code %d: %v", ErrCorrupt, j, err)
 				}
 			}

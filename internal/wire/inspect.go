@@ -198,7 +198,7 @@ func decodeSegmentDetail(st *StreamInfo, seg []byte, opt Options) error {
 		st.PayloadBits = br.BitsRead() - int64(st.FirstsBytes)*8
 	} else {
 		tableStart := br.BitsRead()
-		code, err := huffman.ReadLengths(br, nil)
+		code, err := huffman.ReadLengths(br, nil, alphabetBound(len(st.Firsts), opt.NoMTF))
 		if err != nil {
 			return err
 		}

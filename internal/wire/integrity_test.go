@@ -11,6 +11,7 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/cc"
 	"repro/internal/flatezip"
+	"repro/internal/huffman"
 	"repro/internal/integrity"
 	"repro/internal/ir"
 )
@@ -336,6 +337,54 @@ func TestSymbolCountBombCapped(t *testing.T) {
 				t.Fatalf("reader allocated %d bytes before rejecting: %v", grew, err)
 			}
 		})
+	}
+}
+
+// TestStreamTableBoundedByFirsts: an MTF-coded stream with one
+// first-occurrence value can only use symbols 0 and 1, so readStream
+// (and Inspect's decodeSegmentDetail) rejects an in-band table
+// declaring more before allocating for it. A
+// 4-byte table declaring 2^24 symbols fails under 1 MiB; NoMTF streams
+// keep huffman.MaxSymbols as their only bound.
+func TestStreamTableBoundedByFirsts(t *testing.T) {
+	segment := func(declared uint64, runs ...[2]uint64) []byte {
+		bw := new(bitio.Writer)
+		writeUvarint(bw, 1) // one first-occurrence value
+		writeUvarint(bw, zigzag(5))
+		writeUvarint(bw, declared)
+		for _, r := range runs {
+			bw.WriteBits(r[0], 6)
+			writeUvarint(bw, r[1])
+		}
+		bw.WriteBits(0, 8) // symbol 0: the new value
+		return bw.Bytes()
+	}
+	read := func(seg []byte, opt Options) ([]int32, error) {
+		return readStream(bitio.NewReaderBytes(seg), len(seg), 1, opt, nil, true, nil)
+	}
+	if vals, err := read(segment(2, [2]uint64{1, 2}), Options{}); err != nil || len(vals) != 1 || vals[0] != 5 {
+		t.Fatalf("2-symbol table: %v, %v; want [5]", vals, err)
+	}
+	if _, err := read(segment(3, [2]uint64{1, 2}, [2]uint64{0, 1}), Options{}); !errors.Is(err, huffman.ErrBadLengths) {
+		t.Fatalf("3-symbol table over one first: %v, want ErrBadLengths", err)
+	}
+	if _, err := read(segment(3, [2]uint64{1, 2}, [2]uint64{0, 1}), Options{NoMTF: true}); err != nil {
+		t.Fatalf("3-symbol table in a NoMTF stream: %v", err)
+	}
+	bomb := segment(1 << 24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := read(bomb, Options{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, huffman.ErrBadLengths) {
+		t.Fatalf("table declaring 2^24 symbols: %v, want ErrBadLengths", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reader allocated %d bytes before rejecting a %d-byte segment", grew, len(bomb))
+	}
+	// Inspect's per-segment decode applies the same bound.
+	if err := decodeSegmentDetail(&StreamInfo{Count: 1}, bomb, Options{}); !errors.Is(err, huffman.ErrBadLengths) {
+		t.Fatalf("Inspect's decode of a table declaring 2^24 symbols: %v, want ErrBadLengths", err)
 	}
 }
 
