@@ -61,7 +61,8 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Short coverage-guided fuzz pass over every untrusted-input decoder,
+# Short coverage-guided fuzz pass over every untrusted-input decoder
+# and over the code generator's own checks of a module,
 # seeded from the example modules. FUZZTIME bounds each target; bump it
 # for a longer local hunt (e.g. make fuzz-short FUZZTIME=2m).
 fuzz-short:
@@ -76,6 +77,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCode$$' -fuzztime=$(FUZZTIME) ./internal/brisc/
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/flatezip/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=$(FUZZTIME) ./internal/cc/
+	$(GO) test -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME) ./internal/codegen/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeVsSlow$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
 	$(GO) test -run='^$$' -fuzz='^FuzzMTFDiff$$' -fuzztime=$(FUZZTIME) ./internal/mtf/
 

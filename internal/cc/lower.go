@@ -103,7 +103,7 @@ func (lw *lowerer) numberSymbols() {
 	for _, f := range m.Functions {
 		for i := range f.Nodes {
 			if n := &f.Nodes[i]; n.Op == ir.ADDRGP {
-				n.Sym = renumber[n.Sym]
+				n.Lit = renumber[n.Lit]
 			}
 		}
 	}
@@ -119,9 +119,9 @@ type lowerer struct {
 
 	fn        *FuncDecl
 	frameSize int
-	nextLabel int64
-	breakLbl  []int64
-	contLbl   []int64
+	nextLabel int32
+	breakLbl  []int32
+	contLbl   []int32
 
 	// arena holds the trees under construction, linked by index, and
 	// stack is emit's work list; nodes and roots hold the function's
@@ -152,7 +152,7 @@ func (lw *lowerer) leaf(n ir.Node) tree {
 }
 
 // node builds a tree of op, carrying literal lit, over at most two kids.
-func (lw *lowerer) node(op ir.Op, lit int64, kids ...tree) tree {
+func (lw *lowerer) node(op ir.Op, lit int32, kids ...tree) tree {
 	t := lw.leaf(ir.Node{Op: op, Lit: lit})
 	for i, k := range kids {
 		lw.arena[t.at].kids[i] = k.at
@@ -174,7 +174,7 @@ func (lw *lowerer) global(name string) tree {
 		lw.symIDs[name] = s
 		lw.symNames = append(lw.symNames, name)
 	}
-	return lw.leaf(ir.Node{Op: ir.ADDRGP, Sym: s})
+	return lw.leaf(ir.Node{Op: ir.ADDRGP, Lit: s})
 }
 
 // emit appends t to the function as its next statement, writing its
@@ -195,14 +195,14 @@ func (lw *lowerer) emit(t tree) {
 	lw.stack = stack
 }
 
-func (lw *lowerer) newLabel() int64 {
+func (lw *lowerer) newLabel() int32 {
 	lw.nextLabel++
 	return lw.nextLabel
 }
 
-func (lw *lowerer) label(l int64) { lw.emit(lw.node(ir.LABELV, l)) }
+func (lw *lowerer) label(l int32) { lw.emit(lw.node(ir.LABELV, l)) }
 
-func (lw *lowerer) jump(l int64) { lw.emit(lw.node(ir.JUMPV, l)) }
+func (lw *lowerer) jump(l int32) { lw.emit(lw.node(ir.JUMPV, l)) }
 
 // alloc reserves frame space with alignment and returns the offset.
 func (lw *lowerer) alloc(size, align int) int {
@@ -235,8 +235,8 @@ func (lw *lowerer) lowerFunc(fn *FuncDecl) (*ir.Function, error) {
 	// 4-byte slot in the caller-visible parameter area (ADDRFP).
 	for i, p := range fn.Params {
 		p.Offset = lw.alloc(p.Type.Size(), p.Type.Align())
-		src := lw.op(ir.INDIRI, lw.leaf(ir.ParamAddr(int64(i*4))))
-		lw.store(lw.local(int64(p.Offset)), src, p.Type)
+		src := lw.op(ir.INDIRI, lw.leaf(ir.ParamAddr(int32(i*4))))
+		lw.store(lw.local(int32(p.Offset)), src, p.Type)
 	}
 	if err := lw.stmt(fn.Body); err != nil {
 		return nil, err
@@ -276,10 +276,10 @@ func (lw *lowerer) load(addr tree, t *Type) tree {
 }
 
 // local builds the address of frame offset off.
-func (lw *lowerer) local(off int64) tree { return lw.leaf(ir.LocalAddr(off)) }
+func (lw *lowerer) local(off int32) tree { return lw.leaf(ir.LocalAddr(off)) }
 
 // constant builds the smallest constant tree holding v.
-func (lw *lowerer) constant(v int64) tree { return lw.leaf(ir.Const(v)) }
+func (lw *lowerer) constant(v int32) tree { return lw.leaf(ir.Const(v)) }
 
 func (lw *lowerer) stmt(st *Stmt) error {
 	switch st.Kind {
@@ -297,7 +297,7 @@ func (lw *lowerer) stmt(st *Stmt) error {
 				if err != nil {
 					return err
 				}
-				lw.store(lw.local(int64(d.Sym.Offset)), v, d.Sym.Type)
+				lw.store(lw.local(int32(d.Sym.Offset)), v, d.Sym.Type)
 			}
 		}
 	case SExpr:
@@ -400,19 +400,19 @@ func (lw *lowerer) switchStmt(st *Stmt) error {
 	if err != nil {
 		return err
 	}
-	tmp := int64(lw.temp())
+	tmp := int32(lw.temp())
 	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), v))
 
 	end := lw.newLabel()
 	defaultLbl := end
-	caseLbl := map[*Stmt]int64{}
+	caseLbl := map[*Stmt]int32{}
 	for _, sub := range st.List {
 		switch sub.Kind {
 		case SCase:
 			l := lw.newLabel()
 			caseLbl[sub] = l
 			lw.emit(lw.node(ir.EQI, l,
-				lw.op(ir.INDIRI, lw.local(tmp)), lw.constant(sub.Expr.Val)))
+				lw.op(ir.INDIRI, lw.local(tmp)), lw.constant(int32(sub.Expr.Val))))
 		case SDefault:
 			defaultLbl = lw.newLabel()
 			caseLbl[sub] = defaultLbl
@@ -439,7 +439,7 @@ func (lw *lowerer) switchStmt(st *Stmt) error {
 	return nil
 }
 
-func (lw *lowerer) pushLoop(brk, cont int64) {
+func (lw *lowerer) pushLoop(brk, cont int32) {
 	lw.breakLbl = append(lw.breakLbl, brk)
 	lw.contLbl = append(lw.contLbl, cont)
 }
@@ -482,7 +482,7 @@ func (lw *lowerer) addr(e *Expr) (tree, error) {
 		case SymGlobal, SymFunc:
 			return lw.global(e.Sym.Name), nil
 		default:
-			return lw.local(int64(e.Sym.Offset)), nil
+			return lw.local(int32(e.Sym.Offset)), nil
 		}
 	case EString:
 		return lw.global(lw.strGlobal(e.Str)), nil
@@ -523,23 +523,24 @@ func (lw *lowerer) addr(e *Expr) (tree, error) {
 		}
 		// Fold the field offset into frame-relative addresses.
 		if b := lw.root(base); b.Op == ir.ADDRLP || b.Op == ir.ADDRLP8 {
-			return lw.local(b.Lit + int64(fld.Offset)), nil
+			return lw.local(b.Lit + int32(fld.Offset)), nil
 		}
-		return lw.op(ir.ADDI, base, lw.constant(int64(fld.Offset))), nil
+		return lw.op(ir.ADDI, base, lw.constant(int32(fld.Offset))), nil
 	}
 	return tree{}, errf(e.Line, e.Col, "internal: not an lvalue in lowering")
 }
 
 // scale multiplies an index value by an element size, omitting the
-// multiply for size 1 and folding constants.
+// multiply for size 1 and folding constants. A folded product wraps to
+// 32 bits, as the MULI it replaces would at run time.
 func (lw *lowerer) scale(idx tree, size int) tree {
 	if size == 1 {
 		return idx
 	}
 	if n := lw.root(idx); n.Op == ir.CNSTC || n.Op == ir.CNSTS || n.Op == ir.CNSTI {
-		return lw.constant(n.Lit * int64(size))
+		return lw.constant(n.Lit * int32(size))
 	}
-	return lw.op(ir.MULI, idx, lw.constant(int64(size)))
+	return lw.op(ir.MULI, idx, lw.constant(int32(size)))
 }
 
 // isLeafAddr reports whether an address tree can be safely duplicated.
@@ -557,7 +558,7 @@ func (lw *lowerer) stableAddr(a tree) tree {
 	if lw.isLeafAddr(a) {
 		return a
 	}
-	tmp := int64(lw.temp())
+	tmp := int32(lw.temp())
 	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), a))
 	return lw.op(ir.INDIRI, lw.local(tmp))
 }
@@ -602,14 +603,14 @@ func (lw *lowerer) incDec(lv *Expr, op string, prefix, needValue bool) (tree, er
 		return tree{}, err
 	}
 	a = lw.stableAddr(a)
-	step := int64(1)
+	step := int32(1)
 	if lv.Type.Decay().Kind == TPtr {
-		step = int64(lv.Type.Decay().Elem.Size())
+		step = int32(lv.Type.Decay().Elem.Size())
 	}
 	old := lw.load(a, lv.Type)
 	var saved tree
 	if needValue && !prefix {
-		tmp := int64(lw.temp())
+		tmp := int32(lw.temp())
 		lw.emit(lw.op(ir.ASGNI, lw.local(tmp), old))
 		old = lw.op(ir.INDIRI, lw.local(tmp))
 		saved = old
@@ -657,7 +658,7 @@ func (lw *lowerer) call(e *Expr, needValue bool) (tree, error) {
 	if retVoid {
 		return tree{}, errf(e.Line, e.Col, "void value used")
 	}
-	tmp := int64(lw.temp())
+	tmp := int32(lw.temp())
 	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), lw.op(ir.CALLI, callee)))
 	return lw.op(ir.INDIRI, lw.local(tmp)), nil
 }
@@ -687,7 +688,7 @@ func (lw *lowerer) binary(op string, l, r tree, le, re *Expr) (tree, error) {
 		case lt.Kind == TPtr && rt.Kind == TPtr:
 			diff := lw.op(ir.SUBI, l, r)
 			if sz := lt.Elem.Size(); sz > 1 {
-				return lw.op(ir.DIVI, diff, lw.constant(int64(sz))), nil
+				return lw.op(ir.DIVI, diff, lw.constant(int32(sz))), nil
 			}
 			return diff, nil
 		case lt.Kind == TPtr:
@@ -731,7 +732,7 @@ func isRelOp(op string) bool {
 
 // cond lowers a condition, branching to target when the condition's
 // truth equals jumpIfTrue and falling through otherwise.
-func (lw *lowerer) cond(e *Expr, target int64, jumpIfTrue bool) error {
+func (lw *lowerer) cond(e *Expr, target int32, jumpIfTrue bool) error {
 	switch {
 	case e.Kind == EUnary && e.Op == "!":
 		return lw.cond(e.L, target, !jumpIfTrue)
@@ -799,7 +800,7 @@ func (lw *lowerer) cond(e *Expr, target int64, jumpIfTrue bool) error {
 
 // condValue materializes a boolean expression as 0/1 through a temp.
 func (lw *lowerer) condValue(e *Expr) (tree, error) {
-	tmp := int64(lw.temp())
+	tmp := int32(lw.temp())
 	end := lw.newLabel()
 	lw.emit(lw.op(ir.ASGNI, lw.local(tmp), lw.constant(1)))
 	if err := lw.cond(e, end, true); err != nil {
@@ -815,7 +816,7 @@ func (lw *lowerer) condValue(e *Expr) (tree, error) {
 func (lw *lowerer) expr(e *Expr) (tree, error) {
 	switch e.Kind {
 	case EConst:
-		return lw.constant(int64(int32(e.Val))), nil
+		return lw.constant(int32(e.Val)), nil
 	case EString:
 		return lw.addr(e)
 	case EVar:
@@ -890,7 +891,7 @@ func (lw *lowerer) expr(e *Expr) (tree, error) {
 		return lw.call(e, true)
 	case ECond:
 		// cond ? a : b through a temp, like the boolean materializer.
-		tmp := int64(lw.temp())
+		tmp := int32(lw.temp())
 		elseL, endL := lw.newLabel(), lw.newLabel()
 		if err := lw.cond(e.Cond, elseL, false); err != nil {
 			return tree{}, err

@@ -35,9 +35,13 @@ type Options struct {
 // so null-pointer loads fault.
 const DataBase = 16
 
-// Generate compiles a validated IR module into a linked VM program.
+// Generate compiles an IR module into a linked VM program. A malformed
+// module yields an error, never a panic. Generate does not make
+// ir.Module.Validate's second pass over every node: it checks the
+// symbol numbering up front (ValidateSymbols) and each tree in the
+// walk measure already makes over it.
 func Generate(m *ir.Module, opt Options) (*vm.Program, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateSymbols(); err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
 	// Size the tables from counts the module already has. The code
@@ -54,7 +58,7 @@ func Generate(m *ir.Module, opt Options) (*vm.Program, error) {
 			Globals: make([]vm.GlobalData, 0, len(m.Globals)),
 		},
 		globalAddr: make([]int32, len(m.Globals)),
-		tables:     funcTables{labels: map[int64]int{}},
+		tables:     funcTables{labels: map[int32]int{}},
 	}
 	// Lay out the data segment.
 	addr := int32(DataBase)
@@ -142,14 +146,14 @@ type patch struct {
 // IR label, resolved once the function's labels are all placed.
 type branchFixup struct {
 	at    int
-	label int64
+	label int32
 }
 
 // funcTables are the per-function and per-tree tables. genFunc empties
 // them for each function and measure for each tree, so a module
 // allocates them once.
 type funcTables struct {
-	labels    map[int64]int // IR label -> code index
+	labels    map[int32]int // IR label -> code index
 	branchFix []branchFixup
 	patches   []patch
 	free      []uint8 // scratch register free list
@@ -195,14 +199,30 @@ func (g *gen) genFunc(f *ir.Function) error {
 	fg.patch(g.emit(vm.Instr{Op: vm.ENTER, Imm: 0}), pkTotal)
 	fg.memOp(vm.STW, vm.RegRA, vm.RegSP, 0, pkRA, true)
 
+	// Tree k is the nodes from Roots[k] to the next root, the last
+	// one to the end of Nodes; together they must be all of Nodes.
+	start := int32(0)
 	for k := range f.Roots {
-		fg.measure(f.Tree(k))
+		end := int32(len(f.Nodes))
+		if k+1 < len(f.Roots) {
+			end = f.Roots[k+1]
+		}
+		if f.Roots[k] != start || end <= start || end > int32(len(f.Nodes)) {
+			return fmt.Errorf("codegen: %s: Roots do not split Nodes into trees at tree %d", f.Name, k)
+		}
+		if err := fg.measure(f.Nodes[start:end]); err != nil {
+			return fmt.Errorf("codegen: %s: tree %d: %w", f.Name, k, err)
+		}
+		start = end
 		if err := fg.stmt(0); err != nil {
 			return fmt.Errorf("codegen: %s: %w", f.Name, err)
 		}
 		if len(fg.free) != len(scratchRegs) {
 			return fmt.Errorf("codegen: %s: register leak after %s", f.Name, g.mod.TreeString(f, k))
 		}
+	}
+	if start != int32(len(f.Nodes)) {
+		return fmt.Errorf("codegen: %s: nodes past the last tree", f.Name)
 	}
 	// Safety net: IR guarantees a trailing return, but synthesize an
 	// epilogue anyway for robustness.
@@ -365,20 +385,36 @@ var immBranchFor = [vm.NumOpcodes]vm.Opcode{
 	vm.BLE: vm.BLEI, vm.BGT: vm.BGTI, vm.BGE: vm.BGEI,
 }
 
-// measure makes nodes, a tree of a function that passed Validate, the
-// tree being compiled, and describes each of its subtrees in one pass
-// from its last node back to its root: a node's kids are described
-// before it, with the first kid's root on top of the stack.
-func (fg *fgen) measure(nodes []ir.Node) {
+// measure makes nodes the tree being compiled and describes each of
+// its subtrees in one pass from its last node back to its root: a
+// node's kids are described before it, with the first kid's root on
+// top of the stack. The same pass checks the nodes as ir.Module.Validate
+// would, so the rest of codegen may index by them: every op is valid,
+// no kid is missing, the nodes are exactly one tree, and every name is
+// in the symbol table.
+func (fg *fgen) measure(nodes []ir.Node) error {
 	n := len(nodes)
 	if cap(fg.sub) < n {
 		fg.sub, fg.stack = make([]subtree, n), make([]int32, n)
 	}
 	fg.nodes = nodes
 	sub, stack, top := fg.sub[:n], fg.stack[:n], 0
+	nSyms := uint32(len(fg.g.mod.Syms))
 	for i := n - 1; i >= 0; i-- {
+		nd := nodes[i]
+		if !nd.Op.Valid() {
+			return fmt.Errorf("invalid op %d", nd.Op)
+		}
+		arity := nd.Op.Arity()
+		if top < arity {
+			return fmt.Errorf("%s at node %d lacks an operand", nd.Op, i)
+		}
 		s := subtree{int32(i + 1), 1}
-		switch nodes[i].Op.Arity() {
+		switch arity {
+		case 0:
+			if nd.Op == ir.ADDRGP && uint32(nd.Lit) >= nSyms {
+				return fmt.Errorf("unknown symbol %d", nd.Lit)
+			}
 		case 1:
 			top--
 			s = sub[stack[top]]
@@ -394,6 +430,10 @@ func (fg *fgen) measure(nodes []ir.Node) {
 		stack[top] = int32(i)
 		top++
 	}
+	if top != 1 {
+		return fmt.Errorf("%d nodes form %d trees, not one", n, top)
+	}
+	return nil
 }
 
 // second returns the index of binary node i's second kid; the first is
@@ -410,6 +450,9 @@ func (fg *fgen) stmt(i int) error {
 	t := fg.nodes[i]
 	switch t.Op {
 	case ir.LABELV:
+		if _, dup := fg.labels[t.Lit]; dup {
+			return fmt.Errorf("label %d defined more than once", t.Lit)
+		}
 		fg.labels[t.Lit] = len(fg.g.prog.Code)
 		return nil
 	case ir.JUMPV:
@@ -459,7 +502,7 @@ func (fg *fgen) genBranch(i int) error {
 	// Compare-immediate form when the right operand is constant and the
 	// variant allows it ("ble.i n4,0,$L56").
 	if fg.isConst(rk) && !fg.g.opt.NoImmediates {
-		at := fg.emit(vm.Instr{Op: immBranchFor[op], Rs1: l, Imm: int32(fg.nodes[rk].Lit)})
+		at := fg.emit(vm.Instr{Op: immBranchFor[op], Rs1: l, Imm: fg.nodes[rk].Lit})
 		fg.branchFix = append(fg.branchFix, branchFixup{at, t.Lit})
 		fg.release(l)
 		return nil
@@ -511,11 +554,11 @@ func (fg *fgen) genStore(i int) error {
 
 	switch a := fg.nodes[addr]; a.Op {
 	case ir.ADDRLP, ir.ADDRLP8:
-		fg.memOp(memop, v, vm.RegSP, int32(a.Lit), pkLocal, true)
+		fg.memOp(memop, v, vm.RegSP, a.Lit, pkLocal, true)
 	case ir.ADDRGP:
-		ga, ok := fg.g.global(a.Sym)
+		ga, ok := fg.g.global(a.Lit)
 		if !ok {
-			return fmt.Errorf("store to unknown global %q", fg.g.mod.Syms[a.Sym])
+			return fmt.Errorf("store to unknown global %q", fg.g.mod.Syms[a.Lit])
 		}
 		fg.memOp(memop, v, RegGP, ga, 0, false)
 	default:
@@ -556,12 +599,12 @@ func (fg *fgen) genCall(i int) error {
 		return fmt.Errorf("indirect calls are not supported")
 	}
 	fg.pendArgs = 0
-	name := fg.g.mod.Syms[callee.Sym]
+	name := fg.g.mod.Syms[callee.Lit]
 	if trap, ok := vm.TrapByName(name); ok {
 		fg.emit(vm.Instr{Op: vm.TRAP, Imm: trap})
 		return nil
 	}
-	fn := fg.g.mod.FuncIndex(callee.Sym)
+	fn := fg.g.mod.FuncIndex(callee.Lit)
 	if fn < 0 {
 		return fmt.Errorf("call to undefined function %q", name)
 	}
@@ -588,23 +631,23 @@ func (fg *fgen) expr(i int) (uint8, error) {
 		if err != nil {
 			return 0, err
 		}
-		fg.loadImm(r, int32(t.Lit))
+		fg.loadImm(r, t.Lit)
 		return r, nil
 	case ir.ADDRLP, ir.ADDRLP8:
 		r, err := fg.alloc()
 		if err != nil {
 			return 0, err
 		}
-		fg.addImm(r, vm.RegSP, int32(t.Lit), pkLocal, true)
+		fg.addImm(r, vm.RegSP, t.Lit, pkLocal, true)
 		return r, nil
 	case ir.ADDRFP, ir.ADDRFP8:
 		// Bare parameter address: the front end only generates ADDRFP
 		// under INDIRI (copy-in), handled below.
 		return 0, fmt.Errorf("unsupported bare ADDRFP")
 	case ir.ADDRGP:
-		ga, ok := fg.g.global(t.Sym)
+		ga, ok := fg.g.global(t.Lit)
 		if !ok {
-			return 0, fmt.Errorf("address of unknown global %q", fg.g.mod.Syms[t.Sym])
+			return 0, fmt.Errorf("address of unknown global %q", fg.g.mod.Syms[t.Lit])
 		}
 		r, err := fg.alloc()
 		if err != nil {
@@ -666,7 +709,7 @@ func (fg *fgen) genALU(i int, alu vm.Opcode) (uint8, error) {
 	op, l, r := fg.nodes[i].Op, i+1, fg.second(i)
 	// Immediate add/sub peephole.
 	if !fg.g.opt.NoImmediates && (op == ir.ADDI || op == ir.SUBI) && fg.isConst(r) {
-		imm := int32(fg.nodes[r].Lit)
+		imm := fg.nodes[r].Lit
 		if op == ir.SUBI {
 			imm = -imm
 		}
@@ -740,7 +783,7 @@ func (fg *fgen) genLoad(i int) (uint8, error) {
 		if err != nil {
 			return 0, err
 		}
-		fg.memOp(op, r, vm.RegSP, int32(addr.Lit), pkLocal, true)
+		fg.memOp(op, r, vm.RegSP, addr.Lit, pkLocal, true)
 		return r, nil
 	case ir.ADDRFP, ir.ADDRFP8:
 		// A negative offset would name no argument register.
@@ -759,9 +802,9 @@ func (fg *fgen) genLoad(i int) (uint8, error) {
 		}
 		return r, nil
 	case ir.ADDRGP:
-		ga, ok := fg.g.global(addr.Sym)
+		ga, ok := fg.g.global(addr.Lit)
 		if !ok {
-			return 0, fmt.Errorf("load from unknown global %q", fg.g.mod.Syms[addr.Sym])
+			return 0, fmt.Errorf("load from unknown global %q", fg.g.mod.Syms[addr.Lit])
 		}
 		r, err := fg.alloc()
 		if err != nil {

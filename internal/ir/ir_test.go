@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // saltSrc is the first tree of the paper's salt() example.
@@ -32,7 +33,7 @@ func TestStringMatchesPaperForm(t *testing.T) {
 
 func TestConstSelectsWidth(t *testing.T) {
 	cases := []struct {
-		v    int64
+		v    int32
 		want Op
 	}{
 		{0, CNSTC}, {127, CNSTC}, {-128, CNSTC},
@@ -83,7 +84,7 @@ func TestValidateRejectsMalformedTrees(t *testing.T) {
 		"invalid op":     {Nodes: []Node{{Op: Op(200)}}, Roots: []int32{0}},
 		"trailing nodes": {Nodes: []Node{{Op: RETV}, {Op: RETV}}, Roots: []int32{0}},
 		"root mid-tree":  {Nodes: []Node{{Op: RETI}, {Op: CNSTC}}, Roots: []int32{0, 1}},
-		"unknown symbol": {Nodes: []Node{{Op: CALLV}, {Op: ADDRGP, Sym: 7}}, Roots: []int32{0}},
+		"unknown symbol": {Nodes: []Node{{Op: CALLV}, {Op: ADDRGP, Lit: 7}}, Roots: []int32{0}},
 	} {
 		f.Name = "f"
 		m := &Module{Functions: []*Function{f}, Syms: []string{"f"}}
@@ -103,6 +104,7 @@ func TestParseRoundTrip(t *testing.T) {
 		"RETI(INDIRI(ADDRLP8[68]))",
 		"JUMPV[7]",
 		"RETV",
+		"CNSTI[2147483647]", "CNSTI[-2147483648]", // a literal is 32 bits (see TestParseErrors)
 	}
 	for _, in := range inputs {
 		m, f, err := parseOne(in, "pepper")
@@ -130,11 +132,21 @@ func TestParseErrors(t *testing.T) {
 		"", "FOO[1]", "ASGNI(CNSTC[1])", "CNSTC", "CNSTC[x]",
 		"ADDRGP[]", "ASGNI(CNSTC[1],CNSTC[2]", "CNSTC[1]extra",
 		"ASGNI(CNSTC[1];CNSTC[2])", "LABELV[9", "ADDRGP[ghost]",
+		"CNSTI[2147483648]", "CNSTI[-2147483649]", "LABELV[4294967296]",
 	}
 	for _, in := range bad {
 		if _, f, err := parseOne(in); err == nil || len(f.Nodes) != 0 || len(f.Roots) != 0 {
 			t.Errorf("AppendTree(%q) = %v, %d nodes, %d roots; want an error and no change", in, err, len(f.Nodes), len(f.Roots))
 		}
+	}
+}
+
+// TestNodeSize pins the node at 8 bytes, an op and a 32-bit literal: a
+// wire load fills one node per operator, so a wider node is a
+// deliberate cost, not a drive-by change.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, want 8", got)
 	}
 }
 
@@ -223,7 +235,7 @@ func TestModuleValidateCatchesBadLabels(t *testing.T) {
 	m = sampleModule(t)
 	f := m.Functions[0]
 	f.Roots = append(f.Roots, int32(len(f.Nodes)))
-	f.Nodes = append(f.Nodes, Node{Op: CALLV}, Node{Op: ADDRGP, Sym: int32(len(m.Syms))})
+	f.Nodes = append(f.Nodes, Node{Op: CALLV}, Node{Op: ADDRGP, Lit: int32(len(m.Syms))})
 	if err := m.Validate(); err == nil {
 		t.Error("unknown symbol not caught")
 	}

@@ -48,7 +48,7 @@ type Module struct {
 	// Externs lists symbols supplied by the runtime (builtin functions
 	// such as putint); ADDRGP references to them are valid.
 	Externs []string
-	// Syms is the symbol table Node.Sym indexes: the externs, the
+	// Syms is the symbol table a name node's Lit indexes: the externs, the
 	// globals, then the functions, each name once, at its first
 	// occurrence (see IndexSymbols). The wire format numbers name
 	// literals the same way.
@@ -79,8 +79,8 @@ func (m *Module) IndexSymbols() {
 
 // GlobalIndex returns the index in m.Globals of symbol s, or -1 when s
 // names no global. FuncIndex does the same for m.Functions. Both rely
-// on the numbering Validate checks: globals and functions repeat no
-// earlier name, so they fill the tail of Syms in order.
+// on the numbering ValidateSymbols checks: globals and functions repeat
+// no earlier name, so they fill the tail of Syms in order.
 func (m *Module) GlobalIndex(s int32) int {
 	i := int(s) - (len(m.Syms) - len(m.Functions) - len(m.Globals))
 	if i < 0 || i >= len(m.Globals) {
@@ -142,10 +142,10 @@ func (m *Module) writeTree(sb *strings.Builder, nodes []Node, i int) int {
 	case LitInt:
 		fmt.Fprintf(sb, "[%d]", n.Lit)
 	case LitName:
-		if n.Sym >= 0 && int(n.Sym) < len(m.Syms) {
-			fmt.Fprintf(sb, "[%s]", m.Syms[n.Sym])
+		if n.Lit >= 0 && int(n.Lit) < len(m.Syms) {
+			fmt.Fprintf(sb, "[%s]", m.Syms[n.Lit])
 		} else {
-			fmt.Fprintf(sb, "[#%d]", n.Sym)
+			fmt.Fprintf(sb, "[#%d]", n.Lit)
 		}
 	}
 	i++
@@ -172,7 +172,30 @@ func (m *Module) writeTree(sb *strings.Builder, nodes []Node, i int) int {
 //     operators, and the last one ends with Nodes;
 //   - labels (see LabelCheck), and every ADDRGP symbol index is in
 //     range, so it names a known symbol.
+//
+// codegen.Generate does not call it: it runs ValidateSymbols and makes
+// the per-node checks in the walk it already makes over each tree.
 func (m *Module) Validate() error {
+	if err := m.ValidateSymbols(); err != nil {
+		return err
+	}
+	var labels LabelCheck
+	for _, f := range m.Functions {
+		labels.Begin(f.Name)
+		if err := m.checkTrees(f, &labels); err != nil {
+			return err
+		}
+		if err := labels.End(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateSymbols is Validate's check of the symbol table alone, in
+// O(symbols): the names are distinct where they must be, and Syms
+// numbers them as IndexSymbols does, so GlobalIndex and FuncIndex hold.
+func (m *Module) ValidateSymbols() error {
 	known := make(map[string]bool, len(m.Syms))
 	next := 0 // symbols numbered so far
 	number := func(name string) error {
@@ -209,16 +232,6 @@ func (m *Module) Validate() error {
 	if next != len(m.Syms) {
 		return fmt.Errorf("ir: %d symbols in the table, %d in the module", len(m.Syms), next)
 	}
-	var labels LabelCheck
-	for _, f := range m.Functions {
-		labels.Begin(f.Name)
-		if err := m.checkTrees(f, &labels); err != nil {
-			return err
-		}
-		if err := labels.End(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -244,8 +257,8 @@ func (m *Module) checkTrees(f *Function, labels *LabelCheck) error {
 		case EQI, NEI, LTI, LEI, GTI, GEI, JUMPV:
 			labels.Use(n.Lit)
 		case ADDRGP:
-			if n.Sym < 0 || int(n.Sym) >= len(m.Syms) {
-				return fmt.Errorf("ir: %s references unknown symbol %d", f.Name, n.Sym)
+			if n.Lit < 0 || int(n.Lit) >= len(m.Syms) {
+				return fmt.Errorf("ir: %s references unknown symbol %d", f.Name, n.Lit)
 			}
 		}
 	}
@@ -264,14 +277,14 @@ func (m *Module) checkTrees(f *Function, labels *LabelCheck) error {
 type LabelCheck struct {
 	fn   string
 	gen  int32           // 1-based index of the current function
-	defs map[int64]int32 // label -> gen of the last function defining it
-	uses []int64         // targets used in the current function
+	defs map[int32]int32 // label -> gen of the last function defining it
+	uses []int32         // targets used in the current function
 }
 
 // Begin starts checking the function named fn.
 func (c *LabelCheck) Begin(fn string) {
 	if c.defs == nil {
-		c.defs = map[int64]int32{}
+		c.defs = map[int32]int32{}
 	}
 	c.fn = fn
 	c.gen++
@@ -280,7 +293,7 @@ func (c *LabelCheck) Begin(fn string) {
 
 // Define records a definition of label l, failing if the current
 // function already defines it.
-func (c *LabelCheck) Define(l int64) error {
+func (c *LabelCheck) Define(l int32) error {
 	if c.defs[l] == c.gen {
 		return fmt.Errorf("ir: %s defines label %d more than once", c.fn, l)
 	}
@@ -289,7 +302,7 @@ func (c *LabelCheck) Define(l int64) error {
 }
 
 // Use records a branch or jump to label l.
-func (c *LabelCheck) Use(l int64) { c.uses = append(c.uses, l) }
+func (c *LabelCheck) Use(l int32) { c.uses = append(c.uses, l) }
 
 // End fails if the current function uses a label it never defines.
 func (c *LabelCheck) End() error {

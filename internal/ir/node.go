@@ -5,17 +5,18 @@ package ir
 // followed by the subtrees of its kids, left to right. Every operator
 // has a fixed arity, so the order alone gives the structure and nodes
 // need no links — the same order the wire format's shape stream uses.
-// A node holds no pointers: a name literal is an index into the
-// module's symbol table.
+// A node holds no pointers, and its one literal is 32 bits, as the VM's
+// immediates and the wire format's literal streams are: Op.Lit() says
+// whether Lit is an integer or, for a name, an index into the module's
+// symbol table.
 type Node struct {
 	Op  Op
-	Sym int32 // index into Module.Syms, when Op.Lit() == LitName
-	Lit int64 // integer literal, when Op.Lit() == LitInt
+	Lit int32 // integer literal, or index into Module.Syms when Op.Lit() == LitName
 }
 
 // Const returns the smallest constant node that holds v, using the
 // paper's 8/16-bit-flagged operators when the value fits.
-func Const(v int64) Node {
+func Const(v int32) Node {
 	switch {
 	case v >= -128 && v <= 127:
 		return Node{Op: CNSTC, Lit: v}
@@ -27,7 +28,7 @@ func Const(v int64) Node {
 }
 
 // LocalAddr returns the smallest local-address node for a frame offset.
-func LocalAddr(offset int64) Node {
+func LocalAddr(offset int32) Node {
 	if offset >= 0 && offset <= 255 {
 		return Node{Op: ADDRLP8, Lit: offset}
 	}
@@ -35,7 +36,7 @@ func LocalAddr(offset int64) Node {
 }
 
 // ParamAddr returns the smallest parameter-address node for an offset.
-func ParamAddr(offset int64) Node {
+func ParamAddr(offset int32) Node {
 	if offset >= 0 && offset <= 255 {
 		return Node{Op: ADDRFP8, Lit: offset}
 	}

@@ -72,17 +72,17 @@ func (p *treeParser) parse() error {
 		p.pos++ // ']'
 		switch op.Lit() {
 		case LitInt:
-			v, err := strconv.ParseInt(strings.TrimSpace(lit), 10, 64)
+			v, err := strconv.ParseInt(strings.TrimSpace(lit), 10, 32)
 			if err != nil {
-				return fmt.Errorf("ir: bad integer literal %q for %s", lit, op)
+				return fmt.Errorf("ir: bad 32-bit integer literal %q for %s", lit, op)
 			}
-			n.Lit = v
+			n.Lit = int32(v)
 		case LitName:
 			sym := slices.Index(p.m.Syms, lit)
 			if sym < 0 {
 				return fmt.Errorf("ir: unknown symbol %q for %s", lit, op)
 			}
-			n.Sym = int32(sym)
+			n.Lit = int32(sym)
 		}
 	}
 	p.f.Nodes = append(p.f.Nodes, n)

@@ -180,7 +180,7 @@ func (mc *Machine) call(f *ir.Function, args []int32) (int32, error) {
 	mc.depth++
 	defer func() { mc.sp += size; mc.depth-- }()
 
-	labels := map[int64]int{}
+	labels := map[int32]int{}
 	for k, r := range f.Roots {
 		if t := f.Nodes[r]; t.Op == ir.LABELV {
 			labels[t.Lit] = k
@@ -290,10 +290,10 @@ func (mc *Machine) eval(fr *frame, i int) (int32, int, error) {
 		// no meaningful address here.
 		return 0, 0, fmt.Errorf("irexec: bare ADDRFP")
 	case ir.ADDRGP:
-		if g := mc.Mod.GlobalIndex(t.Sym); g >= 0 {
+		if g := mc.Mod.GlobalIndex(t.Lit); g >= 0 {
 			return mc.globals[g], i + 1, nil
 		}
-		return 0, 0, fmt.Errorf("irexec: address of non-data symbol %q", mc.Mod.Syms[t.Sym])
+		return 0, 0, fmt.Errorf("irexec: address of non-data symbol %q", mc.Mod.Syms[t.Lit])
 	case ir.INDIRI:
 		if a := fr.nodes[i+1]; a.Op == ir.ADDRFP || a.Op == ir.ADDRFP8 {
 			k := int(a.Lit / 4)
@@ -350,11 +350,11 @@ func (mc *Machine) eval(fr *frame, i int) (int32, int, error) {
 		}
 		args := fr.pending
 		fr.pending = nil
-		name := mc.Mod.Syms[callee.Sym]
+		name := mc.Mod.Syms[callee.Lit]
 		if v, handled, err := mc.trap(name, args); handled {
 			return v, i + 2, err
 		}
-		f := mc.Mod.FuncIndex(callee.Sym)
+		f := mc.Mod.FuncIndex(callee.Lit)
 		if f < 0 {
 			return 0, 0, fmt.Errorf("irexec: call to undefined %q", name)
 		}

@@ -308,6 +308,36 @@ func fourWay(src string, irSteps, vmSteps int64) (run, error) {
 	return runs[0].run, nil
 }
 
+// TestWireRoundTripFoldedConstant: cc folds the scaling of the index
+// in p[1073741824] into one constant, 2^32, which wraps to 0 at compile
+// time as the multiply it replaces would at run time. The wire round
+// trip gives back the same module, and every engine loads p[0].
+func TestWireRoundTripFoldedConstant(t *testing.T) {
+	const src = `int a[4]; int main(){int *p; p=a; a[0]=7; return p[1073741824];}`
+	mod, err := cc.Compile("fold", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := wire.Compress(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := wire.Decompress(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.String(), mod.String(); got != want {
+		t.Errorf("wire round trip changed the module:\n%s\nwant:\n%s", got, want)
+	}
+	r, err := fourWay(src, 0, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.code != 7 || r.err != nil {
+		t.Errorf("exit %d (%v), want 7", r.code, r.err)
+	}
+}
+
 // TestQuickDifferentialVsVM: for random generated programs, the tree
 // interpreter and the compiled pipeline agree — an independent check
 // of the code generator's semantics — and so do both on the module the

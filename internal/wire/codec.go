@@ -353,11 +353,8 @@ func patternize(m *ir.Module) (*patterns, error) {
 			keyBuf = keyBuf[:0]
 			for _, nd := range f.Tree(k) {
 				keyBuf = append(keyBuf, byte(nd.Op))
-				switch nd.Op.Lit() {
-				case ir.LitInt:
-					p.lits[nd.Op] = append(p.lits[nd.Op], int32(nd.Lit))
-				case ir.LitName:
-					p.lits[nd.Op] = append(p.lits[nd.Op], nd.Sym)
+				if nd.Op.Lit() != ir.LitNone {
+					p.lits[nd.Op] = append(p.lits[nd.Op], nd.Lit)
 				}
 			}
 			// The string conversion in the lookup does not allocate; the
@@ -715,22 +712,18 @@ func fill(fns []*ir.Function, treeCounts []int, shapeStream []int32, shapes [][]
 				}
 				litPos[op] = p + 1
 				v := s[p]
+				nd.Lit = v
 				switch {
 				case kind == ir.LitName:
 					if v < 0 || int(v) >= nSyms {
 						return fmt.Errorf("%w: name index %d out of range", ErrCorrupt, v)
 					}
-					nd.Sym = v
 				case op == ir.LABELV:
-					nd.Lit = int64(v)
-					if err := labels.Define(nd.Lit); err != nil {
+					if err := labels.Define(v); err != nil {
 						return fmt.Errorf("%w: %v", ErrCorrupt, err)
 					}
 				case op == ir.JUMPV || op.IsBranch():
-					nd.Lit = int64(v)
-					labels.Use(nd.Lit)
-				default:
-					nd.Lit = int64(v)
+					labels.Use(v)
 				}
 			}
 		}
