@@ -753,20 +753,16 @@ func BenchmarkWireDecompress(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("Workers%d", w), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			defer allocTracked(b)()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.DecompressParallel(data, w, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			report(b, float64(len(data)), "bytes")
-		})
+	b.SetBytes(int64(len(data)))
+	defer allocTracked(b)()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.Decompress(data); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	report(b, float64(len(data)), "bytes")
 }
 
 // BenchmarkWireLoad is a client's load of a shipped wire object up to
@@ -802,8 +798,8 @@ func BenchmarkWireLoad(b *testing.B) {
 
 // rawDecodeStream builds the deterministic synthetic symbol stream the
 // raw-decode micro-benchmarks share: mostly small recency-friendly
-// values with a 4096-wide tail so both the array and sliding MTF paths
-// and the deep Huffman codes get exercised.
+// values with a 4096-wide tail so the sliding MTF table grows deep and
+// the deep Huffman codes get exercised.
 func rawDecodeStream() []int32 {
 	const n = 1 << 16
 	syms := make([]int32, n)
@@ -824,7 +820,8 @@ func rawDecodeStream() []int32 {
 var bitsSink uint64
 
 // BenchmarkRawDecode isolates the serial decode primitives: Huffman
-// symbol decoding, MTF stream decoding, and raw bit extraction.
+// symbol decoding, MTF stream decoding in mtf's tree mode from the
+// first symbol, and raw bit extraction.
 func BenchmarkRawDecode(b *testing.B) {
 	syms := rawDecodeStream()
 	indices, firsts := mtf.AppendEncode(new(mtf.Encoder), syms, nil, nil)
@@ -870,7 +867,7 @@ func BenchmarkRawDecode(b *testing.B) {
 	b.Run("MTF", func(b *testing.B) {
 		defer allocTracked(b)()
 		for i := 0; i < b.N; i++ {
-			d := mtf.NewStreamDecoder(firsts)
+			d := mtf.Resume(nil, firsts)
 			out := make([]int32, len(indices))
 			for j, idx := range indices {
 				var ok bool

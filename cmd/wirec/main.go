@@ -47,7 +47,7 @@ func main() {
 	fn := flag.String("func", "", "with -d on an indexed object: load only this function")
 	maxBytes := flag.Uint64("max-bytes", 0, "cap the final-stage output of a WIR2 object (its container) or -indexed WIRX object (its header) in bytes (0 = keep the 1 GiB default)")
 	timeout := flag.Duration("timeout", 0, "abort -d after this wall-clock duration, e.g. 2s (0 = unlimited)")
-	workers := flag.Int("workers", 0, "worker pool size: 0 = one per CPU, 1 = serial; output is identical either way")
+	workers := flag.Int("workers", 0, "encode worker pool size: 0 = one per CPU, 1 = serial; output is identical either way (decode is always serial)")
 	obs := expose.AddFlags(flag.CommandLine)
 	flag.Parse()
 	// A bare positional source file means -c.
@@ -160,7 +160,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "decompressed %s: %d functions\n", mod.Name, len(mod.Functions))
 				return nil
 			}
-			mod, err := wire.DecompressParallel(data, *workers, rec)
+			mod, err := wire.DecompressTraced(data, rec)
 			if err != nil {
 				return err
 			}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/bitio"
 )
@@ -451,11 +450,11 @@ func (c *Code) DecodeSlow(br *bitio.Reader) (int, error) {
 // Arena hands out the decode storage of many codes — each code's
 // values, symbol order and decode table — from shared slabs, so reading
 // a container's codes costs a few allocations rather than several per
-// code. It is safe for concurrent use, and the zero value is ready; a
+// code. It belongs to one decoder at a time (wire reads a container's
+// segments in order on one goroutine), and the zero value is ready; a
 // nil Arena allocates each code's storage on its own. A slab lives as
 // long as any code carved from it.
 type Arena struct {
-	mu   sync.Mutex
 	free []uint32
 	slab int // words in the next slab
 }
@@ -473,8 +472,6 @@ func (a *Arena) alloc(n int) []uint32 {
 	if a == nil || n > arenaSlabMax/4 {
 		return make([]uint32, n)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if n > len(a.free) {
 		a.slab = min(max(2*a.slab, arenaSlabMin), arenaSlabMax)
 		a.free = make([]uint32, max(a.slab, n))

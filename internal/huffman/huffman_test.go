@@ -365,17 +365,16 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// TestArenaConcurrent: codes read from one Arena by several goroutines
-// at once, as a container's segments are, each decode their own
-// payload, and no two share storage.
-func TestArenaConcurrent(t *testing.T) {
-	const workers, perWorker = 4, 40
+// TestArenaCodesDisjoint: codes read from one Arena in turn, as a
+// container's segments are, each decode their own payload after all of
+// them are read, so no two share storage.
+func TestArenaCodesDisjoint(t *testing.T) {
 	type job struct {
 		table, payload []byte
 		want           []int
 	}
 	rng := rand.New(rand.NewSource(5))
-	jobs := make([]job, workers*perWorker)
+	jobs := make([]job, 160)
 	for i := range jobs {
 		freqs := make([]int64, rng.Intn(3000)+2)
 		for s := range freqs {
@@ -401,24 +400,12 @@ func TestArenaConcurrent(t *testing.T) {
 	}
 	var arena Arena
 	codes := make([]*Code, len(jobs))
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := w; i < len(jobs); i += workers {
-				c, err := ReadLengths(bitio.NewReaderBytes(jobs[i].table), &arena, MaxSymbols)
-				if err != nil {
-					errs <- err
-					return
-				}
-				codes[i] = c
-			}
-			errs <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
+	for i := range jobs {
+		c, err := ReadLengths(bitio.NewReaderBytes(jobs[i].table), &arena, MaxSymbols)
+		if err != nil {
 			t.Fatal(err)
 		}
+		codes[i] = c
 	}
 	for i, c := range codes {
 		br := bitio.NewReaderBytes(jobs[i].payload)

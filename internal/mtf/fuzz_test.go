@@ -1,10 +1,11 @@
 package mtf
 
-// Differential fuzzing of the hybrid array/Fenwick MTF coder against
-// the plain linear-scan implementation it replaced (kept here as the
-// reference oracle). The representations must agree on every index,
-// every first-occurrence value, every decoded symbol, and every
-// malformed-input rejection — the wire format's bytes depend on it.
+// Differential fuzzing of the hybrid array/Fenwick MTF encoder and the
+// Fenwick stream decoder against the plain linear-scan implementation
+// they replaced (kept here as the reference oracle). The
+// representations must agree on every index, every first-occurrence
+// value, every decoded symbol, and every malformed-input rejection —
+// the wire format's bytes depend on it.
 
 import (
 	"math/rand"
@@ -58,8 +59,7 @@ func tableLen(e *Encoder) int {
 }
 
 // diffEncodeDecode pushes one symbol stream through both encoder
-// implementations and both decoder implementations, failing on any
-// divergence.
+// implementations and both decoders, failing on any divergence.
 func diffEncodeDecode(t *testing.T, syms []int32) {
 	t.Helper()
 	enc := new(Encoder)
@@ -81,53 +81,40 @@ func diffEncodeDecode(t *testing.T, syms []int32) {
 			firsts = append(firsts, syms[i])
 		}
 	}
-	dec := &decoder{}
-	rdec := &refDecoder{}
-	fi := 0
-	for i, idx := range indices {
-		var fresh int32
-		if idx == 0 {
-			fresh = firsts[fi]
-			fi++
-		}
-		s1, u1, ok1 := dec.Decode(idx, fresh)
-		s2, u2, ok2 := rdec.decode(idx, fresh)
-		if s1 != s2 || u1 != u2 || ok1 != ok2 {
-			t.Fatalf("idx %d: decode (%d,%v,%v), ref (%d,%v,%v)", i, s1, u1, ok1, s2, u2, ok2)
-		}
-		if !ok1 || s1 != syms[i] {
-			t.Fatalf("idx %d: round trip gave %d (ok=%v), want %d", i, s1, ok1, syms[i])
-		}
-	}
+	diffDecodeRaw(t, indices, firsts, syms)
 }
 
 // diffDecodeRaw feeds an arbitrary — possibly malformed — index stream
-// to both decoders and requires identical behavior, including the
-// position of the first rejection.
-func diffDecodeRaw(t *testing.T, indices []int, firsts []int32) {
+// to Resume(nil, firsts) and to the reference decoder and requires
+// identical behavior, including the position of the first rejection.
+// A non-nil want also holds every decoded symbol to it.
+func diffDecodeRaw(t *testing.T, indices []int, firsts, want []int32) {
 	t.Helper()
-	dec := &decoder{}
+	dec := Resume(nil, firsts)
 	rdec := &refDecoder{}
 	fi := 0
 	for i, idx := range indices {
 		var fresh int32
 		if idx == 0 {
-			if fi >= len(firsts) {
+			if fi == len(firsts) {
+				if _, ok := dec.Next(idx); ok {
+					t.Fatalf("idx %d: decoded a new symbol past the %d first-occurrence values", i, len(firsts))
+				}
 				return
 			}
 			fresh = firsts[fi]
+			fi++
 		}
-		s1, u1, ok1 := dec.Decode(idx, fresh)
-		s2, u2, ok2 := rdec.decode(idx, fresh)
-		if s1 != s2 || u1 != u2 || ok1 != ok2 {
-			t.Fatalf("idx %d (%d): decode (%d,%v,%v), ref (%d,%v,%v)",
-				i, idx, s1, u1, ok1, s2, u2, ok2)
+		s1, ok1 := dec.Next(idx)
+		s2, _, ok2 := rdec.decode(idx, fresh)
+		if s1 != s2 || ok1 != ok2 {
+			t.Fatalf("idx %d (%d): decode (%d,%v), ref (%d,%v)", i, idx, s1, ok1, s2, ok2)
+		}
+		if want != nil && (!ok1 || s1 != want[i]) {
+			t.Fatalf("idx %d: round trip gave %d (ok=%v), want %d", i, s1, ok1, want[i])
 		}
 		if !ok1 {
 			return
-		}
-		if u1 {
-			fi++
 		}
 	}
 }
@@ -140,8 +127,8 @@ func FuzzMTFDiff(f *testing.F) {
 		if len(stream) > 1<<14 {
 			stream = stream[:1<<14]
 		}
-		// Thresholds below and above the alphabet size force the tree
-		// and array representations respectively.
+		// Thresholds below and above the alphabet size force the
+		// encoder's tree and array representations respectively.
 		restore := setTreeThreshold(int(threshold%64) + 1)
 		defer restore()
 		// Widen pairs of bytes into one symbol so streams reach
@@ -162,7 +149,7 @@ func FuzzMTFDiff(f *testing.F) {
 		for i, b := range stream {
 			indices[i] = int(b % 37)
 		}
-		diffDecodeRaw(t, indices, []int32{1, 2, 3, 4, 5, 6, 7, 8})
+		diffDecodeRaw(t, indices, []int32{1, 2, 3, 4, 5, 6, 7, 8}, nil)
 	})
 }
 

@@ -9,23 +9,26 @@
 // where the ADDRLP8 literal stream [72 72 68 72 68 68 68 68] codes to
 // [0 1 0 2 2 1 1 1] with table {72, 68}.
 //
-// Small tables use a linear-scan array (one cache line of int32s beats
-// any tree). Once a table crosses treeThreshold distinct symbols, the
-// coder switches to a sliding slot array with a Fenwick occupancy tree:
-// a move-to-front clears the symbol's slot and claims the next slot
-// below a decreasing front pointer, so rank (encode) and select
-// (decode) are O(log n) instead of O(n) scans plus memmoves, with an
-// amortized O(n log n) compaction when the front pointer hits zero.
-// Both representations produce bit-identical output. The wire decoder
-// runs the array mode inside its own decode loop, to a size limit of
-// its own, and continues a stream in tree mode through Resume.
+// The Encoder keeps small tables in a linear-scan array (one cache line
+// of int32s beats any tree). Once a table crosses treeThreshold
+// distinct symbols, it switches to a sliding slot array with a Fenwick
+// occupancy tree: a move-to-front clears the symbol's slot and claims
+// the next slot below a decreasing front pointer, so rank (encode) and
+// select (decode) are O(log n) instead of O(n) scans plus memmoves,
+// with an amortized O(n log n) compaction when the front pointer hits
+// zero. Both representations produce bit-identical output. The decode
+// side has only the sliding form, StreamDecoder. The wire decoder runs
+// its own array inside its decode loop, to a size limit of its own, and
+// continues a stream in tree mode through Resume; wire's other stream
+// readers (the NoHuffman ablation, Inspect), which are on no hot path,
+// start in tree mode with Resume(nil, firsts).
 package mtf
 
 import "slices"
 
-// treeThreshold is the table size at which the coders migrate from the
-// linear-scan array to the Fenwick-backed sliding structure. The value
-// only affects speed, never output (the representations are
+// treeThreshold is the table size at which the Encoder migrates from
+// the linear-scan array to the Fenwick-backed sliding structure. The
+// value only affects speed, never output (the representations are
 // differentially tested for identical indices): MTF streams are
 // recency-skewed, so the array's short memmoves beat three O(log n)
 // Fenwick walks until typical ranks reach the high hundreds, and the
@@ -78,7 +81,8 @@ func (f *fenwick) selectK(k int32) int {
 	return pos
 }
 
-// sliding is the shared large-alphabet representation: symbols live in
+// sliding is the large-alphabet representation the Encoder and the
+// StreamDecoder share: symbols live in
 // slots[front:], most recent at the lowest index; moving to front
 // clears the old slot and claims slot front-1.
 type sliding struct {
@@ -209,63 +213,6 @@ func (e *Encoder) Encode(sym int32) int {
 	return 0
 }
 
-// decoder mirrors Encoder. It needs no symbol index: decode addresses
-// the table by rank (Fenwick select in tree mode).
-type decoder struct {
-	table []int32
-	tree  *sliding
-}
-
-// Decode reverses Encode. index 0 introduces sym `fresh` (the next value
-// from the first-occurrence side stream); fresh is ignored otherwise.
-// ok is false if index is out of range for the current table.
-func (d *decoder) Decode(index int, fresh int32) (sym int32, usedFresh, ok bool) {
-	if d.tree == nil {
-		if index == 0 {
-			if len(d.table) >= treeThreshold {
-				d.tree = &sliding{}
-				d.tree.reset(d.table)
-				d.table = d.table[:0]
-				d.tree.insertFront(fresh)
-				return fresh, true, true
-			}
-			d.table = append(d.table, 0)
-			copy(d.table[1:], d.table[:len(d.table)-1])
-			d.table[0] = fresh
-			return fresh, true, true
-		}
-		i := index - 1
-		if i < 0 || i >= len(d.table) {
-			return 0, false, false
-		}
-		sym = d.table[i]
-		copy(d.table[1:i+1], d.table[:i])
-		d.table[0] = sym
-		return sym, false, true
-	}
-	if index == 0 {
-		d.tree.insertFront(fresh)
-		return fresh, true, true
-	}
-	k := index - 1
-	if k < 0 || k >= d.tree.n {
-		return 0, false, false
-	}
-	// Rank 0 is the front slot (always live: nothing removes the front
-	// without replacing it), and it dominates MTF-friendly streams, so
-	// skip the Fenwick walk for it.
-	if k == 0 {
-		return d.tree.slots[d.tree.front], false, true
-	}
-	p := d.tree.occ.selectK(int32(k))
-	sym = d.tree.slots[p]
-	if p != d.tree.front {
-		d.tree.remove(p)
-		d.tree.insertFront(sym)
-	}
-	return sym, false, true
-}
-
 // AppendEncode codes syms through e (call Reset first for a fresh
 // stream), appending the MTF indices and the first-occurrence values
 // (the paper's "table", in first-seen order) to the provided slices and
@@ -282,47 +229,53 @@ func AppendEncode(e *Encoder, syms []int32, indices []int, firsts []int32) ([]in
 	return indices, firsts
 }
 
-// StreamDecoder decodes one stream an index at a time: index 0 takes
-// the next value from the stream's first-occurrence list.
+// StreamDecoder reverses an Encoder's stream an index at a time, in the
+// sliding form: index 0 takes the next value from the stream's
+// first-occurrence list. It needs no symbol index: decode addresses
+// the table by rank (Fenwick select).
 type StreamDecoder struct {
-	d      decoder
+	t      sliding
 	firsts []int32 // first-occurrence values not yet used
 }
 
-// NewStreamDecoder returns a decoder for a stream whose first-occurrence
-// values are firsts, in order.
-func NewStreamDecoder(firsts []int32) *StreamDecoder {
-	return &StreamDecoder{firsts: firsts}
+// Resume returns a stream decoder that continues a stream whose start a
+// caller's own loop decoded in array mode (wire's fused decode loop,
+// once its table is full): table holds the stream's distinct symbols so
+// far, most recent last, so that a new symbol is an append, and firsts
+// the first-occurrence values not yet used. Resume takes table over.
+// With a nil table it returns a decoder from the stream's first symbol.
+func Resume(table, firsts []int32) *StreamDecoder {
+	slices.Reverse(table)
+	s := &StreamDecoder{firsts: firsts}
+	s.t.reset(table)
+	return s
 }
 
 // Next decodes the stream's next index. ok is false on a malformed
 // stream: index out of range, or no first-occurrence value left.
 func (s *StreamDecoder) Next(index int) (sym int32, ok bool) {
-	var fresh int32
+	t := &s.t
 	if index == 0 {
 		if len(s.firsts) == 0 {
 			return 0, false
 		}
-		fresh = s.firsts[0]
+		sym, s.firsts = s.firsts[0], s.firsts[1:]
+		t.insertFront(sym)
+		return sym, true
 	}
-	sym, used, ok := s.d.Decode(index, fresh)
-	if used {
-		s.firsts = s.firsts[1:]
+	k := index - 1
+	if k < 0 || k >= t.n {
+		return 0, false
 	}
-	return sym, ok
-}
-
-// Resume returns a stream decoder in tree mode that continues a stream
-// whose start a caller's own loop decoded in array mode (wire's fused
-// decode loop, once its table is full): table holds the stream's
-// distinct symbols so far, most recent last, so that a new symbol is an
-// append, and firsts the first-occurrence values not yet used. Resume
-// takes table over. With an empty table it returns a decoder in tree
-// mode from the stream's first symbol.
-func Resume(table, firsts []int32) *StreamDecoder {
-	slices.Reverse(table)
-	s := &StreamDecoder{firsts: firsts}
-	s.d.tree = &sliding{}
-	s.d.tree.reset(table)
-	return s
+	// Rank 0 is the front slot (always live: nothing removes the front
+	// without replacing it), and it dominates MTF-friendly streams, so
+	// skip the Fenwick walk for it.
+	if k == 0 {
+		return t.slots[t.front], true
+	}
+	p := t.occ.selectK(int32(k))
+	sym = t.slots[p]
+	t.remove(p)
+	t.insertFront(sym)
+	return sym, true
 }

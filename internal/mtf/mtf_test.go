@@ -15,7 +15,7 @@ func encodeStream(syms []int32) (indices []int, firsts []int32) {
 // decodeStream decodes a whole index stream; ok is false at the first
 // malformed index.
 func decodeStream(indices []int, firsts []int32) (syms []int32, ok bool) {
-	d := NewStreamDecoder(firsts)
+	d := Resume(nil, firsts)
 	syms = make([]int32, len(indices))
 	for i, idx := range indices {
 		if syms[i], ok = d.Next(idx); !ok {

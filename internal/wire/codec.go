@@ -378,6 +378,11 @@ func patternize(m *ir.Module) (*patterns, error) {
 
 // ---- symbol streams ----
 
+// maxLiteralSymbols is the most symbols a literal stream may declare.
+// WIR2's readSegments and WIRX's LoadFunction refuse a larger count
+// before they size anything by it.
+const maxLiteralSymbols = 1 << 26
+
 // streamScratch is the per-stream encoder state — bit writer, MTF
 // encoder, symbol/frequency scratch — recycled through scratchPool
 // across streams and across concurrent Compress calls, eliminating the
@@ -457,48 +462,65 @@ func writeStream(bw *bitio.Writer, symbols []int, firsts []int32, code *huffman.
 	return nil
 }
 
+// readStreamHead reads what a stream carries ahead of its count
+// symbols in br's segBytes-long input. It rejects a count the input
+// cannot hold, reads the first-occurrence values and, for an in-band
+// segment coded with Huffman, the code, its storage carved from arena.
+// firstsEnd is the bit offset where the first-occurrence values end and
+// the in-band table begins. readStream and Inspect both read a stream
+// through it, so the attribution walk reads what the decoder reads.
+func readStreamHead(br *bitio.Reader, segBytes, count int, opt Options, inBand bool, arena *huffman.Arena) (firsts []int32, firstsEnd int64, code *huffman.Code, err error) {
+	if err := fitSymbols(br, segBytes, count); err != nil {
+		return nil, 0, nil, err
+	}
+	nFirsts, err := readUvarint(br)
+	if err != nil || nFirsts > uint64(count) {
+		return nil, 0, nil, fmt.Errorf("firsts count")
+	}
+	firsts = make([]int32, nFirsts)
+	for i := range firsts {
+		v, err := readUvarint(br)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		firsts[i] = unzigzag(v)
+	}
+	firstsEnd = br.BitsRead()
+	if inBand && !opt.NoHuffman {
+		if code, err = huffman.ReadLengths(br, arena, alphabetBound(len(firsts), opt.NoMTF)); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	return firsts, firstsEnd, code, nil
+}
+
 // readStream reverses writeStream for count symbols read from br, whose
 // input is segBytes long, and undoes the MTF stage as it goes, so each
 // symbol decodes straight to its value. Unless opt.NoHuffman, the
 // symbols are decoded with the table read in-band, its storage carved
 // from arena, or, when !inBand, with the shared code.
 func readStream(br *bitio.Reader, segBytes, count int, opt Options, code *huffman.Code, inBand bool, arena *huffman.Arena) ([]int32, error) {
-	if err := fitSymbols(br, segBytes, count); err != nil {
+	firsts, _, inBandCode, err := readStreamHead(br, segBytes, count, opt, inBand, arena)
+	if err != nil {
 		return nil, err
 	}
-	nFirsts, err := readUvarint(br)
-	if err != nil || nFirsts > uint64(count) {
-		return nil, fmt.Errorf("firsts count")
-	}
-	firsts := make([]int32, nFirsts)
-	for i := range firsts {
-		v, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		firsts[i] = unzigzag(v)
-	}
-	vals := make([]int32, count)
 	if opt.NoHuffman {
-		u := streamDecoder(firsts, opt.NoMTF)
-		for i := range vals {
+		symbols := make([]int, count)
+		for i := range symbols {
 			v, err := readUvarint(br)
 			if err != nil {
 				return nil, err
 			}
-			if vals[i], err = symbolValue(u, int(v)); err != nil {
-				return nil, err
-			}
+			symbols[i] = int(v)
 		}
-		return vals, nil
+		return unsymbolize(symbols, firsts, opt.NoMTF)
 	}
 	if inBand {
-		if code, err = huffman.ReadLengths(br, arena, alphabetBound(len(firsts), opt.NoMTF)); err != nil {
-			return nil, err
-		}
+		code = inBandCode
 	} else if code == nil && count > 0 {
 		return nil, fmt.Errorf("missing shared code")
 	}
+	vals := make([]int32, count)
 	if count > 0 {
 		if err := decodeSymbols(br, code, vals, firsts, opt.NoMTF); err != nil {
 			return nil, err
@@ -617,37 +639,23 @@ func fitSymbols(br *bitio.Reader, segBytes, count int) error {
 	return nil
 }
 
-// streamDecoder returns the MTF decoder for a stream whose
-// first-occurrence values are firsts, or nil under noMTF.
-func streamDecoder(firsts []int32, noMTF bool) *mtf.StreamDecoder {
-	if noMTF {
-		return nil
-	}
-	return mtf.NewStreamDecoder(firsts)
-}
-
-// symbolValue returns the value symbol sym codes: its MTF decode through u,
-// or its zigzag shift when u is nil (noMTF).
-func symbolValue(u *mtf.StreamDecoder, sym int) (int32, error) {
-	if u == nil {
-		return unzigzag(uint64(sym)), nil
-	}
-	v, ok := u.Next(sym)
-	if !ok {
-		return 0, errMTF
-	}
-	return v, nil
-}
-
 // unsymbolize inverts the MTF stage (or the zigzag shift under noMTF)
-// over a whole stream of symbols.
+// over a whole stream of symbols, in mtf's tree mode. It decodes the
+// streams decodeSymbols does not take: NoHuffman streams, and the shape
+// stream Inspect keeps the coded symbols of.
 func unsymbolize(symbols []int, firsts []int32, noMTF bool) ([]int32, error) {
-	u := streamDecoder(firsts, noMTF)
 	out := make([]int32, len(symbols))
+	if noMTF {
+		for i, sym := range symbols {
+			out[i] = unzigzag(uint64(sym))
+		}
+		return out, nil
+	}
+	u := mtf.Resume(nil, firsts)
 	for i, sym := range symbols {
-		v, err := symbolValue(u, sym)
-		if err != nil {
-			return nil, err
+		v, ok := u.Next(sym)
+		if !ok {
+			return nil, errMTF
 		}
 		out[i] = v
 	}

@@ -20,7 +20,7 @@ func determinismProfiles(t *testing.T) []workload.Profile {
 	return profiles
 }
 
-// TestParallelOutputIdentical pins the tentpole contract: for every
+// TestParallelOutputIdentical pins the determinism contract: for every
 // workload and every pipeline configuration, the compressed bytes at
 // Workers=1 are identical to the bytes at Workers=8, for both the
 // plain and the indexed container.
@@ -63,17 +63,13 @@ func TestParallelOutputIdentical(t *testing.T) {
 				t.Errorf("%s variant %d: indexed container differs between Workers=1 and Workers=8", p.Name, vi)
 			}
 
-			// Parallel decode must reconstruct the same module.
-			m1, err := DecompressParallel(gotPlain, 1, nil)
+			// The parallel encode's bytes decode to the module.
+			back, err := Decompress(gotPlain)
 			if err != nil {
-				t.Fatalf("%s variant %d decompress serial: %v", p.Name, vi, err)
+				t.Fatalf("%s variant %d decompress: %v", p.Name, vi, err)
 			}
-			m8, err := DecompressParallel(gotPlain, 8, nil)
-			if err != nil {
-				t.Fatalf("%s variant %d decompress parallel: %v", p.Name, vi, err)
-			}
-			if !modulesEqual(m1, mod) || !modulesEqual(m8, mod) {
-				t.Errorf("%s variant %d: parallel roundtrip lost the module", p.Name, vi)
+			if !modulesEqual(back, mod) {
+				t.Errorf("%s variant %d: roundtrip lost the module", p.Name, vi)
 			}
 		}
 	}

@@ -220,10 +220,9 @@ int main(void) { return f(2, 3); }`); err == nil {
 	})
 }
 
-// containerOptions maps FuzzParseContainer's flags to serial decode
-// options.
+// containerOptions maps FuzzParseContainer's flags to decode options.
 func containerOptions(flags byte) Options {
-	return Options{NoMTF: flags&1 != 0, NoHuffman: flags&2 != 0, Workers: 1}
+	return Options{NoMTF: flags&1 != 0, NoHuffman: flags&2 != 0}
 }
 
 // resealSegments walks a container's segment framing as readSegments
@@ -296,11 +295,11 @@ func TestResealSegments(t *testing.T) {
 			c[s.end-1] ^= 0x5A
 		}
 	}
-	if _, err := parseContainer(c, Options{Workers: 1}, nil); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+	if _, err := parseContainer(c, Options{}, nil); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("flipped CRCs: got %v, want a checksum mismatch", err)
 	}
 	resealSegments(c)
-	if _, err := parseContainer(c, Options{Workers: 1}, nil); err != nil {
+	if _, err := parseContainer(c, Options{}, nil); err != nil {
 		t.Fatalf("resealed container: %v", err)
 	}
 }

@@ -301,7 +301,7 @@ func (r *IndexedReader) LoadFunction(name string) (*ir.Function, error) {
 	var lits [ir.NumOps][]int32
 	for j, op := range litOps() {
 		n, err := readUvarint(br)
-		if err != nil || n > 1<<26 {
+		if err != nil || n > maxLiteralSymbols {
 			return nil, fmt.Errorf("%w: literal count for %s", ErrCorrupt, op)
 		}
 		if n == 0 {

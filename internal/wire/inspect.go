@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitio"
-	"repro/internal/huffman"
 	"repro/internal/ir"
 )
 
@@ -162,31 +161,23 @@ func (insp *Inspection) walk(container []byte) error {
 	return nil
 }
 
-// decodeSegmentDetail mirrors readStream on an in-band segment but
-// keeps the coded symbols and the exact bit cost of every component.
+// decodeSegmentDetail reads an in-band segment as readStream does,
+// through readStreamHead, but keeps the coded symbols and the exact bit
+// cost of every component.
 func decodeSegmentDetail(st *StreamInfo, seg []byte, opt Options) error {
 	br := bitio.NewReaderBytes(seg)
-	if err := fitSymbols(br, len(seg), st.Count); err != nil {
+	firsts, firstsEnd, code, err := readStreamHead(br, len(seg), st.Count, opt, true, nil)
+	if err != nil {
 		return err
 	}
-	nFirsts, err := readUvarint(br)
-	if err != nil || nFirsts > uint64(st.Count) {
-		return fmt.Errorf("firsts count")
-	}
-	st.Firsts = make([]int32, nFirsts)
-	for i := range st.Firsts {
-		v, err := readUvarint(br)
-		if err != nil {
-			return err
-		}
-		st.Firsts[i] = unzigzag(v)
-	}
-	st.FirstsBytes = int(br.BitsRead() / 8)
-
+	st.Firsts = firsts
+	st.FirstsBytes = int(firstsEnd / 8)
+	st.TableBits = br.BitsRead() - firstsEnd
+	payloadStart := br.BitsRead()
 	st.Symbols = make([]int, st.Count)
 	st.SymBits = make([]uint8, st.Count)
-	if opt.NoHuffman {
-		for i := range st.Symbols {
+	for i := range st.Symbols {
+		if code == nil {
 			before := br.BitsRead()
 			v, err := readUvarint(br)
 			if err != nil {
@@ -194,25 +185,16 @@ func decodeSegmentDetail(st *StreamInfo, seg []byte, opt Options) error {
 			}
 			st.Symbols[i] = int(v)
 			st.SymBits[i] = uint8(br.BitsRead() - before)
+			continue
 		}
-		st.PayloadBits = br.BitsRead() - int64(st.FirstsBytes)*8
-	} else {
-		tableStart := br.BitsRead()
-		code, err := huffman.ReadLengths(br, nil, alphabetBound(len(st.Firsts), opt.NoMTF))
+		s, err := code.Decode(br)
 		if err != nil {
 			return err
 		}
-		st.TableBits = br.BitsRead() - tableStart
-		for i := range st.Symbols {
-			s, err := code.Decode(br)
-			if err != nil {
-				return err
-			}
-			st.Symbols[i] = s
-			st.SymBits[i] = code.CodeLen(s)
-		}
-		st.PayloadBits = br.BitsRead() - tableStart - st.TableBits
+		st.Symbols[i] = s
+		st.SymBits[i] = code.CodeLen(s)
 	}
+	st.PayloadBits = br.BitsRead() - payloadStart
 	st.PadBits = int64(len(seg))*8 - br.BitsRead()
 	if st.PadBits < 0 || st.PadBits > 7 {
 		return fmt.Errorf("segment over/underrun (%d pad bits)", st.PadBits)

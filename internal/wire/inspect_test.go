@@ -1,48 +1,10 @@
 package wire
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/workload"
 )
-
-// TestDebugStageSum pins the Debug-mode contract: a clean encode
-// passes the stage-sum check, and a corrupted stage length turns into
-// a Compress error instead of a silently wrong attribution.
-func TestDebugStageSum(t *testing.T) {
-	mod := compileMod(t, "wep", workload.Generate(workload.Wep))
-	if _, err := CompressOpts(mod, Options{Debug: true}); err != nil {
-		t.Fatalf("Debug compress of a valid module: %v", err)
-	}
-
-	debugTamper = func(st *Stats) { st.OperatorBytes += 3 }
-	defer func() { debugTamper = nil }()
-	_, err := CompressOpts(mod, Options{Debug: true})
-	if err == nil {
-		t.Fatal("Debug compress with a corrupted stage length succeeded")
-	}
-	if !strings.Contains(err.Error(), "stage attribution mismatch") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// TestDebugNotSerialized: the Debug flag must not leak into the
-// artifact — bytes are identical with and without it.
-func TestDebugNotSerialized(t *testing.T) {
-	mod := compileMod(t, "wep", workload.Generate(workload.Wep))
-	plain, err := CompressOpts(mod, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	debug, err := CompressOpts(mod, Options{Debug: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(plain) != string(debug) {
-		t.Fatal("Debug flag changed the artifact bytes")
-	}
-}
 
 // TestInspectPartition: Inspect's sections must partition the
 // container exactly, match the encoder's own stage stats, and the

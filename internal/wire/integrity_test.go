@@ -313,7 +313,7 @@ func TestSymbolCountBombCapped(t *testing.T) {
 	writeModuleHeader(bw, &ir.Module{Name: "bomb", Functions: []*ir.Function{{Name: "f", Nodes: []ir.Node{{Op: ir.RETV}}, Roots: []int32{0}}}})
 	writeShapeTable(bw, [][]ir.Op{{ir.RETV}})
 	writeSegment(bw, shapeSeg)
-	writeUvarint(bw, 1<<26)
+	writeUvarint(bw, maxLiteralSymbols)
 	writeSegment(bw, []byte{0, 0, 0, 0})
 	for j := 2; j < numStreams(); j++ {
 		writeUvarint(bw, 0)

@@ -116,10 +116,13 @@ func TestCompressTracedStageSpans(t *testing.T) {
 }
 
 // TestDecompressTracedParseSplit asserts that a traced decode opens
-// the tree fill as one direct child of the wire.parse span, emits
-// no separate validation span (the fill does the checking), keeps
-// the wire.decompress attributes in order, and that the span costs no
-// allocation with a nil recorder.
+// exactly one wire.unfinal and one wire.parse span, each a descendant
+// of wire.decompress, and the tree fill as one direct child of the
+// wire.parse span; that it emits no per-stream span (streams decode
+// serially) and no separate validation span (the fill does the
+// checking); that it keeps the wire.decompress attributes in order;
+// and that the span costs no allocation with a nil recorder. The
+// layer spans are the ones a benchmark aggregates per decode.
 func TestDecompressTracedParseSplit(t *testing.T) {
 	mod, err := cc.Compile("wep", workload.Generate(workload.Wep))
 	if err != nil {
@@ -135,9 +138,11 @@ func TestDecompressTracedParseSplit(t *testing.T) {
 	}
 	ids := map[string][]uint64{}
 	parents := map[string][]uint64{}
+	parentOf := map[uint64]uint64{}
 	for _, sr := range rec.Spans() {
 		ids[sr.Name] = append(ids[sr.Name], sr.ID)
 		parents[sr.Name] = append(parents[sr.Name], sr.Parent)
+		parentOf[sr.ID] = sr.Parent
 		if sr.Name == "wire.decompress" {
 			var keys []string
 			for _, a := range sr.Attrs {
@@ -148,8 +153,24 @@ func TestDecompressTracedParseSplit(t *testing.T) {
 			}
 		}
 	}
-	if len(ids["wire.parse"]) != 1 {
-		t.Fatalf("%d wire.parse spans, want 1", len(ids["wire.parse"]))
+	if len(ids["wire.decompress"]) != 1 {
+		t.Fatalf("%d wire.decompress spans, want 1", len(ids["wire.decompress"]))
+	}
+	root := ids["wire.decompress"][0]
+	for _, name := range []string{"wire.unfinal", "wire.parse"} {
+		if len(ids[name]) != 1 {
+			t.Fatalf("%d %s spans, want 1", len(ids[name]), name)
+		}
+		id := ids[name][0]
+		for id != 0 && id != root {
+			id = parentOf[id]
+		}
+		if id != root {
+			t.Errorf("%s is not under wire.decompress", name)
+		}
+	}
+	if n := len(ids["wire.parse_stream"]); n != 0 {
+		t.Errorf("%d wire.parse_stream spans, want none", n)
 	}
 	if p := parents["wire.fill"]; len(p) != 1 || p[0] != ids["wire.parse"][0] {
 		t.Errorf("wire.fill parents %v, want one span under wire.parse %d", p, ids["wire.parse"][0])

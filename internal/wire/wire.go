@@ -15,10 +15,13 @@
 // instead of LZ — the design-space alternatives from §2).
 //
 // Because each stream is MTF+Huffman-coded in isolation, the container
-// stores every stream as an independent byte-aligned segment and both
-// the encoder and the decoder fan the per-stream work across a bounded
-// worker pool (internal/parallel). The fan-in is ordered, so the
-// output is byte-identical for every Options.Workers setting.
+// stores every stream as an independent byte-aligned segment. The
+// encoder fans the per-stream work across a bounded worker pool
+// (internal/parallel) with an ordered fan-in, so the output is
+// byte-identical for every Options.Workers setting. The decoder reads
+// the segments in order on the caller's goroutine: a client pays for
+// the CPU time of every thread it runs, and handing a few small
+// streams to other goroutines only added to that.
 //
 // The package writes two formats from one codec (codec.go): WIR2, the
 // monolithic object above, and WIRX (indexed.go), the paper's
@@ -58,21 +61,14 @@ type Options struct {
 	NoHuffman bool       // emit MTF indices as varints instead
 	Final     FinalCoder // last stage
 
-	// Debug enables internal consistency verification: Compress checks
-	// that the per-stage byte attributions (metadata + operators +
-	// literals) sum exactly to the container size and returns an error
-	// on a mismatch instead of shipping a silently mis-attributed
-	// artifact. The flag never changes the output bytes and is not
-	// serialized into the options byte.
-	Debug bool
-
 	// Workers bounds the per-stream encode fan-out: 0 means one worker
 	// per CPU (GOMAXPROCS), 1 forces the serial path. The knob never
 	// changes the artifact — compressed bytes are identical for every
-	// worker count (enforced by the determinism test suite).
+	// worker count (enforced by the determinism test suite). Decoding
+	// is always serial.
 	Workers int
 	// Pool, when non-nil, supplies an externally shared bounded worker
-	// pool (batch mode) and takes precedence over Workers.
+	// pool (batch mode) for encoding and takes precedence over Workers.
 	Pool *parallel.Pool
 }
 
@@ -119,8 +115,8 @@ var MaxContainerBytes uint64 = 1 << 30
 // litOps returns the literal-carrying opcodes in canonical opcode
 // order. Every per-opcode stream map on the encode or decode path must
 // be walked through this list (never by map range) so that map
-// iteration order — and therefore goroutine scheduling in the parallel
-// paths — can never leak into the output bytes.
+// iteration order — and therefore goroutine scheduling in the encode
+// fan-out — can never leak into the output bytes.
 var (
 	litOpsOnce sync.Once
 	litOpsList []ir.Op
@@ -196,16 +192,8 @@ func openContainer(data []byte, rec *telemetry.Recorder) (Options, []byte, error
 func Decompress(data []byte) (*ir.Module, error) { return DecompressTraced(data, nil) }
 
 // DecompressTraced reconstructs the module, reporting stage spans into
-// rec (nil disables telemetry). Stream decoding fans out across one
-// worker per CPU; use DecompressParallel for an explicit bound.
+// rec (nil disables telemetry).
 func DecompressTraced(data []byte, rec *telemetry.Recorder) (*ir.Module, error) {
-	return DecompressParallel(data, 0, rec)
-}
-
-// DecompressParallel reconstructs the module with an explicit worker
-// bound (0 = GOMAXPROCS, 1 = serial). The reconstructed module is
-// identical for every setting.
-func DecompressParallel(data []byte, workers int, rec *telemetry.Recorder) (*ir.Module, error) {
 	// A nil or disabled recorder must not pay for the attributes.
 	var sp *telemetry.Span
 	if rec.Enabled() {
@@ -216,7 +204,6 @@ func DecompressParallel(data []byte, workers int, rec *telemetry.Recorder) (*ir.
 	if err != nil {
 		return nil, err
 	}
-	opt.Workers = workers
 	psp := rec.StartSpan("wire.parse")
 	m, err := parseContainer(container, opt, rec)
 	psp.End()
@@ -267,14 +254,6 @@ func MeasureTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats, [
 	if err != nil {
 		return Stats{}, nil, err
 	}
-	if opt.Debug {
-		if debugTamper != nil {
-			debugTamper(&st)
-		}
-		if err := checkStageSum(st, len(container)); err != nil {
-			return Stats{}, nil, err
-		}
-	}
 	full, err := finalize(container, opt, rec)
 	if err != nil {
 		return Stats{}, nil, err
@@ -287,22 +266,6 @@ func MeasureTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats, [
 }
 
 // ---- container encoding ----
-
-// debugTamper, when non-nil, mutates the stage stats before the Debug
-// verification runs — a test hook proving the check actually fires on
-// a corrupted attribution.
-var debugTamper func(*Stats)
-
-// checkStageSum is the Debug-mode invariant: every container byte is
-// attributed to exactly one stage.
-func checkStageSum(st Stats, container int) error {
-	sum := st.MetadataBytes + st.OperatorBytes + st.LiteralBytes
-	if sum != container {
-		return fmt.Errorf("wire: stage attribution mismatch: metadata %d + operators %d + literals %d = %d, container %d",
-			st.MetadataBytes, st.OperatorBytes, st.LiteralBytes, sum, container)
-	}
-	return nil
-}
 
 // encodeContainer lays out a WIR2 container: the metadata section, the
 // operators section (shape table, then the shape-stream segment), and
@@ -391,10 +354,10 @@ func encodeContainer(m *ir.Module, opt Options, rec *telemetry.Recorder) (Stats,
 }
 
 // writeSegment frames one coded stream segment with its byte length so
-// the decoder can slice all segments out up front and fan their
-// decoding across workers instead of parsing sequentially. A CRC32C
-// trailer follows the bytes (not counted in the length) so each segment
-// is verified before it is entropy-decoded. Segments begin byte-aligned,
+// the decoder can slice all segments out up front, before it
+// entropy-decodes any. A CRC32C trailer follows the bytes (not counted
+// in the length) so each segment is verified before it is
+// entropy-decoded. Segments begin byte-aligned,
 // so both writes take the Writer's bulk-append path.
 func writeSegment(bw *bitio.Writer, seg []byte) {
 	writeUvarint(bw, uint64(len(seg)))
@@ -461,7 +424,7 @@ func readSegments(br *bitio.Reader, size int, treeCounts []int) ([]segment, erro
 		if j > 0 {
 			s.op = litOps()[j-1]
 			n, err := readUvarint(br)
-			if err != nil || n > 1<<26 {
+			if err != nil || n > maxLiteralSymbols {
 				return nil, fmt.Errorf("%w: literal stream size for %s", ErrCorrupt, s.op)
 			}
 			s.count = int(n)
@@ -488,13 +451,12 @@ func readSegments(br *bitio.Reader, size int, treeCounts []int) ([]segment, erro
 }
 
 // parseContainer decodes a container body into a module: header,
-// shapes and segments, the streams (fanned out on opt's pool), then
-// the tree fill under its own span, which splits the caller's
-// wire.parse span in a trace. The header and fill check every
-// invariant ir.Module.Validate checks, so the module is valid without
-// a second walk. rec may be nil.
+// shapes and segments, each stream in container order, then the tree
+// fill under its own span, which splits the caller's wire.parse span in
+// a trace. The header and fill check every invariant
+// ir.Module.Validate checks, so the module is valid without a second
+// walk. rec may be nil.
 func parseContainer(data []byte, opt Options, rec *telemetry.Recorder) (*ir.Module, error) {
-	pool := opt.pool(rec)
 	br := bitio.NewReaderBytes(data)
 	m, treeCounts, err := readModuleHeader(br)
 	if err != nil {
@@ -508,35 +470,28 @@ func parseContainer(data []byte, opt Options, rec *telemetry.Recorder) (*ir.Modu
 	if err != nil {
 		return nil, err
 	}
-	// Decode every nonempty stream concurrently — the decode-side mirror
-	// of the encoder's fan-out.
-	live := []*segment{&segs[0]}
-	for i := 1; i < len(segs); i++ {
-		if segs[i].count > 0 {
-			live = append(live, &segs[i])
-		}
-	}
-	var arena huffman.Arena // every segment's in-band table
-	decoded, err := parallel.Map(pool, "wire.parse_stream", len(live), func(i int) ([]int32, error) {
-		s := live[i]
+	var (
+		arena       huffman.Arena // every segment's in-band table
+		shapeStream []int32
+		lits        [ir.NumOps][]int32
+	)
+	for i := range segs {
+		s := &segs[i]
 		if s.count == 0 {
-			return nil, nil
+			continue
 		}
-		vals, derr := readStream(bitio.NewReaderBytes(s.data), len(s.data), s.count, opt, nil, true, &arena)
-		if derr != nil {
-			return nil, fmt.Errorf("%w: %s stream: %v", ErrCorrupt, s.name(), derr)
+		vals, err := readStream(bitio.NewReaderBytes(s.data), len(s.data), s.count, opt, nil, true, &arena)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s stream: %v", ErrCorrupt, s.name(), err)
 		}
-		return vals, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var lits [ir.NumOps][]int32
-	for i := 1; i < len(live); i++ {
-		lits[live[i].op] = decoded[i]
+		if i == 0 {
+			shapeStream = vals
+		} else {
+			lits[s.op] = vals
+		}
 	}
 	fsp := rec.StartSpan("wire.fill")
-	err = fill(m.Functions, treeCounts, decoded[0], shapes, &lits, len(m.Syms))
+	err = fill(m.Functions, treeCounts, shapeStream, shapes, &lits, len(m.Syms))
 	fsp.End()
 	if err != nil {
 		return nil, err
