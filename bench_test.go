@@ -25,7 +25,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mtf"
 	"repro/internal/native"
-	"repro/internal/paging"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 	"repro/internal/wire"
@@ -416,88 +415,35 @@ func BenchmarkJITRunPenalty(b *testing.B) {
 // ---- S3: working-set reduction ----
 
 func BenchmarkWorkingSet(b *testing.B) {
-	p := workload.Lcc
-	p.Name = "lcc-ws"
-	p.MainSweep = true
-	prog := benchProgram(b, p)
-	obj, err := brisc.Compress(prog, brisc.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	offsets := make([]int64, len(prog.Code)+1)
-	for i, ins := range prog.Code {
-		offsets[i+1] = offsets[i] + int64(native.VariableSize([]vm.Instr{ins}))
-	}
-	var natPages, briscPages int
+	var r experiments.WorkingSetResult
 	defer allocTracked(b)()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		natSim := paging.NewSimulator(paging.Config{PageSize: 1024})
-		m := vm.NewMachine(prog, 0, io.Discard)
-		m.Trace = func(pc int32) { natSim.Touch(offsets[pc], int(offsets[pc+1]-offsets[pc])) }
-		if _, err := m.Run(0); err != nil {
+		var err error
+		if r, err = experiments.WorkingSet(workload.Lcc); err != nil {
 			b.Fatal(err)
 		}
-		m.Release()
-		briscSim := paging.NewSimulator(paging.Config{PageSize: 1024})
-		it := brisc.NewInterp(obj, 0, io.Discard)
-		it.Trace = func(off int32) { briscSim.Touch(int64(off), 2) }
-		if _, err := it.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		it.Release()
-		natPages = natSim.Result(1).PagesTouched
-		briscPages = briscSim.Result(1).PagesTouched
 	}
 	b.StopTimer()
-	report(b, float64(natPages), "native-pages")
-	report(b, float64(briscPages), "brisc-pages")
-	report(b, 100*(1-float64(briscPages)/float64(natPages)), "reduction-%")
+	report(b, float64(r.NativePages), "native-pages")
+	report(b, float64(r.BriscPages), "brisc-pages")
+	report(b, r.ReductionPct, "reduction-%")
 }
 
 // ---- S4: the intro paging scenario ----
 
 func BenchmarkPagingScenario(b *testing.B) {
-	p := workload.Lcc
-	p.Name = "lcc-paging"
-	p.MainSweep = true
-	p.MainRounds = 40
-	prog := benchProgram(b, p)
-	obj, err := brisc.Compress(prog, brisc.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	offsets := make([]int64, len(prog.Code)+1)
-	for i, ins := range prog.Code {
-		offsets[i+1] = offsets[i] + int64(native.VariableSize([]vm.Instr{ins}))
-	}
-	const page = 4096
-	budget := (native.VariableSize(prog.Code)/page + 1) / 2 // half the native image
-	var natMs, briscMs float64
+	var rows []experiments.PagingRow
 	defer allocTracked(b)()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := paging.Config{PageSize: page, ResidentPages: budget}
-		natSim := paging.NewSimulator(cfg)
-		m := vm.NewMachine(prog, 0, io.Discard)
-		m.Trace = func(pc int32) { natSim.Touch(offsets[pc], int(offsets[pc+1]-offsets[pc])) }
-		if _, err := m.Run(0); err != nil {
+		var err error
+		if rows, err = experiments.PagingScenario(workload.Lcc, 12); err != nil {
 			b.Fatal(err)
 		}
-		m.Release()
-		briscSim := paging.NewSimulator(cfg)
-		it := brisc.NewInterp(obj, 0, io.Discard)
-		it.Trace = func(off int32) { briscSim.Touch(int64(off), 2) }
-		if _, err := it.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		it.Release()
-		natMs = natSim.Result(1).TotalTime / 1000
-		briscMs = briscSim.Result(12).TotalTime / 1000
 	}
 	b.StopTimer()
-	report(b, natMs, "native-ms")
-	report(b, briscMs, "brisc-ms")
+	half := rows[2] // the budget of half the native image
+	report(b, half.NativeTimeMs, "native-ms")
+	report(b, half.BriscTimeMs, "brisc-ms")
 }
 
 // BenchmarkXIP measures execute-in-place from the compressed page

@@ -4,30 +4,24 @@
 //
 // Usage:
 //
-//	experiments -table all            everything (slow: minutes)
-//	experiments -table wire           §3 wire-code table (T1)
-//	experiments -table brisc          §4 BRISC results table (T2)
-//	experiments -table variants       §5 abstract-machine variants (T3)
-//	experiments -table example        §4 salt() worked example (F1)
-//	experiments -table workingset     working-set reduction (S3)
-//	experiments -table paging         intro paging scenario (S4)
-//	experiments -table penalty        interpretation penalty (S1)
-//	experiments -table xip            execute-in-place fault/miss sweep (X1)
-//	experiments -table batch          batch-compress the corpus through the shared pool
-//	experiments -quick                skip the slow timing columns
-//	experiments -workers N            worker pool size for -table batch (0 = one per CPU)
+//	experiments [-table name] [-quick] [-workers N] [-metrics-out file]
+//
+// -table all (the default) prints every table but batch; -h lists the
+// table names, which are experiments.Tables. -quick skips the slow
+// timing columns, and -workers sizes the pool of -table batch (0 = one
+// per CPU).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/expose"
-	"repro/internal/workload"
 )
 
 // tool is the process observability state; tool.Fail is the one fatal
@@ -35,12 +29,24 @@ import (
 var tool *expose.Tool
 
 func main() {
-	table := flag.String("table", "all", "which experiment to run")
+	names := []string{"all"}
+	usage := "which experiment to run:\nall: every table but batch"
+	for _, t := range experiments.Tables {
+		names = append(names, t.Name)
+		usage += "\n" + t.Name + ": " + t.Doc
+	}
+	table := flag.String("table", "all", usage)
 	quick := flag.Bool("quick", false, "skip slow timing measurements")
 	workers := flag.Int("workers", 0, "worker pool size for -table batch: 0 = one per CPU, 1 = serial")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot to this file")
 	obs := expose.AddFlags(flag.CommandLine)
 	flag.Parse()
+
+	i := slices.Index(names, *table)
+	if i < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unknown table %q (tables: %s)\n", *table, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
 	var err error
 	if tool, err = obs.Start(); err != nil {
@@ -52,82 +58,14 @@ func main() {
 	}
 	experiments.SetRecorder(rec)
 
-	switch *table {
-	case "all":
-		err = experiments.RunAll(os.Stdout, *quick)
-	case "wire":
-		var rows []experiments.WireRow
-		if rows, err = experiments.WireTable(); err == nil {
-			fmt.Print(experiments.FormatWireTable(rows))
+	opt := experiments.Options{Quick: *quick, Workers: *workers}
+	if i == 0 {
+		err = experiments.RunAll(os.Stdout, opt)
+	} else {
+		var out string
+		if out, err = experiments.Tables[i-1].Run(opt); err == nil {
+			fmt.Print(out)
 		}
-	case "brisc":
-		var rows []experiments.BriscRow
-		if rows, err = experiments.BriscTable(!*quick); err == nil {
-			fmt.Print(experiments.FormatBriscTable(rows))
-		}
-	case "variants":
-		profile := workload.Gcc
-		if *quick {
-			profile = workload.Wep
-		}
-		var rows []experiments.VariantRow
-		if rows, err = experiments.VariantsTable(profile); err == nil {
-			fmt.Print(experiments.FormatVariantsTable(rows))
-		}
-	case "example":
-		var r experiments.SaltResult
-		if r, err = experiments.SaltExample(); err == nil {
-			fmt.Print(experiments.FormatSaltExample(r))
-		}
-	case "workingset":
-		profiles := []workload.Profile{workload.Wep, workload.Lcc}
-		if !*quick {
-			profiles = append(profiles, workload.Gcc)
-		}
-		var rows []experiments.WorkingSetResult
-		for _, p := range profiles {
-			var r experiments.WorkingSetResult
-			if r, err = experiments.WorkingSet(p); err != nil {
-				break
-			}
-			rows = append(rows, r)
-		}
-		if err == nil {
-			fmt.Print(experiments.FormatWorkingSet(rows))
-		}
-	case "paging":
-		var rows []experiments.PagingRow
-		if rows, err = experiments.PagingScenario(workload.Lcc, 12); err == nil {
-			fmt.Print(experiments.FormatPaging("lcc-sweep", rows))
-		}
-	case "penalty":
-		var rows []experiments.PenaltyRow
-		if rows, err = experiments.InterpPenalty(); err == nil {
-			fmt.Print(experiments.FormatPenalty(rows))
-		}
-	case "xip":
-		var rows []experiments.XIPRow
-		if rows, err = experiments.XIPTable(workload.Wep); err == nil {
-			fmt.Print(experiments.FormatXIP(workload.Wep.Name, rows))
-		}
-	case "profile":
-		var r experiments.CallProfileResult
-		if r, err = experiments.CallProfile(workload.Lcc); err == nil {
-			fmt.Print(experiments.FormatCallProfile(r))
-		}
-	case "batch":
-		var inputs []experiments.BatchInput
-		if inputs, err = experiments.CompileCorpus(); err == nil {
-			start := time.Now()
-			var results []experiments.BatchResult
-			if results, err = experiments.BatchCompress(inputs, *workers); err == nil {
-				fmt.Print(experiments.FormatBatch(results))
-				fmt.Printf("%d modules in %v (workers=%d)\n", len(results), time.Since(start).Round(time.Millisecond), *workers)
-			}
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown table %q\n", *table)
-		os.Exit(2)
 	}
 	if err != nil {
 		tool.Fail(err)

@@ -32,7 +32,7 @@ type Interp struct {
 	PC  int32 // byte offset into Obj.Code
 
 	Steps int64 // instructions executed; a faulting one is not counted
-	Units int64 // units decoded
+	Units int64 // units dispatched, one per unit entered; XIPStats.SegmentDecodes counts decodes
 
 	// limits bounds every Run; install with SetLimits.
 	limits guard.Limits

@@ -297,6 +297,18 @@ func TestExperimentsQuickTable(t *testing.T) {
 	}
 }
 
+func TestExperimentsUnknownTable(t *testing.T) {
+	out, code := run(t, "experiments", "-table", "nosuch")
+	if code != 2 {
+		t.Fatalf("experiments -table nosuch exited %d, want 2:\n%s", code, out)
+	}
+	for _, want := range []string{`"nosuch"`, "all", "workingset", "paging", "profile", "penalty", "batch"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("unknown-table error does not name %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestCompscopeReport: the X-ray must fully account for both artifact
 // kinds compiled from source, and for a serialized artifact loaded by
 // magic, and -json must emit parseable attribution gauges.

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and measurement in the
 // paper's evaluation. Each experiment returns structured rows plus a
-// formatted rendering; cmd/experiments prints them and the repository's
-// root benchmarks time them. See DESIGN.md §4 for the experiment index
-// and EXPERIMENTS.md for paper-vs-measured results.
+// formatted rendering; Tables names each one for cmd/experiments, and
+// the repository's root benchmarks time them. See DESIGN.md §4 for the
+// experiment index and EXPERIMENTS.md for paper-vs-measured results.
 package experiments
 
 import (
@@ -49,14 +49,22 @@ func measureNamed(name string, f func() error) (time.Duration, error) {
 	return d, nil
 }
 
-// buildNative compiles one workload preset to a linked VM program.
-func buildNative(p workload.Profile, opt codegen.Options) (*vm.Program, error) {
-	mod, err := cc.Compile(p.Name, workload.Generate(p))
+// buildProgram compiles MiniC source to a linked VM program.
+func buildProgram(name, src string, opt codegen.Options) (*vm.Program, error) {
+	mod, err := cc.Compile(name, src)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", p.Name, err)
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
 	}
 	return codegen.Generate(mod, opt)
 }
+
+// buildNative compiles one workload preset to a linked VM program.
+func buildNative(p workload.Profile, opt codegen.Options) (*vm.Program, error) {
+	return buildProgram(p.Name, workload.Generate(p), opt)
+}
+
+// timedKernels are the kernels that run long enough to time.
+var timedKernels = []string{"fib", "sieve", "matmul", "qsortk", "strops"}
 
 // ---- T1: the wire-code table (§3) ----
 
@@ -240,13 +248,8 @@ func BriscTable(withTimings bool) ([]BriscRow, error) {
 		rows = append(rows, row)
 	}
 	kernels := workload.Kernels()
-	for _, name := range []string{"fib", "sieve", "matmul", "qsortk", "strops"} {
-		src := kernels[name]
-		mod, err := cc.Compile(name, src)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := codegen.Generate(mod, codegen.Options{})
+	for _, name := range timedKernels {
+		prog, err := buildProgram(name, kernels[name], codegen.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -409,11 +412,7 @@ int main(void) { return salt(3, 4); }
 // (paper: 60 bytes -> 17 bytes).
 func SaltExample() (SaltResult, error) {
 	var res SaltResult
-	mod, err := cc.Compile("salt", saltSource)
-	if err != nil {
-		return res, err
-	}
-	prog, err := codegen.Generate(mod, codegen.Options{})
+	prog, err := buildProgram("salt", saltSource, codegen.Options{})
 	if err != nil {
 		return res, err
 	}
@@ -492,18 +491,35 @@ func traceNative(prog *vm.Program, sim *paging.Simulator) error {
 	return err
 }
 
-// traceBrisc interprets obj in place, feeding unit byte offsets to sim.
-func traceBrisc(obj *brisc.Object, sim *paging.Simulator) error {
+// pagedRun is what one demand-paged BRISC run reports: the pager's
+// counters, the units it dispatched, and the instructions it executed.
+type pagedRun struct {
+	brisc.XIPStats
+	Units, Steps int64
+}
+
+// runPaged runs obj out of img, BRISC's one real pager, with at most
+// maxPages decoded pages resident (0 = no limit).
+func runPaged(obj *brisc.Object, img *brisc.XIPImage, maxPages int) (pagedRun, error) {
 	it := brisc.NewInterp(obj, 0, io.Discard)
 	defer it.Release()
-	it.Trace = func(off int32) { sim.Touch(int64(off), 2) }
-	_, err := it.Run(0)
-	return err
+	if err := it.EnableXIP(img, maxPages, 0); err != nil {
+		return pagedRun{}, err
+	}
+	if _, err := it.Run(0); err != nil {
+		return pagedRun{}, err
+	}
+	return pagedRun{it.XIPStats(), it.Units, it.Steps}, nil
 }
+
+// workingSetPage is S3's page size in bytes, for native and BRISC code.
+const workingSetPage = 1024
 
 // WorkingSet measures S3 ("cutting working set size by over 40%") on a
 // sweep workload: main calls every function once, as in the paper's
-// observation that "many functions are called just once".
+// observation that "many functions are called just once". Native pages
+// are those the traced native run touches; BRISC pages are the peak
+// residency of an unbounded execute-in-place run.
 func WorkingSet(profile workload.Profile) (WorkingSetResult, error) {
 	var res WorkingSetResult
 	p := sweepProfile(profile, 1)
@@ -512,8 +528,7 @@ func WorkingSet(profile workload.Profile) (WorkingSetResult, error) {
 	if err != nil {
 		return res, err
 	}
-	const page = 1024
-	natSim := paging.NewSimulator(paging.Config{PageSize: page})
+	natSim := paging.NewSimulator(paging.Config{PageSize: workingSetPage})
 	if err := traceNative(prog, natSim); err != nil {
 		return res, err
 	}
@@ -521,12 +536,18 @@ func WorkingSet(profile workload.Profile) (WorkingSetResult, error) {
 	if err != nil {
 		return res, err
 	}
-	briscSim := paging.NewSimulator(paging.Config{PageSize: page})
-	if err := traceBrisc(obj, briscSim); err != nil {
+	// With no page limit every page the run enters faults once and
+	// stays, so peak residency is the run's code working set.
+	img, err := brisc.BuildXIP(obj, brisc.XIPOptions{PageSize: workingSetPage})
+	if err != nil {
 		return res, err
 	}
-	res.NativePages = natSim.Result(1).PagesTouched
-	res.BriscPages = briscSim.Result(1).PagesTouched
+	run, err := runPaged(obj, img, 0)
+	if err != nil {
+		return res, err
+	}
+	res.NativePages = natSim.Result().PagesTouched
+	res.BriscPages = run.PeakResidentPages
 	res.ReductionPct = 100 * (1 - float64(res.BriscPages)/float64(res.NativePages))
 	return res, nil
 }
@@ -549,11 +570,16 @@ type PagingRow struct {
 	BriscTimeMs  float64
 }
 
+// pagingPage is S4's page size in bytes, for native and BRISC code.
+const pagingPage = 4096
+
 // PagingScenario reproduces the intro's total-time claim on a cyclic
 // sweep workload (main calls every function, repeatedly): with tight
 // memory the native code thrashes while the half-sized BRISC image
 // stays resident and the 12x interpretation penalty is repaid; with
-// ample memory only cold faults remain and native CPU speed wins.
+// ample memory only cold faults remain and native CPU speed wins. At
+// each budget the native side is a simulated trace and the BRISC side
+// an execute-in-place run; paging.Config.Time prices both.
 func PagingScenario(profile workload.Profile, interpPenalty float64) ([]PagingRow, error) {
 	prog, err := buildNative(sweepProfile(profile, 40), codegen.Options{})
 	if err != nil {
@@ -563,9 +589,11 @@ func PagingScenario(profile workload.Profile, interpPenalty float64) ([]PagingRo
 	if err != nil {
 		return nil, err
 	}
-	const page = 4096
-	nativeBytes := native.VariableSize(prog.Code)
-	nativePages := (nativeBytes + page - 1) / page
+	img, err := brisc.BuildXIP(obj, brisc.XIPOptions{PageSize: pagingPage})
+	if err != nil {
+		return nil, err
+	}
+	nativePages := (native.VariableSize(prog.Code) + pagingPage - 1) / pagingPage
 
 	// Budgets spanning well below the BRISC image to above the native
 	// image.
@@ -578,19 +606,19 @@ func PagingScenario(profile workload.Profile, interpPenalty float64) ([]PagingRo
 		if b < 2 {
 			b = 2
 		}
-		cfg := paging.Config{PageSize: page, ResidentPages: b}
+		cfg := paging.Config{PageSize: pagingPage, ResidentPages: b}
 		natSim := paging.NewSimulator(cfg)
 		if err := traceNative(prog, natSim); err != nil {
 			return nil, err
 		}
-		briscSim := paging.NewSimulator(cfg)
-		if err := traceBrisc(obj, briscSim); err != nil {
+		run, err := runPaged(obj, img, b)
+		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, PagingRow{
-			ResidentKB:   b * page / 1024,
-			NativeTimeMs: natSim.Result(1).TotalTime / 1000,
-			BriscTimeMs:  briscSim.Result(interpPenalty).TotalTime / 1000,
+			ResidentKB:   b * pagingPage / 1024,
+			NativeTimeMs: natSim.Result().TotalTime / 1000,
+			BriscTimeMs:  cfg.Time(run.Units, run.Faults, interpPenalty) / 1000,
 		})
 	}
 	return rows, nil
@@ -612,7 +640,7 @@ func FormatPaging(program string, rows []PagingRow) string {
 	return sb.String()
 }
 
-// ---- S5: execute-in-place from the page store ----
+// ---- X1: execute-in-place from the page store ----
 
 // XIPRow is one (layout, cache budget) point in the execute-in-place
 // sweep: the workload runs demand-paged from the compressed page store
@@ -665,20 +693,10 @@ func XIPTable(profile workload.Profile) ([]XIPRow, error) {
 			return nil, err
 		}
 		for _, cachePages := range []int{2, 4, 8, 16} {
-			var stats brisc.XIPStats
-			var steps int64
-			d, err := measureNamed(fmt.Sprintf("xip.%s.%s.cache%d", profile.Name, layout.name, cachePages), func() error {
-				it := brisc.NewInterp(obj, 0, io.Discard)
-				defer it.Release()
-				if err := it.EnableXIP(img, cachePages, 0); err != nil {
-					return err
-				}
-				if _, err := it.Run(0); err != nil {
-					return err
-				}
-				stats = it.XIPStats()
-				steps = it.Steps
-				return nil
+			var run pagedRun
+			d, err := measureNamed(fmt.Sprintf("xip.%s.%s.cache%d", profile.Name, layout.name, cachePages), func() (err error) {
+				run, err = runPaged(obj, img, cachePages)
+				return err
 			})
 			if err != nil {
 				return nil, err
@@ -686,16 +704,16 @@ func XIPTable(profile workload.Profile) ([]XIPRow, error) {
 			row := XIPRow{
 				Layout:     layout.name,
 				CachePages: cachePages,
-				Faults:     stats.Faults,
-				PeakKB:     float64(stats.PeakResidentBytes) / 1024,
+				Faults:     run.Faults,
+				PeakKB:     float64(run.PeakResidentBytes) / 1024,
 			}
-			if acc := stats.Faults + stats.Hits; acc > 0 {
-				row.MissPct = float64(stats.Faults) / float64(acc) * 100
+			if acc := run.Faults + run.Hits; acc > 0 {
+				row.MissPct = float64(run.Faults) / float64(acc) * 100
 			}
 			if d > 0 {
-				row.StepsPerSec = float64(steps) / d.Seconds()
+				row.StepsPerSec = float64(run.Steps) / d.Seconds()
 			}
-			rec.SetGauge(fmt.Sprintf("experiments.xip.%s.cache%d.faults", layout.name, cachePages), float64(stats.Faults))
+			rec.SetGauge(fmt.Sprintf("experiments.xip.%s.cache%d.faults", layout.name, cachePages), float64(run.Faults))
 			rows = append(rows, row)
 		}
 	}
@@ -730,12 +748,8 @@ func InterpPenalty() ([]PenaltyRow, error) {
 	defer sp.End()
 	var rows []PenaltyRow
 	kernels := workload.Kernels()
-	for _, name := range []string{"fib", "sieve", "matmul", "qsortk", "strops"} {
-		mod, err := cc.Compile(name, kernels[name])
-		if err != nil {
-			return nil, err
-		}
-		prog, err := codegen.Generate(mod, codegen.Options{})
+	for _, name := range timedKernels {
+		prog, err := buildProgram(name, kernels[name], codegen.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -831,75 +845,120 @@ func FormatCallProfile(r CallProfileResult) string {
 	return sb.String()
 }
 
-// RunAll executes every experiment and writes the report to w.
-// quick skips the slow timing columns.
-func RunAll(w io.Writer, quick bool) error {
-	wr, err := WireTable()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, FormatWireTable(wr))
+// ---- the table list ----
 
-	br, err := BriscTable(!quick)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, FormatBriscTable(br))
+// Options are the knobs a table reads.
+type Options struct {
+	// Quick skips the slow timing columns and runs the slowest tables
+	// on smaller inputs.
+	Quick bool
+	// Workers is the batch table's pool size: 0 = one per CPU, 1 =
+	// serial.
+	Workers int
+}
 
-	profile := workload.Gcc
-	if quick {
-		profile = workload.Wep
-	}
-	vr, err := VariantsTable(profile)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, FormatVariantsTable(vr))
+// Table is one named experiment. cmd/experiments -table <Name> runs it
+// alone; RunAll runs the list in order.
+type Table struct {
+	Name string
+	Doc  string // one line of the CLI's usage text
+	// Run regenerates the table and returns its rendering.
+	Run func(Options) (string, error)
+	// Standalone tables are left out of RunAll; Slow ones RunAll skips
+	// under Options.Quick.
+	Standalone, Slow bool
+}
 
-	sr, err := SaltExample()
-	if err != nil {
-		return err
+// format adapts a formatter to an experiment's (result, error) pair.
+func format[T any](f func(T) string) func(T, error) (string, error) {
+	return func(v T, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return f(v), nil
 	}
-	fmt.Fprintln(w, FormatSaltExample(sr))
+}
 
-	wsProfiles := []workload.Profile{workload.Wep, workload.Lcc}
-	if !quick {
-		wsProfiles = append(wsProfiles, workload.Gcc)
-	}
-	var wsRows []WorkingSetResult
-	for _, p := range wsProfiles {
-		r, err := WorkingSet(p)
+// Tables is every experiment, in report order.
+var Tables = []Table{
+	{Name: "wire", Doc: "§3 wire-code table (T1)", Run: func(Options) (string, error) {
+		return format(FormatWireTable)(WireTable())
+	}},
+	{Name: "brisc", Doc: "§4 BRISC results table (T2)", Run: func(o Options) (string, error) {
+		return format(FormatBriscTable)(BriscTable(!o.Quick))
+	}},
+	{Name: "variants", Doc: "§5 abstract-machine variants (T3)", Run: func(o Options) (string, error) {
+		profile := workload.Gcc
+		if o.Quick {
+			profile = workload.Wep
+		}
+		return format(FormatVariantsTable)(VariantsTable(profile))
+	}},
+	{Name: "example", Doc: "§4 salt() worked example (F1)", Run: func(Options) (string, error) {
+		return format(FormatSaltExample)(SaltExample())
+	}},
+	{Name: "workingset", Doc: "working-set reduction (S3)", Run: func(o Options) (string, error) {
+		profiles := []workload.Profile{workload.Wep, workload.Lcc}
+		if !o.Quick {
+			profiles = append(profiles, workload.Gcc)
+		}
+		var rows []WorkingSetResult
+		for _, p := range profiles {
+			r, err := WorkingSet(p)
+			if err != nil {
+				return "", err
+			}
+			rows = append(rows, r)
+		}
+		return FormatWorkingSet(rows), nil
+	}},
+	{Name: "paging", Doc: "intro paging scenario (S4)", Run: func(Options) (string, error) {
+		rows, err := PagingScenario(workload.Lcc, 12)
+		if err != nil {
+			return "", err
+		}
+		return FormatPaging("lcc-sweep", rows), nil
+	}},
+	{Name: "xip", Doc: "execute-in-place fault/miss sweep (X1)", Run: func(Options) (string, error) {
+		rows, err := XIPTable(workload.Wep)
+		if err != nil {
+			return "", err
+		}
+		return FormatXIP(workload.Wep.Name, rows), nil
+	}},
+	{Name: "profile", Doc: "intro call-frequency profile (S0)", Run: func(Options) (string, error) {
+		return format(FormatCallProfile)(CallProfile(workload.Lcc))
+	}},
+	{Name: "penalty", Doc: "interpretation penalty (S1)", Slow: true, Run: func(Options) (string, error) {
+		return format(FormatPenalty)(InterpPenalty())
+	}},
+	{Name: "batch", Doc: "batch-compress the corpus through the shared pool", Standalone: true, Run: func(o Options) (string, error) {
+		inputs, err := CompileCorpus()
+		if err != nil {
+			return "", err
+		}
+		start := time.Now()
+		results, err := BatchCompress(inputs, o.Workers)
+		if err != nil {
+			return "", err
+		}
+		return FormatBatch(results) + fmt.Sprintf("%d modules in %v (workers=%d)\n",
+			len(results), time.Since(start).Round(time.Millisecond), o.Workers), nil
+	}},
+}
+
+// RunAll runs every table that is not Standalone and writes the report
+// to w, a blank line after each.
+func RunAll(w io.Writer, opt Options) error {
+	for _, t := range Tables {
+		if t.Standalone || t.Slow && opt.Quick {
+			continue
+		}
+		out, err := t.Run(opt)
 		if err != nil {
 			return err
 		}
-		wsRows = append(wsRows, r)
-	}
-	fmt.Fprintln(w, FormatWorkingSet(wsRows))
-
-	pr, err := PagingScenario(workload.Lcc, 12)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, FormatPaging("lcc-sweep", pr))
-
-	xr, err := XIPTable(workload.Wep)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, FormatXIP(workload.Wep.Name, xr))
-
-	cp, err := CallProfile(workload.Lcc)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, FormatCallProfile(cp))
-
-	if !quick {
-		ip, err := InterpPenalty()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, FormatPenalty(ip))
+		fmt.Fprintln(w, out)
 	}
 	return nil
 }

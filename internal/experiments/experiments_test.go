@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/brisc"
+	"repro/internal/codegen"
+	"repro/internal/paging"
 	"repro/internal/workload"
 )
 
@@ -163,6 +166,84 @@ func TestWorkingSetReduction(t *testing.T) {
 	}
 }
 
+// TestWorkingSetIsXIPPeak holds S3's BRISC column to the pager that
+// exists: it is the peak residency of an unbounded execute-in-place
+// run at 1 KiB pages, where every page the run enters faults once.
+func TestWorkingSetIsXIPPeak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, p := range []workload.Profile{workload.Wep, workload.Lcc} {
+		r, err := WorkingSet(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := buildNative(sweepProfile(p, 1), codegen.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := brisc.Compress(prog, brisc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := brisc.BuildXIP(obj, brisc.XIPOptions{PageSize: workingSetPage})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := runPaged(obj, img, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img.PageSize() != 1024 {
+			t.Errorf("%s: XIP page size %d, want the 1024 S3 asks for", r.Program, img.PageSize())
+		}
+		if r.BriscPages != run.PeakResidentPages || int64(r.BriscPages) != run.Faults {
+			t.Errorf("%s: BRISC pages %d, XIP run peaked at %d pages with %d faults",
+				r.Program, r.BriscPages, run.PeakResidentPages, run.Faults)
+		}
+	}
+}
+
+// TestPagingPricesXIPRun holds each S4 row's BRISC time to the shared
+// cost model applied to the XIP run at that budget.
+func TestPagingPricesXIPRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const penalty = 12
+	rows, err := PagingScenario(workload.Lcc, penalty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := buildNative(sweepProfile(workload.Lcc, 40), codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := brisc.Compress(prog, brisc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := brisc.BuildXIP(obj, brisc.XIPOptions{PageSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.PageSize() != 4096 {
+		t.Fatalf("XIP page size %d, want 4096", img.PageSize())
+	}
+	for _, r := range rows {
+		budget := r.ResidentKB * 1024 / 4096
+		run, err := runPaged(obj, img, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := paging.Config{PageSize: 4096, ResidentPages: budget}
+		if want := cfg.Time(run.Units, run.Faults, penalty) / 1000; r.BriscTimeMs != want {
+			t.Errorf("%d KB: BRISC %.1f ms, want %.1f from %d units and %d faults",
+				r.ResidentKB, r.BriscTimeMs, want, run.Units, run.Faults)
+		}
+	}
+}
+
 func TestPagingCrossover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -276,5 +357,18 @@ func TestFormatters(t *testing.T) {
 	pg := FormatPaging("sieve", []PagingRow{{ResidentKB: 2, NativeTimeMs: 10, BriscTimeMs: 5}})
 	if !strings.Contains(pg, "BRISC") {
 		t.Errorf("paging rendering:\n%s", pg)
+	}
+}
+
+func TestTablesNamed(t *testing.T) {
+	seen := map[string]bool{"all": true}
+	for _, tb := range Tables {
+		if tb.Name == "" || tb.Doc == "" || tb.Run == nil {
+			t.Errorf("incomplete table %+v", tb)
+		}
+		if seen[tb.Name] {
+			t.Errorf("table name %q used twice", tb.Name)
+		}
+		seen[tb.Name] = true
 	}
 }

@@ -1,32 +1,33 @@
-// Package paging simulates demand paging of code, reproducing the
-// paper's introductory measurement: "we have seen the CPU idle for most
-// of the time during paging, so compressing pages can increase total
-// performance even though the CPU must decompress or interpret the
-// page contents."
+// Package paging simulates demand paging of native code, reproducing
+// the paper's introductory measurement: "we have seen the CPU idle for
+// most of the time during paging, so compressing pages can increase
+// total performance even though the CPU must decompress or interpret
+// the page contents."
 //
 // The simulator models an LRU-managed resident set of fixed-size code
-// pages. An execution feeds it the byte addresses of fetched code (via
-// the VM's or the BRISC interpreter's trace hooks); the simulator
-// counts page faults and integrates a simple two-term time model:
+// pages. A native execution feeds it the byte addresses of fetched code
+// (via the VM's trace hook); the simulator counts page faults. Config.Time
+// prices a run under a simple two-term model:
 //
-//	total = instructions × instrCost + faults × faultCost
+//	total = instructions × instrCost × penalty + faults × faultCost
 //
 // With 1997-era constants (tens of nanoseconds per instruction,
 // ~10 ms per disk fault) a 12× interpretation penalty is easily repaid
 // by halving the number of resident code pages once memory is tight.
 //
-// The package only simulates. Real demand-paged execution, with its
-// page store, lives in brisc's execute-in-place executor (xip.go).
+// BRISC code needs no simulator: brisc's execute-in-place executor
+// (xip.go) pages it for real and counts its own faults, and the same
+// Config.Time prices them.
 package paging
 
 import "container/list"
 
-// Config parameterizes one simulation.
+// Config parameterizes one simulation and its time model.
 type Config struct {
 	// PageSize in bytes (default 4096).
 	PageSize int
-	// ResidentPages is the code-page budget; 0 means unlimited (no
-	// faults after first touch... every first touch still faults).
+	// ResidentPages is the code-page budget; 0 means unlimited, so
+	// only the first touch of each page faults.
 	ResidentPages int
 	// FaultCost is the stall per page fault, in microseconds
 	// (default 10_000 µs — a 1997 disk).
@@ -50,6 +51,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Time prices a run of instrs instructions and faults page faults, in
+// microseconds. cpuPenalty scales the per-instruction cost: 1 for
+// native execution, ~12 for in-place interpretation.
+func (c Config) Time(instrs, faults int64, cpuPenalty float64) float64 {
+	c = c.withDefaults()
+	return float64(instrs)*c.InstrCost*cpuPenalty + float64(faults)*c.FaultCost
+}
+
 // Result summarizes a simulation.
 type Result struct {
 	Instructions int64
@@ -57,11 +66,8 @@ type Result struct {
 	// PagesTouched is the total number of distinct pages referenced —
 	// the execution's code working set.
 	PagesTouched int
-	// TotalTime in microseconds under the two-term model.
+	// TotalTime in microseconds: Config.Time at native speed.
 	TotalTime float64
-	// CPUTime and FaultTime are the two components.
-	CPUTime   float64
-	FaultTime float64
 }
 
 // Simulator consumes a code-reference trace.
@@ -113,21 +119,12 @@ func (s *Simulator) touchPage(p int64) {
 	}
 }
 
-// Result finalizes and reports the simulation. cpuPenalty scales the
-// per-instruction cost (1.0 for native execution, ~12 for in-place
-// interpretation).
-func (s *Simulator) Result(cpuPenalty float64) Result {
-	if cpuPenalty <= 0 {
-		cpuPenalty = 1
-	}
-	cpu := float64(s.instrs) * s.cfg.InstrCost * cpuPenalty
-	fault := float64(s.faults) * s.cfg.FaultCost
+// Result finalizes and reports the simulation of native code.
+func (s *Simulator) Result() Result {
 	return Result{
 		Instructions: s.instrs,
 		Faults:       s.faults,
 		PagesTouched: len(s.touched),
-		TotalTime:    cpu + fault,
-		CPUTime:      cpu,
-		FaultTime:    fault,
+		TotalTime:    s.cfg.Time(s.instrs, s.faults, 1),
 	}
 }

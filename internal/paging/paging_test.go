@@ -11,7 +11,7 @@ func TestColdFaults(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Touch(int64(i*4096), 4)
 	}
-	r := s.Result(1)
+	r := s.Result()
 	if r.Faults != 100 || r.PagesTouched != 100 {
 		t.Errorf("faults=%d touched=%d, want 100/100", r.Faults, r.PagesTouched)
 	}
@@ -27,7 +27,7 @@ func TestNoRefaultWhenResident(t *testing.T) {
 			s.Touch(int64(i*4096), 4)
 		}
 	}
-	r := s.Result(1)
+	r := s.Result()
 	if r.Faults != 5 {
 		t.Errorf("faults=%d, want 5 (working set fits)", r.Faults)
 	}
@@ -43,7 +43,7 @@ func TestLRUThrashing(t *testing.T) {
 			s.Touch(int64(i*4096), 4)
 		}
 	}
-	r := s.Result(1)
+	r := s.Result()
 	if r.Faults != int64(rounds*5) {
 		t.Errorf("faults=%d, want %d (full thrash)", r.Faults, rounds*5)
 	}
@@ -58,7 +58,7 @@ func TestLRUKeepsHotPage(t *testing.T) {
 		s.Touch(int64(i*4096), 4)
 	}
 	s.Touch(0, 4)
-	r := s.Result(1)
+	r := s.Result()
 	if r.Faults != 5 { // page0 once + pages 1..4
 		t.Errorf("faults=%d, want 5", r.Faults)
 	}
@@ -67,26 +67,27 @@ func TestLRUKeepsHotPage(t *testing.T) {
 func TestCrossPageFetch(t *testing.T) {
 	s := NewSimulator(Config{PageSize: 4096})
 	s.Touch(4094, 4) // spans pages 0 and 1
-	r := s.Result(1)
+	r := s.Result()
 	if r.PagesTouched != 2 || r.Faults != 2 {
 		t.Errorf("cross-page fetch: touched=%d faults=%d", r.PagesTouched, r.Faults)
 	}
 }
 
 func TestTimeModel(t *testing.T) {
-	s := NewSimulator(Config{FaultCost: 1000, InstrCost: 0.1})
+	cfg := Config{FaultCost: 1000, InstrCost: 0.1}
+	if got := cfg.Time(10, 1, 2.0); got != 10*0.1*2.0+1000 {
+		t.Errorf("time = %v", got)
+	}
+	s := NewSimulator(cfg)
 	for i := 0; i < 10; i++ {
 		s.Touch(0, 4)
 	}
-	r := s.Result(2.0)
-	if r.CPUTime != 10*0.1*2.0 {
-		t.Errorf("cpu time = %v", r.CPUTime)
+	r := s.Result()
+	if r.Instructions != 10 || r.Faults != 1 {
+		t.Fatalf("instructions=%d faults=%d, want 10/1", r.Instructions, r.Faults)
 	}
-	if r.FaultTime != 1000 {
-		t.Errorf("fault time = %v", r.FaultTime)
-	}
-	if r.TotalTime != r.CPUTime+r.FaultTime {
-		t.Error("total != cpu + fault")
+	if r.TotalTime != cfg.Time(10, 1, 1) {
+		t.Errorf("total time %v is not the native-speed model %v", r.TotalTime, cfg.Time(10, 1, 1))
 	}
 }
 
@@ -95,29 +96,31 @@ func TestTimeModel(t *testing.T) {
 // at 12x CPU penalty, beats native when the resident budget is small
 // and fault cost dominates.
 func TestCompressedCodeWinsWhenMemoryTight(t *testing.T) {
-	run := func(codeSize, budget, fetches int, penalty float64) Result {
-		s := NewSimulator(Config{PageSize: 4096, ResidentPages: budget})
+	run := func(codeSize, budget, fetches int, penalty float64) float64 {
+		cfg := Config{PageSize: 4096, ResidentPages: budget}
+		s := NewSimulator(cfg)
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < fetches; i++ {
 			s.Touch(int64(rng.Intn(codeSize)), 4)
 		}
-		return s.Result(penalty)
+		r := s.Result()
+		return cfg.Time(r.Instructions, r.Faults, penalty)
 	}
 	// Memory-tight: 5 resident pages against 40 pages of native code
 	// (vs 20 pages compressed). Faults dominate; 12x CPU is repaid.
 	nativeR := run(40*4096, 5, 50000, 1.0)
 	briscR := run(20*4096, 5, 50000, 12.0)
-	if briscR.TotalTime >= nativeR.TotalTime {
+	if briscR >= nativeR {
 		t.Errorf("compressed+interpreted (%.0fµs) should beat paged native (%.0fµs)",
-			briscR.TotalTime, nativeR.TotalTime)
+			briscR, nativeR)
 	}
 	// With abundant memory and a long-running program, only cold
 	// faults remain and native CPU speed must win.
 	nativeBig := run(40*4096, 64, 5_000_000, 1.0)
 	briscBig := run(20*4096, 64, 5_000_000, 12.0)
-	if nativeBig.TotalTime >= briscBig.TotalTime {
+	if nativeBig >= briscBig {
 		t.Errorf("native (%.0fµs) should beat interpretation (%.0fµs) with abundant memory",
-			nativeBig.TotalTime, briscBig.TotalTime)
+			nativeBig, briscBig)
 	}
 }
 
@@ -143,7 +146,7 @@ func TestQuickFaultInvariants(t *testing.T) {
 			for _, tc := range touches {
 				s.Touch(tc.addr, tc.size)
 			}
-			return s.Result(1)
+			return s.Result()
 		}
 		rSmall := run(small)
 		rBig := run(small * 2)
