@@ -61,10 +61,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Short coverage-guided fuzz pass over every untrusted-input decoder
-# and over the code generator's own checks of a module,
-# seeded from the example modules. FUZZTIME bounds each target; bump it
-# for a longer local hunt (e.g. make fuzz-short FUZZTIME=2m).
+# Short coverage-guided fuzz pass over every untrusted-input decoder,
+# over the code generator's own checks of a module, and over the
+# differential oracle's generated programs, seeded from the example
+# modules and the oracle's fixed seeds. FUZZTIME bounds each target;
+# bump it for a longer local hunt (e.g. make fuzz-short FUZZTIME=2m).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecompress$$' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenIndexed$$' -fuzztime=$(FUZZTIME) ./internal/wire/
@@ -80,6 +81,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzGenerate$$' -fuzztime=$(FUZZTIME) ./internal/codegen/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeVsSlow$$' -fuzztime=$(FUZZTIME) ./internal/huffman/
 	$(GO) test -run='^$$' -fuzz='^FuzzMTFDiff$$' -fuzztime=$(FUZZTIME) ./internal/mtf/
+	$(GO) test -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) ./internal/difftest/
 
 vet:
 	$(GO) vet ./...

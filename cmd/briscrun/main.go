@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/attrib"
 	"repro/internal/brisc"
@@ -61,15 +60,11 @@ func main() {
 	maxSteps := flag.Int64("max-steps", 0, "abort after executing this many instructions (0 = unlimited)")
 	maxMem := flag.Int("max-mem", 0, "abort when VM memory plus resident decoded pages exceed this many bytes (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "abort after this wall-clock duration, e.g. 2s (0 = unlimited)")
-	workers := flag.Int("workers", 0, "cap runtime parallelism (GOMAXPROCS); 0 = one per CPU")
 	obs := expose.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: briscrun [-paged | -jit] [-time] [flags] file.brisc")
 		os.Exit(2)
-	}
-	if *workers > 0 {
-		runtime.GOMAXPROCS(*workers)
 	}
 
 	var err error

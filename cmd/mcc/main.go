@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/cc"
 	"repro/internal/codegen"
@@ -44,16 +43,12 @@ func main() {
 	stats := flag.Bool("stats", false, "print code-size statistics")
 	maxSteps := flag.Int64("max-steps", 0, "abort -run after executing this many instructions (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "abort -run after this wall-clock duration, e.g. 2s (0 = unlimited)")
-	workers := flag.Int("workers", 0, "cap runtime parallelism (GOMAXPROCS); 0 = one per CPU")
 	obs := expose.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: mcc [flags] file.mc")
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-	if *workers > 0 {
-		runtime.GOMAXPROCS(*workers)
 	}
 
 	var err error

@@ -54,77 +54,6 @@ int main(void) {
 	return 0;
 }`
 
-// checkEquivalence compresses, then verifies that both the JIT path
-// and the in-place interpreter reproduce the original behaviour.
-func checkEquivalence(t *testing.T, src string, opt Options) *Object {
-	t.Helper()
-	prog := compileProg(t, "t", src)
-	wantCode, wantOut := runVM(t, prog)
-
-	obj, err := Compress(prog, opt)
-	if err != nil {
-		t.Fatalf("Compress: %v", err)
-	}
-
-	jitProg, err := JIT(obj)
-	if err != nil {
-		t.Fatalf("JIT: %v", err)
-	}
-	gotCode, gotOut := runVM(t, jitProg)
-	if gotCode != wantCode || gotOut != wantOut {
-		t.Errorf("JIT behaviour mismatch: code %d/%d, out %q/%q",
-			gotCode, wantCode, gotOut, wantOut)
-	}
-
-	var iout bytes.Buffer
-	it := NewInterp(obj, 1<<20, &iout)
-	icode, err := it.Run(400_000_000)
-	if err != nil {
-		t.Fatalf("Interp: %v", err)
-	}
-	if icode != wantCode || iout.String() != wantOut {
-		t.Errorf("interp behaviour mismatch: code %d/%d, out %q/%q",
-			icode, wantCode, iout.String(), wantOut)
-	}
-	return obj
-}
-
-func TestEquivalenceSalt(t *testing.T) {
-	checkEquivalence(t, saltSrc, Options{})
-}
-
-func TestEquivalenceAllOptionCombos(t *testing.T) {
-	for _, opt := range []Options{
-		{},
-		{NoEPI: true},
-		{NoCombine: true},
-		{NoSpecialize: true},
-		{NoCombine: true, NoSpecialize: true},
-		{AbundantMemory: true},
-		{K: 5},
-		{MaxPasses: 1},
-	} {
-		checkEquivalence(t, saltSrc, opt)
-	}
-}
-
-func TestEquivalenceKernels(t *testing.T) {
-	for name, src := range workload.Kernels() {
-		name, src := name, src
-		t.Run(name, func(t *testing.T) {
-			if testing.Short() && name != "fib" {
-				t.Skip("short mode")
-			}
-			checkEquivalence(t, src, Options{})
-		})
-	}
-}
-
-func TestEquivalenceWorkload(t *testing.T) {
-	src := workload.Generate(workload.Quick)
-	checkEquivalence(t, src, Options{})
-}
-
 func TestObjectSerializationRoundTrip(t *testing.T) {
 	prog := compileProg(t, "t", saltSrc)
 	obj, err := Compress(prog, Options{})

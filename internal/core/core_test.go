@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/brisc"
 	"repro/internal/codegen"
@@ -108,77 +107,68 @@ func TestWireOptsFlowThrough(t *testing.T) {
 	}
 }
 
-// TestQuickDifferential is the repository's central correctness
-// property: for randomly generated programs, all four execution paths
-// (native, wire→native, BRISC interpreted, BRISC JIT) produce
-// identical output and exit codes.
+// TestQuickDifferential: for generated programs on fixed seeds, core's
+// four execution paths (native, wire→native, BRISC interpreted, BRISC
+// JIT) and a serialized BRISC object give identical output and exit
+// codes. internal/difftest runs the same seeds on every engine below
+// this facade.
 func TestQuickDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	f := func(seed int64) bool {
-		prof := workload.Profile{
+	for seed := int64(1); seed <= 12; seed++ {
+		src := workload.Generate(workload.Profile{
 			Name: "rand", Seed: seed,
 			LeafFuncs: 5, MidFuncs: 2, GlobalInts: 3, GlobalArrs: 2,
 			Strings: 1, MeanStmts: 6,
-		}
-		src := workload.Generate(prof)
+		})
 		p, err := CompileC("rand", src)
 		if err != nil {
-			t.Logf("seed %d: compile: %v", seed, err)
-			return false
+			t.Fatalf("seed %d: compile: %v", seed, err)
+		}
+		wb, err := p.Wire()
+		if err != nil {
+			t.Fatalf("seed %d: wire: %v", seed, err)
+		}
+		back, err := FromWire(wb)
+		if err != nil {
+			t.Fatalf("seed %d: from wire: %v", seed, err)
+		}
+		obj, err := p.BRISC(brisc.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: brisc: %v", seed, err)
+		}
+		parsed, err := brisc.Parse(obj.Bytes())
+		if err != nil {
+			t.Fatalf("seed %d: parse: %v", seed, err)
 		}
 		var want bytes.Buffer
 		wantCode, err := p.Run(&want, 30_000_000)
 		if err != nil {
-			t.Logf("seed %d: native run: %v", seed, err)
-			return false
+			t.Fatalf("seed %d: native run: %v", seed, err)
 		}
-
-		wb, err := p.Wire()
-		if err != nil {
-			return false
+		for _, path := range []struct {
+			name string
+			run  func(*bytes.Buffer) (int32, error)
+		}{
+			{"wire", func(out *bytes.Buffer) (int32, error) { return back.Run(out, 30_000_000) }},
+			{"interp", func(out *bytes.Buffer) (int32, error) {
+				return RunBRISC(obj, out, Limits{MaxSteps: 100_000_000})
+			}},
+			{"jit", func(out *bytes.Buffer) (int32, error) {
+				return RunJIT(obj, out, Limits{MaxSteps: 30_000_000})
+			}},
+			{"parsed", func(out *bytes.Buffer) (int32, error) {
+				return RunBRISC(parsed, out, Limits{MaxSteps: 100_000_000})
+			}},
+		} {
+			var out bytes.Buffer
+			code, err := path.run(&out)
+			if err != nil || code != wantCode || out.String() != want.String() {
+				t.Errorf("seed %d: %s: exit %d, err %v, out %q; native exit %d, out %q",
+					seed, path.name, code, err, out.String(), wantCode, want.String())
+			}
 		}
-		back, err := FromWire(wb)
-		if err != nil {
-			return false
-		}
-		var wOut bytes.Buffer
-		wCode, err := back.Run(&wOut, 30_000_000)
-		if err != nil || wCode != wantCode || wOut.String() != want.String() {
-			t.Logf("seed %d: wire mismatch", seed)
-			return false
-		}
-
-		obj, err := p.BRISC(brisc.Options{})
-		if err != nil {
-			return false
-		}
-		var iOut bytes.Buffer
-		iCode, err := RunBRISC(obj, &iOut, Limits{MaxSteps: 100_000_000})
-		if err != nil || iCode != wantCode || iOut.String() != want.String() {
-			t.Logf("seed %d: interp mismatch: %v", seed, err)
-			return false
-		}
-		var jOut bytes.Buffer
-		jCode, err := RunJIT(obj, &jOut, Limits{MaxSteps: 30_000_000})
-		if err != nil || jCode != wantCode || jOut.String() != want.String() {
-			t.Logf("seed %d: jit mismatch: %v", seed, err)
-			return false
-		}
-
-		// Serialized object round trip preserves behaviour too.
-		parsed, err := brisc.Parse(obj.Bytes())
-		if err != nil {
-			return false
-		}
-		var pOut bytes.Buffer
-		pCode, err := RunBRISC(parsed, &pOut, Limits{MaxSteps: 100_000_000})
-		return err == nil && pCode == wantCode && pOut.String() == want.String()
-	}
-	cfg := &quick.Config{MaxCount: 12}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -5,24 +5,34 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cc"
 	"repro/internal/codegen"
-	"repro/internal/guard"
 	"repro/internal/ir"
 	"repro/internal/vm"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// runIR interprets MiniC through the tree interpreter.
-func runIR(t *testing.T, src string) (int32, string) {
+// compile compiles MiniC to IR.
+func compile(t *testing.T, src string) *ir.Module {
 	t.Helper()
 	mod, err := cc.Compile("t", src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	return mod
+}
+
+// runIR interprets MiniC through the tree interpreter.
+func runIR(t *testing.T, src string) (int32, string) {
+	t.Helper()
+	return runModIR(t, compile(t, src))
+}
+
+// runModIR interprets mod through the tree interpreter.
+func runModIR(t *testing.T, mod *ir.Module) (int32, string) {
+	t.Helper()
 	var out bytes.Buffer
 	m, err := NewMachine(mod, 1<<20, &out)
 	if err != nil {
@@ -38,10 +48,12 @@ func runIR(t *testing.T, src string) (int32, string) {
 // runVM runs the same source through codegen and the VM.
 func runVM(t *testing.T, src string) (int32, string) {
 	t.Helper()
-	mod, err := cc.Compile("t", src)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	return runModVM(t, compile(t, src))
+}
+
+// runModVM runs mod through codegen and the VM.
+func runModVM(t *testing.T, mod *ir.Module) (int32, string) {
+	t.Helper()
 	prog, err := codegen.Generate(mod, codegen.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -219,173 +231,44 @@ func TestNoMain(t *testing.T) {
 	}
 }
 
-// errOther is the class of an error that matches no sentinel errClass
-// knows.
-var errOther = errors.New("other error")
-
-// errClass maps an engine's error onto the vm or guard sentinel it
-// matches, so failures on different engines compare.
-func errClass(err error) error {
-	if err == nil {
-		return nil
-	}
-	for _, s := range []error{guard.ErrLimit, vm.ErrDivByZero, vm.ErrMemFault} {
-		if errors.Is(err, s) {
-			return s
-		}
-	}
-	return errOther
-}
-
-// run is one program's observable behaviour on one engine.
-type run struct {
-	code int32
-	out  string
-	err  error // its class (errClass)
-}
-
-// runIRExec interprets mod under a step limit (0: the interpreter's
-// default).
-func runIRExec(mod *ir.Module, maxSteps int64) run {
-	var out bytes.Buffer
-	m, err := NewMachine(mod, 1<<20, &out)
-	if err != nil {
-		return run{err: errClass(err)}
-	}
-	defer m.Release()
-	code, err := m.Run(maxSteps)
-	return run{code, out.String(), errClass(err)}
-}
-
-// runCompiled generates code for mod and runs it on the VM under a
-// step limit.
-func runCompiled(mod *ir.Module, maxSteps int64) run {
-	prog, err := codegen.Generate(mod, codegen.Options{})
-	if err != nil {
-		return run{err: errClass(err)}
-	}
-	var out bytes.Buffer
-	mach := vm.NewMachine(prog, 1<<20, &out)
-	defer mach.Release()
-	code, err := mach.Run(maxSteps)
-	return run{code, out.String(), errClass(err)}
-}
-
-// fourWay runs src through the tree interpreter and the compiled
-// pipeline, on the compiled module and on the module the wire format's
-// round trip returns, under the given step limits. It returns the
-// runs' common behaviour, or an error naming the first run that differs
-// from the first in exit code, output or error class.
-func fourWay(src string, irSteps, vmSteps int64) (run, error) {
-	mod, err := cc.Compile("rand", src)
-	if err != nil {
-		return run{}, fmt.Errorf("compile: %w", err)
-	}
-	data, err := wire.Compress(mod)
-	if err != nil {
-		return run{}, fmt.Errorf("wire: %w", err)
-	}
-	back, err := wire.Decompress(data)
-	if err != nil {
-		return run{}, fmt.Errorf("wire decode: %w", err)
-	}
-	runs := []struct {
-		name string
-		run
-	}{
-		{"irexec", runIRExec(mod, irSteps)},
-		{"vm", runCompiled(mod, vmSteps)},
-		{"wire+irexec", runIRExec(back, irSteps)},
-		{"wire+vm", runCompiled(back, vmSteps)},
-	}
-	for _, r := range runs[1:] {
-		if r.run != runs[0].run {
-			return run{}, fmt.Errorf("divergence %s(%d,%q,%v) %s(%d,%q,%v)",
-				runs[0].name, runs[0].code, runs[0].out, runs[0].err,
-				r.name, r.code, r.out, r.err)
-		}
-	}
-	return runs[0].run, nil
-}
-
-// TestWireRoundTripFoldedConstant: cc folds the scaling of the index
-// in p[1073741824] into one constant, 2^32, which wraps to 0 at compile
-// time as the multiply it replaces would at run time. The wire round
-// trip gives back the same module, and every engine loads p[0].
-func TestWireRoundTripFoldedConstant(t *testing.T) {
-	const src = `int a[4]; int main(){int *p; p=a; a[0]=7; return p[1073741824];}`
-	mod, err := cc.Compile("fold", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := wire.Compress(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := wire.Decompress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := back.String(), mod.String(); got != want {
-		t.Errorf("wire round trip changed the module:\n%s\nwant:\n%s", got, want)
-	}
-	r, err := fourWay(src, 0, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.code != 7 || r.err != nil {
-		t.Errorf("exit %d (%v), want 7", r.code, r.err)
-	}
-}
-
-// TestQuickDifferentialVsVM: for random generated programs, the tree
-// interpreter and the compiled pipeline agree — an independent check
-// of the code generator's semantics — and so do both on the module the
-// wire format's round trip returns.
+// TestQuickDifferentialVsVM: for generated programs on fixed seeds, the
+// tree interpreter and the compiled pipeline agree — an independent
+// check of the code generator's semantics — and so do both on the
+// module the wire format's round trip returns. internal/difftest runs
+// the same seeds on every engine.
 func TestQuickDifferentialVsVM(t *testing.T) {
-	f := func(seed int64) bool {
-		prof := workload.Profile{
-			Name: "rand", Seed: seed,
-			LeafFuncs: 6, MidFuncs: 2, GlobalInts: 3, GlobalArrs: 2,
-			Strings: 1, MeanStmts: 7,
-		}
-		if _, err := fourWay(workload.Generate(prof), 0, 100_000_000); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		return true
-	}
-	n := 25
+	n := int64(25)
 	if testing.Short() {
 		n = 5
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: n}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestDifferentialErrorClasses: programs that fail do so the same way
-// on all four runs of fourWay — same output up to the failure, same
-// vm or guard sentinel.
-func TestDifferentialErrorClasses(t *testing.T) {
-	for _, c := range []struct {
-		name, src string
-		want      run
-	}{
-		{"div by zero", `int main(void) { int z = 0; putint(1); return 4 / z; }`,
-			run{out: "1\n", err: vm.ErrDivByZero}},
-		{"mem fault", `int main(void) { int *p = 0; putint(2); p = p - 9; return *p; }`,
-			run{out: "2\n", err: vm.ErrMemFault}},
-		{"step limit", `int main(void) { while (1) ; return 0; }`,
-			run{err: guard.ErrLimit}},
-		{"exit", `int main(void) { putint(3); exit(7); return 0; }`,
-			run{code: 7, out: "3\n"}},
-	} {
-		got, err := fourWay(c.src, 100_000, 100_000)
+	for seed := int64(1); seed <= n; seed++ {
+		mod := compile(t, workload.Generate(workload.Profile{
+			Name: "rand", Seed: seed,
+			LeafFuncs: 6, MidFuncs: 2, GlobalInts: 3, GlobalArrs: 2,
+			Strings: 1, MeanStmts: 7,
+		}))
+		data, err := wire.Compress(mod)
 		if err != nil {
-			t.Errorf("%s: %v", c.name, err)
-		} else if got != c.want {
-			t.Errorf("%s: all runs gave %+v, want %+v", c.name, got, c.want)
+			t.Fatalf("seed %d: wire: %v", seed, err)
+		}
+		back, err := wire.Decompress(data)
+		if err != nil {
+			t.Fatalf("seed %d: wire decode: %v", seed, err)
+		}
+		code, out := runModIR(t, mod)
+		for _, r := range []struct {
+			name string
+			run  func(*testing.T, *ir.Module) (int32, string)
+			mod  *ir.Module
+		}{
+			{"vm", runModVM, mod},
+			{"wire+irexec", runModIR, back},
+			{"wire+vm", runModVM, back},
+		} {
+			if c, o := r.run(t, r.mod); c != code || o != out {
+				t.Errorf("seed %d: %s gave exit %d, out %q; irexec exit %d, out %q",
+					seed, r.name, c, o, code, out)
+			}
 		}
 	}
 }

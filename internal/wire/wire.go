@@ -142,7 +142,9 @@ func CompressOpts(m *ir.Module, opt Options) ([]byte, error) {
 }
 
 // CompressTraced encodes a module, reporting per-stage spans and byte
-// deltas into rec (nil disables telemetry at no cost).
+// deltas into rec. A nil rec records nothing, but is not free: the
+// spans' attributes (wire.final's among them) still escape to the
+// heap, so each call still allocates them.
 func CompressTraced(m *ir.Module, opt Options, rec *telemetry.Recorder) ([]byte, error) {
 	_, out, err := MeasureTraced(m, opt, rec)
 	return out, err
