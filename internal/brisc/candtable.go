@@ -5,32 +5,46 @@ import "cmp"
 // candKey identifies a candidate without materializing its pattern:
 // a source pattern plus an optional one-field specialization for each
 // half (f == -1 means no specialization; pid2 == -1 means the candidate
-// is a pure specialization of pid1). Six int32 fields keep it at 24
-// bytes, so a table slot with its stats fills half a cache line.
+// is a pure specialization of pid1). Each half packs its pattern id and
+// field index into one int32, pid<<8 | (f+1), so the key is 16 bytes
+// and a slot with its stats 24. adopt admits only patterns that keep
+// every id below maxPatterns and every field index below maxPatternFields.
 type candKey struct {
-	pid1, f1, v1 int32
-	pid2, f2, v2 int32
+	pf1, v1 int32
+	pf2, v2 int32
 }
 
+const (
+	maxPatterns      = 1 << 23 // pid fits the packed field's high 23 bits
+	maxPatternFields = 255     // f+1 fits its low 8 bits
+)
+
+func newCandKey(pid1, f1 int, v1 int32, pid2, f2 int, v2 int32) candKey {
+	return candKey{int32(pid1<<8 | (f1 + 1)), v1, int32(pid2<<8 | (f2 + 1)), v2}
+}
+
+func (k candKey) pid1() int { return int(k.pf1 >> 8) }
+func (k candKey) f1() int   { return int(k.pf1&0xff) - 1 }
+func (k candKey) pid2() int { return int(k.pf2 >> 8) }
+func (k candKey) f2() int   { return int(k.pf2&0xff) - 1 }
+
 // candKeyCompare orders keys field by field with signed compares; it is
-// adoption's total tie-break.
+// adoption's total tie-break. A packed half compares as its pid and
+// then its f, so the order is (pid1, f1, v1, pid2, f2, v2).
 func candKeyCompare(a, b candKey) int {
 	return cmp.Or(
-		cmp.Compare(a.pid1, b.pid1),
-		cmp.Compare(a.f1, b.f1),
+		cmp.Compare(a.pf1, b.pf1),
 		cmp.Compare(a.v1, b.v1),
-		cmp.Compare(a.pid2, b.pid2),
-		cmp.Compare(a.f2, b.f2),
+		cmp.Compare(a.pf2, b.pf2),
 		cmp.Compare(a.v2, b.v2),
 	)
 }
 
-// hash is a multiply-xorshift mix of the six fields.
+// hash is a multiply-xorshift mix of the key's two 64-bit halves.
 func (k candKey) hash() uint64 {
 	const m = 0x9e3779b97f4a7c15
-	h := (uint64(uint32(k.pid1))<<32 | uint64(uint32(k.f1))) * m
-	h = (h ^ h>>29 ^ (uint64(uint32(k.v1))<<32 | uint64(uint32(k.pid2)))) * m
-	h = (h ^ h>>29 ^ (uint64(uint32(k.f2))<<32 | uint64(uint32(k.v2)))) * m
+	h := (uint64(uint32(k.pf1))<<32 | uint64(uint32(k.v1))) * m
+	h = (h ^ h>>29 ^ (uint64(uint32(k.pf2))<<32 | uint64(uint32(k.v2)))) * m
 	return h ^ h>>32
 }
 

@@ -1,10 +1,13 @@
 package brisc
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -97,7 +100,7 @@ func (o *tableOracle) check() {
 func keysWithHome(n, slots, home int) []candKey {
 	var ks []candKey
 	for v := int32(0); len(ks) < n; v++ {
-		k := candKey{pid1: 7, f1: 1, v1: v, pid2: -1, f2: -1}
+		k := newCandKey(7, 1, v, -1, -1, 0)
 		if int(k.hash())&(slots-1) == home {
 			ks = append(ks, k)
 		}
@@ -119,10 +122,8 @@ func TestCandTableMatchesMap(t *testing.T) {
 					o.retract(rng.Intn(len(o.live)))
 					continue
 				}
-				k := candKey{
-					pid1: int32(rng.Intn(6)), f1: int32(rng.Intn(3)) - 1, v1: int32(rng.Intn(9)) - 4,
-					pid2: int32(rng.Intn(3)) - 1, f2: int32(rng.Intn(2)) - 1, v2: int32(rng.Intn(3)),
-				}
+				k := newCandKey(rng.Intn(6), rng.Intn(3)-1, int32(rng.Intn(9))-4,
+					rng.Intn(3)-1, rng.Intn(2)-1, int32(rng.Intn(3)))
 				o.propose(contrib{k, int32(1 + rng.Intn(11))})
 			}
 			o.retractAll(rng)
@@ -169,7 +170,7 @@ func TestCandTableMatchesMap(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		o := newTableOracle(t, 0)
 		for i := 0; i < 600; i++ {
-			k := candKey{pid1: int32(i % 37), f1: -1, v1: int32(i), pid2: int32(i % 5), f2: -1}
+			k := newCandKey(i%37, -1, int32(i), i%5, -1, 0)
 			o.propose(contrib{k, int32(1 + rng.Intn(11))})
 			if 4*o.tab.n > 3*len(o.tab.slots) {
 				t.Fatalf("%d entries in %d slots: over 3/4 load", o.tab.n, len(o.tab.slots))
@@ -188,8 +189,108 @@ func TestCandTableMatchesMap(t *testing.T) {
 		}()
 		var tab candTable
 		tab.reset(0)
-		tab.add(candKey{pid1: 1}, -1, -3)
+		tab.add(newCandKey(1, -1, 0, -1, -1, 0), -1, -3)
 	})
+}
+
+// TestCandKeyOrder checks the packed key against the six-field key it
+// replaced: seeded random in-bound keys, the -1 sentinels and negative
+// values included, compare exactly as (pid1, f1, v1, pid2, f2, v2)
+// compared field by field, and the accessors return pid and f. A slot
+// stays 24 bytes.
+func TestCandKeyOrder(t *testing.T) {
+	if sz := unsafe.Sizeof(candSlot{}); sz != 24 {
+		t.Fatalf("candSlot is %d bytes, want 24", sz)
+	}
+	type wide struct {
+		pid1, f1 int
+		v1       int32
+		pid2, f2 int
+		v2       int32
+	}
+	rng := rand.New(rand.NewSource(11))
+	// Draw from a few values at each edge of the bounds as often as
+	// from the whole range, so equal prefixes are common.
+	pid := func() int {
+		if rng.Intn(2) == 0 {
+			return []int{-1, 0, 1, maxPatterns - 2, maxPatterns - 1}[rng.Intn(5)]
+		}
+		return rng.Intn(maxPatterns)
+	}
+	f := func() int {
+		if rng.Intn(2) == 0 {
+			return []int{-1, 0, 1, maxPatternFields - 2, maxPatternFields - 1}[rng.Intn(5)]
+		}
+		return rng.Intn(maxPatternFields+1) - 1
+	}
+	v := func() int32 {
+		if rng.Intn(2) == 0 {
+			return []int32{-1 << 31, -1, 0, 1, 1<<31 - 1}[rng.Intn(5)]
+		}
+		return int32(rng.Uint32())
+	}
+	draw := func() wide { return wide{pid(), f(), v(), pid(), f(), v()} }
+	pack := func(w wide) candKey { return newCandKey(w.pid1, w.f1, w.v1, w.pid2, w.f2, w.v2) }
+	for i := 0; i < 200000; i++ {
+		a, b := draw(), draw()
+		if rng.Intn(2) == 0 {
+			b = a // then perturb one field, so every field decides some pairs
+			switch nb := draw(); rng.Intn(6) {
+			case 0:
+				b.pid1 = nb.pid1
+			case 1:
+				b.f1 = nb.f1
+			case 2:
+				b.v1 = nb.v1
+			case 3:
+				b.pid2 = nb.pid2
+			case 4:
+				b.f2 = nb.f2
+			case 5:
+				b.v2 = nb.v2
+			}
+		}
+		want := cmp.Or(cmp.Compare(a.pid1, b.pid1), cmp.Compare(a.f1, b.f1), cmp.Compare(a.v1, b.v1),
+			cmp.Compare(a.pid2, b.pid2), cmp.Compare(a.f2, b.f2), cmp.Compare(a.v2, b.v2))
+		ka, kb := pack(a), pack(b)
+		if got := candKeyCompare(ka, kb); got != want {
+			t.Fatalf("compare %+v, %+v: got %d, want %d", a, b, got, want)
+		}
+		if got := (wide{ka.pid1(), ka.f1(), ka.v1, ka.pid2(), ka.f2(), ka.v2}); got != a {
+			t.Fatalf("key of %+v unpacks to %+v", a, got)
+		}
+	}
+}
+
+// TestAdoptSkipsUnpackablePattern holds adopt to candKey's field bound:
+// a candidate whose pattern would have maxPatternFields+1 unfixed
+// fields is skipped, one with exactly maxPatternFields is adopted.
+func TestAdoptSkipsUnpackablePattern(t *testing.T) {
+	opt := Options{Workers: 1}.withDefaults()
+	c := &compressor{opt: opt, sc: compressPool.Get()}
+	defer c.release()
+	if err := c.buildUnits(compileProg(t, "t", saltSrc)); err != nil {
+		t.Fatal(err)
+	}
+	// 42 three-register adds and one move: 128 unfixed fields.
+	wide := basePattern(vm.MOV)
+	for i := 0; i < 42; i++ {
+		wide = combine(wide, basePattern(vm.ADD))
+	}
+	if n := wide.numUnfixed(); 2*n != maxPatternFields+1 {
+		t.Fatalf("half pattern has %d unfixed fields", n)
+	}
+	id := c.addDict(wide, patternHash(wide))
+	c.cands = &c.sc.cands
+	c.cands.reset(0)
+	over := newCandKey(id, -1, 0, id, -1, 0) // 256 fields
+	at := newCandKey(id, -1, 0, id, 0, 5)    // 255: one field specialized
+	c.cands.add(over, 1, 100000)
+	c.cands.add(at, 1, 90000)
+	ids := c.adopt()
+	if len(ids) != 1 || c.dict[ids[0]].numUnfixed() != maxPatternFields {
+		t.Fatalf("adopted %v, want the one %d-field pattern", ids, maxPatternFields)
+	}
 }
 
 // TestCandTableResetSize checks that reset sizes the slot array from
@@ -200,12 +301,12 @@ func TestCandTableResetSize(t *testing.T) {
 	if n := len(tab.slots); n < 10000*4/3 || n > 4*10000 {
 		t.Fatalf("reset(10000) gave %d slots", n)
 	}
-	tab.add(candKey{pid1: 3}, 1, 2)
+	tab.add(newCandKey(3, -1, 0, -1, -1, 0), 1, 2)
 	tab.reset(10)
 	if n := len(tab.slots); n != minCandSlots {
 		t.Fatalf("reset(10) after reset(10000) kept %d slots", n)
 	}
-	if tab.n != 0 || tab.get(candKey{pid1: 3}) != (candStat{}) {
+	if tab.n != 0 || tab.get(newCandKey(3, -1, 0, -1, -1, 0)) != (candStat{}) {
 		t.Fatal("reset left an entry behind")
 	}
 }
@@ -253,6 +354,59 @@ func TestIncrementalStatsMatchRescan(t *testing.T) {
 				}
 			}
 			c.release()
+		}
+	}
+}
+
+// TestAdoptFloorExact holds adopt's skip to what it may skip: after the
+// full scan and after every pass, no candidate whose savings is at or
+// below adoptFloor has B > 0, and on some input one just above it does,
+// so the floor cannot rise even by one. Under B = P − W only lcc, of
+// these inputs, has such a candidate.
+func TestAdoptFloorExact(t *testing.T) {
+	sources := workload.Kernels()
+	sources["wep"] = workload.Generate(workload.Wep)
+	sources["lcc"] = workload.Generate(workload.Lcc)
+	for _, abundant := range []bool{false, true} {
+		tight := false
+		for name, src := range sources {
+			prog := peepholeEPI(compileProg(t, name, src))
+			opt := Options{Workers: 1, AbundantMemory: abundant}.withDefaults()
+			c := &compressor{opt: opt, sc: compressPool.Get()}
+			if err := c.buildUnits(prog); err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string) {
+				t.Helper()
+				floor := c.adoptFloor()
+				for _, s := range c.cands.slots {
+					if s.count == 0 {
+						continue
+					}
+					b := int(s.savings) - c.dictCostOfKey(s.key)
+					if !abundant {
+						b -= 12 + 11*c.seqLenOfKey(s.key)
+					}
+					if b > 0 && s.savings <= floor {
+						t.Fatalf("%s abundant=%v %s: key %+v has savings %d at or below floor %d and B = %d",
+							name, abundant, when, s.key, s.savings, floor, b)
+					}
+					tight = tight || b > 0 && s.savings == floor+1
+				}
+			}
+			c.startScan()
+			check("after full scan")
+			for pass := 1; pass <= opt.MaxPasses; pass++ {
+				more := c.pass()
+				check(fmt.Sprintf("after pass %d", pass))
+				if !more {
+					break
+				}
+			}
+			c.release()
+		}
+		if !tight {
+			t.Errorf("abundant=%v: no candidate one above the floor pays; the floor is not the largest exact one", abundant)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package brisc
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/parallel"
@@ -367,19 +368,20 @@ func fieldNibbles(kind vm.FieldKind, v int32) int {
 
 // materialize builds the Pattern a candidate key denotes.
 func (c *compressor) materialize(k candKey) Pattern {
-	p := c.dict[k.pid1]
-	if k.f1 >= 0 {
-		fl := c.flocCache[k.pid1][k.f1]
+	pid1, f1, pid2, f2 := k.pid1(), k.f1(), k.pid2(), k.f2()
+	p := c.dict[pid1]
+	if f1 >= 0 {
+		fl := c.flocCache[pid1][f1]
 		p = specialize(p, fl.ii, fl.fi, k.v1)
 	}
-	if k.pid2 >= 0 {
-		q := c.dict[k.pid2]
-		if k.f2 >= 0 {
-			fl := c.flocCache[k.pid2][k.f2]
+	if pid2 >= 0 {
+		q := c.dict[pid2]
+		if f2 >= 0 {
+			fl := c.flocCache[pid2][f2]
 			q = specialize(q, fl.ii, fl.fi, k.v2)
 		}
 		p = combine(p, q)
-	} else if k.f1 < 0 {
+	} else if f1 < 0 {
 		p = clonePattern(p)
 	}
 	return p
@@ -525,8 +527,7 @@ func (c *compressor) scanUnit(i int, sign int32, t *candTable) {
 				continue
 			}
 			newSize := 1 + ceil2(u.nib-fieldNibbles(fl.kind, u.vals[k]))
-			add(candKey{pid1: int32(u.pat), f1: int32(k), v1: u.vals[k], pid2: -1, f2: -1},
-				uSize-newSize)
+			add(newCandKey(u.pat, k, u.vals[k], -1, -1, 0), uSize-newSize)
 		}
 	}
 	if c.opt.NoCombine || i+1 >= len(c.units) {
@@ -543,36 +544,34 @@ func (c *compressor) scanUnit(i int, sign int32, t *candTable) {
 	uChoices := c.specCache[u.pat]
 	vChoices := c.specCache[v.pat]
 	for _, uc := range uChoices {
-		nibU := u.nib
+		nibU, v1 := u.nib, int32(0)
 		if uc >= 0 {
-			nibU -= fieldNibbles(uFlocs[uc].kind, u.vals[uc])
+			v1 = u.vals[uc]
+			nibU -= fieldNibbles(uFlocs[uc].kind, v1)
 		}
 		for _, vc := range vChoices {
-			nibV := v.nib
+			nibV, v2 := v.nib, int32(0)
 			if vc >= 0 {
-				nibV -= fieldNibbles(vFlocs[vc].kind, v.vals[vc])
+				v2 = v.vals[vc]
+				nibV -= fieldNibbles(vFlocs[vc].kind, v2)
 			}
 			newSize := 1 + ceil2(nibU+nibV)
-			k := candKey{pid1: int32(u.pat), f1: int32(uc), pid2: int32(v.pat), f2: int32(vc)}
-			if uc >= 0 {
-				k.v1 = u.vals[uc]
-			}
-			if vc >= 0 {
-				k.v2 = v.vals[vc]
-			}
-			add(k, oldSize-newSize)
+			add(newCandKey(u.pat, uc, v1, v.pat, vc, v2), oldSize-newSize)
 		}
 	}
 }
 
 // adopt selects the K best candidates by benefit and installs them in
-// the dictionary, returning their indices.
+// the dictionary, returning their indices. A candidate whose pattern
+// would break candKey's packing bounds is skipped like one already in
+// the dictionary.
 func (c *compressor) adopt() []int {
+	floor := c.adoptFloor()
 	list := c.sc.scored[:0]
 	for i := range c.cands.slots {
 		s := &c.cands.slots[i]
-		if s.count == 0 {
-			continue
+		if s.savings <= floor {
+			continue // cannot pay; an empty slot's savings is 0
 		}
 		b := int(s.savings) - c.dictCostOfKey(s.key)
 		if !c.opt.AbundantMemory {
@@ -595,12 +594,12 @@ func (c *compressor) adopt() []int {
 	// same pattern or an existing dictionary entry — keep the first.
 	ids := c.sc.adopted[:0]
 	for _, s := range list {
-		if len(ids) >= c.opt.K {
+		if len(ids) >= c.opt.K || len(c.dict) >= maxPatterns {
 			break
 		}
 		p := c.materialize(s.key)
 		h := patternHash(p)
-		if c.findDict(p, h) >= 0 {
+		if p.numUnfixed() > maxPatternFields || c.findDict(p, h) >= 0 {
 			continue
 		}
 		ids = append(ids, c.addDict(p, h))
@@ -619,27 +618,51 @@ func (c *compressor) adopt() []int {
 // dictCostOfKey computes the would-be dictionary entry size of a
 // candidate without materializing it.
 func (c *compressor) dictCostOfKey(k candKey) int {
-	cost := 1 + c.baseDictCost(k.pid1) - 1
-	if k.f1 >= 0 {
+	cost := c.dictCostCache[k.pid1()]
+	if k.f1() >= 0 {
 		cost += uvarintLen(zigzag32(k.v1))
 	}
-	if k.pid2 >= 0 {
-		cost += c.baseDictCost(k.pid2) - 1
-		if k.f2 >= 0 {
+	if pid2 := k.pid2(); pid2 >= 0 {
+		cost += c.dictCostCache[pid2] - 1
+		if k.f2() >= 0 {
 			cost += uvarintLen(zigzag32(k.v2))
 		}
 	}
 	return cost
 }
 
-func (c *compressor) baseDictCost(pid int32) int { return c.dictCostCache[pid] }
-
 func (c *compressor) seqLenOfKey(k candKey) int {
-	n := len(c.dict[k.pid1].Seq)
-	if k.pid2 >= 0 {
-		n += len(c.dict[k.pid2].Seq)
+	n := len(c.dict[k.pid1()].Seq)
+	if pid2 := k.pid2(); pid2 >= 0 {
+		n += len(c.dict[pid2].Seq)
 	}
 	return n
+}
+
+// adoptFloor returns the savings at or below which no candidate has
+// B > 0: a lower bound on dictCostOfKey plus W over every key. A
+// pattern's side of a key, its dictionary bytes less the shared count
+// byte plus W's 11 per instruction, is at least that of the base
+// pattern of any of its instructions, so the base opcodes bound it. A
+// specialization adds its value's byte to one specializable side; a
+// pair has two sides, the left one ending in no block ender.
+func (c *compressor) adoptFloor() int32 {
+	w0, w1 := 12, 11
+	if c.opt.AbundantMemory {
+		w0, w1 = 0, 0
+	}
+	side, left, spec := math.MaxInt32, math.MaxInt32, math.MaxInt32
+	for pid := 1; pid < vm.NumOpcodes; pid++ {
+		s := c.dictCostCache[pid] - 1 + w1
+		side = min(side, s)
+		if !vm.Opcode(pid).EndsBlock() {
+			left = min(left, s)
+		}
+		if len(c.specCache[pid]) > 1 {
+			spec = min(spec, s)
+		}
+	}
+	return int32(1 + w0 + min(spec+1, left+side))
 }
 
 // rewrite applies newly adopted patterns: combinations first (merging
